@@ -8,7 +8,7 @@ Layers, bottom up:
 ``calculus``   compensators, brackets, integrals, stochastic exponentials
 ``mrp``        representation drivers and integrand recovery
 ``enlarge``    expanded-flow drift, the gauge (N, phi, u), its checks
-``jumpkernel`` per-(time, atom) jump sites and the restricted-inverse solver
+``jumpkernel`` per-(time, atom) jump sites, coercivity certificate, site solve
 ``viability``  structure solves, deflators, and market verdicts
 ``scenario``   JSON ingestion for scenarios and sites
 ``report``     deterministic machine reports and human rendering

@@ -3,7 +3,8 @@
 Subcommands:
 
   analyze SCENARIO   run the full viability pipeline on a scenario file
-  kernel SITE        solve one jump site and run its check battery
+  kernel SITE        certify coercivity at the tilt floor, solve one jump
+                     site by a minimum-norm solve, run its check battery
   selftest           run the built-in verification battery
 
 Pass "-" as the file to read from standard input.  Arithmetic mode is
@@ -152,7 +153,7 @@ def _checked_base_solution(built: BuiltScenario):
     return solution
 
 
-def _run_pipeline(built: BuiltScenario, workers: int):
+def _run_pipeline(built: BuiltScenario):
     """Returns (verdict, gauge, checks) with one row per named check."""
     checks = {name: (None, None) for name in _CHECK_NAMES}
 
@@ -180,7 +181,7 @@ def _run_pipeline(built: BuiltScenario, workers: int):
     checks["tilt-floor-positive"] = (gauge.u_positive, None)
 
     verdict = solve_structure_G(built.market, built.pair, gauge, built.driver,
-                                base_solution=base, workers=workers)
+                                base_solution=base)
     reason = verdict.witness.reason if verdict.witness else None
     if verdict.status == VIABLE:
         for name in _SITE_STAGES:
@@ -220,7 +221,7 @@ def cmd_analyze(args) -> int:
         return _fail(str(err), EXIT_INVALID)
     t1 = time.perf_counter()
     try:
-        verdict, gauge, checks = _run_pipeline(built, max(1, args.parallel))
+        verdict, gauge, checks = _run_pipeline(built)
     except ScenarioError as err:
         return _fail(str(err), EXIT_INVALID)
     t2 = time.perf_counter()
@@ -333,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", parents=[common],
                                help="analyze a scenario file")
     p_analyze.add_argument("file", help="scenario JSON path, or - for stdin")
-    p_analyze.add_argument("--parallel", type=int, default=1, metavar="N",
-                           help="solve jump sites on N worker threads")
     p_analyze.set_defaults(fn=cmd_analyze)
 
     p_kernel = sub.add_parser("kernel", parents=[common],

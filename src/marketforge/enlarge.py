@@ -229,25 +229,6 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
     return DriftGauge(pair, N, phi, u, support_ok, u_positive)
 
 
-def check_positivity(gauge: DriftGauge) -> bool:
-    """Strict positivity of the tilt 1 + transpose(phi) dN at every jump.
-
-    Evaluated against every transition of the enclosing base atom, so it is
-    exactly the statement that the floor u stays strictly positive.
-    """
-    pair = gauge.pair
-    F, G = pair.base, pair.expanded
-    for t in range(1, pair.horizon + 1):
-        base_part = F.at(t - 1)
-        for atom in G.at(t - 1).atoms:
-            p = gauge.phi.at(atom[0], t)
-            for o in base_part.atom_of(atom[0]):
-                tilt = 1 + sum((a * b for a, b in zip(p, gauge.N.delta(o, t))), 0)
-                if not tilt > 0:
-                    return False
-    return True
-
-
 def verify_g_compensator(A: Process, pair: EnlargementPair, gauge: DriftGauge) -> bool:
     """Check the two-term formula for expanded-flow compensators.
 

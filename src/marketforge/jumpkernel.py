@@ -1,4 +1,4 @@
-"""Local jump-site algebra: Gram matrices, restricted inverses, jump bounds.
+"""Local jump-site algebra: Gram matrices, the site solve, jump bounds.
 
 A jump site is the one-step law of a driver jump seen from just before the
 jump: children (the possible post-jump atoms) with probabilities, driver
@@ -10,10 +10,14 @@ delta.  Two flavors exist:
 * inaccessible sites carry no centering; instead the aggregate tilt
   1 + sum q nu must be positive for the implied conditional law to exist.
 
-The solvers recover the integrand xi of the deflator's jump equation on the
-site.  They run through a restricted inverse on the column space of the
-base Gram matrix -- the generalized-inverse recipe -- while tests cross-check
-against a direct minimum-norm solve of the same linear system.
+The solvers recover the integrand xi of the deflator's jump equation
+transpose(xi) M = r on the site.  The equation is coercive when
+M - u G_F is positive semidefinite for the tilt floor u > 0; after that
+certificate one minimum-norm solve of the symmetric system M xi = r gives
+xi, and the solution is re-verified against the growth bound and the
+equation itself.  ``restricted_inverse`` keeps the paper's
+generalized-inverse recipe on the column space of the base Gram as the
+reference that tests compare the direct solve against.
 """
 
 from __future__ import annotations
@@ -201,26 +205,25 @@ def restricted_inverse(G, J, v: Sequence[Num], eps: Num,
          for j in range(len(cols))]
     E = linalg.transpose(E)  # coordinates of J restricted to V
     try:
-        c = _solve_square(E, a, arith)
+        c = linalg.solve_pd(E, a, arith)
     except linalg.LinalgError:
         raise SingularOnV("J restricted to the column space is singular") from None
     x = linalg.mat_vec(B, c)
-    # Growth bound |x|_G <= (1/eps)|v|_G, compared without square roots.
-    xGx = linalg.dot(x, linalg.mat_vec(G, x))
-    vGv = linalg.dot(list(v), linalg.mat_vec(G, list(v)))
-    lhs = eps * eps * xGx
-    if lhs > vGv and not arith.negligible(lhs - vGv, max(1, abs(vGv))):
+    if not _within_growth_bound(G, x, list(v), eps, arith):
         raise CoercivityFailure("restricted inverse exceeded its growth bound")
     return PsdSolve(tuple(x), True, (0,) * d, eps)
 
 
-def _solve_square(A, b, arith: Arithmetic):
-    """Solve a small square system, raising LinalgError when singular."""
-    n = len(A)
-    R, pivots = linalg.rref([list(row) + [rhs] for row, rhs in zip(A, b)], arith)
-    if pivots != list(range(n)):
-        raise linalg.LinalgError("singular system")
-    return [R[i][n] for i in range(n)]
+def _within_growth_bound(G, x, v, eps, arith: Arithmetic) -> bool:
+    """|x|_G <= (1/eps)|v|_G, compared without square roots."""
+    lhs = eps * eps * linalg.dot(x, linalg.mat_vec(G, x))
+    vGv = linalg.dot(v, linalg.mat_vec(G, v))
+    return lhs <= vGv or arith.negligible(lhs - vGv, max(1, abs(vGv)))
+
+
+def _coercive(M, G, u, arith: Arithmetic) -> bool:
+    """The coercivity certificate: M - u G is positive semidefinite."""
+    return linalg.is_psd(linalg.mat_add(M, linalg.mat_scale(G, u), sign=-1), arith)
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +325,27 @@ def _xi_solve(site: Site, M, eps) -> PsdSolve:
             f"tilt floor {u} is not positive: the site equation is not coercive"
         )
     G = gram_F(site)
-    J = linalg.mat_mul(linalg.pinv_psd(G, arith), M)
+    if not _coercive(M, G, eps, arith):
+        raise CoercivityFailure("tilted form fails the coercivity inequality on V")
+    xi, _ = linalg.lstsq_min_norm(M, r, arith)
     v, _ = linalg.lstsq_min_norm(G, r, arith)
-    solve = restricted_inverse(G, J, v, eps, arith)
+    if not _within_growth_bound(G, xi, v, eps, arith):
+        raise CoercivityFailure("site solve exceeded its growth bound")
     # The solve must satisfy the original site equation; anything else is a bug.
-    check = linalg.vec_add(linalg.vec_mat(list(solve.solution), M), r, sign=-1)
+    check = linalg.vec_add(linalg.vec_mat(xi, M), r, sign=-1)
     if not linalg.vec_is_zero(check, arith, scale):
-        raise AssertionError("restricted-inverse solve missed the site equation")
-    return solve
+        raise AssertionError("site solve missed the site equation")
+    return PsdSolve(tuple(xi), True, (0,) * site.dim, eps)
 
 
 def xi_accessible(site: AccessibleSite, eps=None) -> PsdSolve:
     """Deflator-jump integrand at an accessible site.
 
     Solves transpose(xi) M = transpose(r) for M the accessible expanded
-    Gram and r the site right-hand side, through the restricted inverse on
-    the base Gram's column space.  Degenerate zero-Gram sites are feasible
-    exactly when r = 0 (the insider counterexample returns its residual).
+    Gram and r the site right-hand side: the coercivity certificate at the
+    tilt floor, then the minimum-norm solve of M xi = r.  Degenerate
+    zero-Gram sites are feasible exactly when r = 0 (the insider
+    counterexample returns its residual).
     """
     M = gram_G_accessible(site)
     return _xi_solve(site, M, eps)
@@ -413,8 +420,7 @@ def check_coercivity(site: Site, u: Num) -> bool:
         M = gram_G_accessible(site, validate_tilt=False)
     else:
         M = gram_G_inaccessible(site, validate_tilt=False)
-    diff = linalg.mat_add(M, linalg.mat_scale(gram_F(site), u), sign=-1)
-    return linalg.is_psd(diff, site.arith)
+    return _coercive(M, gram_F(site), u, site.arith)
 
 
 def energy_bound(site: Site, xi: Sequence[Num], u: Num):

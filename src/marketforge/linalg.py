@@ -133,11 +133,16 @@ def null_space(A, arith: Arithmetic) -> list[list[Num]]:
     """Basis of the solution space of A x = 0, one vector per free column."""
     if not A:
         return []
-    n = len(A[0])
     R, pivots = rref(A, arith)
-    free = [c for c in range(n) if c not in pivots]
+    return _null_basis(R, pivots, len(A[0]))
+
+
+def _null_basis(R, pivots, n: int) -> list[list[Num]]:
+    """Null-space basis of the first n columns read off a reduced form R."""
     basis = []
-    for f in free:
+    for f in range(n):
+        if f in pivots:
+            continue
         v = zeros(n)
         v[f] = 1
         for row_idx, p in enumerate(pivots):
@@ -163,24 +168,32 @@ def solve_pd(M, b, arith: Arithmetic) -> list[Num]:
     return [R[i][n] for i in range(n)]
 
 
+def _fit_columns(A, cols, v, arith: Arithmetic) -> tuple[list[list[Num]], list[Num]]:
+    """Columns C = A[:, cols] (independent) and the coordinates y that make
+    C y the orthogonal projection of v onto their span."""
+    C = [[row[c] for c in cols] for row in A]
+    Ct = transpose(C)
+    return C, solve_pd(mat_mul(Ct, C), mat_vec(Ct, v), arith)
+
+
 def project_columns(A, v, arith: Arithmetic) -> list[Num]:
     """Orthogonal projection of v onto the column space of A."""
     cols = independent_columns(A, arith)
     if not cols:
         return zeros(len(v))
-    C = [[row[c] for c in cols] for row in A]
-    Ct = transpose(C)
-    G = mat_mul(Ct, C)
-    y = solve_pd(G, mat_vec(Ct, v), arith)
+    C, y = _fit_columns(A, cols, v, arith)
     return mat_vec(C, y)
 
 
 def lstsq_min_norm(A, b, arith: Arithmetic):
     """Minimum-norm least-squares solution of A x = b.
 
-    Returns (x, residual) with residual = b - A x.  In exact mode this is
-    the Moore-Penrose solution: x lies in the row space of A and the
-    residual is orthogonal to the column space.
+    Returns (x, residual) with residual = b - A x.  One elimination of
+    [A | b] gives both a particular solution and the null space of A;
+    removing the null-space component leaves the Moore-Penrose solution,
+    which lies in the row space of A.  When b falls outside the column
+    space, the pivot columns are fitted to its orthogonal projection
+    instead, so the residual is b - P_col(A) b.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -188,26 +201,24 @@ def lstsq_min_norm(A, b, arith: Arithmetic):
         raise LinalgError("lstsq_min_norm: shape mismatch")
     if n == 0:
         return [], list(b)
-    At = transpose(A)
-    M = mat_mul(At, A)  # normal equations keep one code path for all shapes
-    c = mat_vec(At, b)
-    scale = matrix_scale(M)
-    R, pivots = rref([list(row) + [rhs] for row, rhs in zip(M, c)], arith, scale=scale)
-    x0 = zeros(n)
-    for row_idx, p in enumerate(pivots):
-        if p < n:
-            x0[p] = R[row_idx][n]
+    R, pivots = rref([list(row) + [rhs] for row, rhs in zip(A, b)], arith,
+                     scale=matrix_scale(A))
+    if pivots and pivots[-1] == n:
+        pivots = pivots[:-1]
+        _, y = _fit_columns(A, pivots, b, arith)
+    else:
+        y = [R[i][n] for i in range(len(pivots))]
+    x = zeros(n)
+    for p, value in zip(pivots, y):
+        x[p] = value
     # Minimum norm: remove the null-space component of the particular solution.
-    N = null_space(M, arith)
-    if N and not vec_is_zero(x0, arith):
-        Nt_cols = N  # each entry is one basis vector
-        G = [[dot(u, v) for v in Nt_cols] for u in Nt_cols]
-        rhs = [dot(u, x0) for u in Nt_cols]
-        coeffs = solve_pd(G, rhs, arith)
-        for u, a in zip(Nt_cols, coeffs):
-            x0 = vec_add(x0, vec_scale(u, a), sign=-1)
-    residual = vec_add(b, mat_vec(A, x0), sign=-1)
-    return x0, residual
+    N = _null_basis(R, pivots, n)
+    if N and not vec_is_zero(x, arith):
+        G = [[dot(u, v) for v in N] for u in N]
+        coeffs = solve_pd(G, [dot(u, x) for u in N], arith)
+        for u, a in zip(N, coeffs):
+            x = vec_add(x, vec_scale(u, a), sign=-1)
+    return x, vec_add(b, mat_vec(A, x), sign=-1)
 
 
 def is_psd(A, arith: Arithmetic) -> bool:

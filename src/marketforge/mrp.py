@@ -91,7 +91,7 @@ class RepresentationCoefficients:
         return integrate(self.kbar, self.driver.W)
 
 
-def _children_with_mass(space, parent_part, child_part, atom):
+def children_with_mass(space, parent_part, child_part, atom):
     """Child atoms with their conditional probabilities within the atom."""
     children = parent_part.children_of(child_part, atom)
     mass = space.prob(atom)
@@ -191,7 +191,7 @@ def synthesize_driver(F: Filtration) -> Driver:
     for t in range(1, F.horizon + 1):
         part = F.at(t - 1)
         for atom_idx, atom in enumerate(part.atoms):
-            pairs = _children_with_mass(space, part, F.at(t), atom)
+            pairs = children_with_mass(space, part, F.at(t), atom)
             specs[(t, atom_idx)] = pairs
             d = max(d, len(pairs) - 1)
 

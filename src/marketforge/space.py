@@ -475,9 +475,6 @@ class Process:
             paths.append((path[0],) + tuple(path[t - 1] for t in range(1, len(path))))
         return Process(self.space, tuple(paths), flavor=PREDICTABLE, shape=self.shape)
 
-    def initial_values(self) -> list[tuple[Num, ...]]:
-        return self.rv(0)
-
 
 def is_adapted(X: Process, filtration: Filtration) -> bool:
     """Time-t values constant on every time-t atom."""

@@ -29,7 +29,7 @@ from .calculus import (
 )
 from .enlarge import DriftGauge, check_support_condition, drift
 from .jumpkernel import AccessibleSite, CoercivityFailure, PsdSolve, SiteChild, xi_accessible, check_jump_bound
-from .mrp import Driver
+from .mrp import Driver, children_with_mass
 from .space import (
     PREDICTABLE,
     EnlargementPair,
@@ -174,12 +174,6 @@ class SiteRecord:
     solve: PsdSolve
 
 
-def _children_with_mass(space, coarse, fine, atom):
-    children = coarse.children_of(fine, atom)
-    mass = space.prob(atom)
-    return [(child, space.prob(child) / mass) for child in children]
-
-
 def _predictable_from_table(space, filtration, table, horizon, dim):
     """Predictable process with time-t value per time-(t-1) atom index."""
 
@@ -215,7 +209,7 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
         fine = F.at(t)
         for idx, atom in enumerate(parent.atoms):
             Q = [[0] * d for _ in range(k)]
-            for child, p in _children_with_mass(space, parent, fine, atom):
+            for child, p in children_with_mass(space, parent, fine, atom):
                 dm = M.delta(child[0], t)
                 dw = W.delta(child[0], t)
                 for i in range(k):
@@ -327,7 +321,7 @@ def _build_site(market: Market, driver: Driver, gauge: DriftGauge,
     F = market.F
     phi = gauge.phi.at(g_atom[0], t)
     children = []
-    for child, p in _children_with_mass(space, F.at(t - 1), F.at(t), base_atom):
+    for child, p in children_with_mass(space, F.at(t - 1), F.at(t), base_atom):
         w = driver.W.delta(child[0], t)
         dn = gauge.N.delta(child[0], t)
         nu = sum((a * b for a, b in zip(phi, dn)), 0)
@@ -338,7 +332,7 @@ def _build_site(market: Market, driver: Driver, gauge: DriftGauge,
 
 def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
                       driver: Driver, base_solution: StructureSolution | None = None,
-                      enforce_assumptions: bool = True, workers: int = 1) -> Verdict:
+                      enforce_assumptions: bool = True) -> Verdict:
     """Expanded-flow structure condition, solved through the jump sites.
 
     Pipeline: assumption gate (support condition and positive tilt floor),
@@ -350,9 +344,6 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
 
     ``enforce_assumptions=False`` skips the gate so the downstream failure
     mode of a bad enlargement (infeasible sites) can be observed directly.
-    Sites are independent; ``workers > 1`` solves them in a thread pool, with
-    results assembled in grid order so the verdict does not depend on pool
-    size.
     """
     if pair.base is not market.F:
         if pair.base.partitions != market.F.partitions:
@@ -377,40 +368,24 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
                     if not u > 0:
                         return Verdict(ASSUMPTION_VIOLATED,
                                        FailureWitness("tilt-floor", t, atom, u))
-    sites = []
+    table = {}
+    records = []
     for t in range(1, G.horizon + 1):
         for idx, g_atom in enumerate(G.at(t - 1).atoms):
             base_atom = market.F.at(t - 1).atom_of(g_atom[0])
-            sites.append((t, idx, g_atom, base_atom,
-                          _build_site(market, driver, gauge, D, t, g_atom,
-                                      base_atom)))
-
-    def solve_one(site):
-        try:
-            return xi_accessible(site)
-        except CoercivityFailure as err:
-            return err
-
-    if workers > 1 and len(sites) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solves = list(pool.map(solve_one, [s[-1] for s in sites]))
-    else:
-        solves = [solve_one(s[-1]) for s in sites]
-    table = {}
-    records = []
-    for (t, idx, g_atom, base_atom, site), solve in zip(sites, solves):
-        if isinstance(solve, CoercivityFailure):
-            return Verdict(NON_VIABLE,
-                           FailureWitness("site-coercivity", t, g_atom,
-                                          str(solve)))
-        if not solve.feasible:
-            return Verdict(NON_VIABLE,
-                           FailureWitness("site-infeasible", t, g_atom,
-                                          solve.residual))
-        records.append(SiteRecord(t, g_atom, base_atom, site, solve))
-        table[(t, idx)] = solve.solution
+            site = _build_site(market, driver, gauge, D, t, g_atom, base_atom)
+            try:
+                solve = xi_accessible(site)
+            except CoercivityFailure as err:
+                return Verdict(NON_VIABLE,
+                               FailureWitness("site-coercivity", t, g_atom,
+                                              str(err)))
+            if not solve.feasible:
+                return Verdict(NON_VIABLE,
+                               FailureWitness("site-infeasible", t, g_atom,
+                                              solve.residual))
+            records.append(SiteRecord(t, g_atom, base_atom, site, solve))
+            table[(t, idx)] = solve.solution
     kbar = _predictable_from_table(space, G, table, G.horizon, driver.d)
     W_tilde = driver.W - drift(driver.W, pair)
     Y = integrate(kbar, W_tilde)

@@ -29,8 +29,10 @@ from marketforge.jumpkernel import (
     check_coercivity,
     check_jump_bound,
     energy_bound,
+    gram_F,
     gram_G_accessible,
     gram_G_inaccessible,
+    restricted_inverse,
     site_rhs,
     tilt_floor,
     verify_density,
@@ -67,6 +69,7 @@ from util import (
     random_adapted,
     random_inaccessible_site,
     random_martingale,
+    site_to_float,
 )
 
 F = Fraction
@@ -276,7 +279,8 @@ def test_thousand_random_sites_pass_all_checks():
                 else random_inaccessible_site(rng))
         u = tilt_floor(site)
         assert u > 0
-        solve = xi_accessible(site) if accessible else xi_inaccessible(site)
+        solver = xi_accessible if accessible else xi_inaccessible
+        solve = solver(site)
         assert solve.feasible
         assert verify_density(site)
         assert check_coercivity(site, u)
@@ -284,14 +288,19 @@ def test_thousand_random_sites_pass_all_checks():
         assert ok
         energy_ok, _, _ = energy_bound(site, solve.solution, u)
         assert energy_ok
-        # independent cross-check: plain min-norm least squares on the same
-        # system reproduces the solver's answer coordinate for coordinate
+        # independent cross-check: the generalized-inverse reference on the
+        # base Gram's column space reproduces the solver's answer exactly
         M = (gram_G_accessible(site) if accessible
              else gram_G_inaccessible(site))
-        direct, residual = linalg.lstsq_min_norm(
-            [list(row) for row in M], list(site_rhs(site)), EXACT)
-        assert residual is None or all(x == 0 for x in residual)
-        assert tuple(direct) == solve.solution
+        G = gram_F(site)
+        J = linalg.mat_mul(linalg.pinv_psd(G, EXACT), M)
+        v, _ = linalg.lstsq_min_norm(G, site_rhs(site), EXACT)
+        assert restricted_inverse(G, J, v, u).solution == solve.solution
+        # float mode solves the same site to the same answer, never raising
+        floated = solver(site_to_float(site))
+        assert floated.feasible == solve.feasible
+        for a, b in zip(solve.solution, floated.solution):
+            assert abs(float(a) - b) <= 1e-9 * max(1, abs(float(a)))
         if accessible:
             seen_accessible += 1
             assert all(M[a][b] == M[b][a]

@@ -8,7 +8,6 @@ import pytest
 from marketforge.calculus import compensator, integrate, is_martingale, pred_bracket
 from marketforge.enlarge import (
     Infeasible,
-    check_positivity,
     check_support_condition,
     compute_u,
     drift,
@@ -64,7 +63,6 @@ def test_solve_phi_on_noisy_signal():
         assert gauge.u.value(o, 2) == 1
     assert gauge.support_ok
     assert gauge.u_positive
-    assert check_positivity(gauge)
 
 
 def test_solve_phi_on_perfect_insider():
@@ -76,7 +74,6 @@ def test_solve_phi_on_perfect_insider():
         assert gauge.u.value(o, 1) == 0
     assert not gauge.u_positive
     assert not gauge.support_ok
-    assert not check_positivity(gauge)
 
 
 def test_support_condition_witness_on_insider():
