@@ -1,13 +1,14 @@
 """marketforge: exact finite-market engine for information-flow expansion.
 
-Layers, bottom up:
+Layers, bottom up; only ``space`` and ``calculus`` build processes cell by
+cell, the layers above them pass per-atom tables and increments:
 
 ``arith``      two arithmetic backends (exact rationals, tolerant floats)
 ``linalg``     elimination-based linear algebra over either backend
 ``space``      sample spaces, filtrations, processes, enlargement pairs
 ``calculus``   compensators, brackets, integrals, stochastic exponentials
 ``mrp``        representation drivers and integrand recovery
-``enlarge``    expanded-flow drift, the gauge (N, phi, u), its checks
+``enlarge``    expanded-flow drift (the G-compensator), the gauge (N, phi, u)
 ``jumpkernel`` per-(time, atom) jump sites, coercivity certificate, site solve
 ``viability``  structure solves, deflators, and market verdicts
 ``scenario``   JSON ingestion for scenarios and sites

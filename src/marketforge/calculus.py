@@ -62,7 +62,7 @@ def _require_adapted(X: Process, filtration: Filtration, what: str) -> None:
         raise CalculusError(f"{what} must be adapted to the filtration")
 
 
-def _accumulate(space, horizon, dim, increment_fn, flavor, shape=None) -> Process:
+def accumulate(space, horizon, dim, increment_fn, flavor, shape=None) -> Process:
     """Build a process from per-(outcome, t>=1) increment vectors, starting at 0."""
     paths = []
     for o in space.outcomes:
@@ -76,6 +76,36 @@ def _accumulate(space, horizon, dim, increment_fn, flavor, shape=None) -> Proces
     return Process(space, tuple(paths), flavor=flavor, shape=shape)
 
 
+def centred(X: Process) -> Process:
+    """X - X_0: the process minus its own time-0 value, outcome by outcome."""
+    paths = tuple(
+        tuple(tuple(a - b for a, b in zip(v, path[0])) for v in path)
+        for path in X.paths
+    )
+    return Process(X.space, paths, flavor=ADAPTED, shape=X.shape)
+
+
+def _increment_means(X: Process, filtration: Filtration):
+    """Yield (t, E[dX_t | time-(t-1) atoms]) for t >= 1, parallel to the
+    outcomes: the one conditional-increment kernel behind ``compensator``,
+    ``is_martingale`` and ``enlarge.drift``."""
+    space = X.space
+    for t in range(1, X.horizon + 1):
+        inc = [X.delta(o, t) for o in space.outcomes]
+        yield t, cond_exp(inc, filtration.at(t - 1), space)
+
+
+def _compensate(X: Process, filtration: Filtration) -> Process:
+    """Accumulated conditional-mean increments, with no input checks."""
+    means = dict(_increment_means(X, filtration))
+    space = X.space
+    return accumulate(
+        space, X.horizon, X.dim,
+        lambda o, t: means[t][space.index(o)],
+        PREDICTABLE, shape=X.shape,
+    )
+
+
 def compensator(A: Process, filtration: Filtration) -> Process:
     """Predictable dual projection: increments are conditional means.
 
@@ -84,34 +114,20 @@ def compensator(A: Process, filtration: Filtration) -> Process:
     this (uniqueness is exact on a finite grid).
     """
     _require_adapted(A, filtration, "compensator input")
-    space = A.space
-    arith = space.arith
-    for o in space.outcomes:
+    arith = A.space.arith
+    for o in A.space.outcomes:
         if not all(arith.is_zero(v) for v in A.at(o, 0)):
             raise CalculusError("compensator input must be null at time 0")
-    means = {}
-    for t in range(1, A.horizon + 1):
-        inc = [A.delta(o, t) for o in space.outcomes]
-        means[t] = cond_exp(inc, filtration.at(t - 1), space)
-    return _accumulate(
-        space, A.horizon, A.dim,
-        lambda o, t: means[t][space.index(o)],
-        PREDICTABLE, shape=A.shape,
-    )
+    return _compensate(A, filtration)
 
 
 def doob_decompose(X: Process, filtration: Filtration) -> Decomposition:
     """Split an adapted process into initial value + martingale + drift."""
     _require_adapted(X, filtration, "decomposition input")
-    space = X.space
-    x0 = tuple(X.at(o, 0) for o in space.outcomes)
-    centred_paths = tuple(
-        tuple(tuple(a - b for a, b in zip(v, path[0])) for v in path)
-        for path in X.paths
-    )
-    centred = Process(space, centred_paths, flavor=ADAPTED, shape=X.shape)
-    drift = compensator(centred, filtration)
-    return Decomposition(x0, centred - drift, drift)
+    x0 = tuple(X.at(o, 0) for o in X.space.outcomes)
+    Xc = centred(X)
+    drift = compensator(Xc, filtration)
+    return Decomposition(x0, Xc - drift, drift)
 
 
 def bracket(X: Process, Y: Process) -> Process:
@@ -130,7 +146,7 @@ def bracket(X: Process, Y: Process) -> Process:
         dy = Y.delta(o, t)
         return tuple(a * b for a in dx for b in dy)
 
-    return _accumulate(space, X.horizon, dim, inc, ADAPTED, shape=(X.dim, Y.dim))
+    return accumulate(space, X.horizon, dim, inc, ADAPTED, shape=(X.dim, Y.dim))
 
 
 def pred_bracket(X: Process, Y: Process, filtration: Filtration) -> Process:
@@ -166,7 +182,7 @@ def integrate(H: Process, X: Process) -> Process:
         out_dim = X.dim
     else:
         raise CalculusError("integrand shape does not match the integrator")
-    return _accumulate(space, X.horizon, out_dim, inc, ADAPTED)
+    return accumulate(space, X.horizon, out_dim, inc, ADAPTED)
 
 
 def stoch_exp(X: Process) -> Process:
@@ -214,9 +230,7 @@ def is_martingale(X: Process, filtration: Filtration):
     _require_adapted(X, filtration, "martingale-check input")
     space = X.space
     arith = space.arith
-    for t in range(1, X.horizon + 1):
-        inc = [X.delta(o, t) for o in space.outcomes]
-        means = cond_exp(inc, filtration.at(t - 1), space)
+    for t, means in _increment_means(X, filtration):
         for atom in filtration.at(t - 1).atoms:
             m = means[space.index(atom[0])]
             if not all(arith.is_zero(v) for v in m):

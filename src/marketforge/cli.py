@@ -43,6 +43,7 @@ from .jumpkernel import (
 )
 from .scenario import BuiltScenario, ScenarioError, load_scenario, load_site, parse_document
 from .selftest import run_selftest
+from .space import first_mismatch
 from .viability import (
     ASSUMPTION_VIOLATED,
     NON_VIABLE,
@@ -141,15 +142,12 @@ def _checked_base_solution(built: BuiltScenario):
     """Base-flow structure solve, cross-checked against an explicit one."""
     solution = solve_structure_F(built.market, built.driver)
     if built.structure is not None:
-        arith = built.arith
-        D = built.structure
-        for o in built.space.outcomes:
-            for t in range(built.F.horizon + 1):
-                if not arith.eq(D.value(o, t), solution.martingale.value(o, t)):
-                    raise ScenarioError(
-                        "structure",
-                        f"given structure process disagrees with the solved "
-                        f"one at ({o}, t={t})")
+        miss = first_mismatch(built.structure, solution.martingale)
+        if miss is not None:
+            raise ScenarioError(
+                "structure",
+                f"given structure process disagrees with the solved "
+                f"one at ({miss[0]}, t={miss[1]})")
     return solution
 
 

@@ -1,8 +1,9 @@
 """Drift of base martingales under an expanded information flow.
 
 When an observer's filtration G refines the base flow F, an F-martingale X
-generally drifts under G.  On a finite grid the drift process has
-increments E[dX_t | G_{t-1}] and the working hypothesis is that it is
+generally drifts under G.  The drift is the G-compensator of X - X_0: on a
+finite grid it has increments E[dX_t | G_{t-1}], computed by the same
+kernel as ``calculus.compensator``.  The working hypothesis is that it is
 carried by one n-dimensional F-martingale N through a G-predictable
 integrand phi:
 
@@ -20,15 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .calculus import compensator, integrate, is_martingale, pred_bracket
+from .calculus import _compensate, compensator, integrate, is_martingale, pred_bracket
 from .space import (
-    PREDICTABLE,
     EnlargementPair,
-    Filtration,
     Process,
     SpaceError,
     check_refinement,
-    cond_exp,
+    first_mismatch,
 )
 
 
@@ -53,14 +52,19 @@ class SupportWitness:
 
 @dataclass(frozen=True, eq=False)
 class DriftGauge:
-    """The drift data of an enlargement: carrier N, integrand phi, floor u."""
+    """The drift data of an enlargement: carrier N, integrand phi, floor u,
+    and the support-condition witness (None when the condition holds)."""
 
     pair: EnlargementPair
     N: Process
     phi: Process
     u: Process
-    support_ok: bool
+    support_witness: SupportWitness | None
     u_positive: bool
+
+    @property
+    def support_ok(self) -> bool:
+        return self.support_witness is None
 
 
 def _require_pair(pair: EnlargementPair) -> None:
@@ -69,7 +73,8 @@ def _require_pair(pair: EnlargementPair) -> None:
 
 
 def drift(X: Process, pair: EnlargementPair) -> Process:
-    """Cumulative expanded-flow drift: increments E[dX_t | G_{t-1}].
+    """Cumulative expanded-flow drift: the G-compensator of X - X_0, with
+    increments E[dX_t | G_{t-1}].
 
     For any F-martingale X the process X - drift(X) is a G-martingale; on a
     finite grid this needs no integrability hypothesis, and the function
@@ -77,20 +82,7 @@ def drift(X: Process, pair: EnlargementPair) -> Process:
     """
     _require_pair(pair)
     G = pair.expanded
-    space = X.space
-    means = {}
-    for t in range(1, X.horizon + 1):
-        inc = [X.delta(o, t) for o in space.outcomes]
-        means[t] = cond_exp(inc, G.at(t - 1), space)
-    paths = []
-    for o in space.outcomes:
-        level = (0,) * X.dim
-        path = [level]
-        for t in range(1, X.horizon + 1):
-            level = tuple(a + b for a, b in zip(level, means[t][space.index(o)]))
-            path.append(level)
-        paths.append(tuple(path))
-    out = Process(space, tuple(paths), flavor=PREDICTABLE, shape=X.shape)
+    out = _compensate(X, G)
     ok, witness = is_martingale(X - out, G)
     if not ok:  # unreachable: the construction centers every increment
         raise AssertionError(f"drift failed to center the process: {witness}")
@@ -112,7 +104,7 @@ def check_support_condition(pair: EnlargementPair):
         g_part = G.at(t - 1)
         for atom in part.atoms:
             children = part.children_of(child_part, atom)
-            g_atoms = [b for b in g_part.atoms if b[0] in set(atom)]
+            g_atoms = part.children_of(g_part, atom)
             for child in children:
                 members = set(child)
                 for b in g_atoms:
@@ -130,7 +122,6 @@ def compute_u(pair: EnlargementPair, N: Process, phi: Process) -> Process:
     enlargement has excluded (where the tilt may legitimately vanish).
     """
     F, G = pair.base, pair.expanded
-    space = pair.space
     values: dict[tuple[int, int], object] = {}
     for t in range(1, pair.horizon + 1):
         part = G.at(t - 1)
@@ -143,13 +134,7 @@ def compute_u(pair: EnlargementPair, N: Process, phi: Process) -> Process:
                 for o in base_atom
             ]
             values[(t, k)] = min(tilts)
-
-    def fn(o, t):
-        if t == 0:
-            return 1
-        return values[(t, G.at(t - 1).atom_index(o))]
-
-    return Process.from_values(space, fn, pair.horizon, flavor=PREDICTABLE)
+    return Process.predictable(G, values, initial=1)
 
 
 def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
@@ -200,33 +185,24 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
             if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([gamma])):
                 raise Infeasible(t, b_atom, tuple(residual))
             values[(t, k)] = tuple(phi_b)
-
-    def fn(o, t):
-        if t == 0:
-            return (0,) * n
-        return values[(t, G.at(t - 1).atom_index(o))]
-
-    phi = Process.from_values(space, fn, pair.horizon, dim=n,
-                              flavor=PREDICTABLE, shape=(n, 1))
+    phi = Process.predictable(G, values, n, shape=(n, 1))
     # Re-verify the drift identity on the driver basis, component by component.
     for e in range(d):
         We = W.component(e)
-        lhs = drift(We, pair)
-        rhs = integrate(phi, pred_bracket(N, We, F))
-        for o in space.outcomes:
-            for t in range(pair.horizon + 1):
-                if not arith.eq(lhs.value(o, t), rhs.value(o, t)):
-                    raise AssertionError(
-                        "drift identity failed on the driver basis "
-                        f"(component {e}, outcome {o}, time {t})"
-                    )
+        miss = first_mismatch(drift(We, pair),
+                              integrate(phi, pred_bracket(N, We, F)))
+        if miss is not None:
+            raise AssertionError(
+                "drift identity failed on the driver basis "
+                f"(component {e}, outcome {miss[0]}, time {miss[1]})"
+            )
     u = compute_u(pair, N, phi)
-    support_ok, _ = check_support_condition(pair)
+    _, support_witness = check_support_condition(pair)
     u_positive = all(
         u.value(o, t) > 0
         for o in space.outcomes for t in range(1, pair.horizon + 1)
     )
-    return DriftGauge(pair, N, phi, u, support_ok, u_positive)
+    return DriftGauge(pair, N, phi, u, support_witness, u_positive)
 
 
 def verify_g_compensator(A: Process, pair: EnlargementPair, gauge: DriftGauge) -> bool:
@@ -239,15 +215,6 @@ def verify_g_compensator(A: Process, pair: EnlargementPair, gauge: DriftGauge) -
     """
     _require_pair(pair)
     F, G = pair.base, pair.expanded
-    arith = pair.space.arith
-    comp_g = compensator(A, G)
     comp_f = compensator(A, F)
-    remainder = A - comp_f
-    correction = integrate(gauge.phi, pred_bracket(gauge.N, remainder, F))
-    for o in pair.space.outcomes:
-        for t in range(pair.horizon + 1):
-            lhs = comp_g.value(o, t)
-            rhs = comp_f.value(o, t) + correction.value(o, t)
-            if not arith.eq(lhs, rhs):
-                return False
-    return True
+    correction = integrate(gauge.phi, pred_bracket(gauge.N, A - comp_f, F))
+    return first_mismatch(compensator(A, G), comp_f + correction) is None

@@ -155,15 +155,6 @@ def _site_scale(site) -> Num:
 # generalized-inverse machinery
 
 
-def project_psd(G, v: Sequence[Num], arith: Arithmetic = EXACT) -> list[Num]:
-    """Orthogonal projection of v onto the column space of a symmetric PSD G."""
-    if not linalg.is_symmetric(G, arith):
-        raise KernelError("projection needs a symmetric matrix")
-    if not linalg.is_psd(G, arith):
-        raise KernelError("projection needs a positive semidefinite matrix")
-    return linalg.project_columns(G, list(v), arith)
-
-
 def restricted_inverse(G, J, v: Sequence[Num], eps: Num,
                        arith: Arithmetic = EXACT) -> PsdSolve:
     """Invert J on the column space V of G and apply it to the projection of v.

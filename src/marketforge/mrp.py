@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .calculus import doob_decompose, is_martingale
+from .calculus import accumulate, doob_decompose, is_martingale
 from .space import (
-    PREDICTABLE,
+    ADAPTED,
     Filtration,
     Process,
     RandomTime,
     SpaceError,
-    cond_exp,
 )
 
 
@@ -110,8 +109,7 @@ def represent(X: Process, driver: Driver) -> RepresentationCoefficients:
     ok, witness = is_martingale(X, F)
     if not ok:
         raise SpaceError(f"representation target is not a martingale: {witness}")
-    space = X.space
-    arith = space.arith
+    arith = X.space.arith
     d = driver.d
     k = X.dim
     values: dict[tuple[int, int], tuple] = {}
@@ -131,14 +129,7 @@ def represent(X: Process, driver: Driver) -> RepresentationCoefficients:
                 for e in range(d):
                     flat[e * k + i] = coeff[e]
             values[(t, atom_idx)] = tuple(flat)
-
-    def fn(o, t):
-        if t == 0:
-            return (0,) * (d * k)
-        return values[(t, F.at(t - 1).atom_index(o))]
-
-    kbar = Process.from_values(space, fn, F.horizon, dim=d * k,
-                               flavor=PREDICTABLE, shape=(d, k))
+    kbar = Process.predictable(F, values, d * k, shape=(d, k))
     return RepresentationCoefficients(driver, kbar, k)
 
 
@@ -195,30 +186,18 @@ def synthesize_driver(F: Filtration) -> Driver:
             specs[(t, atom_idx)] = pairs
             d = max(d, len(pairs) - 1)
 
-    def fn(o, t):
-        if t == 0:
-            return (0,) * d
-        part = F.at(t - 1)
-        pairs = specs[(t, part.atom_index(o))]
-        inc = []
+    def inc(o, t):
+        pairs = specs[(t, F.at(t - 1).atom_index(o))]
+        step = []
         for e in range(d):
             if e < len(pairs) - 1:
                 child, p = pairs[e]
-                inc.append((1 if o in child else 0) - p)
+                step.append((1 if o in child else 0) - p)
             else:
-                inc.append(0)
-        return tuple(inc)
+                step.append(0)
+        return tuple(step)
 
-    paths = []
-    for o in space.outcomes:
-        level = (0,) * d
-        path = [level]
-        for t in range(1, F.horizon + 1):
-            level = tuple(a + b for a, b in zip(level, fn(o, t)))
-            path.append(level)
-        paths.append(tuple(path))
-    W = Process(space, tuple(paths))
-    return Driver(W, F)
+    return Driver(accumulate(space, F.horizon, d, inc, ADAPTED), F)
 
 
 def single_jump_coefficient(R: RandomTime, xi, F: Filtration,

@@ -219,6 +219,8 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
     structure = None
     if "structure" in doc:
         structure = _process(doc["structure"], "structure", space, arith, horizon)
+        if structure.dim != 1:
+            raise ScenarioError("structure", "expected one number per time point")
 
     pair = _enlargement(doc.get("enlargement", {"kind": "none"}),
                         "enlargement", F, arith)

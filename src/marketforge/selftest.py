@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import fixtures, linalg
 from .arith import EXACT, FLOAT, Arithmetic
-from .calculus import bracket, compensator, integrate, pred_bracket, stoch_exp
+from .calculus import bracket, centred, compensator, integrate, pred_bracket, stoch_exp
 from .enlarge import drift, solve_phi
 from .jumpkernel import (
     AccessibleSite,
@@ -35,7 +35,7 @@ from .jumpkernel import (
     xi_inaccessible,
 )
 from .mrp import Driver
-from .space import ADAPTED, PREDICTABLE, Process
+from .space import ADAPTED, Process, first_mismatch
 from .viability import (
     ASSUMPTION_VIOLATED,
     NON_VIABLE,
@@ -78,19 +78,12 @@ def random_predictable(space, filtration, rng, dim=1) -> Process:
         part = filtration.at(t - 1)
         for k, atom in enumerate(part.atoms):
             table[(t, k)] = tuple(rand_fraction(rng) for _ in range(dim))
-
-    def fn(o, t):
-        if t == 0:
-            return v0
-        return table[(t, filtration.at(t - 1).atom_index(o))]
-
-    return Process.from_values(space, fn, horizon, dim=dim, flavor=PREDICTABLE)
+    return Process.predictable(filtration, table, dim, initial=v0)
 
 
 def random_martingale(space, filtration, rng, dim=1) -> Process:
     """Random martingale: a random adapted process minus its compensator."""
-    X = random_adapted(space, filtration, rng, dim=dim)
-    X = X - Process.constant(space, X.horizon, X.at(space.outcomes[0], 0))
+    X = centred(random_adapted(space, filtration, rng, dim=dim))
     return X - compensator(X, filtration)
 
 
@@ -311,15 +304,12 @@ def _check_drift_identity(arith: Arithmetic, rounds=25) -> str:
     fx = fixtures.b2n(arith)
     gauge = solve_phi(fx.pair, fx.W, fx.W)
     rng = random.Random(2305)
-    eq = arith.eq
     for _ in range(rounds):
         X = random_martingale(fx.space, fx.F, rng)
-        lhs = drift(X, fx.pair)
-        rhs = integrate(gauge.phi, pred_bracket(gauge.N, X, fx.F))
-        for o in fx.space.outcomes:
-            for t in range(fx.F.horizon + 1):
-                _ask(eq(lhs.value(o, t), rhs.value(o, t)),
-                     f"drift identity missed at ({o}, {t})")
+        miss = first_mismatch(drift(X, fx.pair),
+                              integrate(gauge.phi, pred_bracket(gauge.N, X, fx.F)))
+        if miss is not None:
+            raise AssertionError(f"drift identity missed at ({miss[0]}, {miss[1]})")
     return f"{rounds} random martingales"
 
 

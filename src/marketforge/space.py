@@ -9,7 +9,10 @@ initially enlarged observer enters the picture.
 Processes store one value vector per (outcome, time).  A process is adapted
 when its time-t value is constant on every time-t atom, predictable when its
 time-t value is constant on every time-(t-1) atom and its time-0 value is
-deterministic.
+deterministic.  Only this module and ``calculus`` build a process cell by
+cell; the other layers hand over per-(time, atom) tables
+(:meth:`Process.predictable`), increments (``calculus.accumulate``) or
+input paths, and compare processes with :func:`first_mismatch`.
 """
 
 from __future__ import annotations
@@ -315,6 +318,10 @@ ADAPTED = "adapted"
 PREDICTABLE = "predictable"
 
 
+def _as_vector(v) -> tuple:
+    return tuple(v) if isinstance(v, (tuple, list)) else (v,)
+
+
 @dataclass(frozen=True, eq=False)
 class Process:
     """A path-valued map: one length-dim value vector per (outcome, time).
@@ -356,12 +363,8 @@ class Process:
     def from_paths(cls, space: SampleSpace, paths, flavor: str = ADAPTED,
                    shape: tuple[int, int] | None = None) -> "Process":
         """Build from per-outcome paths; scalar entries are wrapped to 1-vectors."""
-        fixed = []
-        for path in paths:
-            fixed.append(tuple(
-                tuple(v) if isinstance(v, (tuple, list)) else (v,) for v in path
-            ))
-        return cls(space, tuple(fixed), flavor=flavor, shape=shape)
+        fixed = tuple(tuple(_as_vector(v) for v in path) for path in paths)
+        return cls(space, fixed, flavor=flavor, shape=shape)
 
     @classmethod
     def from_values(cls, space: SampleSpace, fn, horizon: int, dim: int = 1,
@@ -371,8 +374,7 @@ class Process:
         for o in space.outcomes:
             path = []
             for t in range(horizon + 1):
-                v = fn(o, t)
-                v = tuple(v) if isinstance(v, (tuple, list)) else (v,)
+                v = _as_vector(fn(o, t))
                 if len(v) != dim:
                     raise SpaceError("value dimension mismatch")
                 path.append(v)
@@ -380,8 +382,24 @@ class Process:
         return cls(space, tuple(paths), flavor=flavor, shape=shape)
 
     @classmethod
+    def predictable(cls, filtration: "Filtration", table, dim: int = 1,
+                    shape: tuple[int, int] | None = None, initial=None) -> "Process":
+        """Build from per-atom values: the time-t value is ``table[(t, k)]`` on
+        the time-(t-1) atom k, the time-0 value is ``initial`` (zero if None)."""
+        v0 = (0,) * dim if initial is None else _as_vector(initial)
+        if len(v0) != dim:
+            raise SpaceError("value dimension mismatch")
+        parts = filtration.partitions
+        paths = tuple(
+            (v0,) + tuple(_as_vector(table[(t, parts[t - 1].atom_index(o))])
+                          for t in range(1, len(parts)))
+            for o in filtration.space.outcomes
+        )
+        return cls(filtration.space, paths, flavor=PREDICTABLE, shape=shape)
+
+    @classmethod
     def constant(cls, space: SampleSpace, horizon: int, value, flavor: str = ADAPTED) -> "Process":
-        v = tuple(value) if isinstance(value, (tuple, list)) else (value,)
+        v = _as_vector(value)
         path = tuple(v for _ in range(horizon + 1))
         return cls(space, tuple(path for _ in space.outcomes), flavor=flavor)
 
@@ -476,6 +494,23 @@ class Process:
         return Process(self.space, tuple(paths), flavor=PREDICTABLE, shape=self.shape)
 
 
+def first_mismatch(X: Process, Y: Process):
+    """First cell where two processes differ, in outcome-major order.
+
+    Returns (outcome, t, a, b) with a and b the first unequal components,
+    or None when every value agrees under the space's arithmetic.
+    """
+    if X.space is not Y.space or X.horizon != Y.horizon or X.dim != Y.dim:
+        raise SpaceError("processes live on different grids")
+    eq = X.space.arith.eq
+    for o, p, q in zip(X.space.outcomes, X.paths, Y.paths):
+        for t, (u, v) in enumerate(zip(p, q)):
+            for a, b in zip(u, v):
+                if not eq(a, b):
+                    return o, t, a, b
+    return None
+
+
 def is_adapted(X: Process, filtration: Filtration) -> bool:
     """Time-t values constant on every time-t atom."""
     if X.horizon != filtration.horizon:
@@ -521,9 +556,7 @@ def cond_exp(values: Sequence, partition: Partition, space: SampleSpace) -> list
     """
     if len(values) != space.size:
         raise SpaceError("random variable must have one value per outcome")
-    vectors = [
-        tuple(v) if isinstance(v, (tuple, list)) else (v,) for v in values
-    ]
+    vectors = [_as_vector(v) for v in values]
     dim = len(vectors[0])
     if any(len(v) != dim for v in vectors):
         raise SpaceError("vector values must share one dimension")

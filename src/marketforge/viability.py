@@ -19,7 +19,9 @@ from typing import Sequence
 from . import linalg
 from .calculus import (
     Decomposition,
+    accumulate,
     bracket,
+    centred,
     compensator,
     doob_decompose,
     integrate,
@@ -27,7 +29,7 @@ from .calculus import (
     pred_bracket,
     stoch_exp,
 )
-from .enlarge import DriftGauge, check_support_condition, drift
+from .enlarge import DriftGauge, drift
 from .jumpkernel import AccessibleSite, CoercivityFailure, PsdSolve, SiteChild, xi_accessible, check_jump_bound
 from .mrp import Driver, children_with_mass
 from .space import (
@@ -35,6 +37,7 @@ from .space import (
     EnlargementPair,
     Filtration,
     Process,
+    first_mismatch,
     is_adapted,
 )
 
@@ -174,17 +177,6 @@ class SiteRecord:
     solve: PsdSolve
 
 
-def _predictable_from_table(space, filtration, table, horizon, dim):
-    """Predictable process with time-t value per time-(t-1) atom index."""
-
-    def fn(o, t):
-        if t == 0:
-            return (0,) * dim
-        return table[(t, filtration.at(t - 1).atom_index(o))]
-
-    return Process.from_values(space, fn, horizon, dim=dim, flavor=PREDICTABLE)
-
-
 def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
     """Base-flow structure condition: find D with [D, M_i] drift = price drift.
 
@@ -222,7 +214,7 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
                                                tuple(residual)))
             table[(t, idx)] = tuple(coeffs)
             records.append(FSolveRecord(t, atom, tuple(coeffs), tuple(residual)))
-    dbar = _predictable_from_table(space, F, table, F.horizon, d)
+    dbar = Process.predictable(F, table, d)
     D = integrate(dbar, W)
     for t in range(1, F.horizon + 1):
         for atom in F.at(t).atoms:
@@ -274,42 +266,24 @@ def price_drift_rhs(market: Market, D: Process, gauge: DriftGauge) -> Process:
     gauge fails loudly instead of propagating.
     """
     F = market.F
-    space = market.space
-    arith = space.arith
     M = market.martingale_part
     k = market.k
     n = gauge.N.dim
     pb_d = pred_bracket(D, M, F)          # components [D, M_i]
     pb_n = pred_bracket(gauge.N, M, F)    # flat (n, k): j * k + i
     phi = gauge.phi
-    levels = {}
-    for o in space.outcomes:
-        acc = [0] * k
-        path = [tuple(acc)]
-        for t in range(1, F.horizon + 1):
-            dd = pb_d.delta(o, t)
-            dn = pb_n.delta(o, t)
-            ph = phi.at(o, t)
-            for i in range(k):
-                acc[i] += dd[i] + sum(
-                    (ph[j] * dn[j * k + i] for j in range(n)), 0)
-            path.append(tuple(acc))
-        levels[o] = path
-    rhs = Process.from_paths(space, [levels[o] for o in space.outcomes],
-                             flavor=PREDICTABLE)
-    centered = Process.from_values(
-        space,
-        lambda o, t: tuple(a - b for a, b in zip(market.S.at(o, t),
-                                                 market.S.at(o, 0))),
-        F.horizon, dim=k)
-    observed = compensator(centered, gauge.pair.expanded)
-    for o in space.outcomes:
-        for t in range(F.horizon + 1):
-            for a, b in zip(rhs.at(o, t), observed.at(o, t)):
-                if not arith.eq(a, b):
-                    raise AssertionError(
-                        "gauge does not reproduce the expanded-flow price drift"
-                    )
+
+    def inc(o, t):
+        dd = pb_d.delta(o, t)
+        dn = pb_n.delta(o, t)
+        ph = phi.at(o, t)
+        return tuple(dd[i] + sum((ph[j] * dn[j * k + i] for j in range(n)), 0)
+                     for i in range(k))
+
+    rhs = accumulate(market.space, F.horizon, k, inc, PREDICTABLE)
+    observed = compensator(centred(market.S), gauge.pair.expanded)
+    if first_mismatch(rhs, observed) is not None:
+        raise AssertionError("gauge does not reproduce the expanded-flow price drift")
     return rhs
 
 
@@ -348,15 +322,17 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
     if pair.base is not market.F:
         if pair.base.partitions != market.F.partitions:
             raise ViabilityError("the enlargement must extend the market flow")
+    if gauge.pair is not pair:
+        if gauge.pair.expanded.partitions != pair.expanded.partitions:
+            raise ViabilityError("the gauge was solved for another expanded flow")
     G = pair.expanded
     space = market.space
-    arith = space.arith
     if base_solution is None:
         base_solution = solve_structure_F(market, driver)
     D = base_solution.martingale
     if enforce_assumptions:
-        ok, support_witness = check_support_condition(pair)
-        if not ok:
+        support_witness = gauge.support_witness
+        if support_witness is not None:
             return Verdict(ASSUMPTION_VIOLATED,
                            FailureWitness("support", support_witness.t,
                                           support_witness.child,
@@ -386,7 +362,7 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
                                               solve.residual))
             records.append(SiteRecord(t, g_atom, base_atom, site, solve))
             table[(t, idx)] = solve.solution
-    kbar = _predictable_from_table(space, G, table, G.horizon, driver.d)
+    kbar = Process.predictable(G, table, driver.d)
     W_tilde = driver.W - drift(driver.W, pair)
     Y = integrate(kbar, W_tilde)
     for record in records:
@@ -407,16 +383,13 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
     solution = StructureSolution(kbar, Y, deflator, True, tuple(records))
     rhs = price_drift_rhs(market, D, gauge)
     M_tilde = market.martingale_part - drift(market.martingale_part, pair)
-    lhs = compensator(bracket(Y, M_tilde), G)
-    for o in space.outcomes:
-        for t in range(G.horizon + 1):
-            for a, b in zip(lhs.at(o, t), rhs.at(o, t)):
-                if not arith.eq(a, b):
-                    return Verdict(NON_VIABLE,
-                                   FailureWitness("verification-mismatch", t,
-                                                  G.at(t).atom_of(o),
-                                                  (a, b)),
-                                   solution)
+    miss = first_mismatch(compensator(bracket(Y, M_tilde), G), rhs)
+    if miss is not None:
+        o, t, a, b = miss
+        return Verdict(NON_VIABLE,
+                       FailureWitness("verification-mismatch", t,
+                                      G.at(t).atom_of(o), (a, b)),
+                       solution)
     ok, witness = verify_deflator(deflator, market, G)
     if not ok:
         return Verdict(NON_VIABLE, witness, solution)

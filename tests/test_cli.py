@@ -215,6 +215,10 @@ def test_analyze_structure_cross_check(tmp_path, capsys):
     code, _, err = run_cli(["analyze", write_doc(tmp_path, doc)], capsys)
     assert code == 3 and "structure" in err
 
+    doc["structure"] = [[[0, 0], [1, 1]]] * 4   # a vector process is no structure
+    code, _, err = run_cli(["analyze", write_doc(tmp_path, doc)], capsys)
+    assert code == 3 and "structure" in err
+
 
 # ---------------------------------------------------------------------------
 # analyze: progressive enlargements

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from marketforge.calculus import compensator, integrate, is_martingale, pred_bracket
+from marketforge.calculus import centred, compensator, integrate, is_martingale, pred_bracket
 from marketforge.enlarge import (
     Infeasible,
     check_support_condition,
@@ -15,7 +15,8 @@ from marketforge.enlarge import (
     verify_g_compensator,
 )
 from marketforge.fixtures import b2, b2i, b2n
-from marketforge.space import Process, SpaceError, is_predictable
+from marketforge.selftest import random_martingale as library_martingale
+from marketforge.space import Process, SpaceError, first_mismatch, is_predictable
 
 from util import random_martingale
 
@@ -51,6 +52,16 @@ def test_drift_is_linear_and_vanishes_without_enlargement():
     trivial_pair = EnlargementPair(fx2.F, fx2.F)
     flat = drift(random_martingale(fx2.space, fx2.F, rng), trivial_pair)
     assert all(flat.value(o, t) == 0 for o in fx2.space.outcomes for t in range(3))
+
+
+def test_drift_is_the_expanded_compensator_of_the_centred_process():
+    rng = random.Random(11)
+    for fx in (b2n(), b2i()):
+        G = fx.pair.expanded
+        for _ in range(10):
+            X = library_martingale(fx.space, fx.F, rng)
+            X = X.shift(rng.randint(-3, 3))   # drift ignores the start value
+            assert first_mismatch(drift(X, fx.pair), compensator(centred(X), G)) is None
 
 
 def test_solve_phi_on_noisy_signal():

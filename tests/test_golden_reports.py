@@ -1,0 +1,75 @@
+"""Golden reports: exit codes and ``--report`` bytes pinned across commits.
+
+Each case runs ``analyze`` or ``kernel`` in exact and in float mode and
+compares the exit code and the report file byte for byte with the copy
+under ``tests/golden/``.  The inputs are the five files in ``scenarios/``
+and the noisy-signal coin trees for T = 2..4 (outcomes listed in a seeded
+order), whose scenario JSON is stored beside the reports.
+
+Regenerate after an intended report change, and only then, with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from marketforge.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+MODES = ("exact", "float")
+
+INPUTS = (
+    ("analyze", SCENARIOS / "noisy_signal.json"),
+    ("analyze", SCENARIOS / "one_step.json"),
+    ("analyze", SCENARIOS / "perfect_insider.json"),
+    ("kernel", SCENARIOS / "site_inaccessible.json"),
+    ("kernel", SCENARIOS / "site_insider.json"),
+    ("analyze", GOLDEN / "noisy_tree_T2.json"),
+    ("analyze", GOLDEN / "noisy_tree_T3.json"),
+    ("analyze", GOLDEN / "noisy_tree_T4.json"),
+)
+
+CASES = [(cmd, path, mode) for cmd, path in INPUTS for mode in MODES]
+
+
+def _case_id(cmd, path, mode):
+    return f"{cmd}-{path.stem}-{mode}"
+
+
+def _run(cmd, path, mode, report):
+    return main([cmd, str(path), "--mode", mode, "--report", str(report)])
+
+
+@pytest.fixture(autouse=True)
+def _clean_mode_env(monkeypatch):
+    monkeypatch.delenv("FORGE_MODE", raising=False)
+
+
+@pytest.mark.parametrize("cmd,path,mode", CASES,
+                         ids=[_case_id(*case) for case in CASES])
+def test_report_matches_golden(cmd, path, mode, tmp_path, capsys):
+    case = _case_id(cmd, path, mode)
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    report = tmp_path / "report.json"
+    code = _run(cmd, path, mode, report)
+    capsys.readouterr()
+    assert code == expected_codes[case]
+    assert report.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()
+
+
+def regenerate() -> None:
+    codes = {}
+    for cmd, path, mode in CASES:
+        case = _case_id(cmd, path, mode)
+        codes[case] = _run(cmd, path, mode, GOLDEN / f"{case}.json")
+    (GOLDEN / "exit_codes.json").write_text(
+        json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

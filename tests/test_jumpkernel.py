@@ -22,7 +22,6 @@ from marketforge.jumpkernel import (
     gram_F,
     gram_G_accessible,
     gram_G_inaccessible,
-    project_psd,
     restricted_inverse,
     site_rhs,
     tilt_floor,
@@ -78,17 +77,7 @@ def test_uncharged_children_may_carry_wild_data():
 
 
 # ---------------------------------------------------------------------------
-# projection and restricted inverse
-
-
-def test_project_psd_basic():
-    assert project_psd([[1, 0], [0, 1]], [3, 5]) == [3, 5]
-    assert project_psd([[0, 0], [0, 0]], [3, 5]) == [0, 0]
-    assert project_psd([[1, 0], [0, 0]], [3, 5]) == [3, 0]
-    with pytest.raises(KernelError):
-        project_psd([[0, 1], [0, 0]], [1, 1])
-    with pytest.raises(KernelError):
-        project_psd([[-1, 0], [0, 1]], [1, 1])
+# restricted inverse
 
 
 def test_restricted_inverse_worked_example():

@@ -8,6 +8,7 @@ from marketforge.arith import EXACT
 from marketforge.fixtures import b1, b2, b2i, b2n
 from marketforge.space import (
     INF,
+    PREDICTABLE,
     EnlargementPair,
     Filtration,
     Partition,
@@ -18,6 +19,7 @@ from marketforge.space import (
     build_progressive_enlargement,
     check_refinement,
     cond_exp,
+    first_mismatch,
     is_adapted,
     is_predictable,
     lift_filtration,
@@ -89,6 +91,45 @@ def test_adapted_and_predictable_flags():
     assert is_adapted(fx.S, fx.F)
     assert not is_predictable(fx.W, fx.F)
     assert is_predictable(fx.W.lagged(), fx.F)
+
+
+def test_predictable_from_atom_table_on_b2n():
+    fx = b2n()
+    G = fx.pair.expanded
+    # time-1 value per signal (time-0 G-atom), time-2 value per first coin
+    # and signal (time-1 G-atom), keyed by the atom's canonical index
+    table = {(t, k): (F(10 * t + k), F(-k)) for t in (1, 2)
+             for k in range(len(G.at(t - 1)))}
+
+    def by_hand(v0):
+        return Process.from_paths(fx.space, [
+            [v0] + [table[(t, G.at(t - 1).atom_index(o))] for t in (1, 2)]
+            for o in fx.space.outcomes
+        ], flavor=PREDICTABLE, shape=(1, 2))
+
+    for initial, v0 in ((None, (0, 0)), ((F(1, 3), F(2)), (F(1, 3), F(2)))):
+        X = Process.predictable(G, table, 2, shape=(1, 2), initial=initial)
+        assert X.paths == by_hand(v0).paths
+        assert (X.flavor, X.shape) == (PREDICTABLE, (1, 2))
+        assert is_predictable(X, G)
+    assert Process.predictable(fx.F, {(1, 0): 5, (2, 0): 6, (2, 1): 7},
+                               initial=1).at("du1", 2) == (7,)
+    with pytest.raises(SpaceError):
+        Process.predictable(G, table, 3)
+
+
+def test_first_mismatch_reports_first_cell_in_outcome_major_order():
+    fx = b2()
+    X = fx.W
+    assert first_mismatch(X, X + Process.constant(fx.space, 2, 0)) is None
+    paths = [list(path) for path in X.paths]
+    paths[2][1] = (F(7),)              # outcome "du", time 1
+    paths[3][0] = (F(9),)              # a later outcome at an earlier time
+    Y = Process.from_paths(fx.space, paths)
+    assert first_mismatch(X, Y) == ("du", 1, F(-1), F(7))
+    assert first_mismatch(Y, X) == ("du", 1, F(7), F(-1))
+    with pytest.raises(SpaceError):
+        first_mismatch(X, Process.constant(fx.space, 1, 0))  # shorter grid
 
 
 def test_initial_enlargement_reveals_signal_at_time_zero():

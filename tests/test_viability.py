@@ -26,6 +26,7 @@ from marketforge.viability import (
     Market,
     NonViable,
     Strategy,
+    ViabilityError,
     admissible,
     price_drift_rhs,
     solve_structure_F,
@@ -253,6 +254,17 @@ def test_solve_structure_G_insider_assumption_gate_and_bypass():
     assert forced.witness.reason == "site-infeasible"
     assert forced.witness.t == 1
     assert forced.witness.detail == (F(6, 5),)
+
+
+def test_solve_structure_G_rejects_a_gauge_of_another_expanded_flow():
+    fx = b2n()
+    market, driver = _market(fx), _driver(fx)
+    identity_gauge = _gauge(fx, EnlargementPair(fx.F, fx.F))
+    with pytest.raises(ViabilityError):
+        solve_structure_G(market, fx.pair, identity_gauge, driver)
+    # an equal flow in a fresh pair object is the same enlargement
+    twin = EnlargementPair(fx.F, fx.pair.expanded.refine_by(fx.signal))
+    assert solve_structure_G(market, twin, _gauge(fx), driver).status == VIABLE
 
 
 def test_solve_structure_G_noise_only_enlargement_is_transparent():
