@@ -5,7 +5,8 @@ cell, the layers above them pass per-atom tables and increments:
 
 ``arith``      two arithmetic backends (exact rationals, tolerant floats)
 ``linalg``     elimination-based linear algebra over either backend
-``space``      sample spaces, filtrations, processes, enlargement pairs
+``space``      sample spaces, filtrations, the atom index (members, masses,
+               transitions), processes, enlargement pairs
 ``calculus``   compensators, brackets, integrals, stochastic exponentials
 ``mrp``        representation drivers and integrand recovery
 ``enlarge``    expanded-flow drift (the G-compensator), the gauge (N, phi, u)

@@ -228,11 +228,11 @@ def is_martingale(X: Process, filtration: Filtration):
     mean increment.
     """
     _require_adapted(X, filtration, "martingale-check input")
-    space = X.space
-    arith = space.arith
+    arith = X.space.arith
     for t, means in _increment_means(X, filtration):
-        for atom in filtration.at(t - 1).atoms:
-            m = means[space.index(atom[0])]
+        part = filtration.at(t - 1)
+        for atom, members in zip(part.atoms, part.members):
+            m = means[members[0]]
             if not all(arith.is_zero(v) for v in m):
                 residual = m[0] if X.dim == 1 else tuple(m)
                 return False, MartingaleWitness(t, atom, residual)

@@ -13,7 +13,8 @@ integrand phi:
 ``solve_phi`` recovers phi atom-by-atom from the driver equations and
 ``compute_u`` extracts the predictable floor u of the multiplicative tilt
 1 + transpose(phi) dN, whose positivity is exactly what downstream deflator
-construction needs.
+construction needs.  The gauge keeps the driver's drift for the expanded
+structure solve; atom masses and transitions come from ``space``.
 """
 
 from __future__ import annotations
@@ -52,11 +53,14 @@ class SupportWitness:
 
 @dataclass(frozen=True, eq=False)
 class DriftGauge:
-    """The drift data of an enlargement: carrier N, integrand phi, floor u,
-    and the support-condition witness (None when the condition holds)."""
+    """The drift data of an enlargement: carrier N, the driver W it was
+    solved for and W's drift, integrand phi, floor u, and the
+    support-condition witness (None when the condition holds)."""
 
     pair: EnlargementPair
     N: Process
+    W: Process
+    W_drift: Process
     phi: Process
     u: Process
     support_witness: SupportWitness | None
@@ -99,17 +103,17 @@ def check_support_condition(pair: EnlargementPair):
     _require_pair(pair)
     F, G = pair.base, pair.expanded
     for t in range(1, pair.horizon + 1):
-        part = F.at(t - 1)
-        child_part = F.at(t)
         g_part = G.at(t - 1)
-        for atom in part.atoms:
-            children = part.children_of(child_part, atom)
-            g_atoms = part.children_of(g_part, atom)
-            for child in children:
-                members = set(child)
-                for b in g_atoms:
-                    if not members.intersection(b):
-                        return False, SupportWitness(t, child, b)
+        meets = {(child[0], g_part.atom_index(o))
+                 for child in F.at(t).atoms for o in child}
+        g_kids = [[] for _ in F.at(t - 1).atoms]
+        for b, k in enumerate(g_part.parents(F.at(t - 1))):
+            g_kids[k].append(b)
+        for k, _, children in F.transitions(t):
+            for child, _ in children:
+                for b in g_kids[k]:
+                    if (child[0], b) not in meets:
+                        return False, SupportWitness(t, child, g_part.atoms[b])
     return True, None
 
 
@@ -125,13 +129,12 @@ def compute_u(pair: EnlargementPair, N: Process, phi: Process) -> Process:
     values: dict[tuple[int, int], object] = {}
     for t in range(1, pair.horizon + 1):
         part = G.at(t - 1)
-        base_part = F.at(t - 1)
-        for k, atom in enumerate(part.atoms):
+        base_atoms = F.at(t - 1).atoms
+        for k, (atom, parent) in enumerate(zip(part.atoms, part.parents(F.at(t - 1)))):
             p = phi.at(atom[0], t)
-            base_atom = base_part.atom_of(atom[0])
             tilts = [
                 1 + sum((a * b for a, b in zip(p, N.delta(o, t))), 0)
-                for o in base_atom
+                for o in base_atoms[parent]
             ]
             values[(t, k)] = min(tilts)
     return Process.predictable(G, values, initial=1)
@@ -146,51 +149,40 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
 
     taking the minimum-norm solution when the system is underdetermined.
     Raises Infeasible when no solution exists.  The returned gauge carries
-    the tilt floor u and the support / positivity diagnostics; afterwards
+    W's drift, the tilt floor u and the support / positivity diagnostics;
     the drift identity is re-verified on the full driver basis.
     """
     _require_pair(pair)
     F, G = pair.base, pair.expanded
     space = pair.space
     arith = space.arith
+    w = space.weights
     n, d = N.dim, W.dim
     values: dict[tuple[int, int], tuple] = {}
     for t in range(1, pair.horizon + 1):
-        f_part = F.at(t - 1)
-        g_part = G.at(t - 1)
-        q_cache: dict[int, list] = {}
-        for k, b_atom in enumerate(g_part.atoms):
-            a_idx = f_part.atom_index(b_atom[0])
-            if a_idx not in q_cache:
-                a_atom = f_part.atoms[a_idx]
-                mass = space.prob(a_atom)
-                Q = [[
-                    sum(
-                        (space.weight(o) * N.delta(o, t)[i] * W.delta(o, t)[e]
-                         for o in a_atom), 0,
-                    ) / mass
-                    for e in range(d)
-                ] for i in range(n)]
-                q_cache[a_idx] = Q
-            Q = q_cache[a_idx]
-            b_mass = space.prob(b_atom)
-            gamma = [
-                sum((space.weight(o) * W.delta(o, t)[e] for o in b_atom), 0) / b_mass
-                for e in range(d)
-            ]
+        f_part, g_part = F.at(t - 1), G.at(t - 1)
+        dN = [N.delta(o, t) for o in space.outcomes]
+        dW = [W.delta(o, t) for o in space.outcomes]
+        Qs = [[[sum((w[j] * dN[j][i] * dW[j][e] for j in members), 0) / mass
+                for e in range(d)] for i in range(n)]
+              for members, mass in zip(f_part.members, f_part.masses)]
+        for k, (b_atom, members, mass, a) in enumerate(zip(
+                g_part.atoms, g_part.members, g_part.masses, g_part.parents(f_part))):
+            gamma = [sum((w[j] * dW[j][e] for j in members), 0) / mass
+                     for e in range(d)]
             if d == 0:  # no driver equations: any integrand works, take zero
                 values[(t, k)] = (0,) * n
                 continue
-            phi_b, residual = linalg.lstsq_min_norm(linalg.transpose(Q), gamma, arith)
+            phi_b, residual = linalg.lstsq_min_norm(linalg.transpose(Qs[a]), gamma, arith)
             if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([gamma])):
                 raise Infeasible(t, b_atom, tuple(residual))
             values[(t, k)] = tuple(phi_b)
     phi = Process.predictable(G, values, n, shape=(n, 1))
     # Re-verify the drift identity on the driver basis, component by component.
+    W_drift = drift(W, pair)
     for e in range(d):
-        We = W.component(e)
-        miss = first_mismatch(drift(We, pair),
-                              integrate(phi, pred_bracket(N, We, F)))
+        miss = first_mismatch(W_drift.component(e),
+                              integrate(phi, pred_bracket(N, W.component(e), F)))
         if miss is not None:
             raise AssertionError(
                 "drift identity failed on the driver basis "
@@ -202,7 +194,7 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
         u.value(o, t) > 0
         for o in space.outcomes for t in range(1, pair.horizon + 1)
     )
-    return DriftGauge(pair, N, phi, u, support_witness, u_positive)
+    return DriftGauge(pair, N, W, W_drift, phi, u, support_witness, u_positive)
 
 
 def verify_g_compensator(A: Process, pair: EnlargementPair, gauge: DriftGauge) -> bool:

@@ -299,37 +299,35 @@ def site_rhs(site: Site) -> list[Num]:
 # solvers
 
 
-def _xi_solve(site: Site, M, eps) -> PsdSolve:
+def _xi_solve(site: Site, M) -> PsdSolve:
     arith = site.arith
     r = site_rhs(site)
     scale = _site_scale(site)
     if all(arith.negligible(x, scale) for row in M for x in row):
         # Degenerate site: nothing to invert.  Solvable only for zero drift.
         if linalg.vec_is_zero(r, arith, scale):
-            return PsdSolve((0,) * site.dim, True, (0,) * site.dim, eps)
+            return PsdSolve((0,) * site.dim, True, (0,) * site.dim, None)
         return PsdSolve((0,) * site.dim, False, tuple(r), None)
     u = tilt_floor(site)
-    if eps is None:
-        eps = u
-    if not eps > 0:
+    if not u > 0:
         raise CoercivityFailure(
             f"tilt floor {u} is not positive: the site equation is not coercive"
         )
     G = gram_F(site)
-    if not _coercive(M, G, eps, arith):
+    if not _coercive(M, G, u, arith):
         raise CoercivityFailure("tilted form fails the coercivity inequality on V")
     xi, _ = linalg.lstsq_min_norm(M, r, arith)
     v, _ = linalg.lstsq_min_norm(G, r, arith)
-    if not _within_growth_bound(G, xi, v, eps, arith):
+    if not _within_growth_bound(G, xi, v, u, arith):
         raise CoercivityFailure("site solve exceeded its growth bound")
     # The solve must satisfy the original site equation; anything else is a bug.
     check = linalg.vec_add(linalg.vec_mat(xi, M), r, sign=-1)
     if not linalg.vec_is_zero(check, arith, scale):
         raise AssertionError("site solve missed the site equation")
-    return PsdSolve(tuple(xi), True, (0,) * site.dim, eps)
+    return PsdSolve(tuple(xi), True, (0,) * site.dim, u)
 
 
-def xi_accessible(site: AccessibleSite, eps=None) -> PsdSolve:
+def xi_accessible(site: AccessibleSite) -> PsdSolve:
     """Deflator-jump integrand at an accessible site.
 
     Solves transpose(xi) M = transpose(r) for M the accessible expanded
@@ -339,13 +337,13 @@ def xi_accessible(site: AccessibleSite, eps=None) -> PsdSolve:
     counterexample returns its residual).
     """
     M = gram_G_accessible(site)
-    return _xi_solve(site, M, eps)
+    return _xi_solve(site, M)
 
 
-def xi_inaccessible(site: InaccessibleSite, eps=None) -> PsdSolve:
+def xi_inaccessible(site: InaccessibleSite) -> PsdSolve:
     """Deflator-jump integrand at an inaccessible site (same recipe)."""
     M = gram_G_inaccessible(site)
-    return _xi_solve(site, M, eps)
+    return _xi_solve(site, M)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,6 @@ def zeros(n: int) -> list[Num]:
     return [0] * n
 
 
-def identity(n: int) -> list[list[Num]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def dot(u, v) -> Num:
     if len(u) != len(v):
         raise LinalgError("dot: length mismatch")

@@ -8,9 +8,11 @@ works exactly when its child increments span that space.  In particular a
 d-dimensional driver forces the child count of every atom to be at most
 d + 1, which is the dimension bound used by the checker below.
 
-Coefficients are predictable and, where the solve is underdetermined, the
-minimum-norm solution supported on the row space of the child-increment
-matrix is chosen, which keeps results unique and mode-independent.
+Each atom's children and their conditional probabilities come from
+``Filtration.transitions``.  Coefficients are predictable and, where the
+solve is underdetermined, the minimum-norm solution supported on the row
+space of the child-increment matrix is chosen, which keeps results unique
+and mode-independent.
 """
 
 from __future__ import annotations
@@ -90,13 +92,6 @@ class RepresentationCoefficients:
         return integrate(self.kbar, self.driver.W)
 
 
-def children_with_mass(space, parent_part, child_part, atom):
-    """Child atoms with their conditional probabilities within the atom."""
-    children = parent_part.children_of(child_part, atom)
-    mass = space.prob(atom)
-    return [(child, space.prob(child) / mass) for child in children]
-
-
 def represent(X: Process, driver: Driver) -> RepresentationCoefficients:
     """Solve for predictable coefficients with transpose(k) dW = dX.
 
@@ -114,14 +109,11 @@ def represent(X: Process, driver: Driver) -> RepresentationCoefficients:
     k = X.dim
     values: dict[tuple[int, int], tuple] = {}
     for t in range(1, F.horizon + 1):
-        part = F.at(t - 1)
-        child_part = F.at(t)
-        for atom_idx, atom in enumerate(part.atoms):
-            children = part.children_of(child_part, atom)
-            V = [list(driver.W.delta(c[0], t)) for c in children]
+        for atom_idx, atom, children in F.transitions(t):
+            V = [list(driver.W.delta(c[0], t)) for c, _ in children]
             flat = [0] * (d * k)
             for i in range(k):
-                y = [X.delta(c[0], t)[i] for c in children]
+                y = [X.delta(c[0], t)[i] for c, _ in children]
                 coeff, residual = linalg.lstsq_min_norm(V, y, arith)
                 if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([y])):
                     res = residual[0] if len(residual) == 1 else tuple(residual)
@@ -137,10 +129,10 @@ def conditional_multiplicity(F: Filtration, t: int, atom: tuple[str, ...]) -> in
     """Number of time-t children of a time-(t-1) atom."""
     if not 1 <= t <= F.horizon:
         raise SpaceError(f"time {t} has no transition on grid 0..{F.horizon}")
-    part = F.at(t - 1)
-    if tuple(atom) not in part.atoms:
+    atoms = F.at(t - 1).atoms
+    if tuple(atom) not in atoms:
         raise SpaceError(f"{atom} is not a time-{t - 1} atom")
-    return len(part.children_of(F.at(t), tuple(atom)))
+    return len(F.transitions(t)[atoms.index(tuple(atom))][2])
 
 
 def check_mrp(F: Filtration, driver: Driver):
@@ -153,14 +145,11 @@ def check_mrp(F: Filtration, driver: Driver):
     """
     arith = F.space.arith
     for t in range(1, F.horizon + 1):
-        part = F.at(t - 1)
-        child_part = F.at(t)
-        for atom in part.atoms:
-            children = part.children_of(child_part, atom)
+        for _, atom, children in F.transitions(t):
             m = len(children)
             if m == 1:
                 continue
-            V = [list(driver.W.delta(c[0], t)) for c in children]
+            V = [list(driver.W.delta(c[0], t)) for c, _ in children]
             r = linalg.rank(V, arith)
             if r < m - 1:
                 return False, MrpWitness(t, atom, m, r)
@@ -176,28 +165,18 @@ def synthesize_driver(F: Filtration) -> Driver:
     largest child count minus one; a never-splitting filtration yields an
     empty (0-dimensional) driver, for which only constants are martingales.
     """
-    space = F.space
-    specs: dict[tuple[int, int], list] = {}
-    d = 0
+    d = max(len(children) - 1 for t in range(1, F.horizon + 1)
+            for _, _, children in F.transitions(t))
+    steps = {}
     for t in range(1, F.horizon + 1):
-        part = F.at(t - 1)
-        for atom_idx, atom in enumerate(part.atoms):
-            pairs = children_with_mass(space, part, F.at(t), atom)
-            specs[(t, atom_idx)] = pairs
-            d = max(d, len(pairs) - 1)
-
-    def inc(o, t):
-        pairs = specs[(t, F.at(t - 1).atom_index(o))]
-        step = []
-        for e in range(d):
-            if e < len(pairs) - 1:
-                child, p = pairs[e]
-                step.append((1 if o in child else 0) - p)
-            else:
-                step.append(0)
-        return tuple(step)
-
-    return Driver(accumulate(space, F.horizon, d, inc, ADAPTED), F)
+        for _, _, children in F.transitions(t):
+            probs = [p for _, p in children[:-1]]
+            for m, (child, _) in enumerate(children):
+                step = tuple((1 if e == m else 0) - p for e, p in enumerate(probs))
+                for o in child:
+                    steps[(t, o)] = step + (0,) * (d - len(probs))
+    W = accumulate(F.space, F.horizon, d, lambda o, t: steps[(t, o)], ADAPTED)
+    return Driver(W, F)
 
 
 def single_jump_coefficient(R: RandomTime, xi, F: Filtration,

@@ -6,6 +6,11 @@ the outcomes per time t in {0, ..., horizon}, each refining the previous
 one.  The time-0 partition may already be nontrivial, which is how an
 initially enlarged observer enters the picture.
 
+This module owns the atom index: each partition's outcome indices
+(``members``) and probabilities (``masses``), built once and lazily, the
+enclosing coarser atoms (``parents``), and ``Filtration.transitions(t)``,
+each time-(t-1) atom with its time-t children and their conditional masses.
+
 Processes store one value vector per (outcome, time).  A process is adapted
 when its time-t value is constant on every time-t atom, predictable when its
 time-t value is constant on every time-(t-1) atom and its time-0 value is
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .arith import EXACT, Arithmetic, Num
@@ -164,10 +170,21 @@ class Partition:
             atoms.extend(groups.values())
         return Partition.from_atoms(self.space, atoms)
 
-    def children_of(self, finer: "Partition", atom: tuple[str, ...]) -> list[tuple[str, ...]]:
-        """Atoms of the finer partition contained in the given atom."""
-        members = set(atom)
-        return [a for a in finer.atoms if a[0] in members]
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """Outcome indices of each atom."""
+        idx = self.space.index
+        return tuple(tuple(idx(o) for o in atom) for atom in self.atoms)
+
+    @cached_property
+    def masses(self) -> tuple[Num, ...]:
+        """Probability of each atom, summed over its outcomes in order."""
+        w = self.space.weights
+        return tuple(sum((w[i] for i in m), 0) for m in self.members)
+
+    def parents(self, coarser: "Partition") -> tuple[int, ...]:
+        """Index of the coarser atom enclosing each atom of this refinement."""
+        return tuple(coarser.atom_index(atom[0]) for atom in self.atoms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.atoms == other.atoms
@@ -184,6 +201,7 @@ class Partition:
 class Filtration:
     space: SampleSpace
     partitions: tuple[Partition, ...]
+    _transitions: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.partitions) < 2:
@@ -203,6 +221,17 @@ class Filtration:
         if not 0 <= t <= self.horizon:
             raise SpaceError(f"time {t} outside grid 0..{self.horizon}")
         return self.partitions[t]
+
+    def transitions(self, t: int) -> list:
+        """(k, atom, [(child, p)]) for each time-(t-1) atom k: its time-t
+        children in canonical order, p = P(child | atom).  Built once per t."""
+        if t not in self._transitions:
+            parent, part = self.at(t - 1), self.at(t)
+            kids = [[] for _ in parent.atoms]
+            for child, k, mass in zip(part.atoms, part.parents(parent), part.masses):
+                kids[k].append((child, mass / parent.masses[k]))
+            self._transitions[t] = [(k, atom, kids[k]) for k, atom in enumerate(parent.atoms)]
+        return self._transitions[t]
 
     def refine_by(self, values: Sequence) -> "Filtration":
         return Filtration(self.space, tuple(p.refine_by(values) for p in self.partitions))
@@ -389,12 +418,16 @@ class Process:
         v0 = (0,) * dim if initial is None else _as_vector(initial)
         if len(v0) != dim:
             raise SpaceError("value dimension mismatch")
-        parts = filtration.partitions
-        paths = tuple(
-            (v0,) + tuple(_as_vector(table[(t, parts[t - 1].atom_index(o))])
-                          for t in range(1, len(parts)))
-            for o in filtration.space.outcomes
-        )
+        cols = []
+        for t in range(1, filtration.horizon + 1):
+            col = [None] * filtration.space.size
+            for k, members in enumerate(filtration.at(t - 1).members):
+                v = _as_vector(table[(t, k)])
+                for i in members:
+                    col[i] = v
+            cols.append(col)
+        paths = tuple((v0,) + tuple(col[i] for col in cols)
+                      for i in range(filtration.space.size))
         return cls(filtration.space, paths, flavor=PREDICTABLE, shape=shape)
 
     @classmethod
@@ -435,13 +468,6 @@ class Process:
             tuple(tuple((v[j],) for v in path) for path in self.paths),
             flavor=self.flavor,
         )
-
-    def components(self) -> list["Process"]:
-        return [self.component(j) for j in range(self.dim)]
-
-    def rv(self, t: int) -> list[tuple[Num, ...]]:
-        """Time-t slice as a random variable (parallel to space.outcomes)."""
-        return [path[t] for path in self.paths]
 
     # -- algebra ----------------------------------------------------------------
 
@@ -511,36 +537,29 @@ def first_mismatch(X: Process, Y: Process):
     return None
 
 
+def _constant_on(X: Process, t: int, groups) -> bool:
+    """Time-t values constant on each group of outcome indices."""
+    eq = X.space.arith.eq
+    paths = X.paths
+    return all(
+        all(eq(a, b) for a, b in zip(paths[i][t], paths[m[0]][t]))
+        for m in groups for i in m[1:]
+    )
+
+
 def is_adapted(X: Process, filtration: Filtration) -> bool:
     """Time-t values constant on every time-t atom."""
-    if X.horizon != filtration.horizon:
-        return False
-    arith = X.space.arith
-    for t in range(filtration.horizon + 1):
-        for atom in filtration.at(t).atoms:
-            ref = X.at(atom[0], t)
-            for o in atom[1:]:
-                if not all(arith.eq(a, b) for a, b in zip(X.at(o, t), ref)):
-                    return False
-    return True
+    return X.horizon == filtration.horizon and all(
+        _constant_on(X, t, filtration.at(t).members)
+        for t in range(filtration.horizon + 1))
 
 
 def is_predictable(X: Process, filtration: Filtration) -> bool:
     """Time-0 value deterministic; time-t values constant on time-(t-1) atoms."""
-    if X.horizon != filtration.horizon:
+    if X.horizon != filtration.horizon or not _constant_on(X, 0, [range(X.space.size)]):
         return False
-    arith = X.space.arith
-    ref0 = X.at(X.space.outcomes[0], 0)
-    for o in X.space.outcomes:
-        if not all(arith.eq(a, b) for a, b in zip(X.at(o, 0), ref0)):
-            return False
-    for t in range(1, filtration.horizon + 1):
-        for atom in filtration.at(t - 1).atoms:
-            ref = X.at(atom[0], t)
-            for o in atom[1:]:
-                if not all(arith.eq(a, b) for a, b in zip(X.at(o, t), ref)):
-                    return False
-    return True
+    return all(_constant_on(X, t, filtration.at(t - 1).members)
+               for t in range(1, filtration.horizon + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +579,15 @@ def cond_exp(values: Sequence, partition: Partition, space: SampleSpace) -> list
     dim = len(vectors[0])
     if any(len(v) != dim for v in vectors):
         raise SpaceError("vector values must share one dimension")
+    weights = space.weights
     out: list = [None] * space.size
-    for atom in partition.atoms:
-        mass = space.prob(atom)
+    for members, mass in zip(partition.members, partition.masses):
         avg = tuple(
-            sum((space.weight(o) * vectors[space.index(o)][j] for o in atom), 0) / mass
+            sum((weights[i] * vectors[i][j] for i in members), 0) / mass
             for j in range(dim)
         )
-        for o in atom:
-            out[space.index(o)] = avg
+        for i in members:
+            out[i] = avg
     if not isinstance(values[0], (tuple, list)):
         return [v[0] for v in out]
     return out

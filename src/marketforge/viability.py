@@ -5,8 +5,9 @@ to the predictable covariation of D against each price martingale part, and
 builds the deflator as the stochastic exponential of -D.  The expanded-flow
 pipeline rebuilds the same object under an enlargement: it assembles one
 accessible jump site per (time, expanded atom) -- child probabilities from
-the base flow, tilts from the drift gauge, deltas from D -- solves each site
-for the integrand K, and exponentiates Y = K . (W - drift W).  Every verdict
+the base flow's transitions, tilts from the drift gauge, deltas from D --
+solves each site for the integrand K, and exponentiates Y = K . (W - drift W)
+with the drift of W kept by the gauge.  Every verdict
 re-verifies the drift identity and the deflated-martingale property through
 independent summation paths before claiming viability.
 """
@@ -31,7 +32,7 @@ from .calculus import (
 )
 from .enlarge import DriftGauge, drift
 from .jumpkernel import AccessibleSite, CoercivityFailure, PsdSolve, SiteChild, xi_accessible, check_jump_bound
-from .mrp import Driver, children_with_mass
+from .mrp import Driver
 from .space import (
     PREDICTABLE,
     EnlargementPair,
@@ -188,8 +189,7 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
     residual witness on inconsistency or with the offending jump otherwise.
     """
     F = market.F
-    space = market.space
-    arith = space.arith
+    arith = market.space.arith
     W = driver.W
     M = market.martingale_part
     Sv = market.drift_part
@@ -197,11 +197,9 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
     table = {}
     records = []
     for t in range(1, F.horizon + 1):
-        parent = F.at(t - 1)
-        fine = F.at(t)
-        for idx, atom in enumerate(parent.atoms):
+        for idx, atom, children in F.transitions(t):
             Q = [[0] * d for _ in range(k)]
-            for child, p in children_with_mass(space, parent, fine, atom):
+            for child, p in children:
                 dm = M.delta(child[0], t)
                 dw = W.delta(child[0], t)
                 for i in range(k):
@@ -288,20 +286,18 @@ def price_drift_rhs(market: Market, D: Process, gauge: DriftGauge) -> Process:
 
 
 def _build_site(market: Market, driver: Driver, gauge: DriftGauge,
-                D: Process, t: int, g_atom, base_atom) -> AccessibleSite:
+                D: Process, t: int, g_atom, transition) -> AccessibleSite:
     """Accessible site for one (time, expanded atom): base-flow child
     probabilities, driver jumps, gauge tilts, structure-martingale deltas."""
-    space = market.space
-    F = market.F
     phi = gauge.phi.at(g_atom[0], t)
     children = []
-    for child, p in children_with_mass(space, F.at(t - 1), F.at(t), base_atom):
+    for child, p in transition:
         w = driver.W.delta(child[0], t)
         dn = gauge.N.delta(child[0], t)
         nu = sum((a * b for a, b in zip(phi, dn)), 0)
         delta = D.value(child[0], t) - D.value(child[0], t - 1)
         children.append(SiteChild(p, w, nu, delta))
-    return AccessibleSite(driver.d, tuple(children), arith=space.arith)
+    return AccessibleSite(driver.d, tuple(children), arith=market.space.arith)
 
 
 def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
@@ -325,6 +321,11 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
     if gauge.pair is not pair:
         if gauge.pair.expanded.partitions != pair.expanded.partitions:
             raise ViabilityError("the gauge was solved for another expanded flow")
+    W = driver.W
+    if gauge.W is not W:
+        if (gauge.W.space, gauge.W.horizon, gauge.W.dim) != (W.space, W.horizon, W.dim) \
+                or first_mismatch(gauge.W, W) is not None:
+            raise ViabilityError("the gauge was solved for another driver")
     G = pair.expanded
     space = market.space
     if base_solution is None:
@@ -347,9 +348,12 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
     table = {}
     records = []
     for t in range(1, G.horizon + 1):
-        for idx, g_atom in enumerate(G.at(t - 1).atoms):
-            base_atom = market.F.at(t - 1).atom_of(g_atom[0])
-            site = _build_site(market, driver, gauge, D, t, g_atom, base_atom)
+        g_part = G.at(t - 1)
+        steps = market.F.transitions(t)
+        for idx, (g_atom, k) in enumerate(zip(g_part.atoms,
+                                              g_part.parents(market.F.at(t - 1)))):
+            _, base_atom, transition = steps[k]
+            site = _build_site(market, driver, gauge, D, t, g_atom, transition)
             try:
                 solve = xi_accessible(site)
             except CoercivityFailure as err:
@@ -363,7 +367,7 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
             records.append(SiteRecord(t, g_atom, base_atom, site, solve))
             table[(t, idx)] = solve.solution
     kbar = Process.predictable(G, table, driver.d)
-    W_tilde = driver.W - drift(driver.W, pair)
+    W_tilde = W - gauge.W_drift
     Y = integrate(kbar, W_tilde)
     for record in records:
         ok, rows = check_jump_bound(record.site, record.solve.solution)

@@ -8,6 +8,7 @@ import pytest
 from marketforge.calculus import centred, compensator, integrate, is_martingale, pred_bracket
 from marketforge.enlarge import (
     Infeasible,
+    SupportWitness,
     check_support_condition,
     compute_u,
     drift,
@@ -16,7 +17,15 @@ from marketforge.enlarge import (
 )
 from marketforge.fixtures import b2, b2i, b2n
 from marketforge.selftest import random_martingale as library_martingale
-from marketforge.space import Process, SpaceError, first_mismatch, is_predictable
+from marketforge.space import (
+    EnlargementPair,
+    Filtration,
+    Partition,
+    Process,
+    SpaceError,
+    first_mismatch,
+    is_predictable,
+)
 
 from util import random_martingale
 
@@ -74,6 +83,9 @@ def test_solve_phi_on_noisy_signal():
         assert gauge.u.value(o, 2) == 1
     assert gauge.support_ok
     assert gauge.u_positive
+    # the gauge keeps the driver it was solved for and that driver's drift
+    assert gauge.W is fx.W
+    assert first_mismatch(gauge.W_drift, drift(fx.W, fx.pair)) is None
 
 
 def test_solve_phi_on_perfect_insider():
@@ -95,6 +107,25 @@ def test_support_condition_witness_on_insider():
     assert witness.child == ("uu", "ud")
     assert witness.g_atom == ("du", "dd")
     assert check_support_condition(b2n().pair) == (True, None)
+
+
+def test_support_condition_first_witness_among_several_violations():
+    fx = b2n()
+    space = fx.space
+    # At time 1 the observer learns the second coin when the noise bit is 1.
+    G = Filtration(space, (
+        Partition.trivial(space),
+        Partition.from_atoms(space, [["uu0", "ud0"], ["uu1"], ["ud1"],
+                                     ["du0", "dd0"], ["du1"], ["dd1"]]),
+        Partition.discrete(space),
+    ))
+    # Four time-2 transitions are ruled out: child uu misses {ud1}, ud misses
+    # {uu1}, du misses {dd1}, dd misses {du1}.  The walk is base atom, then
+    # child, then expanded atom, so the first witness is (uu, {ud1}), not the
+    # expanded-atom-first (ud, {uu1}).
+    ok, witness = check_support_condition(EnlargementPair(fx.F, G))
+    assert not ok
+    assert witness == SupportWitness(2, ("uu0", "uu1"), ("ud1",))
 
 
 def test_compute_u_matches_manual_minimum():

@@ -2,9 +2,12 @@
 
 Each case runs ``analyze`` or ``kernel`` in exact and in float mode and
 compares the exit code and the report file byte for byte with the copy
-under ``tests/golden/``.  The inputs are the five files in ``scenarios/``
-and the noisy-signal coin trees for T = 2..4 (outcomes listed in a seeded
-order), whose scenario JSON is stored beside the reports.
+under ``tests/golden/``.  The inputs are the five files in ``scenarios/``,
+the noisy-signal coin trees for T = 2..4 (outcomes listed in a seeded
+order), two progressive enlargements of the two-coin tree (one viable, one
+failing the support condition), an explicit-flow enlargement and a
+trinomial step with a two-dimensional driver.  Their scenario JSON is
+stored beside the reports.
 
 Regenerate after an intended report change, and only then, with
 
@@ -32,6 +35,10 @@ INPUTS = (
     ("analyze", GOLDEN / "noisy_tree_T2.json"),
     ("analyze", GOLDEN / "noisy_tree_T3.json"),
     ("analyze", GOLDEN / "noisy_tree_T4.json"),
+    ("analyze", GOLDEN / "progressive_b2_late.json"),
+    ("analyze", GOLDEN / "progressive_b2_split.json"),
+    ("analyze", GOLDEN / "explicit_noisy_second_coin.json"),
+    ("analyze", GOLDEN / "trinomial_d2.json"),
 )
 
 CASES = [(cmd, path, mode) for cmd, path in INPUTS for mode in MODES]

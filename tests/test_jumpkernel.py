@@ -164,6 +164,10 @@ def test_xi_accessible_noisy_signal_site():
 def test_xi_accessible_flat_site_is_zero():
     out = xi_accessible(_acc([(F(1, 2), (1,), 0, 0), (F(1, 2), (-1,), 0, 0)]))
     assert out.solution == (0,) and out.feasible
+    # a zero-Gram site with zero drift is feasible and certifies no constant
+    out = xi_accessible(_acc([(F(1, 2), (0,), F(1, 2), F(1, 5)),
+                              (F(1, 2), (0,), F(-1, 2), F(-1, 5))]))
+    assert out.solution == (0,) and out.feasible and out.coercivity is None
 
 
 def test_xi_accessible_insider_site_infeasible():
@@ -200,12 +204,6 @@ def test_xi_inaccessible_single_child():
 def test_xi_zero_jump_site_degenerate_feasible():
     out = xi_inaccessible(_inacc([(1, (0,), F(1, 5), F(1, 10))]))
     assert out.solution == (0,) and out.feasible
-
-
-def test_xi_explicit_eps_is_recorded():
-    out = xi_accessible(b2n_site(), eps=F(1, 5))
-    assert out.solution == (F(5, 4),)
-    assert out.coercivity == F(1, 5)
 
 
 # ---------------------------------------------------------------------------

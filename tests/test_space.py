@@ -154,6 +154,52 @@ def test_progressive_enlargement_by_first_hit():
     assert check_refinement(pair)
 
 
+def _brute_transitions(flow, t):
+    """(k, atom, [(child, P(child | atom))]) by scanning every atom pair."""
+    space = flow.space
+
+    def mass(atom):
+        return sum(space.weight(o) for o in atom)
+
+    return [(k, atom, [(child, mass(child) / mass(atom))
+                       for child in flow.at(t).atoms if set(child) <= set(atom)])
+            for k, atom in enumerate(flow.at(t - 1).atoms)]
+
+
+def _brute_parents(fine, coarse):
+    return tuple(next(k for k, big in enumerate(coarse.atoms) if set(atom) <= set(big))
+                 for atom in fine.atoms)
+
+
+def test_atom_index_matches_brute_enumeration():
+    noisy = b2n()
+    coins = b2()
+    progressive = build_progressive_enlargement(
+        coins.F, RandomTime(coins.space, (INF, 1, INF, 1)))
+    for pair in (noisy.pair, progressive):
+        for flow in (pair.base, pair.expanded):
+            space = flow.space
+            for t in range(flow.horizon + 1):
+                part = flow.at(t)
+                assert part.members == tuple(
+                    tuple(space.outcomes.index(o) for o in atom) for atom in part.atoms)
+                assert part.masses == tuple(
+                    sum(space.weight(o) for o in atom) for atom in part.atoms)
+                assert part.parents(pair.base.at(t)) == _brute_parents(part, pair.base.at(t))
+                if t:
+                    assert part.parents(flow.at(t - 1)) == _brute_parents(part, flow.at(t - 1))
+                    assert flow.transitions(t) == _brute_transitions(flow, t)
+            with pytest.raises(SpaceError):
+                flow.transitions(0)
+            with pytest.raises(SpaceError):
+                flow.transitions(flow.horizon + 1)
+    # the noisy signal: each time-0 observer atom has mass 1/2 and its first
+    # coin agrees with the signal with probability 4/5
+    G = noisy.pair.expanded
+    assert G.at(0).masses == (F(1, 2), F(1, 2))
+    assert [p for _, p in G.transitions(1)[0][2]] == [F(4, 5), F(1, 5)]
+
+
 def test_non_stopping_time_detected():
     fx = b2()
     # Knowing the second coin at time 1 is look-ahead.

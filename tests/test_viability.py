@@ -267,6 +267,20 @@ def test_solve_structure_G_rejects_a_gauge_of_another_expanded_flow():
     assert solve_structure_G(market, twin, _gauge(fx), driver).status == VIABLE
 
 
+def test_solve_structure_G_rejects_a_gauge_of_another_driver():
+    fx = b2n()
+    market, driver = _market(fx), _driver(fx)
+    doubled = solve_phi(fx.pair, fx.W, fx.W.scale(2))
+    stacked = solve_phi(fx.pair, fx.W, Process.from_paths(
+        fx.space, [[v + v for v in path] for path in fx.W.paths]))
+    for gauge in (doubled, stacked):
+        with pytest.raises(ViabilityError, match="another driver"):
+            solve_structure_G(market, fx.pair, gauge, driver)
+    # an equal driver process in a fresh object is the same driver
+    twin = solve_phi(fx.pair, fx.W, Process.from_paths(fx.space, fx.W.paths))
+    assert solve_structure_G(market, fx.pair, twin, driver).status == VIABLE
+
+
 def test_solve_structure_G_noise_only_enlargement_is_transparent():
     fx = b2()
     space = product_with_independent(fx.space, ("0", "1"), (F(3, 4), F(1, 4)))
