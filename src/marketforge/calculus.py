@@ -1,7 +1,8 @@
 """Discrete stochastic calculus on finite filtered spaces.
 
 Increment conventions: for any process X the time-0 increment is zero and
-dX_t = X_t - X_{t-1} for t >= 1.  On a finite grid every martingale has
+dX_t = X_t - X_{t-1} for t >= 1, read per time from ``Process.increments``
+and summed back up by ``accumulate``.  On a finite grid every martingale has
 finite everything, so the classical decompositions hold with no integrability
 caveats: the continuous part of any process is zero and the purely
 discontinuous martingale part coincides with the whole martingale part.
@@ -62,18 +63,14 @@ def _require_adapted(X: Process, filtration: Filtration, what: str) -> None:
         raise CalculusError(f"{what} must be adapted to the filtration")
 
 
-def accumulate(space, horizon, dim, increment_fn, flavor, shape=None) -> Process:
-    """Build a process from per-(outcome, t>=1) increment vectors, starting at 0."""
-    paths = []
-    for o in space.outcomes:
-        level = (0,) * dim
-        path = [level]
-        for t in range(1, horizon + 1):
-            inc = increment_fn(o, t)
-            level = tuple(a + b for a, b in zip(level, inc))
-            path.append(level)
-        paths.append(tuple(path))
-    return Process(space, tuple(paths), flavor=flavor, shape=shape)
+def accumulate(space, columns, dim, flavor, shape=None) -> Process:
+    """Running sums from 0 of increment columns in the layout of
+    ``Process.increments``, read once (a generator will do)."""
+    paths = [[(0,) * dim] for _ in space.outcomes]
+    for column in columns:
+        for path, inc in zip(paths, column):
+            path.append(tuple(a + b for a, b in zip(path[-1], inc)))
+    return Process(space, tuple(map(tuple, paths)), flavor=flavor, shape=shape)
 
 
 def centred(X: Process) -> Process:
@@ -86,24 +83,17 @@ def centred(X: Process) -> Process:
 
 
 def _increment_means(X: Process, filtration: Filtration):
-    """Yield (t, E[dX_t | time-(t-1) atoms]) for t >= 1, parallel to the
-    outcomes: the one conditional-increment kernel behind ``compensator``,
-    ``is_martingale`` and ``enlarge.drift``."""
-    space = X.space
-    for t in range(1, X.horizon + 1):
-        inc = [X.delta(o, t) for o in space.outcomes]
-        yield t, cond_exp(inc, filtration.at(t - 1), space)
+    """Yield the columns E[dX_t | time-(t-1) atoms] for t = 1..horizon,
+    parallel to the outcomes: the one conditional-increment kernel behind
+    ``compensator``, ``is_martingale`` and ``enlarge.drift``."""
+    for t, column in enumerate(X.increments(), 1):
+        yield cond_exp(column, filtration.at(t - 1), X.space)
 
 
 def _compensate(X: Process, filtration: Filtration) -> Process:
     """Accumulated conditional-mean increments, with no input checks."""
-    means = dict(_increment_means(X, filtration))
-    space = X.space
-    return accumulate(
-        space, X.horizon, X.dim,
-        lambda o, t: means[t][space.index(o)],
-        PREDICTABLE, shape=X.shape,
-    )
+    return accumulate(X.space, _increment_means(X, filtration), X.dim,
+                      PREDICTABLE, shape=X.shape)
 
 
 def compensator(A: Process, filtration: Filtration) -> Process:
@@ -138,15 +128,10 @@ def bracket(X: Process, Y: Process) -> Process:
     """
     if X.space is not Y.space or X.horizon != Y.horizon:
         raise CalculusError("bracket needs processes on one grid")
-    space = X.space
-    dim = X.dim * Y.dim
-
-    def inc(o, t):
-        dx = X.delta(o, t)
-        dy = Y.delta(o, t)
-        return tuple(a * b for a in dx for b in dy)
-
-    return accumulate(space, X.horizon, dim, inc, ADAPTED, shape=(X.dim, Y.dim))
+    columns = ([tuple(a * b for a in dx for b in dy) for dx, dy in zip(cx, cy)]
+               for cx, cy in zip(X.increments(), Y.increments()))
+    return accumulate(X.space, columns, X.dim * Y.dim, ADAPTED,
+                      shape=(X.dim, Y.dim))
 
 
 def pred_bracket(X: Process, Y: Process, filtration: Filtration) -> Process:
@@ -164,25 +149,23 @@ def integrate(H: Process, X: Process) -> Process:
     """
     if H.space is not X.space or H.horizon != X.horizon:
         raise CalculusError("integrate needs processes on one grid")
-    space = X.space
     rows, cols = H.shape
     if rows == X.dim:
-        def inc(o, t):
-            h = H.at(o, t)
-            dx = X.delta(o, t)
+        def step(h, dx):
             return tuple(
                 sum((h[r * cols + c] * dx[r] for r in range(rows)), 0)
                 for c in range(cols)
             )
         out_dim = cols
     elif H.dim == 1:
-        def inc(o, t):
-            h = H.value(o, t)
-            return tuple(h * d for d in X.delta(o, t))
+        def step(h, dx):
+            return tuple(h[0] * d for d in dx)
         out_dim = X.dim
     else:
         raise CalculusError("integrand shape does not match the integrator")
-    return accumulate(space, X.horizon, out_dim, inc, ADAPTED)
+    columns = ([step(path[t], dx) for path, dx in zip(H.paths, column)]
+               for t, column in enumerate(X.increments(), 1))
+    return accumulate(X.space, columns, out_dim, ADAPTED)
 
 
 def stoch_exp(X: Process) -> Process:
@@ -229,7 +212,7 @@ def is_martingale(X: Process, filtration: Filtration):
     """
     _require_adapted(X, filtration, "martingale-check input")
     arith = X.space.arith
-    for t, means in _increment_means(X, filtration):
+    for t, means in enumerate(_increment_means(X, filtration), 1):
         part = filtration.at(t - 1)
         for atom, members in zip(part.atoms, part.members):
             m = means[members[0]]

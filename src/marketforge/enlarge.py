@@ -28,6 +28,7 @@ from .space import (
     Process,
     SpaceError,
     check_refinement,
+    cond_exp,
     first_mismatch,
 )
 
@@ -159,17 +160,15 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
     w = space.weights
     n, d = N.dim, W.dim
     values: dict[tuple[int, int], tuple] = {}
-    for t in range(1, pair.horizon + 1):
+    for t, dN, dW in zip(range(1, pair.horizon + 1), N.increments(), W.increments()):
         f_part, g_part = F.at(t - 1), G.at(t - 1)
-        dN = [N.delta(o, t) for o in space.outcomes]
-        dW = [W.delta(o, t) for o in space.outcomes]
         Qs = [[[sum((w[j] * dN[j][i] * dW[j][e] for j in members), 0) / mass
                 for e in range(d)] for i in range(n)]
               for members, mass in zip(f_part.members, f_part.masses)]
-        for k, (b_atom, members, mass, a) in enumerate(zip(
-                g_part.atoms, g_part.members, g_part.masses, g_part.parents(f_part))):
-            gamma = [sum((w[j] * dW[j][e] for j in members), 0) / mass
-                     for e in range(d)]
+        gammas = cond_exp(dW, g_part, space)
+        for k, (b_atom, members, a) in enumerate(zip(
+                g_part.atoms, g_part.members, g_part.parents(f_part))):
+            gamma = gammas[members[0]]
             if d == 0:  # no driver equations: any integrand works, take zero
                 values[(t, k)] = (0,) * n
                 continue

@@ -111,9 +111,9 @@ def represent(X: Process, driver: Driver) -> RepresentationCoefficients:
     for t in range(1, F.horizon + 1):
         for atom_idx, atom, children in F.transitions(t):
             V = [list(driver.W.delta(c[0], t)) for c, _ in children]
+            dX = [X.delta(c[0], t) for c, _ in children]
             flat = [0] * (d * k)
-            for i in range(k):
-                y = [X.delta(c[0], t)[i] for c, _ in children]
+            for i, y in enumerate(zip(*dX)):
                 coeff, residual = linalg.lstsq_min_norm(V, y, arith)
                 if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([y])):
                     res = residual[0] if len(residual) == 1 else tuple(residual)
@@ -167,15 +167,15 @@ def synthesize_driver(F: Filtration) -> Driver:
     """
     d = max(len(children) - 1 for t in range(1, F.horizon + 1)
             for _, _, children in F.transitions(t))
-    steps = {}
+    columns = [[None] * F.space.size for _ in range(F.horizon)]
     for t in range(1, F.horizon + 1):
         for _, _, children in F.transitions(t):
             probs = [p for _, p in children[:-1]]
             for m, (child, _) in enumerate(children):
                 step = tuple((1 if e == m else 0) - p for e, p in enumerate(probs))
                 for o in child:
-                    steps[(t, o)] = step + (0,) * (d - len(probs))
-    W = accumulate(F.space, F.horizon, d, lambda o, t: steps[(t, o)], ADAPTED)
+                    columns[t - 1][F.space.index(o)] = step + (0,) * (d - len(probs))
+    W = accumulate(F.space, columns, d, ADAPTED)
     return Driver(W, F)
 
 

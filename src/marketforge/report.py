@@ -73,7 +73,7 @@ def solution_summary(solution: StructureSolution | None, arith: Arithmetic):
     horizon = solution.martingale.horizon
     kbars = [x for o in space.outcomes for t in range(1, horizon + 1)
              for x in solution.driver_coefficients.at(o, t)]
-    jumps = [solution.martingale.value(o, t) - solution.martingale.value(o, t - 1)
+    jumps = [solution.martingale.delta(o, t)[0]
              for o in space.outcomes for t in range(1, horizon + 1)]
     defl = [solution.deflator.value(o, t)
             for o in space.outcomes for t in range(horizon + 1)]

@@ -16,8 +16,9 @@ when its time-t value is constant on every time-t atom, predictable when its
 time-t value is constant on every time-(t-1) atom and its time-0 value is
 deterministic.  Only this module and ``calculus`` build a process cell by
 cell; the other layers hand over per-(time, atom) tables
-(:meth:`Process.predictable`), increments (``calculus.accumulate``) or
-input paths, and compare processes with :func:`first_mismatch`.
+(:meth:`Process.predictable`), increment columns (``calculus.accumulate``)
+or input paths, and compare processes with :func:`first_mismatch`.
+Increments are defined once, here, by :meth:`Process.increments` (dX_0 = 0).
 """
 
 from __future__ import annotations
@@ -351,6 +352,11 @@ def _as_vector(v) -> tuple:
     return tuple(v) if isinstance(v, (tuple, list)) else (v,)
 
 
+def _step(path, t: int) -> tuple:
+    """dX_t = X_t - X_{t-1} along one path, for t >= 1."""
+    return tuple(a - b for a, b in zip(path[t], path[t - 1]))
+
+
 @dataclass(frozen=True, eq=False)
 class Process:
     """A path-valued map: one length-dim value vector per (outcome, time).
@@ -459,8 +465,13 @@ class Process:
         """Increment at time t; by convention the time-0 increment vanishes."""
         if t == 0:
             return (0,) * self.dim
-        path = self.paths[self.space.index(outcome)]
-        return tuple(a - b for a, b in zip(path[t], path[t - 1]))
+        return _step(self.paths[self.space.index(outcome)], t)
+
+    def increments(self) -> list:
+        """Increment columns: entry t - 1 holds dX_t for every outcome, in
+        outcome order, for t = 1..horizon.  Recomputed on each call."""
+        return [[_step(path, t) for path in self.paths]
+                for t in range(1, self.horizon + 1)]
 
     def component(self, j: int) -> "Process":
         return Process(

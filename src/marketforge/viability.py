@@ -216,7 +216,7 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
     D = integrate(dbar, W)
     for t in range(1, F.horizon + 1):
         for atom in F.at(t).atoms:
-            jump = D.value(atom[0], t) - D.value(atom[0], t - 1)
+            jump = D.delta(atom[0], t)[0]
             if not jump < 1:
                 raise NonViable(FailureWitness("jump-bound", t, atom, jump))
     deflator = stoch_exp(-D)
@@ -269,16 +269,12 @@ def price_drift_rhs(market: Market, D: Process, gauge: DriftGauge) -> Process:
     n = gauge.N.dim
     pb_d = pred_bracket(D, M, F)          # components [D, M_i]
     pb_n = pred_bracket(gauge.N, M, F)    # flat (n, k): j * k + i
-    phi = gauge.phi
-
-    def inc(o, t):
-        dd = pb_d.delta(o, t)
-        dn = pb_n.delta(o, t)
-        ph = phi.at(o, t)
-        return tuple(dd[i] + sum((ph[j] * dn[j * k + i] for j in range(n)), 0)
-                     for i in range(k))
-
-    rhs = accumulate(market.space, F.horizon, k, inc, PREDICTABLE)
+    outcomes = market.space.outcomes
+    columns = (
+        [tuple(dd[i] + sum((ph[j] * dn[j * k + i] for j in range(n)), 0) for i in range(k))
+         for dd, dn, ph in zip(cd, cn, [gauge.phi.at(o, t) for o in outcomes])]
+        for t, (cd, cn) in enumerate(zip(pb_d.increments(), pb_n.increments()), 1))
+    rhs = accumulate(market.space, columns, k, PREDICTABLE)
     observed = compensator(centred(market.S), gauge.pair.expanded)
     if first_mismatch(rhs, observed) is not None:
         raise AssertionError("gauge does not reproduce the expanded-flow price drift")
@@ -295,7 +291,7 @@ def _build_site(market: Market, driver: Driver, gauge: DriftGauge,
         w = driver.W.delta(child[0], t)
         dn = gauge.N.delta(child[0], t)
         nu = sum((a * b for a, b in zip(phi, dn)), 0)
-        delta = D.value(child[0], t) - D.value(child[0], t - 1)
+        delta = D.delta(child[0], t)[0]
         children.append(SiteChild(p, w, nu, delta))
     return AccessibleSite(driver.d, tuple(children), arith=market.space.arith)
 
@@ -378,11 +374,11 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
                                           bad))
     for o in space.outcomes:
         for t in range(1, G.horizon + 1):
-            if not Y.value(o, t) - Y.value(o, t - 1) < 1:
+            jump = Y.delta(o, t)[0]
+            if not jump < 1:
                 return Verdict(NON_VIABLE,
                                FailureWitness("jump-bound", t,
-                                              G.at(t).atom_of(o),
-                                              Y.value(o, t) - Y.value(o, t - 1)))
+                                              G.at(t).atom_of(o), jump))
     deflator = stoch_exp(-Y)
     solution = StructureSolution(kbar, Y, deflator, True, tuple(records))
     rhs = price_drift_rhs(market, D, gauge)

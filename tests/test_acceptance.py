@@ -63,6 +63,7 @@ from marketforge.viability import (
 )
 
 from test_cli import SCENARIOS
+from test_golden_reports import GOLDEN
 from util import (
     brute_cond_mean,
     random_accessible_site,
@@ -420,3 +421,24 @@ def test_float_mode_reproduces_exact_verdicts(command, name, tmp_path, capsys):
     assert exact_doc.get("verdict") == float_doc.get("verdict")
     exact_doc.pop("mode"), float_doc.pop("mode")
     _tree_close(exact_doc, float_doc)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="float passes the strict jump < 1 test at a jump of "
+                          "1 - eps (ROADMAP item 2)")
+def test_float_and_exact_agree_on_a_unit_structure_jump(tmp_path, capsys):
+    """The trinomial_d2 golden with a second asset worth 21/20, 11/10, 9/10
+    on children a, b, c: the base structure martingale jumps by exactly 1 at
+    t=1 on [a0, a1].  Exact mode fails jump-bound (exit 4); float mode sees
+    a jump just below 1 and reports viable (exit 0)."""
+    doc = json.loads((GOLDEN / "trinomial_d2.json").read_text())
+    second = {"a": "21/20", "b": "11/10", "c": "9/10"}
+    doc["prices"] = [[[s0, 1], [s1, second[o[0]]]]
+                     for o, (s0, s1) in zip(doc["space"]["outcomes"], doc["prices"])]
+    path = tmp_path / "unit_jump.json"
+    path.write_text(json.dumps(doc))
+    codes = [cli_main(["analyze", str(path), "--mode", mode])
+             for mode in ("exact", "float")]
+    capsys.readouterr()
+    assert codes[0] == 4
+    assert codes[1] == codes[0]

@@ -5,9 +5,11 @@ compares the exit code and the report file byte for byte with the copy
 under ``tests/golden/``.  The inputs are the five files in ``scenarios/``,
 the noisy-signal coin trees for T = 2..4 (outcomes listed in a seeded
 order), two progressive enlargements of the two-coin tree (one viable, one
-failing the support condition), an explicit-flow enlargement and a
-trinomial step with a two-dimensional driver.  Their scenario JSON is
-stored beside the reports.
+failing the support condition), the viable one again with its driver
+left to the synthesizer, an explicit-flow enlargement, and a trinomial
+step with a two-dimensional driver under one asset, under two assets, and
+under two assets whose structure martingale jumps by 8/5 (exit 4,
+``jump-bound``).  Their scenario JSON is stored beside the reports.
 
 Regenerate after an intended report change, and only then, with
 
@@ -39,6 +41,9 @@ INPUTS = (
     ("analyze", GOLDEN / "progressive_b2_split.json"),
     ("analyze", GOLDEN / "explicit_noisy_second_coin.json"),
     ("analyze", GOLDEN / "trinomial_d2.json"),
+    ("analyze", GOLDEN / "trinomial_d2_two_assets.json"),
+    ("analyze", GOLDEN / "trinomial_d2_jump_bound.json"),
+    ("analyze", GOLDEN / "progressive_b2_late_no_driver.json"),
 )
 
 CASES = [(cmd, path, mode) for cmd, path in INPUTS for mode in MODES]

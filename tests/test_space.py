@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from marketforge.arith import EXACT
+from marketforge.arith import EXACT, FLOAT
+from marketforge.calculus import accumulate, centred
 from marketforge.fixtures import b1, b2, b2i, b2n
 from marketforge.space import (
+    ADAPTED,
     INF,
     PREDICTABLE,
     EnlargementPair,
@@ -255,5 +257,19 @@ def test_process_algebra_and_increments():
     assert X.at("u", 1) == (F(5),)
     assert X.delta("d", 1) == (F(-2),)
     assert X.delta("u", 0) == (0,)
+    # Increment columns: one per t >= 1, dX_t in outcome order; their running
+    # sums from 0 give back X - X_0.
+    for arith in (EXACT, FLOAT):
+        noisy = b2n(arith)
+        stacked = Process.from_paths(noisy.space, [
+            [(w[0], s[0]) for w, s in zip(pw, ps)]
+            for pw, ps in zip(noisy.W.paths, noisy.S.paths)])
+        for Z in (noisy.S, stacked):
+            columns = Z.increments()
+            assert len(columns) == Z.horizon
+            for t, column in enumerate(columns, 1):
+                assert column == [Z.delta(o, t) for o in noisy.space.outcomes]
+            summed = accumulate(noisy.space, columns, Z.dim, ADAPTED)
+            assert first_mismatch(summed, centred(Z)) is None
     Y = fx.W + fx.W
     assert Y.at("d", 1) == (F(-2),)
