@@ -8,7 +8,7 @@ cell, the layers above them pass per-atom tables and increments:
 ``space``      sample spaces, filtrations, the atom index (members, masses,
                transitions), processes, enlargement pairs
 ``calculus``   compensators, brackets, integrals, stochastic exponentials
-``mrp``        representation drivers and integrand recovery
+``mrp``        representation drivers and the MRP check
 ``enlarge``    expanded-flow drift (the G-compensator), the gauge (N, phi, u)
 ``jumpkernel`` per-(time, atom) jump sites, coercivity certificate, site solve
 ``viability``  structure solves, deflators, and market verdicts
@@ -39,13 +39,12 @@ from .jumpkernel import (
     check_coercivity,
     check_jump_bound,
     energy_bound,
-    restricted_inverse,
     tilt_floor,
     verify_density,
     xi_accessible,
     xi_inaccessible,
 )
-from .mrp import Driver, check_mrp, represent, synthesize_driver
+from .mrp import Driver, check_mrp, synthesize_driver
 from .scenario import BuiltScenario, ScenarioError, load_scenario, load_site
 from .space import (
     EnlargementPair,
@@ -65,7 +64,6 @@ from .viability import (
     FailureWitness,
     Market,
     NonViable,
-    Strategy,
     StructureSolution,
     Verdict,
     solve_structure_F,
@@ -100,7 +98,6 @@ __all__ = [
     "SampleSpace",
     "ScenarioError",
     "SiteChild",
-    "Strategy",
     "StructureSolution",
     "VIABLE",
     "Verdict",
@@ -121,8 +118,6 @@ __all__ = [
     "load_site",
     "natural_filtration",
     "pred_bracket",
-    "represent",
-    "restricted_inverse",
     "solve_phi",
     "solve_structure_F",
     "solve_structure_G",

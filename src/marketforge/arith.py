@@ -79,11 +79,6 @@ class Arithmetic:
             return x == 0
         return abs(x) <= self.tolerance * max(1.0, abs(scale))
 
-    def nonneg(self, x: Num, scale: Num = 1) -> bool:
-        if self.exact:
-            return x >= 0
-        return x >= -self.tolerance * max(1.0, abs(scale))
-
     def fmt(self, x: Num) -> str | float:
         """JSON-friendly rendering: 'p/q' strings exactly, numbers in float mode."""
         if self.exact:

@@ -15,16 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Num
-from .space import (
-    ADAPTED,
-    PREDICTABLE,
-    Filtration,
-    Process,
-    SpaceError,
-    cond_exp,
-    is_adapted,
-)
+from .space import ADAPTED, PREDICTABLE, Filtration, Process, cond_exp, is_adapted
 
 
 class CalculusError(ValueError):
@@ -47,15 +38,6 @@ class Decomposition:
     x0: tuple
     martingale_part: Process
     predictable_part: Process
-
-    def recompose(self) -> Process:
-        total = self.martingale_part + self.predictable_part
-        space = total.space
-        paths = tuple(
-            tuple(tuple(a + b for a, b in zip(v, self.x0[i])) for v in total.paths[i])
-            for i in range(space.size)
-        )
-        return Process(space, paths, flavor=ADAPTED, shape=total.shape)
 
 
 def _require_adapted(X: Process, filtration: Filtration, what: str) -> None:

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .calculus import _compensate, compensator, integrate, is_martingale, pred_bracket
+from .calculus import _compensate, integrate, is_martingale, pred_bracket
+from .calculus import compensator  # noqa: F401  (bench/test_bench.py traces it here)
 from .space import (
     EnlargementPair,
     Process,
@@ -194,18 +195,3 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
         for o in space.outcomes for t in range(1, pair.horizon + 1)
     )
     return DriftGauge(pair, N, W, W_drift, phi, u, support_witness, u_positive)
-
-
-def verify_g_compensator(A: Process, pair: EnlargementPair, gauge: DriftGauge) -> bool:
-    """Check the two-term formula for expanded-flow compensators.
-
-    The compensator of an F-adapted A under G must be the F-compensator
-    plus the drift of the compensated remainder, the latter expressed
-    through the gauge as the integral of phi against the predictable
-    covariation with N.  Exact equality in rational mode.
-    """
-    _require_pair(pair)
-    F, G = pair.base, pair.expanded
-    comp_f = compensator(A, F)
-    correction = integrate(gauge.phi, pred_bracket(gauge.N, A - comp_f, F))
-    return first_mismatch(compensator(A, G), comp_f + correction) is None

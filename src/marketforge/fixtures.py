@@ -136,13 +136,6 @@ def _children(arith: Arithmetic, rows, dim: int):
     return tuple(out)
 
 
-def b2n_site(arith: Arithmetic = EXACT) -> AccessibleSite:
-    """The noisy-signal site at time 1 on the signal-up observer atom."""
-    rows = [("1/2", ("1",), "3/5", "1/5"),
-            ("1/2", ("-1",), "-3/5", "-1/5")]
-    return AccessibleSite(1, _children(arith, rows, 1), arith=arith)
-
-
 def insider_site(arith: Arithmetic = EXACT) -> AccessibleSite:
     """The perfect-insider site: zero expanded Gram, nonzero drift demand."""
     rows = [("1/2", ("1",), "1", "1/5"),

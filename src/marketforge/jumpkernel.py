@@ -15,9 +15,9 @@ transpose(xi) M = r on the site.  The equation is coercive when
 M - u G_F is positive semidefinite for the tilt floor u > 0; after that
 certificate one minimum-norm solve of the symmetric system M xi = r gives
 xi, and the solution is re-verified against the growth bound and the
-equation itself.  ``restricted_inverse`` keeps the paper's
-generalized-inverse recipe on the column space of the base Gram as the
-reference that tests compare the direct solve against.
+equation itself.  The paper's generalized-inverse recipe on the column
+space of the base Gram, ``restricted_inverse``, is the reference that
+``tests/reference.py`` keeps to check the direct solve against.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ class KernelError(ValueError):
 
 class CoercivityFailure(Exception):
     """The tilted Gram fails to dominate eps times the base Gram on V."""
-
-
-class SingularOnV(Exception):
-    """The operator J does not act invertibly inside the column space V."""
 
 
 class NegativeTilt(Exception):
@@ -152,57 +148,7 @@ def _site_scale(site) -> Num:
 
 
 # ---------------------------------------------------------------------------
-# generalized-inverse machinery
-
-
-def restricted_inverse(G, J, v: Sequence[Num], eps: Num,
-                       arith: Arithmetic = EXACT) -> PsdSolve:
-    """Invert J on the column space V of G and apply it to the projection of v.
-
-    Hypotheses checked: G and GJ symmetric PSD; J maps V into itself
-    (SingularOnV otherwise); (x|GJx) >= eps (x|Gx) for x in V, tested as
-    positive semidefiniteness of the difference form in a basis of V
-    (CoercivityFailure otherwise).  The G-norm growth bound
-    |J* p_G v|_G <= (1/eps) |v|_G is re-verified on the result.
-    """
-    if not eps > 0:
-        raise KernelError("coercivity constant must be positive")
-    if not linalg.is_symmetric(G, arith) or not linalg.is_psd(G, arith):
-        raise KernelError("G must be symmetric positive semidefinite")
-    d = len(G)
-    GJ = linalg.mat_mul(G, J)
-    if not linalg.is_symmetric(GJ, arith) or not linalg.is_psd(GJ, arith):
-        raise KernelError("GJ must be symmetric positive semidefinite")
-    cols = linalg.independent_columns(G, arith)
-    if not cols:
-        return PsdSolve((0,) * d, True, (0,) * d, eps)
-    B = [[row[c] for c in cols] for row in G]  # d x r basis of V
-    Bt = linalg.transpose(B)
-    scale = linalg.matrix_scale(J) * linalg.matrix_scale(B)
-    JB = linalg.mat_mul(J, B)
-    for j in range(len(cols)):
-        col = [JB[i][j] for i in range(d)]
-        resid = linalg.vec_add(col, linalg.project_columns(B, col, arith), sign=-1)
-        if not linalg.vec_is_zero(resid, arith, scale):
-            raise SingularOnV("J maps the column space outside itself")
-    # Coercivity of the pair on V, expressed in the basis B.
-    M = linalg.mat_add(GJ, linalg.mat_scale(G, eps), sign=-1)
-    C = linalg.mat_mul(Bt, linalg.mat_mul(M, B))
-    if not linalg.is_psd(C, arith):
-        raise CoercivityFailure("tilted form fails the coercivity inequality on V")
-    BtB = linalg.mat_mul(Bt, B)
-    a = linalg.solve_pd(BtB, linalg.mat_vec(Bt, list(v)), arith)
-    E = [linalg.solve_pd(BtB, linalg.mat_vec(Bt, [JB[i][j] for i in range(d)]), arith)
-         for j in range(len(cols))]
-    E = linalg.transpose(E)  # coordinates of J restricted to V
-    try:
-        c = linalg.solve_pd(E, a, arith)
-    except linalg.LinalgError:
-        raise SingularOnV("J restricted to the column space is singular") from None
-    x = linalg.mat_vec(B, c)
-    if not _within_growth_bound(G, x, list(v), eps, arith):
-        raise CoercivityFailure("restricted inverse exceeded its growth bound")
-    return PsdSolve(tuple(x), True, (0,) * d, eps)
+# solve certificates
 
 
 def _within_growth_bound(G, x, v, eps, arith: Arithmetic) -> bool:

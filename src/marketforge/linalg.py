@@ -28,10 +28,6 @@ def dot(u, v) -> Num:
     return sum((a * b for a, b in zip(u, v)), 0)
 
 
-def outer(u, v) -> list[list[Num]]:
-    return [[a * b for b in v] for a in u]
-
-
 def transpose(A) -> list[list[Num]]:
     return [list(col) for col in zip(*A)] if A else []
 
@@ -43,11 +39,6 @@ def mat_vec(A, v) -> list[Num]:
 def vec_mat(v, A) -> list[Num]:
     """Row vector times matrix."""
     return mat_vec(transpose(A), v)
-
-
-def mat_mul(A, B) -> list[list[Num]]:
-    Bt = transpose(B)
-    return [[dot(row, col) for col in Bt] for row in A]
 
 
 def mat_add(A, B, sign: int = 1) -> list[list[Num]]:
@@ -74,18 +65,6 @@ def matrix_scale(A) -> Num:
 
 def vec_is_zero(v, arith: Arithmetic, scale: Num = 1) -> bool:
     return all(arith.negligible(x, scale) for x in v)
-
-
-def is_symmetric(A, arith: Arithmetic) -> bool:
-    n = len(A)
-    if any(len(row) != n for row in A):
-        return False
-    scale = matrix_scale(A)
-    return all(
-        arith.negligible(A[i][j] - A[j][i], scale)
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
 
 
 def rref(A, arith: Arithmetic, scale: Num | None = None):
@@ -125,14 +104,6 @@ def rank(A, arith: Arithmetic) -> int:
     return len(pivots)
 
 
-def null_space(A, arith: Arithmetic) -> list[list[Num]]:
-    """Basis of the solution space of A x = 0, one vector per free column."""
-    if not A:
-        return []
-    R, pivots = rref(A, arith)
-    return _null_basis(R, pivots, len(A[0]))
-
-
 def _null_basis(R, pivots, n: int) -> list[list[Num]]:
     """Null-space basis of the first n columns read off a reduced form R."""
     basis = []
@@ -147,14 +118,6 @@ def _null_basis(R, pivots, n: int) -> list[list[Num]]:
     return basis
 
 
-def independent_columns(A, arith: Arithmetic) -> list[int]:
-    """Indices of a maximal independent set of columns (RREF pivot columns)."""
-    if not A or not A[0]:
-        return []
-    _, pivots = rref(A, arith)
-    return pivots
-
-
 def solve_pd(M, b, arith: Arithmetic) -> list[Num]:
     """Solve M x = b for symmetric positive definite M (raises if singular)."""
     n = len(M)
@@ -164,21 +127,11 @@ def solve_pd(M, b, arith: Arithmetic) -> list[Num]:
     return [R[i][n] for i in range(n)]
 
 
-def _fit_columns(A, cols, v, arith: Arithmetic) -> tuple[list[list[Num]], list[Num]]:
-    """Columns C = A[:, cols] (independent) and the coordinates y that make
-    C y the orthogonal projection of v onto their span."""
-    C = [[row[c] for c in cols] for row in A]
-    Ct = transpose(C)
-    return C, solve_pd(mat_mul(Ct, C), mat_vec(Ct, v), arith)
-
-
-def project_columns(A, v, arith: Arithmetic) -> list[Num]:
-    """Orthogonal projection of v onto the column space of A."""
-    cols = independent_columns(A, arith)
-    if not cols:
-        return zeros(len(v))
-    C, y = _fit_columns(A, cols, v, arith)
-    return mat_vec(C, y)
+def _fit_columns(A, cols, v, arith: Arithmetic) -> list[Num]:
+    """The coordinates y that make C y, for the independent columns
+    C = A[:, cols], the orthogonal projection of v onto their span."""
+    Ct = [[row[c] for row in A] for c in cols]
+    return solve_pd([[dot(u, w) for w in Ct] for u in Ct], mat_vec(Ct, v), arith)
 
 
 def lstsq_min_norm(A, b, arith: Arithmetic):
@@ -201,7 +154,7 @@ def lstsq_min_norm(A, b, arith: Arithmetic):
                      scale=matrix_scale(A))
     if pivots and pivots[-1] == n:
         pivots = pivots[:-1]
-        _, y = _fit_columns(A, pivots, b, arith)
+        y = _fit_columns(A, pivots, b, arith)
     else:
         y = [R[i][n] for i in range(len(pivots))]
     x = zeros(n)
@@ -246,22 +199,3 @@ def is_psd(A, arith: Arithmetic) -> bool:
                 for j in range(k, n):
                     M[i][j] -= f * M[k][j]
     return True
-
-
-def pinv_psd(G, arith: Arithmetic) -> list[list[Num]]:
-    """Moore-Penrose inverse of a symmetric PSD matrix.
-
-    Built from a column-space basis B as B (B' G B)^-1 B', which satisfies
-    all four Penrose identities for symmetric G.
-    """
-    n = len(G)
-    cols = independent_columns(G, arith)
-    if not cols:
-        return [[0] * n for _ in range(n)]
-    B = [[row[c] for c in cols] for row in G]
-    Bt = transpose(B)
-    H = mat_mul(Bt, mat_mul(G, B))
-    Hinv_cols = [solve_pd(H, [1 if i == j else 0 for i in range(len(cols))], arith)
-                 for j in range(len(cols))]
-    Hinv = transpose(Hinv_cols)
-    return mat_mul(B, mat_mul(Hinv, Bt))

@@ -69,18 +69,6 @@ def random_adapted(space, filtration, rng, horizon=None, dim=1) -> Process:
     return Process.from_values(space, fn, horizon, dim=dim, flavor=ADAPTED)
 
 
-def random_predictable(space, filtration, rng, dim=1) -> Process:
-    """Predictable process: deterministic at 0, previous-atom measurable after."""
-    horizon = filtration.horizon
-    v0 = tuple(rand_fraction(rng) for _ in range(dim))
-    table = {}
-    for t in range(1, horizon + 1):
-        part = filtration.at(t - 1)
-        for k, atom in enumerate(part.atoms):
-            table[(t, k)] = tuple(rand_fraction(rng) for _ in range(dim))
-    return Process.predictable(filtration, table, dim, initial=v0)
-
-
 def random_martingale(space, filtration, rng, dim=1) -> Process:
     """Random martingale: a random adapted process minus its compensator."""
     X = centred(random_adapted(space, filtration, rng, dim=dim))

@@ -75,9 +75,6 @@ class SampleSpace:
     def weight(self, outcome: str) -> Num:
         return self.weights[self.index(outcome)]
 
-    def prob(self, outcomes: Iterable[str]) -> Num:
-        return sum((self.weight(o) for o in outcomes), 0)
-
     def expectation(self, values: Sequence[Num]) -> Num:
         """Plain expectation of a random variable given as a parallel sequence."""
         if len(values) != self.size:
@@ -189,9 +186,6 @@ class Partition:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.atoms == other.atoms
-
-    def __len__(self) -> int:
-        return len(self.atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +320,6 @@ class RandomTime:
         for v in self.values:
             if v is not INF and (not isinstance(v, int) or v < 0):
                 raise SpaceError(f"random-time value {v!r} is not a grid time or INF")
-
-    def at(self, outcome: str):
-        return self.values[self.space.index(outcome)]
-
-    def is_stopping_time(self, filtration: Filtration) -> bool:
-        """{tau <= t} must be a union of time-t atoms for every t."""
-        for t in range(filtration.horizon + 1):
-            part = filtration.at(t)
-            for atom in part.atoms:
-                hits = {self.at(o) <= t for o in atom}
-                if len(hits) > 1:
-                    return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -602,51 +583,3 @@ def cond_exp(values: Sequence, partition: Partition, space: SampleSpace) -> list
     if not isinstance(values[0], (tuple, list)):
         return [v[0] for v in out]
     return out
-
-
-# ---------------------------------------------------------------------------
-# product-space helpers (used to bolt independent noise onto a model)
-
-
-def product_with_independent(space: SampleSpace, labels: Sequence[str],
-                             weights: Sequence[Num]) -> SampleSpace:
-    """Product of a space with an independent finite experiment.
-
-    New outcomes are "<old>:<label>" with product weights, ordered old-major.
-    """
-    aux = SampleSpace(tuple(labels), tuple(weights), arith=space.arith)
-    outcomes = []
-    wts = []
-    for o, w in zip(space.outcomes, space.weights):
-        for l, v in zip(aux.outcomes, aux.weights):
-            outcomes.append(f"{o}:{l}")
-            wts.append(w * v)
-    return SampleSpace(tuple(outcomes), tuple(wts), arith=space.arith)
-
-
-def lift_to_product(product: SampleSpace, base: SampleSpace):
-    """Map product outcomes back to their base outcome labels."""
-    back = []
-    for o in product.outcomes:
-        stem, _, _ = o.rpartition(":")
-        base.index(stem)
-        back.append(stem)
-    return back
-
-
-def lift_filtration(F: Filtration, product: SampleSpace) -> Filtration:
-    """View a base filtration on a product space (noise never observed)."""
-    back = lift_to_product(product, F.space)
-    parts = []
-    for t in range(F.horizon + 1):
-        base_part = F.at(t)
-        parts.append(Partition.by_level_sets(
-            product, [base_part.atom_index(b) for b in back]
-        ))
-    return Filtration(product, tuple(parts))
-
-
-def lift_process(X: Process, product: SampleSpace) -> Process:
-    back = lift_to_product(product, X.space)
-    paths = tuple(X.paths[X.space.index(b)] for b in back)
-    return Process(product, paths, flavor=X.flavor, shape=X.shape)

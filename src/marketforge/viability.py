@@ -15,7 +15,6 @@ independent summation paths before claiming viability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from . import linalg
 from .calculus import (
@@ -48,7 +47,7 @@ ASSUMPTION_VIOLATED = "assumption-violated"
 
 
 class ViabilityError(ValueError):
-    """Malformed market, strategy, or pipeline inputs."""
+    """Malformed market or pipeline inputs."""
 
 
 @dataclass(frozen=True)
@@ -103,38 +102,6 @@ class Market:
     @property
     def drift_part(self) -> Process:
         return self.decomposition.predictable_part
-
-
-@dataclass(frozen=True, eq=False)
-class Strategy:
-    """Initial capital plus a predictable holding in each asset."""
-
-    x: object
-    H: Process
-
-    def __post_init__(self) -> None:
-        if self.x < 0:
-            raise ViabilityError("initial capital must be nonnegative")
-        if self.H.flavor != PREDICTABLE:
-            raise ViabilityError("holdings must be a predictable process")
-
-
-def wealth(strategy: Strategy, market: Market) -> Process:
-    """Self-financing wealth x + (H . S)."""
-    if strategy.H.dim != market.k:
-        raise ViabilityError("holding dimension must match the asset count")
-    return integrate(strategy.H, market.S).shift(strategy.x)
-
-
-def admissible(strategy: Strategy, market: Market) -> bool:
-    """Wealth stays nonnegative on every outcome and date."""
-    V = wealth(strategy, market)
-    arith = market.space.arith
-    return all(
-        arith.nonneg(V.value(o, t), scale=1)
-        for o in market.space.outcomes
-        for t in range(V.horizon + 1)
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,10 +190,9 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
     return StructureSolution(dbar, D, deflator, True, tuple(records))
 
 
-def verify_deflator(deflator: Process, market: Market, filtration: Filtration,
-                    strategies: Sequence[Strategy] = ()):
-    """Deflated-martingale battery: the deflator itself, each deflated asset,
-    and each supplied strategy's deflated wealth.  Returns (ok, witness)."""
+def verify_deflator(deflator: Process, market: Market, filtration: Filtration):
+    """Deflated-martingale battery: the deflator itself and each deflated
+    asset.  Returns (ok, witness)."""
     arith = market.space.arith
     for o in market.space.outcomes:
         if not arith.eq(deflator.value(o, 0), 1):
@@ -245,12 +211,6 @@ def verify_deflator(deflator: Process, market: Market, filtration: Filtration,
                                     filtration)
         if not ok:
             return False, FailureWitness(f"deflated-asset-{i}", witness.t,
-                                         witness.atom, witness.residual)
-    for n, strategy in enumerate(strategies):
-        ok, witness = is_martingale(deflator.times(wealth(strategy, market)),
-                                    filtration)
-        if not ok:
-            return False, FailureWitness(f"deflated-wealth-{n}", witness.t,
                                          witness.atom, witness.residual)
     return True, None
 

@@ -32,7 +32,6 @@ from marketforge.jumpkernel import (
     gram_F,
     gram_G_accessible,
     gram_G_inaccessible,
-    restricted_inverse,
     site_rhs,
     tilt_floor,
     verify_density,
@@ -47,9 +46,6 @@ from marketforge.space import (
     Process,
     build_initial_enlargement,
     is_predictable,
-    lift_filtration,
-    lift_process,
-    product_with_independent,
 )
 from marketforge.viability import (
     ASSUMPTION_VIOLATED,
@@ -62,6 +58,14 @@ from marketforge.viability import (
     verify_deflator,
 )
 
+from reference import (
+    lift_filtration,
+    lift_process,
+    mat_mul,
+    pinv_psd,
+    product_with_independent,
+    restricted_inverse,
+)
 from test_cli import SCENARIOS
 from test_golden_reports import GOLDEN
 from util import (
@@ -294,7 +298,7 @@ def test_thousand_random_sites_pass_all_checks():
         M = (gram_G_accessible(site) if accessible
              else gram_G_inaccessible(site))
         G = gram_F(site)
-        J = linalg.mat_mul(linalg.pinv_psd(G, EXACT), M)
+        J = mat_mul(pinv_psd(G, EXACT), M)
         v, _ = linalg.lstsq_min_norm(G, site_rhs(site), EXACT)
         assert restricted_inverse(G, J, v, u).solution == solve.solution
         # float mode solves the same site to the same answer, never raising

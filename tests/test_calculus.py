@@ -61,9 +61,10 @@ def test_doob_decomposition_of_price():
     assert dec.predictable_part.value("u", 1) == F(1, 50)
     assert dec.martingale_part.value("u", 1) == F(1, 10)
     assert dec.martingale_part.value("d", 1) == F(-1, 10)
-    recomposed = dec.recompose()
+    # S = S_0 + M + A, cell by cell
     assert all(
-        recomposed.at(o, t) == fx.S.at(o, t)
+        fx.S.value(o, t) == fx.S.value(o, 0) + dec.martingale_part.value(o, t)
+        + dec.predictable_part.value(o, t)
         for o in fx.space.outcomes for t in range(fx.S.horizon + 1)
     )
 

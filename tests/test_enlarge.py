@@ -13,7 +13,6 @@ from marketforge.enlarge import (
     compute_u,
     drift,
     solve_phi,
-    verify_g_compensator,
 )
 from marketforge.fixtures import b2, b2i, b2n
 from marketforge.selftest import random_martingale as library_martingale
@@ -27,6 +26,7 @@ from marketforge.space import (
     is_predictable,
 )
 
+from reference import verify_g_compensator
 from util import random_martingale
 
 F = Fraction

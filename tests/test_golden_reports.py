@@ -9,7 +9,10 @@ failing the support condition), the viable one again with its driver
 left to the synthesizer, an explicit-flow enlargement, and a trinomial
 step with a two-dimensional driver under one asset, under two assets, and
 under two assets whose structure martingale jumps by 8/5 (exit 4,
-``jump-bound``).  Their scenario JSON is stored beside the reports.
+``jump-bound``), and a one-step market whose price drifts where the
+driver does not move (exit 4, ``drift-not-spanned``: the only input here
+whose structure solve is inconsistent).  Their scenario JSON is stored
+beside the reports.
 
 Regenerate after an intended report change, and only then, with
 
@@ -44,6 +47,7 @@ INPUTS = (
     ("analyze", GOLDEN / "trinomial_d2_two_assets.json"),
     ("analyze", GOLDEN / "trinomial_d2_jump_bound.json"),
     ("analyze", GOLDEN / "progressive_b2_late_no_driver.json"),
+    ("analyze", GOLDEN / "one_step_unspanned_drift.json"),
 )
 
 CASES = [(cmd, path, mode) for cmd, path in INPUTS for mode in MODES]

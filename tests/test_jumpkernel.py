@@ -7,14 +7,13 @@ import pytest
 
 from marketforge import linalg
 from marketforge.arith import EXACT, FLOAT
-from marketforge.fixtures import b2n_site, insider_site, k1_site
+from marketforge.fixtures import insider_site, k1_site
 from marketforge.jumpkernel import (
     AccessibleSite,
     CoercivityFailure,
     InaccessibleSite,
     KernelError,
     NegativeTilt,
-    SingularOnV,
     SiteChild,
     check_coercivity,
     check_jump_bound,
@@ -22,7 +21,6 @@ from marketforge.jumpkernel import (
     gram_F,
     gram_G_accessible,
     gram_G_inaccessible,
-    restricted_inverse,
     site_rhs,
     tilt_floor,
     tilted_mean,
@@ -31,7 +29,8 @@ from marketforge.jumpkernel import (
     xi_inaccessible,
 )
 
-from util import random_accessible_site, random_inaccessible_site, site_to_float
+from reference import SingularOnV, mat_mul, pinv_psd, restricted_inverse
+from util import b2n_site, random_accessible_site, random_inaccessible_site, site_to_float
 
 F = Fraction
 
@@ -299,7 +298,7 @@ def _assert_site_contracts(site, solver, gram_G):
     assert u > 0
     # Independent cross-check: the generalized-inverse reference solve.
     G = gram_F(site)
-    J = linalg.mat_mul(linalg.pinv_psd(G, EXACT), M)
+    J = mat_mul(pinv_psd(G, EXACT), M)
     v, _ = linalg.lstsq_min_norm(G, site_rhs(site), EXACT)
     assert list(restricted_inverse(G, J, v, u).solution) == xi
     ok, _ = check_jump_bound(site, xi)

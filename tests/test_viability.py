@@ -14,10 +14,7 @@ from marketforge.space import (
     EnlargementPair,
     Process,
     build_initial_enlargement,
-    lift_filtration,
-    lift_process,
     natural_filtration,
-    product_with_independent,
 )
 from marketforge.viability import (
     ASSUMPTION_VIOLATED,
@@ -25,16 +22,14 @@ from marketforge.viability import (
     VIABLE,
     Market,
     NonViable,
-    Strategy,
     ViabilityError,
-    admissible,
     price_drift_rhs,
     solve_structure_F,
     solve_structure_G,
     verify_deflator,
-    wealth,
 )
 
+from reference import lift_filtration, lift_process, product_with_independent, wealth
 from util import random_predictable
 
 F = Fraction
@@ -141,26 +136,9 @@ def test_verify_deflator_flat_market():
     market = Market(S, fx.F)
     ones = Process.constant(fx.space, 1, 1)
     assert verify_deflator(ones, market, fx.F) == (True, None)
-    hold = Strategy(F(1), Process.constant(fx.space, 1, F(2), flavor=PREDICTABLE))
-    assert verify_deflator(ones, market, fx.F, [hold])[0]
-
-
-# ---------------------------------------------------------------------------
-# strategies
-
-
-def test_admissibility():
-    fx = b1()
-    market = _market(fx)
-    flat = Strategy(F(1), Process.constant(fx.space, 1, 0, flavor=PREDICTABLE))
-    assert admissible(flat, market)
-    bare = Strategy(F(0), Process.constant(fx.space, 1, 1, flavor=PREDICTABLE))
-    assert wealth(bare, market).value("d", 1) == F(-2, 25)
-    assert not admissible(bare, market)
-    cushioned = Strategy(F(1), Process.constant(fx.space, 1, 1, flavor=PREDICTABLE))
-    assert admissible(cushioned, market)
-    with pytest.raises(Exception):
-        Strategy(F(-1), Process.constant(fx.space, 1, 0, flavor=PREDICTABLE))
+    hold = Process.constant(fx.space, 1, F(2), flavor=PREDICTABLE)
+    ok, witness = is_martingale(ones.times(wealth(F(1), hold, market)), fx.F)
+    assert ok, witness
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +289,16 @@ def test_deflator_multiplicative_over_random_admissible_strategies():
     verdict = solve_structure_G(market, fx.pair, _gauge(fx), _driver(fx))
     assert verdict.status == VIABLE
     G = fx.pair.expanded
+    deflator = verdict.solution.deflator
+    assert verify_deflator(deflator, market, G) == (True, None)
     rng = random.Random(1347)
-    strategies = []
     for _ in range(20):
         H = random_predictable(fx.space, G, rng)
-        base = wealth(Strategy(F(0), H), market)
+        base = wealth(F(0), H, market)
         floor = min(base.value(o, t)
                     for o in fx.space.outcomes for t in range(base.horizon + 1))
-        strategies.append(Strategy(1 - floor, H))
-    assert all(admissible(s, market) for s in strategies)
-    ok, witness = verify_deflator(verdict.solution.deflator, market, G, strategies)
-    assert ok, witness
+        V = wealth(1 - floor, H, market)
+        assert all(V.value(o, t) >= 0
+                   for o in fx.space.outcomes for t in range(V.horizon + 1))
+        ok, witness = is_martingale(deflator.times(V), G)
+        assert ok, witness

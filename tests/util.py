@@ -1,21 +1,43 @@
 """Shared helpers for the test suite: random model data and brute oracles.
 
-The random generators live in marketforge.selftest (the CLI battery needs
-them at runtime) and are re-exported here.  The brute oracles recompute
-conditional means and drifts by direct summation over outcomes, independent
-of the library's conditional-expectation path, so the calculus operators
-are checked against plain arithmetic.
+The random generators the CLI battery needs at runtime live in
+marketforge.selftest and are re-exported here; the ones only tests use
+(``random_predictable``, the ``b2n_site`` jump site) are defined here.  The
+brute oracles recompute conditional means and drifts by direct summation
+over outcomes, independent of the library's conditional-expectation path,
+so the calculus operators are checked against plain arithmetic.
 """
 
+from marketforge.arith import EXACT, Arithmetic
+from marketforge.fixtures import _children
+from marketforge.jumpkernel import AccessibleSite
 from marketforge.selftest import (  # noqa: F401  (re-exports for tests)
     rand_fraction,
     random_accessible_site,
     random_adapted,
     random_inaccessible_site,
-    random_predictable,
     site_to_float,
 )
 from marketforge.space import PREDICTABLE, Process
+
+
+def random_predictable(space, filtration, rng, dim=1) -> Process:
+    """Predictable process: deterministic at 0, previous-atom measurable after."""
+    horizon = filtration.horizon
+    v0 = tuple(rand_fraction(rng) for _ in range(dim))
+    table = {}
+    for t in range(1, horizon + 1):
+        part = filtration.at(t - 1)
+        for k, atom in enumerate(part.atoms):
+            table[(t, k)] = tuple(rand_fraction(rng) for _ in range(dim))
+    return Process.predictable(filtration, table, dim, initial=v0)
+
+
+def b2n_site(arith: Arithmetic = EXACT) -> AccessibleSite:
+    """The noisy-signal site at time 1 on the signal-up observer atom."""
+    rows = [("1/2", ("1",), "3/5", "1/5"),
+            ("1/2", ("-1",), "-3/5", "-1/5")]
+    return AccessibleSite(1, _children(arith, rows, 1), arith=arith)
 
 
 def random_martingale(space, filtration, rng, dim=1):
