@@ -10,8 +10,12 @@ left to the synthesizer, an explicit-flow enlargement, and a trinomial
 step with a two-dimensional driver under one asset, under two assets, and
 under two assets whose structure martingale jumps by 8/5 (exit 4,
 ``jump-bound``), and a one-step market whose price drifts where the
-driver does not move (exit 4, ``drift-not-spanned``: the only input here
-whose structure solve is inconsistent).  Their scenario JSON is stored
+driver does not move (exit 4, ``drift-not-spanned``, with a zero Gram),
+and a three-outcome step whose second asset's drift the driver spans
+only in part (exit 4, ``drift-not-spanned``, through the projection fit
+on one column).  Two more jump sites pin the centred jump ξ·(w − c): an
+accessible d = 2 site with a non-zero centre and a null child, and an
+inaccessible site with a zero-jump child.  Their scenario JSON is stored
 beside the reports.
 
 Regenerate after an intended report change, and only then, with
@@ -48,6 +52,9 @@ INPUTS = (
     ("analyze", GOLDEN / "trinomial_d2_jump_bound.json"),
     ("analyze", GOLDEN / "progressive_b2_late_no_driver.json"),
     ("analyze", GOLDEN / "one_step_unspanned_drift.json"),
+    ("kernel", GOLDEN / "site_accessible_d2.json"),
+    ("kernel", GOLDEN / "site_inaccessible_zero_jump.json"),
+    ("analyze", GOLDEN / "one_step_partly_spanned_drift.json"),
 )
 
 CASES = [(cmd, path, mode) for cmd, path in INPUTS for mode in MODES]
