@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .space import ADAPTED, PREDICTABLE, Filtration, Process, cond_exp, is_adapted
+from .space import Filtration, Process, cond_exp, is_adapted
 
 
 class CalculusError(ValueError):
@@ -35,7 +35,6 @@ class MartingaleWitness:
 class Decomposition:
     """X = X_0 + martingale_part + predictable_part (both parts null at 0)."""
 
-    x0: tuple
     martingale_part: Process
     predictable_part: Process
 
@@ -45,14 +44,14 @@ def _require_adapted(X: Process, filtration: Filtration, what: str) -> None:
         raise CalculusError(f"{what} must be adapted to the filtration")
 
 
-def accumulate(space, columns, dim, flavor, shape=None) -> Process:
+def accumulate(space, columns, dim, shape=None) -> Process:
     """Running sums from 0 of increment columns in the layout of
     ``Process.increments``, read once (a generator will do)."""
     paths = [[(0,) * dim] for _ in space.outcomes]
     for column in columns:
         for path, inc in zip(paths, column):
             path.append(tuple(a + b for a, b in zip(path[-1], inc)))
-    return Process(space, tuple(map(tuple, paths)), flavor=flavor, shape=shape)
+    return Process(space, tuple(map(tuple, paths)), shape=shape)
 
 
 def centred(X: Process) -> Process:
@@ -61,7 +60,7 @@ def centred(X: Process) -> Process:
         tuple(tuple(a - b for a, b in zip(v, path[0])) for v in path)
         for path in X.paths
     )
-    return Process(X.space, paths, flavor=ADAPTED, shape=X.shape)
+    return Process(X.space, paths, shape=X.shape)
 
 
 def _increment_means(X: Process, filtration: Filtration):
@@ -74,8 +73,7 @@ def _increment_means(X: Process, filtration: Filtration):
 
 def _compensate(X: Process, filtration: Filtration) -> Process:
     """Accumulated conditional-mean increments, with no input checks."""
-    return accumulate(X.space, _increment_means(X, filtration), X.dim,
-                      PREDICTABLE, shape=X.shape)
+    return accumulate(X.space, _increment_means(X, filtration), X.dim, shape=X.shape)
 
 
 def compensator(A: Process, filtration: Filtration) -> Process:
@@ -96,10 +94,9 @@ def compensator(A: Process, filtration: Filtration) -> Process:
 def doob_decompose(X: Process, filtration: Filtration) -> Decomposition:
     """Split an adapted process into initial value + martingale + drift."""
     _require_adapted(X, filtration, "decomposition input")
-    x0 = tuple(X.at(o, 0) for o in X.space.outcomes)
     Xc = centred(X)
     drift = compensator(Xc, filtration)
-    return Decomposition(x0, Xc - drift, drift)
+    return Decomposition(Xc - drift, drift)
 
 
 def bracket(X: Process, Y: Process) -> Process:
@@ -112,8 +109,7 @@ def bracket(X: Process, Y: Process) -> Process:
         raise CalculusError("bracket needs processes on one grid")
     columns = ([tuple(a * b for a in dx for b in dy) for dx, dy in zip(cx, cy)]
                for cx, cy in zip(X.increments(), Y.increments()))
-    return accumulate(X.space, columns, X.dim * Y.dim, ADAPTED,
-                      shape=(X.dim, Y.dim))
+    return accumulate(X.space, columns, X.dim * Y.dim, shape=(X.dim, Y.dim))
 
 
 def pred_bracket(X: Process, Y: Process, filtration: Filtration) -> Process:
@@ -147,15 +143,15 @@ def integrate(H: Process, X: Process) -> Process:
         raise CalculusError("integrand shape does not match the integrator")
     columns = ([step(path[t], dx) for path, dx in zip(H.paths, column)]
                for t, column in enumerate(X.increments(), 1))
-    return accumulate(X.space, columns, out_dim, ADAPTED)
+    return accumulate(X.space, columns, out_dim)
 
 
 def stoch_exp(X: Process) -> Process:
     """Stochastic exponential: the running product of (1 + dX_s).
 
     Requires scalar X with X_0 = 0.  The result starts at 1; it can hit zero
-    or go negative, which is recorded in the result's meta flags
-    ``strictly_positive`` and ``hits_zero`` rather than treated as an error.
+    or go negative, which is not an error here: ``verify_deflator`` decides
+    positivity where it matters.
     """
     if X.dim != 1:
         raise CalculusError("stochastic exponential is for scalar processes")
@@ -165,24 +161,14 @@ def stoch_exp(X: Process) -> Process:
             raise CalculusError("stochastic exponential input must start at 0")
     space = X.space
     paths = []
-    strictly_positive = True
-    hits_zero = False
     for o in space.outcomes:
         level = 1 * arith.parse(1)
         path = [(level,)]
         for t in range(1, X.horizon + 1):
             level = level * (1 + X.value(o, t) - X.value(o, t - 1))
-            if arith.is_zero(level):
-                hits_zero = True
-                strictly_positive = False
-            elif level < 0:
-                strictly_positive = False
             path.append((level,))
         paths.append(tuple(path))
-    out = Process(space, tuple(paths), flavor=ADAPTED)
-    out.meta["strictly_positive"] = strictly_positive
-    out.meta["hits_zero"] = hits_zero
-    return out
+    return Process(space, tuple(paths))
 
 
 def is_martingale(X: Process, filtration: Filtration):

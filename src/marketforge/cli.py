@@ -128,6 +128,32 @@ def _resolve_arith(args, text: str | None = None) -> Arithmetic:
     raise ValueError(f"unknown mode {mode!r} (use exact or float)")
 
 
+def _load(args, loader):
+    """Read, parse and load the input file with ``loader(doc, arith)``.
+
+    Returns (arith, loaded, t0), t0 taken just before parsing, or the exit
+    code after printing the error: 2 for an unreadable file, an unknown mode
+    or bad JSON, 3 for invalid model data.
+    """
+    try:
+        text = _read_text(args.file)
+    except OSError as err:
+        return _fail(str(err), EXIT_PARSE)
+    try:
+        arith = _resolve_arith(args, text)
+    except ValueError as err:
+        return _fail(str(err), EXIT_PARSE)
+    t0 = time.perf_counter()
+    try:
+        doc = parse_document(text, arith)
+    except ValueError as err:
+        return _fail(str(err), EXIT_PARSE)
+    try:
+        return arith, loader(doc, arith), t0
+    except ScenarioError as err:
+        return _fail(str(err), EXIT_INVALID)
+
+
 def _write_report(args, doc) -> None:
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -200,23 +226,10 @@ def _run_pipeline(built: BuiltScenario):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        text = _read_text(args.file)
-    except OSError as err:
-        return _fail(str(err), EXIT_PARSE)
-    try:
-        arith = _resolve_arith(args, text)
-    except ValueError as err:
-        return _fail(str(err), EXIT_PARSE)
-    t0 = time.perf_counter()
-    try:
-        doc = parse_document(text, arith)
-    except ValueError as err:
-        return _fail(str(err), EXIT_PARSE)
-    try:
-        built = load_scenario(doc, arith)
-    except ScenarioError as err:
-        return _fail(str(err), EXIT_INVALID)
+    loaded = _load(args, load_scenario)
+    if isinstance(loaded, int):
+        return loaded
+    arith, built, t0 = loaded
     t1 = time.perf_counter()
     try:
         verdict, gauge, checks = _run_pipeline(built)
@@ -237,37 +250,19 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    try:
-        text = _read_text(args.file)
-    except OSError as err:
-        return _fail(str(err), EXIT_PARSE)
-    try:
-        arith = _resolve_arith(args, text)
-    except ValueError as err:
-        return _fail(str(err), EXIT_PARSE)
-    t0 = time.perf_counter()
-    try:
-        doc = parse_document(text, arith)
-    except ValueError as err:
-        return _fail(str(err), EXIT_PARSE)
-    try:
-        site = load_site(doc, arith)
-    except ScenarioError as err:
-        return _fail(str(err), EXIT_INVALID)
+    loaded = _load(args, load_site)
+    if isinstance(loaded, int):
+        return loaded
+    arith, site, t0 = loaded
 
     solver = xi_accessible if site.accessible else xi_inaccessible
     try:
         solve = solver(site)
-    except NegativeTilt as err:
+    except (NegativeTilt, CoercivityFailure) as err:
         doc_out = report.site_report(arith, site, error=str(err))
         _write_report(args, doc_out)
         sys.stdout.write(report.render_site_text(doc_out))
-        return EXIT_INVALID
-    except CoercivityFailure as err:
-        doc_out = report.site_report(arith, site, error=str(err))
-        _write_report(args, doc_out)
-        sys.stdout.write(report.render_site_text(doc_out))
-        return EXIT_NON_VIABLE
+        return EXIT_INVALID if isinstance(err, NegativeTilt) else EXIT_NON_VIABLE
     t1 = time.perf_counter()
 
     u = tilt_floor(site)

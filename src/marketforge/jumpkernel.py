@@ -10,6 +10,12 @@ delta.  Two flavors exist:
 * inaccessible sites carry no centering; instead the aggregate tilt
   1 + sum q nu must be positive for the implied conditional law to exist.
 
+Both flavors share one expanded Gram, M = sum (1+nu) p (w - c)(w - c)^T,
+about the centre c = ``centre(site)``: the tilted mean sum (1+nu) p w at an
+accessible site, zero at an inaccessible one.  Every deflator jump is read
+as xi.(w - c); only the per-child identities of ``check_jump_bound`` differ
+by flavor.
+
 The solvers recover the integrand xi of the deflator's jump equation
 transpose(xi) M = r on the site.  The equation is coercive when
 M - u G_F is positive semidefinite for the tilt floor u > 0; after that
@@ -167,68 +173,47 @@ def _coercive(M, G, u, arith: Arithmetic) -> bool:
 # site Gram matrices and right-hand sides
 
 
-def gram_F(site: Site):
-    """Base Gram of the driver jump: sum of prob * w w^T over children."""
+def _gram(site: Site, weight, origin):
+    """sum of weight(child) (w - origin)(w - origin)^T over children."""
     G = [[0] * site.dim for _ in range(site.dim)]
     for c in site.children:
+        f = weight(c)
+        w = [x - m for x, m in zip(c.w, origin)]
         for i in range(site.dim):
             for j in range(site.dim):
-                G[i][j] += c.prob * c.w[i] * c.w[j]
+                G[i][j] += f * w[i] * w[j]
     return G
 
 
-def _check_tilt(site) -> None:
-    for c in charged(site):
-        if 1 + c.nu < 0:
-            raise NegativeTilt(
-                f"charged child has tilt {1 + c.nu} < 0: no conditional density"
-            )
+def gram_F(site: Site):
+    """Base Gram of the driver jump: sum of prob * w w^T over children."""
+    return _gram(site, lambda c: c.prob, [0] * site.dim)
 
 
-def tilted_mean(site: AccessibleSite) -> list[Num]:
-    """The tilted child mean of the driver jump: sum (1+nu) p w."""
-    wbar = [0] * site.dim
-    for c in site.children:
-        for i in range(site.dim):
-            wbar[i] += (1 + c.nu) * c.prob * c.w[i]
-    return wbar
+def centre(site: Site) -> list[Num]:
+    """Centre c of the driver jump under the tilted law: the tilted mean
+    sum (1+nu) p w at an accessible site, zero at an inaccessible one."""
+    c = [0] * site.dim
+    if site.accessible:
+        for ch in site.children:
+            for i in range(site.dim):
+                c[i] += (1 + ch.nu) * ch.prob * ch.w[i]
+    return c
 
 
-def gram_G_accessible(site: AccessibleSite, validate_tilt: bool = True):
-    """Expanded-flow Gram at an accessible site.
+def gram_G(site: Site):
+    """Expanded-flow Gram: sum (1+nu) p (w - c)(w - c)^T with c = centre(site).
 
-    With the tilted mean wbar = sum (1+nu) p w, returns
-    sum (1+nu) p (w - wbar)(w - wbar)^T: the conditional covariance of the
-    compensated driver jump under the tilted (expanded-observer) law.
+    At an accessible site this is the conditional covariance of the
+    compensated driver jump under the tilted (expanded-observer) law; at an
+    inaccessible site it is the scaled Gram sum (1+nu) q w w^T.
     """
-    if not isinstance(site, AccessibleSite):
-        raise KernelError("accessible Gram needs an accessible site")
-    if validate_tilt:
-        _check_tilt(site)
-    wbar = tilted_mean(site)
-    M = [[0] * site.dim for _ in range(site.dim)]
-    for c in site.children:
-        centered = [c.w[i] - wbar[i] for i in range(site.dim)]
-        f = (1 + c.nu) * c.prob
-        for i in range(site.dim):
-            for j in range(site.dim):
-                M[i][j] += f * centered[i] * centered[j]
-    return M
+    return _gram(site, lambda c: (1 + c.nu) * c.prob, centre(site))
 
 
-def gram_G_inaccessible(site: InaccessibleSite, validate_tilt: bool = True):
-    """Expanded-flow (scaled) Gram at an inaccessible site: sum (1+nu) q w w^T."""
-    if not isinstance(site, InaccessibleSite):
-        raise KernelError("inaccessible Gram needs an inaccessible site")
-    if validate_tilt:
-        _check_tilt(site)
-    M = [[0] * site.dim for _ in range(site.dim)]
-    for c in site.children:
-        f = (1 + c.nu) * c.prob
-        for i in range(site.dim):
-            for j in range(site.dim):
-                M[i][j] += f * c.w[i] * c.w[j]
-    return M
+def _jump(xi, child: SiteChild, origin) -> Num:
+    """The deflator jump xi.(w - origin) on one child."""
+    return sum((x * (w - m) for x, w, m in zip(xi, child.w, origin)), 0)
 
 
 def site_rhs(site: Site) -> list[Num]:
@@ -245,8 +230,16 @@ def site_rhs(site: Site) -> list[Num]:
 # solvers
 
 
-def _xi_solve(site: Site, M) -> PsdSolve:
+def _xi_solve(site: Site, kind) -> PsdSolve:
+    if not isinstance(site, kind):
+        raise KernelError(f"site solve needs an {kind.__name__}, got {type(site).__name__}")
+    for c in charged(site):
+        if 1 + c.nu < 0:
+            raise NegativeTilt(
+                f"charged child has tilt {1 + c.nu} < 0: no conditional density"
+            )
     arith = site.arith
+    M = gram_G(site)
     r = site_rhs(site)
     scale = _site_scale(site)
     if all(arith.negligible(x, scale) for row in M for x in row):
@@ -282,14 +275,12 @@ def xi_accessible(site: AccessibleSite) -> PsdSolve:
     zero-Gram sites are feasible exactly when r = 0 (the insider
     counterexample returns its residual).
     """
-    M = gram_G_accessible(site)
-    return _xi_solve(site, M)
+    return _xi_solve(site, AccessibleSite)
 
 
 def xi_inaccessible(site: InaccessibleSite) -> PsdSolve:
     """Deflator-jump integrand at an inaccessible site (same recipe)."""
-    M = gram_G_inaccessible(site)
-    return _xi_solve(site, M)
+    return _xi_solve(site, InaccessibleSite)
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +301,21 @@ class JumpBoundRow:
 def check_jump_bound(site: Site, xi: Sequence[Num]):
     """Per-child jump identities and the strict bound (jump < 1).
 
-    Accessible sites must satisfy, on every charged child,
-    (xi.(w - wbar) - 1)(1 + nu) p = (delta - 1) p with xi.(w - wbar) < 1;
-    inaccessible sites the closed form xi.w = (delta + nu)/(1 + nu) < 1 on
-    charged children with nonzero jump.  Returns (all_ok, rows).
+    The jump on a child is xi.(w - c) with c = centre(site).  Accessible
+    sites must satisfy, on every charged child, (jump - 1)(1 + nu) p =
+    (delta - 1) p with jump < 1; inaccessible sites (c = 0) the closed form
+    jump = (delta + nu)/(1 + nu) < 1 on charged children with nonzero w.
+    Returns (all_ok, rows).
     """
     arith = site.arith
     rows = []
     ok_all = True
+    c0 = centre(site)
     if site.accessible:
-        wbar = tilted_mean(site)
         for idx, c in enumerate(site.children):
             if not c.prob > 0:
                 continue
-            jump = sum((x * (w - m) for x, w, m in zip(xi, c.w, wbar)), 0)
+            jump = _jump(xi, c, c0)
             lhs = (jump - 1) * (1 + c.nu) * c.prob
             rhs = (c.delta - 1) * c.prob
             ok = arith.eq(lhs, rhs) and jump < 1
@@ -333,7 +325,7 @@ def check_jump_bound(site: Site, xi: Sequence[Num]):
         for idx, c in enumerate(site.children):
             if not c.prob > 0:
                 continue
-            jump = sum((x * w for x, w in zip(xi, c.w)), 0)
+            jump = _jump(xi, c, c0)
             if all(arith.is_zero(w) for w in c.w):
                 continue  # no jump: nothing to bound
             if arith.is_zero(1 + c.nu):
@@ -348,14 +340,10 @@ def check_jump_bound(site: Site, xi: Sequence[Num]):
 def check_coercivity(site: Site, u: Num) -> bool:
     """Quadratic-form domination of the base Gram by the expanded Gram.
 
-    Accessible: gram_G_accessible - u gram_F is PSD; inaccessible the same
-    with the scaled Gram.  Never raises: a negative-tilt site simply fails.
+    gram_G - u gram_F is PSD.  Never raises: a negative-tilt site simply
+    fails.
     """
-    if site.accessible:
-        M = gram_G_accessible(site, validate_tilt=False)
-    else:
-        M = gram_G_inaccessible(site, validate_tilt=False)
-    return _coercive(M, gram_F(site), u, site.arith)
+    return _coercive(gram_G(site), gram_F(site), u, site.arith)
 
 
 def energy_bound(site: Site, xi: Sequence[Num], u: Num):
@@ -369,9 +357,9 @@ def energy_bound(site: Site, xi: Sequence[Num], u: Num):
     arith = site.arith
     left = 0
     right = 0
-    wbar = tilted_mean(site) if site.accessible else [0] * site.dim
+    c0 = centre(site)
     for c in site.children:
-        jump = sum((x * (w - m) for x, w, m in zip(xi, c.w, wbar)), 0)
+        jump = _jump(xi, c, c0)
         left += (1 + c.nu) * c.prob * jump * jump
         right += c.prob * (c.delta + c.nu) ** 2
     right = right / u

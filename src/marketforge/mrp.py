@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .calculus import accumulate, is_martingale
-from .space import ADAPTED, Filtration, Process, SpaceError
+from .space import Filtration, Process, SpaceError
 
 
 @dataclass(frozen=True)
@@ -94,5 +94,5 @@ def synthesize_driver(F: Filtration) -> Driver:
                 step = tuple((1 if e == m else 0) - p for e, p in enumerate(probs))
                 for o in child:
                     columns[t - 1][F.space.index(o)] = step + (0,) * (d - len(probs))
-    W = accumulate(F.space, columns, d, ADAPTED)
+    W = accumulate(F.space, columns, d)
     return Driver(W, F)

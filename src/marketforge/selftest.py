@@ -35,7 +35,7 @@ from .jumpkernel import (
     xi_inaccessible,
 )
 from .mrp import Driver
-from .space import ADAPTED, Process, first_mismatch
+from .space import Process, first_mismatch
 from .viability import (
     ASSUMPTION_VIOLATED,
     NON_VIABLE,
@@ -57,16 +57,13 @@ def rand_fraction(rng, lo=-8, hi=8, den=4) -> Fraction:
 def random_adapted(space, filtration, rng, horizon=None, dim=1) -> Process:
     """Adapted process with random rational values, constant on atoms."""
     horizon = filtration.horizon if horizon is None else horizon
-    table = {}
+    paths = [[None] * (horizon + 1) for _ in space.outcomes]
     for t in range(horizon + 1):
-        part = filtration.at(t)
-        for k, atom in enumerate(part.atoms):
-            table[(t, k)] = tuple(rand_fraction(rng) for _ in range(dim))
-
-    def fn(o, t):
-        return table[(t, filtration.at(t).atom_index(o))]
-
-    return Process.from_values(space, fn, horizon, dim=dim, flavor=ADAPTED)
+        for members in filtration.at(t).members:
+            v = tuple(rand_fraction(rng) for _ in range(dim))
+            for i in members:
+                paths[i][t] = v
+    return Process.from_paths(space, paths)
 
 
 def random_martingale(space, filtration, rng, dim=1) -> Process:

@@ -11,11 +11,12 @@ This module owns the atom index: each partition's outcome indices
 enclosing coarser atoms (``parents``), and ``Filtration.transitions(t)``,
 each time-(t-1) atom with its time-t children and their conditional masses.
 
-Processes store one value vector per (outcome, time).  A process is adapted
-when its time-t value is constant on every time-t atom, predictable when its
-time-t value is constant on every time-(t-1) atom and its time-0 value is
-deterministic.  Only this module and ``calculus`` build a process cell by
-cell; the other layers hand over per-(time, atom) tables
+Processes store one value vector per (outcome, time) and nothing else.
+Measurability is a relation to a filtration, decided on demand: a process is
+adapted when its time-t value is constant on every time-t atom, predictable
+when its time-t value is constant on every time-(t-1) atom and its time-0
+value is deterministic.  Only this module and ``calculus`` build a process
+cell by cell; the other layers hand over per-(time, atom) tables
 (:meth:`Process.predictable`), increment columns (``calculus.accumulate``)
 or input paths, and compare processes with :func:`first_mismatch`.
 Increments are defined once, here, by :meth:`Process.increments` (dX_0 = 0).
@@ -325,9 +326,6 @@ class RandomTime:
 # ---------------------------------------------------------------------------
 # processes
 
-ADAPTED = "adapted"
-PREDICTABLE = "predictable"
-
 
 def _as_vector(v) -> tuple:
     return tuple(v) if isinstance(v, (tuple, list)) else (v,)
@@ -344,15 +342,13 @@ class Process:
 
     ``paths[i][t]`` is the value vector for outcome i at time t.  ``shape``
     views the vector as a (rows, cols) matrix for integrand bookkeeping;
-    plain vectors are (dim, 1).  ``flavor`` records the intended
-    measurability and is validated against a filtration on demand.
+    plain vectors are (dim, 1).  Whether it is adapted or predictable is
+    decided against a filtration by :func:`is_adapted`/:func:`is_predictable`.
     """
 
     space: SampleSpace
     paths: tuple[tuple[tuple[Num, ...], ...], ...]
-    flavor: str = ADAPTED
     shape: tuple[int, int] | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(self.paths) != self.space.size:
@@ -365,8 +361,6 @@ class Process:
             raise SpaceError("all value vectors must share one dimension")
         if any(len(path) != horizon + 1 for path in self.paths):
             raise SpaceError("all paths must share one horizon")
-        if self.flavor not in (ADAPTED, PREDICTABLE):
-            raise SpaceError(f"unknown flavor {self.flavor!r}")
         dim = dims.pop()
         if self.shape is None:
             object.__setattr__(self, "shape", (dim, 1))
@@ -376,15 +370,15 @@ class Process:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def from_paths(cls, space: SampleSpace, paths, flavor: str = ADAPTED,
+    def from_paths(cls, space: SampleSpace, paths,
                    shape: tuple[int, int] | None = None) -> "Process":
         """Build from per-outcome paths; scalar entries are wrapped to 1-vectors."""
         fixed = tuple(tuple(_as_vector(v) for v in path) for path in paths)
-        return cls(space, fixed, flavor=flavor, shape=shape)
+        return cls(space, fixed, shape=shape)
 
     @classmethod
     def from_values(cls, space: SampleSpace, fn, horizon: int, dim: int = 1,
-                    flavor: str = ADAPTED, shape: tuple[int, int] | None = None) -> "Process":
+                    shape: tuple[int, int] | None = None) -> "Process":
         """Build from fn(outcome, t) returning a scalar or a length-dim vector."""
         paths = []
         for o in space.outcomes:
@@ -395,7 +389,7 @@ class Process:
                     raise SpaceError("value dimension mismatch")
                 path.append(v)
             paths.append(tuple(path))
-        return cls(space, tuple(paths), flavor=flavor, shape=shape)
+        return cls(space, tuple(paths), shape=shape)
 
     @classmethod
     def predictable(cls, filtration: "Filtration", table, dim: int = 1,
@@ -415,13 +409,13 @@ class Process:
             cols.append(col)
         paths = tuple((v0,) + tuple(col[i] for col in cols)
                       for i in range(filtration.space.size))
-        return cls(filtration.space, paths, flavor=PREDICTABLE, shape=shape)
+        return cls(filtration.space, paths, shape=shape)
 
     @classmethod
-    def constant(cls, space: SampleSpace, horizon: int, value, flavor: str = ADAPTED) -> "Process":
+    def constant(cls, space: SampleSpace, horizon: int, value) -> "Process":
         v = _as_vector(value)
         path = tuple(v for _ in range(horizon + 1))
-        return cls(space, tuple(path for _ in space.outcomes), flavor=flavor)
+        return cls(space, tuple(path for _ in space.outcomes))
 
     # -- access ----------------------------------------------------------------
 
@@ -455,11 +449,7 @@ class Process:
                 for t in range(1, self.horizon + 1)]
 
     def component(self, j: int) -> "Process":
-        return Process(
-            self.space,
-            tuple(tuple((v[j],) for v in path) for path in self.paths),
-            flavor=self.flavor,
-        )
+        return Process(self.space, tuple(tuple((v[j],) for v in path) for path in self.paths))
 
     # -- algebra ----------------------------------------------------------------
 
@@ -468,12 +458,11 @@ class Process:
             raise SpaceError("processes live on different grids")
         if self.dim != other.dim:
             raise SpaceError("dimension mismatch")
-        flavor = self.flavor if self.flavor == other.flavor else ADAPTED
         paths = tuple(
             tuple(tuple(op(a, b) for a, b in zip(u, v)) for u, v in zip(p, q))
             for p, q in zip(self.paths, other.paths)
         )
-        return Process(self.space, paths, flavor=flavor, shape=self.shape)
+        return Process(self.space, paths, shape=self.shape)
 
     def __add__(self, other: "Process") -> "Process":
         return self._zip(other, lambda a, b: a + b)
@@ -488,7 +477,7 @@ class Process:
         paths = tuple(
             tuple(tuple(c * a for a in v) for v in path) for path in self.paths
         )
-        return Process(self.space, paths, flavor=self.flavor, shape=self.shape)
+        return Process(self.space, paths, shape=self.shape)
 
     def shift(self, c) -> "Process":
         """Add a constant (scalar or vector) to every value."""
@@ -496,7 +485,7 @@ class Process:
         paths = tuple(
             tuple(tuple(a + b for a, b in zip(v, v0)) for v in path) for path in self.paths
         )
-        return Process(self.space, paths, flavor=self.flavor, shape=self.shape)
+        return Process(self.space, paths, shape=self.shape)
 
     def times(self, other: "Process") -> "Process":
         """Pointwise product, defined for scalar processes."""
@@ -509,7 +498,7 @@ class Process:
         paths = []
         for path in self.paths:
             paths.append((path[0],) + tuple(path[t - 1] for t in range(1, len(path))))
-        return Process(self.space, tuple(paths), flavor=PREDICTABLE, shape=self.shape)
+        return Process(self.space, tuple(paths), shape=self.shape)
 
 
 def first_mismatch(X: Process, Y: Process):

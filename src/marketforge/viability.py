@@ -33,7 +33,6 @@ from .enlarge import DriftGauge, drift
 from .jumpkernel import AccessibleSite, CoercivityFailure, PsdSolve, SiteChild, xi_accessible, check_jump_bound
 from .mrp import Driver
 from .space import (
-    PREDICTABLE,
     EnlargementPair,
     Filtration,
     Process,
@@ -234,7 +233,7 @@ def price_drift_rhs(market: Market, D: Process, gauge: DriftGauge) -> Process:
         [tuple(dd[i] + sum((ph[j] * dn[j * k + i] for j in range(n)), 0) for i in range(k))
          for dd, dn, ph in zip(cd, cn, [gauge.phi.at(o, t) for o in outcomes])]
         for t, (cd, cn) in enumerate(zip(pb_d.increments(), pb_n.increments()), 1))
-    rhs = accumulate(market.space, columns, k, PREDICTABLE)
+    rhs = accumulate(market.space, columns, k)
     observed = compensator(centred(market.S), gauge.pair.expanded)
     if first_mismatch(rhs, observed) is not None:
         raise AssertionError("gauge does not reproduce the expanded-flow price drift")

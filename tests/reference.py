@@ -283,7 +283,7 @@ def lift_filtration(F: Filtration, product: SampleSpace) -> Filtration:
 def lift_process(X: Process, product: SampleSpace) -> Process:
     back = lift_to_product(product, X.space)
     paths = tuple(X.paths[X.space.index(b)] for b in back)
-    return Process(product, paths, flavor=X.flavor, shape=X.shape)
+    return Process(product, paths, shape=X.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ from marketforge.jumpkernel import (
     check_jump_bound,
     energy_bound,
     gram_F,
-    gram_G_accessible,
-    gram_G_inaccessible,
+    gram_G,
     site_rhs,
     tilt_floor,
     verify_density,
@@ -41,7 +40,6 @@ from marketforge.jumpkernel import (
 from marketforge.mrp import Driver
 from marketforge.scenario import load_scenario, load_site, parse_document
 from marketforge.space import (
-    PREDICTABLE,
     EnlargementPair,
     Process,
     build_initial_enlargement,
@@ -295,8 +293,7 @@ def test_thousand_random_sites_pass_all_checks():
         assert energy_ok
         # independent cross-check: the generalized-inverse reference on the
         # base Gram's column space reproduces the solver's answer exactly
-        M = (gram_G_accessible(site) if accessible
-             else gram_G_inaccessible(site))
+        M = gram_G(site)
         G = gram_F(site)
         J = mat_mul(pinv_psd(G, EXACT), M)
         v, _ = linalg.lstsq_min_norm(G, site_rhs(site), EXACT)

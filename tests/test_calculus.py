@@ -16,7 +16,7 @@ from marketforge.calculus import (
     stoch_exp,
 )
 from marketforge.fixtures import b1, b2
-from marketforge.space import PREDICTABLE, Process, is_predictable
+from marketforge.space import Process, is_predictable
 
 from util import brute_compensator, random_adapted, random_predictable
 
@@ -112,7 +112,7 @@ def test_bracket_pulls_integrands_out():
     H = Process.from_values(
         fx.space,
         lambda o, t: F(2) if t <= 1 else fx.W.value(o, 1) * F(3),
-        fx.F.horizon, flavor=PREDICTABLE,
+        fx.F.horizon,
     )
     rng = random.Random(5)
     Y = random_adapted(fx.space, fx.F, rng)
@@ -134,11 +134,11 @@ def test_pred_bracket_of_walk_counts_time():
 
 def test_integrate_simple_values():
     fx = b1()
-    H = Process.constant(fx.space, 1, F(2), flavor=PREDICTABLE)
+    H = Process.constant(fx.space, 1, F(2))
     I = integrate(H, fx.W)
     assert I.value("u", 1) == 2
     assert I.value("d", 1) == -2
-    ones = Process.constant(fx.space, 1, F(1), flavor=PREDICTABLE)
+    ones = Process.constant(fx.space, 1, F(1))
     ident = integrate(ones, fx.S)
     assert ident.value("u", 1) == fx.S.value("u", 1) - fx.S.value("u", 0)
 
@@ -172,8 +172,7 @@ def test_integrate_vector_transpose_rule():
         fx.F.horizon, dim=2,
     )
     H = Process.from_values(
-        fx.space, lambda o, t: (F(1), F(1)), fx.F.horizon, dim=2,
-        flavor=PREDICTABLE, shape=(2, 1),
+        fx.space, lambda o, t: (F(1), F(1)), fx.F.horizon, dim=2, shape=(2, 1),
     )
     I = integrate(H, W2)
     assert I.dim == 1
@@ -187,13 +186,9 @@ def test_stoch_exp_values_and_flags():
     assert E.value("u", 0) == 1
     assert E.value("u", 1) == F(4, 5)
     assert E.value("d", 1) == F(6, 5)
-    assert E.meta["strictly_positive"]
-    assert not E.meta["hits_zero"]
     # A unit down-jump kills the exponential without raising.
     dead = stoch_exp(fx.W.scale(-1))
     assert dead.value("u", 1) == 0
-    assert dead.meta["hits_zero"]
-    assert not dead.meta["strictly_positive"]
 
 
 def test_yor_product_formula():

@@ -18,12 +18,11 @@ from marketforge.jumpkernel import (
     check_coercivity,
     check_jump_bound,
     energy_bound,
+    centre,
     gram_F,
-    gram_G_accessible,
-    gram_G_inaccessible,
+    gram_G,
     site_rhs,
     tilt_floor,
-    tilted_mean,
     verify_density,
     xi_accessible,
     xi_inaccessible,
@@ -129,22 +128,23 @@ def test_gram_F_values():
 
 
 def test_gram_G_accessible_values():
-    assert gram_G_accessible(b2n_site()) == [[F(16, 25)]]
-    assert tilted_mean(b2n_site()) == [F(3, 5)]
-    assert gram_G_accessible(insider_site()) == [[0]]
+    assert gram_G(b2n_site()) == [[F(16, 25)]]
+    assert centre(b2n_site()) == [F(3, 5)]
+    assert gram_G(insider_site()) == [[0]]
     flat = _acc([(F(1, 2), (1,), 0, 0), (F(1, 2), (-1,), 0, 0)])
-    assert gram_G_accessible(flat) == gram_F(flat)
+    assert gram_G(flat) == gram_F(flat)
     with pytest.raises(NegativeTilt):
-        gram_G_accessible(_acc([(F(1, 2), (1,), F(-3, 2), 0),
-                                (F(1, 2), (-1,), F(3, 2), 0)]))
+        xi_accessible(_acc([(F(1, 2), (1,), F(-3, 2), 0),
+                            (F(1, 2), (-1,), F(3, 2), 0)]))
 
 
 def test_gram_G_inaccessible_values():
-    assert gram_G_inaccessible(k1_site()) == [[F(9, 10), 0], [0, F(1, 5)]]
+    assert centre(k1_site()) == [0, 0]
+    assert gram_G(k1_site()) == [[F(9, 10), 0], [0, F(1, 5)]]
     flat = _inacc([(F(2, 5), (1,), 0, 0), (F(3, 5), (2,), 0, 0)])
-    assert gram_G_inaccessible(flat) == gram_F(flat)
+    assert gram_G(flat) == gram_F(flat)
     single = _inacc([(1, (1,), F(1, 5), F(1, 10))])
-    assert gram_G_inaccessible(single) == [[F(6, 5)]]
+    assert gram_G(single) == [[F(6, 5)]]
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +158,13 @@ def test_xi_accessible_noisy_signal_site():
     assert out.feasible
     assert out.solution == (F(5, 4),)
     assert out.coercivity == F(2, 5) == tilt_floor(site)
+
+
+def test_solvers_reject_the_other_flavor():
+    with pytest.raises(KernelError):
+        xi_inaccessible(b2n_site())
+    with pytest.raises(KernelError):
+        xi_accessible(k1_site())
 
 
 def test_xi_accessible_flat_site_is_zero():
@@ -183,7 +190,7 @@ def test_xi_accessible_coercivity_failure_without_zero_gram():
     site = _acc([(F(1, 4), (2,), 1, 0), (F(1, 4), (0,), -1, 0),
                  (F(1, 2), (-1,), 0, 0)])
     assert tilt_floor(site) == 0
-    assert gram_G_accessible(site) != [[0]]
+    assert gram_G(site) != [[0]]
     with pytest.raises(CoercivityFailure):
         xi_accessible(site)
 
@@ -288,7 +295,7 @@ def test_float_mode_reproduces_rational_sites():
 # randomized battery on realizable sites
 
 
-def _assert_site_contracts(site, solver, gram_G):
+def _assert_site_contracts(site, solver):
     M = gram_G(site)
     assert M == linalg.transpose(M)  # exact symmetry
     out = solver(site)
@@ -312,15 +319,13 @@ def _assert_site_contracts(site, solver, gram_G):
 def test_random_accessible_sites_pass_all_checks():
     rng = random.Random(20240811)
     for _ in range(60):
-        _assert_site_contracts(random_accessible_site(rng), xi_accessible,
-                               gram_G_accessible)
+        _assert_site_contracts(random_accessible_site(rng), xi_accessible)
 
 
 def test_random_inaccessible_sites_pass_all_checks():
     rng = random.Random(20240812)
     for _ in range(60):
-        _assert_site_contracts(random_inaccessible_site(rng), xi_inaccessible,
-                               gram_G_inaccessible)
+        _assert_site_contracts(random_inaccessible_site(rng), xi_inaccessible)
 
 
 def test_random_sites_survive_float_mode():

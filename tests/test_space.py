@@ -8,9 +8,7 @@ from marketforge.arith import EXACT, FLOAT
 from marketforge.calculus import accumulate, centred
 from marketforge.fixtures import b1, b2, b2i, b2n
 from marketforge.space import (
-    ADAPTED,
     INF,
-    PREDICTABLE,
     EnlargementPair,
     Filtration,
     Partition,
@@ -106,12 +104,12 @@ def test_predictable_from_atom_table_on_b2n():
         return Process.from_paths(fx.space, [
             [v0] + [table[(t, G.at(t - 1).atom_index(o))] for t in (1, 2)]
             for o in fx.space.outcomes
-        ], flavor=PREDICTABLE, shape=(1, 2))
+        ], shape=(1, 2))
 
     for initial, v0 in ((None, (0, 0)), ((F(1, 3), F(2)), (F(1, 3), F(2)))):
         X = Process.predictable(G, table, 2, shape=(1, 2), initial=initial)
         assert X.paths == by_hand(v0).paths
-        assert (X.flavor, X.shape) == (PREDICTABLE, (1, 2))
+        assert X.shape == (1, 2)
         assert is_predictable(X, G)
     assert Process.predictable(fx.F, {(1, 0): 5, (2, 0): 6, (2, 1): 7},
                                initial=1).at("du1", 2) == (7,)
@@ -259,7 +257,7 @@ def test_process_algebra_and_increments():
             assert len(columns) == Z.horizon
             for t, column in enumerate(columns, 1):
                 assert column == [Z.delta(o, t) for o in noisy.space.outcomes]
-            summed = accumulate(noisy.space, columns, Z.dim, ADAPTED)
+            summed = accumulate(noisy.space, columns, Z.dim)
             assert first_mismatch(summed, centred(Z)) is None
     Y = fx.W + fx.W
     assert Y.at("d", 1) == (F(-2),)

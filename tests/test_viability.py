@@ -10,7 +10,6 @@ from marketforge.enlarge import solve_phi
 from marketforge.fixtures import b1, b2, b2i, b2n
 from marketforge.mrp import Driver
 from marketforge.space import (
-    PREDICTABLE,
     EnlargementPair,
     Process,
     build_initial_enlargement,
@@ -136,7 +135,7 @@ def test_verify_deflator_flat_market():
     market = Market(S, fx.F)
     ones = Process.constant(fx.space, 1, 1)
     assert verify_deflator(ones, market, fx.F) == (True, None)
-    hold = Process.constant(fx.space, 1, F(2), flavor=PREDICTABLE)
+    hold = Process.constant(fx.space, 1, F(2))
     ok, witness = is_martingale(ones.times(wealth(F(1), hold, market)), fx.F)
     assert ok, witness
 

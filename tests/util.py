@@ -18,7 +18,7 @@ from marketforge.selftest import (  # noqa: F401  (re-exports for tests)
     random_inaccessible_site,
     site_to_float,
 )
-from marketforge.space import PREDICTABLE, Process
+from marketforge.space import Process
 
 
 def random_predictable(space, filtration, rng, dim=1) -> Process:
@@ -82,4 +82,4 @@ def brute_compensator(X, filtration):
             level = tuple(a + b for a, b in zip(level, per_time[t][o]))
             path.append(level)
         paths.append(tuple(path))
-    return Process(space, tuple(paths), flavor=PREDICTABLE, shape=X.shape)
+    return Process(space, tuple(paths), shape=X.shape)
