@@ -9,6 +9,7 @@ share one code path everywhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -38,8 +39,8 @@ class Arithmetic:
     def __post_init__(self) -> None:
         if self.mode not in (EXACT_MODE, FLOAT_MODE):
             raise ArithmeticError_(f"unknown arithmetic mode {self.mode!r}")
-        if self.mode == FLOAT_MODE and not self.tolerance > 0:
-            raise ArithmeticError_("float mode needs a positive tolerance")
+        if self.mode == FLOAT_MODE and not 0 < self.tolerance < math.inf:
+            raise ArithmeticError_("float mode needs a positive finite tolerance")
 
     @property
     def exact(self) -> bool:
@@ -50,7 +51,9 @@ class Arithmetic:
 
         Accepts ints, floats, Fractions and strings like "3/5" or "0.25".
         Exact mode keeps everything rational; decimal strings are read as
-        exact decimals ("0.1" becomes 1/10, not a binary float).
+        exact decimals ("0.1" becomes 1/10, not a binary float).  NaN and
+        infinities are rejected in both modes, as is a finite value too
+        large for a float in float mode.
         """
         if isinstance(raw, bool):
             raise ArithmeticError_(f"expected a number, got {raw!r}")
@@ -60,10 +63,17 @@ class Arithmetic:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ArithmeticError_(f"cannot parse number {raw!r}") from exc
         elif isinstance(raw, float):
+            if not math.isfinite(raw):
+                raise ArithmeticError_(f"not a finite number: {raw!r}")
             value = Fraction(raw) if self.exact else raw
         else:
             raise ArithmeticError_(f"expected a number, got {raw!r}")
-        return Fraction(value) if self.exact else float(value)
+        if self.exact:
+            return Fraction(value)
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ArithmeticError_(f"number {raw!r} is too large for a float") from exc
 
     def eq(self, a: Num, b: Num) -> bool:
         if self.exact:

@@ -8,14 +8,16 @@ caveats: the continuous part of any process is zero and the purely
 discontinuous martingale part coincides with the whole martingale part.
 
 All operators return processes on the same grid; compensators and their
-relatives are predictable and start at zero.
+relatives are predictable and start at zero.  Every per-cell operation
+runs through ``space.per_distinct``, once per distinct tuple of operand
+cells, so cells shared on an atom stay shared in the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .space import Filtration, Process, cond_exp, is_adapted
+from .space import Filtration, Process, _add, _sub, cond_exp, is_adapted, per_distinct
 
 
 class CalculusError(ValueError):
@@ -47,20 +49,17 @@ def _require_adapted(X: Process, filtration: Filtration, what: str) -> None:
 def accumulate(space, columns, dim, shape=None) -> Process:
     """Running sums from 0 of increment columns in the layout of
     ``Process.increments``, read once (a generator will do)."""
-    paths = [[(0,) * dim] for _ in space.outcomes]
+    levels = [[(0,) * dim] * space.size]
     for column in columns:
-        for path, inc in zip(paths, column):
-            path.append(tuple(a + b for a, b in zip(path[-1], inc)))
-    return Process(space, tuple(map(tuple, paths)), shape=shape)
+        levels.append(per_distinct(_add, levels[-1], column))
+    return Process.from_columns(space, levels, shape=shape)
 
 
 def centred(X: Process) -> Process:
     """X - X_0: the process minus its own time-0 value, outcome by outcome."""
-    paths = tuple(
-        tuple(tuple(a - b for a, b in zip(v, path[0])) for v in path)
-        for path in X.paths
-    )
-    return Process(X.space, paths, shape=X.shape)
+    cols = X.columns()
+    return Process.from_columns(X.space, [per_distinct(_sub, col, cols[0]) for col in cols],
+                                shape=X.shape)
 
 
 def _increment_means(X: Process, filtration: Filtration):
@@ -84,10 +83,9 @@ def compensator(A: Process, filtration: Filtration) -> Process:
     this (uniqueness is exact on a finite grid).
     """
     _require_adapted(A, filtration, "compensator input")
-    arith = A.space.arith
-    for o in A.space.outcomes:
-        if not all(arith.is_zero(v) for v in A.at(o, 0)):
-            raise CalculusError("compensator input must be null at time 0")
+    is_zero = A.space.arith.is_zero
+    if not all(per_distinct(lambda v: all(map(is_zero, v)), A.columns()[0])):
+        raise CalculusError("compensator input must be null at time 0")
     return _compensate(A, filtration)
 
 
@@ -107,7 +105,7 @@ def bracket(X: Process, Y: Process) -> Process:
     """
     if X.space is not Y.space or X.horizon != Y.horizon:
         raise CalculusError("bracket needs processes on one grid")
-    columns = ([tuple(a * b for a in dx for b in dy) for dx, dy in zip(cx, cy)]
+    columns = (per_distinct(lambda dx, dy: tuple(a * b for a in dx for b in dy), cx, cy)
                for cx, cy in zip(X.increments(), Y.increments()))
     return accumulate(X.space, columns, X.dim * Y.dim, shape=(X.dim, Y.dim))
 
@@ -141,7 +139,8 @@ def integrate(H: Process, X: Process) -> Process:
         out_dim = X.dim
     else:
         raise CalculusError("integrand shape does not match the integrator")
-    columns = ([step(path[t], dx) for path, dx in zip(H.paths, column)]
+    H_cols = H.columns()
+    columns = (per_distinct(step, H_cols[t], column)
                for t, column in enumerate(X.increments(), 1))
     return accumulate(X.space, columns, out_dim)
 
@@ -156,19 +155,14 @@ def stoch_exp(X: Process) -> Process:
     if X.dim != 1:
         raise CalculusError("stochastic exponential is for scalar processes")
     arith = X.space.arith
-    for o in X.space.outcomes:
-        if not arith.is_zero(X.value(o, 0)):
-            raise CalculusError("stochastic exponential input must start at 0")
-    space = X.space
-    paths = []
-    for o in space.outcomes:
-        level = 1 * arith.parse(1)
-        path = [(level,)]
-        for t in range(1, X.horizon + 1):
-            level = level * (1 + X.value(o, t) - X.value(o, t - 1))
-            path.append((level,))
-        paths.append(tuple(path))
-    return Process(space, tuple(paths))
+    cols = X.columns()
+    if not all(per_distinct(lambda v: arith.is_zero(v[0]), cols[0])):
+        raise CalculusError("stochastic exponential input must start at 0")
+    levels = [[(1 * arith.parse(1),)] * X.space.size]
+    for t in range(1, len(cols)):
+        levels.append(per_distinct(lambda level, x, x0: (level[0] * (1 + x[0] - x0[0]),),
+                                   levels[-1], cols[t], cols[t - 1]))
+    return Process.from_columns(X.space, levels)
 
 
 def is_martingale(X: Process, filtration: Filtration):

@@ -31,6 +31,7 @@ from .space import (
     check_refinement,
     cond_exp,
     first_mismatch,
+    per_distinct,
 )
 
 
@@ -129,16 +130,16 @@ def compute_u(pair: EnlargementPair, N: Process, phi: Process) -> Process:
     """
     F, G = pair.base, pair.expanded
     values: dict[tuple[int, int], object] = {}
-    for t in range(1, pair.horizon + 1):
+    phis = phi.columns()
+    for t, dN in enumerate(N.increments(), 1):
         part = G.at(t - 1)
-        base_atoms = F.at(t - 1).atoms
-        for k, (atom, parent) in enumerate(zip(part.atoms, part.parents(F.at(t - 1)))):
-            p = phi.at(atom[0], t)
-            tilts = [
-                1 + sum((a * b for a, b in zip(p, N.delta(o, t))), 0)
-                for o in base_atoms[parent]
-            ]
-            values[(t, k)] = min(tilts)
+        base_members = F.at(t - 1).members
+        for k, (members, parent) in enumerate(zip(part.members, part.parents(F.at(t - 1)))):
+            p = phis[t][members[0]]
+            # one tilt per distinct increment cell, in first-seen order
+            steps = {id(dN[i]): dN[i] for i in base_members[parent]}
+            values[(t, k)] = min(1 + sum((a * b for a, b in zip(p, dn)), 0)
+                                 for dn in steps.values())
     return Process.predictable(G, values, initial=1)
 
 
@@ -163,7 +164,9 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
     values: dict[tuple[int, int], tuple] = {}
     for t, dN, dW in zip(range(1, pair.horizon + 1), N.increments(), W.increments()):
         f_part, g_part = F.at(t - 1), G.at(t - 1)
-        Qs = [[[sum((w[j] * dN[j][i] * dW[j][e] for j in members), 0) / mass
+        terms = per_distinct(lambda wj, dn, dw: [[wj * dn[i] * dw[e] for e in range(d)]
+                                                 for i in range(n)], w, dN, dW)
+        Qs = [[[sum((terms[j][i][e] for j in members), 0) / mass
                 for e in range(d)] for i in range(n)]
               for members, mass in zip(f_part.members, f_part.masses)]
         gammas = cond_exp(dW, g_part, space)
@@ -190,8 +193,6 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
             )
     u = compute_u(pair, N, phi)
     _, support_witness = check_support_condition(pair)
-    u_positive = all(
-        u.value(o, t) > 0
-        for o in space.outcomes for t in range(1, pair.horizon + 1)
-    )
+    u_positive = all(all(per_distinct(lambda v: v[0] > 0, col))
+                     for col in u.columns()[1:])
     return DriftGauge(pair, N, W, W_drift, phi, u, support_witness, u_positive)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .calculus import accumulate, is_martingale
-from .space import Filtration, Process, SpaceError
+from .space import Filtration, Process, SpaceError, per_distinct
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,9 @@ class Driver:
     filtration: Filtration
 
     def __post_init__(self) -> None:
-        arith = self.W.space.arith
-        for o in self.W.space.outcomes:
-            if not all(arith.is_zero(v) for v in self.W.at(o, 0)):
-                raise SpaceError("driver must start at 0")
+        is_zero = self.W.space.arith.is_zero
+        if not all(per_distinct(lambda v: all(map(is_zero, v)), self.W.columns()[0])):
+            raise SpaceError("driver must start at 0")
         ok, witness = is_martingale(self.W, self.filtration)
         if not ok:
             raise SpaceError(f"driver is not a martingale: {witness}")

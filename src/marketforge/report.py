@@ -44,7 +44,9 @@ def witness_dict(w: FailureWitness | None, arith: Arithmetic):
 
 
 def _extrema(values, arith: Arithmetic):
-    values = list(values)
+    # Shared cells hold one number object: compare each object once, in
+    # first-seen order, which keeps the first of equal extremes.
+    values = list({id(v): v for v in values}.values())
     if not values:
         return {"min": None, "max": None}
     return {"min": fmt_value(min(values), arith),
@@ -52,12 +54,8 @@ def _extrema(values, arith: Arithmetic):
 
 
 def gauge_summary(gauge, arith: Arithmetic):
-    space = gauge.phi.space
-    horizon = gauge.phi.horizon
-    phis = [x for o in space.outcomes for t in range(1, horizon + 1)
-            for x in gauge.phi.at(o, t)]
-    us = [gauge.u.value(o, t)
-          for o in space.outcomes for t in range(1, horizon + 1)]
+    phis = [x for path in gauge.phi.paths for v in path[1:] for x in v]
+    us = [v[0] for path in gauge.u.paths for v in path[1:]]
     return {
         "phi": _extrema(phis, arith),
         "u": _extrema(us, arith),
@@ -69,14 +67,10 @@ def gauge_summary(gauge, arith: Arithmetic):
 def solution_summary(solution: StructureSolution | None, arith: Arithmetic):
     if solution is None:
         return None
-    space = solution.martingale.space
-    horizon = solution.martingale.horizon
-    kbars = [x for o in space.outcomes for t in range(1, horizon + 1)
-             for x in solution.driver_coefficients.at(o, t)]
-    jumps = [solution.martingale.delta(o, t)[0]
-             for o in space.outcomes for t in range(1, horizon + 1)]
-    defl = [solution.deflator.value(o, t)
-            for o in space.outcomes for t in range(horizon + 1)]
+    kbars = [x for path in solution.driver_coefficients.paths for v in path[1:]
+             for x in v]
+    jumps = [v[0] for row in zip(*solution.martingale.increments()) for v in row]
+    defl = [v[0] for path in solution.deflator.paths for v in path]
     return {
         "coefficients": _extrema(kbars, arith),
         "jump": _extrema(jumps, arith),

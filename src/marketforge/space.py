@@ -11,21 +11,30 @@ This module owns the atom index: each partition's outcome indices
 enclosing coarser atoms (``parents``), and ``Filtration.transitions(t)``,
 each time-(t-1) atom with its time-t children and their conditional masses.
 
-Processes store one value vector per (outcome, time) and nothing else.
-Measurability is a relation to a filtration, decided on demand: a process is
-adapted when its time-t value is constant on every time-t atom, predictable
-when its time-t value is constant on every time-(t-1) atom and its time-0
-value is deterministic.  Only this module and ``calculus`` build a process
-cell by cell; the other layers hand over per-(time, atom) tables
-(:meth:`Process.predictable`), increment columns (``calculus.accumulate``)
-or input paths, and compare processes with :func:`first_mismatch`.
-Increments are defined once, here, by :meth:`Process.increments` (dX_0 = 0).
+A process holds one value tuple per (outcome, time), and equal cells share
+one tuple object: the loader interns equal input cells
+(:meth:`Process.from_paths`), :meth:`Process.predictable` and
+:func:`cond_exp` write one tuple per atom, and every kernel maps its
+operands through :func:`per_distinct`, which computes once per distinct
+tuple of operand objects and hands the same result object to every cell
+that shares them.  Sharing thus survives each operation, so an adapted
+process costs one computation per (time, atom) cell, not per (outcome,
+time) cell.  Measurability is a relation to a filtration, decided on
+demand: a process is adapted when its time-t value is constant on every
+time-t atom, predictable when its time-t value is constant on every
+time-(t-1) atom and its time-0 value is deterministic.  Only this module
+and ``calculus`` build a process cell by cell; the other layers hand over
+per-(time, atom) tables (:meth:`Process.predictable`), increment columns
+(``calculus.accumulate``) or input paths, and compare processes with
+:func:`first_mismatch`.  Increments are defined once, here, by
+:meth:`Process.increments` (dX_0 = 0).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -75,6 +84,13 @@ class SampleSpace:
 
     def weight(self, outcome: str) -> Num:
         return self.weights[self.index(outcome)]
+
+    @cached_property
+    def integer_weights(self) -> tuple[int, ...]:
+        """Exact weights times the lcm of their denominators: integers with
+        the weights' ratios, for sums that build no Fraction per term."""
+        lcm = math.lcm(*(w.denominator for w in self.weights))
+        return tuple(w.numerator * (lcm // w.denominator) for w in self.weights)
 
     def expectation(self, values: Sequence[Num]) -> Num:
         """Plain expectation of a random variable given as a parallel sequence."""
@@ -331,19 +347,44 @@ def _as_vector(v) -> tuple:
     return tuple(v) if isinstance(v, (tuple, list)) else (v,)
 
 
-def _step(path, t: int) -> tuple:
-    """dX_t = X_t - X_{t-1} along one path, for t >= 1."""
-    return tuple(a - b for a, b in zip(path[t], path[t - 1]))
+def _sub(u: tuple, v: tuple) -> tuple:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _add(u: tuple, v: tuple) -> tuple:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def _cell_key(v: tuple):
+    """Interning key of a cell: its value, except that a cell holding a zero
+    also keys on the reprs, so a float -0.0 never merges with 0.0."""
+    return v if 0 not in v else (v, tuple(map(repr, v)))
+
+
+def per_distinct(op, *columns) -> list:
+    """``[op(*cells) for cells in zip(*columns)]``, computing op once per
+    distinct tuple of operand objects and reusing that result object.
+
+    The memo is keyed by ``id`` and lives for this call only; the columns
+    are sequences, so they keep every keyed object alive while it runs.
+    op must be a pure function of its operands, so the values are those of
+    the per-cell loop, bit for bit in float mode too.
+    """
+    keys = list(zip(*(map(id, column) for column in columns)))
+    firsts = dict(zip(keys, zip(*columns)))  # one operand tuple per key
+    memo = {key: op(*cells) for key, cells in firsts.items()}
+    return [memo[key] for key in keys]
 
 
 @dataclass(frozen=True, eq=False)
 class Process:
     """A path-valued map: one length-dim value vector per (outcome, time).
 
-    ``paths[i][t]`` is the value vector for outcome i at time t.  ``shape``
-    views the vector as a (rows, cols) matrix for integrand bookkeeping;
-    plain vectors are (dim, 1).  Whether it is adapted or predictable is
-    decided against a filtration by :func:`is_adapted`/:func:`is_predictable`.
+    ``paths[i][t]`` is the value vector for outcome i at time t; cells with
+    equal values may be one shared tuple.  ``shape`` views the vector as a
+    (rows, cols) matrix for integrand bookkeeping; plain vectors are
+    (dim, 1).  Whether it is adapted or predictable is decided against a
+    filtration by :func:`is_adapted`/:func:`is_predictable`.
     """
 
     space: SampleSpace
@@ -372,9 +413,18 @@ class Process:
     @classmethod
     def from_paths(cls, space: SampleSpace, paths,
                    shape: tuple[int, int] | None = None) -> "Process":
-        """Build from per-outcome paths; scalar entries are wrapped to 1-vectors."""
-        fixed = tuple(tuple(_as_vector(v) for v in path) for path in paths)
+        """Build from per-outcome paths; scalar entries are wrapped to
+        1-vectors, and equal cells are interned to one shared tuple."""
+        cells: dict = {}
+        fixed = tuple(tuple(cells.setdefault(_cell_key(v), v)
+                            for v in map(_as_vector, path)) for path in paths)
         return cls(space, fixed, shape=shape)
+
+    @classmethod
+    def from_columns(cls, space: SampleSpace, columns,
+                     shape: tuple[int, int] | None = None) -> "Process":
+        """Build from time-major columns, the layout of :meth:`columns`."""
+        return cls(space, tuple(zip(*columns)), shape=shape)
 
     @classmethod
     def from_values(cls, space: SampleSpace, fn, horizon: int, dim: int = 1,
@@ -440,16 +490,32 @@ class Process:
         """Increment at time t; by convention the time-0 increment vanishes."""
         if t == 0:
             return (0,) * self.dim
-        return _step(self.paths[self.space.index(outcome)], t)
+        path = self.paths[self.space.index(outcome)]
+        return _sub(path[t], path[t - 1])
+
+    def columns(self) -> list:
+        """Time-major view: entry t holds the time-t cell of every outcome."""
+        return list(zip(*self.paths))
 
     def increments(self) -> list:
         """Increment columns: entry t - 1 holds dX_t for every outcome, in
         outcome order, for t = 1..horizon.  Recomputed on each call."""
-        return [[_step(path, t) for path in self.paths]
-                for t in range(1, self.horizon + 1)]
+        cols = self.columns()
+        return [per_distinct(_sub, cols[t], cols[t - 1]) for t in range(1, len(cols))]
+
+    def map_cells(self, op, *others: "Process", shape=None) -> "Process":
+        """The process whose cells are ``op(cell, *other cells)``, computed
+        per distinct operand tuple; ``shape`` defaults to this one's when op
+        keeps the dimension."""
+        for other in others:
+            if self.space is not other.space or self.horizon != other.horizon:
+                raise SpaceError("processes live on different grids")
+        columns = zip(self.columns(), *(other.columns() for other in others))
+        return Process.from_columns(self.space, [per_distinct(op, *c) for c in columns],
+                                    shape=shape)
 
     def component(self, j: int) -> "Process":
-        return Process(self.space, tuple(tuple((v[j],) for v in path) for path in self.paths))
+        return self.map_cells(lambda v: (v[j],))
 
     # -- algebra ----------------------------------------------------------------
 
@@ -458,11 +524,8 @@ class Process:
             raise SpaceError("processes live on different grids")
         if self.dim != other.dim:
             raise SpaceError("dimension mismatch")
-        paths = tuple(
-            tuple(tuple(op(a, b) for a, b in zip(u, v)) for u, v in zip(p, q))
-            for p, q in zip(self.paths, other.paths)
-        )
-        return Process(self.space, paths, shape=self.shape)
+        return self.map_cells(lambda u, v: tuple(op(a, b) for a, b in zip(u, v)),
+                              other, shape=self.shape)
 
     def __add__(self, other: "Process") -> "Process":
         return self._zip(other, lambda a, b: a + b)
@@ -474,18 +537,12 @@ class Process:
         return self.scale(-1)
 
     def scale(self, c: Num) -> "Process":
-        paths = tuple(
-            tuple(tuple(c * a for a in v) for v in path) for path in self.paths
-        )
-        return Process(self.space, paths, shape=self.shape)
+        return self.map_cells(lambda v: tuple(c * a for a in v), shape=self.shape)
 
     def shift(self, c) -> "Process":
         """Add a constant (scalar or vector) to every value."""
         v0 = tuple(c) if isinstance(c, (tuple, list)) else (c,) * self.dim
-        paths = tuple(
-            tuple(tuple(a + b for a, b in zip(v, v0)) for v in path) for path in self.paths
-        )
-        return Process(self.space, paths, shape=self.shape)
+        return self.map_cells(lambda v: _add(v, v0), shape=self.shape)
 
     def times(self, other: "Process") -> "Process":
         """Pointwise product, defined for scalar processes."""
@@ -505,27 +562,49 @@ def first_mismatch(X: Process, Y: Process):
     """First cell where two processes differ, in outcome-major order.
 
     Returns (outcome, t, a, b) with a and b the first unequal components,
-    or None when every value agrees under the space's arithmetic.
+    or None when every value agrees under the space's arithmetic.  Each
+    distinct pair of cell objects is compared once; in exact mode a cell
+    is equal to itself without a comparison.
     """
     if X.space is not Y.space or X.horizon != Y.horizon or X.dim != Y.dim:
         raise SpaceError("processes live on different grids")
     eq = X.space.arith.eq
+    exact = X.space.arith.exact
+    agreed = set()
     for o, p, q in zip(X.space.outcomes, X.paths, Y.paths):
         for t, (u, v) in enumerate(zip(p, q)):
+            if (exact and u is v) or (id(u), id(v)) in agreed:
+                continue
             for a, b in zip(u, v):
                 if not eq(a, b):
                     return o, t, a, b
+            agreed.add((id(u), id(v)))
     return None
 
 
+def first_false(flags) -> tuple[int, int] | None:
+    """(i, t) of the first false entry of per-time flag columns, in
+    outcome-major order (outcome i, then its times), or None when every
+    flag holds."""
+    if all(map(all, flags)):
+        return None
+    return next((i, t) for i, row in enumerate(zip(*flags))
+                for t, ok in enumerate(row) if not ok)
+
+
 def _constant_on(X: Process, t: int, groups) -> bool:
-    """Time-t values constant on each group of outcome indices."""
+    """Time-t values constant on each group of outcome indices; in exact
+    mode a cell shared with the group's first is equal without a check."""
     eq = X.space.arith.eq
-    paths = X.paths
-    return all(
-        all(eq(a, b) for a, b in zip(paths[i][t], paths[m[0]][t]))
-        for m in groups for i in m[1:]
-    )
+    exact = X.space.arith.exact
+    column = [path[t] for path in X.paths]
+    for m in groups:
+        first = column[m[0]]
+        for i in m[1:]:
+            v = column[i]
+            if not (exact and v is first) and not all(map(eq, v, first)):
+                return False
+    return True
 
 
 def is_adapted(X: Process, filtration: Filtration) -> bool:
@@ -547,28 +626,57 @@ def is_predictable(X: Process, filtration: Filtration) -> bool:
 # conditional expectation
 
 
+def _weighted_mean(terms, total: int) -> Fraction:
+    """sum(x * n for x, n in terms) / total for rational x and integer n,
+    summed in integers over the lcm of the denominators."""
+    num, den = 0, 1
+    for x, n in terms:
+        d = x.denominator
+        lcm = den * d // math.gcd(den, d)
+        num = num * (lcm // den) + n * x.numerator * (lcm // d)
+        den = lcm
+    return Fraction(num, den * total)
+
+
 def cond_exp(values: Sequence, partition: Partition, space: SampleSpace) -> list:
     """Conditional expectation given a partition, as a parallel value list.
 
-    On each atom the result is the weight-averaged value of the inputs, the
-    average being exact in rational mode.  Values may be scalars or equal
-    length vectors.
+    On each atom the result is the weight-averaged value of the inputs, one
+    tuple shared by the atom's outcomes.  Values may be scalars or equal
+    length vectors.  Exact mode sums integer weights per distinct value
+    object, adds the weighted values in integers over a common denominator
+    and builds one Fraction per atom and component: the same rational a
+    member-by-member sum gives.  Float mode sums member by member, in
+    outcome order, because float sums depend on their order.
     """
     if len(values) != space.size:
         raise SpaceError("random variable must have one value per outcome")
-    vectors = [_as_vector(v) for v in values]
+    vectors = per_distinct(_as_vector, values)
     dim = len(vectors[0])
     if any(len(v) != dim for v in vectors):
         raise SpaceError("vector values must share one dimension")
-    weights = space.weights
     out: list = [None] * space.size
-    for members, mass in zip(partition.members, partition.masses):
-        avg = tuple(
-            sum((weights[i] * vectors[i][j] for i in members), 0) / mass
-            for j in range(dim)
-        )
-        for i in members:
-            out[i] = avg
+    if space.arith.exact:
+        weights = space.integer_weights
+        for members in partition.members:
+            groups: dict = {}  # id of a value -> [value, its summed weight]
+            for i in members:
+                group = groups.setdefault(id(vectors[i]), [vectors[i], 0])
+                group[1] += weights[i]
+            total = sum(n for _, n in groups.values())
+            avg = tuple(_weighted_mean([(v[j], n) for v, n in groups.values()], total)
+                        for j in range(dim))
+            for i in members:
+                out[i] = avg
+    else:
+        weights = space.weights
+        for members, mass in zip(partition.members, partition.masses):
+            avg = tuple(
+                sum((weights[i] * vectors[i][j] for i in members), 0) / mass
+                for j in range(dim)
+            )
+            for i in members:
+                out[i] = avg
     if not isinstance(values[0], (tuple, list)):
         return [v[0] for v in out]
     return out

@@ -36,8 +36,10 @@ from .space import (
     EnlargementPair,
     Filtration,
     Process,
+    first_false,
     first_mismatch,
     is_adapted,
+    per_distinct,
 )
 
 VIABLE = "viable"
@@ -80,10 +82,11 @@ class Market:
             raise ViabilityError("price horizon must match the flow horizon")
         if not is_adapted(self.S, self.F):
             raise ViabilityError("prices must be adapted to the base flow")
-        for o in self.S.space.outcomes:
-            for t in range(self.S.horizon + 1):
-                if not all(v > 0 for v in self.S.at(o, t)):
-                    raise ViabilityError(f"price must stay positive (outcome {o}, t={t})")
+        miss = first_false([per_distinct(lambda v: all(x > 0 for x in v), col)
+                            for col in self.S.columns()])
+        if miss is not None:
+            o, t = self.S.space.outcomes[miss[0]], miss[1]
+            raise ViabilityError(f"price must stay positive (outcome {o}, t={t})")
         object.__setattr__(self, "decomposition", doob_decompose(self.S, self.F))
 
     @property
@@ -156,22 +159,22 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
     """
     F = market.F
     arith = market.space.arith
+    index = market.space.index
     W = driver.W
-    M = market.martingale_part
-    Sv = market.drift_part
     k, d = market.k, driver.d
     table = {}
     records = []
-    for t in range(1, F.horizon + 1):
+    for t, dM, dW, dSv in zip(range(1, F.horizon + 1), market.martingale_part.increments(),
+                              W.increments(), market.drift_part.increments()):
         for idx, atom, children in F.transitions(t):
             Q = [[0] * d for _ in range(k)]
             for child, p in children:
-                dm = M.delta(child[0], t)
-                dw = W.delta(child[0], t)
+                dm = dM[index(child[0])]
+                dw = dW[index(child[0])]
                 for i in range(k):
                     for j in range(d):
                         Q[i][j] += p * dm[i] * dw[j]
-            target = list(Sv.delta(atom[0], t))
+            target = list(dSv[index(atom[0])])
             coeffs, residual = linalg.lstsq_min_norm(Q, target, arith)
             if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([target])):
                 raise NonViable(FailureWitness("drift-not-spanned", t, atom,
@@ -180,9 +183,9 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
             records.append(FSolveRecord(t, atom, tuple(coeffs), tuple(residual)))
     dbar = Process.predictable(F, table, d)
     D = integrate(dbar, W)
-    for t in range(1, F.horizon + 1):
-        for atom in F.at(t).atoms:
-            jump = D.delta(atom[0], t)[0]
+    for t, dD in enumerate(D.increments(), 1):
+        for atom, members in zip(F.at(t).atoms, F.at(t).members):
+            jump = dD[members[0]][0]
             if not jump < 1:
                 raise NonViable(FailureWitness("jump-bound", t, atom, jump))
     deflator = stoch_exp(-D)
@@ -193,14 +196,16 @@ def verify_deflator(deflator: Process, market: Market, filtration: Filtration):
     """Deflated-martingale battery: the deflator itself and each deflated
     asset.  Returns (ok, witness)."""
     arith = market.space.arith
-    for o in market.space.outcomes:
-        if not arith.eq(deflator.value(o, 0), 1):
-            return False, FailureWitness("deflator-start", 0, (o,),
-                                         deflator.value(o, 0))
-        for t in range(deflator.horizon + 1):
-            if not deflator.value(o, t) > 0:
-                return False, FailureWitness("deflator-not-positive", t, (o,),
-                                             deflator.value(o, t))
+    cols = deflator.columns()
+    # A time-0 value equal to 1 is positive, so the first failing cell is a
+    # start failure exactly when it sits at t = 0.
+    miss = first_false([per_distinct(lambda v: arith.eq(v[0], 1), cols[0])]
+                       + [per_distinct(lambda v: v[0] > 0, col) for col in cols[1:]])
+    if miss is not None:
+        i, t = miss
+        reason = "deflator-start" if t == 0 else "deflator-not-positive"
+        return False, FailureWitness(reason, t, (market.space.outcomes[i],),
+                                     cols[t][i][0])
     ok, witness = is_martingale(deflator, filtration)
     if not ok:
         return False, FailureWitness("deflator-drifts", witness.t, witness.atom,
@@ -228,10 +233,11 @@ def price_drift_rhs(market: Market, D: Process, gauge: DriftGauge) -> Process:
     n = gauge.N.dim
     pb_d = pred_bracket(D, M, F)          # components [D, M_i]
     pb_n = pred_bracket(gauge.N, M, F)    # flat (n, k): j * k + i
-    outcomes = market.space.outcomes
+    phi = gauge.phi.columns()
     columns = (
-        [tuple(dd[i] + sum((ph[j] * dn[j * k + i] for j in range(n)), 0) for i in range(k))
-         for dd, dn, ph in zip(cd, cn, [gauge.phi.at(o, t) for o in outcomes])]
+        per_distinct(lambda dd, dn, ph: tuple(
+            dd[i] + sum((ph[j] * dn[j * k + i] for j in range(n)), 0) for i in range(k)),
+            cd, cn, phi[t])
         for t, (cd, cn) in enumerate(zip(pb_d.increments(), pb_n.increments()), 1))
     rhs = accumulate(market.space, columns, k)
     observed = compensator(centred(market.S), gauge.pair.expanded)
@@ -240,18 +246,18 @@ def price_drift_rhs(market: Market, D: Process, gauge: DriftGauge) -> Process:
     return rhs
 
 
-def _build_site(market: Market, driver: Driver, gauge: DriftGauge,
-                D: Process, t: int, g_atom, transition) -> AccessibleSite:
+def _build_site(market: Market, driver: Driver, phi, steps,
+                transition) -> AccessibleSite:
     """Accessible site for one (time, expanded atom): base-flow child
-    probabilities, driver jumps, gauge tilts, structure-martingale deltas."""
-    phi = gauge.phi.at(g_atom[0], t)
+    probabilities, driver jumps, gauge tilts through the atom's integrand
+    ``phi``, and structure-martingale deltas.  ``steps`` holds the time-t
+    increment columns of the driver, the carrier and D."""
+    dW, dN, dD = steps
     children = []
     for child, p in transition:
-        w = driver.W.delta(child[0], t)
-        dn = gauge.N.delta(child[0], t)
-        nu = sum((a * b for a, b in zip(phi, dn)), 0)
-        delta = D.delta(child[0], t)[0]
-        children.append(SiteChild(p, w, nu, delta))
+        i = market.space.index(child[0])
+        nu = sum((a * b for a, b in zip(phi, dN[i])), 0)
+        children.append(SiteChild(p, dW[i], nu, dD[i][0]))
     return AccessibleSite(driver.d, tuple(children), arith=market.space.arith)
 
 
@@ -302,13 +308,14 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
                                        FailureWitness("tilt-floor", t, atom, u))
     table = {}
     records = []
-    for t in range(1, G.horizon + 1):
+    phi = gauge.phi.columns()
+    for t, steps in enumerate(zip(W.increments(), gauge.N.increments(), D.increments()), 1):
         g_part = G.at(t - 1)
-        steps = market.F.transitions(t)
-        for idx, (g_atom, k) in enumerate(zip(g_part.atoms,
-                                              g_part.parents(market.F.at(t - 1)))):
-            _, base_atom, transition = steps[k]
-            site = _build_site(market, driver, gauge, D, t, g_atom, transition)
+        transitions = market.F.transitions(t)
+        for idx, (g_atom, members, k) in enumerate(zip(
+                g_part.atoms, g_part.members, g_part.parents(market.F.at(t - 1)))):
+            _, base_atom, transition = transitions[k]
+            site = _build_site(market, driver, phi[t][members[0]], steps, transition)
             try:
                 solve = xi_accessible(site)
             except CoercivityFailure as err:
@@ -331,13 +338,13 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
             return Verdict(NON_VIABLE,
                            FailureWitness("jump-bound", record.t, record.atom,
                                           bad))
-    for o in space.outcomes:
-        for t in range(1, G.horizon + 1):
-            jump = Y.delta(o, t)[0]
-            if not jump < 1:
-                return Verdict(NON_VIABLE,
-                               FailureWitness("jump-bound", t,
-                                              G.at(t).atom_of(o), jump))
+    dY = Y.increments()
+    miss = first_false([per_distinct(lambda v: v[0] < 1, col) for col in dY])
+    if miss is not None:
+        i, t = miss[0], miss[1] + 1
+        return Verdict(NON_VIABLE,
+                       FailureWitness("jump-bound", t, G.at(t).atom_of(space.outcomes[i]),
+                                      dY[t - 1][i][0]))
     deflator = stoch_exp(-Y)
     solution = StructureSolution(kbar, Y, deflator, True, tuple(records))
     rhs = price_drift_rhs(market, D, gauge)

@@ -20,6 +20,11 @@ compares an engine result with it, computed along an independent route.
   compensators through the gauge, checked against ``compensator`` on G.
 * ``wealth`` is the self-financing wealth x + (H . S), for the
   deflated-wealth martingale property.
+* ``increments``, ``accumulate``, ``cond_exp``, ``zip_with`` and
+  ``stoch_exp`` are the per-cell kernels the engine had before it computed
+  once per distinct operand: one operation per (outcome, time) cell, in
+  outcome order.  They are kept unchanged as the differential oracle for
+  the shared-cell kernels.
 """
 
 from __future__ import annotations
@@ -308,3 +313,81 @@ def verify_g_compensator(A: Process, pair, gauge) -> bool:
 def wealth(x, H: Process, market) -> Process:
     """Self-financing wealth x + (H . S) of the holding H in the market."""
     return integrate(H, market.S).shift(x)
+
+
+# ---------------------------------------------------------------------------
+# per-cell kernels: one operation per (outcome, time) cell
+
+
+def _as_vector(v) -> tuple:
+    return tuple(v) if isinstance(v, (tuple, list)) else (v,)
+
+
+def _step(path, t: int) -> tuple:
+    """dX_t = X_t - X_{t-1} along one path, for t >= 1."""
+    return tuple(a - b for a, b in zip(path[t], path[t - 1]))
+
+
+def increments(X: Process) -> list:
+    """Increment columns: entry t - 1 holds dX_t for every outcome."""
+    return [[_step(path, t) for path in X.paths]
+            for t in range(1, X.horizon + 1)]
+
+
+def accumulate(space, columns, dim, shape=None) -> Process:
+    """Running sums from 0 of increment columns, outcome by outcome."""
+    paths = [[(0,) * dim] for _ in space.outcomes]
+    for column in columns:
+        for path, inc in zip(paths, column):
+            path.append(tuple(a + b for a, b in zip(path[-1], inc)))
+    return Process(space, tuple(map(tuple, paths)), shape=shape)
+
+
+def cond_exp(values, partition: Partition, space: SampleSpace) -> list:
+    """Conditional expectation given a partition: on each atom the
+    weight-averaged value, summed over the members in order."""
+    if len(values) != space.size:
+        raise SpaceError("random variable must have one value per outcome")
+    vectors = [_as_vector(v) for v in values]
+    dim = len(vectors[0])
+    if any(len(v) != dim for v in vectors):
+        raise SpaceError("vector values must share one dimension")
+    weights = space.weights
+    out: list = [None] * space.size
+    for members, mass in zip(partition.members, partition.masses):
+        avg = tuple(
+            sum((weights[i] * vectors[i][j] for i in members), 0) / mass
+            for j in range(dim)
+        )
+        for i in members:
+            out[i] = avg
+    if not isinstance(values[0], (tuple, list)):
+        return [v[0] for v in out]
+    return out
+
+
+def zip_with(X: Process, Y: Process, op) -> Process:
+    """Cell-by-cell combination of two processes on one grid."""
+    if X.space is not Y.space or X.horizon != Y.horizon:
+        raise SpaceError("processes live on different grids")
+    if X.dim != Y.dim:
+        raise SpaceError("dimension mismatch")
+    paths = tuple(
+        tuple(tuple(op(a, b) for a, b in zip(u, v)) for u, v in zip(p, q))
+        for p, q in zip(X.paths, Y.paths)
+    )
+    return Process(X.space, paths, shape=X.shape)
+
+
+def stoch_exp(X: Process) -> Process:
+    """Running product of (1 + dX_s), outcome by outcome, from 1."""
+    arith = X.space.arith
+    paths = []
+    for o in X.space.outcomes:
+        level = 1 * arith.parse(1)
+        path = [(level,)]
+        for t in range(1, X.horizon + 1):
+            level = level * (1 + X.value(o, t) - X.value(o, t - 1))
+            path.append((level,))
+        paths.append(tuple(path))
+    return Process(X.space, tuple(paths))

@@ -9,6 +9,7 @@ import pytest
 from marketforge.cli import main
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(autouse=True)
@@ -147,6 +148,16 @@ def test_document_tolerance_feeds_float_arithmetic():
     assert _resolve_arith(args, text).mode == "exact"
 
 
+@pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), 0])
+def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, tolerance):
+    # An infinite tolerance would call every pair of floats equal and turn
+    # this non-viable market (exit 4) viable.
+    doc = json.loads((GOLDEN / "trinomial_d2_jump_bound.json").read_text())
+    doc["mode"], doc["tolerance"] = "float", tolerance
+    code, _, err = run_cli(["analyze", write_doc(tmp_path, doc)], capsys)
+    assert code == 2 and "tolerance" in err
+
+
 def test_analyze_reads_stdin(monkeypatch, capsys):
     text = (SCENARIOS / "one_step.json").read_text()
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -190,6 +201,28 @@ def test_analyze_validation_errors_name_the_field(tmp_path, capsys):
     doc["driver"][0][0] = "1/3"
     code, _, err = run_cli(["analyze", write_doc(tmp_path, doc)], capsys)
     assert code == 3 and "driver" in err
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))  # NaN, Infinity, -Infinity
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("value", NON_FINITE, ids=["NaN", "Infinity", "-Infinity"])
+def test_analyze_non_finite_number_exits_3(tmp_path, capsys, mode, value):
+    doc = b2_scenario({"kind": "none"})
+    doc["prices"][1][1] = value
+    code, _, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode], capsys)
+    assert code == 3 and "prices[1][1]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("value", NON_FINITE, ids=["NaN", "Infinity", "-Infinity"])
+def test_kernel_non_finite_number_exits_3(tmp_path, capsys, mode, value):
+    doc = {"kind": "accessible", "dim": 1,
+           "children": [{"p": "1/2", "w": [1], "nu": value, "delta": 0},
+                        {"p": "1/2", "w": [-1], "nu": 0, "delta": 0}]}
+    code, _, err = run_cli(["kernel", write_doc(tmp_path, doc), "--mode", mode], capsys)
+    assert code == 3 and "children[0].nu" in err
 
 
 def test_analyze_explicit_flow_must_refine(tmp_path, capsys):

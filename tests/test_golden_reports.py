@@ -3,8 +3,8 @@
 Each case runs ``analyze`` or ``kernel`` in exact and in float mode and
 compares the exit code and the report file byte for byte with the copy
 under ``tests/golden/``.  The inputs are the five files in ``scenarios/``,
-the noisy-signal coin trees for T = 2..4 (outcomes listed in a seeded
-order), two progressive enlargements of the two-coin tree (one viable, one
+the noisy-signal coin trees for T = 2..4 and T = 6 (outcomes listed in a
+seeded order; at T = 6 an atom spans up to 64 outcomes), two progressive enlargements of the two-coin tree (one viable, one
 failing the support condition), the viable one again with its driver
 left to the synthesizer, an explicit-flow enlargement, and a trinomial
 step with a two-dimensional driver under one asset, under two assets, and
@@ -44,6 +44,7 @@ INPUTS = (
     ("analyze", GOLDEN / "noisy_tree_T2.json"),
     ("analyze", GOLDEN / "noisy_tree_T3.json"),
     ("analyze", GOLDEN / "noisy_tree_T4.json"),
+    ("analyze", GOLDEN / "noisy_tree_T6.json"),
     ("analyze", GOLDEN / "progressive_b2_late.json"),
     ("analyze", GOLDEN / "progressive_b2_split.json"),
     ("analyze", GOLDEN / "explicit_noisy_second_coin.json"),
