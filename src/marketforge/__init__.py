@@ -1,7 +1,9 @@
 """marketforge: exact finite-market engine for information-flow expansion.
 
-Layers, bottom up; only ``space`` and ``calculus`` build processes cell by
-cell, the layers above them pass per-atom tables and increments:
+Layers, bottom up.  A process is its time columns, and only ``space`` and
+``calculus`` know that layout: the layers above pass per-atom tables and
+increment columns, and read processes through accessors (values on atoms,
+first failing cell, first mismatch, distinct cells).
 
 ``arith``      two arithmetic backends (exact rationals, tolerant floats)
 ``linalg``     elimination-based linear algebra over either backend

@@ -50,16 +50,16 @@ class Arithmetic:
         """Turn a scenario-file value into a number of this mode.
 
         Accepts ints, floats, Fractions and strings like "3/5" or "0.25".
-        Exact mode keeps everything rational; decimal strings are read as
-        exact decimals ("0.1" becomes 1/10, not a binary float).  NaN and
-        infinities are rejected in both modes, as is a finite value too
-        large for a float in float mode.
+        Exact mode keeps everything rational and returns a Fraction input
+        itself; decimal strings are read as exact decimals ("0.1" becomes
+        1/10, not a binary float).  NaN and infinities are rejected in both
+        modes, as is a finite value too large for a float in float mode.
         """
         if isinstance(raw, bool):
             raise ArithmeticError_(f"expected a number, got {raw!r}")
         if isinstance(raw, (int, Fraction, str)):
             try:
-                value = Fraction(raw)
+                value = raw if isinstance(raw, Fraction) else Fraction(raw)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ArithmeticError_(f"cannot parse number {raw!r}") from exc
         elif isinstance(raw, float):
@@ -69,7 +69,7 @@ class Arithmetic:
         else:
             raise ArithmeticError_(f"expected a number, got {raw!r}")
         if self.exact:
-            return Fraction(value)
+            return value
         try:
             return float(value)
         except OverflowError as exc:

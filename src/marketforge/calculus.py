@@ -8,16 +8,19 @@ caveats: the continuous part of any process is zero and the purely
 discontinuous martingale part coincides with the whole martingale part.
 
 All operators return processes on the same grid; compensators and their
-relatives are predictable and start at zero.  Every per-cell operation
-runs through ``space.per_distinct``, once per distinct tuple of operand
-cells, so cells shared on an atom stay shared in the result.
+relatives are predictable and start at zero.  Like ``space``, this module
+reads a process as its time columns: every per-cell operation runs through
+``space.per_distinct``, once per distinct tuple of operand cells, so cells
+shared on an atom stay shared in the result.  The per-atom conditional
+moments the layers above solve with (``atom_means``, ``cross_moments``)
+come from here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .space import Filtration, Process, _add, _sub, cond_exp, is_adapted, per_distinct
+from .space import Filtration, Process, _add, _sub, cond_exp, first_failing, is_adapted, per_distinct
 
 
 class CalculusError(ValueError):
@@ -46,33 +49,53 @@ def _require_adapted(X: Process, filtration: Filtration, what: str) -> None:
         raise CalculusError(f"{what} must be adapted to the filtration")
 
 
-def accumulate(space, columns, dim, shape=None) -> Process:
+def accumulate(space, columns, dim) -> Process:
     """Running sums from 0 of increment columns in the layout of
     ``Process.increments``, read once (a generator will do)."""
-    levels = [[(0,) * dim] * space.size]
+    levels = [((0,) * dim,) * space.size]
     for column in columns:
         levels.append(per_distinct(_add, levels[-1], column))
-    return Process.from_columns(space, levels, shape=shape)
+    return Process(space, tuple(levels))
+
+
+def sum_steps(op, dim, steps, levels=()) -> Process:
+    """Running sums from 0 of ``op(dX_t for X in steps, Y_t for Y in
+    levels)`` over t >= 1: the one per-cell kernel behind ``bracket``,
+    ``integrate`` and the expanded-flow drift identity."""
+    columns = zip(*(X.increments() for X in steps), *(Y.columns[1:] for Y in levels))
+    return accumulate(steps[0].space, (per_distinct(op, *cells) for cells in columns), dim)
 
 
 def centred(X: Process) -> Process:
     """X - X_0: the process minus its own time-0 value, outcome by outcome."""
-    cols = X.columns()
-    return Process.from_columns(X.space, [per_distinct(_sub, col, cols[0]) for col in cols],
-                                shape=X.shape)
+    cols = X.columns
+    return Process(X.space, tuple(per_distinct(_sub, col, cols[0]) for col in cols))
 
 
-def _increment_means(X: Process, filtration: Filtration):
-    """Yield the columns E[dX_t | time-(t-1) atoms] for t = 1..horizon,
-    parallel to the outcomes: the one conditional-increment kernel behind
-    ``compensator``, ``is_martingale`` and ``enlarge.drift``."""
-    for t, column in enumerate(X.increments(), 1):
-        yield cond_exp(column, filtration.at(t - 1), X.space)
+def atom_means(X: Process, partition, t: int) -> list:
+    """E[dX_t | A] for each atom A of ``partition``, a time-(t-1) partition:
+    the one conditional-increment kernel, read on atoms."""
+    means = cond_exp(X.increments()[t - 1], partition, X.space)
+    return [means[m[0]] for m in partition.members]
+
+
+def cross_moments(X: Process, Y: Process, partition, t: int) -> list:
+    """E[dX_t transpose(dY_t) | A] as an (X.dim, Y.dim) nested list for each
+    atom A of ``partition``, a time-(t-1) partition: weighted increment
+    products summed member by member in outcome order, over the atom mass."""
+    n, d = X.dim, Y.dim
+    terms = per_distinct(lambda wj, dn, dw: [[wj * dn[i] * dw[e] for e in range(d)]
+                                             for i in range(n)],
+                         X.space.weights, X.increments()[t - 1], Y.increments()[t - 1])
+    return [[[sum((terms[j][i][e] for j in members), 0) / mass
+              for e in range(d)] for i in range(n)]
+            for members, mass in zip(partition.members, partition.masses)]
 
 
 def _compensate(X: Process, filtration: Filtration) -> Process:
     """Accumulated conditional-mean increments, with no input checks."""
-    return accumulate(X.space, _increment_means(X, filtration), X.dim, shape=X.shape)
+    return accumulate(X.space, (cond_exp(dX, filtration.at(t - 1), X.space)
+                                for t, dX in enumerate(X.increments(), 1)), X.dim)
 
 
 def compensator(A: Process, filtration: Filtration) -> Process:
@@ -84,7 +107,7 @@ def compensator(A: Process, filtration: Filtration) -> Process:
     """
     _require_adapted(A, filtration, "compensator input")
     is_zero = A.space.arith.is_zero
-    if not all(per_distinct(lambda v: all(map(is_zero, v)), A.columns()[0])):
+    if first_failing(A, start=lambda v: all(map(is_zero, v))) is not None:
         raise CalculusError("compensator input must be null at time 0")
     return _compensate(A, filtration)
 
@@ -100,14 +123,13 @@ def doob_decompose(X: Process, filtration: Filtration) -> Decomposition:
 def bracket(X: Process, Y: Process) -> Process:
     """Quadratic covariation: running sum of increment (outer) products.
 
-    Scalar inputs give the scalar bracket; vector inputs give the flattened
-    outer-product matrix with shape (X.dim, Y.dim).
+    Scalar inputs give the scalar bracket; vector inputs give the
+    outer-product matrix flattened row by row, entry i * Y.dim + j.
     """
     if X.space is not Y.space or X.horizon != Y.horizon:
         raise CalculusError("bracket needs processes on one grid")
-    columns = (per_distinct(lambda dx, dy: tuple(a * b for a in dx for b in dy), cx, cy)
-               for cx, cy in zip(X.increments(), Y.increments()))
-    return accumulate(X.space, columns, X.dim * Y.dim, shape=(X.dim, Y.dim))
+    return sum_steps(lambda dx, dy: tuple(a * b for a in dx for b in dy),
+                     X.dim * Y.dim, (X, Y))
 
 
 def pred_bracket(X: Process, Y: Process, filtration: Filtration) -> Process:
@@ -116,33 +138,18 @@ def pred_bracket(X: Process, Y: Process, filtration: Filtration) -> Process:
 
 
 def integrate(H: Process, X: Process) -> Process:
-    """Discrete stochastic integral, summing transpose(H_s) dX_s for s <= t.
+    """Discrete stochastic integral: the running sum over s <= t of
+    transpose(H_s) dX_s = sum_r H_s[r] dX_s[r].
 
-    H viewed through its (rows, cols) shape must have rows == X.dim; the
-    result is cols-dimensional.  A scalar H multiplies a vector X
-    componentwise.  Linearity in both arguments and the associativity
-    H.(K.X) = (HK).X for scalar integrands follow from the definition.
+    H and X share one dimension and the result is scalar.  Linearity in
+    both arguments and the associativity H.(K.X) = (HK).X for scalar
+    integrands follow from the definition.
     """
     if H.space is not X.space or H.horizon != X.horizon:
         raise CalculusError("integrate needs processes on one grid")
-    rows, cols = H.shape
-    if rows == X.dim:
-        def step(h, dx):
-            return tuple(
-                sum((h[r * cols + c] * dx[r] for r in range(rows)), 0)
-                for c in range(cols)
-            )
-        out_dim = cols
-    elif H.dim == 1:
-        def step(h, dx):
-            return tuple(h[0] * d for d in dx)
-        out_dim = X.dim
-    else:
-        raise CalculusError("integrand shape does not match the integrator")
-    H_cols = H.columns()
-    columns = (per_distinct(step, H_cols[t], column)
-               for t, column in enumerate(X.increments(), 1))
-    return accumulate(X.space, columns, out_dim)
+    if H.dim != X.dim:
+        raise CalculusError("integrand dimension does not match the integrator")
+    return sum_steps(lambda dx, h: (sum((a * b for a, b in zip(h, dx)), 0),), 1, (X,), (H,))
 
 
 def stoch_exp(X: Process) -> Process:
@@ -155,14 +162,14 @@ def stoch_exp(X: Process) -> Process:
     if X.dim != 1:
         raise CalculusError("stochastic exponential is for scalar processes")
     arith = X.space.arith
-    cols = X.columns()
-    if not all(per_distinct(lambda v: arith.is_zero(v[0]), cols[0])):
+    if first_failing(X, start=lambda v: arith.is_zero(v[0])) is not None:
         raise CalculusError("stochastic exponential input must start at 0")
-    levels = [[(1 * arith.parse(1),)] * X.space.size]
+    cols = X.columns
+    levels = [((1 * arith.parse(1),),) * X.space.size]
     for t in range(1, len(cols)):
         levels.append(per_distinct(lambda level, x, x0: (level[0] * (1 + x[0] - x0[0]),),
                                    levels[-1], cols[t], cols[t - 1]))
-    return Process.from_columns(X.space, levels)
+    return Process(X.space, tuple(levels))
 
 
 def is_martingale(X: Process, filtration: Filtration):
@@ -174,10 +181,9 @@ def is_martingale(X: Process, filtration: Filtration):
     """
     _require_adapted(X, filtration, "martingale-check input")
     arith = X.space.arith
-    for t, means in enumerate(_increment_means(X, filtration), 1):
+    for t in range(1, X.horizon + 1):
         part = filtration.at(t - 1)
-        for atom, members in zip(part.atoms, part.members):
-            m = means[members[0]]
+        for atom, m in zip(part.atoms, atom_means(X, part, t)):
             if not all(arith.is_zero(v) for v in m):
                 residual = m[0] if X.dim == 1 else tuple(m)
                 return False, MartingaleWitness(t, atom, residual)

@@ -22,16 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .calculus import _compensate, integrate, is_martingale, pred_bracket
+from .calculus import _compensate, atom_means, cross_moments, integrate, is_martingale, pred_bracket
 from .calculus import compensator  # noqa: F401  (bench/test_bench.py traces it here)
 from .space import (
     EnlargementPair,
     Process,
     SpaceError,
     check_refinement,
-    cond_exp,
+    first_failing,
     first_mismatch,
-    per_distinct,
 )
 
 
@@ -123,23 +122,21 @@ def check_support_condition(pair: EnlargementPair):
 def compute_u(pair: EnlargementPair, N: Process, phi: Process) -> Process:
     """Predictable floor of the tilt 1 + transpose(phi) dN.
 
-    The minimum runs over every outcome of the enclosing base atom, not just
+    The minimum runs over every child of the enclosing base atom, not just
     those the expanded observer still holds possible: transitions the base
     flow allows must all stay above the floor, including the ones the
     enlargement has excluded (where the tilt may legitimately vanish).
     """
     F, G = pair.base, pair.expanded
     values: dict[tuple[int, int], object] = {}
-    phis = phi.columns()
-    for t, dN in enumerate(N.increments(), 1):
+    for t in range(1, pair.horizon + 1):
         part = G.at(t - 1)
-        base_members = F.at(t - 1).members
-        for k, (members, parent) in enumerate(zip(part.members, part.parents(F.at(t - 1)))):
-            p = phis[t][members[0]]
-            # one tilt per distinct increment cell, in first-seen order
-            steps = {id(dN[i]): dN[i] for i in base_members[parent]}
-            values[(t, k)] = min(1 + sum((a * b for a, b in zip(p, dn)), 0)
-                                 for dn in steps.values())
+        transitions = F.transitions(t)
+        for k, (p, parent) in enumerate(zip(phi.on_atoms(t, part.atoms),
+                                            part.parents(F.at(t - 1)))):
+            _, _, children = transitions[parent]
+            steps = N.on_atoms(t, [child for child, _ in children], increments=True)
+            values[(t, k)] = min(1 + sum((a * b for a, b in zip(p, dn)), 0) for dn in steps)
     return Process.predictable(G, values, initial=1)
 
 
@@ -157,22 +154,14 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
     """
     _require_pair(pair)
     F, G = pair.base, pair.expanded
-    space = pair.space
-    arith = space.arith
-    w = space.weights
+    arith = pair.space.arith
     n, d = N.dim, W.dim
     values: dict[tuple[int, int], tuple] = {}
-    for t, dN, dW in zip(range(1, pair.horizon + 1), N.increments(), W.increments()):
+    for t in range(1, pair.horizon + 1):
         f_part, g_part = F.at(t - 1), G.at(t - 1)
-        terms = per_distinct(lambda wj, dn, dw: [[wj * dn[i] * dw[e] for e in range(d)]
-                                                 for i in range(n)], w, dN, dW)
-        Qs = [[[sum((terms[j][i][e] for j in members), 0) / mass
-                for e in range(d)] for i in range(n)]
-              for members, mass in zip(f_part.members, f_part.masses)]
-        gammas = cond_exp(dW, g_part, space)
-        for k, (b_atom, members, a) in enumerate(zip(
-                g_part.atoms, g_part.members, g_part.parents(f_part))):
-            gamma = gammas[members[0]]
+        Qs = cross_moments(N, W, f_part, t)
+        for k, (b_atom, gamma, a) in enumerate(zip(
+                g_part.atoms, atom_means(W, g_part, t), g_part.parents(f_part))):
             if d == 0:  # no driver equations: any integrand works, take zero
                 values[(t, k)] = (0,) * n
                 continue
@@ -180,7 +169,7 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
             if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([gamma])):
                 raise Infeasible(t, b_atom, tuple(residual))
             values[(t, k)] = tuple(phi_b)
-    phi = Process.predictable(G, values, n, shape=(n, 1))
+    phi = Process.predictable(G, values, n)
     # Re-verify the drift identity on the driver basis, component by component.
     W_drift = drift(W, pair)
     for e in range(d):
@@ -193,6 +182,5 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
             )
     u = compute_u(pair, N, phi)
     _, support_witness = check_support_condition(pair)
-    u_positive = all(all(per_distinct(lambda v: v[0] > 0, col))
-                     for col in u.columns()[1:])
+    u_positive = first_failing(u, lambda v: v[0] > 0) is None
     return DriftGauge(pair, N, W, W_drift, phi, u, support_witness, u_positive)

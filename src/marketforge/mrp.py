@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .calculus import accumulate, is_martingale
-from .space import Filtration, Process, SpaceError, per_distinct
+from .calculus import CalculusError, accumulate, is_martingale
+from .space import Filtration, Process, SpaceError, first_failing
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,12 @@ class Driver:
 
     def __post_init__(self) -> None:
         is_zero = self.W.space.arith.is_zero
-        if not all(per_distinct(lambda v: all(map(is_zero, v)), self.W.columns()[0])):
+        if first_failing(self.W, start=lambda v: all(map(is_zero, v))) is not None:
             raise SpaceError("driver must start at 0")
-        ok, witness = is_martingale(self.W, self.filtration)
+        try:
+            ok, witness = is_martingale(self.W, self.filtration)
+        except CalculusError:  # the one input check is_martingale makes
+            raise SpaceError("driver must be adapted to the filtration") from None
         if not ok:
             raise SpaceError(f"driver is not a martingale: {witness}")
 

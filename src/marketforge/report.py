@@ -13,6 +13,7 @@ from dataclasses import fields, is_dataclass
 
 from .arith import Arithmetic
 from .jumpkernel import Site, tilt_floor
+from .space import distinct_cells
 from .viability import FailureWitness, StructureSolution, Verdict
 
 
@@ -43,10 +44,10 @@ def witness_dict(w: FailureWitness | None, arith: Arithmetic):
     }
 
 
-def _extrema(values, arith: Arithmetic):
-    # Shared cells hold one number object: compare each object once, in
-    # first-seen order, which keeps the first of equal extremes.
-    values = list({id(v): v for v in values}.values())
+def _extrema(cells, arith: Arithmetic):
+    # Each distinct cell once, in first-seen order; min and max keep the
+    # first of equal extremes.
+    values = [x for v in cells for x in v]
     if not values:
         return {"min": None, "max": None}
     return {"min": fmt_value(min(values), arith),
@@ -54,11 +55,9 @@ def _extrema(values, arith: Arithmetic):
 
 
 def gauge_summary(gauge, arith: Arithmetic):
-    phis = [x for path in gauge.phi.paths for v in path[1:] for x in v]
-    us = [v[0] for path in gauge.u.paths for v in path[1:]]
     return {
-        "phi": _extrema(phis, arith),
-        "u": _extrema(us, arith),
+        "phi": _extrema(distinct_cells(gauge.phi, start=1), arith),
+        "u": _extrema(distinct_cells(gauge.u, start=1), arith),
         "support_ok": gauge.support_ok,
         "u_positive": gauge.u_positive,
     }
@@ -67,15 +66,12 @@ def gauge_summary(gauge, arith: Arithmetic):
 def solution_summary(solution: StructureSolution | None, arith: Arithmetic):
     if solution is None:
         return None
-    kbars = [x for path in solution.driver_coefficients.paths for v in path[1:]
-             for x in v]
-    jumps = [v[0] for row in zip(*solution.martingale.increments()) for v in row]
-    defl = [v[0] for path in solution.deflator.paths for v in path]
     return {
-        "coefficients": _extrema(kbars, arith),
-        "jump": _extrema(jumps, arith),
-        "deflator": _extrema(defl, arith),
-        "jump_bound_ok": solution.jump_bound_ok,
+        "coefficients": _extrema(distinct_cells(solution.driver_coefficients, start=1),
+                                 arith),
+        "jump": _extrema(distinct_cells(solution.martingale, increments=True), arith),
+        "deflator": _extrema(distinct_cells(solution.deflator), arith),
+        "jump_bound_ok": True,
     }
 
 

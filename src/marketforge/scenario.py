@@ -1,7 +1,7 @@
 """Scenario and site file ingestion.
 
-Scenario files are JSON.  In exact mode every number is parsed to a
-Fraction -- JSON literals through parse hooks, "p/q" and decimal strings
+Scenario files are JSON.  In exact mode every number becomes one Fraction
+-- JSON decimals through a parse hook, integers, "p/q" and decimal strings
 through the arithmetic -- so a scenario round-trips bit-exactly.  Validation
 failures carry the path to the offending field ("space.weights[2]: ...").
 """
@@ -27,6 +27,7 @@ from .space import (
     build_initial_enlargement,
     build_progressive_enlargement,
     check_refinement,
+    is_adapted,
     natural_filtration,
 )
 from .viability import Market, ViabilityError
@@ -43,10 +44,7 @@ class ScenarioError(ValueError):
 def parse_document(text: str, arith: Arithmetic):
     """JSON with numbers routed through the arithmetic backend."""
     try:
-        if arith.exact:
-            return json.loads(text, parse_float=Fraction,
-                              parse_int=lambda s: Fraction(int(s)))
-        return json.loads(text)
+        return json.loads(text, parse_float=Fraction if arith.exact else float)
     except json.JSONDecodeError as err:
         raise ValueError(f"not valid JSON: {err}") from None
 
@@ -184,7 +182,7 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
     if not isinstance(weights_doc, list) or len(weights_doc) != len(outcomes):
         raise ScenarioError("space.weights", "expected one weight per outcome")
     # Equal weights share one object, so products with them are computed
-    # once per distinct operand (``space.per_distinct``).
+    # once per distinct operand.
     shared: dict = {}
     weights = [shared.setdefault(w, w) for w in (
         _num(v, f"space.weights[{i}]", arith) for i, v in enumerate(weights_doc))]
@@ -218,6 +216,8 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
     carrier = driver.W
     if "carrier" in doc:
         carrier = _process(doc["carrier"], "carrier", space, arith, horizon)
+        if not is_adapted(carrier, F):
+            raise ScenarioError("carrier", "carrier must be adapted to the base flow")
 
     structure = None
     if "structure" in doc:

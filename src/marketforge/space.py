@@ -11,23 +11,20 @@ This module owns the atom index: each partition's outcome indices
 enclosing coarser atoms (``parents``), and ``Filtration.transitions(t)``,
 each time-(t-1) atom with its time-t children and their conditional masses.
 
-A process holds one value tuple per (outcome, time), and equal cells share
-one tuple object: the loader interns equal input cells
-(:meth:`Process.from_paths`), :meth:`Process.predictable` and
+A process is its time columns: one tuple of per-outcome value cells per
+time t.  Equal cells share one tuple object: the loader interns equal input
+cells (:meth:`Process.from_paths`), :meth:`Process.predictable` and
 :func:`cond_exp` write one tuple per atom, and every kernel maps its
-operands through :func:`per_distinct`, which computes once per distinct
-tuple of operand objects and hands the same result object to every cell
-that shares them.  Sharing thus survives each operation, so an adapted
-process costs one computation per (time, atom) cell, not per (outcome,
-time) cell.  Measurability is a relation to a filtration, decided on
-demand: a process is adapted when its time-t value is constant on every
-time-t atom, predictable when its time-t value is constant on every
-time-(t-1) atom and its time-0 value is deterministic.  Only this module
-and ``calculus`` build a process cell by cell; the other layers hand over
-per-(time, atom) tables (:meth:`Process.predictable`), increment columns
-(``calculus.accumulate``) or input paths, and compare processes with
-:func:`first_mismatch`.  Increments are defined once, here, by
-:meth:`Process.increments` (dX_0 = 0).
+operands through :func:`per_distinct`, once per distinct tuple of operand
+objects, so an adapted process costs one computation per (time, atom) cell.
+Measurability is decided on demand against a filtration (:func:`is_adapted`,
+:func:`is_predictable`).  Increments are defined once, here, and computed
+once per process (:meth:`Process.increments`, dX_0 = 0).  Only this module
+and ``calculus`` know the cell layout: the other layers hand over per-atom
+tables (:meth:`Process.predictable`), increment columns
+(``calculus.accumulate``) or input paths, and read processes through
+:meth:`Process.on_atoms`, :func:`first_failing`, :func:`first_mismatch` and
+:func:`distinct_cells`.
 """
 
 from __future__ import annotations
@@ -295,7 +292,7 @@ def natural_filtration(space: SampleSpace, processes: Sequence["Process"]) -> Fi
     part = Partition.trivial(space)
     for t in range(horizon + 1):
         for proc in processes:
-            part = part.refine_by([proc.at(o, t) for o in space.outcomes])
+            part = part.refine_by(proc.columns[t])
         parts.append(part)
     return Filtration(space, tuple(parts))
 
@@ -361,8 +358,8 @@ def _cell_key(v: tuple):
     return v if 0 not in v else (v, tuple(map(repr, v)))
 
 
-def per_distinct(op, *columns) -> list:
-    """``[op(*cells) for cells in zip(*columns)]``, computing op once per
+def per_distinct(op, *columns) -> tuple:
+    """``tuple(op(*cells) for cells in zip(*columns))``, computing op once per
     distinct tuple of operand objects and reusing that result object.
 
     The memo is keyed by ``id`` and lives for this call only; the columns
@@ -373,112 +370,91 @@ def per_distinct(op, *columns) -> list:
     keys = list(zip(*(map(id, column) for column in columns)))
     firsts = dict(zip(keys, zip(*columns)))  # one operand tuple per key
     memo = {key: op(*cells) for key, cells in firsts.items()}
-    return [memo[key] for key in keys]
+    return tuple(map(memo.__getitem__, keys))
 
 
 @dataclass(frozen=True, eq=False)
 class Process:
-    """A path-valued map: one length-dim value vector per (outcome, time).
+    """A process as its time columns: ``columns[t][i]`` is the value vector
+    of outcome i at time t, all of one length ``dim``.
 
-    ``paths[i][t]`` is the value vector for outcome i at time t; cells with
-    equal values may be one shared tuple.  ``shape`` views the vector as a
-    (rows, cols) matrix for integrand bookkeeping; plain vectors are
-    (dim, 1).  Whether it is adapted or predictable is decided against a
-    filtration by :func:`is_adapted`/:func:`is_predictable`.
+    Cells with equal values may be one shared tuple.  Whether the process
+    is adapted or predictable is decided against a filtration by
+    :func:`is_adapted`/:func:`is_predictable`.
     """
 
     space: SampleSpace
-    paths: tuple[tuple[tuple[Num, ...], ...], ...]
-    shape: tuple[int, int] | None = None
+    columns: tuple[tuple[tuple[Num, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.paths) != self.space.size:
-            raise SpaceError("process needs one path per outcome")
-        if not self.paths[0]:
+        if not self.columns:
             raise SpaceError("process needs at least time 0")
-        horizon = len(self.paths[0]) - 1
-        dims = {len(v) for path in self.paths for v in path}
-        if len(dims) != 1:
+        if any(len(column) != self.space.size for column in self.columns):
+            raise SpaceError("process needs one value per outcome at each time")
+        if len({len(v) for column in self.columns for v in column}) != 1:
             raise SpaceError("all value vectors must share one dimension")
-        if any(len(path) != horizon + 1 for path in self.paths):
-            raise SpaceError("all paths must share one horizon")
-        dim = dims.pop()
-        if self.shape is None:
-            object.__setattr__(self, "shape", (dim, 1))
-        if self.shape[0] * self.shape[1] != dim:
-            raise SpaceError("shape does not match value dimension")
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def from_paths(cls, space: SampleSpace, paths,
-                   shape: tuple[int, int] | None = None) -> "Process":
-        """Build from per-outcome paths; scalar entries are wrapped to
-        1-vectors, and equal cells are interned to one shared tuple."""
+    def from_paths(cls, space: SampleSpace, paths) -> "Process":
+        """Build from per-outcome paths, ``paths[i][t]``; scalar entries are
+        wrapped to 1-vectors, and equal cells are interned to one shared
+        tuple."""
         cells: dict = {}
-        fixed = tuple(tuple(cells.setdefault(_cell_key(v), v)
-                            for v in map(_as_vector, path)) for path in paths)
-        return cls(space, fixed, shape=shape)
+        fixed = [tuple(cells.setdefault(_cell_key(v), v) for v in map(_as_vector, path))
+                 for path in paths]
+        if len(fixed) != space.size:
+            raise SpaceError("process needs one path per outcome")
+        if len(set(map(len, fixed))) > 1:
+            if len({len(v) for path in fixed for v in path}) > 1:
+                raise SpaceError("all value vectors must share one dimension")
+            raise SpaceError("all paths must share one horizon")
+        return cls(space, tuple(zip(*fixed)))
 
     @classmethod
-    def from_columns(cls, space: SampleSpace, columns,
-                     shape: tuple[int, int] | None = None) -> "Process":
-        """Build from time-major columns, the layout of :meth:`columns`."""
-        return cls(space, tuple(zip(*columns)), shape=shape)
-
-    @classmethod
-    def from_values(cls, space: SampleSpace, fn, horizon: int, dim: int = 1,
-                    shape: tuple[int, int] | None = None) -> "Process":
+    def from_values(cls, space: SampleSpace, fn, horizon: int, dim: int = 1) -> "Process":
         """Build from fn(outcome, t) returning a scalar or a length-dim vector."""
-        paths = []
-        for o in space.outcomes:
-            path = []
-            for t in range(horizon + 1):
-                v = _as_vector(fn(o, t))
-                if len(v) != dim:
-                    raise SpaceError("value dimension mismatch")
-                path.append(v)
-            paths.append(tuple(path))
-        return cls(space, tuple(paths), shape=shape)
+        columns = tuple(tuple(_as_vector(fn(o, t)) for o in space.outcomes)
+                        for t in range(horizon + 1))
+        if any(len(v) != dim for column in columns for v in column):
+            raise SpaceError("value dimension mismatch")
+        return cls(space, columns)
 
     @classmethod
     def predictable(cls, filtration: "Filtration", table, dim: int = 1,
-                    shape: tuple[int, int] | None = None, initial=None) -> "Process":
+                    initial=None) -> "Process":
         """Build from per-atom values: the time-t value is ``table[(t, k)]`` on
         the time-(t-1) atom k, the time-0 value is ``initial`` (zero if None)."""
         v0 = (0,) * dim if initial is None else _as_vector(initial)
         if len(v0) != dim:
             raise SpaceError("value dimension mismatch")
-        cols = []
+        columns = [(v0,) * filtration.space.size]
         for t in range(1, filtration.horizon + 1):
-            col = [None] * filtration.space.size
+            column = [None] * filtration.space.size
             for k, members in enumerate(filtration.at(t - 1).members):
                 v = _as_vector(table[(t, k)])
                 for i in members:
-                    col[i] = v
-            cols.append(col)
-        paths = tuple((v0,) + tuple(col[i] for col in cols)
-                      for i in range(filtration.space.size))
-        return cls(filtration.space, paths, shape=shape)
+                    column[i] = v
+            columns.append(tuple(column))
+        return cls(filtration.space, tuple(columns))
 
     @classmethod
     def constant(cls, space: SampleSpace, horizon: int, value) -> "Process":
-        v = _as_vector(value)
-        path = tuple(v for _ in range(horizon + 1))
-        return cls(space, tuple(path for _ in space.outcomes))
+        return cls(space, ((_as_vector(value),) * space.size,) * (horizon + 1))
 
     # -- access ----------------------------------------------------------------
 
     @property
     def horizon(self) -> int:
-        return len(self.paths[0]) - 1
+        return len(self.columns) - 1
 
     @property
     def dim(self) -> int:
-        return len(self.paths[0][0])
+        return len(self.columns[0][0])
 
     def at(self, outcome: str, t: int) -> tuple[Num, ...]:
-        return self.paths[self.space.index(outcome)][t]
+        return self.columns[t][self.space.index(outcome)]
 
     def value(self, outcome: str, t: int) -> Num:
         v = self.at(outcome, t)
@@ -490,29 +466,31 @@ class Process:
         """Increment at time t; by convention the time-0 increment vanishes."""
         if t == 0:
             return (0,) * self.dim
-        path = self.paths[self.space.index(outcome)]
-        return _sub(path[t], path[t - 1])
+        i = self.space.index(outcome)
+        return _sub(self.columns[t][i], self.columns[t - 1][i])
 
-    def columns(self) -> list:
-        """Time-major view: entry t holds the time-t cell of every outcome."""
-        return list(zip(*self.paths))
-
-    def increments(self) -> list:
+    def increments(self) -> tuple:
         """Increment columns: entry t - 1 holds dX_t for every outcome, in
-        outcome order, for t = 1..horizon.  Recomputed on each call."""
-        cols = self.columns()
-        return [per_distinct(_sub, cols[t], cols[t - 1]) for t in range(1, len(cols))]
+        outcome order, for t = 1..horizon.  Computed once per process."""
+        return self._increments
 
-    def map_cells(self, op, *others: "Process", shape=None) -> "Process":
+    @cached_property
+    def _increments(self) -> tuple:
+        cols = self.columns
+        return tuple(per_distinct(_sub, cols[t], cols[t - 1]) for t in range(1, len(cols)))
+
+    def on_atoms(self, t: int, atoms, increments: bool = False) -> list:
+        """X_t (dX_t with ``increments``) on each of the given atoms, read at
+        the atom's first outcome: the process must be constant there."""
+        column = self.increments()[t - 1] if increments else self.columns[t]
+        index = self.space.index
+        return [column[index(atom[0])] for atom in atoms]
+
+    def map_cells(self, op, *others: "Process") -> "Process":
         """The process whose cells are ``op(cell, *other cells)``, computed
-        per distinct operand tuple; ``shape`` defaults to this one's when op
-        keeps the dimension."""
-        for other in others:
-            if self.space is not other.space or self.horizon != other.horizon:
-                raise SpaceError("processes live on different grids")
-        columns = zip(self.columns(), *(other.columns() for other in others))
-        return Process.from_columns(self.space, [per_distinct(op, *c) for c in columns],
-                                    shape=shape)
+        per distinct operand tuple; the others must share this one's grid."""
+        columns = zip(self.columns, *(other.columns for other in others))
+        return Process(self.space, tuple(per_distinct(op, *c) for c in columns))
 
     def component(self, j: int) -> "Process":
         return self.map_cells(lambda v: (v[j],))
@@ -524,8 +502,7 @@ class Process:
             raise SpaceError("processes live on different grids")
         if self.dim != other.dim:
             raise SpaceError("dimension mismatch")
-        return self.map_cells(lambda u, v: tuple(op(a, b) for a, b in zip(u, v)),
-                              other, shape=self.shape)
+        return self.map_cells(lambda u, v: tuple(op(a, b) for a, b in zip(u, v)), other)
 
     def __add__(self, other: "Process") -> "Process":
         return self._zip(other, lambda a, b: a + b)
@@ -537,12 +514,12 @@ class Process:
         return self.scale(-1)
 
     def scale(self, c: Num) -> "Process":
-        return self.map_cells(lambda v: tuple(c * a for a in v), shape=self.shape)
+        return self.map_cells(lambda v: tuple(c * a for a in v))
 
     def shift(self, c) -> "Process":
         """Add a constant (scalar or vector) to every value."""
         v0 = tuple(c) if isinstance(c, (tuple, list)) else (c,) * self.dim
-        return self.map_cells(lambda v: _add(v, v0), shape=self.shape)
+        return self.map_cells(lambda v: _add(v, v0))
 
     def times(self, other: "Process") -> "Process":
         """Pointwise product, defined for scalar processes."""
@@ -552,10 +529,36 @@ class Process:
 
     def lagged(self) -> "Process":
         """Previous-time version: value at t is the value at t-1 (predictable)."""
-        paths = []
-        for path in self.paths:
-            paths.append((path[0],) + tuple(path[t - 1] for t in range(1, len(path))))
-        return Process(self.space, tuple(paths), shape=self.shape)
+        return Process(self.space, self.columns[:1] + self.columns[:-1])
+
+
+def _first_false(flags) -> tuple[int, int] | None:
+    """(i, t) of the first false flag in outcome-major order (outcome i, then
+    its times), from (t, flag column) pairs, or None when every flag holds."""
+    return min(((column.index(False), t) for t, column in flags if not all(column)),
+               default=None)
+
+
+def first_failing(X: Process, test=None, start=None, increments: bool = False):
+    """(i, t) of the first cell of X failing its test, in outcome-major order,
+    or None when every tested cell passes.
+
+    ``test`` runs at every time, ``start`` in its place at time 0; a time
+    left without a test is skipped.  With ``increments`` the cells are dX_t
+    for t >= 1.  Each test runs once per distinct cell of a column.
+    """
+    columns = enumerate(X.increments(), 1) if increments else enumerate(X.columns)
+    return _first_false((t, per_distinct(check, column)) for t, column in columns
+                        if (check := start or test if t == 0 else test) is not None)
+
+
+def distinct_cells(X: Process, start: int = 0, increments: bool = False) -> list:
+    """The distinct cell objects of X from time ``start`` on (of its
+    increments dX_t, t >= 1, with ``increments``), in first-seen
+    outcome-major order."""
+    columns = X.increments() if increments else X.columns[start:]
+    cells = [v for row in zip(*columns) for v in row]
+    return list(dict(zip(map(id, cells), cells)).values())
 
 
 def first_mismatch(X: Process, Y: Process):
@@ -563,33 +566,21 @@ def first_mismatch(X: Process, Y: Process):
 
     Returns (outcome, t, a, b) with a and b the first unequal components,
     or None when every value agrees under the space's arithmetic.  Each
-    distinct pair of cell objects is compared once; in exact mode a cell
-    is equal to itself without a comparison.
+    distinct pair of cell objects of a column is compared once; in exact
+    mode a cell is equal to itself without a comparison.
     """
     if X.space is not Y.space or X.horizon != Y.horizon or X.dim != Y.dim:
         raise SpaceError("processes live on different grids")
     eq = X.space.arith.eq
     exact = X.space.arith.exact
-    agreed = set()
-    for o, p, q in zip(X.space.outcomes, X.paths, Y.paths):
-        for t, (u, v) in enumerate(zip(p, q)):
-            if (exact and u is v) or (id(u), id(v)) in agreed:
-                continue
-            for a, b in zip(u, v):
-                if not eq(a, b):
-                    return o, t, a, b
-            agreed.add((id(u), id(v)))
-    return None
-
-
-def first_false(flags) -> tuple[int, int] | None:
-    """(i, t) of the first false entry of per-time flag columns, in
-    outcome-major order (outcome i, then its times), or None when every
-    flag holds."""
-    if all(map(all, flags)):
+    miss = _first_false(
+        (t, per_distinct(lambda u, v: (exact and u is v) or all(map(eq, u, v)), cx, cy))
+        for t, (cx, cy) in enumerate(zip(X.columns, Y.columns)))
+    if miss is None:
         return None
-    return next((i, t) for i, row in enumerate(zip(*flags))
-                for t, ok in enumerate(row) if not ok)
+    i, t = miss
+    a, b = next((a, b) for a, b in zip(X.columns[t][i], Y.columns[t][i]) if not eq(a, b))
+    return X.space.outcomes[i], t, a, b
 
 
 def _constant_on(X: Process, t: int, groups) -> bool:
@@ -597,7 +588,7 @@ def _constant_on(X: Process, t: int, groups) -> bool:
     mode a cell shared with the group's first is equal without a check."""
     eq = X.space.arith.eq
     exact = X.space.arith.exact
-    column = [path[t] for path in X.paths]
+    column = X.columns[t]
     for m in groups:
         first = column[m[0]]
         for i in m[1:]:

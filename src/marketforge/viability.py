@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from . import linalg
 from .calculus import (
     Decomposition,
-    accumulate,
     bracket,
     centred,
     compensator,
@@ -28,6 +27,7 @@ from .calculus import (
     is_martingale,
     pred_bracket,
     stoch_exp,
+    sum_steps,
 )
 from .enlarge import DriftGauge, drift
 from .jumpkernel import AccessibleSite, CoercivityFailure, PsdSolve, SiteChild, xi_accessible, check_jump_bound
@@ -36,10 +36,9 @@ from .space import (
     EnlargementPair,
     Filtration,
     Process,
-    first_false,
+    first_failing,
     first_mismatch,
     is_adapted,
-    per_distinct,
 )
 
 VIABLE = "viable"
@@ -82,8 +81,7 @@ class Market:
             raise ViabilityError("price horizon must match the flow horizon")
         if not is_adapted(self.S, self.F):
             raise ViabilityError("prices must be adapted to the base flow")
-        miss = first_false([per_distinct(lambda v: all(x > 0 for x in v), col)
-                            for col in self.S.columns()])
+        miss = first_failing(self.S, lambda v: all(x > 0 for x in v))
         if miss is not None:
             o, t = self.S.space.outcomes[miss[0]], miss[1]
             raise ViabilityError(f"price must stay positive (outcome {o}, t={t})")
@@ -113,8 +111,7 @@ class StructureSolution:
     driver_coefficients: Process
     martingale: Process
     deflator: Process
-    jump_bound_ok: bool
-    diagnostics: tuple
+    diagnostics: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,16 +121,6 @@ class Verdict:
     status: str
     witness: FailureWitness | None = None
     solution: StructureSolution | None = None
-
-
-@dataclass(frozen=True)
-class FSolveRecord:
-    """Per-(time, atom) base-flow solve diagnostics."""
-
-    t: int
-    atom: tuple[str, ...]
-    coefficients: tuple
-    residual: tuple
 
 
 @dataclass(frozen=True)
@@ -159,53 +146,47 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
     """
     F = market.F
     arith = market.space.arith
-    index = market.space.index
-    W = driver.W
+    M, W = market.martingale_part, driver.W
     k, d = market.k, driver.d
     table = {}
-    records = []
-    for t, dM, dW, dSv in zip(range(1, F.horizon + 1), market.martingale_part.increments(),
-                              W.increments(), market.drift_part.increments()):
+    for t in range(1, F.horizon + 1):
+        targets = market.drift_part.on_atoms(t, F.at(t - 1).atoms, increments=True)
         for idx, atom, children in F.transitions(t):
+            kids = [child for child, _ in children]
             Q = [[0] * d for _ in range(k)]
-            for child, p in children:
-                dm = dM[index(child[0])]
-                dw = dW[index(child[0])]
+            for (_, p), dm, dw in zip(children, M.on_atoms(t, kids, increments=True),
+                                      W.on_atoms(t, kids, increments=True)):
                 for i in range(k):
                     for j in range(d):
                         Q[i][j] += p * dm[i] * dw[j]
-            target = list(dSv[index(atom[0])])
+            target = list(targets[idx])
             coeffs, residual = linalg.lstsq_min_norm(Q, target, arith)
             if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([target])):
                 raise NonViable(FailureWitness("drift-not-spanned", t, atom,
                                                tuple(residual)))
             table[(t, idx)] = tuple(coeffs)
-            records.append(FSolveRecord(t, atom, tuple(coeffs), tuple(residual)))
     dbar = Process.predictable(F, table, d)
     D = integrate(dbar, W)
-    for t, dD in enumerate(D.increments(), 1):
-        for atom, members in zip(F.at(t).atoms, F.at(t).members):
-            jump = dD[members[0]][0]
+    for t in range(1, F.horizon + 1):
+        atoms = F.at(t).atoms
+        for atom, (jump,) in zip(atoms, D.on_atoms(t, atoms, increments=True)):
             if not jump < 1:
                 raise NonViable(FailureWitness("jump-bound", t, atom, jump))
     deflator = stoch_exp(-D)
-    return StructureSolution(dbar, D, deflator, True, tuple(records))
+    return StructureSolution(dbar, D, deflator)
 
 
 def verify_deflator(deflator: Process, market: Market, filtration: Filtration):
     """Deflated-martingale battery: the deflator itself and each deflated
     asset.  Returns (ok, witness)."""
     arith = market.space.arith
-    cols = deflator.columns()
     # A time-0 value equal to 1 is positive, so the first failing cell is a
     # start failure exactly when it sits at t = 0.
-    miss = first_false([per_distinct(lambda v: arith.eq(v[0], 1), cols[0])]
-                       + [per_distinct(lambda v: v[0] > 0, col) for col in cols[1:]])
+    miss = first_failing(deflator, lambda v: v[0] > 0, start=lambda v: arith.eq(v[0], 1))
     if miss is not None:
-        i, t = miss
+        o, t = market.space.outcomes[miss[0]], miss[1]
         reason = "deflator-start" if t == 0 else "deflator-not-positive"
-        return False, FailureWitness(reason, t, (market.space.outcomes[i],),
-                                     cols[t][i][0])
+        return False, FailureWitness(reason, t, (o,), deflator.at(o, t)[0])
     ok, witness = is_martingale(deflator, filtration)
     if not ok:
         return False, FailureWitness("deflator-drifts", witness.t, witness.atom,
@@ -233,31 +214,25 @@ def price_drift_rhs(market: Market, D: Process, gauge: DriftGauge) -> Process:
     n = gauge.N.dim
     pb_d = pred_bracket(D, M, F)          # components [D, M_i]
     pb_n = pred_bracket(gauge.N, M, F)    # flat (n, k): j * k + i
-    phi = gauge.phi.columns()
-    columns = (
-        per_distinct(lambda dd, dn, ph: tuple(
-            dd[i] + sum((ph[j] * dn[j * k + i] for j in range(n)), 0) for i in range(k)),
-            cd, cn, phi[t])
-        for t, (cd, cn) in enumerate(zip(pb_d.increments(), pb_n.increments()), 1))
-    rhs = accumulate(market.space, columns, k)
+    rhs = sum_steps(lambda dd, dn, ph: tuple(
+        dd[i] + sum((ph[j] * dn[j * k + i] for j in range(n)), 0) for i in range(k)),
+        k, (pb_d, pb_n), (gauge.phi,))
     observed = compensator(centred(market.S), gauge.pair.expanded)
     if first_mismatch(rhs, observed) is not None:
         raise AssertionError("gauge does not reproduce the expanded-flow price drift")
     return rhs
 
 
-def _build_site(market: Market, driver: Driver, phi, steps,
+def _build_site(market: Market, driver: Driver, phi, processes, t: int,
                 transition) -> AccessibleSite:
     """Accessible site for one (time, expanded atom): base-flow child
     probabilities, driver jumps, gauge tilts through the atom's integrand
-    ``phi``, and structure-martingale deltas.  ``steps`` holds the time-t
-    increment columns of the driver, the carrier and D."""
-    dW, dN, dD = steps
-    children = []
-    for child, p in transition:
-        i = market.space.index(child[0])
-        nu = sum((a * b for a, b in zip(phi, dN[i])), 0)
-        children.append(SiteChild(p, dW[i], nu, dD[i][0]))
+    ``phi``, and structure-martingale deltas.  ``processes`` holds the
+    driver, the carrier and D, read by their time-t increments."""
+    kids = [child for child, _ in transition]
+    dW, dN, dD = (X.on_atoms(t, kids, increments=True) for X in processes)
+    children = [SiteChild(p, dw, sum((a * b for a, b in zip(phi, dn)), 0), dd[0])
+                for (_, p), dw, dn, dd in zip(transition, dW, dN, dD)]
     return AccessibleSite(driver.d, tuple(children), arith=market.space.arith)
 
 
@@ -308,14 +283,14 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
                                        FailureWitness("tilt-floor", t, atom, u))
     table = {}
     records = []
-    phi = gauge.phi.columns()
-    for t, steps in enumerate(zip(W.increments(), gauge.N.increments(), D.increments()), 1):
+    for t in range(1, G.horizon + 1):
         g_part = G.at(t - 1)
         transitions = market.F.transitions(t)
-        for idx, (g_atom, members, k) in enumerate(zip(
-                g_part.atoms, g_part.members, g_part.parents(market.F.at(t - 1)))):
+        for idx, (g_atom, phi, k) in enumerate(zip(
+                g_part.atoms, gauge.phi.on_atoms(t, g_part.atoms),
+                g_part.parents(market.F.at(t - 1)))):
             _, base_atom, transition = transitions[k]
-            site = _build_site(market, driver, phi[t][members[0]], steps, transition)
+            site = _build_site(market, driver, phi, (W, gauge.N, D), t, transition)
             try:
                 solve = xi_accessible(site)
             except CoercivityFailure as err:
@@ -338,15 +313,13 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
             return Verdict(NON_VIABLE,
                            FailureWitness("jump-bound", record.t, record.atom,
                                           bad))
-    dY = Y.increments()
-    miss = first_false([per_distinct(lambda v: v[0] < 1, col) for col in dY])
+    miss = first_failing(Y, lambda v: v[0] < 1, increments=True)
     if miss is not None:
-        i, t = miss[0], miss[1] + 1
+        o, t = space.outcomes[miss[0]], miss[1]
         return Verdict(NON_VIABLE,
-                       FailureWitness("jump-bound", t, G.at(t).atom_of(space.outcomes[i]),
-                                      dY[t - 1][i][0]))
+                       FailureWitness("jump-bound", t, G.at(t).atom_of(o), Y.delta(o, t)[0]))
     deflator = stoch_exp(-Y)
-    solution = StructureSolution(kbar, Y, deflator, True, tuple(records))
+    solution = StructureSolution(kbar, Y, deflator, tuple(records))
     rhs = price_drift_rhs(market, D, gauge)
     M_tilde = market.martingale_part - drift(market.martingale_part, pair)
     miss = first_mismatch(compensator(bracket(Y, M_tilde), G), rhs)

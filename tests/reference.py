@@ -198,8 +198,8 @@ class NotRepresentable(Exception):
 class RepresentationCoefficients:
     """Predictable integrands k with transpose(k_t) dW_t = dX_t.
 
-    ``kbar`` is (d x target_dim)-shaped; its stochastic integral against the
-    driver reproduces X - X_0.
+    ``kbar`` holds a (d x target_dim) matrix per cell, flattened row by row;
+    its stochastic integral against the driver reproduces X - X_0.
     """
 
     driver: Driver
@@ -207,7 +207,14 @@ class RepresentationCoefficients:
     target_dim: int
 
     def integral(self) -> Process:
-        return integrate(self.kbar, self.driver.W)
+        """Running sums of transpose(kbar_t) dW_t, one column per target
+        component, cell by cell."""
+        W, k = self.driver.W, self.target_dim
+        rows = range(self.driver.d)
+        columns = [[tuple(sum((h[r * k + c] * dw[r] for r in rows), 0) for c in range(k))
+                    for h, dw in zip(self.kbar.columns[t], dW)]
+                   for t, dW in enumerate(increments(W), 1)]
+        return accumulate(W.space, columns, k)
 
 
 def represent(X: Process, driver: Driver) -> RepresentationCoefficients:
@@ -240,7 +247,7 @@ def represent(X: Process, driver: Driver) -> RepresentationCoefficients:
                 for e in range(d):
                     flat[e * k + i] = coeff[e]
             values[(t, atom_idx)] = tuple(flat)
-    kbar = Process.predictable(F, values, d * k, shape=(d, k))
+    kbar = Process.predictable(F, values, d * k)
     return RepresentationCoefficients(driver, kbar, k)
 
 
@@ -286,9 +293,8 @@ def lift_filtration(F: Filtration, product: SampleSpace) -> Filtration:
 
 
 def lift_process(X: Process, product: SampleSpace) -> Process:
-    back = lift_to_product(product, X.space)
-    paths = tuple(X.paths[X.space.index(b)] for b in back)
-    return Process(product, paths, shape=X.shape)
+    rows = [X.space.index(b) for b in lift_to_product(product, X.space)]
+    return Process(product, tuple(tuple(column[i] for i in rows) for column in X.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +329,21 @@ def _as_vector(v) -> tuple:
     return tuple(v) if isinstance(v, (tuple, list)) else (v,)
 
 
-def _step(path, t: int) -> tuple:
-    """dX_t = X_t - X_{t-1} along one path, for t >= 1."""
-    return tuple(a - b for a, b in zip(path[t], path[t - 1]))
-
-
 def increments(X: Process) -> list:
-    """Increment columns: entry t - 1 holds dX_t for every outcome."""
-    return [[_step(path, t) for path in X.paths]
+    """Increment columns: entry t - 1 holds dX_t = X_t - X_{t-1} for every
+    outcome, one subtraction per cell."""
+    cols = X.columns
+    return [[tuple(a - b for a, b in zip(u, v)) for u, v in zip(cols[t], cols[t - 1])]
             for t in range(1, X.horizon + 1)]
 
 
-def accumulate(space, columns, dim, shape=None) -> Process:
+def accumulate(space, columns, dim) -> Process:
     """Running sums from 0 of increment columns, outcome by outcome."""
-    paths = [[(0,) * dim] for _ in space.outcomes]
+    levels = [tuple((0,) * dim for _ in space.outcomes)]
     for column in columns:
-        for path, inc in zip(paths, column):
-            path.append(tuple(a + b for a, b in zip(path[-1], inc)))
-    return Process(space, tuple(map(tuple, paths)), shape=shape)
+        levels.append(tuple(tuple(a + b for a, b in zip(level, inc))
+                            for level, inc in zip(levels[-1], column)))
+    return Process(space, tuple(levels))
 
 
 def cond_exp(values, partition: Partition, space: SampleSpace) -> list:
@@ -372,11 +375,11 @@ def zip_with(X: Process, Y: Process, op) -> Process:
         raise SpaceError("processes live on different grids")
     if X.dim != Y.dim:
         raise SpaceError("dimension mismatch")
-    paths = tuple(
+    columns = tuple(
         tuple(tuple(op(a, b) for a, b in zip(u, v)) for u, v in zip(p, q))
-        for p, q in zip(X.paths, Y.paths)
+        for p, q in zip(X.columns, Y.columns)
     )
-    return Process(X.space, paths, shape=X.shape)
+    return Process(X.space, columns)
 
 
 def stoch_exp(X: Process) -> Process:
@@ -390,4 +393,4 @@ def stoch_exp(X: Process) -> Process:
             level = level * (1 + X.value(o, t) - X.value(o, t - 1))
             path.append((level,))
         paths.append(tuple(path))
-    return Process(X.space, tuple(paths))
+    return Process(X.space, tuple(zip(*paths)))

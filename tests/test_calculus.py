@@ -163,7 +163,7 @@ def test_integrate_linearity_and_associativity():
 
 
 def test_integrate_vector_transpose_rule():
-    # A (d x 1)-shaped integrand against a d-dimensional integrator gives the
+    # A d-dimensional integrand against a d-dimensional integrator gives the
     # running inner product of coefficients with increments.
     fx = b2()
     W2 = Process.from_values(
@@ -171,9 +171,7 @@ def test_integrate_vector_transpose_rule():
         lambda o, t: (fx.W.value(o, t), F(2) * fx.W.value(o, t)),
         fx.F.horizon, dim=2,
     )
-    H = Process.from_values(
-        fx.space, lambda o, t: (F(1), F(1)), fx.F.horizon, dim=2, shape=(2, 1),
-    )
+    H = Process.from_values(fx.space, lambda o, t: (F(1), F(1)), fx.F.horizon, dim=2)
     I = integrate(H, W2)
     assert I.dim == 1
     assert I.value("uu", 2) == fx.W.value("uu", 2) * 3

@@ -203,6 +203,29 @@ def test_analyze_validation_errors_name_the_field(tmp_path, capsys):
     assert code == 3 and "driver" in err
 
 
+def _noisy_signal_with_unadapted(field):
+    """The noisy-signal scenario with a driver the flow does not see at
+    time 1, or with a carrier that splits the time-2 atom {uu0, uu1}."""
+    doc = json.loads((SCENARIOS / "noisy_signal.json").read_text())
+    outcomes = doc["space"]["outcomes"]
+    if field == "driver":
+        doc["flow"] = [[outcomes], [outcomes], [[o] for o in outcomes]]
+    else:
+        doc["carrier"] = [list(path) for path in doc["driver"]]
+        doc["carrier"][1] = [0, 2, 3]
+    return doc
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("field", ["driver", "carrier"])
+def test_analyze_unadapted_driver_or_carrier_exits_3(tmp_path, capsys, field, mode):
+    doc = _noisy_signal_with_unadapted(field)
+    code, out, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode], capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: {field}: {field} must be adapted to the " \
+        f"{'filtration' if field == 'driver' else 'base flow'}\n"
+
+
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))  # NaN, Infinity, -Infinity
 
 

@@ -101,7 +101,7 @@ class CellMaker:
         if start_at_zero:
             zero = (self.arith.parse(0),) * dim
             cols[0] = [zero] * space.size
-        return Process(space, tuple(zip(*cols)))
+        return Process(space, tuple(map(tuple, cols)))
 
 
 def models(mode):
@@ -121,8 +121,8 @@ def test_increments_and_accumulate_match_the_per_cell_kernels(mode):
             X = make.process(space, F.horizon, dim)
             assert_same(X.increments(), ref.increments(X))
             columns = [make.column(space.size, dim) for _ in range(F.horizon)]
-            assert_same(accumulate(space, columns, dim).paths,
-                        ref.accumulate(space, columns, dim).paths)
+            assert_same(accumulate(space, columns, dim).columns,
+                        ref.accumulate(space, columns, dim).columns)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -147,8 +147,8 @@ def test_algebra_and_stoch_exp_match_the_per_cell_kernels(mode):
         Y = make.process(space, F.horizon, 1)
         for got, op in ((X + Y, lambda a, b: a + b), (X - Y, lambda a, b: a - b),
                         (X.times(Y), lambda a, b: a * b)):
-            assert_same(got.paths, ref.zip_with(X, Y, op).paths)
-        assert_same(stoch_exp(X).paths, ref.stoch_exp(X).paths)
+            assert_same(got.columns, ref.zip_with(X, Y, op).columns)
+        assert_same(stoch_exp(X).columns, ref.stoch_exp(X).columns)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -159,10 +159,16 @@ def test_interning_keeps_every_bit_and_shares_equal_cells(mode):
     paths = [[zero if i % 2 else negzero, arith.parse("1/2"), arith.parse("1/2")]
              for i in range(fx.space.size)]
     X = Process.from_paths(fx.space, paths)
-    assert _cells(X.paths) == _cells([[(x,) for x in path] for path in paths])
-    assert len({id(v) for path in X.paths for v in path[1:]}) == 1
-    assert first_mismatch(X, Process(fx.space, X.paths)) is None
+    assert _cells(X.columns) == _cells([[(x,) for x in col] for col in zip(*paths)])
+    assert len({id(v) for col in X.columns[1:] for v in col}) == 1
+    assert first_mismatch(X, Process(fx.space, X.columns)) is None
     assert is_adapted(X, fx.F)
+
+
+def test_increments_are_computed_once_per_process():
+    fx = b2n()
+    assert fx.W.increments() is fx.W.increments()
+    assert (fx.W + fx.W).increments() is not fx.W.increments()
 
 
 def test_per_distinct_calls_op_once_per_distinct_operand_tuple():
@@ -174,5 +180,5 @@ def test_per_distinct_calls_op_once_per_distinct_operand_tuple():
         return (u[0] + v[0],)
 
     out = per_distinct(op, [a, a, b, a], [b, b, b, a])
-    assert out == [(2,)] * 4
+    assert out == ((2,),) * 4
     assert len(calls) == 3 and out[0] is out[1]

@@ -104,12 +104,11 @@ def test_predictable_from_atom_table_on_b2n():
         return Process.from_paths(fx.space, [
             [v0] + [table[(t, G.at(t - 1).atom_index(o))] for t in (1, 2)]
             for o in fx.space.outcomes
-        ], shape=(1, 2))
+        ])
 
     for initial, v0 in ((None, (0, 0)), ((F(1, 3), F(2)), (F(1, 3), F(2)))):
-        X = Process.predictable(G, table, 2, shape=(1, 2), initial=initial)
-        assert X.paths == by_hand(v0).paths
-        assert X.shape == (1, 2)
+        X = Process.predictable(G, table, 2, initial=initial)
+        assert X.columns == by_hand(v0).columns
         assert is_predictable(X, G)
     assert Process.predictable(fx.F, {(1, 0): 5, (2, 0): 6, (2, 1): 7},
                                initial=1).at("du1", 2) == (7,)
@@ -121,7 +120,7 @@ def test_first_mismatch_reports_first_cell_in_outcome_major_order():
     fx = b2()
     X = fx.W
     assert first_mismatch(X, X + Process.constant(fx.space, 2, 0)) is None
-    paths = [list(path) for path in X.paths]
+    paths = [list(path) for path in zip(*X.columns)]
     paths[2][1] = (F(7),)              # outcome "du", time 1
     paths[3][0] = (F(9),)              # a later outcome at an earlier time
     Y = Process.from_paths(fx.space, paths)
@@ -250,13 +249,13 @@ def test_process_algebra_and_increments():
     for arith in (EXACT, FLOAT):
         noisy = b2n(arith)
         stacked = Process.from_paths(noisy.space, [
-            [(w[0], s[0]) for w, s in zip(pw, ps)]
-            for pw, ps in zip(noisy.W.paths, noisy.S.paths)])
+            [(noisy.W.value(o, t), noisy.S.value(o, t)) for t in range(noisy.F.horizon + 1)]
+            for o in noisy.space.outcomes])
         for Z in (noisy.S, stacked):
             columns = Z.increments()
             assert len(columns) == Z.horizon
             for t, column in enumerate(columns, 1):
-                assert column == [Z.delta(o, t) for o in noisy.space.outcomes]
+                assert list(column) == [Z.delta(o, t) for o in noisy.space.outcomes]
             summed = accumulate(noisy.space, columns, Z.dim)
             assert first_mismatch(summed, centred(Z)) is None
     Y = fx.W + fx.W

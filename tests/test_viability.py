@@ -56,7 +56,6 @@ def test_structure_solve_b1():
     assert sol.driver_coefficients.at("u", 1) == (F(1, 5),)
     assert [sol.martingale.value(o, 1) for o in ("u", "d")] == [F(1, 5), F(-1, 5)]
     assert [sol.deflator.value(o, 1) for o in ("u", "d")] == [F(4, 5), F(6, 5)]
-    assert sol.jump_bound_ok
     assert is_martingale(sol.martingale, fx.F)[0]
     # The deflated asset has initial value as expectation: (0.8*1.12 + 1.2*0.92)/2.
     mean = sum(fx.space.weight(o) * sol.deflator.value(o, 1) * fx.S.value(o, 1)
@@ -248,13 +247,13 @@ def test_solve_structure_G_rejects_a_gauge_of_another_driver():
     fx = b2n()
     market, driver = _market(fx), _driver(fx)
     doubled = solve_phi(fx.pair, fx.W, fx.W.scale(2))
-    stacked = solve_phi(fx.pair, fx.W, Process.from_paths(
-        fx.space, [[v + v for v in path] for path in fx.W.paths]))
+    stacked = solve_phi(fx.pair, fx.W, Process.from_values(
+        fx.space, lambda o, t: (fx.W.value(o, t),) * 2, fx.F.horizon, dim=2))
     for gauge in (doubled, stacked):
         with pytest.raises(ViabilityError, match="another driver"):
             solve_structure_G(market, fx.pair, gauge, driver)
     # an equal driver process in a fresh object is the same driver
-    twin = solve_phi(fx.pair, fx.W, Process.from_paths(fx.space, fx.W.paths))
+    twin = solve_phi(fx.pair, fx.W, Process(fx.space, fx.W.columns))
     assert solve_structure_G(market, fx.pair, twin, driver).status == VIABLE
 
 

@@ -82,4 +82,4 @@ def brute_compensator(X, filtration):
             level = tuple(a + b for a, b in zip(level, per_time[t][o]))
             path.append(level)
         paths.append(tuple(path))
-    return Process(space, tuple(paths), shape=X.shape)
+    return Process.from_paths(space, paths)
