@@ -2,7 +2,7 @@
 
 Layers, bottom up.  A process is its time columns, and only ``space`` and
 ``calculus`` know that layout: the layers above pass per-atom tables and
-increment columns, and read processes through accessors (values on atoms,
+per-outcome paths, and read processes through accessors (values on atoms,
 first failing cell, first mismatch, distinct cells).
 
 ``arith``      two arithmetic backends (exact rationals, tolerant floats)
@@ -12,7 +12,7 @@ first failing cell, first mismatch, distinct cells).
 ``calculus``   compensators, brackets, integrals, stochastic exponentials
 ``mrp``        representation drivers and the MRP check
 ``enlarge``    expanded-flow drift (the G-compensator), the gauge (N, phi, u)
-``jumpkernel`` per-(time, atom) jump sites, coercivity certificate, site solve
+``jumpkernel`` one jump-site type, coercivity certificate, one site solve
 ``viability``  structure solves, deflators, and market verdicts
 ``scenario``   JSON ingestion for scenarios and sites
 ``report``     deterministic machine reports and human rendering
@@ -32,19 +32,17 @@ from .calculus import (
 )
 from .enlarge import DriftGauge, check_support_condition, drift, solve_phi
 from .jumpkernel import (
-    AccessibleSite,
     CoercivityFailure,
-    InaccessibleSite,
     KernelError,
     PsdSolve,
+    Site,
     SiteChild,
     check_coercivity,
     check_jump_bound,
     energy_bound,
+    solve_site,
     tilt_floor,
     verify_density,
-    xi_accessible,
-    xi_inaccessible,
 )
 from .mrp import Driver, check_mrp, synthesize_driver
 from .scenario import BuiltScenario, ScenarioError, load_scenario, load_site
@@ -77,7 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ASSUMPTION_VIOLATED",
-    "AccessibleSite",
     "Arithmetic",
     "BuiltScenario",
     "CoercivityFailure",
@@ -88,7 +85,6 @@ __all__ = [
     "FLOAT",
     "FailureWitness",
     "Filtration",
-    "InaccessibleSite",
     "KernelError",
     "Market",
     "NON_VIABLE",
@@ -99,6 +95,7 @@ __all__ = [
     "RandomTime",
     "SampleSpace",
     "ScenarioError",
+    "Site",
     "SiteChild",
     "StructureSolution",
     "VIABLE",
@@ -121,6 +118,7 @@ __all__ = [
     "natural_filtration",
     "pred_bracket",
     "solve_phi",
+    "solve_site",
     "solve_structure_F",
     "solve_structure_G",
     "stoch_exp",
@@ -128,6 +126,4 @@ __all__ = [
     "tilt_floor",
     "verify_deflator",
     "verify_density",
-    "xi_accessible",
-    "xi_inaccessible",
 ]

@@ -36,10 +36,9 @@ from .jumpkernel import (
     check_coercivity,
     check_jump_bound,
     energy_bound,
+    solve_site,
     tilt_floor,
     verify_density,
-    xi_accessible,
-    xi_inaccessible,
 )
 from .scenario import BuiltScenario, ScenarioError, load_scenario, load_site, parse_document
 from .selftest import run_selftest
@@ -255,9 +254,8 @@ def cmd_kernel(args) -> int:
         return loaded
     arith, site, t0 = loaded
 
-    solver = xi_accessible if site.accessible else xi_inaccessible
     try:
-        solve = solver(site)
+        solve = solve_site(site)
     except (NegativeTilt, CoercivityFailure) as err:
         doc_out = report.site_report(arith, site, error=str(err))
         _write_report(args, doc_out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import EXACT, Arithmetic
-from .jumpkernel import AccessibleSite, InaccessibleSite, SiteChild
+from .jumpkernel import Site, SiteChild
 from .space import (
     EnlargementPair,
     Filtration,
@@ -136,15 +136,15 @@ def _children(arith: Arithmetic, rows, dim: int):
     return tuple(out)
 
 
-def insider_site(arith: Arithmetic = EXACT) -> AccessibleSite:
+def insider_site(arith: Arithmetic = EXACT) -> Site:
     """The perfect-insider site: zero expanded Gram, nonzero drift demand."""
     rows = [("1/2", ("1",), "1", "1/5"),
             ("1/2", ("-1",), "-1", "-1/5")]
-    return AccessibleSite(1, _children(arith, rows, 1), arith=arith)
+    return Site(1, _children(arith, rows, 1), True, arith)
 
 
-def k1_site(arith: Arithmetic = EXACT) -> InaccessibleSite:
+def k1_site(arith: Arithmetic = EXACT) -> Site:
     """Two-dimensional inaccessible site with orthogonal child jumps."""
     rows = [("3/5", ("1", "0"), "1/2", "3/10"),
             ("2/5", ("0", "1"), "-1/2", "1/10")]
-    return InaccessibleSite(2, _children(arith, rows, 2), arith=arith)
+    return Site(2, _children(arith, rows, 2), False, arith)

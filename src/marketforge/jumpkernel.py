@@ -3,7 +3,8 @@
 A jump site is the one-step law of a driver jump seen from just before the
 jump: children (the possible post-jump atoms) with probabilities, driver
 jump vectors w, the drift-carrier tilt nu and the structure-martingale jump
-delta.  Two flavors exist:
+delta.  One type, ``Site``, holds both flavors; which one a site has is
+data (``Site.accessible``, the ``kind`` of a site file):
 
 * accessible sites sit at predictable times, so the driver jump is centered
   (sum p w = 0) and the carrier tilt averages out (sum p nu = 0);
@@ -13,12 +14,12 @@ delta.  Two flavors exist:
 Both flavors share one expanded Gram, M = sum (1+nu) p (w - c)(w - c)^T,
 about the centre c = ``centre(site)``: the tilted mean sum (1+nu) p w at an
 accessible site, zero at an inaccessible one.  Every deflator jump is read
-as xi.(w - c); only the per-child identities of ``check_jump_bound`` differ
-by flavor.
+as xi.(w - c); only the per-child identity of ``check_jump_bound`` and its
+skip rule differ by flavor.
 
-The solvers recover the integrand xi of the deflator's jump equation
-transpose(xi) M = r on the site.  The equation is coercive when
-M - u G_F is positive semidefinite for the tilt floor u > 0; after that
+One solver, ``solve_site``, recovers the integrand xi of the deflator's
+jump equation transpose(xi) M = r on the site.  The equation is coercive
+when M - u G_F is positive semidefinite for the tilt floor u > 0; after that
 certificate one minimum-norm solve of the symmetric system M xi = r gives
 xi, and the solution is re-verified against the growth bound and the
 equation itself.  The paper's generalized-inverse recipe on the column
@@ -68,71 +69,46 @@ class PsdSolve:
 
 
 @dataclass(frozen=True, eq=False)
-class AccessibleSite:
-    """Site at a predictable jump time.
+class Site:
+    """One jump site; ``accessible`` is its flavor, read from the site data.
 
-    Invariants: probabilities sum to 1; the driver jump is centered and the
-    tilt averages to zero under the child law; delta < 1 on charged
-    children (structure-martingale jumps stay below one).
+    Invariants: probabilities sum to 1 and delta < 1 on charged children
+    (structure-martingale jumps stay below one).  At an accessible site the
+    driver jump is centered and the tilt averages to zero under the child
+    law; at an inaccessible one the aggregate tilt 1 + sum q nu is positive.
     """
 
     dim: int
     children: tuple[SiteChild, ...]
+    accessible: bool
     arith: Arithmetic = EXACT
 
     def __post_init__(self) -> None:
-        _validate_common(self)
+        if self.dim < 0:
+            raise KernelError("site dimension must be nonnegative")
+        if not self.children:
+            raise KernelError("site needs at least one child")
+        for c in self.children:
+            if len(c.w) != self.dim:
+                raise KernelError("child jump vector has the wrong dimension")
+            if c.prob < 0:
+                raise KernelError("child probabilities must be nonnegative")
         arith = self.arith
-        for j in range(self.dim):
-            total = sum((c.prob * c.w[j] for c in self.children), 0)
-            if not arith.is_zero(total):
-                raise KernelError("driver jump must be centered at an accessible site")
-        if not arith.is_zero(sum((c.prob * c.nu for c in self.children), 0)):
-            raise KernelError("tilt must average to zero at an accessible site")
-
-    @property
-    def accessible(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True, eq=False)
-class InaccessibleSite:
-    """Site at a totally inaccessible jump time: no centering, positive
-    aggregate tilt 1 + sum q nu."""
-
-    dim: int
-    children: tuple[SiteChild, ...]
-    arith: Arithmetic = EXACT
-
-    def __post_init__(self) -> None:
-        _validate_common(self)
-        total_tilt = 1 + sum((c.prob * c.nu for c in self.children), 0)
-        if not total_tilt > 0:
+        if not arith.eq(sum((c.prob for c in self.children), 0), 1):
+            raise KernelError("child probabilities must sum to 1")
+        for c in self.children:
+            if c.prob > 0 and not c.delta < 1:
+                raise KernelError("delta must stay below 1 on charged children")
+        mean_tilt = sum((c.prob * c.nu for c in self.children), 0)
+        if self.accessible:
+            for j in range(self.dim):
+                total = sum((c.prob * c.w[j] for c in self.children), 0)
+                if not arith.is_zero(total):
+                    raise KernelError("driver jump must be centered at an accessible site")
+            if not arith.is_zero(mean_tilt):
+                raise KernelError("tilt must average to zero at an accessible site")
+        elif not 1 + mean_tilt > 0:
             raise KernelError("aggregate tilt 1 + sum(q nu) must be positive")
-
-    @property
-    def accessible(self) -> bool:
-        return False
-
-
-Site = AccessibleSite | InaccessibleSite
-
-
-def _validate_common(site) -> None:
-    if site.dim < 0:
-        raise KernelError("site dimension must be nonnegative")
-    if not site.children:
-        raise KernelError("site needs at least one child")
-    for c in site.children:
-        if len(c.w) != site.dim:
-            raise KernelError("child jump vector has the wrong dimension")
-        if c.prob < 0:
-            raise KernelError("child probabilities must be nonnegative")
-    if not site.arith.eq(sum((c.prob for c in site.children), 0), 1):
-        raise KernelError("child probabilities must sum to 1")
-    for c in site.children:
-        if c.prob > 0 and not c.delta < 1:
-            raise KernelError("delta must stay below 1 on charged children")
 
 
 def charged(site) -> list[SiteChild]:
@@ -227,12 +203,18 @@ def site_rhs(site: Site) -> list[Num]:
 
 
 # ---------------------------------------------------------------------------
-# solvers
+# the site solve
 
 
-def _xi_solve(site: Site, kind) -> PsdSolve:
-    if not isinstance(site, kind):
-        raise KernelError(f"site solve needs an {kind.__name__}, got {type(site).__name__}")
+def solve_site(site: Site) -> PsdSolve:
+    """Deflator-jump integrand xi at a site of either flavor.
+
+    Solves transpose(xi) M = transpose(r) for M = ``gram_G(site)`` and r the
+    site right-hand side: the coercivity certificate at the tilt floor, then
+    the minimum-norm solve of M xi = r.  Degenerate zero-Gram sites are
+    feasible exactly when r = 0 (the insider counterexample returns its
+    residual).
+    """
     for c in charged(site):
         if 1 + c.nu < 0:
             raise NegativeTilt(
@@ -266,23 +248,6 @@ def _xi_solve(site: Site, kind) -> PsdSolve:
     return PsdSolve(tuple(xi), True, (0,) * site.dim, u)
 
 
-def xi_accessible(site: AccessibleSite) -> PsdSolve:
-    """Deflator-jump integrand at an accessible site.
-
-    Solves transpose(xi) M = transpose(r) for M the accessible expanded
-    Gram and r the site right-hand side: the coercivity certificate at the
-    tilt floor, then the minimum-norm solve of M xi = r.  Degenerate
-    zero-Gram sites are feasible exactly when r = 0 (the insider
-    counterexample returns its residual).
-    """
-    return _xi_solve(site, AccessibleSite)
-
-
-def xi_inaccessible(site: InaccessibleSite) -> PsdSolve:
-    """Deflator-jump integrand at an inaccessible site (same recipe)."""
-    return _xi_solve(site, InaccessibleSite)
-
-
 # ---------------------------------------------------------------------------
 # checks
 
@@ -311,29 +276,19 @@ def check_jump_bound(site: Site, xi: Sequence[Num]):
     rows = []
     ok_all = True
     c0 = centre(site)
-    if site.accessible:
-        for idx, c in enumerate(site.children):
-            if not c.prob > 0:
-                continue
-            jump = _jump(xi, c, c0)
-            lhs = (jump - 1) * (1 + c.nu) * c.prob
-            rhs = (c.delta - 1) * c.prob
-            ok = arith.eq(lhs, rhs) and jump < 1
-            rows.append(JumpBoundRow(idx, jump, lhs, rhs, ok))
-            ok_all = ok_all and ok
-    else:
-        for idx, c in enumerate(site.children):
-            if not c.prob > 0:
-                continue
-            jump = _jump(xi, c, c0)
-            if all(arith.is_zero(w) for w in c.w):
-                continue  # no jump: nothing to bound
-            if arith.is_zero(1 + c.nu):
-                continue  # zero expanded mass: the closed form is vacuous
-            expected = (c.delta + c.nu) / (1 + c.nu)
-            ok = arith.eq(jump, expected) and jump < 1
-            rows.append(JumpBoundRow(idx, jump, jump, expected, ok))
-            ok_all = ok_all and ok
+    for idx, c in enumerate(site.children):
+        if not c.prob > 0:
+            continue
+        jump = _jump(xi, c, c0)
+        if site.accessible:
+            lhs, rhs = (jump - 1) * (1 + c.nu) * c.prob, (c.delta - 1) * c.prob
+        elif all(arith.is_zero(w) for w in c.w) or arith.is_zero(1 + c.nu):
+            continue  # no jump, or zero expanded mass: nothing to bound
+        else:
+            lhs, rhs = jump, (c.delta + c.nu) / (1 + c.nu)
+        ok = arith.eq(lhs, rhs) and jump < 1
+        rows.append(JumpBoundRow(idx, jump, lhs, rhs, ok))
+        ok_all = ok_all and ok
     return ok_all, tuple(rows)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .calculus import CalculusError, accumulate, is_martingale
+from .calculus import CalculusError, is_martingale
 from .space import Filtration, Process, SpaceError, first_failing
 
 
@@ -70,7 +70,8 @@ def check_mrp(F: Filtration, driver: Driver):
             m = len(children)
             if m == 1:
                 continue
-            V = [list(driver.W.delta(c[0], t)) for c, _ in children]
+            kids = [child for child, _ in children]
+            V = [list(dw) for dw in driver.W.on_atoms(t, kids, increments=True)]
             r = linalg.rank(V, arith)
             if r < m - 1:
                 return False, MrpWitness(t, atom, m, r)
@@ -88,13 +89,16 @@ def synthesize_driver(F: Filtration) -> Driver:
     """
     d = max(len(children) - 1 for t in range(1, F.horizon + 1)
             for _, _, children in F.transitions(t))
-    columns = [[None] * F.space.size for _ in range(F.horizon)]
+    paths = [[(0,) * d] for _ in F.space.outcomes]
     for t in range(1, F.horizon + 1):
+        part = F.at(t)
         for _, _, children in F.transitions(t):
             probs = [p for _, p in children[:-1]]
             for m, (child, _) in enumerate(children):
                 step = tuple((1 if e == m else 0) - p for e, p in enumerate(probs))
-                for o in child:
-                    columns[t - 1][F.space.index(o)] = step + (0,) * (d - len(probs))
-    W = accumulate(F.space, columns, d)
-    return Driver(W, F)
+                step += (0,) * (d - len(probs))
+                members = part.members[part.atom_index(child[0])]
+                level = tuple(a + b for a, b in zip(paths[members[0]][-1], step))
+                for i in members:
+                    paths[i].append(level)
+    return Driver(Process.from_paths(F.space, paths), F)

@@ -9,11 +9,12 @@ failures carry the path to the offending field ("space.weights[2]: ...").
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Arithmetic
-from .jumpkernel import AccessibleSite, InaccessibleSite, KernelError, SiteChild
+from .jumpkernel import KernelError, Site, SiteChild
 from .mrp import Driver, synthesize_driver
 from .space import (
     INF,
@@ -54,6 +55,16 @@ def _num(value, path: str, arith: Arithmetic):
         return arith.parse(value)
     except (ValueError, TypeError, ZeroDivisionError) as err:
         raise ScenarioError(path, f"not a number: {err}") from None
+
+
+def _nonneg_int(value, path: str, expected: str) -> int:
+    """A nonnegative JSON integer or integral JSON number (2 or 2.0), never a
+    boolean, so that both modes accept exactly the same values."""
+    if (isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+            and (not isinstance(value, float) or math.isfinite(value))
+            and value == int(value) and value >= 0):
+        return int(value)
+    raise ScenarioError(path, expected)
 
 
 def _require(doc, key: str, path: str):
@@ -129,19 +140,9 @@ def _enlargement(doc, path: str, F: Filtration, arith: Arithmetic) -> Enlargemen
         if not isinstance(times, list) or len(times) != F.space.size:
             raise ScenarioError(f"{path}.times",
                                 f"expected one time per outcome ({F.space.size})")
-        fixed = []
-        for i, v in enumerate(times):
-            if v == "inf":
-                fixed.append(INF)
-            else:
-                try:
-                    iv = int(v)
-                except (TypeError, ValueError):
-                    iv = -1
-                if iv != v or iv < 0:
-                    raise ScenarioError(f"{path}.times[{i}]",
-                                        "expected a nonnegative integer or \"inf\"")
-                fixed.append(iv)
+        expected = "expected a nonnegative integer or \"inf\""
+        fixed = [INF if v == "inf" else _nonneg_int(v, f"{path}.times[{i}]", expected)
+                 for i, v in enumerate(times)]
         try:
             return build_progressive_enlargement(F, RandomTime(F.space, tuple(fixed)))
         except SpaceError as err:
@@ -244,10 +245,7 @@ def load_site(doc, arith: Arithmetic):
     kind = _require(doc, "kind", "")
     if kind not in ("accessible", "inaccessible"):
         raise ScenarioError("kind", f"expected accessible|inaccessible, got {kind!r}")
-    dim = _require(doc, "dim", "")
-    if not isinstance(dim, (int, Fraction)) or int(dim) != dim or dim < 0:
-        raise ScenarioError("dim", "expected a nonnegative integer")
-    dim = int(dim)
+    dim = _nonneg_int(_require(doc, "dim", ""), "dim", "expected a nonnegative integer")
     children_doc = _require(doc, "children", "")
     if not isinstance(children_doc, list) or not children_doc:
         raise ScenarioError("children", "expected a nonempty list")
@@ -266,8 +264,7 @@ def load_site(doc, arith: Arithmetic):
         nu = _num(_require(c, "nu", path), f"{path}.nu", arith)
         delta = _num(_require(c, "delta", path), f"{path}.delta", arith)
         children.append(SiteChild(prob, w, nu, delta))
-    cls = AccessibleSite if kind == "accessible" else InaccessibleSite
     try:
-        return cls(dim, tuple(children), arith=arith)
+        return Site(dim, tuple(children), kind == "accessible", arith)
     except KernelError as err:
         raise ScenarioError("children", str(err)) from None

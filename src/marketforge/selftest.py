@@ -21,18 +21,16 @@ from .arith import EXACT, FLOAT, Arithmetic
 from .calculus import bracket, centred, compensator, integrate, pred_bracket, stoch_exp
 from .enlarge import drift, solve_phi
 from .jumpkernel import (
-    AccessibleSite,
-    InaccessibleSite,
     KernelError,
+    Site,
     SiteChild,
     charged,
     check_coercivity,
     check_jump_bound,
     energy_bound,
+    solve_site,
     tilt_floor,
     verify_density,
-    xi_accessible,
-    xi_inaccessible,
 )
 from .mrp import Driver
 from .space import Process, first_mismatch
@@ -100,60 +98,48 @@ def _junk_child(rng, dim):
                      Fraction(rng.randint(2, 9)))
 
 
-def random_accessible_site(rng, max_dim=4) -> AccessibleSite:
-    """Random realizable accessible site: centered jumps of full site rank,
-    children at most dim + 1, tilts positive, deltas below one."""
+def _random_probs(rng, m) -> list[Fraction]:
+    weights = [rng.randint(1, 6) for _ in range(m)]
+    tot = sum(weights)
+    return [Fraction(a, tot) for a in weights]
+
+
+def random_site(rng, accessible: bool, max_dim=4) -> Site:
+    """Random realizable site, tilts positive and deltas below one.
+
+    An accessible site has at most dim + 1 children whose centered jumps
+    have full site rank; an inaccessible one at most dim children with
+    independent jumps.
+    """
     while True:
         d = rng.randint(1, max_dim)
-        m = rng.randint(1, d + 1)
-        raw = [[rand_fraction(rng, -4, 4, 3) for _ in range(d)] for _ in range(m)]
-        weights = [rng.randint(1, 6) for _ in range(m)]
-        tot = sum(weights)
-        probs = [Fraction(a, tot) for a in weights]
-        mean = [sum(p * v[i] for p, v in zip(probs, raw)) for i in range(d)]
-        ws = [tuple(v[i] - mean[i] for i in range(d)) for v in raw]
-        if linalg.rank([list(w) for w in ws], EXACT) != m - 1:
+        m = rng.randint(1, d + accessible)
+        ws = [tuple(rand_fraction(rng, -4, 4, 3) for _ in range(d)) for _ in range(m)]
+        if accessible:
+            probs = _random_probs(rng, m)
+            mean = [sum(p * v[i] for p, v in zip(probs, ws)) for i in range(d)]
+            ws = [tuple(v[i] - mean[i] for i in range(d)) for v in ws]
+        if linalg.rank([list(w) for w in ws], EXACT) != m - accessible:
             continue
+        if not accessible:
+            probs = _random_probs(rng, m)
         nus = _scaled_contraction(rng, ws)
         deltas = _scaled_contraction(rng, ws)
         children = [SiteChild(p, w, nu, de)
                     for p, w, nu, de in zip(probs, ws, nus, deltas)]
         if rng.random() < 0.3:
             children.insert(rng.randrange(len(children) + 1), _junk_child(rng, d))
-        return AccessibleSite(d, tuple(children))
+        return Site(d, tuple(children), accessible)
 
 
-def random_inaccessible_site(rng, max_dim=4) -> InaccessibleSite:
-    """Random realizable inaccessible site: independent child jumps (at most
-    dim of them), tilts positive, deltas below one."""
-    while True:
-        d = rng.randint(1, max_dim)
-        m = rng.randint(1, d)
-        ws = [tuple(rand_fraction(rng, -4, 4, 3) for _ in range(d))
-              for _ in range(m)]
-        if linalg.rank([list(w) for w in ws], EXACT) != m:
-            continue
-        weights = [rng.randint(1, 6) for _ in range(m)]
-        tot = sum(weights)
-        probs = [Fraction(a, tot) for a in weights]
-        nus = _scaled_contraction(rng, ws)
-        deltas = _scaled_contraction(rng, ws)
-        children = [SiteChild(p, w, nu, de)
-                    for p, w, nu, de in zip(probs, ws, nus, deltas)]
-        if rng.random() < 0.3:
-            children.insert(rng.randrange(len(children) + 1), _junk_child(rng, d))
-        return InaccessibleSite(d, tuple(children))
-
-
-def site_to_float(site, arith: Arithmetic = FLOAT):
+def site_to_float(site: Site, arith: Arithmetic = FLOAT) -> Site:
     """The same site with every rational coerced to a float."""
-    cls = type(site)
     children = tuple(
         SiteChild(float(c.prob), tuple(float(x) for x in c.w),
                   float(c.nu), float(c.delta))
         for c in site.children
     )
-    return cls(site.dim, children, arith=arith)
+    return Site(site.dim, children, site.accessible, arith)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +239,7 @@ def _check_insider_gate(arith: Arithmetic) -> str:
 def _check_kernel_closed_form(arith: Arithmetic) -> str:
     site = fixtures.k1_site(arith)
     eq = arith.eq
-    out = xi_inaccessible(site)
+    out = solve_site(site)
     _ask(out.feasible, "k1 site solve is infeasible")
     _ask(eq(out.solution[0], _num(arith, "8/15"))
          and eq(out.solution[1], _num(arith, "-4/5")),
@@ -278,7 +264,7 @@ def _check_kernel_closed_form(arith: Arithmetic) -> str:
 def _check_kernel_infeasible(arith: Arithmetic) -> str:
     site = fixtures.insider_site(arith)
     eq = arith.eq
-    out = xi_accessible(site)
+    out = solve_site(site)
     _ask(not out.feasible, "insider site should be infeasible")
     _ask(len(out.residual) == 1 and eq(out.residual[0], _num(arith, "6/5")),
          f"insider residual is {out.residual}, expected (6/5,)")
@@ -324,11 +310,9 @@ def _check_calculus_identities(arith: Arithmetic, rounds=10) -> str:
     return f"{rounds} rounds of product/parts identities"
 
 
-def site_contracts(site, eq=None) -> None:
+def site_contracts(site: Site) -> None:
     """Assert the full contract battery for one realizable site."""
-    arith = site.arith
-    eq = eq or arith.eq
-    out = xi_accessible(site) if site.accessible else xi_inaccessible(site)
+    out = solve_site(site)
     _ask(out.feasible, f"site solve infeasible, residual {out.residual}")
     bound_ok, _rows = check_jump_bound(site, out.solution)
     _ask(bound_ok, "site jump-bound rows failed")
@@ -344,8 +328,7 @@ def _check_random_sites(arith: Arithmetic, rounds=60) -> str:
     rng = random.Random(97)
     count = 0
     for i in range(rounds):
-        site = (random_accessible_site(rng) if i % 2 == 0
-                else random_inaccessible_site(rng))
+        site = random_site(rng, i % 2 == 0)
         if not arith.exact:
             site = site_to_float(site, arith)
         site_contracts(site)
@@ -357,9 +340,8 @@ def _check_invalid_rejected(arith: Arithmetic) -> str:
     one = arith.parse(1)
     half = arith.parse("1/2")
     try:
-        AccessibleSite(1, (SiteChild(half, (one,), 0 * one, one),
-                           SiteChild(half, (-one,), 0 * one, 0 * one)),
-                       arith=arith)
+        Site(1, (SiteChild(half, (one,), 0 * one, one),
+                 SiteChild(half, (-one,), 0 * one, 0 * one)), True, arith)
     except KernelError as err:
         message = str(err)
         _ask("delta" in message and "1" in message,
@@ -367,9 +349,9 @@ def _check_invalid_rejected(arith: Arithmetic) -> str:
     else:
         raise AssertionError("charged delta at the bound was accepted")
     try:
-        AccessibleSite(1, (SiteChild(arith.parse(-1), (one,), 0 * one, 0 * one),
-                           SiteChild(arith.parse(2), (arith.parse("1/2"),),
-                                     0 * one, 0 * one)), arith=arith)
+        Site(1, (SiteChild(arith.parse(-1), (one,), 0 * one, 0 * one),
+                 SiteChild(arith.parse(2), (arith.parse("1/2"),), 0 * one, 0 * one)),
+             True, arith)
     except KernelError:
         pass
     else:

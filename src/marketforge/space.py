@@ -21,8 +21,8 @@ Measurability is decided on demand against a filtration (:func:`is_adapted`,
 :func:`is_predictable`).  Increments are defined once, here, and computed
 once per process (:meth:`Process.increments`, dX_0 = 0).  Only this module
 and ``calculus`` know the cell layout: the other layers hand over per-atom
-tables (:meth:`Process.predictable`), increment columns
-(``calculus.accumulate``) or input paths, and read processes through
+tables (:meth:`Process.predictable`) or per-outcome paths
+(:meth:`Process.from_paths`), and read processes through
 :meth:`Process.on_atoms`, :func:`first_failing`, :func:`first_mismatch` and
 :func:`distinct_cells`.
 """
@@ -461,13 +461,6 @@ class Process:
         if len(v) != 1:
             raise SpaceError("value() is for one-dimensional processes")
         return v[0]
-
-    def delta(self, outcome: str, t: int) -> tuple[Num, ...]:
-        """Increment at time t; by convention the time-0 increment vanishes."""
-        if t == 0:
-            return (0,) * self.dim
-        i = self.space.index(outcome)
-        return _sub(self.columns[t][i], self.columns[t - 1][i])
 
     def increments(self) -> tuple:
         """Increment columns: entry t - 1 holds dX_t for every outcome, in

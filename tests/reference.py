@@ -20,7 +20,7 @@ compares an engine result with it, computed along an independent route.
   compensators through the gauge, checked against ``compensator`` on G.
 * ``wealth`` is the self-financing wealth x + (H . S), for the
   deflated-wealth martingale property.
-* ``increments``, ``accumulate``, ``cond_exp``, ``zip_with`` and
+* ``delta``, ``increments``, ``accumulate``, ``cond_exp``, ``zip_with`` and
   ``stoch_exp`` are the per-cell kernels the engine had before it computed
   once per distinct operand: one operation per (outcome, time) cell, in
   outcome order.  They are kept unchanged as the differential oracle for
@@ -236,8 +236,8 @@ def represent(X: Process, driver: Driver) -> RepresentationCoefficients:
     values: dict[tuple[int, int], tuple] = {}
     for t in range(1, F.horizon + 1):
         for atom_idx, atom, children in F.transitions(t):
-            V = [list(driver.W.delta(c[0], t)) for c, _ in children]
-            dX = [X.delta(c[0], t) for c, _ in children]
+            V = [list(delta(driver.W, c[0], t)) for c, _ in children]
+            dX = [delta(X, c[0], t) for c, _ in children]
             flat = [0] * (d * k)
             for i, y in enumerate(zip(*dX)):
                 coeff, residual = linalg.lstsq_min_norm(V, y, arith)
@@ -327,6 +327,14 @@ def wealth(x, H: Process, market) -> Process:
 
 def _as_vector(v) -> tuple:
     return tuple(v) if isinstance(v, (tuple, list)) else (v,)
+
+
+def delta(X: Process, outcome: str, t: int) -> tuple:
+    """Increment of one outcome at time t, one subtraction per component;
+    by convention the time-0 increment vanishes."""
+    if t == 0:
+        return (0,) * X.dim
+    return tuple(a - b for a, b in zip(X.at(outcome, t), X.at(outcome, t - 1)))
 
 
 def increments(X: Process) -> list:

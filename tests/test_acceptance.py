@@ -32,10 +32,9 @@ from marketforge.jumpkernel import (
     gram_F,
     gram_G,
     site_rhs,
+    solve_site,
     tilt_floor,
     verify_density,
-    xi_accessible,
-    xi_inaccessible,
 )
 from marketforge.mrp import Driver
 from marketforge.scenario import load_scenario, load_site, parse_document
@@ -57,6 +56,7 @@ from marketforge.viability import (
 )
 
 from reference import (
+    delta,
     lift_filtration,
     lift_process,
     mat_mul,
@@ -68,10 +68,9 @@ from test_cli import SCENARIOS
 from test_golden_reports import GOLDEN
 from util import (
     brute_cond_mean,
-    random_accessible_site,
     random_adapted,
-    random_inaccessible_site,
     random_martingale,
+    random_site,
     site_to_float,
 )
 
@@ -105,7 +104,7 @@ def test_calculus_contracts_on_200_random_processes():
         for o in space.outcomes:
             acc = 0
             for t in range(1, 3):
-                acc += X.delta(o, t)[0] * Y.delta(o, t)[0]
+                acc += delta(X, o, t)[0] * delta(Y, o, t)[0]
                 assert br.value(o, t) == acc
         assert _equal_processes(br, bracket(Y, X), 2)
 
@@ -114,14 +113,14 @@ def test_calculus_contracts_on_200_random_processes():
         comp = compensator(A, flow)
         assert is_predictable(comp, flow)
         for t in range(1, 3):
-            inc = [A.delta(o, t) for o in space.outcomes]
+            inc = [delta(A, o, t) for o in space.outcomes]
             brute = brute_cond_mean(space, flow, t, inc)
             for o in space.outcomes:
-                assert comp.delta(o, t) == brute[o]
+                assert delta(comp, o, t) == brute[o]
         R = A - comp
         for t in range(1, 3):
             for atom in flow.at(t - 1).atoms:
-                assert sum(space.weight(o) * R.delta(o, t)[0] for o in atom) == 0
+                assert sum(space.weight(o) * delta(R, o, t)[0] for o in atom) == 0
         assert is_martingale(R, flow)[0]
 
         # predictable bracket is the compensator of the raw bracket
@@ -172,7 +171,7 @@ def test_drift_identity_on_50_random_martingales():
         R = X - gamma
         for t in range(1, fx.F.horizon + 1):
             for atom in G.at(t - 1).atoms:
-                assert sum(fx.space.weight(o) * R.delta(o, t)[0]
+                assert sum(fx.space.weight(o) * delta(R, o, t)[0]
                            for o in atom) == 0
         assert is_martingale(R, G)[0]
         # and the drift is the gauge integral against the covariation
@@ -257,7 +256,7 @@ def test_inaccessible_site_closed_form_numbers():
     site = load_site(parse_document(json.dumps(site_file), EXACT), EXACT)
     assert site.children == k1_site().children
 
-    out = xi_inaccessible(site)
+    out = solve_site(site)
     assert out.feasible
     assert out.solution == (F(8, 15), F(-4, 5))
     for child in site.children:
@@ -278,12 +277,10 @@ def test_thousand_random_sites_pass_all_checks():
     seen_accessible = 0
     for i in range(1000):
         accessible = i % 2 == 0
-        site = (random_accessible_site(rng) if accessible
-                else random_inaccessible_site(rng))
+        site = random_site(rng, accessible)
         u = tilt_floor(site)
         assert u > 0
-        solver = xi_accessible if accessible else xi_inaccessible
-        solve = solver(site)
+        solve = solve_site(site)
         assert solve.feasible
         assert verify_density(site)
         assert check_coercivity(site, u)
@@ -299,7 +296,7 @@ def test_thousand_random_sites_pass_all_checks():
         v, _ = linalg.lstsq_min_norm(G, site_rhs(site), EXACT)
         assert restricted_inverse(G, J, v, u).solution == solve.solution
         # float mode solves the same site to the same answer, never raising
-        floated = solver(site_to_float(site))
+        floated = solve_site(site_to_float(site))
         assert floated.feasible == solve.feasible
         for a, b in zip(solve.solution, floated.solution):
             assert abs(float(a) - b) <= 1e-9 * max(1, abs(float(a)))
@@ -328,7 +325,7 @@ def test_transparent_enlargements_reproduce_base_solution():
 
         def inc(o, t):
             k = flow.at(t - 1).atom_index(o)
-            return h_tab[(t, k)] * (W.delta(o, t)[0] + c_tab[(t, k)])
+            return h_tab[(t, k)] * (delta(W, o, t)[0] + c_tab[(t, k)])
 
         levels = {o: [F(0)] for o in space.outcomes}
         for t in (1, 2):

@@ -298,8 +298,46 @@ def test_progressive_bad_time_rejected(tmp_path, capsys):
     assert code == 3 and "enlargement.times[1]" in err
 
 
+# Integer fields take a JSON integer or an integral JSON number, never a
+# boolean or a non-finite number, in both modes alike.
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("value", [True, float("inf")], ids=["true", "Infinity"])
+def test_progressive_time_must_be_an_integer(tmp_path, capsys, mode, value):
+    doc = b2_scenario({"kind": "progressive", "times": ["inf", "inf", 1, value]})
+    code, _, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode], capsys)
+    assert code == 3 and "enlargement.times[3]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_progressive_integral_float_time_reads_as_integer(tmp_path, capsys, mode):
+    doc = b2_scenario({"kind": "progressive", "times": ["inf", "inf", 1, 1]})
+    expected = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode], capsys)[0]
+    doc["enlargement"]["times"][3] = 1.0
+    code, _, _ = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode], capsys)
+    assert code == expected == 0
+
+
 # ---------------------------------------------------------------------------
 # kernel
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_kernel_integral_float_dim_reads_as_integer(tmp_path, capsys, mode):
+    path = SCENARIOS / "site_inaccessible.json"
+    expected = run_cli(["kernel", str(path), "--mode", mode], capsys)[0]
+    doc = json.loads(path.read_text())
+    doc["dim"] = float(doc["dim"])
+    code, _, err = run_cli(["kernel", write_doc(tmp_path, doc), "--mode", mode], capsys)
+    assert code == expected == 0 and err == ""
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("dim", [True, 2.5, -1.0], ids=["true", "2.5", "-1.0"])
+def test_kernel_dim_must_be_a_nonnegative_integer(tmp_path, capsys, mode, dim):
+    doc = {"kind": "inaccessible", "dim": dim,
+           "children": [{"q": 1, "w": [1], "nu": 0, "delta": 0}]}
+    code, _, err = run_cli(["kernel", write_doc(tmp_path, doc), "--mode", mode], capsys)
+    assert code == 3 and err.startswith("error: dim:")
 
 
 def test_kernel_inaccessible_site_numbers(tmp_path, capsys):

@@ -26,7 +26,7 @@ from marketforge.space import (
     is_predictable,
 )
 
-from reference import verify_g_compensator
+from reference import delta, verify_g_compensator
 from util import random_martingale
 
 F = Fraction
@@ -136,7 +136,7 @@ def test_compute_u_matches_manual_minimum():
     for t in (1, 2):
         for atom in G.at(t - 1).atoms:
             phi_val = gauge.phi.at(atom[0], t)[0]
-            manual = min(1 + phi_val * fx.W.delta(o, t)[0] for o in atom)
+            manual = min(1 + phi_val * delta(fx.W, o, t)[0] for o in atom)
             assert u.value(atom[0], t) == manual
 
 

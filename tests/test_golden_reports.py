@@ -15,8 +15,12 @@ and a three-outcome step whose second asset's drift the driver spans
 only in part (exit 4, ``drift-not-spanned``, through the projection fit
 on one column).  Two more jump sites pin the centred jump ξ·(w − c): an
 accessible d = 2 site with a non-zero centre and a null child, and an
-inaccessible site with a zero-jump child.  Their scenario JSON is stored
-beside the reports.
+inaccessible site with a zero-jump child.  Last, a trinomial step whose
+structure martingale jumps by exactly 1: exact mode stops at the base
+``jump-bound`` (exit 4), while float mode sees 1 - eps, passes the site
+stages and fails the expanded price-drift identity (exit 4,
+``verification-mismatch``).  Their scenario JSON is stored beside the
+reports.
 
 Regenerate after an intended report change, and only then, with
 
@@ -56,6 +60,7 @@ INPUTS = (
     ("kernel", GOLDEN / "site_accessible_d2.json"),
     ("kernel", GOLDEN / "site_inaccessible_zero_jump.json"),
     ("analyze", GOLDEN / "one_step_partly_spanned_drift.json"),
+    ("analyze", GOLDEN / "trinomial_unit_structure_jump.json"),
 )
 
 CASES = [(cmd, path, mode) for cmd, path in INPUTS for mode in MODES]

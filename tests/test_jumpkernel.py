@@ -9,11 +9,10 @@ from marketforge import linalg
 from marketforge.arith import EXACT, FLOAT
 from marketforge.fixtures import insider_site, k1_site
 from marketforge.jumpkernel import (
-    AccessibleSite,
     CoercivityFailure,
-    InaccessibleSite,
     KernelError,
     NegativeTilt,
+    Site,
     SiteChild,
     check_coercivity,
     check_jump_bound,
@@ -22,14 +21,13 @@ from marketforge.jumpkernel import (
     gram_F,
     gram_G,
     site_rhs,
+    solve_site,
     tilt_floor,
     verify_density,
-    xi_accessible,
-    xi_inaccessible,
 )
 
 from reference import SingularOnV, mat_mul, pinv_psd, restricted_inverse
-from util import b2n_site, random_accessible_site, random_inaccessible_site, site_to_float
+from util import b2n_site, random_site, site_to_float
 
 F = Fraction
 
@@ -37,13 +35,13 @@ F = Fraction
 def _acc(rows, dim=1, arith=EXACT):
     children = tuple(SiteChild(F(p), tuple(F(x) for x in w), F(nu), F(de))
                      for p, w, nu, de in rows)
-    return AccessibleSite(dim, children, arith=arith)
+    return Site(dim, children, True, arith)
 
 
 def _inacc(rows, dim=1, arith=EXACT):
     children = tuple(SiteChild(F(p), tuple(F(x) for x in w), F(nu), F(de))
                      for p, w, nu, de in rows)
-    return InaccessibleSite(dim, children, arith=arith)
+    return Site(dim, children, False, arith)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +132,8 @@ def test_gram_G_accessible_values():
     flat = _acc([(F(1, 2), (1,), 0, 0), (F(1, 2), (-1,), 0, 0)])
     assert gram_G(flat) == gram_F(flat)
     with pytest.raises(NegativeTilt):
-        xi_accessible(_acc([(F(1, 2), (1,), F(-3, 2), 0),
-                            (F(1, 2), (-1,), F(3, 2), 0)]))
+        solve_site(_acc([(F(1, 2), (1,), F(-3, 2), 0),
+                         (F(1, 2), (-1,), F(3, 2), 0)]))
 
 
 def test_gram_G_inaccessible_values():
@@ -154,31 +152,24 @@ def test_gram_G_inaccessible_values():
 def test_xi_accessible_noisy_signal_site():
     site = b2n_site()
     assert site_rhs(site) == [F(4, 5)]
-    out = xi_accessible(site)
+    out = solve_site(site)
     assert out.feasible
     assert out.solution == (F(5, 4),)
     assert out.coercivity == F(2, 5) == tilt_floor(site)
 
 
-def test_solvers_reject_the_other_flavor():
-    with pytest.raises(KernelError):
-        xi_inaccessible(b2n_site())
-    with pytest.raises(KernelError):
-        xi_accessible(k1_site())
-
-
 def test_xi_accessible_flat_site_is_zero():
-    out = xi_accessible(_acc([(F(1, 2), (1,), 0, 0), (F(1, 2), (-1,), 0, 0)]))
+    out = solve_site(_acc([(F(1, 2), (1,), 0, 0), (F(1, 2), (-1,), 0, 0)]))
     assert out.solution == (0,) and out.feasible
     # a zero-Gram site with zero drift is feasible and certifies no constant
-    out = xi_accessible(_acc([(F(1, 2), (0,), F(1, 2), F(1, 5)),
-                              (F(1, 2), (0,), F(-1, 2), F(-1, 5))]))
+    out = solve_site(_acc([(F(1, 2), (0,), F(1, 2), F(1, 5)),
+                           (F(1, 2), (0,), F(-1, 2), F(-1, 5))]))
     assert out.solution == (0,) and out.feasible and out.coercivity is None
 
 
 def test_xi_accessible_insider_site_infeasible():
     site = insider_site()
-    out = xi_accessible(site)
+    out = solve_site(site)
     assert not out.feasible
     assert out.residual == (F(6, 5),)
     assert out.solution == (0,)
@@ -192,23 +183,23 @@ def test_xi_accessible_coercivity_failure_without_zero_gram():
     assert tilt_floor(site) == 0
     assert gram_G(site) != [[0]]
     with pytest.raises(CoercivityFailure):
-        xi_accessible(site)
+        solve_site(site)
 
 
 def test_xi_inaccessible_k1_site():
-    out = xi_inaccessible(k1_site())
+    out = solve_site(k1_site())
     assert out.feasible
     assert out.solution == (F(8, 15), F(-4, 5))
     assert out.coercivity == F(1, 2)
 
 
 def test_xi_inaccessible_single_child():
-    out = xi_inaccessible(_inacc([(1, (1,), F(1, 5), F(1, 10))]))
+    out = solve_site(_inacc([(1, (1,), F(1, 5), F(1, 10))]))
     assert out.solution == (F(1, 4),) and out.feasible
 
 
 def test_xi_zero_jump_site_degenerate_feasible():
-    out = xi_inaccessible(_inacc([(1, (0,), F(1, 5), F(1, 10))]))
+    out = solve_site(_inacc([(1, (0,), F(1, 5), F(1, 10))]))
     assert out.solution == (0,) and out.feasible
 
 
@@ -218,7 +209,7 @@ def test_xi_zero_jump_site_degenerate_feasible():
 
 def test_jump_bound_noisy_signal_site():
     site = b2n_site()
-    xi = xi_accessible(site).solution
+    xi = solve_site(site).solution
     ok, rows = check_jump_bound(site, xi)
     assert ok
     assert [r.jump for r in rows] == [F(1, 2), F(-2)]
@@ -228,7 +219,7 @@ def test_jump_bound_noisy_signal_site():
 
 def test_jump_bound_k1_site():
     site = k1_site()
-    xi = xi_inaccessible(site).solution
+    xi = solve_site(site).solution
     ok, rows = check_jump_bound(site, xi)
     assert ok
     assert [r.jump for r in rows] == [F(8, 15), F(-4, 5)]
@@ -256,10 +247,10 @@ def test_coercivity_check_values():
 
 def test_energy_bound_values():
     site = b2n_site()
-    ok, left, right = energy_bound(site, xi_accessible(site).solution, F(2, 5))
+    ok, left, right = energy_bound(site, solve_site(site).solution, F(2, 5))
     assert ok and left == 1 and right == F(8, 5)
     site = k1_site()
-    ok, left, right = energy_bound(site, xi_inaccessible(site).solution, F(1, 2))
+    ok, left, right = energy_bound(site, solve_site(site).solution, F(1, 2))
     assert ok and left == F(48, 125) and right == F(112, 125)
     ok, left, _ = energy_bound(site, (0, 0), F(1, 2))
     assert ok and left == 0
@@ -280,13 +271,12 @@ def test_verify_density_values():
 
 
 def test_float_mode_reproduces_rational_sites():
-    for exact_site, solver in ((b2n_site(), xi_accessible),
-                               (k1_site(), xi_inaccessible)):
-        rational = solver(exact_site).solution
-        floated = solver(site_to_float(exact_site)).solution
+    for exact_site in (b2n_site(), k1_site()):
+        rational = solve_site(exact_site).solution
+        floated = solve_site(site_to_float(exact_site)).solution
         for a, b in zip(rational, floated):
             assert abs(float(a) - b) < 1e-9
-    out = xi_accessible(site_to_float(insider_site()))
+    out = solve_site(site_to_float(insider_site()))
     assert not out.feasible
     assert abs(out.residual[0] - 1.2) < 1e-9
 
@@ -295,10 +285,10 @@ def test_float_mode_reproduces_rational_sites():
 # randomized battery on realizable sites
 
 
-def _assert_site_contracts(site, solver):
+def _assert_site_contracts(site):
     M = gram_G(site)
     assert M == linalg.transpose(M)  # exact symmetry
-    out = solver(site)
+    out = solve_site(site)
     assert out.feasible
     xi = list(out.solution)
     u = tilt_floor(site)
@@ -319,21 +309,21 @@ def _assert_site_contracts(site, solver):
 def test_random_accessible_sites_pass_all_checks():
     rng = random.Random(20240811)
     for _ in range(60):
-        _assert_site_contracts(random_accessible_site(rng), xi_accessible)
+        _assert_site_contracts(random_site(rng, True))
 
 
 def test_random_inaccessible_sites_pass_all_checks():
     rng = random.Random(20240812)
     for _ in range(60):
-        _assert_site_contracts(random_inaccessible_site(rng), xi_inaccessible)
+        _assert_site_contracts(random_site(rng, False))
 
 
 def test_random_sites_survive_float_mode():
     rng = random.Random(77)
     for _ in range(20):
-        site = random_accessible_site(rng)
-        exact_xi = xi_accessible(site).solution
-        float_out = xi_accessible(site_to_float(site))
+        site = random_site(rng, True)
+        exact_xi = solve_site(site).solution
+        float_out = solve_site(site_to_float(site))
         assert float_out.feasible
         for a, b in zip(exact_xi, float_out.solution):
             assert abs(float(a) - b) < 1e-7

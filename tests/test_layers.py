@@ -2,8 +2,9 @@
 
 Every other engine module reads processes through their accessors
 (``Process.on_atoms``, ``first_failing``, ``first_mismatch``,
-``distinct_cells``, ``increments``), so a change of storage layout touches
-those two modules alone.
+``distinct_cells``, ``increments``) and builds them from per-atom tables or
+per-outcome paths, never from increment columns (``accumulate``), so a
+change of storage layout touches those two modules alone.
 """
 
 import pathlib
@@ -13,7 +14,7 @@ import pytest
 
 ENGINE = pathlib.Path(__file__).resolve().parent.parent / "src" / "marketforge"
 LAYOUT_OWNERS = {"space.py", "calculus.py"}
-LAYOUT_TOKENS = re.compile(r"per_distinct|first_false|\.columns\b|\.paths\b|\bid\(")
+LAYOUT_TOKENS = re.compile(r"per_distinct|first_false|accumulate\(|\.columns\b|\.paths\b|\bid\(")
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in ENGINE.glob("*.py")

@@ -16,7 +16,7 @@ from marketforge.space import (
     is_predictable,
 )
 
-from reference import NotRepresentable, represent
+from reference import NotRepresentable, delta, represent
 from util import random_martingale
 
 F = Fraction
@@ -129,8 +129,8 @@ def test_synthesize_driver_binary_tree():
     driver = synthesize_driver(fx.F)
     assert driver.d == 1
     # One-dimensional two-point increments, i.e. the fair walk up to scale.
-    assert driver.W.delta("uu", 1) == (F(1, 2),)
-    assert driver.W.delta("dd", 1) == (F(-1, 2),)
+    assert delta(driver.W, "uu", 1) == (F(1, 2),)
+    assert delta(driver.W, "dd", 1) == (F(-1, 2),)
     assert check_mrp(fx.F, driver) == (True, None)
 
 

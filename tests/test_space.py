@@ -25,7 +25,7 @@ from marketforge.space import (
     natural_filtration,
 )
 
-from reference import lift_filtration, lift_process, product_with_independent
+from reference import delta, lift_filtration, lift_process, product_with_independent
 
 F = Fraction
 
@@ -242,8 +242,8 @@ def test_process_algebra_and_increments():
     fx = b1()
     X = fx.W.scale(F(2)).shift(F(3))
     assert X.at("u", 1) == (F(5),)
-    assert X.delta("d", 1) == (F(-2),)
-    assert X.delta("u", 0) == (0,)
+    assert delta(X, "d", 1) == (F(-2),)
+    assert delta(X, "u", 0) == (0,)
     # Increment columns: one per t >= 1, dX_t in outcome order; their running
     # sums from 0 give back X - X_0.
     for arith in (EXACT, FLOAT):
@@ -255,7 +255,7 @@ def test_process_algebra_and_increments():
             columns = Z.increments()
             assert len(columns) == Z.horizon
             for t, column in enumerate(columns, 1):
-                assert list(column) == [Z.delta(o, t) for o in noisy.space.outcomes]
+                assert list(column) == [delta(Z, o, t) for o in noisy.space.outcomes]
             summed = accumulate(noisy.space, columns, Z.dim)
             assert first_mismatch(summed, centred(Z)) is None
     Y = fx.W + fx.W

@@ -10,15 +10,16 @@ so the calculus operators are checked against plain arithmetic.
 
 from marketforge.arith import EXACT, Arithmetic
 from marketforge.fixtures import _children
-from marketforge.jumpkernel import AccessibleSite
+from marketforge.jumpkernel import Site
 from marketforge.selftest import (  # noqa: F401  (re-exports for tests)
     rand_fraction,
-    random_accessible_site,
     random_adapted,
-    random_inaccessible_site,
+    random_site,
     site_to_float,
 )
 from marketforge.space import Process
+
+from reference import delta
 
 
 def random_predictable(space, filtration, rng, dim=1) -> Process:
@@ -33,11 +34,11 @@ def random_predictable(space, filtration, rng, dim=1) -> Process:
     return Process.predictable(filtration, table, dim, initial=v0)
 
 
-def b2n_site(arith: Arithmetic = EXACT) -> AccessibleSite:
+def b2n_site(arith: Arithmetic = EXACT) -> Site:
     """The noisy-signal site at time 1 on the signal-up observer atom."""
     rows = [("1/2", ("1",), "3/5", "1/5"),
             ("1/2", ("-1",), "-3/5", "-1/5")]
-    return AccessibleSite(1, _children(arith, rows, 1), arith=arith)
+    return Site(1, _children(arith, rows, 1), True, arith)
 
 
 def random_martingale(space, filtration, rng, dim=1):
@@ -73,7 +74,7 @@ def brute_compensator(X, filtration):
     paths = []
     per_time = {}
     for t in range(1, X.horizon + 1):
-        inc = [X.delta(o, t) for o in space.outcomes]
+        inc = [delta(X, o, t) for o in space.outcomes]
         per_time[t] = brute_cond_mean(space, filtration, t, inc)
     for o in space.outcomes:
         level = (0,) * X.dim
