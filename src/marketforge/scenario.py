@@ -131,6 +131,10 @@ def _enlargement(doc, path: str, F: Filtration, arith: Arithmetic) -> Enlargemen
         if not isinstance(variable, list) or len(variable) != F.space.size:
             raise ScenarioError(f"{path}.variable",
                                 f"expected one value per outcome ({F.space.size})")
+        for i, v in enumerate(variable):
+            if isinstance(v, (list, dict)):
+                raise ScenarioError(f"{path}.variable[{i}]",
+                                    "expected a string or number, not a list or object")
         try:
             return build_initial_enlargement(F, tuple(variable))
         except SpaceError as err:
@@ -149,6 +153,8 @@ def _enlargement(doc, path: str, F: Filtration, arith: Arithmetic) -> Enlargemen
             raise ScenarioError(f"{path}.times", str(err)) from None
     if kind == "explicit":
         G = _filtration(_require(doc, "flow", path), f"{path}.flow", F.space)
+        if G.horizon != F.horizon:
+            raise ScenarioError(f"{path}.flow", f"expected horizon {F.horizon}")
         pair = EnlargementPair(F, G)
         if not check_refinement(pair):
             raise ScenarioError(f"{path}.flow",
@@ -256,7 +262,8 @@ def load_site(doc, arith: Arithmetic):
             raise ScenarioError(path, "expected an object")
         if ("p" in c) == ("q" in c):
             raise ScenarioError(path, "give exactly one of \"p\" or \"q\"")
-        prob = _num(c.get("p", c.get("q")), f"{path}.p", arith)
+        key = "p" if "p" in c else "q"
+        prob = _num(c[key], f"{path}.{key}", arith)
         w_doc = _require(c, "w", path)
         if not isinstance(w_doc, list) or len(w_doc) != dim:
             raise ScenarioError(f"{path}.w", f"expected a length-{dim} list")

@@ -395,6 +395,36 @@ def test_kernel_missing_child_field_names_path(tmp_path, capsys):
     assert code == 3 and "children[0].nu" in err
 
 
+def _nested_signal_value(doc):
+    doc["enlargement"]["variable"][0] = [1, 2]
+
+
+def _short_explicit_flow(doc):
+    doc["enlargement"]["flow"].pop()
+
+
+def _bad_q(doc):
+    doc["children"][0]["q"] = "abc"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("command, source, spoil, where", [
+    ("analyze", SCENARIOS / "noisy_signal.json", _nested_signal_value,
+     "enlargement.variable[0]"),
+    ("analyze", GOLDEN / "explicit_noisy_second_coin.json", _short_explicit_flow,
+     "enlargement.flow"),
+    ("kernel", SCENARIOS / "site_inaccessible.json", _bad_q, "children[0].q"),
+], ids=["nested-signal-value", "short-explicit-flow", "bad-q"])
+def test_malformed_input_exits_3_and_names_the_field(tmp_path, capsys, mode,
+                                                     command, source, spoil, where):
+    doc = json.loads(source.read_text())
+    spoil(doc)
+    code, _, err = run_cli([command, write_doc(tmp_path, doc), "--mode", mode], capsys)
+    assert code == 3
+    assert err.startswith(f"error: {where}: ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # selftest
 
@@ -413,6 +443,14 @@ def test_selftest_passes_exact(tmp_path, capsys):
 def test_selftest_passes_float(capsys):
     code, out, _ = run_cli(["selftest", "--mode", "float"], capsys)
     assert code == 0 and "float mode" in out
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_selftest_passes_outside_the_checkout(tmp_path, monkeypatch, capsys, mode):
+    # The fixtures are package data, found from the module, not the cwd.
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["selftest", "--mode", mode], capsys)
+    assert code == 0 and "all passed" in out
 
 
 def test_bad_mode_env_exits_2(monkeypatch, capsys):

@@ -9,8 +9,7 @@ so the calculus operators are checked against plain arithmetic.
 """
 
 from marketforge.arith import EXACT, Arithmetic
-from marketforge.fixtures import _children
-from marketforge.jumpkernel import Site
+from marketforge.jumpkernel import Site, SiteChild
 from marketforge.selftest import (  # noqa: F401  (re-exports for tests)
     rand_fraction,
     random_adapted,
@@ -36,9 +35,10 @@ def random_predictable(space, filtration, rng, dim=1) -> Process:
 
 def b2n_site(arith: Arithmetic = EXACT) -> Site:
     """The noisy-signal site at time 1 on the signal-up observer atom."""
-    rows = [("1/2", ("1",), "3/5", "1/5"),
-            ("1/2", ("-1",), "-3/5", "-1/5")]
-    return Site(1, _children(arith, rows, 1), True, arith)
+    half, nu, delta = arith.parse("1/2"), arith.parse("3/5"), arith.parse("1/5")
+    one = arith.parse(1)
+    return Site(1, (SiteChild(half, (one,), nu, delta),
+                    SiteChild(half, (-one,), -nu, -delta)), True, arith)
 
 
 def random_martingale(space, filtration, rng, dim=1):
