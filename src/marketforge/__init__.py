@@ -12,7 +12,8 @@ first failing cell, first mismatch, distinct cells).
 ``calculus``   compensators, brackets, integrals, stochastic exponentials
 ``mrp``        representation drivers and the MRP check
 ``enlarge``    expanded-flow drift (the G-compensator), the gauge (N, phi, u)
-``jumpkernel`` one jump-site type, coercivity certificate, one site solve
+``jumpkernel`` one jump-site type and one site solve, whose record is the
+               site's whole certificate; the kernel's pass rule
 ``viability``  structure solves, deflators, and market verdicts
 ``scenario``   JSON ingestion for scenarios and sites
 ``report``     deterministic machine reports and human rendering
@@ -34,12 +35,12 @@ from .enlarge import DriftGauge, check_support_condition, drift, solve_phi
 from .jumpkernel import (
     CoercivityFailure,
     KernelError,
-    PsdSolve,
     Site,
     SiteChild,
-    check_coercivity,
+    SiteSolve,
     check_jump_bound,
     energy_bound,
+    site_checks,
     solve_site,
     tilt_floor,
     verify_density,
@@ -91,19 +92,18 @@ __all__ = [
     "NonViable",
     "Partition",
     "Process",
-    "PsdSolve",
     "RandomTime",
     "SampleSpace",
     "ScenarioError",
     "Site",
     "SiteChild",
+    "SiteSolve",
     "StructureSolution",
     "VIABLE",
     "Verdict",
     "bracket",
     "build_initial_enlargement",
     "build_progressive_enlargement",
-    "check_coercivity",
     "check_jump_bound",
     "check_mrp",
     "check_support_condition",
@@ -117,6 +117,7 @@ __all__ = [
     "load_site",
     "natural_filtration",
     "pred_bracket",
+    "site_checks",
     "solve_phi",
     "solve_site",
     "solve_structure_F",

@@ -3,8 +3,9 @@
 Subcommands:
 
   analyze SCENARIO   run the full viability pipeline on a scenario file
-  kernel SITE        certify coercivity at the tilt floor, solve one jump
-                     site by a minimum-norm solve, run its check battery
+  kernel SITE        solve one jump site in one pass (coercivity at the
+                     tilt floor, minimum-norm solve, jump rows), then
+                     apply the kernel's pass rule
   selftest           run the built-in verification battery
 
 Pass "-" as the file to read from standard input.  Arithmetic mode is
@@ -16,7 +17,8 @@ JSON report (no timings, stable key order) that is byte-identical
 across runs.
 
 Exit codes: 0 viable / all checks pass, 1 selftest failure, 2 unreadable
-input, 3 invalid model data, 4 non-viable, 5 assumption violated.
+input, 3 invalid model data (a site out of float range included), 4
+non-viable, 5 assumption violated.
 """
 
 from __future__ import annotations
@@ -30,16 +32,7 @@ import time
 from . import report
 from .arith import DEFAULT_TOLERANCE, EXACT, Arithmetic
 from .enlarge import Infeasible, solve_phi
-from .jumpkernel import (
-    CoercivityFailure,
-    NegativeTilt,
-    check_coercivity,
-    check_jump_bound,
-    energy_bound,
-    solve_site,
-    tilt_floor,
-    verify_density,
-)
+from .jumpkernel import CoercivityFailure, NegativeTilt, site_checks, solve_site
 from .scenario import BuiltScenario, ScenarioError, load_scenario, load_site, parse_document
 from .selftest import run_selftest
 from .space import first_mismatch
@@ -256,28 +249,15 @@ def cmd_kernel(args) -> int:
 
     try:
         solve = solve_site(site)
+        t1 = time.perf_counter()
+        passed, checks = site_checks(site, solve)
     except (NegativeTilt, CoercivityFailure) as err:
         doc_out = report.site_report(arith, site, error=str(err))
         _write_report(args, doc_out)
         sys.stdout.write(report.render_site_text(doc_out))
         return EXIT_INVALID if isinstance(err, NegativeTilt) else EXIT_NON_VIABLE
-    t1 = time.perf_counter()
-
-    u = tilt_floor(site)
-    checks = {"density": verify_density(site),
-              "coercivity-at-floor": check_coercivity(site, u)}
-    passed = solve.feasible and checks["density"] and checks["coercivity-at-floor"]
-    if solve.feasible:
-        bound_ok, bound_rows = check_jump_bound(site, solve.solution)
-        checks["jump-bound"] = bound_ok
-        checks["jumps"] = [report.fmt_value(r.jump, arith) for r in bound_rows]
-        passed = passed and bound_ok
-        if u > 0:
-            energy_ok, left, right = energy_bound(site, solve.solution, u)
-            checks["energy"] = {"ok": energy_ok,
-                                "left": report.fmt_value(left, arith),
-                                "right": report.fmt_value(right, arith)}
-            passed = passed and energy_ok
+    except OverflowError:
+        return _fail("site is out of float range", EXIT_INVALID)
     t2 = time.perf_counter()
 
     doc_out = report.site_report(arith, site, solve=solve, checks=checks)

@@ -22,13 +22,19 @@ jump equation transpose(xi) M = r on the site.  The equation is coercive
 when M - u G_F is positive semidefinite for the tilt floor u > 0; after that
 certificate one minimum-norm solve of the symmetric system M xi = r gives
 xi, and the solution is re-verified against the growth bound and the
-equation itself.  The paper's generalized-inverse recipe on the column
-space of the base Gram, ``restricted_inverse``, is the reference that
-``tests/reference.py`` keeps to check the direct solve against.
+equation itself.  This is the one pass over a site: its record,
+``SiteSolve``, also carries the coercivity check (decided once, at a
+degenerate site too) and the jump rows of ``check_jump_bound``, which the
+expanded-flow pipeline reads.  ``site_checks`` is the kernel's one pass
+rule, for the ``kernel`` command and the selftest alike.  The paper's
+generalized-inverse recipe on the column space of the base Gram,
+``restricted_inverse``, is the reference that ``tests/reference.py`` keeps
+to check the direct solve against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,13 +65,28 @@ class SiteChild:
 
 
 @dataclass(frozen=True)
-class PsdSolve:
-    """Outcome of a site solve: xi, feasibility, residual, recorded eps."""
+class JumpBoundRow:
+    """Per-child record: the realized deflator jump and its admissibility."""
+
+    index: int
+    jump: Num
+    identity_lhs: Num
+    identity_rhs: Num
+    ok: bool
+
+
+@dataclass(frozen=True)
+class SiteSolve:
+    """A site's certificate: xi, feasibility, the residual of r, the tilt
+    floor the solve certified (None at a degenerate site), whether M - u G_F
+    is PSD at the tilt floor, and the jump rows of a feasible solve."""
 
     solution: tuple[Num, ...]
     feasible: bool
     residual: tuple[Num, ...]
     coercivity: Num | None
+    coercive: bool
+    rows: tuple[JumpBoundRow, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,14 +227,16 @@ def site_rhs(site: Site) -> list[Num]:
 # the site solve
 
 
-def solve_site(site: Site) -> PsdSolve:
-    """Deflator-jump integrand xi at a site of either flavor.
+def solve_site(site: Site) -> SiteSolve:
+    """Deflator-jump integrand xi at a site of either flavor, with the
+    site's whole certificate.
 
     Solves transpose(xi) M = transpose(r) for M = ``gram_G(site)`` and r the
     site right-hand side: the coercivity certificate at the tilt floor, then
-    the minimum-norm solve of M xi = r.  Degenerate zero-Gram sites are
-    feasible exactly when r = 0 (the insider counterexample returns its
-    residual).
+    the minimum-norm solve of M xi = r, then the jump rows of xi.
+    Degenerate zero-Gram sites are feasible exactly when r = 0 (the insider
+    counterexample returns its residual); their coercivity is recorded,
+    not required.
     """
     for c in charged(site):
         if 1 + c.nu < 0:
@@ -222,19 +245,22 @@ def solve_site(site: Site) -> PsdSolve:
             )
     arith = site.arith
     M = gram_G(site)
+    G = gram_F(site)
     r = site_rhs(site)
+    u = tilt_floor(site)
     scale = _site_scale(site)
+    zero = (0,) * site.dim
     if all(arith.negligible(x, scale) for row in M for x in row):
         # Degenerate site: nothing to invert.  Solvable only for zero drift.
+        coercive = _coercive(M, G, u, arith)
         if linalg.vec_is_zero(r, arith, scale):
-            return PsdSolve((0,) * site.dim, True, (0,) * site.dim, None)
-        return PsdSolve((0,) * site.dim, False, tuple(r), None)
-    u = tilt_floor(site)
+            return SiteSolve(zero, True, zero, None, coercive,
+                             check_jump_bound(site, zero))
+        return SiteSolve(zero, False, tuple(r), None, coercive)
     if not u > 0:
         raise CoercivityFailure(
             f"tilt floor {u} is not positive: the site equation is not coercive"
         )
-    G = gram_F(site)
     if not _coercive(M, G, u, arith):
         raise CoercivityFailure("tilted form fails the coercivity inequality on V")
     xi, _ = linalg.lstsq_min_norm(M, r, arith)
@@ -245,36 +271,25 @@ def solve_site(site: Site) -> PsdSolve:
     check = linalg.vec_add(linalg.vec_mat(xi, M), r, sign=-1)
     if not linalg.vec_is_zero(check, arith, scale):
         raise AssertionError("site solve missed the site equation")
-    return PsdSolve(tuple(xi), True, (0,) * site.dim, u)
+    xi = tuple(xi)
+    return SiteSolve(xi, True, zero, u, True, check_jump_bound(site, xi))
 
 
 # ---------------------------------------------------------------------------
 # checks
 
 
-@dataclass(frozen=True)
-class JumpBoundRow:
-    """Per-child record: the realized deflator jump and its admissibility."""
-
-    index: int
-    jump: Num
-    identity_lhs: Num
-    identity_rhs: Num
-    ok: bool
-
-
-def check_jump_bound(site: Site, xi: Sequence[Num]):
+def check_jump_bound(site: Site, xi: Sequence[Num]) -> tuple[JumpBoundRow, ...]:
     """Per-child jump identities and the strict bound (jump < 1).
 
     The jump on a child is xi.(w - c) with c = centre(site).  Accessible
     sites must satisfy, on every charged child, (jump - 1)(1 + nu) p =
     (delta - 1) p with jump < 1; inaccessible sites (c = 0) the closed form
     jump = (delta + nu)/(1 + nu) < 1 on charged children with nonzero w.
-    Returns (all_ok, rows).
+    Returns one row per child checked; the bound holds when every row is ok.
     """
     arith = site.arith
     rows = []
-    ok_all = True
     c0 = centre(site)
     for idx, c in enumerate(site.children):
         if not c.prob > 0:
@@ -286,19 +301,8 @@ def check_jump_bound(site: Site, xi: Sequence[Num]):
             continue  # no jump, or zero expanded mass: nothing to bound
         else:
             lhs, rhs = jump, (c.delta + c.nu) / (1 + c.nu)
-        ok = arith.eq(lhs, rhs) and jump < 1
-        rows.append(JumpBoundRow(idx, jump, lhs, rhs, ok))
-        ok_all = ok_all and ok
-    return ok_all, tuple(rows)
-
-
-def check_coercivity(site: Site, u: Num) -> bool:
-    """Quadratic-form domination of the base Gram by the expanded Gram.
-
-    gram_G - u gram_F is PSD.  Never raises: a negative-tilt site simply
-    fails.
-    """
-    return _coercive(gram_G(site), gram_F(site), u, site.arith)
+        rows.append(JumpBoundRow(idx, jump, lhs, rhs, arith.eq(lhs, rhs) and jump < 1))
+    return tuple(rows)
 
 
 def energy_bound(site: Site, xi: Sequence[Num], u: Num):
@@ -340,3 +344,31 @@ def verify_density(site: Site) -> bool:
         return False
     total = sum(((1 + c.nu) * c.prob / denom for c in site.children), 0)
     return arith.eq(total, 1)
+
+
+def site_checks(site: Site, solve: SiteSolve):
+    """The kernel's pass rule on a solved site: returns (passed, checks).
+
+    ``checks`` holds, in report order, the density and coercivity checks,
+    and for a feasible solve the jump bound, the jumps and (at a positive
+    tilt floor) the energy bound.  A site passes when its solve is feasible
+    and every check holds.  A float value out of range raises OverflowError
+    rather than reach a report.
+    """
+    checks = {"density": verify_density(site), "coercivity-at-floor": solve.coercive}
+    numbers = [*solve.solution, *solve.residual]
+    jump_ok = energy_ok = True
+    if solve.feasible:
+        checks["jump-bound"] = jump_ok = all(r.ok for r in solve.rows)
+        checks["jumps"] = [r.jump for r in solve.rows]
+        numbers += checks["jumps"]
+        u = tilt_floor(site)
+        if u > 0:
+            energy_ok, left, right = energy_bound(site, solve.solution, u)
+            checks["energy"] = {"ok": energy_ok, "left": left, "right": right}
+            numbers += [left, right]
+    if not site.arith.exact and not all(map(math.isfinite, numbers)):
+        raise OverflowError("site is out of float range")
+    passed = (solve.feasible and checks["density"] and solve.coercive
+              and jump_ok and energy_ok)
+    return passed, checks

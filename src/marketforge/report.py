@@ -26,7 +26,7 @@ def fmt_value(v, arith: Arithmetic):
     if is_dataclass(v):
         return {f.name: fmt_value(getattr(v, f.name), arith) for f in fields(v)}
     if isinstance(v, dict):
-        return {str(k): fmt_value(x, arith) for k, x in sorted(v.items())}
+        return {str(k): fmt_value(x, arith) for k, x in v.items()}
     try:
         return arith.fmt(v)
     except (TypeError, ValueError):
@@ -103,7 +103,7 @@ def site_report(arith: Arithmetic, site: Site, solve=None, checks=None,
         "u": fmt_value(tilt_floor(site), arith),
         "error": error,
         "solve": None,
-        "checks": checks if checks is not None else None,
+        "checks": fmt_value(checks, arith),
     }
     if solve is not None:
         out["solve"] = {

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Arithmetic
+from .calculus import is_martingale
 from .jumpkernel import KernelError, Site, SiteChild
 from .mrp import Driver, synthesize_driver
 from .space import (
@@ -225,6 +226,10 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
         carrier = _process(doc["carrier"], "carrier", space, arith, horizon)
         if not is_adapted(carrier, F):
             raise ScenarioError("carrier", "carrier must be adapted to the base flow")
+        ok, witness = is_martingale(carrier, F)
+        if not ok:
+            raise ScenarioError("carrier", f"carrier must be a base-flow martingale; "
+                                f"it drifts at t={witness.t} on {list(witness.atom)}")
 
     structure = None
     if "structure" in doc:

@@ -20,18 +20,7 @@ from . import fixtures, linalg
 from .arith import EXACT, FLOAT, Arithmetic
 from .calculus import bracket, centred, compensator, integrate, pred_bracket, stoch_exp
 from .enlarge import drift, solve_phi
-from .jumpkernel import (
-    KernelError,
-    Site,
-    SiteChild,
-    charged,
-    check_coercivity,
-    check_jump_bound,
-    energy_bound,
-    solve_site,
-    tilt_floor,
-    verify_density,
-)
+from .jumpkernel import KernelError, Site, SiteChild, charged, site_checks, solve_site
 from .mrp import Driver
 from .space import Process, first_mismatch
 from .viability import (
@@ -240,7 +229,8 @@ def _check_kernel_closed_form(arith: Arithmetic) -> str:
     site = fixtures.k1_site(arith)
     eq = arith.eq
     out = solve_site(site)
-    _ask(out.feasible, "k1 site solve is infeasible")
+    passed, checks = site_checks(site, out)
+    _ask(passed, f"k1 site fails the kernel checks: {checks}")
     _ask(eq(out.solution[0], _num(arith, "8/15"))
          and eq(out.solution[1], _num(arith, "-4/5")),
          f"k1 solution is {out.solution}, expected (8/15, -4/5)")
@@ -248,16 +238,11 @@ def _check_kernel_closed_form(arith: Arithmetic) -> str:
         jump = sum(a * b for a, b in zip(out.solution, child.w))
         _ask(eq(jump, (child.delta + child.nu) / (1 + child.nu)),
              "k1 per-child closed form failed")
-    bound_ok, _rows = check_jump_bound(site, out.solution)
-    _ask(bound_ok, "k1 jump bound failed")
-    u = tilt_floor(site)
+    u = out.coercivity
     _ask(eq(u, _num(arith, "1/2")), f"k1 tilt floor is {u}, expected 1/2")
-    energy_ok, left, right = energy_bound(site, out.solution, u)
-    _ask(energy_ok and eq(left, _num(arith, "48/125"))
-         and eq(right, _num(arith, "112/125")),
+    left, right = checks["energy"]["left"], checks["energy"]["right"]
+    _ask(eq(left, _num(arith, "48/125")) and eq(right, _num(arith, "112/125")),
          f"k1 energy numbers are ({left}, {right})")
-    _ask(verify_density(site), "k1 density normalization failed")
-    _ask(check_coercivity(site, u), "k1 coercivity check failed")
     return "xi (8/15, -4/5); energy 48/125 <= 112/125"
 
 
@@ -310,20 +295,6 @@ def _check_calculus_identities(arith: Arithmetic, rounds=10) -> str:
     return f"{rounds} rounds of product/parts identities"
 
 
-def site_contracts(site: Site) -> None:
-    """Assert the full contract battery for one realizable site."""
-    out = solve_site(site)
-    _ask(out.feasible, f"site solve infeasible, residual {out.residual}")
-    bound_ok, _rows = check_jump_bound(site, out.solution)
-    _ask(bound_ok, "site jump-bound rows failed")
-    u = tilt_floor(site)
-    _ask(u > 0, "tilt floor is not positive")
-    _ask(check_coercivity(site, u), "coercivity at the tilt floor failed")
-    energy_ok, left, right = energy_bound(site, out.solution, u)
-    _ask(energy_ok, f"energy bound failed: {left} > {right}")
-    _ask(verify_density(site), "density normalization failed")
-
-
 def _check_random_sites(arith: Arithmetic, rounds=60) -> str:
     rng = random.Random(97)
     count = 0
@@ -331,7 +302,8 @@ def _check_random_sites(arith: Arithmetic, rounds=60) -> str:
         site = random_site(rng, i % 2 == 0)
         if not arith.exact:
             site = site_to_float(site, arith)
-        site_contracts(site)
+        passed, checks = site_checks(site, solve_site(site))
+        _ask(passed and "energy" in checks, f"site {i} fails the kernel checks: {checks}")
         count += 1
     return f"{count} random sites, both flavors"
 

@@ -17,10 +17,10 @@ cells (:meth:`Process.from_paths`), :meth:`Process.predictable` and
 :func:`cond_exp` write one tuple per atom, and every kernel maps its
 operands through :func:`per_distinct`, once per distinct tuple of operand
 objects, so an adapted process costs one computation per (time, atom) cell.
-Measurability is decided on demand against a filtration (:func:`is_adapted`,
-:func:`is_predictable`).  Increments are defined once, here, and computed
-once per process (:meth:`Process.increments`, dX_0 = 0).  Only this module
-and ``calculus`` know the cell layout: the other layers hand over per-atom
+Adaptedness is decided on demand against a filtration (:func:`is_adapted`).
+Increments are defined once, here, and computed once per process
+(:meth:`Process.increments`, dX_0 = 0).  Only this module and
+``calculus`` know the cell layout: the other layers hand over per-atom
 tables (:meth:`Process.predictable`) or per-outcome paths
 (:meth:`Process.from_paths`), and read processes through
 :meth:`Process.on_atoms`, :func:`first_failing`, :func:`first_mismatch` and
@@ -89,12 +89,6 @@ class SampleSpace:
         lcm = math.lcm(*(w.denominator for w in self.weights))
         return tuple(w.numerator * (lcm // w.denominator) for w in self.weights)
 
-    def expectation(self, values: Sequence[Num]) -> Num:
-        """Plain expectation of a random variable given as a parallel sequence."""
-        if len(values) != self.size:
-            raise SpaceError("random variable must have one value per outcome")
-        return sum((w * v for w, v in zip(self.weights, values)), 0)
-
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -139,20 +133,6 @@ class Partition:
     @classmethod
     def trivial(cls, space: SampleSpace) -> "Partition":
         return cls.from_atoms(space, [space.outcomes])
-
-    @classmethod
-    def discrete(cls, space: SampleSpace) -> "Partition":
-        return cls.from_atoms(space, [[o] for o in space.outcomes])
-
-    @classmethod
-    def by_level_sets(cls, space: SampleSpace, values: Sequence) -> "Partition":
-        """Group outcomes by equal values of a (hashable) labelling."""
-        if len(values) != space.size:
-            raise SpaceError("labelling must have one value per outcome")
-        groups: dict = {}
-        for o, v in zip(space.outcomes, values):
-            groups.setdefault(v, []).append(o)
-        return cls.from_atoms(space, groups.values())
 
     def atom_index(self, outcome: str) -> int:
         try:
@@ -379,8 +359,7 @@ class Process:
     of outcome i at time t, all of one length ``dim``.
 
     Cells with equal values may be one shared tuple.  Whether the process
-    is adapted or predictable is decided against a filtration by
-    :func:`is_adapted`/:func:`is_predictable`.
+    is adapted is decided against a filtration by :func:`is_adapted`.
     """
 
     space: SampleSpace
@@ -411,15 +390,6 @@ class Process:
                 raise SpaceError("all value vectors must share one dimension")
             raise SpaceError("all paths must share one horizon")
         return cls(space, tuple(zip(*fixed)))
-
-    @classmethod
-    def from_values(cls, space: SampleSpace, fn, horizon: int, dim: int = 1) -> "Process":
-        """Build from fn(outcome, t) returning a scalar or a length-dim vector."""
-        columns = tuple(tuple(_as_vector(fn(o, t)) for o in space.outcomes)
-                        for t in range(horizon + 1))
-        if any(len(v) != dim for column in columns for v in column):
-            raise SpaceError("value dimension mismatch")
-        return cls(space, columns)
 
     @classmethod
     def predictable(cls, filtration: "Filtration", table, dim: int = 1,
@@ -509,11 +479,6 @@ class Process:
     def scale(self, c: Num) -> "Process":
         return self.map_cells(lambda v: tuple(c * a for a in v))
 
-    def shift(self, c) -> "Process":
-        """Add a constant (scalar or vector) to every value."""
-        v0 = tuple(c) if isinstance(c, (tuple, list)) else (c,) * self.dim
-        return self.map_cells(lambda v: _add(v, v0))
-
     def times(self, other: "Process") -> "Process":
         """Pointwise product, defined for scalar processes."""
         if self.dim != 1 or other.dim != 1:
@@ -596,14 +561,6 @@ def is_adapted(X: Process, filtration: Filtration) -> bool:
     return X.horizon == filtration.horizon and all(
         _constant_on(X, t, filtration.at(t).members)
         for t in range(filtration.horizon + 1))
-
-
-def is_predictable(X: Process, filtration: Filtration) -> bool:
-    """Time-0 value deterministic; time-t values constant on time-(t-1) atoms."""
-    if X.horizon != filtration.horizon or not _constant_on(X, 0, [range(X.space.size)]):
-        return False
-    return all(_constant_on(X, t, filtration.at(t - 1).members)
-               for t in range(1, filtration.horizon + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ pipeline rebuilds the same object under an enlargement: it assembles one
 accessible jump site per (time, expanded atom) -- child probabilities from
 the base flow's transitions, tilts from the drift gauge, deltas from D --
 solves each site for the integrand K, and exponentiates Y = K . (W - drift W)
-with the drift of W kept by the gauge.  Every verdict
+with the drift of W kept by the gauge.  Each site is solved once: its
+``solve_site`` record carries the integrand and the per-child jump rows,
+and the pipeline reads the jump bound from those rows.  Every verdict
 re-verifies the drift identity and the deflated-martingale property through
 independent summation paths before claiming viability.
 """
@@ -30,7 +32,7 @@ from .calculus import (
     sum_steps,
 )
 from .enlarge import DriftGauge, drift
-from .jumpkernel import CoercivityFailure, PsdSolve, Site, SiteChild, check_jump_bound, solve_site
+from .jumpkernel import CoercivityFailure, Site, SiteChild, solve_site
 from .mrp import Driver
 from .space import (
     EnlargementPair,
@@ -111,7 +113,6 @@ class StructureSolution:
     driver_coefficients: Process
     martingale: Process
     deflator: Process
-    diagnostics: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,17 +122,6 @@ class Verdict:
     status: str
     witness: FailureWitness | None = None
     solution: StructureSolution | None = None
-
-
-@dataclass(frozen=True)
-class SiteRecord:
-    """Per-(time, expanded atom) jump-site solve diagnostics."""
-
-    t: int
-    atom: tuple[str, ...]
-    base_atom: tuple[str, ...]
-    site: Site
-    solve: PsdSolve
 
 
 def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
@@ -238,11 +228,13 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
     """Expanded-flow structure condition, solved through the jump sites.
 
     Pipeline: assumption gate (support condition and positive tilt floor),
-    one accessible-site solve per (time, expanded atom), assembly of
-    Y = K . (W - drift W), jump bound, deflator, then two independent
-    verifications -- the drift identity for the prices and the deflated
-    martingale battery.  A verification mismatch is reported as non-viable
-    with reason "verification-mismatch"; it indicates a bug, not a market.
+    one accessible-site solve per (time, expanded atom), the jump rows of
+    the solves (the first bad row reported once every site has solved),
+    assembly of Y = K . (W - drift W), its jump bound, deflator, then two
+    independent verifications -- the drift identity for the prices and the
+    deflated martingale battery.  A verification mismatch is reported as
+    non-viable with reason "verification-mismatch"; it indicates a bug, not
+    a market.
 
     ``enforce_assumptions=False`` skips the gate so the downstream failure
     mode of a bad enlargement (infeasible sites) can be observed directly.
@@ -278,14 +270,14 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
                         return Verdict(ASSUMPTION_VIOLATED,
                                        FailureWitness("tilt-floor", t, atom, u))
     table = {}
-    records = []
+    jump_witness = None
     for t in range(1, G.horizon + 1):
         g_part = G.at(t - 1)
         transitions = market.F.transitions(t)
         for idx, (g_atom, phi, k) in enumerate(zip(
                 g_part.atoms, gauge.phi.on_atoms(t, g_part.atoms),
                 g_part.parents(market.F.at(t - 1)))):
-            _, base_atom, transition = transitions[k]
+            _, _, transition = transitions[k]
             site = _build_site(market, driver, phi, (W, gauge.N, D), t, transition)
             try:
                 solve = solve_site(site)
@@ -297,18 +289,16 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
                 return Verdict(NON_VIABLE,
                                FailureWitness("site-infeasible", t, g_atom,
                                               solve.residual))
-            records.append(SiteRecord(t, g_atom, base_atom, site, solve))
+            bad = next((r for r in solve.rows if not r.ok), None)
+            if jump_witness is None and bad is not None:
+                jump_witness = FailureWitness("jump-bound", t, g_atom, bad)
             table[(t, idx)] = solve.solution
+    # A bad jump row is reported only once every site has solved.
+    if jump_witness is not None:
+        return Verdict(NON_VIABLE, jump_witness)
     kbar = Process.predictable(G, table, driver.d)
     W_tilde = W - gauge.W_drift
     Y = integrate(kbar, W_tilde)
-    for record in records:
-        ok, rows = check_jump_bound(record.site, record.solve.solution)
-        if not ok:
-            bad = next(r for r in rows if not r.ok)
-            return Verdict(NON_VIABLE,
-                           FailureWitness("jump-bound", record.t, record.atom,
-                                          bad))
     miss = first_failing(Y, lambda v: v[0] < 1, increments=True)
     if miss is not None:
         t = miss[1]
@@ -316,7 +306,7 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
         jump = Y.on_atoms(t, [atom], increments=True)[0][0]
         return Verdict(NON_VIABLE, FailureWitness("jump-bound", t, atom, jump))
     deflator = stoch_exp(-Y)
-    solution = StructureSolution(kbar, Y, deflator, tuple(records))
+    solution = StructureSolution(kbar, Y, deflator)
     # The drift identity, checked first for the prices' own expanded-flow
     # drift, then for the bracket of Y against the expanded martingale part.
     rhs = price_drift_rhs(market, D, gauge)

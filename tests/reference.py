@@ -1,7 +1,14 @@
 """Reference implementations the tests check the engine against.
 
 None of this runs on a command-line path; each piece is kept because a test
-compares an engine result with it, computed along an independent route.
+compares an engine result with it, computed along an independent route, or
+builds test data with it.
+
+* ``discrete``, ``by_level_sets``, ``from_values``, ``shift``,
+  ``expectation`` and ``is_predictable`` build and inspect test models:
+  the finest partition, the level sets of a labelling, a process from a
+  formula, a shifted process, a plain expectation, and predictability
+  (adaptedness to the flow lagged by one step).
 
 * ``restricted_inverse`` (with ``pinv_psd`` and the linear-algebra helpers
   only it needs) is the paper's generalized-inverse recipe for the site
@@ -35,12 +42,7 @@ from marketforge import linalg
 from marketforge.arith import EXACT, Arithmetic
 from marketforge.calculus import compensator, integrate, is_martingale, pred_bracket
 from marketforge.enlarge import _require_pair
-from marketforge.jumpkernel import (
-    CoercivityFailure,
-    KernelError,
-    PsdSolve,
-    _within_growth_bound,
-)
+from marketforge.jumpkernel import CoercivityFailure, KernelError, _within_growth_bound
 from marketforge.mrp import Driver
 from marketforge.space import (
     Filtration,
@@ -49,7 +51,56 @@ from marketforge.space import (
     SampleSpace,
     SpaceError,
     first_mismatch,
+    is_adapted,
 )
+
+# ---------------------------------------------------------------------------
+# constructors and predicates only the tests use
+
+
+def discrete(space: SampleSpace) -> Partition:
+    """The partition into single outcomes."""
+    return Partition.from_atoms(space, [[o] for o in space.outcomes])
+
+
+def by_level_sets(space: SampleSpace, values) -> Partition:
+    """Group outcomes by equal values of a (hashable) labelling."""
+    if len(values) != space.size:
+        raise SpaceError("labelling must have one value per outcome")
+    groups: dict = {}
+    for o, v in zip(space.outcomes, values):
+        groups.setdefault(v, []).append(o)
+    return Partition.from_atoms(space, groups.values())
+
+
+def from_values(space: SampleSpace, fn, horizon: int, dim: int = 1) -> Process:
+    """Process from fn(outcome, t) returning a scalar or a length-dim vector."""
+    X = Process.from_paths(space, [[fn(o, t) for t in range(horizon + 1)]
+                                   for o in space.outcomes])
+    if X.dim != dim:
+        raise SpaceError("value dimension mismatch")
+    return X
+
+
+def shift(X: Process, c) -> Process:
+    """X plus a constant (scalar or vector) at every cell."""
+    v0 = tuple(c) if isinstance(c, (tuple, list)) else (c,) * X.dim
+    return X.map_cells(lambda v: tuple(a + b for a, b in zip(v, v0)))
+
+
+def expectation(space: SampleSpace, values):
+    """Plain expectation of a random variable given as a parallel sequence."""
+    if len(values) != space.size:
+        raise SpaceError("random variable must have one value per outcome")
+    return sum((w * v for w, v in zip(space.weights, values)), 0)
+
+
+def is_predictable(X: Process, filtration: Filtration) -> bool:
+    """Deterministic at time 0 and time-(t-1) measurable at t: adapted to
+    the flow lagged by one step, with the trivial partition at time 0."""
+    lagged = (Partition.trivial(filtration.space),) + filtration.partitions[:-1]
+    return is_adapted(X, Filtration(filtration.space, lagged))
+
 
 # ---------------------------------------------------------------------------
 # linear algebra used only by the generalized-inverse reference
@@ -128,7 +179,16 @@ class SingularOnV(Exception):
     """The operator J does not act invertibly inside the column space V."""
 
 
-def restricted_inverse(G, J, v, eps, arith: Arithmetic = EXACT) -> PsdSolve:
+@dataclass(frozen=True)
+class RestrictedSolve:
+    """xi from ``restricted_inverse``, with the coercivity constant it used."""
+
+    solution: tuple
+    feasible: bool
+    coercivity: object
+
+
+def restricted_inverse(G, J, v, eps, arith: Arithmetic = EXACT) -> RestrictedSolve:
     """Invert J on the column space V of G and apply it to the projection of v.
 
     Hypotheses checked: G and GJ symmetric PSD; J maps V into itself
@@ -147,7 +207,7 @@ def restricted_inverse(G, J, v, eps, arith: Arithmetic = EXACT) -> PsdSolve:
         raise KernelError("GJ must be symmetric positive semidefinite")
     cols = independent_columns(G, arith)
     if not cols:
-        return PsdSolve((0,) * d, True, (0,) * d, eps)
+        return RestrictedSolve((0,) * d, True, eps)
     B = [[row[c] for c in cols] for row in G]  # d x r basis of V
     Bt = linalg.transpose(B)
     scale = linalg.matrix_scale(J) * linalg.matrix_scale(B)
@@ -174,7 +234,7 @@ def restricted_inverse(G, J, v, eps, arith: Arithmetic = EXACT) -> PsdSolve:
     x = linalg.mat_vec(B, c)
     if not _within_growth_bound(G, x, list(v), eps, arith):
         raise CoercivityFailure("restricted inverse exceeded its growth bound")
-    return PsdSolve(tuple(x), True, (0,) * d, eps)
+    return RestrictedSolve(tuple(x), True, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +346,7 @@ def lift_filtration(F: Filtration, product: SampleSpace) -> Filtration:
     parts = []
     for t in range(F.horizon + 1):
         base_part = F.at(t)
-        parts.append(Partition.by_level_sets(
-            product, [base_part.atom_index(b) for b in back]
-        ))
+        parts.append(by_level_sets(product, [base_part.atom_index(b) for b in back]))
     return Filtration(product, tuple(parts))
 
 
@@ -318,7 +376,7 @@ def verify_g_compensator(A: Process, pair, gauge) -> bool:
 
 def wealth(x, H: Process, market) -> Process:
     """Self-financing wealth x + (H . S) of the holding H in the market."""
-    return integrate(H, market.S).shift(x)
+    return shift(integrate(H, market.S), x)
 
 
 # ---------------------------------------------------------------------------

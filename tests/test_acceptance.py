@@ -26,11 +26,11 @@ from marketforge.cli import main as cli_main
 from marketforge.enlarge import drift, solve_phi
 from marketforge.fixtures import b1, b2, b2n, k1_site
 from marketforge.jumpkernel import (
-    check_coercivity,
     check_jump_bound,
     energy_bound,
     gram_F,
     gram_G,
+    site_checks,
     site_rhs,
     solve_site,
     tilt_floor,
@@ -42,7 +42,6 @@ from marketforge.space import (
     EnlargementPair,
     Process,
     build_initial_enlargement,
-    is_predictable,
 )
 from marketforge.viability import (
     ASSUMPTION_VIOLATED,
@@ -57,6 +56,7 @@ from marketforge.viability import (
 
 from reference import (
     delta,
+    is_predictable,
     lift_filtration,
     lift_process,
     mat_mul,
@@ -71,6 +71,7 @@ from util import (
     random_adapted,
     random_martingale,
     random_site,
+    record_site_solves,
     site_to_float,
 )
 
@@ -183,7 +184,7 @@ def test_drift_identity_on_50_random_martingales():
 # 4. noisy-signal scenario end to end
 
 
-def test_noisy_signal_scenario_end_to_end(tmp_path, capsys):
+def test_noisy_signal_scenario_end_to_end(tmp_path, capsys, monkeypatch):
     report = tmp_path / "out.json"
     code = cli_main(["analyze", str(SCENARIOS / "noisy_signal.json"),
                      "--report", str(report)])
@@ -194,6 +195,7 @@ def test_noisy_signal_scenario_end_to_end(tmp_path, capsys):
     built = _load("noisy_signal.json")
     base = solve_structure_F(built.market, built.driver)
     gauge = solve_phi(built.pair, built.carrier, built.driver.W)
+    solved = record_site_solves(monkeypatch)
     verdict = solve_structure_G(built.market, built.pair, gauge, built.driver,
                                 base_solution=base)
     assert verdict.status == VIABLE
@@ -216,8 +218,9 @@ def test_noisy_signal_scenario_end_to_end(tmp_path, capsys):
     assert ok, witness
 
     # per-child identity values on the first-step up-signal site
-    rec = next(r for r in sol.diagnostics if r.t == 1 and r.atom[0] in up)
-    _, rows = check_jump_bound(rec.site, rec.solve.solution)
+    site, rec = solved[built.pair.expanded.at(0).atoms.index(up)]
+    rows = rec.rows
+    assert rows == check_jump_bound(site, rec.solution)
     assert {r.identity_lhs for r in rows} == {F(-2, 5), F(-3, 5)}
     assert all(r.identity_lhs == r.identity_rhs for r in rows)
 
@@ -281,17 +284,18 @@ def test_thousand_random_sites_pass_all_checks():
         u = tilt_floor(site)
         assert u > 0
         solve = solve_site(site)
-        assert solve.feasible
+        passed, checks = site_checks(site, solve)
+        assert passed and checks["energy"]["ok"]
         assert verify_density(site)
-        assert check_coercivity(site, u)
-        ok, _rows = check_jump_bound(site, solve.solution)
-        assert ok
-        energy_ok, _, _ = energy_bound(site, solve.solution, u)
-        assert energy_ok
-        # independent cross-check: the generalized-inverse reference on the
-        # base Gram's column space reproduces the solver's answer exactly
+        # the record's certificate, recomputed outside the solve
         M = gram_G(site)
         G = gram_F(site)
+        assert solve.coercive
+        assert linalg.is_psd(linalg.mat_add(M, linalg.mat_scale(G, u), sign=-1), EXACT)
+        assert solve.rows == check_jump_bound(site, solve.solution)
+        assert all(r.ok for r in solve.rows)
+        # independent cross-check: the generalized-inverse reference on the
+        # base Gram's column space reproduces the solver's answer exactly
         J = mat_mul(pinv_psd(G, EXACT), M)
         v, _ = linalg.lstsq_min_norm(G, site_rhs(site), EXACT)
         assert restricted_inverse(G, J, v, u).solution == solve.solution

@@ -16,8 +16,9 @@ from marketforge.calculus import (
     stoch_exp,
 )
 from marketforge.fixtures import b1, b2
-from marketforge.space import Process, is_predictable
+from marketforge.space import Process
 
+from reference import expectation, from_values, is_predictable
 from util import brute_compensator, random_adapted, random_predictable
 
 F = Fraction
@@ -109,7 +110,7 @@ def test_bracket_values_and_symmetry():
 def test_bracket_pulls_integrands_out():
     fx = b2()
     # H depends on the first step only: predictable by time 2.
-    H = Process.from_values(
+    H = from_values(
         fx.space,
         lambda o, t: F(2) if t <= 1 else fx.W.value(o, 1) * F(3),
         fx.F.horizon,
@@ -166,12 +167,12 @@ def test_integrate_vector_transpose_rule():
     # A d-dimensional integrand against a d-dimensional integrator gives the
     # running inner product of coefficients with increments.
     fx = b2()
-    W2 = Process.from_values(
+    W2 = from_values(
         fx.space,
         lambda o, t: (fx.W.value(o, t), F(2) * fx.W.value(o, t)),
         fx.F.horizon, dim=2,
     )
-    H = Process.from_values(fx.space, lambda o, t: (F(1), F(1)), fx.F.horizon, dim=2)
+    H = from_values(fx.space, lambda o, t: (F(1), F(1)), fx.F.horizon, dim=2)
     I = integrate(H, W2)
     assert I.dim == 1
     assert I.value("uu", 2) == fx.W.value("uu", 2) * 3
@@ -240,4 +241,4 @@ def test_deflated_unit_holding_is_martingale():
     wealth = deflator.times(fx.S)
     ok, _ = is_martingale(wealth, fx.F)
     assert ok
-    assert fx.space.expectation([wealth.value(o, 1) for o in fx.space.outcomes]) == 1
+    assert expectation(fx.space, [wealth.value(o, 1) for o in fx.space.outcomes]) == 1

@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from marketforge import linalg
 from marketforge.cli import main
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -226,6 +227,28 @@ def test_analyze_unadapted_driver_or_carrier_exits_3(tmp_path, capsys, field, mo
         f"{'filtration' if field == 'driver' else 'base flow'}\n"
 
 
+# Adapted carriers with a drift: the first at t = 1 (where the gauge tilts
+# the sites), the second only at t = 2 (where the gauge is zero).
+DRIFTING_CARRIERS = {
+    1: [[0, 2, 3], [0, 2, 3], [0, 2, 1], [0, 2, 1],
+        [0, -1, 0], [0, -1, 0], [0, -1, -2], [0, -1, -2]],
+    2: [[0, 1, 3], [0, 1, 3], [0, 1, 1], [0, 1, 1],
+        [0, -1, 0], [0, -1, 0], [0, -1, -2], [0, -1, -2]],
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("t", [1, 2], ids=["drift-at-t1", "drift-at-t2"])
+def test_analyze_carrier_must_be_a_martingale(tmp_path, capsys, t, mode):
+    doc = json.loads((SCENARIOS / "noisy_signal.json").read_text())
+    doc["carrier"] = DRIFTING_CARRIERS[t]
+    code, out, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: carrier: carrier must be a base-flow martingale; "
+                          f"it drifts at t={t} ")
+    assert "Traceback" not in err
+
+
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))  # NaN, Infinity, -Infinity
 
 
@@ -362,6 +385,39 @@ def test_kernel_insider_site_infeasible(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert doc["solve"]["feasible"] is False
     assert doc["solve"]["residual"] == ["6/5"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", ["site_inaccessible.json", "site_insider.json"])
+def test_kernel_decides_coercivity_once(monkeypatch, capsys, name, mode):
+    calls = []
+    is_psd = linalg.is_psd
+
+    def counted(A, arith):
+        calls.append(A)
+        return is_psd(A, arith)
+
+    monkeypatch.setattr(linalg, "is_psd", counted)
+    code, _, _ = run_cli(["kernel", str(SCENARIOS / name), "--mode", mode], capsys)
+    assert code == (0 if name == "site_inaccessible.json" else 4)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_kernel_site_out_of_float_range_exits_3(tmp_path, capsys, mode):
+    # (delta + nu)^2 overflows a float in the energy bound; exact mode is fine.
+    doc = json.loads((SCENARIOS / "site_inaccessible.json").read_text())
+    doc["children"][1]["nu"] = 1e200
+    report = tmp_path / "out.json"
+    code, _, err = run_cli(["kernel", write_doc(tmp_path, doc), "--mode", mode,
+                            "--report", str(report)], capsys)
+    assert "Traceback" not in err
+    if mode == "exact":
+        assert code == 0 and err == ""
+        assert json.loads(report.read_text())["checks"]["energy"]["ok"] is True
+    else:
+        assert code == 3 and err == "error: site is out of float range\n"
+        assert not report.exists()
 
 
 def test_kernel_float_mode(capsys):

@@ -23,10 +23,16 @@ from marketforge.space import (
     Process,
     SpaceError,
     first_mismatch,
-    is_predictable,
 )
 
-from reference import delta, verify_g_compensator
+from reference import (
+    delta,
+    discrete,
+    from_values,
+    is_predictable,
+    shift,
+    verify_g_compensator,
+)
 from util import random_martingale
 
 F = Fraction
@@ -69,7 +75,7 @@ def test_drift_is_the_expanded_compensator_of_the_centred_process():
         G = fx.pair.expanded
         for _ in range(10):
             X = library_martingale(fx.space, fx.F, rng)
-            X = X.shift(rng.randint(-3, 3))   # drift ignores the start value
+            X = shift(X, rng.randint(-3, 3))   # drift ignores the start value
             assert first_mismatch(drift(X, fx.pair), compensator(centred(X), G)) is None
 
 
@@ -117,7 +123,7 @@ def test_support_condition_first_witness_among_several_violations():
         Partition.trivial(space),
         Partition.from_atoms(space, [["uu0", "ud0"], ["uu1"], ["ud1"],
                                      ["du0", "dd0"], ["du1"], ["dd1"]]),
-        Partition.discrete(space),
+        discrete(space),
     ))
     # Four time-2 transitions are ruled out: child uu misses {ud1}, ud misses
     # {uu1}, du misses {dd1}, dd misses {du1}.  The walk is base atom, then
@@ -159,7 +165,7 @@ def test_verify_g_compensator_single_jump():
     fx = b2n()
     gauge = solve_phi(fx.pair, fx.W, fx.W)
     # A jumps to 1 when the first coin lands up.
-    A = Process.from_values(
+    A = from_values(
         fx.space, lambda o, t: 1 if (t >= 1 and o[0] == "u") else 0, 2,
     )
     assert verify_g_compensator(A, fx.pair, gauge)

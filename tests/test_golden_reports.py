@@ -20,7 +20,8 @@ structure martingale jumps by exactly 1: exact mode stops at the base
 ``jump-bound`` (exit 4), while float mode sees 1 - eps, passes the site
 stages and fails the expanded price-drift identity (exit 4,
 ``verification-mismatch``).  Their scenario JSON is stored beside the
-reports.
+reports.  ``selftest`` runs too, with no input file: its report pins the
+names, verdicts and notes of the built-in battery in both modes.
 
 Regenerate after an intended report change, and only then, with
 
@@ -61,17 +62,19 @@ INPUTS = (
     ("kernel", GOLDEN / "site_inaccessible_zero_jump.json"),
     ("analyze", GOLDEN / "one_step_partly_spanned_drift.json"),
     ("analyze", GOLDEN / "trinomial_unit_structure_jump.json"),
+    ("selftest", None),
 )
 
 CASES = [(cmd, path, mode) for cmd, path in INPUTS for mode in MODES]
 
 
 def _case_id(cmd, path, mode):
-    return f"{cmd}-{path.stem}-{mode}"
+    return f"{cmd}-{mode}" if path is None else f"{cmd}-{path.stem}-{mode}"
 
 
 def _run(cmd, path, mode, report):
-    return main([cmd, str(path), "--mode", mode, "--report", str(report)])
+    inputs = [] if path is None else [str(path)]
+    return main([cmd, *inputs, "--mode", mode, "--report", str(report)])
 
 
 @pytest.fixture(autouse=True)

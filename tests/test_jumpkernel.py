@@ -1,12 +1,13 @@
 """Jump-site algebra: Grams, restricted inverses, solves and their checks."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from marketforge import linalg
-from marketforge.arith import EXACT, FLOAT
+from marketforge.arith import EXACT
 from marketforge.fixtures import insider_site, k1_site
 from marketforge.jumpkernel import (
     CoercivityFailure,
@@ -14,12 +15,12 @@ from marketforge.jumpkernel import (
     NegativeTilt,
     Site,
     SiteChild,
-    check_coercivity,
     check_jump_bound,
     energy_bound,
     centre,
     gram_F,
     gram_G,
+    site_checks,
     site_rhs,
     solve_site,
     tilt_floor,
@@ -42,6 +43,12 @@ def _inacc(rows, dim=1, arith=EXACT):
     children = tuple(SiteChild(F(p), tuple(F(x) for x in w), F(nu), F(de))
                      for p, w, nu, de in rows)
     return Site(dim, children, False, arith)
+
+
+def _coercive_at(site, u):
+    """M - u G_F positive semidefinite, computed here from the two Grams."""
+    return linalg.is_psd(linalg.mat_add(gram_G(site), linalg.mat_scale(gram_F(site), u),
+                                        sign=-1), EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +163,20 @@ def test_xi_accessible_noisy_signal_site():
     assert out.feasible
     assert out.solution == (F(5, 4),)
     assert out.coercivity == F(2, 5) == tilt_floor(site)
+    assert out.coercive
+    assert out.rows == check_jump_bound(site, out.solution)
 
 
 def test_xi_accessible_flat_site_is_zero():
     out = solve_site(_acc([(F(1, 2), (1,), 0, 0), (F(1, 2), (-1,), 0, 0)]))
     assert out.solution == (0,) and out.feasible
-    # a zero-Gram site with zero drift is feasible and certifies no constant
-    out = solve_site(_acc([(F(1, 2), (0,), F(1, 2), F(1, 5)),
-                           (F(1, 2), (0,), F(-1, 2), F(-1, 5))]))
+    # a zero-Gram site with zero drift is feasible and certifies no constant;
+    # its record still holds the coercivity check and the jump rows of xi = 0
+    site = _acc([(F(1, 2), (0,), F(1, 2), F(1, 5)), (F(1, 2), (0,), F(-1, 2), F(-1, 5))])
+    out = solve_site(site)
     assert out.solution == (0,) and out.feasible and out.coercivity is None
+    assert out.coercive == _coercive_at(site, tilt_floor(site))
+    assert out.rows == check_jump_bound(site, (0,))
 
 
 def test_xi_accessible_insider_site_infeasible():
@@ -174,6 +186,7 @@ def test_xi_accessible_insider_site_infeasible():
     assert out.residual == (F(6, 5),)
     assert out.solution == (0,)
     assert out.coercivity is None
+    assert out.coercive and out.rows == ()
 
 
 def test_xi_accessible_coercivity_failure_without_zero_gram():
@@ -210,8 +223,8 @@ def test_xi_zero_jump_site_degenerate_feasible():
 def test_jump_bound_noisy_signal_site():
     site = b2n_site()
     xi = solve_site(site).solution
-    ok, rows = check_jump_bound(site, xi)
-    assert ok
+    rows = check_jump_bound(site, xi)
+    assert all(r.ok for r in rows)
     assert [r.jump for r in rows] == [F(1, 2), F(-2)]
     assert [r.identity_lhs for r in rows] == [F(-2, 5), F(-3, 5)]
     assert [r.identity_rhs for r in rows] == [F(-2, 5), F(-3, 5)]
@@ -220,29 +233,50 @@ def test_jump_bound_noisy_signal_site():
 def test_jump_bound_k1_site():
     site = k1_site()
     xi = solve_site(site).solution
-    ok, rows = check_jump_bound(site, xi)
-    assert ok
+    rows = check_jump_bound(site, xi)
+    assert all(r.ok for r in rows)
     assert [r.jump for r in rows] == [F(8, 15), F(-4, 5)]
     assert all(r.identity_lhs == r.identity_rhs for r in rows)
 
 
 def test_jump_bound_rejects_wrong_xi():
     site = b2n_site()
-    ok, rows = check_jump_bound(site, (F(7),))
-    assert not ok
+    rows = check_jump_bound(site, (F(7),))
     assert any(not r.ok for r in rows)
     # A jump above one fails even where the identity is distorted consistently.
     assert any(r.jump >= 1 for r in rows)
 
 
 def test_coercivity_check_values():
-    assert check_coercivity(b2n_site(), F(2, 5))
-    assert check_coercivity(k1_site(), F(1, 2))
-    assert not check_coercivity(k1_site(), F(3, 2))
+    assert _coercive_at(b2n_site(), F(2, 5))
+    assert _coercive_at(k1_site(), F(1, 2))
+    assert not _coercive_at(k1_site(), F(3, 2))
     # Flat site: expanded and base Grams agree, so u = 1 is the edge.
     flat = _acc([(F(1, 2), (1,), 0, 0), (F(1, 2), (-1,), 0, 0)])
-    assert check_coercivity(flat, 1)
-    assert not check_coercivity(flat, F(11, 10))
+    assert _coercive_at(flat, 1)
+    assert not _coercive_at(flat, F(11, 10))
+    # The solve records the check at the tilt floor.
+    for site in (b2n_site(), k1_site(), flat, insider_site()):
+        assert solve_site(site).coercive == _coercive_at(site, tilt_floor(site))
+
+
+def test_site_checks_pass_rule():
+    site = k1_site()
+    out = solve_site(site)
+    passed, checks = site_checks(site, out)
+    assert passed
+    assert list(checks) == ["density", "coercivity-at-floor", "jump-bound", "jumps",
+                            "energy"]
+    assert checks["jumps"] == [F(8, 15), F(-4, 5)]
+    assert checks["energy"] == {"ok": True, "left": F(48, 125), "right": F(112, 125)}
+    # An infeasible site fails with only the checks that need no solution.
+    passed, checks = site_checks(insider_site(), solve_site(insider_site()))
+    assert not passed
+    assert checks == {"density": True, "coercivity-at-floor": True}
+    # A record whose jump rows fail fails the rule.
+    bad = replace(solve_site(b2n_site()), rows=check_jump_bound(b2n_site(), (F(7),)))
+    passed, checks = site_checks(b2n_site(), bad)
+    assert not passed and checks["jump-bound"] is False
 
 
 def test_energy_bound_values():
@@ -298,11 +332,10 @@ def _assert_site_contracts(site):
     J = mat_mul(pinv_psd(G, EXACT), M)
     v, _ = linalg.lstsq_min_norm(G, site_rhs(site), EXACT)
     assert list(restricted_inverse(G, J, v, u).solution) == xi
-    ok, _ = check_jump_bound(site, xi)
-    assert ok
-    assert check_coercivity(site, u)
-    ok, _, _ = energy_bound(site, xi, u)
-    assert ok
+    assert out.rows == check_jump_bound(site, xi)
+    assert out.coercive and _coercive_at(site, u)
+    passed, checks = site_checks(site, out)
+    assert passed and checks["energy"]["ok"]
     assert verify_density(site)
 
 

@@ -13,10 +13,16 @@ from marketforge.space import (
     Process,
     SampleSpace,
     SpaceError,
-    is_predictable,
 )
 
-from reference import NotRepresentable, delta, represent
+from reference import (
+    NotRepresentable,
+    delta,
+    discrete,
+    from_values,
+    is_predictable,
+    represent,
+)
 from util import random_martingale
 
 F = Fraction
@@ -62,7 +68,7 @@ def test_represent_minimum_norm_on_redundant_driver():
     # Stack the walk twice: solves are underdetermined, the minimum-norm
     # choice splits the coefficient evenly between the equal components.
     fx = b2()
-    W2 = Process.from_values(
+    W2 = from_values(
         fx.space,
         lambda o, t: (fx.W.value(o, t), fx.W.value(o, t)),
         fx.F.horizon, dim=2,
@@ -76,7 +82,7 @@ def test_not_representable_when_three_ways_split_on_scalar_driver():
     # One step, three outcomes, driver takes only two values: a martingale
     # separating the third outcome cannot be represented.
     space = SampleSpace(("a", "b", "c"), (F(1, 4), F(1, 4), F(1, 2)))
-    parts = (Partition.trivial(space), Partition.discrete(space))
+    parts = (Partition.trivial(space), discrete(space))
     filtration = Filtration(space, parts)
     W = Process.from_paths(space, [[0, 1], [0, -1], [0, 0]])
     driver = Driver(W, filtration)
@@ -136,7 +142,7 @@ def test_synthesize_driver_binary_tree():
 
 def test_synthesize_driver_trinomial():
     space = SampleSpace(("a", "b", "c"), (F(1, 4), F(1, 4), F(1, 2)))
-    filtration = Filtration(space, (Partition.trivial(space), Partition.discrete(space)))
+    filtration = Filtration(space, (Partition.trivial(space), discrete(space)))
     driver = synthesize_driver(filtration)
     assert driver.d == 2
     assert check_mrp(filtration, driver) == (True, None)
@@ -173,7 +179,7 @@ def test_check_mrp_agrees_with_the_representation_oracle():
         m = rng.randint(2, 4)
         raw = [rng.randint(1, 5) for _ in range(m)]
         space = SampleSpace(tuple("abcd"[:m]), tuple(F(w, sum(raw)) for w in raw))
-        flow = Filtration(space, (Partition.trivial(space), Partition.discrete(space)))
+        flow = Filtration(space, (Partition.trivial(space), discrete(space)))
         d = rng.randint(1, 3)
         steps = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(m)]
         means = [sum(p * s[e] for p, s in zip(space.weights, steps)) for e in range(d)]

@@ -20,7 +20,6 @@ from marketforge.calculus import accumulate, stoch_exp
 from marketforge.fixtures import b2n
 from marketforge.space import (
     Filtration,
-    Partition,
     Process,
     SampleSpace,
     cond_exp,
@@ -59,7 +58,7 @@ def random_tree(rng, arith):
     if not arith.exact:
         weights = [float(w) for w in weights]
     space = SampleSpace(tuple(f"o{i}" for i in range(n)), tuple(weights), arith=arith)
-    parts = tuple(Partition.by_level_sets(space, [lab[:t] for lab in labels])
+    parts = tuple(ref.by_level_sets(space, [lab[:t] for lab in labels])
                   for t in range(horizon + 1))
     return space, Filtration(space, parts)
 

@@ -21,11 +21,18 @@ from marketforge.space import (
     cond_exp,
     first_mismatch,
     is_adapted,
-    is_predictable,
-    natural_filtration,
 )
 
-from reference import delta, lift_filtration, lift_process, product_with_independent
+from reference import (
+    delta,
+    discrete,
+    expectation,
+    is_predictable,
+    lift_filtration,
+    lift_process,
+    product_with_independent,
+    shift,
+)
 
 F = Fraction
 
@@ -205,7 +212,7 @@ def test_check_refinement_fails_on_swapped_pair():
 
 def test_filtration_must_refine():
     space = three_point_space()
-    fine = Partition.discrete(space)
+    fine = discrete(space)
     coarse = Partition.trivial(space)
     with pytest.raises(SpaceError):
         Filtration(space, (fine, coarse))
@@ -215,7 +222,7 @@ def test_b2n_fixture_geometry():
     fx = b2n()
     assert fx.space.size == 8
     up = [1 if z == "u" else 0 for z in fx.signal]
-    assert fx.space.expectation(up) == F(1, 2)
+    assert expectation(fx.space, up) == F(1, 2)
     # F never resolves the noise bit: final atoms pair the two bits.
     assert all(len(a) == 2 for a in fx.F.at(2).atoms)
     G = fx.pair.expanded
@@ -223,7 +230,7 @@ def test_b2n_fixture_geometry():
     # Conditional law of the first coin given a clean-signal reading.
     both = [1 if z == "u" and o[0] == "u" else 0
             for z, o in zip(fx.signal, fx.space.outcomes)]
-    assert fx.space.expectation(both) / fx.space.expectation(up) == F(4, 5)
+    assert expectation(fx.space, both) / expectation(fx.space, up) == F(4, 5)
 
 
 def test_product_and_lift_helpers():
@@ -240,7 +247,7 @@ def test_product_and_lift_helpers():
 
 def test_process_algebra_and_increments():
     fx = b1()
-    X = fx.W.scale(F(2)).shift(F(3))
+    X = shift(fx.W.scale(F(2)), F(3))
     assert X.at("u", 1) == (F(5),)
     assert delta(X, "d", 1) == (F(-2),)
     assert delta(X, "u", 0) == (0,)

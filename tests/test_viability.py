@@ -13,7 +13,6 @@ from marketforge.space import (
     EnlargementPair,
     Process,
     build_initial_enlargement,
-    natural_filtration,
 )
 from marketforge.viability import (
     ASSUMPTION_VIOLATED,
@@ -28,8 +27,14 @@ from marketforge.viability import (
     verify_deflator,
 )
 
-from reference import lift_filtration, lift_process, product_with_independent, wealth
-from util import random_predictable
+from reference import (
+    from_values,
+    lift_filtration,
+    lift_process,
+    product_with_independent,
+    wealth,
+)
+from util import random_predictable, record_site_solves
 
 F = Fraction
 
@@ -65,9 +70,8 @@ def test_structure_solve_b1():
 
 def test_structure_solve_driftless_market():
     fx = b1()
-    S = Process.from_values(fx.space,
-                            lambda o, t: 1 + F(1, 10) * fx.W.value(o, t),
-                            fx.F.horizon)
+    S = from_values(fx.space, lambda o, t: 1 + F(1, 10) * fx.W.value(o, t),
+                    fx.F.horizon)
     sol = solve_structure_F(Market(S, fx.F), _driver(fx))
     assert all(sol.martingale.value(o, t) == 0
                for o in fx.space.outcomes for t in (0, 1))
@@ -76,7 +80,7 @@ def test_structure_solve_driftless_market():
 
 def test_structure_solve_jump_bound_failure():
     fx = b1()
-    S = Process.from_values(
+    S = from_values(
         fx.space,
         lambda o, t: 1 + F(1, 10) * fx.W.value(o, t) + F(3, 20) * t,
         fx.F.horizon)
@@ -88,7 +92,7 @@ def test_structure_solve_jump_bound_failure():
 
 def test_structure_solve_unspanned_drift():
     fx = b1()
-    S = Process.from_values(fx.space, lambda o, t: 1 + F(1, 50) * t, fx.F.horizon)
+    S = from_values(fx.space, lambda o, t: 1 + F(1, 50) * t, fx.F.horizon)
     with pytest.raises(NonViable) as err:
         solve_structure_F(Market(S, fx.F), _driver(fx))
     w = err.value.witness
@@ -103,7 +107,7 @@ def test_structure_solvability_matches_deflator_existence():
     sol = solve_structure_F(market, _driver(fx))
     assert verify_deflator(sol.deflator, market, fx.F)[0]
 
-    drifted = Process.from_values(
+    drifted = from_values(
         fx.space,
         lambda o, t: 1 + F(1, 10) * fx.W.value(o, t) + F(3, 20) * t,
         fx.F.horizon)
@@ -128,9 +132,8 @@ def test_verify_deflator_flat_deflator_sees_drift():
 
 def test_verify_deflator_flat_market():
     fx = b1()
-    S = Process.from_values(fx.space,
-                            lambda o, t: 1 + F(1, 10) * fx.W.value(o, t),
-                            fx.F.horizon)
+    S = from_values(fx.space, lambda o, t: 1 + F(1, 10) * fx.W.value(o, t),
+                    fx.F.horizon)
     market = Market(S, fx.F)
     ones = Process.constant(fx.space, 1, 1)
     assert verify_deflator(ones, market, fx.F) == (True, None)
@@ -186,10 +189,11 @@ def test_solve_structure_G_identity_enlargement_reproduces_base():
             assert sol.deflator.value(o, t) == base.deflator.value(o, t)
 
 
-def test_solve_structure_G_noisy_signal_full_numbers():
+def test_solve_structure_G_noisy_signal_full_numbers(monkeypatch):
     fx = b2n()
     market = _market(fx)
     gauge = _gauge(fx)
+    solved = record_site_solves(monkeypatch)
     verdict = solve_structure_G(market, fx.pair, gauge, _driver(fx))
     assert verdict.status == VIABLE
     sol = verdict.solution
@@ -207,13 +211,13 @@ def test_solve_structure_G_noisy_signal_full_numbers():
     mean = sum(fx.space.weight(o) * sol.deflator.value(o, 1) * fx.S.value(o, 1)
                for o in up) / mass
     assert mean == 1
-    # Diagnostics expose the site of the worked example.
-    rec = next(r for r in sol.diagnostics if r.t == 1 and r.atom[0] in up)
-    assert [(c.prob, c.w, c.nu, c.delta) for c in rec.site.children] == [
+    # The pipeline solves the site of the worked example.
+    site, rec = solved[fx.pair.expanded.at(0).atoms.index(tuple(up))]
+    assert [(c.prob, c.w, c.nu, c.delta) for c in site.children] == [
         (F(1, 2), (F(1),), F(3, 5), F(1, 5)),
         (F(1, 2), (F(-1),), F(-3, 5), F(-1, 5)),
     ]
-    assert rec.solve.solution == (F(5, 4),)
+    assert rec.solution == (F(5, 4),)
 
 
 def test_solve_structure_G_insider_assumption_gate_and_bypass():
@@ -247,7 +251,7 @@ def test_solve_structure_G_rejects_a_gauge_of_another_driver():
     fx = b2n()
     market, driver = _market(fx), _driver(fx)
     doubled = solve_phi(fx.pair, fx.W, fx.W.scale(2))
-    stacked = solve_phi(fx.pair, fx.W, Process.from_values(
+    stacked = solve_phi(fx.pair, fx.W, from_values(
         fx.space, lambda o, t: (fx.W.value(o, t),) * 2, fx.F.horizon, dim=2))
     for gauge in (doubled, stacked):
         with pytest.raises(ViabilityError, match="another driver"):

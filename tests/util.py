@@ -8,8 +8,9 @@ over outcomes, independent of the library's conditional-expectation path,
 so the calculus operators are checked against plain arithmetic.
 """
 
+from marketforge import viability
 from marketforge.arith import EXACT, Arithmetic
-from marketforge.jumpkernel import Site, SiteChild
+from marketforge.jumpkernel import Site, SiteChild, solve_site
 from marketforge.selftest import (  # noqa: F401  (re-exports for tests)
     rand_fraction,
     random_adapted,
@@ -31,6 +32,20 @@ def random_predictable(space, filtration, rng, dim=1) -> Process:
         for k, atom in enumerate(part.atoms):
             table[(t, k)] = tuple(rand_fraction(rng) for _ in range(dim))
     return Process.predictable(filtration, table, dim, initial=v0)
+
+
+def record_site_solves(monkeypatch) -> list:
+    """Record every (site, record) pair the expanded-flow pipeline solves,
+    in solve order: time by time, each time's expanded atoms in order."""
+    seen = []
+
+    def solve_and_record(site):
+        out = solve_site(site)
+        seen.append((site, out))
+        return out
+
+    monkeypatch.setattr(viability, "solve_site", solve_and_record)
+    return seen
 
 
 def b2n_site(arith: Arithmetic = EXACT) -> Site:
