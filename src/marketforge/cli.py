@@ -31,7 +31,7 @@ import time
 
 from . import report
 from .arith import DEFAULT_TOLERANCE, EXACT, Arithmetic
-from .enlarge import Infeasible, solve_phi
+from .enlarge import GaugeMismatch, Infeasible, solve_phi
 from .jumpkernel import CoercivityFailure, NegativeTilt, site_checks, solve_site
 from .scenario import BuiltScenario, ScenarioError, load_scenario, load_site, parse_document
 from .selftest import run_selftest
@@ -192,6 +192,11 @@ def _run_pipeline(built: BuiltScenario):
         checks["gauge-solve"] = (False, str(err))
         witness = FailureWitness("gauge-infeasible", detail=str(err))
         return Verdict(ASSUMPTION_VIOLATED, witness, None), None, checks
+    except GaugeMismatch as err:
+        witness = FailureWitness("verification-mismatch", err.t, err.atom,
+                                 (err.a, err.b))
+        checks["gauge-solve"] = (False, witness)
+        return Verdict(NON_VIABLE, witness, None), None, checks
 
     checks["support-condition"] = (gauge.support_ok, None)
     checks["tilt-floor-positive"] = (gauge.u_positive, None)
@@ -225,7 +230,7 @@ def cmd_analyze(args) -> int:
     t1 = time.perf_counter()
     try:
         verdict, gauge, checks = _run_pipeline(built)
-    except ScenarioError as err:
+    except (ScenarioError, OverflowError) as err:  # a site out of float range overflows
         return _fail(str(err), EXIT_INVALID)
     t2 = time.perf_counter()
 

@@ -31,6 +31,7 @@ from .space import (
     check_refinement,
     first_failing,
     first_mismatch,
+    value_key,
 )
 
 
@@ -42,6 +43,21 @@ class Infeasible(Exception):
         self.atom = atom
         self.residual = residual
         super().__init__(f"no drift integrand exists at time {t} on atom {atom}")
+
+
+class GaugeMismatch(Exception):
+    """The solved integrand misses the drift identity on the driver basis:
+    a bug, not a market.  ``t`` and ``atom`` (a time-t expanded atom) locate
+    the first mismatching cell, ``a`` and ``b`` are the drift of the driver
+    component and the identity's right side there."""
+
+    def __init__(self, t: int, atom: tuple[str, ...], a, b):
+        self.t = t
+        self.atom = atom
+        self.a = a
+        self.b = b
+        super().__init__(f"drift identity failed on the driver basis at time {t} "
+                         f"on atom {atom}: {a} != {b}")
 
 
 @dataclass(frozen=True)
@@ -147,16 +163,19 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
 
         transpose(phi) E[dN transpose(dW) | A] = E[transpose(dW) | B],
 
-    taking the minimum-norm solution when the system is underdetermined.
-    Raises Infeasible when no solution exists.  The returned gauge carries
-    W's drift, the tilt floor u and the support / positivity diagnostics;
-    the drift identity is re-verified on the full driver basis.
+    taking the minimum-norm solution when the system is underdetermined,
+    once per distinct (Q_A, gamma_B) value within this call.  Raises
+    Infeasible when no solution exists.  The returned gauge carries W's
+    drift, the tilt floor u and the support / positivity diagnostics; the
+    drift identity is re-verified on the full driver basis, and a mismatch
+    raises GaugeMismatch.
     """
     _require_pair(pair)
     F, G = pair.base, pair.expanded
     arith = pair.space.arith
     n, d = N.dim, W.dim
     values: dict[tuple[int, int], tuple] = {}
+    solved = {}  # one solve per distinct (Q_A, gamma_B) value, for this call only
     for t in range(1, pair.horizon + 1):
         f_part, g_part = F.at(t - 1), G.at(t - 1)
         Qs = cross_moments(N, W, f_part, t)
@@ -165,10 +184,14 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
             if d == 0:  # no driver equations: any integrand works, take zero
                 values[(t, k)] = (0,) * n
                 continue
-            phi_b, residual = linalg.lstsq_min_norm(linalg.transpose(Qs[a]), gamma, arith)
-            if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([gamma])):
-                raise Infeasible(t, b_atom, tuple(residual))
-            values[(t, k)] = tuple(phi_b)
+            key = value_key(*Qs[a], gamma)
+            if key not in solved:
+                phi_b, residual = linalg.lstsq_min_norm(linalg.transpose(Qs[a]), gamma,
+                                                        arith)
+                if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([gamma])):
+                    raise Infeasible(t, b_atom, tuple(residual))
+                solved[key] = tuple(phi_b)
+            values[(t, k)] = solved[key]
     phi = Process.predictable(G, values, n)
     # Re-verify the drift identity on the driver basis, component by component.
     W_drift = drift(W, pair)
@@ -176,10 +199,8 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
         miss = first_mismatch(W_drift.component(e),
                               integrate(phi, pred_bracket(N, W.component(e), F)))
         if miss is not None:
-            raise AssertionError(
-                "drift identity failed on the driver basis "
-                f"(component {e}, outcome {miss[0]}, time {miss[1]})"
-            )
+            o, t, a, b = miss
+            raise GaugeMismatch(t, G.at(t).atom_of(o), a, b)
     u = compute_u(pair, N, phi)
     _, support_witness = check_support_condition(pair)
     u_positive = first_failing(u, lambda v: v[0] > 0) is None

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from . import linalg
@@ -236,7 +237,8 @@ def solve_site(site: Site) -> SiteSolve:
     the minimum-norm solve of M xi = r, then the jump rows of xi.
     Degenerate zero-Gram sites are feasible exactly when r = 0 (the insider
     counterexample returns its residual); their coercivity is recorded,
-    not required.
+    not required.  In float mode a non-finite entry of M, G_F or r raises
+    OverflowError: the site is out of float range.
     """
     for c in charged(site):
         if 1 + c.nu < 0:
@@ -247,6 +249,8 @@ def solve_site(site: Site) -> SiteSolve:
     M = gram_G(site)
     G = gram_F(site)
     r = site_rhs(site)
+    if not arith.exact and not all(map(math.isfinite, [*r, *chain(*M), *chain(*G)])):
+        raise OverflowError("site is out of float range")
     u = tilt_floor(site)
     scale = _site_scale(site)
     zero = (0,) * site.dim

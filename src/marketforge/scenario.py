@@ -84,6 +84,18 @@ def _process(paths_doc, path: str, space: SampleSpace, arith: Arithmetic,
              horizon: int | None = None) -> Process:
     if not isinstance(paths_doc, list) or len(paths_doc) != space.size:
         raise ScenarioError(path, f"expected one path per outcome ({space.size})")
+    parsed = {}  # raw token key -> its number, for this call only
+
+    def num(x, where):
+        """The number of token x, parsed once per distinct token; the field
+        path ``where()`` is built only when parsing fails."""
+        if isinstance(x, (list, dict)):
+            return _num(x, where(), arith)  # never a number: fails with the path
+        key = (type(x), repr(x) if isinstance(x, float) else x)
+        if key not in parsed:
+            parsed[key] = _num(x, where(), arith)
+        return parsed[key]
+
     paths = []
     for i, raw in enumerate(paths_doc):
         if not isinstance(raw, list) or len(raw) < 2:
@@ -94,10 +106,10 @@ def _process(paths_doc, path: str, space: SampleSpace, arith: Arithmetic,
         fixed = []
         for t, v in enumerate(raw):
             if isinstance(v, list):
-                fixed.append(tuple(_num(x, f"{path}[{i}][{t}][{j}]", arith)
+                fixed.append(tuple(num(x, lambda: f"{path}[{i}][{t}][{j}]")
                                    for j, x in enumerate(v)))
             else:
-                fixed.append((_num(v, f"{path}[{i}][{t}]", arith),))
+                fixed.append((num(v, lambda: f"{path}[{i}][{t}]"),))
         paths.append(tuple(fixed))
     try:
         return Process.from_paths(space, paths)

@@ -338,6 +338,13 @@ def _cell_key(v: tuple):
     return v if 0 not in v else (v, tuple(map(repr, v)))
 
 
+def value_key(*vectors) -> tuple:
+    """Memo key of a tuple of number vectors by value: each vector keyed as
+    ``_cell_key`` interns a cell.  A local solve memo keys its operands
+    with this, so operands equal in value (and no others) share a solve."""
+    return tuple(_cell_key(tuple(v)) for v in vectors)
+
+
 def per_distinct(op, *columns) -> tuple:
     """``tuple(op(*cells) for cells in zip(*columns))``, computing op once per
     distinct tuple of operand objects and reusing that result object.

@@ -7,11 +7,13 @@ pipeline rebuilds the same object under an enlargement: it assembles one
 accessible jump site per (time, expanded atom) -- child probabilities from
 the base flow's transitions, tilts from the drift gauge, deltas from D --
 solves each site for the integrand K, and exponentiates Y = K . (W - drift W)
-with the drift of W kept by the gauge.  Each site is solved once: its
-``solve_site`` record carries the integrand and the per-child jump rows,
-and the pipeline reads the jump bound from those rows.  Every verdict
-re-verifies the drift identity and the deflated-martingale property through
-independent summation paths before claiming viability.
+with the drift of W kept by the gauge.  Each site is solved once per
+distinct site value within one call: its ``solve_site`` record carries the
+integrand and the per-child jump rows, and the pipeline reads the jump
+bound from those rows.  The base-atom solves likewise run once per distinct
+operand value within one call.  Every verdict re-verifies the drift
+identity and the deflated-martingale property through independent
+summation paths, on the full grid, before claiming viability.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .space import (
     first_failing,
     first_mismatch,
     is_adapted,
+    value_key,
 )
 
 VIABLE = "viable"
@@ -139,6 +142,7 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
     M, W = market.martingale_part, driver.W
     k, d = market.k, driver.d
     table = {}
+    solved = {}  # one solve per distinct (Q, target) value, for this call only
     for t in range(1, F.horizon + 1):
         targets = market.drift_part.on_atoms(t, F.at(t - 1).atoms, increments=True)
         for idx, atom, children in F.transitions(t):
@@ -150,11 +154,14 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
                     for j in range(d):
                         Q[i][j] += p * dm[i] * dw[j]
             target = list(targets[idx])
-            coeffs, residual = linalg.lstsq_min_norm(Q, target, arith)
-            if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([target])):
-                raise NonViable(FailureWitness("drift-not-spanned", t, atom,
-                                               tuple(residual)))
-            table[(t, idx)] = tuple(coeffs)
+            key = value_key(*Q, target)
+            if key not in solved:
+                coeffs, residual = linalg.lstsq_min_norm(Q, target, arith)
+                if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([target])):
+                    raise NonViable(FailureWitness("drift-not-spanned", t, atom,
+                                                   tuple(residual)))
+                solved[key] = tuple(coeffs)
+            table[(t, idx)] = solved[key]
     dbar = Process.predictable(F, table, d)
     D = integrate(dbar, W)
     for t in range(1, F.horizon + 1):
@@ -209,16 +216,21 @@ def price_drift_rhs(market: Market, D: Process, gauge: DriftGauge) -> Process:
         k, (pb_d, pb_n), (gauge.phi,))
 
 
-def _build_site(market: Market, driver: Driver, phi, processes, t: int,
-                transition) -> Site:
+def _site_inputs(processes, t: int, transition) -> list:
+    """(p, dW, dN, dD) for each child of a base-flow transition: its
+    conditional probability and the time-t increments of the driver, the
+    carrier and D, the three ``processes``."""
+    kids = [child for child, _ in transition]
+    return list(zip((p for _, p in transition),
+                    *(X.on_atoms(t, kids, increments=True) for X in processes)))
+
+
+def _build_site(market: Market, driver: Driver, phi, inputs) -> Site:
     """Accessible site for one (time, expanded atom): base-flow child
     probabilities, driver jumps, gauge tilts through the atom's integrand
-    ``phi``, and structure-martingale deltas.  ``processes`` holds the
-    driver, the carrier and D, read by their time-t increments."""
-    kids = [child for child, _ in transition]
-    dW, dN, dD = (X.on_atoms(t, kids, increments=True) for X in processes)
+    ``phi``, and structure-martingale deltas, from ``_site_inputs``."""
     children = [SiteChild(p, dw, sum((a * b for a, b in zip(phi, dn)), 0), dd[0])
-                for (_, p), dw, dn, dd in zip(transition, dW, dN, dD)]
+                for p, dw, dn, dd in inputs]
     return Site(driver.d, tuple(children), True, market.space.arith)
 
 
@@ -228,8 +240,9 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
     """Expanded-flow structure condition, solved through the jump sites.
 
     Pipeline: assumption gate (support condition and positive tilt floor),
-    one accessible-site solve per (time, expanded atom), the jump rows of
-    the solves (the first bad row reported once every site has solved),
+    one accessible site per (time, expanded atom), solved once per distinct
+    site value within this call, the jump rows of the solves (the first bad
+    row reported once every site has solved),
     assembly of Y = K . (W - drift W), its jump bound, deflator, then two
     independent verifications -- the drift identity for the prices and the
     deflated martingale battery.  A verification mismatch is reported as
@@ -271,6 +284,10 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
                                        FailureWitness("tilt-floor", t, atom, u))
     table = {}
     jump_witness = None
+    # One solve per distinct site value, for this call only.  A site that
+    # fails returns at once, so a repeat only ever reuses a feasible solve
+    # whose bad jump row, if any, is already the witness.
+    solved = {}
     for t in range(1, G.horizon + 1):
         g_part = G.at(t - 1)
         transitions = market.F.transitions(t)
@@ -278,21 +295,24 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
                 g_part.atoms, gauge.phi.on_atoms(t, g_part.atoms),
                 g_part.parents(market.F.at(t - 1)))):
             _, _, transition = transitions[k]
-            site = _build_site(market, driver, phi, (W, gauge.N, D), t, transition)
-            try:
-                solve = solve_site(site)
-            except CoercivityFailure as err:
-                return Verdict(NON_VIABLE,
-                               FailureWitness("site-coercivity", t, g_atom,
-                                              str(err)))
-            if not solve.feasible:
-                return Verdict(NON_VIABLE,
-                               FailureWitness("site-infeasible", t, g_atom,
-                                              solve.residual))
-            bad = next((r for r in solve.rows if not r.ok), None)
-            if jump_witness is None and bad is not None:
-                jump_witness = FailureWitness("jump-bound", t, g_atom, bad)
-            table[(t, idx)] = solve.solution
+            inputs = _site_inputs((W, gauge.N, D), t, transition)
+            key = value_key(phi, *((p, *dw, *dn, *dd) for p, dw, dn, dd in inputs))
+            if key not in solved:
+                try:
+                    solve = solve_site(_build_site(market, driver, phi, inputs))
+                except CoercivityFailure as err:
+                    return Verdict(NON_VIABLE,
+                                   FailureWitness("site-coercivity", t, g_atom,
+                                                  str(err)))
+                if not solve.feasible:
+                    return Verdict(NON_VIABLE,
+                                   FailureWitness("site-infeasible", t, g_atom,
+                                                  solve.residual))
+                bad = next((r for r in solve.rows if not r.ok), None)
+                if jump_witness is None and bad is not None:
+                    jump_witness = FailureWitness("jump-bound", t, g_atom, bad)
+                solved[key] = solve
+            table[(t, idx)] = solved[key].solution
     # A bad jump row is reported only once every site has solved.
     if jump_witness is not None:
         return Verdict(NON_VIABLE, jump_witness)

@@ -71,7 +71,9 @@ from util import (
     random_adapted,
     random_martingale,
     random_site,
+    record_for,
     record_site_solves,
+    site_at,
     site_to_float,
 )
 
@@ -218,7 +220,8 @@ def test_noisy_signal_scenario_end_to_end(tmp_path, capsys, monkeypatch):
     assert ok, witness
 
     # per-child identity values on the first-step up-signal site
-    site, rec = solved[built.pair.expanded.at(0).atoms.index(up)]
+    site, rec = record_for(solved, site_at(built.market, gauge, built.driver,
+                                           base.martingale, 1, up))
     rows = rec.rows
     assert rows == check_jump_bound(site, rec.solution)
     assert {r.identity_lhs for r in rows} == {F(-2, 5), F(-3, 5)}

@@ -6,8 +6,10 @@ import pathlib
 
 import pytest
 
-from marketforge import linalg
+from marketforge import enlarge, linalg
+from marketforge.arith import FLOAT
 from marketforge.cli import main
+from marketforge.scenario import load_scenario, parse_document
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -418,6 +420,85 @@ def test_kernel_site_out_of_float_range_exits_3(tmp_path, capsys, mode):
     else:
         assert code == 3 and err == "error: site is out of float range\n"
         assert not report.exists()
+
+
+def _site_gram_overflows(doc):
+    doc["children"][0]["w"] = [1e200, 0]
+
+
+def _analyze_gram_overflows(doc):
+    # The driver scaled by 2^520, which keeps every float mean exact, and the
+    # unscaled driver as the carrier: the site Gram overflows to inf.
+    doc["carrier"] = doc["driver"]
+    doc["driver"] = [[x * 2.0 ** 520 for x in path] for path in doc["driver"]]
+    doc["space"]["weights"] = ["3/16", "1/16"] * 4
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("command, source, spoil", [
+    ("kernel", SCENARIOS / "site_inaccessible.json", _site_gram_overflows),
+    ("analyze", SCENARIOS / "noisy_signal.json", _analyze_gram_overflows),
+], ids=["kernel", "analyze"])
+def test_site_gram_out_of_float_range_exits_3(tmp_path, capsys, mode,
+                                              command, source, spoil):
+    # Float mode used to read the inf Gram as a failed growth bound (exit 4).
+    doc = json.loads(source.read_text())
+    spoil(doc)
+    report = tmp_path / "out.json"
+    code, _, err = run_cli([command, write_doc(tmp_path, doc), "--mode", mode,
+                            "--report", str(report)], capsys)
+    assert "Traceback" not in err
+    if mode == "exact":
+        assert code == 0 and err == ""
+    else:
+        assert code == 3 and err == "error: site is out of float range\n"
+        assert not report.exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_gauge_drift_identity_mismatch_is_a_verification_mismatch(
+        tmp_path, capsys, monkeypatch, mode):
+    # Doubling the identity's right side makes the re-check in solve_phi fail.
+    pred_bracket = enlarge.pred_bracket
+    monkeypatch.setattr(enlarge, "pred_bracket",
+                        lambda X, Y, F: pred_bracket(X, Y, F).scale(2))
+    report = tmp_path / "out.json"
+    code, _, err = run_cli(["analyze", str(SCENARIOS / "noisy_signal.json"),
+                            "--mode", mode, "--report", str(report)], capsys)
+    assert code == 4 and err == ""
+    doc = json.loads(report.read_text())
+    witness = doc["witness"]
+    assert doc["verdict"] == "non-viable"
+    assert witness["reason"] == "verification-mismatch"
+    assert witness["t"] == 1 and witness["atom"] == ["uu0", "ud0"]
+    a, b = witness["detail"]
+    assert a != b and a != 0
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["gauge-solve"]["passed"] is False
+    assert checks["gauge-solve"]["witness"]["reason"] == "verification-mismatch"
+    assert checks["support-condition"]["passed"] is None
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("bad", ["abc", "1/0", True, None, {"x": 1}])
+def test_repeated_bad_token_names_its_first_path(tmp_path, capsys, mode, bad):
+    doc = b2_scenario({"kind": "none"})
+    for i, t in ((2, 1), (1, 2), (3, 2)):
+        doc["prices"][i][t] = bad
+    code, _, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode], capsys)
+    assert code == 3 and err.startswith("error: prices[1][2]: ")
+    assert "Traceback" not in err
+
+
+def test_float_loader_keeps_signed_zeros():
+    doc = json.loads((SCENARIOS / "noisy_signal.json").read_text())
+    doc["carrier"] = doc["driver"]
+    zeros = [0, 0.0, -0.0, 0, -0.0, 0.0, "0", "-0"]
+    for path, zero in zip(doc["carrier"], zeros):
+        path[0] = zero
+    built = load_scenario(parse_document(json.dumps(doc), FLOAT), FLOAT)
+    got = [repr(built.carrier.at(o, 0)[0]) for o in built.space.outcomes]
+    assert got == ["0.0", "0.0", "-0.0", "0.0", "-0.0", "0.0", "0.0", "0.0"]
 
 
 def test_kernel_float_mode(capsys):

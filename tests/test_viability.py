@@ -34,7 +34,7 @@ from reference import (
     product_with_independent,
     wealth,
 )
-from util import random_predictable, record_site_solves
+from util import random_predictable, record_for, record_site_solves, site_at
 
 F = Fraction
 
@@ -212,7 +212,8 @@ def test_solve_structure_G_noisy_signal_full_numbers(monkeypatch):
                for o in up) / mass
     assert mean == 1
     # The pipeline solves the site of the worked example.
-    site, rec = solved[fx.pair.expanded.at(0).atoms.index(tuple(up))]
+    D = solve_structure_F(market, _driver(fx)).martingale
+    site, rec = record_for(solved, site_at(market, gauge, _driver(fx), D, 1, tuple(up)))
     assert [(c.prob, c.w, c.nu, c.delta) for c in site.children] == [
         (F(1, 2), (F(1),), F(3, 5), F(1, 5)),
         (F(1, 2), (F(-1),), F(-3, 5), F(-1, 5)),

@@ -35,8 +35,12 @@ def random_predictable(space, filtration, rng, dim=1) -> Process:
 
 
 def record_site_solves(monkeypatch) -> list:
-    """Record every (site, record) pair the expanded-flow pipeline solves,
-    in solve order: time by time, each time's expanded atoms in order."""
+    """Record every (site, record) pair the expanded-flow pipeline solves.
+
+    The pipeline solves each distinct site value once per call, so this
+    holds the distinct sites in first-seen order (time by time, each time's
+    expanded atoms in order), not one entry per (time, atom); pick a
+    record by its site, with ``site_at`` and ``site_value``."""
     seen = []
 
     def solve_and_record(site):
@@ -46,6 +50,28 @@ def record_site_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(viability, "solve_site", solve_and_record)
     return seen
+
+
+def site_at(market, gauge, driver, D, t, g_atom) -> Site:
+    """The expanded-flow site of (t, g_atom), g_atom a time-(t-1) expanded
+    atom, built directly from the pipeline's inputs, with no memo."""
+    k = market.F.at(t - 1).atom_index(g_atom[0])
+    _, _, transition = market.F.transitions(t)[k]
+    (phi,) = gauge.phi.on_atoms(t, [g_atom])
+    inputs = viability._site_inputs((driver.W, gauge.N, D), t, transition)
+    return viability._build_site(market, driver, phi, inputs)
+
+
+def site_value(site: Site) -> tuple:
+    """A site's children as (prob, w, nu, delta) tuples."""
+    return tuple((c.prob, c.w, c.nu, c.delta) for c in site.children)
+
+
+def record_for(solved, site: Site):
+    """The (site, record) pair of ``record_site_solves`` whose site has the
+    value of ``site``."""
+    (hit,) = [(s, rec) for s, rec in solved if site_value(s) == site_value(site)]
+    return hit
 
 
 def b2n_site(arith: Arithmetic = EXACT) -> Site:
