@@ -3,12 +3,14 @@
 import io
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
-from marketforge import enlarge, linalg
+from marketforge import cli, enlarge, linalg, viability
 from marketforge.arith import FLOAT
 from marketforge.cli import main
+from marketforge.jumpkernel import CoercivityFailure
 from marketforge.scenario import load_scenario, parse_document
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -477,6 +479,107 @@ def test_gauge_drift_identity_mismatch_is_a_verification_mismatch(
     assert checks["gauge-solve"]["passed"] is False
     assert checks["gauge-solve"]["witness"]["reason"] == "verification-mismatch"
     assert checks["support-condition"]["passed"] is None
+
+
+# ---------------------------------------------------------------------------
+# analyze: the check row where each stage stops
+
+CHECK_NAMES = (
+    "base-structure-solve", "base-deflator-battery", "gauge-solve",
+    "support-condition", "tilt-floor-positive", "site-solves-feasible",
+    "jump-bound", "price-drift-identity", "expanded-deflator-battery",
+)
+
+# A one-step trinomial with a revealed bit.  The carrier (jumps 1, -5, 4
+# against the driver's 1, 0, -1) carries the bit's drift with phi = -+3/10,
+# and every child stays possible under each bit, but on the bit-0 atom the
+# tilt of child c is 1 - 3/10 * 4 = -1/5: the support condition holds and
+# the tilt floor fails.
+NEGATIVE_TILT = {
+    "name": "negative-tilt",
+    "space": {"outcomes": ["a0", "a1", "b0", "b1", "c0", "c1"],
+              "weights": ["1/4", "1/12", "3/20", "11/60", "1/10", "7/30"]},
+    "driver": [[0, 1], [0, 1], [0, 0], [0, 0], [0, -1], [0, -1]],
+    "carrier": [[0, 1], [0, 1], [0, -5], [0, -5], [0, 4], [0, 4]],
+    "prices": [[1, "11/10"], [1, "11/10"], [1, 1], [1, 1],
+               [1, "9/10"], [1, "9/10"]],
+    "enlargement": {"kind": "initial", "variable": [0, 1, 0, 1, 0, 1]},
+}
+
+
+def _double_the_deflator(module, monkeypatch):
+    """Make ``module``'s call of the deflator battery see twice the deflator."""
+    battery = viability.verify_deflator
+    monkeypatch.setattr(module, "verify_deflator",
+                        lambda deflator, market, flow: battery(deflator.scale(2),
+                                                               market, flow))
+
+
+def _patch_site_solve(monkeypatch, change):
+    """Pass every jump-site solve of the expanded pipeline through ``change``."""
+    solve_site = viability.solve_site
+    monkeypatch.setattr(viability, "solve_site", lambda site: change(solve_site(site)))
+
+
+def _fail_coercivity(solve):
+    raise CoercivityFailure("forced coercivity failure")
+
+
+def _spoil_first_jump_row(solve):
+    return replace(solve, rows=(replace(solve.rows[0], ok=False), *solve.rows[1:]))
+
+
+# check row -> (input document, patch applied before the run, exit code)
+STAGE_CASES = {
+    "base-deflator-battery": (
+        "noisy_signal", lambda mp: _double_the_deflator(cli, mp), 4),
+    "tilt-floor-positive": (NEGATIVE_TILT, None, 5),
+    "site-solves-feasible/infeasible": (
+        "noisy_signal",
+        lambda mp: _patch_site_solve(mp, lambda s: replace(s, feasible=False)), 4),
+    "site-solves-feasible/coercivity": (
+        "noisy_signal", lambda mp: _patch_site_solve(mp, _fail_coercivity), 4),
+    "jump-bound/site-row": (
+        "noisy_signal", lambda mp: _patch_site_solve(mp, _spoil_first_jump_row), 4),
+    # K ten times too large: every site row still passes, but the jump of Y
+    # on the up-signal atom is 10 * 5/4 * 2/5 = 5.
+    "jump-bound/Y": (
+        "noisy_signal",
+        lambda mp: _patch_site_solve(
+            mp, lambda s: replace(s, solution=tuple(10 * x for x in s.solution))), 4),
+    "expanded-deflator-battery": (
+        "noisy_signal", lambda mp: _double_the_deflator(viability, mp), 4),
+}
+
+
+def _expected_rows(stage):
+    stop = CHECK_NAMES.index(stage)
+    return [(name, True if i < stop else False if i == stop else None, i != stop)
+            for i, name in enumerate(CHECK_NAMES)]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("case", STAGE_CASES)
+def test_a_failing_stage_fails_its_own_check_row(tmp_path, capsys, monkeypatch,
+                                                 case, mode):
+    source, patch, expected_code = STAGE_CASES[case]
+    doc = json.loads((SCENARIOS / f"{source}.json").read_text()) \
+        if isinstance(source, str) else source
+    if patch is not None:
+        patch(monkeypatch)
+    report = tmp_path / "out.json"
+    code, _, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode,
+                            "--report", str(report)], capsys)
+    assert code == expected_code and err == ""
+    out = json.loads(report.read_text())
+    stage = case.split("/")[0]
+    assert [(c["name"], c["passed"], c["witness"] is None)
+            for c in out["checks"]] == _expected_rows(stage)
+    # The row holds the verdict's witness.  (In exact mode a row formats t
+    # as a string; ROADMAP item 8 unifies the two serializers.)
+    row_witness = out["checks"][CHECK_NAMES.index(stage)]["witness"]
+    assert (row_witness["reason"], row_witness["atom"], row_witness["detail"]) \
+        == (out["witness"]["reason"], out["witness"]["atom"], out["witness"]["detail"])
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
