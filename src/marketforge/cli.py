@@ -2,7 +2,9 @@
 
 Subcommands:
 
-  analyze SCENARIO   run the full viability pipeline on a scenario file
+  analyze SCENARIO   run the full viability pipeline on a scenario file and
+                     report it as nine check rows; the verdict names the
+                     row where it stopped
   kernel SITE        solve one jump site in one pass (coercivity at the
                      tilt floor, minimum-norm solve, jump rows), then
                      apply the kernel's pass rule
@@ -72,16 +74,6 @@ _CHECK_NAMES = (
     "price-drift-identity",
     "expanded-deflator-battery",
 )
-
-_SITE_STAGES = ("site-solves-feasible", "jump-bound", "price-drift-identity",
-                "expanded-deflator-battery")
-
-_REASON_STAGE = {
-    "site-infeasible": "site-solves-feasible",
-    "site-coercivity": "site-solves-feasible",
-    "jump-bound": "jump-bound",
-    "verification-mismatch": "price-drift-identity",
-}
 
 
 def _fail(message: str, code: int) -> int:
@@ -156,70 +148,50 @@ def _write_report(args, doc) -> None:
 # analyze
 
 
-def _checked_base_solution(built: BuiltScenario):
-    """Base-flow structure solve, cross-checked against an explicit one."""
-    solution = solve_structure_F(built.market, built.driver)
+def _run_pipeline(built: BuiltScenario):
+    """Returns (verdict, gauge); the gauge is None when the pipeline stops
+    before it is solved.  Raises ScenarioError when a given structure
+    process disagrees with the solved one."""
+    try:
+        base = solve_structure_F(built.market, built.driver)
+    except NonViable as err:
+        return Verdict(NON_VIABLE, err.witness, stage="base-structure-solve"), None
     if built.structure is not None:
-        miss = first_mismatch(built.structure, solution.martingale)
+        miss = first_mismatch(built.structure, base.martingale)
         if miss is not None:
             raise ScenarioError(
                 "structure",
                 f"given structure process disagrees with the solved "
                 f"one at ({miss[0]}, t={miss[1]})")
-    return solution
-
-
-def _run_pipeline(built: BuiltScenario):
-    """Returns (verdict, gauge, checks) with one row per named check."""
-    checks = {name: (None, None) for name in _CHECK_NAMES}
-
-    try:
-        base = _checked_base_solution(built)
-        checks["base-structure-solve"] = (True, None)
-    except NonViable as err:
-        checks["base-structure-solve"] = (False, err.witness)
-        return Verdict(NON_VIABLE, err.witness, None), None, checks
 
     ok, witness = verify_deflator(base.deflator, built.market, built.F)
-    checks["base-deflator-battery"] = (ok, witness)
     if not ok:
-        return Verdict(NON_VIABLE, witness, None), None, checks
+        return Verdict(NON_VIABLE, witness, stage="base-deflator-battery"), None
 
     try:
         gauge = solve_phi(built.pair, built.carrier, built.driver.W)
-        checks["gauge-solve"] = (True, None)
     except Infeasible as err:
-        checks["gauge-solve"] = (False, str(err))
-        witness = FailureWitness("gauge-infeasible", detail=str(err))
-        return Verdict(ASSUMPTION_VIOLATED, witness, None), None, checks
+        witness = FailureWitness("gauge-infeasible", err.t, err.atom, err.residual)
+        return Verdict(ASSUMPTION_VIOLATED, witness, stage="gauge-solve"), None
     except GaugeMismatch as err:
         witness = FailureWitness("verification-mismatch", err.t, err.atom,
                                  (err.a, err.b))
-        checks["gauge-solve"] = (False, witness)
-        return Verdict(NON_VIABLE, witness, None), None, checks
+        return Verdict(NON_VIABLE, witness, stage="gauge-solve"), None
+    return solve_structure_G(built.market, gauge, base), gauge
 
-    checks["support-condition"] = (gauge.support_ok, None)
-    checks["tilt-floor-positive"] = (gauge.u_positive, None)
 
-    verdict = solve_structure_G(built.market, built.pair, gauge, built.driver,
-                                base_solution=base)
-    reason = verdict.witness.reason if verdict.witness else None
-    if verdict.status == VIABLE:
-        for name in _SITE_STAGES:
-            checks[name] = (True, None)
-    elif verdict.status == ASSUMPTION_VIOLATED:
-        if reason == "support":
-            checks["support-condition"] = (False, verdict.witness)
-        elif reason == "tilt-floor":
-            checks["tilt-floor-positive"] = (False, verdict.witness)
-    else:
-        stage = _REASON_STAGE.get(reason, "expanded-deflator-battery")
-        for name in _SITE_STAGES:
-            if name == stage:
-                checks[name] = (False, verdict.witness)
-                break
-            checks[name] = (True, None)
-    return verdict, gauge, checks
+def _check_rows(verdict: Verdict, gauge):
+    """One (name, passed, witness) row per named check: the rows before the
+    verdict's stage pass, that row fails with the verdict's witness, and the
+    later rows are skipped, except that the support and tilt-floor rows show
+    the gauge's flags whenever a gauge was solved."""
+    stop = _CHECK_NAMES.index(verdict.stage) if verdict.stage else len(_CHECK_NAMES)
+    flags = {} if gauge is None else {"support-condition": gauge.support_ok,
+                                      "tilt-floor-positive": gauge.u_positive}
+    return [(name, True, None) if i < stop else
+            (name, False, verdict.witness) if i == stop else
+            (name, flags.get(name), None)
+            for i, name in enumerate(_CHECK_NAMES)]
 
 
 def cmd_analyze(args) -> int:
@@ -229,13 +201,13 @@ def cmd_analyze(args) -> int:
     arith, built, t0 = loaded
     t1 = time.perf_counter()
     try:
-        verdict, gauge, checks = _run_pipeline(built)
+        verdict, gauge = _run_pipeline(built)
     except (ScenarioError, OverflowError) as err:  # a site out of float range overflows
         return _fail(str(err), EXIT_INVALID)
     t2 = time.perf_counter()
 
-    rows = [(name, checks[name][0], checks[name][1]) for name in _CHECK_NAMES]
-    doc_out = report.analyze_report(built.name, arith, verdict, gauge, rows)
+    doc_out = report.analyze_report(built.name, arith, verdict, gauge,
+                                    _check_rows(verdict, gauge))
     _write_report(args, doc_out)
     timings = [("load", (t1 - t0) * 1000), ("solve", (t2 - t1) * 1000)]
     sys.stdout.write(report.render_analyze_text(doc_out, timings))

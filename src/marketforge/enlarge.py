@@ -13,8 +13,11 @@ integrand phi:
 ``solve_phi`` recovers phi atom-by-atom from the driver equations and
 ``compute_u`` extracts the predictable floor u of the multiplicative tilt
 1 + transpose(phi) dN, whose positivity is exactly what downstream deflator
-construction needs.  The gauge keeps the driver's drift for the expanded
-structure solve; atom masses and transitions come from ``space``.
+construction needs; it records the first (t, atom) where the floor fails.
+The gauge keeps the driver it was solved for and that driver's drift, so
+the expanded structure solve reads both from it.  Every pair is an
+enlargement by construction (``EnlargementPair`` checks the refinement);
+atom masses and transitions come from ``space``.
 """
 
 from __future__ import annotations
@@ -24,15 +27,7 @@ from dataclasses import dataclass
 from . import linalg
 from .calculus import _compensate, atom_means, cross_moments, integrate, is_martingale, pred_bracket
 from .calculus import compensator  # noqa: F401  (bench/test_bench.py traces it here)
-from .space import (
-    EnlargementPair,
-    Process,
-    SpaceError,
-    check_refinement,
-    first_failing,
-    first_mismatch,
-    value_key,
-)
+from .space import EnlargementPair, Process, first_mismatch, value_key
 
 
 class Infeasible(Exception):
@@ -72,8 +67,9 @@ class SupportWitness:
 @dataclass(frozen=True, eq=False)
 class DriftGauge:
     """The drift data of an enlargement: carrier N, the driver W it was
-    solved for and W's drift, integrand phi, floor u, and the
-    support-condition witness (None when the condition holds)."""
+    solved for and W's drift, integrand phi, floor u, the support-condition
+    witness and the tilt-floor witness (t, time-(t-1) expanded atom, u) of
+    the first u <= 0 (each None when its condition holds)."""
 
     pair: EnlargementPair
     N: Process
@@ -82,16 +78,15 @@ class DriftGauge:
     phi: Process
     u: Process
     support_witness: SupportWitness | None
-    u_positive: bool
+    tilt_witness: tuple | None
 
     @property
     def support_ok(self) -> bool:
         return self.support_witness is None
 
-
-def _require_pair(pair: EnlargementPair) -> None:
-    if not check_refinement(pair):
-        raise SpaceError("expanded filtration does not refine the base one")
+    @property
+    def u_positive(self) -> bool:
+        return self.tilt_witness is None
 
 
 def drift(X: Process, pair: EnlargementPair) -> Process:
@@ -102,7 +97,6 @@ def drift(X: Process, pair: EnlargementPair) -> Process:
     finite grid this needs no integrability hypothesis, and the function
     asserts it after the fact.
     """
-    _require_pair(pair)
     G = pair.expanded
     out = _compensate(X, G)
     ok, witness = is_martingale(X - out, G)
@@ -118,7 +112,6 @@ def check_support_condition(pair: EnlargementPair):
     B inside A, the joint event C and B must have positive probability.
     Returns (True, None) or (False, first witness).
     """
-    _require_pair(pair)
     F, G = pair.base, pair.expanded
     for t in range(1, pair.horizon + 1):
         g_part = G.at(t - 1)
@@ -135,25 +128,32 @@ def check_support_condition(pair: EnlargementPair):
     return True, None
 
 
-def compute_u(pair: EnlargementPair, N: Process, phi: Process) -> Process:
-    """Predictable floor of the tilt 1 + transpose(phi) dN.
+def compute_u(pair: EnlargementPair, N: Process, phi: Process):
+    """Predictable floor of the tilt 1 + transpose(phi) dN, and its first
+    failure.
 
     The minimum runs over every child of the enclosing base atom, not just
     those the expanded observer still holds possible: transitions the base
     flow allows must all stay above the floor, including the ones the
     enlargement has excluded (where the tilt may legitimately vanish).
+    Returns (u, witness): the witness is (t, atom, u) at the first
+    time-(t-1) expanded atom, in (t, atom) order, where u <= 0, or None.
     """
     F, G = pair.base, pair.expanded
     values: dict[tuple[int, int], object] = {}
+    witness = None
     for t in range(1, pair.horizon + 1):
         part = G.at(t - 1)
         transitions = F.transitions(t)
-        for k, (p, parent) in enumerate(zip(phi.on_atoms(t, part.atoms),
-                                            part.parents(F.at(t - 1)))):
+        for k, (atom, p, parent) in enumerate(zip(
+                part.atoms, phi.on_atoms(t, part.atoms), part.parents(F.at(t - 1)))):
             _, _, children = transitions[parent]
             steps = N.on_atoms(t, [child for child, _ in children], increments=True)
-            values[(t, k)] = min(1 + sum((a * b for a, b in zip(p, dn)), 0) for dn in steps)
-    return Process.predictable(G, values, initial=1)
+            u = min(1 + sum((a * b for a, b in zip(p, dn)), 0) for dn in steps)
+            if witness is None and not u > 0:
+                witness = (t, atom, u)
+            values[(t, k)] = u
+    return Process.predictable(G, values, initial=1), witness
 
 
 def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
@@ -166,11 +166,10 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
     taking the minimum-norm solution when the system is underdetermined,
     once per distinct (Q_A, gamma_B) value within this call.  Raises
     Infeasible when no solution exists.  The returned gauge carries W's
-    drift, the tilt floor u and the support / positivity diagnostics; the
+    drift, the tilt floor u and the support / tilt-floor witnesses; the
     drift identity is re-verified on the full driver basis, and a mismatch
     raises GaugeMismatch.
     """
-    _require_pair(pair)
     F, G = pair.base, pair.expanded
     arith = pair.space.arith
     n, d = N.dim, W.dim
@@ -201,7 +200,6 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
         if miss is not None:
             o, t, a, b = miss
             raise GaugeMismatch(t, G.at(t).atom_of(o), a, b)
-    u = compute_u(pair, N, phi)
+    u, tilt_witness = compute_u(pair, N, phi)
     _, support_witness = check_support_condition(pair)
-    u_positive = first_failing(u, lambda v: v[0] > 0) is None
-    return DriftGauge(pair, N, W, W_drift, phi, u, support_witness, u_positive)
+    return DriftGauge(pair, N, W, W_drift, phi, u, support_witness, tilt_witness)

@@ -75,17 +75,16 @@ def solution_summary(solution: StructureSolution | None, arith: Arithmetic):
     }
 
 
-def analyze_report(name: str, arith: Arithmetic, verdict: Verdict | None,
+def analyze_report(name: str, arith: Arithmetic, verdict: Verdict,
                    gauge=None, checks=()):
     """Assemble the analyze-report dictionary (stable, serialization-ready)."""
-    solution = verdict.solution if verdict is not None else None
     return {
         "scenario": name,
         "mode": arith.mode,
-        "verdict": verdict.status if verdict is not None else None,
-        "witness": witness_dict(verdict.witness, arith) if verdict else None,
+        "verdict": verdict.status,
+        "witness": witness_dict(verdict.witness, arith),
         "gauge": gauge_summary(gauge, arith) if gauge is not None else None,
-        "solution": solution_summary(solution, arith),
+        "solution": solution_summary(verdict.solution, arith),
         "checks": [
             {"name": n, "passed": p, "witness": fmt_value(w, arith)}
             for n, p, w in checks

@@ -28,7 +28,6 @@ from .space import (
     SpaceError,
     build_initial_enlargement,
     build_progressive_enlargement,
-    check_refinement,
     is_adapted,
     natural_filtration,
 )
@@ -168,11 +167,10 @@ def _enlargement(doc, path: str, F: Filtration, arith: Arithmetic) -> Enlargemen
         G = _filtration(_require(doc, "flow", path), f"{path}.flow", F.space)
         if G.horizon != F.horizon:
             raise ScenarioError(f"{path}.flow", f"expected horizon {F.horizon}")
-        pair = EnlargementPair(F, G)
-        if not check_refinement(pair):
-            raise ScenarioError(f"{path}.flow",
-                                "expanded flow does not refine the base flow")
-        return pair
+        try:
+            return EnlargementPair(F, G)
+        except SpaceError as err:
+            raise ScenarioError(f"{path}.flow", str(err)) from None
     raise ScenarioError(f"{path}.kind", f"unknown enlargement kind {kind!r}")
 
 
@@ -196,6 +194,8 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
     if not isinstance(doc, dict):
         raise ScenarioError("", "scenario must be a JSON object")
     name = doc.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ScenarioError("name", "expected a string")
     space_doc = _require(doc, "space", "")
     outcomes = _str_list(_require(space_doc, "outcomes", "space"), "space.outcomes")
     weights_doc = _require(space_doc, "weights", "space")

@@ -183,7 +183,7 @@ def _check_noise_pipeline(arith: Arithmetic) -> str:
     market = Market(fx.S, fx.F)
     driver = Driver(fx.W, fx.F)
     gauge = solve_phi(fx.pair, fx.W, fx.W)
-    verdict = solve_structure_G(market, fx.pair, gauge, driver)
+    verdict = solve_structure_G(market, gauge, solve_structure_F(market, driver))
     _ask(verdict.status == VIABLE, f"b2n verdict is {verdict.status}")
     sol = verdict.solution
     up = [o for o, z in zip(fx.space.outcomes, fx.signal) if z == "u"]
@@ -209,13 +209,13 @@ def _check_insider_gate(arith: Arithmetic) -> str:
     market = Market(fx.S, fx.F)
     driver = Driver(fx.W, fx.F)
     gauge = solve_phi(fx.pair, fx.W, fx.W)
-    verdict = solve_structure_G(market, fx.pair, gauge, driver)
+    base = solve_structure_F(market, driver)
+    verdict = solve_structure_G(market, gauge, base)
     _ask(verdict.status == ASSUMPTION_VIOLATED,
          f"b2i verdict is {verdict.status}, expected the assumption gate")
     _ask(verdict.witness.reason == "support" and verdict.witness.t == 1,
          f"b2i gate witness is {verdict.witness}")
-    forced = solve_structure_G(market, fx.pair, gauge, driver,
-                               enforce_assumptions=False)
+    forced = solve_structure_G(market, gauge, base, enforce_assumptions=False)
     _ask(forced.status == NON_VIABLE
          and forced.witness.reason == "site-infeasible",
          f"b2i bypass verdict is {forced.status} ({forced.witness})")

@@ -230,9 +230,8 @@ class Filtration:
 class EnlargementPair:
     """A base information flow F and an expanded one G on the same grid.
 
-    The constructor checks only the cheap structural facts (same space and
-    horizon); use :func:`check_refinement` for the actual atom-by-atom
-    refinement test, which is an explicit pipeline gate.
+    The constructor checks that both live on one space with one horizon and
+    that G refines F at every time, so every pair in hand is an enlargement.
     """
 
     base: Filtration
@@ -243,6 +242,9 @@ class EnlargementPair:
             raise SpaceError("both filtrations must live on one sample space")
         if self.base.horizon != self.expanded.horizon:
             raise SpaceError("mismatched horizons in enlargement pair")
+        if not all(g.refines(f) for f, g in zip(self.base.partitions,
+                                                 self.expanded.partitions)):
+            raise SpaceError("expanded flow does not refine the base flow")
 
     @property
     def space(self) -> SampleSpace:
@@ -251,14 +253,6 @@ class EnlargementPair:
     @property
     def horizon(self) -> int:
         return self.base.horizon
-
-
-def check_refinement(pair: EnlargementPair) -> bool:
-    """True when the expanded filtration refines the base one at every time."""
-    return all(
-        pair.expanded.at(t).refines(pair.base.at(t))
-        for t in range(pair.horizon + 1)
-    )
 
 
 def natural_filtration(space: SampleSpace, processes: Sequence["Process"]) -> Filtration:

@@ -7,13 +7,15 @@ pipeline rebuilds the same object under an enlargement: it assembles one
 accessible jump site per (time, expanded atom) -- child probabilities from
 the base flow's transitions, tilts from the drift gauge, deltas from D --
 solves each site for the integrand K, and exponentiates Y = K . (W - drift W)
-with the drift of W kept by the gauge.  Each site is solved once per
-distinct site value within one call: its ``solve_site`` record carries the
-integrand and the per-child jump rows, and the pipeline reads the jump
-bound from those rows.  The base-atom solves likewise run once per distinct
-operand value within one call.  Every verdict re-verifies the drift
-identity and the deflated-martingale property through independent
-summation paths, on the full grid, before claiming viability.
+with the enlargement, W and its drift read from the gauge.  Each site is
+solved once per distinct site value within one call: its ``solve_site``
+record carries the integrand and the per-child jump rows, and the pipeline
+reads the jump bound from those rows.  The base-atom solves likewise run
+once per distinct operand value within one call.  Every verdict re-verifies
+the drift identity and the deflated-martingale property through independent
+summation paths, on the full grid, before claiming viability.  A failing
+verdict names, as its ``stage``, the check row where it stopped; the row is
+set where the failure is found.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .enlarge import DriftGauge, drift
 from .jumpkernel import CoercivityFailure, Site, SiteChild, solve_site
 from .mrp import Driver
 from .space import (
-    EnlargementPair,
     Filtration,
     Process,
     first_failing,
@@ -120,11 +121,13 @@ class StructureSolution:
 
 @dataclass(frozen=True, eq=False)
 class Verdict:
-    """Outcome of the expanded-flow pipeline."""
+    """Outcome of the viability pipeline.  ``stage`` names the check row
+    where it stopped, one of ``cli._CHECK_NAMES`` (None when viable)."""
 
     status: str
     witness: FailureWitness | None = None
     solution: StructureSolution | None = None
+    stage: str | None = None
 
 
 def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
@@ -225,48 +228,40 @@ def _site_inputs(processes, t: int, transition) -> list:
                     *(X.on_atoms(t, kids, increments=True) for X in processes)))
 
 
-def _build_site(market: Market, driver: Driver, phi, inputs) -> Site:
-    """Accessible site for one (time, expanded atom): base-flow child
-    probabilities, driver jumps, gauge tilts through the atom's integrand
-    ``phi``, and structure-martingale deltas, from ``_site_inputs``."""
+def _build_site(market: Market, d: int, phi, inputs) -> Site:
+    """Accessible site for one (time, expanded atom) with a d-dimensional
+    driver: base-flow child probabilities, driver jumps, gauge tilts through
+    the atom's integrand ``phi``, and structure-martingale deltas, from
+    ``_site_inputs``."""
     children = [SiteChild(p, dw, sum((a * b for a, b in zip(phi, dn)), 0), dd[0])
                 for p, dw, dn, dd in inputs]
-    return Site(driver.d, tuple(children), True, market.space.arith)
+    return Site(d, tuple(children), True, market.space.arith)
 
 
-def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
-                      driver: Driver, base_solution: StructureSolution | None = None,
+def solve_structure_G(market: Market, gauge: DriftGauge,
+                      base_solution: StructureSolution,
                       enforce_assumptions: bool = True) -> Verdict:
     """Expanded-flow structure condition, solved through the jump sites.
 
-    Pipeline: assumption gate (support condition and positive tilt floor),
-    one accessible site per (time, expanded atom), solved once per distinct
-    site value within this call, the jump rows of the solves (the first bad
-    row reported once every site has solved),
+    The enlargement, the driver W and its drift come from the gauge, and D
+    from ``base_solution``, the market's ``solve_structure_F``.  Pipeline:
+    assumption gate (support condition and positive tilt floor, read from
+    the gauge's witnesses), one accessible site per (time, expanded atom),
+    solved once per distinct site value within this call, the jump rows of
+    the solves (the first bad row reported once every site has solved),
     assembly of Y = K . (W - drift W), its jump bound, deflator, then two
     independent verifications -- the drift identity for the prices and the
     deflated martingale battery.  A verification mismatch is reported as
     non-viable with reason "verification-mismatch"; it indicates a bug, not
-    a market.
+    a market.  A failing verdict's ``stage`` names the check row it fails.
 
     ``enforce_assumptions=False`` skips the gate so the downstream failure
     mode of a bad enlargement (infeasible sites) can be observed directly.
     """
-    if pair.base is not market.F:
-        if pair.base.partitions != market.F.partitions:
-            raise ViabilityError("the enlargement must extend the market flow")
-    if gauge.pair is not pair:
-        if gauge.pair.expanded.partitions != pair.expanded.partitions:
-            raise ViabilityError("the gauge was solved for another expanded flow")
-    W = driver.W
-    if gauge.W is not W:
-        if (gauge.W.space, gauge.W.horizon, gauge.W.dim) != (W.space, W.horizon, W.dim) \
-                or first_mismatch(gauge.W, W) is not None:
-            raise ViabilityError("the gauge was solved for another driver")
+    pair, W = gauge.pair, gauge.W
+    if pair.base is not market.F and pair.base.partitions != market.F.partitions:
+        raise ViabilityError("the enlargement must extend the market flow")
     G = pair.expanded
-    space = market.space
-    if base_solution is None:
-        base_solution = solve_structure_F(market, driver)
     D = base_solution.martingale
     if enforce_assumptions:
         support_witness = gauge.support_witness
@@ -274,14 +269,12 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
             return Verdict(ASSUMPTION_VIOLATED,
                            FailureWitness("support", support_witness.t,
                                           support_witness.child,
-                                          support_witness))
-        if not gauge.u_positive:
-            for t in range(1, G.horizon + 1):
-                for atom in G.at(t - 1).atoms:
-                    u = gauge.u.value(atom[0], t)
-                    if not u > 0:
-                        return Verdict(ASSUMPTION_VIOLATED,
-                                       FailureWitness("tilt-floor", t, atom, u))
+                                          support_witness),
+                           stage="support-condition")
+        if gauge.tilt_witness is not None:
+            return Verdict(ASSUMPTION_VIOLATED,
+                           FailureWitness("tilt-floor", *gauge.tilt_witness),
+                           stage="tilt-floor-positive")
     table = {}
     jump_witness = None
     # One solve per distinct site value, for this call only.  A site that
@@ -299,15 +292,17 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
             key = value_key(phi, *((p, *dw, *dn, *dd) for p, dw, dn, dd in inputs))
             if key not in solved:
                 try:
-                    solve = solve_site(_build_site(market, driver, phi, inputs))
+                    solve = solve_site(_build_site(market, W.dim, phi, inputs))
                 except CoercivityFailure as err:
                     return Verdict(NON_VIABLE,
                                    FailureWitness("site-coercivity", t, g_atom,
-                                                  str(err)))
+                                                  str(err)),
+                                   stage="site-solves-feasible")
                 if not solve.feasible:
                     return Verdict(NON_VIABLE,
                                    FailureWitness("site-infeasible", t, g_atom,
-                                                  solve.residual))
+                                                  solve.residual),
+                                   stage="site-solves-feasible")
                 bad = next((r for r in solve.rows if not r.ok), None)
                 if jump_witness is None and bad is not None:
                     jump_witness = FailureWitness("jump-bound", t, g_atom, bad)
@@ -315,16 +310,17 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
             table[(t, idx)] = solved[key].solution
     # A bad jump row is reported only once every site has solved.
     if jump_witness is not None:
-        return Verdict(NON_VIABLE, jump_witness)
-    kbar = Process.predictable(G, table, driver.d)
+        return Verdict(NON_VIABLE, jump_witness, stage="jump-bound")
+    kbar = Process.predictable(G, table, W.dim)
     W_tilde = W - gauge.W_drift
     Y = integrate(kbar, W_tilde)
     miss = first_failing(Y, lambda v: v[0] < 1, increments=True)
     if miss is not None:
         t = miss[1]
-        atom = G.at(t).atom_of(space.outcomes[miss[0]])
+        atom = G.at(t).atom_of(market.space.outcomes[miss[0]])
         jump = Y.on_atoms(t, [atom], increments=True)[0][0]
-        return Verdict(NON_VIABLE, FailureWitness("jump-bound", t, atom, jump))
+        return Verdict(NON_VIABLE, FailureWitness("jump-bound", t, atom, jump),
+                       stage="jump-bound")
     deflator = stoch_exp(-Y)
     solution = StructureSolution(kbar, Y, deflator)
     # The drift identity, checked first for the prices' own expanded-flow
@@ -339,8 +335,8 @@ def solve_structure_G(market: Market, pair: EnlargementPair, gauge: DriftGauge,
             return Verdict(NON_VIABLE,
                            FailureWitness("verification-mismatch", t,
                                           G.at(t).atom_of(o), (a, b)),
-                           solution)
+                           solution, stage="price-drift-identity")
     ok, witness = verify_deflator(deflator, market, G)
     if not ok:
-        return Verdict(NON_VIABLE, witness, solution)
+        return Verdict(NON_VIABLE, witness, solution, stage="expanded-deflator-battery")
     return Verdict(VIABLE, None, solution)

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from marketforge import linalg
 from marketforge.arith import EXACT, Arithmetic
 from marketforge.calculus import compensator, integrate, is_martingale, pred_bracket
-from marketforge.enlarge import _require_pair
 from marketforge.jumpkernel import CoercivityFailure, KernelError, _within_growth_bound
 from marketforge.mrp import Driver
 from marketforge.space import (
@@ -367,7 +366,6 @@ def verify_g_compensator(A: Process, pair, gauge) -> bool:
     through the gauge as the integral of phi against the predictable
     covariation with N.  Exact equality in rational mode.
     """
-    _require_pair(pair)
     F, G = pair.base, pair.expanded
     comp_f = compensator(A, F)
     correction = integrate(gauge.phi, pred_bracket(gauge.N, A - comp_f, F))

@@ -198,8 +198,7 @@ def test_noisy_signal_scenario_end_to_end(tmp_path, capsys, monkeypatch):
     base = solve_structure_F(built.market, built.driver)
     gauge = solve_phi(built.pair, built.carrier, built.driver.W)
     solved = record_site_solves(monkeypatch)
-    verdict = solve_structure_G(built.market, built.pair, gauge, built.driver,
-                                base_solution=base)
+    verdict = solve_structure_G(built.market, gauge, base)
     assert verdict.status == VIABLE
     sol = verdict.solution
 
@@ -240,14 +239,14 @@ def test_insider_scenario_gate_and_bypass(capsys):
 
     built = _load("perfect_insider.json")
     gauge = solve_phi(built.pair, built.carrier, built.driver.W)
-    verdict = solve_structure_G(built.market, built.pair, gauge, built.driver)
+    base = solve_structure_F(built.market, built.driver)
+    verdict = solve_structure_G(built.market, gauge, base)
     assert verdict.status == ASSUMPTION_VIOLATED
     assert verdict.witness.reason == "support"
     assert verdict.witness.t == 1
     assert verdict.witness.atom in (("uu", "ud"), ("du", "dd"))
 
-    forced = solve_structure_G(built.market, built.pair, gauge, built.driver,
-                               enforce_assumptions=False)
+    forced = solve_structure_G(built.market, gauge, base, enforce_assumptions=False)
     assert forced.status == NON_VIABLE
     assert forced.witness.reason == "site-infeasible"
     assert forced.witness.detail == (F(6, 5),)
@@ -350,8 +349,7 @@ def test_transparent_enlargements_reproduce_base_solution():
         # identity enlargement: same martingale, same deflator
         pair = EnlargementPair(flow, flow)
         gauge = solve_phi(pair, W, W)
-        verdict = solve_structure_G(market, pair, gauge, driver,
-                                    base_solution=base)
+        verdict = solve_structure_G(market, gauge, base)
         assert verdict.status == VIABLE
         assert _equal_processes(verdict.solution.martingale, base.martingale, 2)
         assert _equal_processes(verdict.solution.deflator, base.deflator, 2)
@@ -365,12 +363,13 @@ def test_transparent_enlargements_reproduce_base_solution():
         pair_n = build_initial_enlargement(flow_l, bit)
         market_l = Market(S_l, flow_l)
         driver_l = Driver(W_l, flow_l)
+        base_l = solve_structure_F(market_l, driver_l)
         gauge_n = solve_phi(pair_n, W_l, W_l)
         assert all(gauge_n.phi.at(o, t) == (0,)
                    for o in prod.outcomes for t in range(3))
         assert all(gauge_n.u.value(o, t) == 1
                    for o in prod.outcomes for t in (1, 2))
-        verdict_n = solve_structure_G(market_l, pair_n, gauge_n, driver_l)
+        verdict_n = solve_structure_G(market_l, gauge_n, base_l)
         assert verdict_n.status == VIABLE
         lifted = lift_process(base.deflator, prod)
         assert _equal_processes(verdict_n.solution.deflator, lifted, 2)

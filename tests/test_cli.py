@@ -529,10 +529,17 @@ def _spoil_first_jump_row(solve):
     return replace(solve, rows=(replace(solve.rows[0], ok=False), *solve.rows[1:]))
 
 
+def _double_the_price_drift_rhs(monkeypatch):
+    price_drift_rhs = viability.price_drift_rhs
+    monkeypatch.setattr(viability, "price_drift_rhs",
+                        lambda market, D, gauge: price_drift_rhs(market, D, gauge).scale(2))
+
+
 # check row -> (input document, patch applied before the run, exit code)
 STAGE_CASES = {
     "base-deflator-battery": (
         "noisy_signal", lambda mp: _double_the_deflator(cli, mp), 4),
+    "support-condition": ("perfect_insider", None, 5),
     "tilt-floor-positive": (NEGATIVE_TILT, None, 5),
     "site-solves-feasible/infeasible": (
         "noisy_signal",
@@ -547,6 +554,7 @@ STAGE_CASES = {
         "noisy_signal",
         lambda mp: _patch_site_solve(
             mp, lambda s: replace(s, solution=tuple(10 * x for x in s.solution))), 4),
+    "price-drift-identity": ("noisy_signal", _double_the_price_drift_rhs, 4),
     "expanded-deflator-battery": (
         "noisy_signal", lambda mp: _double_the_deflator(viability, mp), 4),
 }
@@ -558,28 +566,55 @@ def _expected_rows(stage):
             for i, name in enumerate(CHECK_NAMES)]
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-@pytest.mark.parametrize("case", STAGE_CASES)
-def test_a_failing_stage_fails_its_own_check_row(tmp_path, capsys, monkeypatch,
-                                                 case, mode):
-    source, patch, expected_code = STAGE_CASES[case]
+def _run_stage_case(case, mode, tmp_path, capsys, monkeypatch, report=None):
+    source, patch, _ = STAGE_CASES[case]
     doc = json.loads((SCENARIOS / f"{source}.json").read_text()) \
         if isinstance(source, str) else source
     if patch is not None:
         patch(monkeypatch)
+    argv = ["analyze", write_doc(tmp_path, doc), "--mode", mode]
+    return run_cli(argv + (["--report", str(report)] if report else []), capsys)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("case", STAGE_CASES)
+def test_a_failing_stage_fails_its_own_check_row(tmp_path, capsys, monkeypatch,
+                                                 case, mode):
+    expected_code = STAGE_CASES[case][2]
     report = tmp_path / "out.json"
-    code, _, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode,
-                            "--report", str(report)], capsys)
+    code, _, err = _run_stage_case(case, mode, tmp_path, capsys, monkeypatch, report)
     assert code == expected_code and err == ""
     out = json.loads(report.read_text())
     stage = case.split("/")[0]
+    expected = _expected_rows(stage)
+    if stage == "support-condition":
+        # The insider's tilt floor is 0, and the row shows the gauge's flag.
+        expected[4] = ("tilt-floor-positive", False, True)
     assert [(c["name"], c["passed"], c["witness"] is None)
-            for c in out["checks"]] == _expected_rows(stage)
-    # The row holds the verdict's witness.  (In exact mode a row formats t
-    # as a string; ROADMAP item 8 unifies the two serializers.)
+            for c in out["checks"]] == expected
+    # The row holds the verdict's witness.  A row formats t through the
+    # arithmetic (a string in exact mode), so t is left out of the match.
     row_witness = out["checks"][CHECK_NAMES.index(stage)]["witness"]
     assert (row_witness["reason"], row_witness["atom"], row_witness["detail"]) \
         == (out["witness"]["reason"], out["witness"]["atom"], out["witness"]["detail"])
+
+
+# Every failing return of solve_structure_G: the gate (support, tilt floor),
+# the sites (coercivity, infeasible, a jump row), the jump of Y, the price
+# drift identity and the expanded battery.
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("case", [c for c in STAGE_CASES if c != "base-deflator-battery"])
+def test_every_failing_verdict_of_solve_structure_G_names_its_check_row(
+        tmp_path, capsys, monkeypatch, case, mode):
+    verdicts = []
+    solve_structure_G = cli.solve_structure_G
+    monkeypatch.setattr(cli, "solve_structure_G",
+                        lambda *args: verdicts.append(solve_structure_G(*args))
+                        or verdicts[-1])
+    _run_stage_case(case, mode, tmp_path, capsys, monkeypatch)
+    (verdict,) = verdicts
+    assert verdict.status != viability.VIABLE
+    assert verdict.stage in cli._CHECK_NAMES and verdict.stage == case.split("/")[0]
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -591,6 +626,20 @@ def test_repeated_bad_token_names_its_first_path(tmp_path, capsys, mode, bad):
     code, _, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode], capsys)
     assert code == 3 and err.startswith("error: prices[1][2]: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", [-1e300, ["one-step"], {"name": "one-step"}],
+                         ids=["number", "list", "object"])
+def test_scenario_name_must_be_a_string(tmp_path, capsys, mode, name):
+    # In exact mode a decimal name parses to a Fraction, which JSON cannot hold.
+    doc = json.loads((SCENARIOS / "one_step.json").read_text())
+    doc["name"] = name
+    report = tmp_path / "out.json"
+    code, out, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode,
+                              "--report", str(report)], capsys)
+    assert code == 3 and out == "" and err == "error: name: expected a string\n"
+    assert not report.exists()
 
 
 def test_float_loader_keeps_signed_zeros():

@@ -102,6 +102,9 @@ def test_solve_phi_on_perfect_insider():
         assert gauge.phi.at(o, 1) == ((F(1) if o[0] == "u" else F(-1)),)
         assert gauge.u.value(o, 1) == 0
     assert not gauge.u_positive
+    # the first u <= 0 in (t, atom) order, the very value u holds there
+    t, atom, u = gauge.tilt_witness
+    assert (t, atom) == (1, ("uu", "ud")) and u is gauge.u.at("uu", 1)[0]
     assert not gauge.support_ok
 
 
@@ -137,7 +140,8 @@ def test_support_condition_first_witness_among_several_violations():
 def test_compute_u_matches_manual_minimum():
     fx = b2n()
     gauge = solve_phi(fx.pair, fx.W, fx.W)
-    u = compute_u(fx.pair, fx.W, gauge.phi)
+    u, witness = compute_u(fx.pair, fx.W, gauge.phi)
+    assert witness is None and gauge.tilt_witness is None
     G = fx.pair.expanded
     for t in (1, 2):
         for atom in G.at(t - 1).atoms:
@@ -193,9 +197,8 @@ def test_solve_phi_infeasible_for_null_carrier():
 
 
 def test_drift_rejects_non_refining_pair():
+    # No pair reaches drift unless its expanded flow refines the base one:
+    # the swapped pair fails to construct.
     fx = b2i()
-    from marketforge.space import EnlargementPair
-
-    swapped = EnlargementPair(fx.pair.expanded, fx.pair.base)
-    with pytest.raises(SpaceError):
-        drift(fx.W, swapped)
+    with pytest.raises(SpaceError, match="does not refine"):
+        drift(fx.W, EnlargementPair(fx.pair.expanded, fx.pair.base))

@@ -15,13 +15,16 @@ and a three-outcome step whose second asset's drift the driver spans
 only in part (exit 4, ``drift-not-spanned``, through the projection fit
 on one column).  Two more jump sites pin the centred jump ξ·(w − c): an
 accessible d = 2 site with a non-zero centre and a null child, and an
-inaccessible site with a zero-jump child.  Last, a trinomial step whose
+inaccessible site with a zero-jump child.  Then a trinomial step whose
 structure martingale jumps by exactly 1: exact mode stops at the base
 ``jump-bound`` (exit 4), while float mode sees 1 - eps, passes the site
 stages and fails the expanded price-drift identity (exit 4,
-``verification-mismatch``).  Their scenario JSON is stored beside the
-reports.  ``selftest`` runs too, with no input file: its report pins the
-names, verdicts and notes of the built-in battery in both modes.
+``verification-mismatch``).  Last, the noisy signal with a carrier that
+is blind at t = 1: no integrand carries the drift there, so the gauge
+solve fails (exit 5, ``gauge-infeasible`` with t, atom and residual).
+Their scenario JSON is stored beside the reports.  ``selftest`` runs too,
+with no input file: its report pins the names, verdicts and notes of the
+built-in battery in both modes.
 
 Regenerate after an intended report change, and only then, with
 
@@ -62,6 +65,7 @@ INPUTS = (
     ("kernel", GOLDEN / "site_inaccessible_zero_jump.json"),
     ("analyze", GOLDEN / "one_step_partly_spanned_drift.json"),
     ("analyze", GOLDEN / "trinomial_unit_structure_jump.json"),
+    ("analyze", GOLDEN / "noisy_signal_blind_carrier.json"),
     ("selftest", None),
 )
 

@@ -63,8 +63,7 @@ def _all_sites(built, base, gauge):
 def test_one_site_solve_per_distinct_site_value(monkeypatch):
     built, base, gauge = _tree_T4()
     solved = record_site_solves(monkeypatch)
-    verdict = solve_structure_G(built.market, built.pair, gauge, built.driver,
-                                base_solution=base)
+    verdict = solve_structure_G(built.market, gauge, base)
     assert verdict.status == viability.VIABLE
     values = [site_value(site) for site, _ in solved]
     every = [site_value(site) for site in _all_sites(built, base, gauge)]
@@ -77,8 +76,7 @@ def test_each_call_solves_its_sites_again(monkeypatch, tmp_path, capsys):
     built, base, gauge = _tree_T4()
     solved = record_site_solves(monkeypatch)
     for _ in range(2):
-        solve_structure_G(built.market, built.pair, gauge, built.driver,
-                          base_solution=base)
+        solve_structure_G(built.market, gauge, base)
     first, second = solved[:len(solved) // 2], solved[len(solved) // 2:]
     assert len(first) == len(second) > 0
     assert [site_value(s) for s, _ in first] == [site_value(s) for s, _ in second]
@@ -155,7 +153,7 @@ def test_memoized_sites_match_a_direct_solve_per_site(mode):
             gauge = solve_phi(pair, driver.W, driver.W)
         except (NonViable, Infeasible):
             continue
-        verdict = solve_structure_G(market, pair, gauge, driver, base_solution=base)
+        verdict = solve_structure_G(market, gauge, base)
         if verdict.solution is None:
             continue
         kbar = verdict.solution.driver_coefficients

@@ -17,7 +17,6 @@ from marketforge.space import (
     SampleSpace,
     SpaceError,
     build_progressive_enlargement,
-    check_refinement,
     cond_exp,
     first_mismatch,
     is_adapted,
@@ -143,7 +142,7 @@ def test_initial_enlargement_reveals_signal_at_time_zero():
     assert G.at(0).atoms == (("uu", "ud"), ("du", "dd"))
     assert G.at(1) == fx.F.at(1)
     assert G.at(2) == fx.F.at(2)
-    assert check_refinement(fx.pair)
+    assert all(G.at(t).refines(fx.F.at(t)) for t in range(3))
 
 
 def test_progressive_enlargement_by_first_hit():
@@ -155,7 +154,7 @@ def test_progressive_enlargement_by_first_hit():
     assert G.at(0) == fx.F.at(0)  # min(tau, 1) does not split the trivial atom
     assert G.at(1) == fx.F.at(1)
     assert G.at(2) == fx.F.at(2)
-    assert check_refinement(pair)
+    assert all(G.at(t).refines(fx.F.at(t)) for t in range(3))
 
 
 def _brute_transitions(flow, t):
@@ -204,10 +203,16 @@ def test_atom_index_matches_brute_enumeration():
     assert [p for _, p in G.transitions(1)[0][2]] == [F(4, 5), F(1, 5)]
 
 
-def test_check_refinement_fails_on_swapped_pair():
+def test_enlargement_pair_rejects_a_flow_that_does_not_refine():
     fx = b2i()
-    swapped = EnlargementPair(fx.pair.expanded, fx.pair.base)
-    assert not check_refinement(swapped)
+    with pytest.raises(SpaceError, match="expanded flow does not refine the base flow"):
+        EnlargementPair(fx.pair.expanded, fx.pair.base)
+    # one time is enough: this flow refines F at t = 0 and t = 2 only
+    coins = b2()
+    late = Filtration(coins.space, (Partition.trivial(coins.space),
+                                    Partition.trivial(coins.space), coins.F.at(2)))
+    with pytest.raises(SpaceError, match="does not refine"):
+        EnlargementPair(coins.F, late)
 
 
 def test_filtration_must_refine():

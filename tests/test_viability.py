@@ -11,6 +11,7 @@ from marketforge.fixtures import b1, b2, b2i, b2n
 from marketforge.mrp import Driver
 from marketforge.space import (
     EnlargementPair,
+    Filtration,
     Process,
     build_initial_enlargement,
 )
@@ -49,6 +50,10 @@ def _driver(fx):
 
 def _gauge(fx, pair=None):
     return solve_phi(pair or fx.pair, fx.W, fx.W)
+
+
+def _base(fx):
+    return solve_structure_F(_market(fx), _driver(fx))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +185,7 @@ def test_solve_structure_G_identity_enlargement_reproduces_base():
     pair = EnlargementPair(fx.F, fx.F)
     gauge = _gauge(fx, pair)
     base = solve_structure_F(market, _driver(fx))
-    verdict = solve_structure_G(market, pair, gauge, _driver(fx))
+    verdict = solve_structure_G(market, gauge, base)
     assert verdict.status == VIABLE
     sol = verdict.solution
     for o in fx.space.outcomes:
@@ -193,8 +198,9 @@ def test_solve_structure_G_noisy_signal_full_numbers(monkeypatch):
     fx = b2n()
     market = _market(fx)
     gauge = _gauge(fx)
+    base = _base(fx)
     solved = record_site_solves(monkeypatch)
-    verdict = solve_structure_G(market, fx.pair, gauge, _driver(fx))
+    verdict = solve_structure_G(market, gauge, base)
     assert verdict.status == VIABLE
     sol = verdict.solution
     up = [o for o, z in zip(fx.space.outcomes, fx.signal) if z == "u"]
@@ -212,7 +218,7 @@ def test_solve_structure_G_noisy_signal_full_numbers(monkeypatch):
                for o in up) / mass
     assert mean == 1
     # The pipeline solves the site of the worked example.
-    D = solve_structure_F(market, _driver(fx)).martingale
+    D = base.martingale
     site, rec = record_for(solved, site_at(market, gauge, _driver(fx), D, 1, tuple(up)))
     assert [(c.prob, c.w, c.nu, c.delta) for c in site.children] == [
         (F(1, 2), (F(1),), F(3, 5), F(1, 5)),
@@ -224,42 +230,30 @@ def test_solve_structure_G_noisy_signal_full_numbers(monkeypatch):
 def test_solve_structure_G_insider_assumption_gate_and_bypass():
     fx = b2i()
     market = _market(fx)
-    gauge = _gauge(fx)
-    verdict = solve_structure_G(market, fx.pair, gauge, _driver(fx))
+    gauge, base = _gauge(fx), _base(fx)
+    verdict = solve_structure_G(market, gauge, base)
     assert verdict.status == ASSUMPTION_VIOLATED
     assert verdict.witness.reason == "support"
     assert verdict.witness.t == 1
-    forced = solve_structure_G(market, fx.pair, gauge, _driver(fx),
-                               enforce_assumptions=False)
+    forced = solve_structure_G(market, gauge, base, enforce_assumptions=False)
     assert forced.status == NON_VIABLE
     assert forced.witness.reason == "site-infeasible"
     assert forced.witness.t == 1
     assert forced.witness.detail == (F(6, 5),)
 
 
-def test_solve_structure_G_rejects_a_gauge_of_another_expanded_flow():
+def test_solve_structure_G_requires_the_gauge_to_extend_the_market_flow():
+    # The pair and the driver come from the gauge; its base flow must be
+    # the market's, compared by partitions.
     fx = b2n()
-    market, driver = _market(fx), _driver(fx)
-    identity_gauge = _gauge(fx, EnlargementPair(fx.F, fx.F))
-    with pytest.raises(ViabilityError):
-        solve_structure_G(market, fx.pair, identity_gauge, driver)
-    # an equal flow in a fresh pair object is the same enlargement
-    twin = EnlargementPair(fx.F, fx.pair.expanded.refine_by(fx.signal))
-    assert solve_structure_G(market, twin, _gauge(fx), driver).status == VIABLE
-
-
-def test_solve_structure_G_rejects_a_gauge_of_another_driver():
-    fx = b2n()
-    market, driver = _market(fx), _driver(fx)
-    doubled = solve_phi(fx.pair, fx.W, fx.W.scale(2))
-    stacked = solve_phi(fx.pair, fx.W, from_values(
-        fx.space, lambda o, t: (fx.W.value(o, t),) * 2, fx.F.horizon, dim=2))
-    for gauge in (doubled, stacked):
-        with pytest.raises(ViabilityError, match="another driver"):
-            solve_structure_G(market, fx.pair, gauge, driver)
-    # an equal driver process in a fresh object is the same driver
-    twin = solve_phi(fx.pair, fx.W, Process(fx.space, fx.W.columns))
-    assert solve_structure_G(market, fx.pair, twin, driver).status == VIABLE
+    market = _market(fx)
+    G = fx.pair.expanded
+    foreign = solve_phi(EnlargementPair(G, G), fx.W, fx.W)
+    with pytest.raises(ViabilityError, match="extend the market flow"):
+        solve_structure_G(market, foreign, _base(fx))
+    twin = EnlargementPair(Filtration(fx.space, fx.F.partitions), G)
+    verdict = solve_structure_G(market, solve_phi(twin, fx.W, fx.W), _base(fx))
+    assert verdict.status == VIABLE and verdict.stage is None
 
 
 def test_solve_structure_G_noise_only_enlargement_is_transparent():
@@ -274,8 +268,7 @@ def test_solve_structure_G_noise_only_enlargement_is_transparent():
     driver = Driver(W, Fl)
     gauge = solve_phi(pair, W, W)
     base = solve_structure_F(market, driver)
-    verdict = solve_structure_G(market, pair, gauge, driver,
-                                base_solution=base)
+    verdict = solve_structure_G(market, gauge, base)
     assert verdict.status == VIABLE
     for o in space.outcomes:
         for t in range(Fl.horizon + 1):
@@ -289,7 +282,7 @@ def test_solve_structure_G_noise_only_enlargement_is_transparent():
 def test_deflator_multiplicative_over_random_admissible_strategies():
     fx = b2n()
     market = _market(fx)
-    verdict = solve_structure_G(market, fx.pair, _gauge(fx), _driver(fx))
+    verdict = solve_structure_G(market, _gauge(fx), _base(fx))
     assert verdict.status == VIABLE
     G = fx.pair.expanded
     deflator = verdict.solution.deflator

@@ -59,7 +59,7 @@ def site_at(market, gauge, driver, D, t, g_atom) -> Site:
     _, _, transition = market.F.transitions(t)[k]
     (phi,) = gauge.phi.on_atoms(t, [g_atom])
     inputs = viability._site_inputs((driver.W, gauge.N, D), t, transition)
-    return viability._build_site(market, driver, phi, inputs)
+    return viability._build_site(market, driver.d, phi, inputs)
 
 
 def site_value(site: Site) -> tuple:
