@@ -62,9 +62,9 @@ from .viability import (
     ASSUMPTION_VIOLATED,
     NON_VIABLE,
     VIABLE,
+    CheckFailed,
     FailureWitness,
     Market,
-    NonViable,
     StructureSolution,
     Verdict,
     solve_structure_F,
@@ -78,6 +78,7 @@ __all__ = [
     "ASSUMPTION_VIOLATED",
     "Arithmetic",
     "BuiltScenario",
+    "CheckFailed",
     "CoercivityFailure",
     "DriftGauge",
     "Driver",
@@ -89,7 +90,6 @@ __all__ = [
     "KernelError",
     "Market",
     "NON_VIABLE",
-    "NonViable",
     "Partition",
     "Process",
     "RandomTime",

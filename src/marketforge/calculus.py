@@ -14,6 +14,10 @@ reads a process as its time columns: every per-cell operation runs through
 shared on an atom stay shared in the result.  The per-atom conditional
 moments the layers above solve with (``atom_means``, ``cross_moments``)
 come from here too.
+
+The one failure model lives here, in the lowest module that finds a
+failure: a check returns its first failure's ``FailureWitness`` (None when
+it holds), and a failure found inside a solve raises ``CheckFailed``.
 """
 
 from __future__ import annotations
@@ -23,17 +27,34 @@ from dataclasses import dataclass
 from .space import Filtration, Process, _add, _sub, cond_exp, first_failing, is_adapted, per_distinct
 
 
+NON_VIABLE = "non-viable"
+ASSUMPTION_VIOLATED = "assumption-violated"
+
+
 class CalculusError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
-class MartingaleWitness:
-    """First failing conditional-mean check: time, atom and its residual."""
+class FailureWitness:
+    """Where and why a solve or check failed."""
 
-    t: int
-    atom: tuple[str, ...]
-    residual: object  # scalar for one-dimensional processes, tuple otherwise
+    reason: str
+    t: int | None = None
+    atom: tuple[str, ...] | None = None
+    detail: object = None
+
+
+class CheckFailed(Exception):
+    """A failure found inside a solve: the verdict ``status`` it implies,
+    its ``witness`` and the ``stage``, the check row (one of
+    ``cli._CHECK_NAMES``) where it was found."""
+
+    def __init__(self, status: str, witness: FailureWitness, stage: str):
+        super().__init__(f"{witness.reason} at t={witness.t}, atom={witness.atom}")
+        self.status = status
+        self.witness = witness
+        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -175,9 +196,9 @@ def stoch_exp(X: Process) -> Process:
 def is_martingale(X: Process, filtration: Filtration):
     """Check E[dX_t | time-(t-1) atom] = 0 everywhere.
 
-    Returns (True, None) or (False, witness) with the first failure in
-    (time, atom) order; the witness residual is the offending conditional
-    mean increment.
+    Returns None, or the witness of the first failure in (time, atom) order,
+    reason "drifts", whose detail is the offending conditional mean
+    increment (a scalar for a one-dimensional process, a tuple otherwise).
     """
     _require_adapted(X, filtration, "martingale-check input")
     arith = X.space.arith
@@ -185,6 +206,5 @@ def is_martingale(X: Process, filtration: Filtration):
         part = filtration.at(t - 1)
         for atom, m in zip(part.atoms, atom_means(X, part, t)):
             if not all(arith.is_zero(v) for v in m):
-                residual = m[0] if X.dim == 1 else tuple(m)
-                return False, MartingaleWitness(t, atom, residual)
-    return True, None
+                return FailureWitness("drifts", t, atom, m[0] if X.dim == 1 else tuple(m))
+    return None

@@ -20,7 +20,9 @@ across runs.
 
 Exit codes: 0 viable / all checks pass, 1 selftest failure, 2 unreadable
 input, 3 invalid model data (a site out of float range included), 4
-non-viable, 5 assumption violated.
+non-viable, 5 assumption violated.  A failing check row holds one
+``FailureWitness``; a failure found inside a solve reaches ``analyze`` as
+one ``CheckFailed``, whose status picks the exit code.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import time
 
 from . import report
 from .arith import DEFAULT_TOLERANCE, EXACT, Arithmetic
-from .enlarge import GaugeMismatch, Infeasible, solve_phi
+from .enlarge import solve_phi
 from .jumpkernel import CoercivityFailure, NegativeTilt, site_checks, solve_site
 from .scenario import BuiltScenario, ScenarioError, load_scenario, load_site, parse_document
 from .selftest import run_selftest
@@ -42,8 +44,7 @@ from .viability import (
     ASSUMPTION_VIOLATED,
     NON_VIABLE,
     VIABLE,
-    FailureWitness,
-    NonViable,
+    CheckFailed,
     Verdict,
     solve_structure_F,
     solve_structure_G,
@@ -150,33 +151,24 @@ def _write_report(args, doc) -> None:
 
 def _run_pipeline(built: BuiltScenario):
     """Returns (verdict, gauge); the gauge is None when the pipeline stops
-    before it is solved.  Raises ScenarioError when a given structure
-    process disagrees with the solved one."""
+    before it is solved.  A failure found inside a solve arrives here as
+    one CheckFailed.  Raises ScenarioError when a given structure process
+    disagrees with the solved one."""
     try:
         base = solve_structure_F(built.market, built.driver)
-    except NonViable as err:
-        return Verdict(NON_VIABLE, err.witness, stage="base-structure-solve"), None
-    if built.structure is not None:
-        miss = first_mismatch(built.structure, base.martingale)
-        if miss is not None:
-            raise ScenarioError(
-                "structure",
-                f"given structure process disagrees with the solved "
-                f"one at ({miss[0]}, t={miss[1]})")
-
-    ok, witness = verify_deflator(base.deflator, built.market, built.F)
-    if not ok:
-        return Verdict(NON_VIABLE, witness, stage="base-deflator-battery"), None
-
-    try:
+        if built.structure is not None:
+            miss = first_mismatch(built.structure, base.martingale)
+            if miss is not None:
+                raise ScenarioError(
+                    "structure",
+                    f"given structure process disagrees with the solved "
+                    f"one at ({miss[0]}, t={miss[1]})")
+        witness = verify_deflator(base.deflator, built.market, built.F)
+        if witness is not None:
+            return Verdict(NON_VIABLE, witness, stage="base-deflator-battery"), None
         gauge = solve_phi(built.pair, built.carrier, built.driver.W)
-    except Infeasible as err:
-        witness = FailureWitness("gauge-infeasible", err.t, err.atom, err.residual)
-        return Verdict(ASSUMPTION_VIOLATED, witness, stage="gauge-solve"), None
-    except GaugeMismatch as err:
-        witness = FailureWitness("verification-mismatch", err.t, err.atom,
-                                 (err.a, err.b))
-        return Verdict(NON_VIABLE, witness, stage="gauge-solve"), None
+    except CheckFailed as err:
+        return Verdict(err.status, err.witness, stage=err.stage), None
     return solve_structure_G(built.market, gauge, base), gauge
 
 

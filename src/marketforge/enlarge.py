@@ -14,10 +14,13 @@ integrand phi:
 ``compute_u`` extracts the predictable floor u of the multiplicative tilt
 1 + transpose(phi) dN, whose positivity is exactly what downstream deflator
 construction needs; it records the first (t, atom) where the floor fails.
-The gauge keeps the driver it was solved for and that driver's drift, so
-the expanded structure solve reads both from it.  Every pair is an
-enlargement by construction (``EnlargementPair`` checks the refinement);
-atom masses and transitions come from ``space``.
+The gauge holds the support and tilt-floor witnesses (``FailureWitness``,
+None when the condition holds), which the expanded structure solve's gate
+returns as they are; a gauge solve that fails raises ``CheckFailed`` at the
+``gauge-solve`` row.  The gauge keeps the driver it was solved for and that
+driver's drift, so the expanded structure solve reads both from it.  Every
+pair is an enlargement by construction (``EnlargementPair`` checks the
+refinement); atom masses and transitions come from ``space``.
 """
 
 from __future__ import annotations
@@ -25,51 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .calculus import _compensate, atom_means, cross_moments, integrate, is_martingale, pred_bracket
+from .calculus import ASSUMPTION_VIOLATED, NON_VIABLE, CheckFailed, FailureWitness, _compensate
+from .calculus import atom_means, cross_moments, integrate, is_martingale, pred_bracket
 from .calculus import compensator  # noqa: F401  (bench/test_bench.py traces it here)
 from .space import EnlargementPair, Process, first_mismatch, value_key
-
-
-class Infeasible(Exception):
-    """The drift of some atom cannot be carried by the chosen martingale N."""
-
-    def __init__(self, t: int, atom: tuple[str, ...], residual=None):
-        self.t = t
-        self.atom = atom
-        self.residual = residual
-        super().__init__(f"no drift integrand exists at time {t} on atom {atom}")
-
-
-class GaugeMismatch(Exception):
-    """The solved integrand misses the drift identity on the driver basis:
-    a bug, not a market.  ``t`` and ``atom`` (a time-t expanded atom) locate
-    the first mismatching cell, ``a`` and ``b`` are the drift of the driver
-    component and the identity's right side there."""
-
-    def __init__(self, t: int, atom: tuple[str, ...], a, b):
-        self.t = t
-        self.atom = atom
-        self.a = a
-        self.b = b
-        super().__init__(f"drift identity failed on the driver basis at time {t} "
-                         f"on atom {atom}: {a} != {b}")
-
-
-@dataclass(frozen=True)
-class SupportWitness:
-    """A base-flow transition that the expanded observer rules out."""
-
-    t: int
-    child: tuple[str, ...]
-    g_atom: tuple[str, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class DriftGauge:
     """The drift data of an enlargement: carrier N, the driver W it was
-    solved for and W's drift, integrand phi, floor u, the support-condition
-    witness and the tilt-floor witness (t, time-(t-1) expanded atom, u) of
-    the first u <= 0 (each None when its condition holds)."""
+    solved for and W's drift, integrand phi, floor u, and the witnesses of
+    the support condition and of the tilt floor (each None when its
+    condition holds)."""
 
     pair: EnlargementPair
     N: Process
@@ -77,8 +47,8 @@ class DriftGauge:
     W_drift: Process
     phi: Process
     u: Process
-    support_witness: SupportWitness | None
-    tilt_witness: tuple | None
+    support_witness: FailureWitness | None
+    tilt_witness: FailureWitness | None
 
     @property
     def support_ok(self) -> bool:
@@ -99,8 +69,8 @@ def drift(X: Process, pair: EnlargementPair) -> Process:
     """
     G = pair.expanded
     out = _compensate(X, G)
-    ok, witness = is_martingale(X - out, G)
-    if not ok:  # unreachable: the construction centers every increment
+    witness = is_martingale(X - out, G)
+    if witness is not None:  # unreachable: the construction centers every increment
         raise AssertionError(f"drift failed to center the process: {witness}")
     return out
 
@@ -110,7 +80,8 @@ def check_support_condition(pair: EnlargementPair):
 
     For each time t, base atom A with child C, and expanded time-(t-1) atom
     B inside A, the joint event C and B must have positive probability.
-    Returns (True, None) or (False, first witness).
+    Returns None, or the first failure's witness: reason "support", at t
+    on the child C, with the detail {t, child, g_atom}.
     """
     F, G = pair.base, pair.expanded
     for t in range(1, pair.horizon + 1):
@@ -124,8 +95,9 @@ def check_support_condition(pair: EnlargementPair):
             for child, _ in children:
                 for b in g_kids[k]:
                     if (child[0], b) not in meets:
-                        return False, SupportWitness(t, child, g_part.atoms[b])
-    return True, None
+                        return FailureWitness("support", t, child, {
+                            "t": t, "child": child, "g_atom": g_part.atoms[b]})
+    return None
 
 
 def compute_u(pair: EnlargementPair, N: Process, phi: Process):
@@ -136,8 +108,9 @@ def compute_u(pair: EnlargementPair, N: Process, phi: Process):
     those the expanded observer still holds possible: transitions the base
     flow allows must all stay above the floor, including the ones the
     enlargement has excluded (where the tilt may legitimately vanish).
-    Returns (u, witness): the witness is (t, atom, u) at the first
-    time-(t-1) expanded atom, in (t, atom) order, where u <= 0, or None.
+    Returns (u, witness): the witness, reason "tilt-floor" with detail u, is
+    at the first time-(t-1) expanded atom, in (t, atom) order, where
+    u <= 0, or None.
     """
     F, G = pair.base, pair.expanded
     values: dict[tuple[int, int], object] = {}
@@ -151,7 +124,7 @@ def compute_u(pair: EnlargementPair, N: Process, phi: Process):
             steps = N.on_atoms(t, [child for child, _ in children], increments=True)
             u = min(1 + sum((a * b for a, b in zip(p, dn)), 0) for dn in steps)
             if witness is None and not u > 0:
-                witness = (t, atom, u)
+                witness = FailureWitness("tilt-floor", t, atom, u)
             values[(t, k)] = u
     return Process.predictable(G, values, initial=1), witness
 
@@ -165,10 +138,11 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
 
     taking the minimum-norm solution when the system is underdetermined,
     once per distinct (Q_A, gamma_B) value within this call.  Raises
-    Infeasible when no solution exists.  The returned gauge carries W's
-    drift, the tilt floor u and the support / tilt-floor witnesses; the
-    drift identity is re-verified on the full driver basis, and a mismatch
-    raises GaugeMismatch.
+    CheckFailed ("gauge-infeasible", detail the residual) when no solution
+    exists.  The returned gauge carries W's drift, the tilt floor u and the
+    support / tilt-floor witnesses; the drift identity is re-verified on the
+    full driver basis, and a mismatch, a bug rather than a market, raises
+    CheckFailed ("verification-mismatch", detail the two sides).
     """
     F, G = pair.base, pair.expanded
     arith = pair.space.arith
@@ -188,7 +162,8 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
                 phi_b, residual = linalg.lstsq_min_norm(linalg.transpose(Qs[a]), gamma,
                                                         arith)
                 if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([gamma])):
-                    raise Infeasible(t, b_atom, tuple(residual))
+                    raise CheckFailed(ASSUMPTION_VIOLATED, FailureWitness(
+                        "gauge-infeasible", t, b_atom, tuple(residual)), "gauge-solve")
                 solved[key] = tuple(phi_b)
             values[(t, k)] = solved[key]
     phi = Process.predictable(G, values, n)
@@ -199,7 +174,8 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
                               integrate(phi, pred_bracket(N, W.component(e), F)))
         if miss is not None:
             o, t, a, b = miss
-            raise GaugeMismatch(t, G.at(t).atom_of(o), a, b)
+            raise CheckFailed(NON_VIABLE, FailureWitness(
+                "verification-mismatch", t, G.at(t).atom_of(o), (a, b)), "gauge-solve")
     u, tilt_witness = compute_u(pair, N, phi)
-    _, support_witness = check_support_condition(pair)
-    return DriftGauge(pair, N, W, W_drift, phi, u, support_witness, tilt_witness)
+    return DriftGauge(pair, N, W, W_drift, phi, u, check_support_condition(pair),
+                      tilt_witness)

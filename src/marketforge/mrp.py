@@ -19,18 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .calculus import CalculusError, is_martingale
+from .calculus import CalculusError, FailureWitness, is_martingale
 from .space import Filtration, Process, SpaceError, first_failing
-
-
-@dataclass(frozen=True)
-class MrpWitness:
-    """Where the span condition fails: the atom, its child count, the rank."""
-
-    t: int
-    atom: tuple[str, ...]
-    multiplicity: int
-    rank: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,11 +35,12 @@ class Driver:
         if first_failing(self.W, start=lambda v: all(map(is_zero, v))) is not None:
             raise SpaceError("driver must start at 0")
         try:
-            ok, witness = is_martingale(self.W, self.filtration)
+            witness = is_martingale(self.W, self.filtration)
         except CalculusError:  # the one input check is_martingale makes
             raise SpaceError("driver must be adapted to the filtration") from None
-        if not ok:
-            raise SpaceError(f"driver is not a martingale: {witness}")
+        if witness is not None:
+            raise SpaceError(f"driver must be a martingale of the flow; it drifts "
+                             f"at t={witness.t} on {list(witness.atom)}")
 
     @property
     def d(self) -> int:
@@ -61,8 +52,8 @@ def check_mrp(F: Filtration, driver: Driver):
 
     Checks, per (time, atom), that the driver's child increments span the
     centered functions on the children: rank of the child-increment matrix
-    must be the child count minus one.  Returns (True, None) or
-    (False, witness) with the first failing atom.
+    must be the child count minus one.  Returns None, or the first failing
+    atom's witness: reason "mrp", detail {multiplicity: child count, rank}.
     """
     arith = F.space.arith
     for t in range(1, F.horizon + 1):
@@ -74,8 +65,8 @@ def check_mrp(F: Filtration, driver: Driver):
             V = [list(dw) for dw in driver.W.on_atoms(t, kids, increments=True)]
             r = linalg.rank(V, arith)
             if r < m - 1:
-                return False, MrpWitness(t, atom, m, r)
-    return True, None
+                return FailureWitness("mrp", t, atom, {"multiplicity": m, "rank": r})
+    return None
 
 
 def synthesize_driver(F: Filtration) -> Driver:

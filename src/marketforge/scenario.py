@@ -3,13 +3,15 @@
 Scenario files are JSON.  In exact mode every number becomes one Fraction
 -- JSON decimals through a parse hook, integers, "p/q" and decimal strings
 through the arithmetic -- so a scenario round-trips bit-exactly.  Validation
-failures carry the path to the offending field ("space.weights[2]: ...").
+failures carry the path to the offending field ("space.weights[2]: ...");
+an engine constructor's own error is mapped to its field by ``_field``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +42,15 @@ class ScenarioError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+@contextmanager
+def _field(path: str):
+    """Report an engine error raised in the block as invalid data at ``path``."""
+    try:
+        yield
+    except (SpaceError, KernelError, ViabilityError) as err:
+        raise ScenarioError(path, str(err)) from None
 
 
 def parse_document(text: str, arith: Arithmetic):
@@ -110,10 +121,8 @@ def _process(paths_doc, path: str, space: SampleSpace, arith: Arithmetic,
             else:
                 fixed.append((num(v, lambda: f"{path}[{i}][{t}]"),))
         paths.append(tuple(fixed))
-    try:
+    with _field(path):
         return Process.from_paths(space, paths)
-    except SpaceError as err:
-        raise ScenarioError(path, str(err)) from None
 
 
 def _filtration(flow_doc, path: str, space: SampleSpace) -> Filtration:
@@ -123,15 +132,11 @@ def _filtration(flow_doc, path: str, space: SampleSpace) -> Filtration:
     for t, atoms in enumerate(flow_doc):
         if not isinstance(atoms, list):
             raise ScenarioError(f"{path}[{t}]", "expected a list of atoms")
-        try:
+        with _field(f"{path}[{t}]"):
             parts.append(Partition.from_atoms(
                 space, [_str_list(a, f"{path}[{t}][{k}]") for k, a in enumerate(atoms)]))
-        except SpaceError as err:
-            raise ScenarioError(f"{path}[{t}]", str(err)) from None
-    try:
+    with _field(path):
         return Filtration(space, tuple(parts))
-    except SpaceError as err:
-        raise ScenarioError(path, str(err)) from None
 
 
 def _enlargement(doc, path: str, F: Filtration, arith: Arithmetic) -> EnlargementPair:
@@ -147,10 +152,8 @@ def _enlargement(doc, path: str, F: Filtration, arith: Arithmetic) -> Enlargemen
             if isinstance(v, (list, dict)):
                 raise ScenarioError(f"{path}.variable[{i}]",
                                     "expected a string or number, not a list or object")
-        try:
+        with _field(f"{path}.variable"):
             return build_initial_enlargement(F, tuple(variable))
-        except SpaceError as err:
-            raise ScenarioError(f"{path}.variable", str(err)) from None
     if kind == "progressive":
         times = _require(doc, "times", path)
         if not isinstance(times, list) or len(times) != F.space.size:
@@ -159,18 +162,14 @@ def _enlargement(doc, path: str, F: Filtration, arith: Arithmetic) -> Enlargemen
         expected = "expected a nonnegative integer or \"inf\""
         fixed = [INF if v == "inf" else _nonneg_int(v, f"{path}.times[{i}]", expected)
                  for i, v in enumerate(times)]
-        try:
+        with _field(f"{path}.times"):
             return build_progressive_enlargement(F, RandomTime(F.space, tuple(fixed)))
-        except SpaceError as err:
-            raise ScenarioError(f"{path}.times", str(err)) from None
     if kind == "explicit":
         G = _filtration(_require(doc, "flow", path), f"{path}.flow", F.space)
         if G.horizon != F.horizon:
             raise ScenarioError(f"{path}.flow", f"expected horizon {F.horizon}")
-        try:
+        with _field(f"{path}.flow"):
             return EnlargementPair(F, G)
-        except SpaceError as err:
-            raise ScenarioError(f"{path}.flow", str(err)) from None
     raise ScenarioError(f"{path}.kind", f"unknown enlargement kind {kind!r}")
 
 
@@ -206,10 +205,8 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
     shared: dict = {}
     weights = [shared.setdefault(w, w) for w in (
         _num(v, f"space.weights[{i}]", arith) for i, v in enumerate(weights_doc))]
-    try:
+    with _field("space"):
         space = SampleSpace(tuple(outcomes), tuple(weights), arith=arith)
-    except SpaceError as err:
-        raise ScenarioError("space", str(err)) from None
 
     prices = _process(_require(doc, "prices", ""), "prices", space, arith)
     horizon = prices.horizon
@@ -226,10 +223,8 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
         F = natural_filtration(space, [W if W is not None else prices])
 
     if W is not None:
-        try:
+        with _field("driver"):
             driver = Driver(W, F)
-        except SpaceError as err:
-            raise ScenarioError("driver", str(err)) from None
     else:
         driver = synthesize_driver(F)
 
@@ -238,8 +233,8 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
         carrier = _process(doc["carrier"], "carrier", space, arith, horizon)
         if not is_adapted(carrier, F):
             raise ScenarioError("carrier", "carrier must be adapted to the base flow")
-        ok, witness = is_martingale(carrier, F)
-        if not ok:
+        witness = is_martingale(carrier, F)
+        if witness is not None:
             raise ScenarioError("carrier", f"carrier must be a base-flow martingale; "
                                 f"it drifts at t={witness.t} on {list(witness.atom)}")
 
@@ -252,10 +247,8 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
     pair = _enlargement(doc.get("enlargement", {"kind": "none"}),
                         "enlargement", F, arith)
 
-    try:
+    with _field("prices"):
         market = Market(prices, F)
-    except ViabilityError as err:
-        raise ScenarioError("prices", str(err)) from None
 
     return BuiltScenario(name, arith, space, F, pair, market, driver,
                          carrier, structure)
@@ -288,7 +281,5 @@ def load_site(doc, arith: Arithmetic):
         nu = _num(_require(c, "nu", path), f"{path}.nu", arith)
         delta = _num(_require(c, "delta", path), f"{path}.delta", arith)
         children.append(SiteChild(prob, w, nu, delta))
-    try:
+    with _field("children"):
         return Site(dim, tuple(children), kind == "accessible", arith)
-    except KernelError as err:
-        raise ScenarioError("children", str(err)) from None

@@ -157,8 +157,8 @@ def _check_base_structure(arith: Arithmetic) -> str:
     mean = sum(fx.space.weight(o) * sol.deflator.value(o, 1) * fx.S.value(o, 1)
                for o in fx.space.outcomes)
     _ask(eq(mean, _num(arith, "1")), "b1 deflated asset lost its mean")
-    ok, witness = verify_deflator(sol.deflator, Market(fx.S, fx.F), fx.F)
-    _ask(ok, f"b1 deflator battery failed: {witness}")
+    witness = verify_deflator(sol.deflator, Market(fx.S, fx.F), fx.F)
+    _ask(witness is None, f"b1 deflator battery failed: {witness}")
     return "coefficient 1/5, deflator (4/5, 6/5)"
 
 
@@ -198,8 +198,8 @@ def _check_noise_pipeline(arith: Arithmetic) -> str:
     factors = sorted(sol.deflator.value(o, 1) for o in up)
     _ask(eq(factors[0], _num(arith, "1/2")) and eq(factors[-1], _num(arith, "3")),
          "b2n deflator factors on the up-signal atom are not (1/2, 3)")
-    ok, witness = verify_deflator(sol.deflator, market, fx.pair.expanded)
-    _ask(ok, f"b2n deflator battery failed: {witness}")
+    witness = verify_deflator(sol.deflator, market, fx.pair.expanded)
+    _ask(witness is None, f"b2n deflator battery failed: {witness}")
     return "viable; coefficients 5/4 and -5/8, factors (1/2, 3)"
 
 

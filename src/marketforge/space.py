@@ -360,7 +360,9 @@ class Process:
     of outcome i at time t, all of one length ``dim``.
 
     Cells with equal values may be one shared tuple.  Whether the process
-    is adapted is decided against a filtration by :func:`is_adapted`.
+    is adapted is decided against a filtration by :func:`is_adapted`.  The
+    cell dimension is checked where cells enter from outside a kernel
+    (``from_paths``, ``predictable``); a kernel keeps its operands' one.
     """
 
     space: SampleSpace
@@ -371,8 +373,6 @@ class Process:
             raise SpaceError("process needs at least time 0")
         if any(len(column) != self.space.size for column in self.columns):
             raise SpaceError("process needs one value per outcome at each time")
-        if len({len(v) for column in self.columns for v in column}) != 1:
-            raise SpaceError("all value vectors must share one dimension")
 
     # -- construction helpers ------------------------------------------------
 
@@ -386,9 +386,9 @@ class Process:
                  for path in paths]
         if len(fixed) != space.size:
             raise SpaceError("process needs one path per outcome")
+        if len({len(v) for path in fixed for v in path}) > 1:
+            raise SpaceError("all value vectors must share one dimension")
         if len(set(map(len, fixed))) > 1:
-            if len({len(v) for path in fixed for v in path}) > 1:
-                raise SpaceError("all value vectors must share one dimension")
             raise SpaceError("all paths must share one horizon")
         return cls(space, tuple(zip(*fixed)))
 
@@ -405,6 +405,8 @@ class Process:
             column = [None] * filtration.space.size
             for k, members in enumerate(filtration.at(t - 1).members):
                 v = _as_vector(table[(t, k)])
+                if len(v) != dim:
+                    raise SpaceError("value dimension mismatch")
                 for i in members:
                     column[i] = v
             columns.append(tuple(column))

@@ -15,16 +15,22 @@ once per distinct operand value within one call.  Every verdict re-verifies
 the drift identity and the deflated-martingale property through independent
 summation paths, on the full grid, before claiming viability.  A failing
 verdict names, as its ``stage``, the check row where it stopped; the row is
-set where the failure is found.
+set where the failure is found.  Every failure is one ``FailureWitness``,
+and one found inside the base structure solve raises ``CheckFailed``; both
+come from ``calculus`` and are re-exported here with the verdict statuses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import linalg
 from .calculus import (
+    ASSUMPTION_VIOLATED,
+    NON_VIABLE,
+    CheckFailed,
     Decomposition,
+    FailureWitness,
     bracket,
     centred,
     compensator,
@@ -48,30 +54,10 @@ from .space import (
 )
 
 VIABLE = "viable"
-NON_VIABLE = "non-viable"
-ASSUMPTION_VIOLATED = "assumption-violated"
 
 
 class ViabilityError(ValueError):
     """Malformed market or pipeline inputs."""
-
-
-@dataclass(frozen=True)
-class FailureWitness:
-    """Where and why a solve or check failed."""
-
-    reason: str
-    t: int | None = None
-    atom: tuple[str, ...] | None = None
-    detail: object = None
-
-
-class NonViable(Exception):
-    """The structure condition has no solution along this construction path."""
-
-    def __init__(self, witness: FailureWitness):
-        super().__init__(f"{witness.reason} at t={witness.t}, atom={witness.atom}")
-        self.witness = witness
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +123,9 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
     E[dM dW^T | atom] . dbar = dS_drift for the driver coefficients dbar
     (minimum-norm on the row space), assembles D as the integral of dbar
     against the driver, and requires dD < 1 everywhere so the deflator
-    ``stoch_exp(-D)`` stays strictly positive.  Raises NonViable with a
-    residual witness on inconsistency or with the offending jump otherwise.
+    ``stoch_exp(-D)`` stays strictly positive.  Raises CheckFailed,
+    non-viable at the ``base-structure-solve`` row, with a residual witness
+    on inconsistency or with the offending jump otherwise.
     """
     F = market.F
     arith = market.space.arith
@@ -161,8 +148,8 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
             if key not in solved:
                 coeffs, residual = linalg.lstsq_min_norm(Q, target, arith)
                 if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([target])):
-                    raise NonViable(FailureWitness("drift-not-spanned", t, atom,
-                                                   tuple(residual)))
+                    raise CheckFailed(NON_VIABLE, FailureWitness(
+                        "drift-not-spanned", t, atom, tuple(residual)), "base-structure-solve")
                 solved[key] = tuple(coeffs)
             table[(t, idx)] = solved[key]
     dbar = Process.predictable(F, table, d)
@@ -171,14 +158,15 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
         atoms = F.at(t).atoms
         for atom, (jump,) in zip(atoms, D.on_atoms(t, atoms, increments=True)):
             if not jump < 1:
-                raise NonViable(FailureWitness("jump-bound", t, atom, jump))
+                raise CheckFailed(NON_VIABLE, FailureWitness("jump-bound", t, atom, jump),
+                                  "base-structure-solve")
     deflator = stoch_exp(-D)
     return StructureSolution(dbar, D, deflator)
 
 
 def verify_deflator(deflator: Process, market: Market, filtration: Filtration):
     """Deflated-martingale battery: the deflator itself and each deflated
-    asset.  Returns (ok, witness)."""
+    asset.  Returns None, or the first failure's witness."""
     arith = market.space.arith
     # A time-0 value equal to 1 is positive, so the first failing cell is a
     # start failure exactly when it sits at t = 0.
@@ -186,18 +174,15 @@ def verify_deflator(deflator: Process, market: Market, filtration: Filtration):
     if miss is not None:
         o, t = market.space.outcomes[miss[0]], miss[1]
         reason = "deflator-start" if t == 0 else "deflator-not-positive"
-        return False, FailureWitness(reason, t, (o,), deflator.at(o, t)[0])
-    ok, witness = is_martingale(deflator, filtration)
-    if not ok:
-        return False, FailureWitness("deflator-drifts", witness.t, witness.atom,
-                                     witness.residual)
+        return FailureWitness(reason, t, (o,), deflator.at(o, t)[0])
+    witness = is_martingale(deflator, filtration)
+    if witness is not None:
+        return replace(witness, reason="deflator-drifts")
     for i in range(market.k):
-        ok, witness = is_martingale(deflator.times(market.S.component(i)),
-                                    filtration)
-        if not ok:
-            return False, FailureWitness(f"deflated-asset-{i}", witness.t,
-                                         witness.atom, witness.residual)
-    return True, None
+        witness = is_martingale(deflator.times(market.S.component(i)), filtration)
+        if witness is not None:
+            return replace(witness, reason=f"deflated-asset-{i}")
+    return None
 
 
 def price_drift_rhs(market: Market, D: Process, gauge: DriftGauge) -> Process:
@@ -264,16 +249,11 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
     G = pair.expanded
     D = base_solution.martingale
     if enforce_assumptions:
-        support_witness = gauge.support_witness
-        if support_witness is not None:
-            return Verdict(ASSUMPTION_VIOLATED,
-                           FailureWitness("support", support_witness.t,
-                                          support_witness.child,
-                                          support_witness),
+        if gauge.support_witness is not None:
+            return Verdict(ASSUMPTION_VIOLATED, gauge.support_witness,
                            stage="support-condition")
         if gauge.tilt_witness is not None:
-            return Verdict(ASSUMPTION_VIOLATED,
-                           FailureWitness("tilt-floor", *gauge.tilt_witness),
+            return Verdict(ASSUMPTION_VIOLATED, gauge.tilt_witness,
                            stage="tilt-floor-positive")
     table = {}
     jump_witness = None
@@ -336,7 +316,7 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
                            FailureWitness("verification-mismatch", t,
                                           G.at(t).atom_of(o), (a, b)),
                            solution, stage="price-drift-identity")
-    ok, witness = verify_deflator(deflator, market, G)
-    if not ok:
+    witness = verify_deflator(deflator, market, G)
+    if witness is not None:
         return Verdict(NON_VIABLE, witness, solution, stage="expanded-deflator-battery")
     return Verdict(VIABLE, None, solution)

@@ -286,8 +286,8 @@ def represent(X: Process, driver: Driver) -> RepresentationCoefficients:
     increment falls outside the span of the driver's child increments.
     """
     F = driver.filtration
-    ok, witness = is_martingale(X, F)
-    if not ok:
+    witness = is_martingale(X, F)
+    if witness is not None:
         raise SpaceError(f"representation target is not a martingale: {witness}")
     arith = X.space.arith
     d = driver.d

@@ -52,8 +52,8 @@ def test_compensator_contract_randomized():
             comp.at(o, t) == brute.at(o, t)
             for o in fx.space.outcomes for t in range(A.horizon + 1)
         )
-        ok, witness = is_martingale(A - comp, fx.F)
-        assert ok, witness
+        witness = is_martingale(A - comp, fx.F)
+        assert witness is None, witness
 
 
 def test_doob_decomposition_of_price():
@@ -80,12 +80,12 @@ def test_doob_decomposition_unique_among_predictable_splits():
     drift = dec.predictable_part
     mart = dec.martingale_part
     assert is_predictable(drift, fx.F)
-    assert is_martingale(mart, fx.F)[0]
+    assert is_martingale(mart, fx.F) is None
     # Perturbing the split by any nonzero predictable process breaks one side.
     bump = random_predictable(fx.space, fx.F, rng)
     bump = bump - Process.constant(fx.space, fx.F.horizon, bump.value("uu", 0))
     if any(bump.value(o, t) != 0 for o in fx.space.outcomes for t in range(3)):
-        assert not is_martingale(mart + bump, fx.F)[0] or not is_predictable(
+        assert is_martingale(mart + bump, fx.F) is not None or not is_predictable(
             drift - bump, fx.F
         )
 
@@ -130,7 +130,7 @@ def test_pred_bracket_of_walk_counts_time():
     assert all(pb.value(o, t) == t for o in fx.space.outcomes for t in range(3))
     # Bracket minus predictable bracket of a martingale is a martingale.
     diff = bracket(fx.W, fx.W) - pb
-    assert is_martingale(diff, fx.F)[0]
+    assert is_martingale(diff, fx.F) is None
 
 
 def test_integrate_simple_values():
@@ -224,12 +224,12 @@ def test_integration_by_parts():
 
 def test_is_martingale_and_witness():
     fx = b1()
-    assert is_martingale(fx.W, fx.F) == (True, None)
-    ok, witness = is_martingale(fx.S, fx.F)
-    assert not ok
+    assert is_martingale(fx.W, fx.F) is None
+    witness = is_martingale(fx.S, fx.F)
+    assert witness is not None
     assert witness.t == 1
     assert witness.atom == ("u", "d")
-    assert witness.residual == F(1, 50)
+    assert witness.detail == F(1, 50)
 
 
 def test_deflated_unit_holding_is_martingale():
@@ -239,6 +239,5 @@ def test_deflated_unit_holding_is_martingale():
     D = fx.W.scale(F(1, 5))
     deflator = stoch_exp(D.scale(-1))
     wealth = deflator.times(fx.S)
-    ok, _ = is_martingale(wealth, fx.F)
-    assert ok
+    assert is_martingale(wealth, fx.F) is None
     assert expectation(fx.space, [wealth.value(o, 1) for o in fx.space.outcomes]) == 1

@@ -253,6 +253,21 @@ def test_analyze_carrier_must_be_a_martingale(tmp_path, capsys, t, mode):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("t, atom", [
+    (1, ["uu0", "uu1", "ud0", "ud1", "du0", "du1", "dd0", "dd1"]),
+    (2, ["uu0", "uu1", "ud0", "ud1"]),
+], ids=["drift-at-t1", "drift-at-t2"])
+def test_analyze_driver_must_be_a_martingale(tmp_path, capsys, t, atom, mode):
+    # The driver generates the flow, so its drift sits on the flow's atoms.
+    doc = json.loads((SCENARIOS / "noisy_signal.json").read_text())
+    doc["driver"] = DRIFTING_CARRIERS[t]
+    code, out, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode], capsys)
+    assert code == 3 and out == ""
+    assert err == ("error: driver: driver must be a martingale of the flow; "
+                   f"it drifts at t={t} on {atom}\n")
+
+
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))  # NaN, Infinity, -Infinity
 
 

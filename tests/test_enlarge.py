@@ -5,10 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from marketforge.calculus import centred, compensator, integrate, is_martingale, pred_bracket
+from marketforge.calculus import (
+    ASSUMPTION_VIOLATED,
+    CheckFailed,
+    FailureWitness,
+    centred,
+    compensator,
+    integrate,
+    is_martingale,
+    pred_bracket,
+)
 from marketforge.enlarge import (
-    Infeasible,
-    SupportWitness,
     check_support_condition,
     compute_u,
     drift,
@@ -47,7 +54,7 @@ def test_drift_of_walk_under_noisy_signal():
         assert gamma.value(o, 1) == expected
         assert gamma.value(o, 2) - gamma.value(o, 1) == 0  # second coin is news to both
     assert is_predictable(gamma, fx.pair.expanded)
-    assert is_martingale(fx.W - gamma, fx.pair.expanded)[0]
+    assert is_martingale(fx.W - gamma, fx.pair.expanded) is None
 
 
 def test_drift_is_linear_and_vanishes_without_enlargement():
@@ -103,19 +110,19 @@ def test_solve_phi_on_perfect_insider():
         assert gauge.u.value(o, 1) == 0
     assert not gauge.u_positive
     # the first u <= 0 in (t, atom) order, the very value u holds there
-    t, atom, u = gauge.tilt_witness
-    assert (t, atom) == (1, ("uu", "ud")) and u is gauge.u.at("uu", 1)[0]
+    witness = gauge.tilt_witness
+    assert (witness.reason, witness.t, witness.atom) == ("tilt-floor", 1, ("uu", "ud"))
+    assert witness.detail is gauge.u.at("uu", 1)[0]
     assert not gauge.support_ok
 
 
 def test_support_condition_witness_on_insider():
     fx = b2i()
-    ok, witness = check_support_condition(fx.pair)
-    assert not ok
-    assert witness.t == 1
-    assert witness.child == ("uu", "ud")
-    assert witness.g_atom == ("du", "dd")
-    assert check_support_condition(b2n().pair) == (True, None)
+    witness = check_support_condition(fx.pair)
+    assert witness is not None
+    assert (witness.reason, witness.t, witness.atom) == ("support", 1, ("uu", "ud"))
+    assert witness.detail == {"t": 1, "child": ("uu", "ud"), "g_atom": ("du", "dd")}
+    assert check_support_condition(b2n().pair) is None
 
 
 def test_support_condition_first_witness_among_several_violations():
@@ -132,9 +139,9 @@ def test_support_condition_first_witness_among_several_violations():
     # {uu1}, du misses {dd1}, dd misses {du1}.  The walk is base atom, then
     # child, then expanded atom, so the first witness is (uu, {ud1}), not the
     # expanded-atom-first (ud, {uu1}).
-    ok, witness = check_support_condition(EnlargementPair(fx.F, G))
-    assert not ok
-    assert witness == SupportWitness(2, ("uu0", "uu1"), ("ud1",))
+    witness = check_support_condition(EnlargementPair(fx.F, G))
+    assert witness == FailureWitness("support", 2, ("uu0", "uu1"), {
+        "t": 2, "child": ("uu0", "uu1"), "g_atom": ("ud1",)})
 
 
 def test_compute_u_matches_manual_minimum():
@@ -191,9 +198,10 @@ def test_verify_g_compensator_random_battery():
 def test_solve_phi_infeasible_for_null_carrier():
     fx = b2i()
     N0 = Process.constant(fx.space, 2, F(0))
-    with pytest.raises(Infeasible) as err:
+    with pytest.raises(CheckFailed) as err:
         solve_phi(fx.pair, N0, fx.W)
-    assert err.value.t == 1
+    assert (err.value.status, err.value.stage) == (ASSUMPTION_VIOLATED, "gauge-solve")
+    assert (err.value.witness.reason, err.value.witness.t) == ("gauge-infeasible", 1)
 
 
 def test_drift_rejects_non_refining_pair():

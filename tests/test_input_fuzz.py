@@ -67,7 +67,7 @@ def test_mutated_inputs_exit_with_a_documented_code(monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
         try:
             code = main([cmd, "-", "--mode", mode])
-        except BaseException as err:  # noqa: BLE001  (any escape is the finding)
+        except Exception as err:  # any escape is the finding
             problems.append(f"{case}: raised {type(err).__name__}: {err}")
             continue
         finally:

@@ -86,11 +86,9 @@ def test_not_representable_when_three_ways_split_on_scalar_driver():
     filtration = Filtration(space, parts)
     W = Process.from_paths(space, [[0, 1], [0, -1], [0, 0]])
     driver = Driver(W, filtration)
-    ok, witness = check_mrp(filtration, driver)
-    assert not ok
-    assert witness.t == 1
-    assert witness.multiplicity == 3
-    assert witness.rank == 1
+    witness = check_mrp(filtration, driver)
+    assert (witness.reason, witness.t) == ("mrp", 1)
+    assert witness.detail == {"multiplicity": 3, "rank": 1}
     X = Process.from_paths(space, [[0, 2], [0, 2], [0, -2]])  # centered 3-way split
     with pytest.raises(NotRepresentable) as err:
         represent(X, driver)
@@ -101,7 +99,7 @@ def test_not_representable_when_three_ways_split_on_scalar_driver():
 def test_check_mrp_holds_on_binary_fixtures():
     for fx in (b1(), b2(), b2n()):
         driver = Driver(fx.W, fx.F)
-        assert check_mrp(fx.F, driver) == (True, None)
+        assert check_mrp(fx.F, driver) is None
 
 
 def test_check_mrp_fails_when_noise_revealed_at_the_end():
@@ -111,11 +109,9 @@ def test_check_mrp_fails_when_noise_revealed_at_the_end():
     noisy_final = fx.F.at(2).refine_by([o[2] for o in fx.space.outcomes])
     F_noisy = Filtration(fx.space, (fx.F.at(0), fx.F.at(1), noisy_final))
     driver = Driver(fx.W, F_noisy)
-    ok, witness = check_mrp(F_noisy, driver)
-    assert not ok
-    assert witness.t == 2
-    assert witness.multiplicity == 4
-    assert witness.rank == 1
+    witness = check_mrp(F_noisy, driver)
+    assert (witness.reason, witness.t) == ("mrp", 2)
+    assert witness.detail == {"multiplicity": 4, "rank": 1}
 
 
 def test_multiplicity_bound_under_mrp():
@@ -123,8 +119,7 @@ def test_multiplicity_bound_under_mrp():
     # d + 1 ways; brute-check on fixtures.
     for fx in (b2(), b2n()):
         driver = Driver(fx.W, fx.F)
-        ok, _ = check_mrp(fx.F, driver)
-        assert ok
+        assert check_mrp(fx.F, driver) is None
         for t in range(1, fx.F.horizon + 1):
             for _, _, children in fx.F.transitions(t):
                 assert len(children) <= driver.d + 1
@@ -137,7 +132,7 @@ def test_synthesize_driver_binary_tree():
     # One-dimensional two-point increments, i.e. the fair walk up to scale.
     assert delta(driver.W, "uu", 1) == (F(1, 2),)
     assert delta(driver.W, "dd", 1) == (F(-1, 2),)
-    assert check_mrp(fx.F, driver) == (True, None)
+    assert check_mrp(fx.F, driver) is None
 
 
 def test_synthesize_driver_trinomial():
@@ -145,7 +140,7 @@ def test_synthesize_driver_trinomial():
     filtration = Filtration(space, (Partition.trivial(space), discrete(space)))
     driver = synthesize_driver(filtration)
     assert driver.d == 2
-    assert check_mrp(filtration, driver) == (True, None)
+    assert check_mrp(filtration, driver) is None
     rng = random.Random(31)
     X = random_martingale(space, filtration, rng)
     rep = represent(X, driver)
@@ -162,7 +157,7 @@ def test_synthesize_driver_non_splitting():
     filtration = Filtration(space, (part, part))
     driver = synthesize_driver(filtration)
     assert driver.d == 0
-    assert check_mrp(filtration, driver) == (True, None)
+    assert check_mrp(filtration, driver) is None
     # Only constants are martingales: representing one succeeds with nothing.
     X = Process.constant(space, 1, F(5))
     rep = represent(X, driver)
@@ -185,7 +180,8 @@ def test_check_mrp_agrees_with_the_representation_oracle():
         means = [sum(p * s[e] for p, s in zip(space.weights, steps)) for e in range(d)]
         driver = Driver(Process.from_paths(space, [
             [(0,) * d, tuple(s[e] - means[e] for e in range(d))] for s in steps]), flow)
-        ok, witness = check_mrp(flow, driver)
+        witness = check_mrp(flow, driver)
+        ok = witness is None
         representable = True
         for j, p in enumerate(space.weights):
             X = Process.from_paths(space, [[0, (i == j) - p] for i in range(m)])
@@ -196,8 +192,8 @@ def test_check_mrp_agrees_with_the_representation_oracle():
         assert ok == representable
         if ok:
             passed += 1
-            assert witness is None
         else:
-            assert (witness.t, witness.multiplicity) == (1, m)
-            assert witness.rank < m - 1
+            assert (witness.reason, witness.t, witness.detail["multiplicity"]) \
+                == ("mrp", 1, m)
+            assert witness.detail["rank"] < m - 1
     assert 0 < passed < 200

@@ -17,7 +17,7 @@ import pytest
 from marketforge import linalg, viability
 from marketforge.arith import EXACT, FLOAT
 from marketforge.cli import main
-from marketforge.enlarge import Infeasible, solve_phi
+from marketforge.enlarge import solve_phi
 from marketforge.jumpkernel import solve_site
 from marketforge.mrp import synthesize_driver
 from marketforge.scenario import load_scenario, parse_document
@@ -27,7 +27,7 @@ from marketforge.space import (
     build_initial_enlargement,
     value_key,
 )
-from marketforge.viability import Market, NonViable, solve_structure_F, solve_structure_G
+from marketforge.viability import CheckFailed, Market, solve_structure_F, solve_structure_G
 
 from test_shared_cells import _bits, random_tree
 from util import record_site_solves, site_at, site_value
@@ -151,7 +151,7 @@ def test_memoized_sites_match_a_direct_solve_per_site(mode):
         try:
             base = solve_structure_F(market, driver)
             gauge = solve_phi(pair, driver.W, driver.W)
-        except (NonViable, Infeasible):
+        except CheckFailed:
             continue
         verdict = solve_structure_G(market, gauge, base)
         if verdict.solution is None:

@@ -19,8 +19,8 @@ from marketforge.viability import (
     ASSUMPTION_VIOLATED,
     NON_VIABLE,
     VIABLE,
+    CheckFailed,
     Market,
-    NonViable,
     ViabilityError,
     price_drift_rhs,
     solve_structure_F,
@@ -66,7 +66,7 @@ def test_structure_solve_b1():
     assert sol.driver_coefficients.at("u", 1) == (F(1, 5),)
     assert [sol.martingale.value(o, 1) for o in ("u", "d")] == [F(1, 5), F(-1, 5)]
     assert [sol.deflator.value(o, 1) for o in ("u", "d")] == [F(4, 5), F(6, 5)]
-    assert is_martingale(sol.martingale, fx.F)[0]
+    assert is_martingale(sol.martingale, fx.F) is None
     # The deflated asset has initial value as expectation: (0.8*1.12 + 1.2*0.92)/2.
     mean = sum(fx.space.weight(o) * sol.deflator.value(o, 1) * fx.S.value(o, 1)
                for o in ("u", "d"))
@@ -89,8 +89,9 @@ def test_structure_solve_jump_bound_failure():
         fx.space,
         lambda o, t: 1 + F(1, 10) * fx.W.value(o, t) + F(3, 20) * t,
         fx.F.horizon)
-    with pytest.raises(NonViable) as err:
+    with pytest.raises(CheckFailed) as err:
         solve_structure_F(Market(S, fx.F), _driver(fx))
+    assert (err.value.status, err.value.stage) == (NON_VIABLE, "base-structure-solve")
     w = err.value.witness
     assert w.reason == "jump-bound" and w.t == 1 and w.detail == F(3, 2)
 
@@ -98,8 +99,9 @@ def test_structure_solve_jump_bound_failure():
 def test_structure_solve_unspanned_drift():
     fx = b1()
     S = from_values(fx.space, lambda o, t: 1 + F(1, 50) * t, fx.F.horizon)
-    with pytest.raises(NonViable) as err:
+    with pytest.raises(CheckFailed) as err:
         solve_structure_F(Market(S, fx.F), _driver(fx))
+    assert (err.value.status, err.value.stage) == (NON_VIABLE, "base-structure-solve")
     w = err.value.witness
     assert w.reason == "drift-not-spanned" and w.detail == (F(1, 50),)
 
@@ -110,7 +112,7 @@ def test_structure_solvability_matches_deflator_existence():
     fx = b1()
     market = _market(fx)
     sol = solve_structure_F(market, _driver(fx))
-    assert verify_deflator(sol.deflator, market, fx.F)[0]
+    assert verify_deflator(sol.deflator, market, fx.F) is None
 
     drifted = from_values(
         fx.space,
@@ -118,8 +120,8 @@ def test_structure_solvability_matches_deflator_existence():
         fx.F.horizon)
     bad_market = Market(drifted, fx.F)
     forced = stoch_exp(_driver(fx).W.scale(F(-3, 2)))
-    ok, witness = verify_deflator(forced, bad_market, fx.F)
-    assert not ok and witness.reason == "deflator-not-positive"
+    witness = verify_deflator(forced, bad_market, fx.F)
+    assert witness is not None and witness.reason == "deflator-not-positive"
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +131,8 @@ def test_structure_solvability_matches_deflator_existence():
 def test_verify_deflator_flat_deflator_sees_drift():
     fx = b1()
     ones = Process.constant(fx.space, 1, 1)
-    ok, witness = verify_deflator(ones, _market(fx), fx.F)
-    assert not ok
+    witness = verify_deflator(ones, _market(fx), fx.F)
+    assert witness is not None
     assert witness.reason == "deflated-asset-0"
     assert witness.detail == F(1, 50)
 
@@ -141,10 +143,10 @@ def test_verify_deflator_flat_market():
                     fx.F.horizon)
     market = Market(S, fx.F)
     ones = Process.constant(fx.space, 1, 1)
-    assert verify_deflator(ones, market, fx.F) == (True, None)
+    assert verify_deflator(ones, market, fx.F) is None
     hold = Process.constant(fx.space, 1, F(2))
-    ok, witness = is_martingale(ones.times(wealth(F(1), hold, market)), fx.F)
-    assert ok, witness
+    witness = is_martingale(ones.times(wealth(F(1), hold, market)), fx.F)
+    assert witness is None, witness
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +288,7 @@ def test_deflator_multiplicative_over_random_admissible_strategies():
     assert verdict.status == VIABLE
     G = fx.pair.expanded
     deflator = verdict.solution.deflator
-    assert verify_deflator(deflator, market, G) == (True, None)
+    assert verify_deflator(deflator, market, G) is None
     rng = random.Random(1347)
     for _ in range(20):
         H = random_predictable(fx.space, G, rng)
@@ -296,5 +298,5 @@ def test_deflator_multiplicative_over_random_admissible_strategies():
         V = wealth(1 - floor, H, market)
         assert all(V.value(o, t) >= 0
                    for o in fx.space.outcomes for t in range(V.horizon + 1))
-        ok, witness = is_martingale(deflator.times(V), G)
-        assert ok, witness
+        witness = is_martingale(deflator.times(V), G)
+        assert witness is None, witness
