@@ -54,16 +54,23 @@ def _mutate(doc, rng):
     return doc, f"{where} = {value!r:.40}"
 
 
-def test_mutated_inputs_exit_with_a_documented_code(monkeypatch, capsys):
+def mutations():
+    """The seeded mutations in order: (cmd, original, mutated doc, mode,
+    case description)."""
     rng = random.Random(SEED)
     sources = [(cmd, json.loads(path.read_text())) for cmd, path in INPUTS
                if path is not None]
-    problems = []
     for _ in range(MUTATIONS):
         cmd, original = rng.choice(sources)
         doc, change = _mutate(original, rng)
         mode = rng.choice(MODES)
-        case = f"{cmd} {original.get('name', original.get('kind'))} {mode}: {change}"
+        yield (cmd, original, doc, mode,
+               f"{cmd} {original.get('name', original.get('kind'))} {mode}: {change}")
+
+
+def test_mutated_inputs_exit_with_a_documented_code(monkeypatch, capsys):
+    problems = []
+    for cmd, original, doc, mode, case in mutations():
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
         try:
             code = main([cmd, "-", "--mode", mode])
