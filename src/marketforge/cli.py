@@ -13,7 +13,9 @@ Subcommands:
 Pass "-" as the file to read from standard input.  Arithmetic mode is
 resolved in precedence order: FORGE_MODE environment variable, then
 --mode, then the document's own "mode" field, then exact; --tolerance
-likewise falls back to the document's "tolerance" field.  Human-readable
+likewise falls back to the document's "tolerance" field.  Either field,
+when present, must be valid even where a flag overrides it: a bad one exits
+2 as "error: mode: ..." or "error: tolerance: ...".  Human-readable
 output goes to stdout; --report PATH additionally writes a deterministic
 JSON report (no timings, stable key order) that is byte-identical
 across runs.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -89,23 +92,34 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _document_arith(doc: dict):
+    """The document's own ("mode", "tolerance"), each None when absent.  A
+    field that is present is checked even where a flag overrides it."""
+    mode, tol = doc.get("mode"), doc.get("tolerance")
+    if "mode" in doc and mode not in ("exact", "float"):
+        raise ValueError('mode: expected "exact" or "float"')
+    if "tolerance" in doc:
+        try:
+            tol = float(tol) if type(tol) in (int, float) else math.nan
+        except OverflowError:
+            tol = math.inf
+        if not 0 < tol < math.inf:
+            raise ValueError("tolerance: expected a positive finite number")
+    return mode, tol
+
+
 def _resolve_arith(args, text: str | None = None) -> Arithmetic:
     """Precedence: FORGE_MODE env, then --mode, then the document, then exact."""
-    mode = os.environ.get("FORGE_MODE") or args.mode
-    tol = args.tolerance
-    if text is not None and (mode is None or tol is None):
+    doc_mode = doc_tol = None
+    if text is not None:
         try:
             probe = json.loads(text)
         except ValueError:
             probe = None
         if isinstance(probe, dict):
-            if mode is None and isinstance(probe.get("mode"), str):
-                mode = probe["mode"]
-            raw = probe.get("tolerance")
-            if tol is None and isinstance(raw, (int, float)) \
-                    and not isinstance(raw, bool):
-                tol = float(raw)
-    mode = mode or "exact"
+            doc_mode, doc_tol = _document_arith(probe)
+    mode = os.environ.get("FORGE_MODE") or args.mode or doc_mode or "exact"
+    tol = args.tolerance if args.tolerance is not None else doc_tol
     if mode == "exact":
         return EXACT
     if mode == "float":

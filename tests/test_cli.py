@@ -163,6 +163,19 @@ def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, tolerance):
     assert code == 2 and "tolerance" in err
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name,field", [("tolerance_overflow", "tolerance"),
+                                        ("mode_number", "mode"),
+                                        ("tolerance_string", "tolerance")])
+def test_a_bad_document_mode_or_tolerance_names_its_field(capsys, mode, name, field):
+    # Checked even where --mode overrides the document: a 401-digit
+    # tolerance once overflowed in float(), mode 7 ran exact, "abc" was
+    # ignored.
+    code, _, err = run_cli(["analyze", str(GOLDEN / f"one_step_{name}.json"),
+                            "--mode", mode], capsys)
+    assert (code, err.strip().split(":")[:2]) == (2, ["error", f" {field}"])
+
+
 def test_analyze_reads_stdin(monkeypatch, capsys):
     text = (SCENARIOS / "one_step.json").read_text()
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

@@ -5,8 +5,8 @@ input, once in exact and once in float mode, and records the exit code, the
 SHA-256 of the ``--report`` file (None when none is written) and the text
 on stderr.  Stdout is left out because it carries timings.  The cases are:
 
-- every input of ``test_golden_reports`` (the ``scenarios/`` files and the
-  golden inputs);
+- every input of ``test_golden_reports`` (the ``scenarios/`` files, the
+  golden inputs and the documents with a bad mode or tolerance field);
 - the noisy coin trees ``noisy_tree_T{2,3,4,6}.json`` with their outcome
   listing permuted by seeds 1 and 7; listing order is not part of the
   model, so every permutation must report what the committed order does;
@@ -30,7 +30,7 @@ import sys
 import tempfile
 
 from marketforge.cli import main
-from test_golden_reports import GOLDEN, INPUTS, MODES
+from test_golden_reports import FIELD_ERRORS, GOLDEN, INPUTS, MODES
 from test_input_fuzz import mutations
 
 DIGESTS = GOLDEN / "corpus_digests.json"
@@ -53,7 +53,7 @@ def permuted(doc: dict, seed: int) -> dict:
 
 def documents():
     """(case stem, command, document text) for every case, in a fixed order."""
-    for cmd, path in INPUTS:
+    for cmd, path in INPUTS + FIELD_ERRORS:
         if path is not None:
             yield f"{cmd}-{path.stem}", cmd, path.read_text()
     for T in TREES:

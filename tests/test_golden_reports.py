@@ -24,7 +24,9 @@ is blind at t = 1: no integrand carries the drift there, so the gauge
 solve fails (exit 5, ``gauge-infeasible`` with t, atom and residual).
 Their scenario JSON is stored beside the reports.  ``selftest`` runs too,
 with no input file: its report pins the names, verdicts and notes of the
-built-in battery in both modes.
+built-in battery in both modes.  Three copies of ``one_step.json`` with a
+bad ``tolerance`` (a 401-digit integer, or the string "abc") or ``mode``
+(the number 7) pin exit 2 with no report, in both modes.
 
 Regenerate after an intended report change, and only then, with
 
@@ -69,7 +71,11 @@ INPUTS = (
     ("selftest", None),
 )
 
-CASES = [(cmd, path, mode) for cmd, path in INPUTS for mode in MODES]
+# Documents whose mode or tolerance field is bad: exit 2, no report.
+FIELD_ERRORS = tuple(("analyze", GOLDEN / f"one_step_{bad}.json")
+                     for bad in ("tolerance_overflow", "mode_number", "tolerance_string"))
+
+CASES = [(cmd, path, mode) for cmd, path in INPUTS + FIELD_ERRORS for mode in MODES]
 
 
 def _case_id(cmd, path, mode):
@@ -95,7 +101,10 @@ def test_report_matches_golden(cmd, path, mode, tmp_path, capsys):
     code = _run(cmd, path, mode, report)
     capsys.readouterr()
     assert code == expected_codes[case]
-    assert report.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()
+    golden = GOLDEN / f"{case}.json"
+    assert report.exists() == golden.exists()
+    if golden.exists():
+        assert report.read_bytes() == golden.read_bytes()
 
 
 def regenerate() -> None:

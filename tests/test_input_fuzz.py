@@ -2,8 +2,11 @@
 
 Each mutation takes one bundled scenario or site file, or one golden input,
 and either replaces a random leaf or subtree with a hostile value or deletes
-a random key or list element.  The mutated document goes to ``analyze`` or
-``kernel`` on standard input, in exact or float mode.  The run must:
+a random key or list element.  After those, as many mutations again of a
+copy of ``scenarios/one_step.json`` that carries ``mode`` and ``tolerance``
+fields reach the document's own arithmetic fields.  The mutated document
+goes to ``analyze`` or ``kernel`` on standard input, in exact or float
+mode.  The run must:
 
 - exit 0, 2, 3, 4 or 5, with no exception escaping ``cli.main``;
 - on exit 3, print ``error: <path>: ...`` whose top-level key is a key of
@@ -17,10 +20,11 @@ import random
 import re
 
 from marketforge.cli import main
-from test_golden_reports import INPUTS
+from test_golden_reports import INPUTS, SCENARIOS
 
 SEED = 11
 MUTATIONS = 500
+FIELD_MUTATIONS = 100
 MODES = ("exact", "float")
 EXIT_CODES = {0, 2, 3, 4, 5}
 HOSTILE = (None, True, False, [], {}, [[]], {"x": 1}, "1/0", "abc", "", "inf",
@@ -66,6 +70,12 @@ def mutations():
         mode = rng.choice(MODES)
         yield (cmd, original, doc, mode,
                f"{cmd} {original.get('name', original.get('kind'))} {mode}: {change}")
+    fields = dict(json.loads((SCENARIOS / "one_step.json").read_text()),
+                  mode="float", tolerance=1e-9)
+    for _ in range(FIELD_MUTATIONS):
+        doc, change = _mutate(fields, rng)
+        mode = rng.choice(MODES)
+        yield "analyze", fields, doc, mode, f"analyze one_step+fields {mode}: {change}"
 
 
 def test_mutated_inputs_exit_with_a_documented_code(monkeypatch, capsys):
