@@ -1,9 +1,10 @@
 """marketforge: exact finite-market engine for information-flow expansion.
 
-Layers, bottom up.  A process is its time columns, and only ``space`` and
-``calculus`` know that layout: the layers above pass per-atom tables and
-per-outcome paths, and read processes through accessors (values on atoms,
-first failing cell, first mismatch, distinct cells).
+Layers, bottom up.  A process is stored atom-major, one value per (time,
+atom) of the partitions it lives on, and only ``space`` and ``calculus``
+know that layout: the layers above pass per-atom tables and per-outcome
+paths, and read processes through accessors (values on atoms, first
+failing cell, first mismatch, distinct cells).
 
 ``arith``      two arithmetic backends (exact rationals, tolerant floats)
 ``linalg``     elimination-based linear algebra over either backend

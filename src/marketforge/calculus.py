@@ -9,11 +9,11 @@ discontinuous martingale part coincides with the whole martingale part.
 
 All operators return processes on the same grid; compensators and their
 relatives are predictable and start at zero.  Like ``space``, this module
-reads a process as its time columns: every per-cell operation runs through
-``space.per_distinct``, once per distinct tuple of operand cells, so cells
-shared on an atom stay shared in the result.  The per-atom conditional
-moments the layers above solve with (``atom_means``, ``cross_moments``)
-come from here too.
+reads a process atom by atom: every per-cell operation runs through
+``space.pointwise``, once per atom of the meet of its operands' partitions,
+and a compensator's increments are conditional means on the time-(t-1)
+atoms.  The per-atom cross moments the layers above solve with
+(``cross_moments``) come from here too.
 
 The one failure model lives here, in the lowest module that finds a
 failure: a check returns its first failure's ``FailureWitness`` (None when
@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .space import Filtration, Process, _add, _sub, cond_exp, first_failing, is_adapted, per_distinct
+from .space import Filtration, Process, _add, _sub, cond_exp, first_failing, is_adapted
+from .space import atom_averages, pointwise
 
 
 NON_VIABLE = "non-viable"
@@ -70,53 +71,52 @@ def _require_adapted(X: Process, filtration: Filtration, what: str) -> None:
         raise CalculusError(f"{what} must be adapted to the filtration")
 
 
-def accumulate(space, columns, dim) -> Process:
-    """Running sums from 0 of increment columns in the layout of
-    ``Process.increments``, read once (a generator will do)."""
-    levels = [((0,) * dim,) * space.size]
-    for column in columns:
-        levels.append(per_distinct(_add, levels[-1], column))
-    return Process(space, tuple(levels))
+def accumulate(dX: Process) -> Process:
+    """Running sums from 0 of the increments dX_t, t >= 1 (dX_0 is not
+    read), from zero on the atoms of dX_0."""
+    part = dX.layers[0][0]
+    layers = [(part, ((0,) * dX.dim,) * len(part.atoms))]
+    for layer in dX.layers[1:]:
+        layers.append(pointwise(_add, layers[-1], layer))
+    return Process(dX.space, tuple(layers))
 
 
 def sum_steps(op, dim, steps, levels=()) -> Process:
     """Running sums from 0 of ``op(dX_t for X in steps, Y_t for Y in
     levels)`` over t >= 1: the one per-cell kernel behind ``bracket``,
-    ``integrate`` and the expanded-flow drift identity."""
-    columns = zip(*(X.increments() for X in steps), *(Y.columns[1:] for Y in levels))
-    return accumulate(steps[0].space, (per_distinct(op, *cells) for cells in columns), dim)
+    ``integrate`` and the expanded-flow drift identity.  The sums start on
+    the meet of the operands' time-0 partitions."""
+    zero = (0,) * dim
+    return accumulate(Process(steps[0].space, tuple(
+        pointwise(op if t else lambda *_: zero, *layers) for t, layers in enumerate(zip(
+            *(X.increments.layers for X in steps), *(Y.layers for Y in levels))))))
 
 
 def centred(X: Process) -> Process:
-    """X - X_0: the process minus its own time-0 value, outcome by outcome."""
-    cols = X.columns
-    return Process(X.space, tuple(per_distinct(_sub, col, cols[0]) for col in cols))
-
-
-def atom_means(X: Process, partition, t: int) -> list:
-    """E[dX_t | A] for each atom A of ``partition``, a time-(t-1) partition:
-    the one conditional-increment kernel, read on atoms."""
-    means = cond_exp(X.increments()[t - 1], partition, X.space)
-    return [means[m[0]] for m in partition.members]
+    """X - X_0: the process minus its own time-0 value, atom by atom."""
+    return Process(X.space, tuple(pointwise(_sub, layer, X.layers[0]) for layer in X.layers))
 
 
 def cross_moments(X: Process, Y: Process, partition, t: int) -> list:
     """E[dX_t transpose(dY_t) | A] as an (X.dim, Y.dim) nested list for each
-    atom A of ``partition``, a time-(t-1) partition: weighted increment
-    products summed member by member in outcome order, over the atom mass."""
+    atom A of ``partition``, a time-(t-1) partition (in float mode the
+    weighted increment products summed member by member in outcome order,
+    over the atom mass)."""
     n, d = X.dim, Y.dim
-    terms = per_distinct(lambda wj, dn, dw: [[wj * dn[i] * dw[e] for e in range(d)]
-                                             for i in range(n)],
-                         X.space.weights, X.increments()[t - 1], Y.increments()[t - 1])
-    return [[[sum((terms[j][i][e] for j in members), 0) / mass
-              for e in range(d)] for i in range(n)]
-            for members, mass in zip(partition.members, partition.masses)]
+    pairs = pointwise(lambda dx, dy: (dx, dy), X.increments.layers[t], Y.increments.layers[t])
+    means = atom_averages(pairs, partition,
+                          lambda c: [a * b for a in c[0] for b in c[1]],
+                          lambda w, c: [w * a * b for a in c[0] for b in c[1]])
+    return [[list(m[i * d:(i + 1) * d]) for i in range(n)] for m in means]
 
 
 def _compensate(X: Process, filtration: Filtration) -> Process:
-    """Accumulated conditional-mean increments, with no input checks."""
-    return accumulate(X.space, (cond_exp(dX, filtration.at(t - 1), X.space)
-                                for t, dX in enumerate(X.increments(), 1)), X.dim)
+    """Accumulated conditional-mean increments, with no input checks: the
+    increments live on the time-(t-1) atoms."""
+    dX, parts = X.increments, filtration.partitions
+    zero = ((0,) * X.dim,) * len(parts[0].atoms)
+    return accumulate(Process(X.space, ((parts[0], zero),) + tuple(
+        (parts[t - 1], tuple(cond_exp(dX, t, parts[t - 1]))) for t in range(1, len(parts)))))
 
 
 def compensator(A: Process, filtration: Filtration) -> Process:
@@ -185,12 +185,12 @@ def stoch_exp(X: Process) -> Process:
     arith = X.space.arith
     if first_failing(X, start=lambda v: arith.is_zero(v[0])) is not None:
         raise CalculusError("stochastic exponential input must start at 0")
-    cols = X.columns
-    levels = [((1 * arith.parse(1),),) * X.space.size]
-    for t in range(1, len(cols)):
-        levels.append(per_distinct(lambda level, x, x0: (level[0] * (1 + x[0] - x0[0]),),
-                                   levels[-1], cols[t], cols[t - 1]))
-    return Process(X.space, tuple(levels))
+    part = X.layers[0][0]
+    layers = [(part, ((1 * arith.parse(1),),) * len(part.atoms))]
+    for t in range(1, X.horizon + 1):
+        layers.append(pointwise(lambda level, x, x0: (level[0] * (1 + x[0] - x0[0]),),
+                                layers[-1], X.layers[t], X.layers[t - 1]))
+    return Process(X.space, tuple(layers))
 
 
 def is_martingale(X: Process, filtration: Filtration):
@@ -204,7 +204,7 @@ def is_martingale(X: Process, filtration: Filtration):
     arith = X.space.arith
     for t in range(1, X.horizon + 1):
         part = filtration.at(t - 1)
-        for atom, m in zip(part.atoms, atom_means(X, part, t)):
+        for atom, m in zip(part.atoms, cond_exp(X.increments, t, part)):
             if not all(arith.is_zero(v) for v in m):
                 return FailureWitness("drifts", t, atom, m[0] if X.dim == 1 else tuple(m))
     return None

@@ -92,34 +92,27 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _document_arith(doc: dict):
-    """The document's own ("mode", "tolerance"), each None when absent.  A
-    field that is present is checked even where a flag overrides it."""
-    mode, tol = doc.get("mode"), doc.get("tolerance")
-    if "mode" in doc and mode not in ("exact", "float"):
-        raise ValueError('mode: expected "exact" or "float"')
-    if "tolerance" in doc:
-        try:
-            tol = float(tol) if type(tol) in (int, float) else math.nan
-        except OverflowError:
-            tol = math.inf
-        if not 0 < tol < math.inf:
-            raise ValueError("tolerance: expected a positive finite number")
-    return mode, tol
-
-
 def _resolve_arith(args, text: str | None = None) -> Arithmetic:
-    """Precedence: FORGE_MODE env, then --mode, then the document, then exact."""
-    doc_mode = doc_tol = None
-    if text is not None:
+    """Precedence: FORGE_MODE env, then --mode, then the document, then exact.
+    The document's own mode and tolerance are checked whenever present."""
+    try:
+        doc = json.loads(text) if text is not None else None
+    except ValueError:
+        doc = None
+    doc = doc if isinstance(doc, dict) else {}
+    if doc.get("mode", "exact") not in ("exact", "float"):
+        raise ValueError('mode: expected "exact" or "float"')
+    tol = args.tolerance
+    if "tolerance" in doc:
+        raw = doc["tolerance"]
         try:
-            probe = json.loads(text)
-        except ValueError:
-            probe = None
-        if isinstance(probe, dict):
-            doc_mode, doc_tol = _document_arith(probe)
-    mode = os.environ.get("FORGE_MODE") or args.mode or doc_mode or "exact"
-    tol = args.tolerance if args.tolerance is not None else doc_tol
+            raw = float(raw) if type(raw) in (int, float) else math.nan
+        except OverflowError:
+            raw = math.inf
+        if not 0 < raw < math.inf:
+            raise ValueError("tolerance: expected a positive finite number")
+        tol = raw if tol is None else tol
+    mode = os.environ.get("FORGE_MODE") or args.mode or doc.get("mode") or "exact"
     if mode == "exact":
         return EXACT
     if mode == "float":

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 from . import linalg
 from .calculus import ASSUMPTION_VIOLATED, NON_VIABLE, CheckFailed, FailureWitness, _compensate
-from .calculus import atom_means, cross_moments, integrate, is_martingale, pred_bracket
+from .calculus import cross_moments, integrate, is_martingale, pred_bracket
 from .calculus import compensator  # noqa: F401  (bench/test_bench.py traces it here)
-from .space import EnlargementPair, Process, first_mismatch, value_key
+from .space import EnlargementPair, Process, cond_exp, first_mismatch, value_key
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +153,7 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
         f_part, g_part = F.at(t - 1), G.at(t - 1)
         Qs = cross_moments(N, W, f_part, t)
         for k, (b_atom, gamma, a) in enumerate(zip(
-                g_part.atoms, atom_means(W, g_part, t), g_part.parents(f_part))):
+                g_part.atoms, cond_exp(W.increments, t, g_part), g_part.parents(f_part))):
             if d == 0:  # no driver equations: any integrand works, take zero
                 values[(t, k)] = (0,) * n
                 continue

@@ -80,16 +80,14 @@ def synthesize_driver(F: Filtration) -> Driver:
     """
     d = max(len(children) - 1 for t in range(1, F.horizon + 1)
             for _, _, children in F.transitions(t))
-    paths = [[(0,) * d] for _ in F.space.outcomes]
+    table = {(0, k): (0,) * d for k in range(len(F.at(0).atoms))}
     for t in range(1, F.horizon + 1):
         part = F.at(t)
-        for _, _, children in F.transitions(t):
+        for k, _, children in F.transitions(t):
             probs = [p for _, p in children[:-1]]
             for m, (child, _) in enumerate(children):
                 step = tuple((1 if e == m else 0) - p for e, p in enumerate(probs))
                 step += (0,) * (d - len(probs))
-                members = part.members[part.atom_index(child[0])]
-                level = tuple(a + b for a, b in zip(paths[members[0]][-1], step))
-                for i in members:
-                    paths[i].append(level)
-    return Driver(Process.from_paths(F.space, paths), F)
+                table[(t, part.atom_index(child[0]))] = tuple(
+                    a + b for a, b in zip(table[(t - 1, k)], step))
+    return Driver(Process.adapted(F, table, d), F)

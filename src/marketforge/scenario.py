@@ -200,11 +200,7 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
     weights_doc = _require(space_doc, "weights", "space")
     if not isinstance(weights_doc, list) or len(weights_doc) != len(outcomes):
         raise ScenarioError("space.weights", "expected one weight per outcome")
-    # Equal weights share one object, so products with them are computed
-    # once per distinct operand.
-    shared: dict = {}
-    weights = [shared.setdefault(w, w) for w in (
-        _num(v, f"space.weights[{i}]", arith) for i, v in enumerate(weights_doc))]
+    weights = [_num(v, f"space.weights[{i}]", arith) for i, v in enumerate(weights_doc)]
     with _field("space"):
         space = SampleSpace(tuple(outcomes), tuple(weights), arith=arith)
 

@@ -41,16 +41,11 @@ def rand_fraction(rng, lo=-8, hi=8, den=4) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 
 
-def random_adapted(space, filtration, rng, horizon=None, dim=1) -> Process:
+def random_adapted(space, filtration, rng, dim=1) -> Process:
     """Adapted process with random rational values, constant on atoms."""
-    horizon = filtration.horizon if horizon is None else horizon
-    paths = [[None] * (horizon + 1) for _ in space.outcomes]
-    for t in range(horizon + 1):
-        for members in filtration.at(t).members:
-            v = tuple(rand_fraction(rng) for _ in range(dim))
-            for i in members:
-                paths[i][t] = v
-    return Process.from_paths(space, paths)
+    table = {(t, k): tuple(rand_fraction(rng) for _ in range(dim))
+             for t, part in enumerate(filtration.partitions) for k in range(len(part.atoms))}
+    return Process.adapted(filtration, table, dim)
 
 
 def random_martingale(space, filtration, rng, dim=1) -> Process:
@@ -271,27 +266,20 @@ def _check_drift_identity(arith: Arithmetic, rounds=25) -> str:
 
 def _check_calculus_identities(arith: Arithmetic, rounds=10) -> str:
     fx = fixtures.b2(arith)
-    eq = arith.eq
     rng = random.Random(414)
     for _ in range(rounds):
         X = random_adapted(fx.space, fx.F, rng)
         Y = random_adapted(fx.space, fx.F, rng)
-        X0 = Process.constant(fx.space, fx.F.horizon, X.value("uu", 0))
-        Y0 = Process.constant(fx.space, fx.F.horizon, Y.value("uu", 0))
-        A, B = X - X0, Y - Y0
+        A, B = centred(X), centred(Y)
         yor_l = stoch_exp(A).times(stoch_exp(B))
         yor_r = stoch_exp(A + B + bracket(A, B))
-        prod = X.times(Y)
-        parts_l = prod - Process.constant(fx.space, fx.F.horizon,
-                                          prod.value("uu", 0))
+        parts_l = centred(X.times(Y))
         parts_r = (integrate(X.lagged(), Y) + integrate(Y.lagged(), X)
                    + bracket(X, Y))
-        for o in fx.space.outcomes:
-            for t in range(fx.F.horizon + 1):
-                _ask(eq(yor_l.value(o, t), yor_r.value(o, t)),
-                     f"product formula missed at ({o}, {t})")
-                _ask(eq(parts_l.value(o, t), parts_r.value(o, t)),
-                     f"integration by parts missed at ({o}, {t})")
+        for lhs, rhs, name in ((yor_l, yor_r, "product formula"),
+                               (parts_l, parts_r, "integration by parts")):
+            miss = first_mismatch(lhs, rhs)
+            _ask(miss is None, f"{name} missed at {miss and miss[:2]}")
     return f"{rounds} rounds of product/parts identities"
 
 

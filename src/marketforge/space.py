@@ -7,24 +7,24 @@ one.  The time-0 partition may already be nontrivial, which is how an
 initially enlarged observer enters the picture.
 
 This module owns the atom index: each partition's outcome indices
-(``members``) and probabilities (``masses``), built once and lazily, the
-enclosing coarser atoms (``parents``), and ``Filtration.transitions(t)``,
+(``members``), probabilities (``masses``) and the atom of each outcome
+(``atom_at``), built once and lazily, the enclosing coarser atoms
+(``parents``), the meet of two partitions with the atom each holds
+(``Partition.meet``, built once per pair), and ``Filtration.transitions(t)``,
 each time-(t-1) atom with its time-t children and their conditional masses.
 
-A process is its time columns: one tuple of per-outcome value cells per
-time t.  Equal cells share one tuple object: the loader interns equal input
-cells (:meth:`Process.from_paths`), :meth:`Process.predictable` and
-:func:`cond_exp` write one tuple per atom, and every kernel maps its
-operands through :func:`per_distinct`, once per distinct tuple of operand
-objects, so an adapted process costs one computation per (time, atom) cell.
-Adaptedness is decided on demand against a filtration (:func:`is_adapted`).
-Increments are defined once, here, and computed once per process
-(:meth:`Process.increments`, dX_0 = 0).  Only this module and
-``calculus`` know the cell layout: the other layers hand over per-atom
-tables (:meth:`Process.predictable`) or per-outcome paths
-(:meth:`Process.from_paths`), and read processes through
-:meth:`Process.on_atoms`, :func:`first_failing`, :func:`first_mismatch` and
-:func:`distinct_cells`.
+A process is stored atom-major, one value vector per (time, atom) of the
+partitions it lives on: a filtration's (:meth:`Process.adapted`, and the
+time-(t-1) ones for :meth:`Process.predictable`), the level sets of its
+values (:meth:`Process.from_paths`), or, for a kernel result, the meet of
+its operands' (:func:`pointwise`).  Increments are defined once, here
+(:attr:`Process.increments`, dX_0 = 0); :func:`cond_exp` sums over child
+atoms, and :func:`is_adapted` checks once per atom.  Only this module and
+``calculus`` know the layout: the other layers build processes from
+per-atom tables or per-outcome paths, and read them through
+:meth:`Process.on_atoms`, :meth:`Process.at`, :func:`first_failing`,
+:func:`first_mismatch` and :func:`distinct_cells`, the last three in
+outcome-major order, so witnesses and report extrema keep theirs.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ class SampleSpace:
     weights: tuple[Num, ...]
     arith: Arithmetic = EXACT
     _index: dict = field(default_factory=dict, repr=False)
+    _partitions: dict = field(default_factory=dict, repr=False)  # atoms -> first partition
 
     def __post_init__(self) -> None:
         if not self.outcomes:
@@ -82,13 +83,6 @@ class SampleSpace:
     def weight(self, outcome: str) -> Num:
         return self.weights[self.index(outcome)]
 
-    @cached_property
-    def integer_weights(self) -> tuple[int, ...]:
-        """Exact weights times the lcm of their denominators: integers with
-        the weights' ratios, for sums that build no Fraction per term."""
-        lcm = math.lcm(*(w.denominator for w in self.weights))
-        return tuple(w.numerator * (lcm // w.denominator) for w in self.weights)
-
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -106,6 +100,7 @@ class Partition:
     space: SampleSpace
     atoms: tuple[tuple[str, ...], ...]
     _atom_of: dict = field(default_factory=dict, repr=False)
+    _meets: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -122,6 +117,7 @@ class Partition:
         for k, atom in enumerate(self.atoms):
             for label in atom:
                 self._atom_of[label] = k
+        self.space._partitions.setdefault(self.atoms, self)
 
     @classmethod
     def from_atoms(cls, space: SampleSpace, atoms: Iterable[Iterable[str]]) -> "Partition":
@@ -145,22 +141,13 @@ class Partition:
 
     def refines(self, other: "Partition") -> bool:
         """Every atom of self sits inside a single atom of other."""
-        return all(
-            len({other.atom_index(o) for o in atom}) == 1 for atom in self.atoms
-        )
+        return len(self.meet(other)[0].atoms) == len(self.atoms)
 
     def refine_by(self, values: Sequence) -> "Partition":
         """Common refinement with the level sets of a labelling."""
         if len(values) != self.space.size:
             raise SpaceError("labelling must have one value per outcome")
-        label = {o: values[self.space.index(o)] for o in self.space.outcomes}
-        atoms = []
-        for atom in self.atoms:
-            groups: dict = {}
-            for o in atom:
-                groups.setdefault(label[o], []).append(o)
-            atoms.extend(groups.values())
-        return Partition.from_atoms(self.space, atoms)
+        return _grouped(self.space, zip(self.atom_at, values))[0]
 
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
@@ -174,12 +161,48 @@ class Partition:
         w = self.space.weights
         return tuple(sum((w[i] for i in m), 0) for m in self.members)
 
+    @cached_property
+    def integer_masses(self) -> tuple[int, ...]:
+        """Exact masses times the lcm of the weights' denominators: integers
+        with the masses' ratios, for sums that build no Fraction per term."""
+        w = self.space.weights
+        lcm = math.lcm(*(x.denominator for x in w))
+        return tuple(sum(w[i].numerator * (lcm // w[i].denominator) for i in m)
+                     for m in self.members)
+
+    @cached_property
+    def atom_at(self) -> tuple[int, ...]:
+        """Index of the atom holding each outcome, by outcome index."""
+        return tuple(map(self._atom_of.__getitem__, self.space.outcomes))
+
     def parents(self, coarser: "Partition") -> tuple[int, ...]:
         """Index of the coarser atom enclosing each atom of this refinement."""
         return tuple(coarser.atom_index(atom[0]) for atom in self.atoms)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.atoms == other.atoms
+    def meet(self, other: "Partition") -> tuple:
+        """(meet, mine, theirs): the coarsest common refinement of the two
+        partitions, and for each of its atoms the index of the atom of this
+        partition and of ``other`` holding it.  The meet is this partition
+        (or ``other``) itself when it refines the other.  Built once per
+        pair of partition objects."""
+        hit = self._meets.get(other)
+        if hit is None:
+            meet, keys = _grouped(self.space, zip(self.atom_at, other.atom_at))
+            meet = self if len(keys) == len(self.atoms) else \
+                other if len(keys) == len(other.atoms) else meet
+            hit = self._meets[other] = (meet, *map(tuple, zip(*keys)))
+        return hit
+
+
+def _grouped(space: SampleSpace, keys) -> tuple:
+    """(partition, distinct keys): the outcomes grouped by equal keys, one
+    key per outcome, atoms in order of their first outcome; a partition
+    equal to one already built on the space is that one."""
+    groups: dict = {}
+    for o, key in zip(space.outcomes, keys):
+        groups.setdefault(key, []).append(o)
+    atoms = tuple(map(tuple, groups.values()))
+    return space._partitions.get(atoms) or Partition(space, atoms), tuple(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +289,8 @@ def natural_filtration(space: SampleSpace, processes: Sequence["Process"]) -> Fi
     part = Partition.trivial(space)
     for t in range(horizon + 1):
         for proc in processes:
-            part = part.refine_by(proc.columns[t])
+            atoms, cells = proc.layers[t]
+            part = part.refine_by([cells[k] for k in atoms.atom_at])
         parts.append(part)
     return Filtration(space, tuple(parts))
 
@@ -327,107 +351,106 @@ def _add(u: tuple, v: tuple) -> tuple:
 
 
 def _cell_key(v: tuple):
-    """Interning key of a cell: its value, except that a cell holding a zero
-    also keys on the reprs, so a float -0.0 never merges with 0.0."""
+    """Key of a cell by value, except that a cell holding a zero also keys
+    on the reprs, so a float -0.0 never merges with 0.0."""
     return v if 0 not in v else (v, tuple(map(repr, v)))
 
 
 def value_key(*vectors) -> tuple:
     """Memo key of a tuple of number vectors by value: each vector keyed as
-    ``_cell_key`` interns a cell.  A local solve memo keys its operands
-    with this, so operands equal in value (and no others) share a solve."""
+    ``_cell_key`` keys a cell.  A local solve memo keys its operands with
+    this, so operands equal in value (and no others) share a solve."""
     return tuple(_cell_key(tuple(v)) for v in vectors)
 
 
-def per_distinct(op, *columns) -> tuple:
-    """``tuple(op(*cells) for cells in zip(*columns))``, computing op once per
-    distinct tuple of operand objects and reusing that result object.
-
-    The memo is keyed by ``id`` and lives for this call only; the columns
-    are sequences, so they keep every keyed object alive while it runs.
-    op must be a pure function of its operands, so the values are those of
-    the per-cell loop, bit for bit in float mode too.
-    """
-    keys = list(zip(*(map(id, column) for column in columns)))
-    firsts = dict(zip(keys, zip(*columns)))  # one operand tuple per key
-    memo = {key: op(*cells) for key, cells in firsts.items()}
-    return tuple(map(memo.__getitem__, keys))
+def pointwise(op, *layers) -> tuple:
+    """(partition, cells): ``op`` of the operands' cells on each atom of the
+    meet of their partitions; each operand is a (partition, cells) layer."""
+    part, cells = layers[0]
+    args = [cells]
+    for other, other_cells in layers[1:]:
+        meet, mine, theirs = part.meet(other)
+        if meet is not part:
+            args = [[c[k] for k in mine] for c in args]
+        args.append(other_cells if meet is other else [other_cells[k] for k in theirs])
+        part = meet
+    return part, tuple(map(op, *args))
 
 
 @dataclass(frozen=True, eq=False)
 class Process:
-    """A process as its time columns: ``columns[t][i]`` is the value vector
-    of outcome i at time t, all of one length ``dim``.
-
-    Cells with equal values may be one shared tuple.  Whether the process
-    is adapted is decided against a filtration by :func:`is_adapted`.  The
-    cell dimension is checked where cells enter from outside a kernel
-    (``from_paths``, ``predictable``); a kernel keeps its operands' one.
+    """A process atom by atom: ``layers[t]`` is (partition, cells), with
+    ``cells[k]`` the value vector on atom k of the time-t partition, all of
+    one length ``dim``.  The dimension is checked where cells enter from
+    outside a kernel (``from_paths``, ``adapted``); a kernel keeps its
+    operands' one.
     """
 
     space: SampleSpace
-    columns: tuple[tuple[tuple[Num, ...], ...], ...]
+    layers: tuple[tuple[Partition, tuple[tuple[Num, ...], ...]], ...]
 
     def __post_init__(self) -> None:
-        if not self.columns:
+        if not self.layers:
             raise SpaceError("process needs at least time 0")
-        if any(len(column) != self.space.size for column in self.columns):
-            raise SpaceError("process needs one value per outcome at each time")
+        if any(len(cells) != len(part.atoms) for part, cells in self.layers):
+            raise SpaceError("process needs one value per atom at each time")
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def from_paths(cls, space: SampleSpace, paths) -> "Process":
         """Build from per-outcome paths, ``paths[i][t]``; scalar entries are
-        wrapped to 1-vectors, and equal cells are interned to one shared
-        tuple."""
-        cells: dict = {}
-        fixed = [tuple(cells.setdefault(_cell_key(v), v) for v in map(_as_vector, path))
-                 for path in paths]
+        wrapped to 1-vectors, and each time keeps one cell per level set
+        (keyed as ``value_key`` keys a vector, so every bit is kept)."""
+        fixed = [tuple(map(_as_vector, path)) for path in paths]
         if len(fixed) != space.size:
             raise SpaceError("process needs one path per outcome")
         if len({len(v) for path in fixed for v in path}) > 1:
             raise SpaceError("all value vectors must share one dimension")
         if len(set(map(len, fixed))) > 1:
             raise SpaceError("all paths must share one horizon")
-        return cls(space, tuple(zip(*fixed)))
+        parts = [_grouped(space, map(_cell_key, column))[0] for column in zip(*fixed)]
+        return cls(space, tuple((part, tuple(column[m[0]] for m in part.members))
+                                for part, column in zip(parts, zip(*fixed))))
+
+    @classmethod
+    def adapted(cls, filtration: "Filtration", table, dim: int = 1, parts=None) -> "Process":
+        """Build from per-atom values: ``table[(t, k)]`` on atom k of the
+        time-t partition of the flow (of ``parts``, when given)."""
+        layers = tuple((part, tuple(_as_vector(table[(t, k)]) for k in range(len(part.atoms))))
+                       for t, part in enumerate(parts or filtration.partitions))
+        if any(len(v) != dim for _, cells in layers for v in cells):
+            raise SpaceError("value dimension mismatch")
+        return cls(filtration.space, layers)
 
     @classmethod
     def predictable(cls, filtration: "Filtration", table, dim: int = 1,
                     initial=None) -> "Process":
         """Build from per-atom values: the time-t value is ``table[(t, k)]`` on
-        the time-(t-1) atom k, the time-0 value is ``initial`` (zero if None)."""
+        the time-(t-1) atom k, the time-0 value is ``initial`` (zero if None)
+        on every time-0 atom."""
         v0 = (0,) * dim if initial is None else _as_vector(initial)
-        if len(v0) != dim:
-            raise SpaceError("value dimension mismatch")
-        columns = [(v0,) * filtration.space.size]
-        for t in range(1, filtration.horizon + 1):
-            column = [None] * filtration.space.size
-            for k, members in enumerate(filtration.at(t - 1).members):
-                v = _as_vector(table[(t, k)])
-                if len(v) != dim:
-                    raise SpaceError("value dimension mismatch")
-                for i in members:
-                    column[i] = v
-            columns.append(tuple(column))
-        return cls(filtration.space, tuple(columns))
+        parts = filtration.partitions[:1] + filtration.partitions[:-1]
+        start = {(0, k): v0 for k in range(len(parts[0].atoms))}
+        return cls.adapted(filtration, {**table, **start}, dim, parts)
 
     @classmethod
     def constant(cls, space: SampleSpace, horizon: int, value) -> "Process":
-        return cls(space, ((_as_vector(value),) * space.size,) * (horizon + 1))
+        return cls(space, ((Partition.trivial(space), (_as_vector(value),)),) * (horizon + 1))
 
     # -- access ----------------------------------------------------------------
 
     @property
     def horizon(self) -> int:
-        return len(self.columns) - 1
+        return len(self.layers) - 1
 
     @property
     def dim(self) -> int:
-        return len(self.columns[0][0])
+        return len(self.layers[0][1][0])
 
     def at(self, outcome: str, t: int) -> tuple[Num, ...]:
-        return self.columns[t][self.space.index(outcome)]
+        part, cells = self.layers[t]
+        return cells[part.atom_index(outcome)]
 
     def value(self, outcome: str, t: int) -> Num:
         v = self.at(outcome, t)
@@ -435,28 +458,30 @@ class Process:
             raise SpaceError("value() is for one-dimensional processes")
         return v[0]
 
-    def increments(self) -> tuple:
-        """Increment columns: entry t - 1 holds dX_t for every outcome, in
-        outcome order, for t = 1..horizon.  Computed once per process."""
-        return self._increments
-
     @cached_property
-    def _increments(self) -> tuple:
-        cols = self.columns
-        return tuple(per_distinct(_sub, cols[t], cols[t - 1]) for t in range(1, len(cols)))
+    def increments(self) -> "Process":
+        """The increment process: dX_t = X_t - X_{t-1} for t >= 1 on the
+        meet of the two times' partitions, and dX_0 = 0; built once."""
+        return self.map_cells(_sub, self.lagged())
 
     def on_atoms(self, t: int, atoms, increments: bool = False) -> list:
         """X_t (dX_t with ``increments``) on each of the given atoms, read at
         the atom's first outcome: the process must be constant there."""
-        column = self.increments()[t - 1] if increments else self.columns[t]
-        index = self.space.index
-        return [column[index(atom[0])] for atom in atoms]
+        return [(self.increments if increments else self).at(atom[0], t) for atom in atoms]
 
     def map_cells(self, op, *others: "Process") -> "Process":
         """The process whose cells are ``op(cell, *other cells)``, computed
-        per distinct operand tuple; the others must share this one's grid."""
-        columns = zip(self.columns, *(other.columns for other in others))
-        return Process(self.space, tuple(per_distinct(op, *c) for c in columns))
+        once per atom of the operands' meet; the others must share this
+        one's grid."""
+        return Process(self.space, tuple(pointwise(op, *layers) for layers in zip(
+            self.layers, *(X.layers for X in others))))
+
+    def refined(self, flow: "Filtration") -> "Process":
+        """The same process stored on the meet of its partitions with the
+        flow's: on the flow's own atoms where it is adapted to the flow."""
+        return Process(self.space, tuple(
+            pointwise(lambda v, _: v, layer, (part, (None,) * len(part.atoms)))
+            for layer, part in zip(self.layers, flow.partitions)))
 
     def component(self, j: int) -> "Process":
         return self.map_cells(lambda v: (v[j],))
@@ -490,36 +515,38 @@ class Process:
 
     def lagged(self) -> "Process":
         """Previous-time version: value at t is the value at t-1 (predictable)."""
-        return Process(self.space, self.columns[:1] + self.columns[:-1])
+        return Process(self.space, self.layers[:1] + self.layers[:-1])
 
 
-def _first_false(flags) -> tuple[int, int] | None:
-    """(i, t) of the first false flag in outcome-major order (outcome i, then
-    its times), from (t, flag column) pairs, or None when every flag holds."""
-    return min(((column.index(False), t) for t, column in flags if not all(column)),
-               default=None)
+def _keyed(X: Process, start: int) -> list:
+    """((first outcome, t), cell) for each (time, atom) cell of X from time
+    ``start`` on: sorted, these come in outcome-major order."""
+    return [((part.members[k][0], t), v) for t, (part, cells) in enumerate(X.layers)
+            if t >= start for k, v in enumerate(cells)]
 
 
 def first_failing(X: Process, test=None, start=None, increments: bool = False):
-    """(i, t) of the first cell of X failing its test, in outcome-major order,
-    or None when every tested cell passes.
+    """(i, t) of the first cell of X failing its test, in outcome-major order
+    (outcome i, then its times), or None when every tested cell passes.
 
     ``test`` runs at every time, ``start`` in its place at time 0; a time
     left without a test is skipped.  With ``increments`` the cells are dX_t
-    for t >= 1.  Each test runs once per distinct cell of a column.
+    for t >= 1.  Each test runs once per (time, atom).
     """
-    columns = enumerate(X.increments(), 1) if increments else enumerate(X.columns)
-    return _first_false((t, per_distinct(check, column)) for t, column in columns
-                        if (check := start or test if t == 0 else test) is not None)
+    if increments:
+        X = X.increments
+    return min((key for key, v in _keyed(X, int(increments))
+                if (check := start or test if key[1] == 0 else test) is not None
+                and not check(v)), default=None)
 
 
 def distinct_cells(X: Process, start: int = 0, increments: bool = False) -> list:
-    """The distinct cell objects of X from time ``start`` on (of its
-    increments dX_t, t >= 1, with ``increments``), in first-seen
-    outcome-major order."""
-    columns = X.increments() if increments else X.columns[start:]
-    cells = [v for row in zip(*columns) for v in row]
-    return list(dict(zip(map(id, cells), cells)).values())
+    """The cells of X from time ``start`` on (of its increments dX_t, t >= 1,
+    with ``increments``), one per (time, atom), in the outcome-major order
+    of their first outcome."""
+    if increments:
+        X, start = X.increments, 1
+    return [v for _, v in sorted(_keyed(X, start), key=lambda kv: kv[0])]
 
 
 def first_mismatch(X: Process, Y: Process):
@@ -527,43 +554,34 @@ def first_mismatch(X: Process, Y: Process):
 
     Returns (outcome, t, a, b) with a and b the first unequal components,
     or None when every value agrees under the space's arithmetic.  Each
-    distinct pair of cell objects of a column is compared once; in exact
-    mode a cell is equal to itself without a comparison.
+    atom of the two processes' meet is compared once.
     """
     if X.space is not Y.space or X.horizon != Y.horizon or X.dim != Y.dim:
         raise SpaceError("processes live on different grids")
     eq = X.space.arith.eq
-    exact = X.space.arith.exact
-    miss = _first_false(
-        (t, per_distinct(lambda u, v: (exact and u is v) or all(map(eq, u, v)), cx, cy))
-        for t, (cx, cy) in enumerate(zip(X.columns, Y.columns)))
+    miss = first_failing(X.map_cells(lambda u, v: (all(map(eq, u, v)),), Y), lambda v: v[0])
     if miss is None:
         return None
-    i, t = miss
-    a, b = next((a, b) for a, b in zip(X.columns[t][i], Y.columns[t][i]) if not eq(a, b))
-    return X.space.outcomes[i], t, a, b
-
-
-def _constant_on(X: Process, t: int, groups) -> bool:
-    """Time-t values constant on each group of outcome indices; in exact
-    mode a cell shared with the group's first is equal without a check."""
-    eq = X.space.arith.eq
-    exact = X.space.arith.exact
-    column = X.columns[t]
-    for m in groups:
-        first = column[m[0]]
-        for i in m[1:]:
-            v = column[i]
-            if not (exact and v is first) and not all(map(eq, v, first)):
-                return False
-    return True
+    o, t = X.space.outcomes[miss[0]], miss[1]
+    a, b = next((a, b) for a, b in zip(X.at(o, t), Y.at(o, t)) if not eq(a, b))
+    return o, t, a, b
 
 
 def is_adapted(X: Process, filtration: Filtration) -> bool:
-    """Time-t values constant on every time-t atom."""
-    return X.horizon == filtration.horizon and all(
-        _constant_on(X, t, filtration.at(t).members)
-        for t in range(filtration.horizon + 1))
+    """Time-t values constant on every time-t atom: checked once per atom
+    of the meet, against the cell on the atom's first outcome."""
+    if X.horizon != filtration.horizon:
+        return False
+    eq = X.space.arith.eq
+    for (part, cells), atoms in zip(X.layers, filtration.partitions):
+        meet, mine, theirs = part.meet(atoms)
+        if len(meet.atoms) == len(atoms.atoms):
+            continue  # each atom lies inside one atom of the process
+        first: dict = {}
+        for p, q in zip(mine, theirs):
+            if not all(map(eq, cells[p], first.setdefault(q, cells[p]))):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -582,45 +600,34 @@ def _weighted_mean(terms, total: int) -> Fraction:
     return Fraction(num, den * total)
 
 
-def cond_exp(values: Sequence, partition: Partition, space: SampleSpace) -> list:
-    """Conditional expectation given a partition, as a parallel value list.
+def atom_averages(layer, given: Partition, value, weighted) -> list:
+    """The average of ``value(cell)`` on each atom of ``given``, for cells
+    given as a (partition, cells) layer: a tuple per atom.
 
-    On each atom the result is the weight-averaged value of the inputs, one
-    tuple shared by the atom's outcomes.  Values may be scalars or equal
-    length vectors.  Exact mode sums integer weights per distinct value
-    object, adds the weighted values in integers over a common denominator
-    and builds one Fraction per atom and component: the same rational a
-    member-by-member sum gives.  Float mode sums member by member, in
-    outcome order, because float sums depend on their order.
+    Exact mode sums over the child atoms (the meet of the layer's partition
+    with ``given``), in integers over a common denominator, one Fraction per
+    atom and component: the same rational a member-by-member sum gives.
+    Float mode sums ``weighted(w, cell)`` member by member, in outcome
+    order, over the atom mass, because float sums depend on their order.
     """
-    if len(values) != space.size:
-        raise SpaceError("random variable must have one value per outcome")
-    vectors = per_distinct(_as_vector, values)
-    dim = len(vectors[0])
-    if any(len(v) != dim for v in vectors):
-        raise SpaceError("vector values must share one dimension")
-    out: list = [None] * space.size
+    part, cells = layer
+    space = part.space
     if space.arith.exact:
-        weights = space.integer_weights
-        for members in partition.members:
-            groups: dict = {}  # id of a value -> [value, its summed weight]
-            for i in members:
-                group = groups.setdefault(id(vectors[i]), [vectors[i], 0])
-                group[1] += weights[i]
-            total = sum(n for _, n in groups.values())
-            avg = tuple(_weighted_mean([(v[j], n) for v, n in groups.values()], total)
-                        for j in range(dim))
-            for i in members:
-                out[i] = avg
-    else:
-        weights = space.weights
-        for members, mass in zip(partition.members, partition.masses):
-            avg = tuple(
-                sum((weights[i] * vectors[i][j] for i in members), 0) / mass
-                for j in range(dim)
-            )
-            for i in members:
-                out[i] = avg
-    if not isinstance(values[0], (tuple, list)):
-        return [v[0] for v in out]
-    return out
+        meet, mine, theirs = part.meet(given)
+        kids = [[] for _ in given.atoms]
+        for p, q, n in zip(mine, theirs, meet.integer_masses):
+            kids[q].append((value(cells[p]), n))
+        return [tuple(_weighted_mean(zip(col, counts), sum(counts))
+                      for col in zip(*values))
+                for values, counts in (zip(*kid) for kid in kids)]
+    w, at = space.weights, part.atom_at
+    return [tuple(sum(col, 0) / mass for col in zip(*(weighted(w[i], cells[at[i]])
+                                                       for i in members)))
+            for members, mass in zip(given.members, given.masses)]
+
+
+def cond_exp(X: Process, t: int, given: Partition) -> list:
+    """E[X_t | given]: one value vector per atom of ``given``, a sum over
+    the child atoms (see :func:`atom_averages`)."""
+    return atom_averages(X.layers[t], given, lambda v: v,
+                         lambda w, v: tuple(w * x for x in v))

@@ -62,7 +62,8 @@ class ViabilityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Market:
-    """Discounted positive prices S with their flow and Doob decomposition."""
+    """Discounted positive prices S with their flow and Doob decomposition;
+    S is kept on the flow's atoms."""
 
     S: Process
     F: Filtration
@@ -77,6 +78,7 @@ class Market:
         if miss is not None:
             o, t = self.S.space.outcomes[miss[0]], miss[1]
             raise ViabilityError(f"price must stay positive (outcome {o}, t={t})")
+        object.__setattr__(self, "S", self.S.refined(self.F))
         object.__setattr__(self, "decomposition", doob_decompose(self.S, self.F))
 
     @property
@@ -244,7 +246,7 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
     mode of a bad enlargement (infeasible sites) can be observed directly.
     """
     pair, W = gauge.pair, gauge.W
-    if pair.base is not market.F and pair.base.partitions != market.F.partitions:
+    if [p.atoms for p in pair.base.partitions] != [p.atoms for p in market.F.partitions]:
         raise ViabilityError("the enlargement must extend the market flow")
     G = pair.expanded
     D = base_solution.martingale

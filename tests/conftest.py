@@ -1,4 +1,24 @@
-"""Print one line per acceptance check at the end of a run."""
+"""Print one line per acceptance check at the end of a run, and hold the
+one ``hypothesis`` profile: derandomized, with no example database and no
+deadline, at a fixed number of examples, so every run draws the same
+examples in bounded time.  The few files hypothesis still caches go to a
+temporary directory removed at the end of the run, so no ``.hypothesis/``
+directory is written into the checkout."""
+
+import shutil
+import tempfile
+
+from hypothesis import Phase, configuration, settings
+
+settings.register_profile("marketforge", derandomize=True, database=None, deadline=None,
+                          max_examples=25, phases=set(Phase) - {Phase.explain})
+settings.load_profile("marketforge")
+HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="hypothesis-")
+configuration.set_hypothesis_home_dir(HYPOTHESIS_HOME)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(HYPOTHESIS_HOME, ignore_errors=True)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -28,10 +28,11 @@ builds test data with it.
 * ``wealth`` is the self-financing wealth x + (H . S), for the
   deflated-wealth martingale property.
 * ``delta``, ``increments``, ``accumulate``, ``cond_exp``, ``zip_with`` and
-  ``stoch_exp`` are the per-cell kernels the engine had before it computed
-  once per distinct operand: one operation per (outcome, time) cell, in
-  outcome order.  They are kept unchanged as the differential oracle for
-  the shared-cell kernels.
+  ``stoch_exp`` are the per-cell kernels the engine had before it stored
+  processes atom by atom: one operation per (outcome, time) cell, in
+  outcome order, read through ``column``/``columns`` (a process as one
+  value per outcome).  They are the differential oracle for the atom-major
+  kernels.
 """
 
 from __future__ import annotations
@@ -270,10 +271,10 @@ class RepresentationCoefficients:
         component, cell by cell."""
         W, k = self.driver.W, self.target_dim
         rows = range(self.driver.d)
-        columns = [[tuple(sum((h[r * k + c] * dw[r] for r in rows), 0) for c in range(k))
-                    for h, dw in zip(self.kbar.columns[t], dW)]
-                   for t, dW in enumerate(increments(W), 1)]
-        return accumulate(W.space, columns, k)
+        steps = [[tuple(sum((h[r * k + c] * dw[r] for r in rows), 0) for c in range(k))
+                  for h, dw in zip(column(self.kbar, t), dW)]
+                 for t, dW in enumerate(increments(W), 1)]
+        return accumulate(W.space, steps, k)
 
 
 def represent(X: Process, driver: Driver) -> RepresentationCoefficients:
@@ -350,8 +351,8 @@ def lift_filtration(F: Filtration, product: SampleSpace) -> Filtration:
 
 
 def lift_process(X: Process, product: SampleSpace) -> Process:
-    rows = [X.space.index(b) for b in lift_to_product(product, X.space)]
-    return Process(product, tuple(tuple(column[i] for i in rows) for column in X.columns))
+    return Process.from_paths(product, [[X.at(b, t) for t in range(X.horizon + 1)]
+                                        for b in lift_to_product(product, X.space)])
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +394,31 @@ def delta(X: Process, outcome: str, t: int) -> tuple:
     return tuple(a - b for a, b in zip(X.at(outcome, t), X.at(outcome, t - 1)))
 
 
+def column(X: Process, t: int) -> list:
+    """X_t as one value vector per outcome, in outcome order."""
+    return [X.at(o, t) for o in X.space.outcomes]
+
+
+def columns(X: Process) -> list:
+    """Every time's ``column``."""
+    return [column(X, t) for t in range(X.horizon + 1)]
+
+
 def increments(X: Process) -> list:
     """Increment columns: entry t - 1 holds dX_t = X_t - X_{t-1} for every
     outcome, one subtraction per cell."""
-    cols = X.columns
+    cols = columns(X)
     return [[tuple(a - b for a, b in zip(u, v)) for u, v in zip(cols[t], cols[t - 1])]
             for t in range(1, X.horizon + 1)]
 
 
-def accumulate(space, columns, dim) -> Process:
+def accumulate(space, steps, dim) -> Process:
     """Running sums from 0 of increment columns, outcome by outcome."""
     levels = [tuple((0,) * dim for _ in space.outcomes)]
-    for column in columns:
+    for step in steps:
         levels.append(tuple(tuple(a + b for a, b in zip(level, inc))
-                            for level, inc in zip(levels[-1], column)))
-    return Process(space, tuple(levels))
+                            for level, inc in zip(levels[-1], step)))
+    return Process.from_paths(space, zip(*levels))
 
 
 def cond_exp(values, partition: Partition, space: SampleSpace) -> list:
@@ -439,11 +450,9 @@ def zip_with(X: Process, Y: Process, op) -> Process:
         raise SpaceError("processes live on different grids")
     if X.dim != Y.dim:
         raise SpaceError("dimension mismatch")
-    columns = tuple(
-        tuple(tuple(op(a, b) for a, b in zip(u, v)) for u, v in zip(p, q))
-        for p, q in zip(X.columns, Y.columns)
-    )
-    return Process(X.space, columns)
+    return Process.from_paths(X.space, zip(*(
+        [tuple(op(a, b) for a, b in zip(u, v)) for u, v in zip(p, q)]
+        for p, q in zip(columns(X), columns(Y)))))
 
 
 def stoch_exp(X: Process) -> Process:
@@ -457,4 +466,4 @@ def stoch_exp(X: Process) -> Process:
             level = level * (1 + X.value(o, t) - X.value(o, t - 1))
             path.append((level,))
         paths.append(tuple(path))
-    return Process(X.space, tuple(zip(*paths)))
+    return Process.from_paths(X.space, paths)

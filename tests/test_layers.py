@@ -1,12 +1,16 @@
 """Module hygiene: who reads the cell layout, no unused imports, and one
 failure model.
 
-The cell layout of a process is known to ``space`` and ``calculus`` only.
-Every other engine module reads processes through their accessors
-(``Process.on_atoms``, ``first_failing``, ``first_mismatch``,
-``distinct_cells``, ``increments``) and builds them from per-atom tables or
-per-outcome paths, never from increment columns (``accumulate``), so a
-change of storage layout touches those two modules alone.
+The atom-major layout of a process (its ``layers``, one partition and one
+cell per atom at each time, the meet of two partitions and the atom index
+per outcome behind it, the per-atom kernels ``pointwise`` and
+``atom_averages``) is known to ``space`` and ``calculus`` only.  Every other
+engine module reads processes through their accessors (``Process.on_atoms``,
+``Process.at``, ``first_failing``, ``first_mismatch``, ``distinct_cells``,
+``increments``) and builds them from per-atom tables (``Process.adapted``,
+``Process.predictable``) or per-outcome paths, never from layers or
+increments (``accumulate``), so a change of storage layout
+touches those two modules alone.
 
 Every name an engine module imports is used in that module (``__init__``
 re-exports, so it is exempt); ``# noqa: F401`` on the import line keeps a
@@ -29,7 +33,8 @@ from marketforge import cli
 
 ENGINE = pathlib.Path(__file__).resolve().parent.parent / "src" / "marketforge"
 LAYOUT_OWNERS = {"space.py", "calculus.py"}
-LAYOUT_TOKENS = re.compile(r"per_distinct|first_false|accumulate\(|\.columns\b|\.paths\b|\bid\(")
+LAYOUT_TOKENS = re.compile(r"\.layers\b|\.meet\(|\batom_at\b|_tabled|_keyed|_grouped"
+                           r"|integer_masses|pointwise|atom_averages|accumulate\(|\bid\(")
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in ENGINE.glob("*.py")

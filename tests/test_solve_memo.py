@@ -29,8 +29,7 @@ from marketforge.space import (
 )
 from marketforge.viability import CheckFailed, Market, solve_structure_F, solve_structure_G
 
-from test_shared_cells import _bits, random_tree
-from util import record_site_solves, site_at, site_value
+from util import bits, random_tree, record_site_solves, site_at, site_value
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 MODES = {"exact": EXACT, "float": FLOAT}
@@ -162,7 +161,7 @@ def test_memoized_sites_match_a_direct_solve_per_site(mode):
             for g_atom in G.at(t - 1).atoms:
                 site = site_at(market, gauge, driver, base.martingale, t, g_atom)
                 direct = solve_site(site).solution
-                assert list(map(_bits, kbar.at(g_atom[0], t))) == list(map(_bits, direct))
+                assert list(map(bits, kbar.at(g_atom[0], t))) == list(map(bits, direct))
                 compared += 1
                 values.add(site_value(site))
     assert compared >= 100 and len(values) < compared  # repeated sites included

@@ -23,6 +23,8 @@ from marketforge.space import (
 )
 
 from reference import (
+    column,
+    columns,
     delta,
     discrete,
     expectation,
@@ -57,6 +59,13 @@ def test_partition_validation():
         Partition.from_atoms(space, [("a", "b"), ("b", "c")])  # overlap
 
 
+def _cond_exp(values, part, space):
+    """cond_exp of a one-time process with the given per-outcome values,
+    read back per outcome."""
+    means = cond_exp(Process.from_paths(space, [[v] for v in values]), 0, part)
+    return [means[part.atom_index(o)][0] for o in space.outcomes]
+
+
 def test_cond_exp_atom_average():
     # Weighted average per atom, computed exactly.
     space = three_point_space()
@@ -68,7 +77,7 @@ def test_cond_exp_atom_average():
         atom = part.atom_of(o)
         mass = sum(space.weight(x) for x in atom)
         expected.append(sum(space.weight(x) * values[space.index(x)] for x in atom) / mass)
-    got = cond_exp(values, part, space)
+    got = _cond_exp(values, part, space)
     assert got == expected == [F(2), F(2), F(5)]
 
 
@@ -77,8 +86,8 @@ def test_cond_exp_tower_property():
     fine = Partition.from_atoms(space, [("uu",), ("ud",), ("du", "dd")])
     coarse = Partition.trivial(space)
     values = [F(7), F(-1), F(2), F(10)]
-    once = cond_exp(cond_exp(values, fine, space), coarse, space)
-    direct = cond_exp(values, coarse, space)
+    once = _cond_exp(_cond_exp(values, fine, space), coarse, space)
+    direct = _cond_exp(values, coarse, space)
     assert once == direct
 
 
@@ -114,7 +123,7 @@ def test_predictable_from_atom_table_on_b2n():
 
     for initial, v0 in ((None, (0, 0)), ((F(1, 3), F(2)), (F(1, 3), F(2)))):
         X = Process.predictable(G, table, 2, initial=initial)
-        assert X.columns == by_hand(v0).columns
+        assert columns(X) == columns(by_hand(v0))
         assert is_predictable(X, G)
     assert Process.predictable(fx.F, {(1, 0): 5, (2, 0): 6, (2, 1): 7},
                                initial=1).at("du1", 2) == (7,)
@@ -126,7 +135,7 @@ def test_first_mismatch_reports_first_cell_in_outcome_major_order():
     fx = b2()
     X = fx.W
     assert first_mismatch(X, X + Process.constant(fx.space, 2, 0)) is None
-    paths = [list(path) for path in zip(*X.columns)]
+    paths = [list(path) for path in zip(*columns(X))]
     paths[2][1] = (F(7),)              # outcome "du", time 1
     paths[3][0] = (F(9),)              # a later outcome at an earlier time
     Y = Process.from_paths(fx.space, paths)
@@ -140,8 +149,8 @@ def test_initial_enlargement_reveals_signal_at_time_zero():
     fx = b2i()
     G = fx.pair.expanded
     assert G.at(0).atoms == (("uu", "ud"), ("du", "dd"))
-    assert G.at(1) == fx.F.at(1)
-    assert G.at(2) == fx.F.at(2)
+    assert G.at(1).atoms == fx.F.at(1).atoms
+    assert G.at(2).atoms == fx.F.at(2).atoms
     assert all(G.at(t).refines(fx.F.at(t)) for t in range(3))
 
 
@@ -151,9 +160,9 @@ def test_progressive_enlargement_by_first_hit():
     tau = RandomTime(fx.space, (1, 1, INF, INF))
     pair = build_progressive_enlargement(fx.F, tau)
     G = pair.expanded
-    assert G.at(0) == fx.F.at(0)  # min(tau, 1) does not split the trivial atom
-    assert G.at(1) == fx.F.at(1)
-    assert G.at(2) == fx.F.at(2)
+    assert G.at(0).atoms == fx.F.at(0).atoms  # min(tau, 1) does not split the trivial atom
+    assert G.at(1).atoms == fx.F.at(1).atoms
+    assert G.at(2).atoms == fx.F.at(2).atoms
     assert all(G.at(t).refines(fx.F.at(t)) for t in range(3))
 
 
@@ -256,19 +265,19 @@ def test_process_algebra_and_increments():
     assert X.at("u", 1) == (F(5),)
     assert delta(X, "d", 1) == (F(-2),)
     assert delta(X, "u", 0) == (0,)
-    # Increment columns: one per t >= 1, dX_t in outcome order; their running
-    # sums from 0 give back X - X_0.
+    # The increments: dX_t for t >= 1 on every outcome; their running sums
+    # from 0 give back X - X_0.
     for arith in (EXACT, FLOAT):
         noisy = b2n(arith)
         stacked = Process.from_paths(noisy.space, [
             [(noisy.W.value(o, t), noisy.S.value(o, t)) for t in range(noisy.F.horizon + 1)]
             for o in noisy.space.outcomes])
         for Z in (noisy.S, stacked):
-            columns = Z.increments()
-            assert len(columns) == Z.horizon
-            for t, column in enumerate(columns, 1):
-                assert list(column) == [delta(Z, o, t) for o in noisy.space.outcomes]
-            summed = accumulate(noisy.space, columns, Z.dim)
+            dZ = Z.increments
+            assert dZ.horizon == Z.horizon
+            for t in range(1, Z.horizon + 1):
+                assert column(dZ, t) == [delta(Z, o, t) for o in noisy.space.outcomes]
+            summed = accumulate(dZ)
             assert first_mismatch(summed, centred(Z)) is None
     Y = fx.W + fx.W
     assert Y.at("d", 1) == (F(-2),)

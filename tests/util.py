@@ -2,11 +2,15 @@
 
 The random generators the CLI battery needs at runtime live in
 marketforge.selftest and are re-exported here; the ones only tests use
-(``random_predictable``, the ``b2n_site`` jump site) are defined here.  The
+(``tree`` and ``random_tree``, ``random_predictable``, the ``b2n_site`` jump
+site) are defined here, with ``bits``, a number's exact bits.  The
 brute oracles recompute conditional means and drifts by direct summation
 over outcomes, independent of the library's conditional-expectation path,
 so the calculus operators are checked against plain arithmetic.
 """
+
+import struct
+from fractions import Fraction
 
 from marketforge import viability
 from marketforge.arith import EXACT, Arithmetic
@@ -17,9 +21,38 @@ from marketforge.selftest import (  # noqa: F401  (re-exports for tests)
     random_site,
     site_to_float,
 )
-from marketforge.space import Process
+from marketforge.space import Filtration, Process, SampleSpace
 
-from reference import delta
+from reference import by_level_sets, delta
+
+
+def bits(x):
+    """A number as its type and exact value; floats by their bits, so that
+    0.0 and -0.0 differ."""
+    if isinstance(x, float):
+        return "float", struct.pack("<d", x)
+    return type(x).__name__, x
+
+
+def tree(labels, raw, arith: Arithmetic):
+    """A tree on len(labels) outcomes: outcome i walks the label path
+    ``labels[i]``, the time-t partition groups equal t-prefixes, and the
+    weights are proportional to the positive integers ``raw``."""
+    weights = [Fraction(r, sum(raw)) for r in raw]
+    if not arith.exact:
+        weights = [float(w) for w in weights]
+    space = SampleSpace(tuple(f"o{i}" for i in range(len(labels))), tuple(weights),
+                        arith=arith)
+    parts = tuple(by_level_sets(space, [lab[:t] for lab in labels])
+                  for t in range(len(labels[0]) + 1))
+    return space, Filtration(space, parts)
+
+
+def random_tree(rng, arith: Arithmetic):
+    """A seeded ``tree`` on 3..12 outcomes with 1..3 steps of 3 labels."""
+    n, horizon = rng.randint(3, 12), rng.randint(1, 3)
+    labels = [tuple(rng.randint(0, 2) for _ in range(horizon)) for _ in range(n)]
+    return tree(labels, [rng.randint(1, 9) for _ in range(n)], arith)
 
 
 def random_predictable(space, filtration, rng, dim=1) -> Process:
