@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -105,13 +104,9 @@ def _resolve_arith(args, text: str | None = None) -> Arithmetic:
     tol = args.tolerance
     if "tolerance" in doc:
         raw = doc["tolerance"]
-        try:
-            raw = float(raw) if type(raw) in (int, float) else math.nan
-        except OverflowError:
-            raw = math.inf
-        if not 0 < raw < math.inf:
+        if type(raw) not in (int, float) or not 0 < raw <= sys.float_info.max:
             raise ValueError("tolerance: expected a positive finite number")
-        tol = raw if tol is None else tol
+        tol = float(raw) if tol is None else tol
     mode = os.environ.get("FORGE_MODE") or args.mode or doc.get("mode") or "exact"
     if mode == "exact":
         return EXACT

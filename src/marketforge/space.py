@@ -177,7 +177,7 @@ class Partition:
 
     def parents(self, coarser: "Partition") -> tuple[int, ...]:
         """Index of the coarser atom enclosing each atom of this refinement."""
-        return tuple(coarser.atom_index(atom[0]) for atom in self.atoms)
+        return self.meet(coarser)[2]
 
     def meet(self, other: "Partition") -> tuple:
         """(meet, mine, theirs): the coarsest common refinement of the two
@@ -414,11 +414,10 @@ class Process:
                                 for part, column in zip(parts, zip(*fixed))))
 
     @classmethod
-    def adapted(cls, filtration: "Filtration", table, dim: int = 1, parts=None) -> "Process":
-        """Build from per-atom values: ``table[(t, k)]`` on atom k of the
-        time-t partition of the flow (of ``parts``, when given)."""
+    def adapted(cls, filtration: "Filtration", table, dim: int = 1) -> "Process":
+        """Build from per-atom values: ``table[(t, k)]`` on the time-t atom k."""
         layers = tuple((part, tuple(_as_vector(table[(t, k)]) for k in range(len(part.atoms))))
-                       for t, part in enumerate(parts or filtration.partitions))
+                       for t, part in enumerate(filtration.partitions))
         if any(len(v) != dim for _, cells in layers for v in cells):
             raise SpaceError("value dimension mismatch")
         return cls(filtration.space, layers)
@@ -428,11 +427,12 @@ class Process:
                     initial=None) -> "Process":
         """Build from per-atom values: the time-t value is ``table[(t, k)]`` on
         the time-(t-1) atom k, the time-0 value is ``initial`` (zero if None)
-        on every time-0 atom."""
+        on every time-0 atom: adapted to the flow lagged by one step."""
         v0 = (0,) * dim if initial is None else _as_vector(initial)
-        parts = filtration.partitions[:1] + filtration.partitions[:-1]
+        parts = filtration.partitions
         start = {(0, k): v0 for k in range(len(parts[0].atoms))}
-        return cls.adapted(filtration, {**table, **start}, dim, parts)
+        return cls.adapted(Filtration(filtration.space, parts[:1] + parts[:-1]),
+                           {**table, **start}, dim)
 
     @classmethod
     def constant(cls, space: SampleSpace, horizon: int, value) -> "Process":
