@@ -45,8 +45,8 @@ def witness_dict(w: FailureWitness | None, arith: Arithmetic):
 
 
 def _extrema(cells, arith: Arithmetic):
-    # Each distinct cell once, in first-seen order; min and max keep the
-    # first of equal extremes.
+    # One cell per (time, atom), in outcome-major order; min and max keep
+    # the first of equal extremes.
     values = [x for v in cells for x in v]
     if not values:
         return {"min": None, "max": None}

@@ -8,17 +8,22 @@ directory is written into the checkout."""
 import shutil
 import tempfile
 
+import pytest
 from hypothesis import Phase, configuration, settings
 
 settings.register_profile("marketforge", derandomize=True, database=None, deadline=None,
                           max_examples=25, phases=set(Phase) - {Phase.explain})
 settings.load_profile("marketforge")
-HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="hypothesis-")
-configuration.set_hypothesis_home_dir(HYPOTHESIS_HOME)
+HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    config.stash[HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="hypothesis-")
+    configuration.set_hypothesis_home_dir(config.stash[HYPOTHESIS_HOME])
 
 
 def pytest_unconfigure(config):
-    shutil.rmtree(HYPOTHESIS_HOME, ignore_errors=True)
+    shutil.rmtree(config.stash[HYPOTHESIS_HOME], ignore_errors=True)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
