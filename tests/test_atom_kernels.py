@@ -143,12 +143,8 @@ def test_algebra_and_stoch_exp_match_the_per_cell_kernels(mode, data):
 
 
 def _brute_first_failing(X, test, start=None, increments=False):
-    outcomes = X.space.outcomes
-    if increments:
-        cols = {t: col for t, col in enumerate(ref.increments(X), 1)}
-    else:
-        cols = dict(enumerate(ref.columns(X)))
-    return min(((i, t) for i in range(len(outcomes)) for t, col in cols.items()
+    cols = dict(enumerate(ref.increments(X), 1) if increments else enumerate(ref.columns(X)))
+    return min(((i, t) for i in range(X.space.size) for t, col in cols.items()
                 if not ((start or test) if t == 0 else test)(col[i])), default=None)
 
 
