@@ -9,11 +9,16 @@ discontinuous martingale part coincides with the whole martingale part.
 
 All operators return processes on the same grid; compensators and their
 relatives are predictable and start at zero.  Like ``space``, this module
-reads a process atom by atom: every per-cell operation runs through
-``space.pointwise``, once per atom of the meet of its operands' partitions,
-and a compensator's increments are conditional means on the time-(t-1)
-atoms.  The per-atom cross moments the layers above solve with
-(``cross_moments``) come from here too.
+reads a process atom by atom, as layers of integer numerators over one
+denominator in exact mode (floats over 1 in float mode): every per-cell
+operation runs once per atom of the meet of its operands' partitions,
+through ``space.pointwise`` when it is linear in the cells (sums and
+differences, over the lcm of the operands' denominators) and through
+``space.product`` when it is linear in each operand (brackets, integrals,
+the stochastic exponential, over the product of the denominators).  A
+compensator's increments are conditional means on the time-(t-1) atoms.
+The per-atom cross moments the layers above solve with (``cross_moments``)
+come from here too.
 
 The one failure model lives here, in the lowest module that finds a
 failure: a check returns its first failure's ``FailureWitness`` (None when
@@ -24,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .space import Filtration, Process, _add, _sub, cond_exp, first_failing, is_adapted
-from .space import atom_averages, pointwise
+from .space import Filtration, Partition, Process, _add, _decoded, _encoded, _sub, cond_exp
+from .space import atom_means, first_failing, is_adapted, pointwise, product
 
 
 NON_VIABLE = "non-viable"
@@ -75,21 +80,24 @@ def accumulate(dX: Process) -> Process:
     """Running sums from 0 of the increments dX_t, t >= 1 (dX_0 is not
     read), from zero on the atoms of dX_0."""
     part = dX.layers[0][0]
-    layers = [(part, ((0,) * dX.dim,) * len(part.atoms))]
+    layers = [(part, ((0,) * dX.dim,) * len(part.atoms), 1)]
     for layer in dX.layers[1:]:
         layers.append(pointwise(_add, layers[-1], layer))
     return Process(dX.space, tuple(layers))
 
 
-def sum_steps(op, dim, steps, levels=()) -> Process:
+def sum_steps(op, dim, steps, levels=(), plus=None) -> Process:
     """Running sums from 0 of ``op(dX_t for X in steps, Y_t for Y in
-    levels)`` over t >= 1: the one per-cell kernel behind ``bracket``,
-    ``integrate`` and the expanded-flow drift identity.  The sums start on
-    the meet of the operands' time-0 partitions."""
+    levels)`` over t >= 1, ``op`` linear in each operand (a ``product``
+    op): the one per-cell kernel behind ``bracket``, ``integrate`` and the
+    expanded-flow drift identity.  With ``plus``, a process, each summand
+    is dP_t + op(...), added in that order.  The sums start on the meet of
+    the operands' time-0 partitions."""
     zero = (0,) * dim
-    return accumulate(Process(steps[0].space, tuple(
-        pointwise(op if t else lambda *_: zero, *layers) for t, layers in enumerate(zip(
-            *(X.increments.layers for X in steps), *(Y.layers for Y in levels))))))
+    terms = Process(steps[0].space, tuple(
+        product(op if t else lambda *_: zero, *layers) for t, layers in enumerate(zip(
+            *(X.increments.layers for X in steps), *(Y.layers for Y in levels)))))
+    return accumulate(terms if plus is None else plus.increments + terms)
 
 
 def centred(X: Process) -> Process:
@@ -103,10 +111,10 @@ def cross_moments(X: Process, Y: Process, partition, t: int) -> list:
     weighted increment products summed member by member in outcome order,
     over the atom mass)."""
     n, d = X.dim, Y.dim
-    pairs = pointwise(lambda dx, dy: (dx, dy), X.increments.layers[t], Y.increments.layers[t])
-    means = atom_averages(pairs, partition,
-                          lambda c: [a * b for a in c[0] for b in c[1]],
-                          lambda w, c: [w * a * b for a in c[0] for b in c[1]])
+    _, cells, den = atom_means(partition, X.increments.layers[t], Y.increments.layers[t],
+                               value=lambda dx, dy: [a * b for a in dx for b in dy],
+                               weighted=lambda w, dx, dy: [w * a * b for a in dx for b in dy])
+    means = _decoded(cells, den, X.space.arith.exact)
     return [[list(m[i * d:(i + 1) * d]) for i in range(n)] for m in means]
 
 
@@ -115,8 +123,8 @@ def _compensate(X: Process, filtration: Filtration) -> Process:
     increments live on the time-(t-1) atoms."""
     dX, parts = X.increments, filtration.partitions
     zero = ((0,) * X.dim,) * len(parts[0].atoms)
-    return accumulate(Process(X.space, ((parts[0], zero),) + tuple(
-        (parts[t - 1], tuple(cond_exp(dX, t, parts[t - 1]))) for t in range(1, len(parts)))))
+    return accumulate(Process(X.space, ((parts[0], zero, 1),) + tuple(
+        cond_exp(dX, t, parts[t - 1], layer=True) for t in range(1, len(parts)))))
 
 
 def compensator(A: Process, filtration: Filtration) -> Process:
@@ -186,10 +194,12 @@ def stoch_exp(X: Process) -> Process:
     if first_failing(X, start=lambda v: arith.is_zero(v[0])) is not None:
         raise CalculusError("stochastic exponential input must start at 0")
     part = X.layers[0][0]
-    layers = [(part, ((1 * arith.parse(1),),) * len(part.atoms))]
+    one = (Partition.trivial(X.space), ((1,),), 1)
+    layers = [_encoded(part, ((1 * arith.parse(1),),) * len(part.atoms))]
     for t in range(1, X.horizon + 1):
-        layers.append(pointwise(lambda level, x, x0: (level[0] * (1 + x[0] - x0[0]),),
-                                layers[-1], X.layers[t], X.layers[t - 1]))
+        factor = pointwise(lambda c, x, x0: (c[0] + x[0] - x0[0],),
+                           one, X.layers[t], X.layers[t - 1])
+        layers.append(product(lambda level, f: (level[0] * f[0],), layers[-1], factor))
     return Process(X.space, tuple(layers))
 
 
@@ -199,12 +209,16 @@ def is_martingale(X: Process, filtration: Filtration):
     Returns None, or the witness of the first failure in (time, atom) order,
     reason "drifts", whose detail is the offending conditional mean
     increment (a scalar for a one-dimensional process, a tuple otherwise).
+    In exact mode a mean is zero when its integer sum is; only the
+    witness's mean becomes a Fraction.
     """
     _require_adapted(X, filtration, "martingale-check input")
     arith = X.space.arith
     for t in range(1, X.horizon + 1):
         part = filtration.at(t - 1)
-        for atom, m in zip(part.atoms, cond_exp(X.increments, t, part)):
+        _, cells, den = cond_exp(X.increments, t, part, layer=True)
+        for atom, m in zip(part.atoms, cells):
             if not all(arith.is_zero(v) for v in m):
+                (m,) = _decoded((m,), den, arith.exact)
                 return FailureWitness("drifts", t, atom, m[0] if X.dim == 1 else tuple(m))
     return None

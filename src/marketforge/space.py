@@ -17,12 +17,21 @@ A process is stored atom-major, one value vector per (time, atom) of the
 partitions it lives on: a filtration's (:meth:`Process.adapted`, and the
 time-(t-1) ones for :meth:`Process.predictable`), the level sets of its
 values (:meth:`Process.from_paths`), or, for a kernel result, the meet of
-its operands' (:func:`pointwise`).  Increments are defined once, here
-(:attr:`Process.increments`, dX_0 = 0); :func:`cond_exp` sums over child
-atoms, and :func:`is_adapted` checks once per atom.  Only this module and
+its operands' (:func:`pointwise`).  Each time is one layer, a triple
+(partition, cells, den): in exact mode the cells hold integer numerators
+over the one positive denominator ``den``, with gcd(den, *numerators) = 1,
+so a kernel does integer arithmetic and reduces once; in float mode the
+cells hold the floats themselves and ``den`` is 1, so the same kernels run
+the same float operations in the same order.  A linear kernel
+(:func:`pointwise`, :meth:`Process.map_cells`) brings its operands to the
+lcm of their denominators; a multilinear one (:func:`product`) multiplies
+them.  Increments are defined once, here (:attr:`Process.increments`,
+dX_0 = 0); :func:`atom_means` averages over child atoms in integers, and
+:func:`is_adapted` checks once per atom.  Only this module and
 ``calculus`` know the layout: the other layers build processes from
-per-atom tables or per-outcome paths, and read them through
-:meth:`Process.on_atoms`, :meth:`Process.at`, :func:`first_failing`,
+per-atom tables or per-outcome paths, and read them as numbers (Fractions
+in exact mode, decoded once per layer) through :meth:`Process.on_atoms`,
+:meth:`Process.at`, :func:`cond_exp`, :func:`first_failing`,
 :func:`first_mismatch` and :func:`distinct_cells`, the last three in
 outcome-major order, so witnesses and report extrema keep theirs.
 """
@@ -83,6 +92,13 @@ class SampleSpace:
     def weight(self, outcome: str) -> Num:
         return self.weights[self.index(outcome)]
 
+    @cached_property
+    def integer_weights(self) -> tuple:
+        """(lcm, counts): exact weights as integers over the lcm of their
+        denominators."""
+        lcm = math.lcm(*(w.denominator for w in self.weights))
+        return lcm, tuple(w.numerator * (lcm // w.denominator) for w in self.weights)
+
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -103,17 +119,6 @@ class Partition:
     _meets: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for atom in self.atoms:
-            if not atom:
-                raise SpaceError("empty atom in partition")
-            for label in atom:
-                self.space.index(label)
-                if label in seen:
-                    raise SpaceError(f"outcome {label!r} appears in two atoms")
-                seen.add(label)
-        if len(seen) != self.space.size:
-            raise SpaceError("partition must cover every outcome")
         for k, atom in enumerate(self.atoms):
             for label in atom:
                 self._atom_of[label] = k
@@ -121,14 +126,29 @@ class Partition:
 
     @classmethod
     def from_atoms(cls, space: SampleSpace, atoms: Iterable[Iterable[str]]) -> "Partition":
+        """The partition with the given atoms, checked and put in canonical
+        order; the one input path (partitions grouped from the space's own
+        outcomes need no check)."""
         idx = space.index
         canon = sorted((tuple(sorted(a, key=idx)) for a in atoms),
                        key=lambda a: idx(a[0]) if a else -1)
-        return cls(space, tuple(canon))
+        seen: set[str] = set()
+        for atom in canon:
+            if not atom:
+                raise SpaceError("empty atom in partition")
+            for label in atom:
+                if label in seen:
+                    raise SpaceError(f"outcome {label!r} appears in two atoms")
+                seen.add(label)
+        if len(seen) != space.size:
+            raise SpaceError("partition must cover every outcome")
+        canon = tuple(canon)
+        return space._partitions.get(canon) or cls(space, canon)
 
     @classmethod
     def trivial(cls, space: SampleSpace) -> "Partition":
-        return cls.from_atoms(space, [space.outcomes])
+        return (space._partitions.get((space.outcomes,))
+                or cls.from_atoms(space, [space.outcomes]))
 
     def atom_index(self, outcome: str) -> int:
         try:
@@ -147,7 +167,7 @@ class Partition:
         """Common refinement with the level sets of a labelling."""
         if len(values) != self.space.size:
             raise SpaceError("labelling must have one value per outcome")
-        return _grouped(self.space, zip(self.atom_at, values))[0]
+        return _grouped(self.space, zip(self.atom_at, values))
 
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
@@ -157,7 +177,11 @@ class Partition:
 
     @cached_property
     def masses(self) -> tuple[Num, ...]:
-        """Probability of each atom, summed over its outcomes in order."""
+        """Probability of each atom: in float mode summed over its outcomes
+        in order, in exact mode read off ``integer_masses``."""
+        if self.space.arith.exact:
+            lcm = self.space.integer_weights[0]
+            return tuple(Fraction(n, lcm) for n in self.integer_masses)
         w = self.space.weights
         return tuple(sum((w[i] for i in m), 0) for m in self.members)
 
@@ -165,10 +189,8 @@ class Partition:
     def integer_masses(self) -> tuple[int, ...]:
         """Exact masses times the lcm of the weights' denominators: integers
         with the masses' ratios, for sums that build no Fraction per term."""
-        w = self.space.weights
-        lcm = math.lcm(*(x.denominator for x in w))
-        return tuple(sum(w[i].numerator * (lcm // w[i].denominator) for i in m)
-                     for m in self.members)
+        w = self.space.integer_weights[1]
+        return tuple(sum(w[i] for i in m) for m in self.members)
 
     @cached_property
     def atom_at(self) -> tuple[int, ...]:
@@ -184,25 +206,31 @@ class Partition:
         partitions, and for each of its atoms the index of the atom of this
         partition and of ``other`` holding it.  The meet is this partition
         (or ``other``) itself when it refines the other.  Built once per
-        pair of partition objects."""
+        pair of partition objects, in either order; only a meet finer than
+        both is grouped outcome by outcome."""
         hit = self._meets.get(other)
         if hit is None:
-            meet, keys = _grouped(self.space, zip(self.atom_at, other.atom_at))
-            meet = self if len(keys) == len(self.atoms) else \
-                other if len(keys) == len(other.atoms) else meet
-            hit = self._meets[other] = (meet, *map(tuple, zip(*keys)))
+            # The distinct (mine, theirs) pairs in order of their first
+            # outcome: one per atom of the meet, in its canonical order.
+            pairs = dict.fromkeys(zip(self.atom_at, other.atom_at))
+            mine, theirs = map(tuple, zip(*pairs))
+            meet = self if len(pairs) == len(self.atoms) else \
+                other if len(pairs) == len(other.atoms) else \
+                _grouped(self.space, zip(self.atom_at, other.atom_at))
+            hit = self._meets[other] = (meet, mine, theirs)
+            other._meets[self] = (meet, theirs, mine)
         return hit
 
 
-def _grouped(space: SampleSpace, keys) -> tuple:
-    """(partition, distinct keys): the outcomes grouped by equal keys, one
-    key per outcome, atoms in order of their first outcome; a partition
-    equal to one already built on the space is that one."""
+def _grouped(space: SampleSpace, keys) -> "Partition":
+    """The outcomes grouped by equal keys, one key per outcome, atoms in
+    order of their first outcome; a partition equal to one already built
+    on the space is that one."""
     groups: dict = {}
     for o, key in zip(space.outcomes, keys):
         groups.setdefault(key, []).append(o)
     atoms = tuple(map(tuple, groups.values()))
-    return space._partitions.get(atoms) or Partition(space, atoms), tuple(groups)
+    return space._partitions.get(atoms) or Partition(space, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +268,12 @@ class Filtration:
         if t not in self._transitions:
             parent, part = self.at(t - 1), self.at(t)
             kids = [[] for _ in parent.atoms]
-            for child, k, mass in zip(part.atoms, part.parents(parent), part.masses):
-                kids[k].append((child, mass / parent.masses[k]))
+            if self.space.arith.exact:
+                masses, totals, ratio = part.integer_masses, parent.integer_masses, Fraction
+            else:
+                masses, totals, ratio = part.masses, parent.masses, lambda a, b: a / b
+            for child, k, mass in zip(part.atoms, part.parents(parent), masses):
+                kids[k].append((child, ratio(mass, totals[k])))
             self._transitions[t] = [(k, atom, kids[k]) for k, atom in enumerate(parent.atoms)]
         return self._transitions[t]
 
@@ -289,7 +321,7 @@ def natural_filtration(space: SampleSpace, processes: Sequence["Process"]) -> Fi
     part = Partition.trivial(space)
     for t in range(horizon + 1):
         for proc in processes:
-            atoms, cells = proc.layers[t]
+            atoms, cells, _ = proc.layers[t]  # one denominator: numerators key
             part = part.refine_by([cells[k] for k in atoms.atom_at])
         parts.append(part)
     return Filtration(space, tuple(parts))
@@ -363,36 +395,98 @@ def value_key(*vectors) -> tuple:
     return tuple(_cell_key(tuple(v)) for v in vectors)
 
 
-def pointwise(op, *layers) -> tuple:
-    """(partition, cells): ``op`` of the operands' cells on each atom of the
-    meet of their partitions; each operand is a (partition, cells) layer."""
-    part, cells = layers[0]
+def _encoded(part: Partition, cells) -> tuple:
+    """The layer (part, cells, den) of number cells: in exact mode their
+    numerators over the lcm of their denominators, so gcd(den, *numerators)
+    is 1; in float mode the cells themselves over 1."""
+    if not part.space.arith.exact:
+        return part, tuple(cells), 1
+    den = math.lcm(*(x.denominator for v in cells for x in v))
+    return part, tuple(tuple(x.numerator * (den // x.denominator) for x in v)
+                       for v in cells), den
+
+
+def _reduced(part: Partition, cells, den: int) -> tuple:
+    """The layer (part, cells, den) with the numerators and ``den`` divided
+    by their gcd; over 1 (every float layer) there is nothing to divide."""
+    if den != 1:
+        g = math.gcd(den, *(a for v in cells for a in v))
+        if g != 1:
+            den //= g
+            cells = tuple(tuple(a // g for a in v) for v in cells)
+    return part, cells, den
+
+
+def _decoded(cells, den: int, exact: bool) -> tuple:
+    """The cells of a layer as numbers: Fractions in exact mode."""
+    if not exact:
+        return cells
+    return tuple(tuple(Fraction(a, den) for a in v) for v in cells)
+
+
+def _aligned(layers) -> tuple:
+    """(meet, args): the meet of the layers' partitions and, per layer, its
+    cells on each atom of the meet."""
+    part, cells, _ = layers[0]
     args = [cells]
-    for other, other_cells in layers[1:]:
+    for other, other_cells, _ in layers[1:]:
         meet, mine, theirs = part.meet(other)
         if meet is not part:
             args = [[c[k] for k in mine] for c in args]
         args.append(other_cells if meet is other else [other_cells[k] for k in theirs])
         part = meet
-    return part, tuple(map(op, *args))
+    return part, args
+
+
+def _common(layers) -> tuple:
+    """(meet, args, den): ``_aligned``, every operand brought to the lcm
+    ``den`` of the layers' denominators."""
+    part, args = _aligned(layers)
+    den = math.lcm(*(d for _, _, d in layers))
+    for i, (_, _, d) in enumerate(layers):
+        if d != den:
+            f = den // d
+            args[i] = [tuple(a * f for a in v) for v in args[i]]
+    return part, args, den
+
+
+def pointwise(op, *layers) -> tuple:
+    """The layer of ``op`` of the operands' cells on each atom of the meet
+    of their partitions; each operand is a (partition, cells, den) layer.
+    ``op`` must be linear in the cells (sums, differences and selections of
+    components): it sees every operand over one denominator, the lcm of
+    theirs, and its result is over that one too."""
+    part, args, den = _common(layers)
+    return _reduced(part, tuple(map(op, *args)), den)
+
+
+def product(op, *layers) -> tuple:
+    """``pointwise`` for an ``op`` linear in each operand's cells on its
+    own (sums of products of one component of each operand): it sees each
+    operand over its own denominator, and its result is over their
+    product."""
+    part, args = _aligned(layers)
+    return _reduced(part, tuple(map(op, *args)), math.prod(d for _, _, d in layers))
 
 
 @dataclass(frozen=True, eq=False)
 class Process:
-    """A process atom by atom: ``layers[t]`` is (partition, cells), with
-    ``cells[k]`` the value vector on atom k of the time-t partition, all of
-    one length ``dim``.  The dimension is checked where cells enter from
-    outside a kernel (``from_paths``, ``adapted``); a kernel keeps its
-    operands' one.
+    """A process atom by atom: ``layers[t]`` is (partition, cells, den),
+    with ``cells[k]`` the value vector on atom k of the time-t partition,
+    over the denominator ``den`` (integer numerators in exact mode, floats
+    over 1 in float mode), all of one length ``dim``.  The dimension is
+    checked where cells enter from outside a kernel (``from_paths``,
+    ``adapted``); a kernel keeps its operands' one.
     """
 
     space: SampleSpace
-    layers: tuple[tuple[Partition, tuple[tuple[Num, ...], ...]], ...]
+    layers: tuple[tuple[Partition, tuple[tuple[Num, ...], ...], int], ...]
+    _cache: dict = field(default_factory=dict, repr=False)  # t -> cells as numbers
 
     def __post_init__(self) -> None:
         if not self.layers:
             raise SpaceError("process needs at least time 0")
-        if any(len(cells) != len(part.atoms) for part, cells in self.layers):
+        if any(len(cells) != len(part.atoms) for part, cells, _ in self.layers):
             raise SpaceError("process needs one value per atom at each time")
 
     # -- construction helpers ------------------------------------------------
@@ -409,18 +503,18 @@ class Process:
             raise SpaceError("all value vectors must share one dimension")
         if len(set(map(len, fixed))) > 1:
             raise SpaceError("all paths must share one horizon")
-        parts = [_grouped(space, map(_cell_key, column))[0] for column in zip(*fixed)]
-        return cls(space, tuple((part, tuple(column[m[0]] for m in part.members))
+        parts = [_grouped(space, map(_cell_key, column)) for column in zip(*fixed)]
+        return cls(space, tuple(_encoded(part, [column[m[0]] for m in part.members])
                                 for part, column in zip(parts, zip(*fixed))))
 
     @classmethod
     def adapted(cls, filtration: "Filtration", table, dim: int = 1) -> "Process":
         """Build from per-atom values: ``table[(t, k)]`` on the time-t atom k."""
-        layers = tuple((part, tuple(_as_vector(table[(t, k)]) for k in range(len(part.atoms))))
-                       for t, part in enumerate(filtration.partitions))
-        if any(len(v) != dim for _, cells in layers for v in cells):
+        columns = [[_as_vector(table[(t, k)]) for k in range(len(part.atoms))]
+                   for t, part in enumerate(filtration.partitions)]
+        if any(len(v) != dim for cells in columns for v in cells):
             raise SpaceError("value dimension mismatch")
-        return cls(filtration.space, layers)
+        return cls(filtration.space, tuple(map(_encoded, filtration.partitions, columns)))
 
     @classmethod
     def predictable(cls, filtration: "Filtration", table, dim: int = 1,
@@ -436,7 +530,8 @@ class Process:
 
     @classmethod
     def constant(cls, space: SampleSpace, horizon: int, value) -> "Process":
-        return cls(space, ((Partition.trivial(space), (_as_vector(value),)),) * (horizon + 1))
+        return cls(space, (_encoded(Partition.trivial(space), (_as_vector(value),)),)
+                   * (horizon + 1))
 
     # -- access ----------------------------------------------------------------
 
@@ -448,9 +543,17 @@ class Process:
     def dim(self) -> int:
         return len(self.layers[0][1][0])
 
+    def _numbers(self, t: int) -> tuple:
+        """The time-t cells as numbers (Fractions in exact mode), one vector
+        per atom of the time-t partition; decoded once per time."""
+        hit = self._cache.get(t)
+        if hit is None:
+            _, cells, den = self.layers[t]
+            hit = self._cache[t] = _decoded(cells, den, self.space.arith.exact)
+        return hit
+
     def at(self, outcome: str, t: int) -> tuple[Num, ...]:
-        part, cells = self.layers[t]
-        return cells[part.atom_index(outcome)]
+        return self._numbers(t)[self.layers[t][0].atom_index(outcome)]
 
     def value(self, outcome: str, t: int) -> Num:
         v = self.at(outcome, t)
@@ -471,17 +574,20 @@ class Process:
 
     def map_cells(self, op, *others: "Process") -> "Process":
         """The process whose cells are ``op(cell, *other cells)``, computed
-        once per atom of the operands' meet; the others must share this
-        one's grid."""
+        once per atom of the operands' meet; ``op`` must be linear in the
+        cells (see :func:`pointwise`), and the others must share this one's
+        grid."""
         return Process(self.space, tuple(pointwise(op, *layers) for layers in zip(
             self.layers, *(X.layers for X in others))))
 
     def refined(self, flow: "Filtration") -> "Process":
         """The same process stored on the meet of its partitions with the
         flow's: on the flow's own atoms where it is adapted to the flow."""
-        return Process(self.space, tuple(
-            pointwise(lambda v, _: v, layer, (part, (None,) * len(part.atoms)))
-            for layer, part in zip(self.layers, flow.partitions)))
+        layers = []
+        for (part, cells, den), atoms in zip(self.layers, flow.partitions):
+            meet, mine, _ = part.meet(atoms)
+            layers.append((meet, cells if meet is part else tuple(cells[k] for k in mine), den))
+        return Process(self.space, tuple(layers))
 
     def component(self, j: int) -> "Process":
         return self.map_cells(lambda v: (v[j],))
@@ -505,24 +611,34 @@ class Process:
         return self.scale(-1)
 
     def scale(self, c: Num) -> "Process":
-        return self.map_cells(lambda v: tuple(c * a for a in v))
+        """c times the process: in exact mode the numerators times c's
+        numerator, over the denominator times c's."""
+        n, q = (c.numerator, c.denominator) if self.space.arith.exact else (c, 1)
+        return Process(self.space, tuple(
+            _reduced(part, tuple(tuple(n * a for a in v) for v in cells), den * q)
+            for part, cells, den in self.layers))
 
     def times(self, other: "Process") -> "Process":
         """Pointwise product, defined for scalar processes."""
+        if self.space is not other.space or self.horizon != other.horizon:
+            raise SpaceError("processes live on different grids")
         if self.dim != 1 or other.dim != 1:
             raise SpaceError("pointwise product is for scalar processes")
-        return self._zip(other, lambda a, b: a * b)
+        return Process(self.space, tuple(product(lambda u, v: (u[0] * v[0],), *layers)
+                                         for layers in zip(self.layers, other.layers)))
 
     def lagged(self) -> "Process":
         """Previous-time version: value at t is the value at t-1 (predictable)."""
         return Process(self.space, self.layers[:1] + self.layers[:-1])
 
 
-def _keyed(X: Process, start: int) -> list:
-    """((first outcome, t), cell) for each (time, atom) cell of X from time
-    ``start`` on: sorted, these come in outcome-major order."""
-    return [((part.members[k][0], t), v) for t, (part, cells) in enumerate(X.layers)
-            if t >= start for k, v in enumerate(cells)]
+def _keyed(X: Process, start: int, stop=None) -> list:
+    """((first outcome, t), cell) for each (time, atom) cell of X at times
+    ``start`` <= t < ``stop`` (to the horizon if None), as numbers: sorted,
+    these come in outcome-major order."""
+    return [((part.members[k][0], t), v)
+            for t, (part, _, _) in enumerate(X.layers[:stop]) if t >= start
+            for k, v in enumerate(X._numbers(t))]
 
 
 def first_failing(X: Process, test=None, start=None, increments: bool = False):
@@ -531,38 +647,52 @@ def first_failing(X: Process, test=None, start=None, increments: bool = False):
 
     ``test`` runs at every time, ``start`` in its place at time 0; a time
     left without a test is skipped.  With ``increments`` the cells are dX_t
-    for t >= 1.  Each test runs once per (time, atom).
+    for t >= 1.  Each test runs once per (time, atom), on numbers.
     """
     if increments:
         X = X.increments
-    return min((key for key, v in _keyed(X, int(increments))
+    return min((key for key, v in _keyed(X, int(increments), None if test is not None else 1)
                 if (check := start or test if key[1] == 0 else test) is not None
                 and not check(v)), default=None)
 
 
 def distinct_cells(X: Process, start: int = 0, increments: bool = False) -> list:
     """The cells of X from time ``start`` on (of its increments dX_t, t >= 1,
-    with ``increments``), one per (time, atom), in the outcome-major order
-    of their first outcome."""
+    with ``increments``), one per (time, atom), as numbers, in the
+    outcome-major order of their first outcome."""
     if increments:
         X, start = X.increments, 1
     return [v for _, v in sorted(_keyed(X, start), key=lambda kv: kv[0])]
+
+
+def _same(arith: Arithmetic):
+    """Equality of two cells over one denominator: of the numerators in
+    exact mode, within the tolerance component by component in float mode."""
+    if arith.exact:
+        return lambda u, v: u == v
+    eq = arith.eq
+    return lambda u, v: all(map(eq, u, v))
 
 
 def first_mismatch(X: Process, Y: Process):
     """First cell where two processes differ, in outcome-major order.
 
     Returns (outcome, t, a, b) with a and b the first unequal components,
-    or None when every value agrees under the space's arithmetic.  Each
-    atom of the two processes' meet is compared once.
+    as numbers, or None when every value agrees under the space's
+    arithmetic.  Each atom of the two processes' meet is compared once,
+    over the lcm of their denominators.
     """
     if X.space is not Y.space or X.horizon != Y.horizon or X.dim != Y.dim:
         raise SpaceError("processes live on different grids")
-    eq = X.space.arith.eq
-    miss = first_failing(X.map_cells(lambda u, v: (all(map(eq, u, v)),), Y), lambda v: v[0])
-    if miss is None:
+    same, misses = _same(X.space.arith), []
+    for t, layers in enumerate(zip(X.layers, Y.layers)):
+        part, (us, vs), _ = _common(layers)
+        misses += [(part.members[k][0], t)
+                   for k, (u, v) in enumerate(zip(us, vs)) if not same(u, v)]
+    if not misses:
         return None
-    o, t = X.space.outcomes[miss[0]], miss[1]
+    i, t = min(misses)
+    o, eq = X.space.outcomes[i], X.space.arith.eq
     a, b = next((a, b) for a, b in zip(X.at(o, t), Y.at(o, t)) if not eq(a, b))
     return o, t, a, b
 
@@ -572,14 +702,14 @@ def is_adapted(X: Process, filtration: Filtration) -> bool:
     of the meet, against the cell on the atom's first outcome."""
     if X.horizon != filtration.horizon:
         return False
-    eq = X.space.arith.eq
-    for (part, cells), atoms in zip(X.layers, filtration.partitions):
+    same = _same(X.space.arith)
+    for (part, cells, _), atoms in zip(X.layers, filtration.partitions):
         meet, mine, theirs = part.meet(atoms)
         if len(meet.atoms) == len(atoms.atoms):
             continue  # each atom lies inside one atom of the process
         first: dict = {}
         for p, q in zip(mine, theirs):
-            if not all(map(eq, cells[p], first.setdefault(q, cells[p]))):
+            if not same(cells[p], first.setdefault(q, cells[p])):
                 return False
     return True
 
@@ -588,46 +718,43 @@ def is_adapted(X: Process, filtration: Filtration) -> bool:
 # conditional expectation
 
 
-def _weighted_mean(terms, total: int) -> Fraction:
-    """sum(x * n for x, n in terms) / total for rational x and integer n,
-    summed in integers over the lcm of the denominators."""
-    num, den = 0, 1
-    for x, n in terms:
-        d = x.denominator
-        lcm = den * d // math.gcd(den, d)
-        num = num * (lcm // den) + n * x.numerator * (lcm // d)
-        den = lcm
-    return Fraction(num, den * total)
+def atom_means(given: Partition, *layers, value=lambda v: v,
+               weighted=lambda w, v: tuple(w * x for x in v)) -> tuple:
+    """The layer on ``given`` of the mean of ``value(*cells)`` over each of
+    its atoms, for the cells of the operand layers on the meet of their
+    partitions (by default one operand, averaged as it is).  ``value`` must
+    be linear in each operand's cells, like a :func:`product` op.
 
-
-def atom_averages(layer, given: Partition, value, weighted) -> list:
-    """The average of ``value(cell)`` on each atom of ``given``, for cells
-    given as a (partition, cells) layer: a tuple per atom.
-
-    Exact mode sums over the child atoms (the meet of the layer's partition
-    with ``given``), in integers over a common denominator, one Fraction per
-    atom and component: the same rational a member-by-member sum gives.
-    Float mode sums ``weighted(w, cell)`` member by member, in outcome
-    order, over the atom mass, because float sums depend on their order.
+    Exact mode sums integer masses times ``value`` of the numerators over
+    the child atoms (the meet with ``given``) and builds no Fraction.  Float
+    mode sums ``weighted(w, *cells)`` member by member, in outcome order,
+    over the atom mass, because float sums depend on their order.
     """
-    part, cells = layer
+    part, args = _aligned(layers)
     space = part.space
-    if space.arith.exact:
-        meet, mine, theirs = part.meet(given)
-        kids = [[] for _ in given.atoms]
-        for p, q, n in zip(mine, theirs, meet.integer_masses):
-            kids[q].append((value(cells[p]), n))
-        return [tuple(_weighted_mean(zip(col, counts), sum(counts))
-                      for col in zip(*values))
-                for values, counts in (zip(*kid) for kid in kids)]
-    w, at = space.weights, part.atom_at
-    return [tuple(sum(col, 0) / mass for col in zip(*(weighted(w[i], cells[at[i]])
-                                                       for i in members)))
-            for members, mass in zip(given.members, given.masses)]
+    if not space.arith.exact:
+        w, at, cells = space.weights, part.atom_at, list(zip(*args))
+        return given, tuple(
+            tuple(sum(col, 0) / mass for col in zip(*(weighted(w[i], *cells[at[i]])
+                                                      for i in members)))
+            for members, mass in zip(given.members, given.masses)), 1
+    meet, mine, theirs = part.meet(given)
+    values = list(map(value, *args))
+    sums: list = [None] * len(given.atoms)
+    totals = [0] * len(given.atoms)
+    for p, q, n in zip(mine, theirs, meet.integer_masses):
+        s, v = sums[q], values[p]
+        sums[q] = [n * x for x in v] if s is None else [a + n * x for a, x in zip(s, v)]
+        totals[q] += n
+    lcm = math.lcm(*totals)
+    return _reduced(given, tuple(tuple(a * (lcm // n) for a in s) for s, n in zip(sums, totals)),
+                    math.prod(d for _, _, d in layers) * lcm)
 
 
-def cond_exp(X: Process, t: int, given: Partition) -> list:
-    """E[X_t | given]: one value vector per atom of ``given``, a sum over
-    the child atoms (see :func:`atom_averages`)."""
-    return atom_averages(X.layers[t], given, lambda v: v,
-                         lambda w, v: tuple(w * x for x in v))
+def cond_exp(X: Process, t: int, given: Partition, layer: bool = False):
+    """E[X_t | given]: one value vector per atom of ``given``, as numbers
+    (one Fraction per atom mean and component in exact mode), from
+    :func:`atom_means`; with ``layer``, that (given, cells, den) layer
+    itself, for the calculus to build on."""
+    means = atom_means(given, X.layers[t])
+    return means if layer else list(_decoded(means[1], means[2], X.space.arith.exact))

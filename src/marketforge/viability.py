@@ -201,9 +201,9 @@ def price_drift_rhs(market: Market, D: Process, gauge: DriftGauge) -> Process:
     n = gauge.N.dim
     pb_d = pred_bracket(D, M, F)          # components [D, M_i]
     pb_n = pred_bracket(gauge.N, M, F)    # flat (n, k): j * k + i
-    return sum_steps(lambda dd, dn, ph: tuple(
-        dd[i] + sum((ph[j] * dn[j * k + i] for j in range(n)), 0) for i in range(k)),
-        k, (pb_d, pb_n), (gauge.phi,))
+    return sum_steps(lambda dn, ph: tuple(
+        sum((ph[j] * dn[j * k + i] for j in range(n)), 0) for i in range(k)),
+        k, (pb_n,), (gauge.phi,), plus=pb_d)
 
 
 def _site_inputs(processes, t: int, transition) -> list:

@@ -85,7 +85,7 @@ def from_values(space: SampleSpace, fn, horizon: int, dim: int = 1) -> Process:
 def shift(X: Process, c) -> Process:
     """X plus a constant (scalar or vector) at every cell."""
     v0 = tuple(c) if isinstance(c, (tuple, list)) else (c,) * X.dim
-    return X.map_cells(lambda v: tuple(a + b for a, b in zip(v, v0)))
+    return X + Process.constant(X.space, X.horizon, v0)
 
 
 def expectation(space: SampleSpace, values):

@@ -1,18 +1,22 @@
 """Atom-major kernels against the per-cell kernels in ``reference``.
 
 The engine stores a process as one value per (time, atom) of the partitions
-it lives on and combines operands on the meet of their partitions.  These
+it lives on, in exact mode as integer numerators over one denominator per
+time, and combines operands on the meet of their partitions.  These
 differential tests draw small markets (3 to 12 outcomes, 1 to 3 steps) and
 processes on them with ``hypothesis``: per-outcome paths (stored on their
 level sets), adapted and predictable processes (stored on the flow's
 atoms), with cells from a small pool, so equal values repeat and float mode
 mixes 0.0 with -0.0.  Exact mode must give equal results; float mode must
 give the same bits, cell by cell, and the first failing and first
-mismatching cells come in outcome-major order.  A failing example shrinks
-to a minimal market.
+mismatching cells come in outcome-major order.  A storage test checks the
+layers themselves: reduced integers in exact mode, floats over 1 in float
+mode.  A failing example shrinks to a minimal market.
 """
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -20,10 +24,18 @@ from hypothesis import strategies as st
 
 import reference as ref
 from marketforge.arith import EXACT, FLOAT
-from marketforge.calculus import accumulate, bracket, compensator, integrate, stoch_exp
+from marketforge.calculus import (
+    accumulate,
+    bracket,
+    compensator,
+    integrate,
+    pred_bracket,
+    stoch_exp,
+)
 from marketforge.cli import _run_pipeline
 from marketforge.fixtures import b2n
 from marketforge.scenario import load_scenario, parse_document
+from marketforge.viability import price_drift_rhs
 from marketforge.space import (
     Partition,
     Process,
@@ -142,6 +154,64 @@ def test_algebra_and_stoch_exp_match_the_per_cell_kernels(mode, data):
     assert_same(stoch_exp(X), ref.stoch_exp(X))
 
 
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+def test_scale_by_a_fraction_matches_the_per_cell_kernel(mode, data):
+    space, F, (X,) = _draw(data, mode, data.draw(st.integers(1, 2)))
+    c = data.draw(st.sampled_from([x for x in POOL if x.denominator > 1]))
+    c = c if mode == "exact" else float(c) / 7
+    scaled = [[tuple(c * a for a in v) for v in col] for col in ref.columns(X)]
+    assert_same(X.scale(c), Process.from_paths(space, zip(*scaled)))
+    assert_same(-X, Process.from_paths(space, zip(*[[tuple(-1 * a for a in v) for v in col]
+                                                    for col in ref.columns(X)])))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+def test_price_drift_rhs_matches_the_per_cell_kernel(mode, data):
+    """d[D, M_i]^p + phi . d[N, M_i]^p per asset, summed from 0, against the
+    one per-cell expression the kernel splits into a product and a sum."""
+    space, F = data.draw(markets(MODES[mode]))
+    k, n = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    kinds = ("adapted", "predictable")
+    M, D, N = (data.draw(processes(F, dim, kinds=kinds)) for dim in (k, 1, n))
+    phi = data.draw(processes(F, n, kinds=("predictable",)))
+    market = SimpleNamespace(F=F, martingale_part=M, k=k)
+    got = price_drift_rhs(market, D, SimpleNamespace(N=N, phi=phi))
+    steps = [[tuple(dd[i] + sum((ph[j] * dn[j * k + i] for j in range(n)), 0)
+                    for i in range(k)) for dd, dn, ph in zip(*cols)]
+             for cols in zip(ref.increments(pred_bracket(D, M, F)),
+                             ref.increments(pred_bracket(N, M, F)), ref.columns(phi)[1:])]
+    assert_same(got, ref.accumulate(space, steps, k))
+
+
+def _layers_of(X):
+    """Every layer of X and of the kernel results built from it."""
+    Y = X.component(0)
+    built = (X, X.increments, X + X, X.scale(Fraction(2, 3) if X.space.arith.exact else 0.5),
+             Y.times(Y), accumulate(X), bracket(X, X))
+    return [layer for Z in built for layer in Z.layers]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+def test_layers_hold_reduced_integers_in_exact_mode_and_floats_over_one(mode, data):
+    space, F, (X, A) = _draw(data, mode, 2, 1, kinds=("adapted", "predictable"))
+    A = A - A.lagged().lagged()  # zero at time 0, for the compensator
+    layers = _layers_of(X) + list(compensator(A, F).layers) + list(stoch_exp(A).layers)
+    for part, cells, den in layers:
+        assert len(cells) == len(part.atoms)
+        if mode == "float":
+            assert den == 1
+            continue
+        numerators = [a for v in cells for a in v]
+        assert type(den) is int and den > 0
+        assert all(type(a) is int for a in numerators)
+        assert math.gcd(den, *numerators) == 1
+    assert all(type(x) is (Fraction if mode == "exact" else float)
+               for x in X.at(space.outcomes[-1], F.horizon) + X.on_atoms(0, F.at(0).atoms)[0])
+
+
 def _brute_first_failing(X, test, start=None, increments=False):
     cols = dict(enumerate(ref.increments(X), 1) if increments else enumerate(ref.columns(X)))
     return min(((i, t) for i in range(X.space.size) for t, col in cols.items()
@@ -216,9 +286,18 @@ def test_meet_is_the_coarsest_common_refinement(data):
     assert all(set(m) <= set(P.atoms[a]) and set(m) <= set(Q.atoms[b])
                for m, a, b in zip(meet.atoms, mine, theirs))
     assert P.meet(Q) is P.meet(Q)
+    assert Q.meet(P) == (meet, theirs, mine)  # the other order, built with the first
     final = F.at(F.horizon)  # a refinement is its own meet, with itself as index
+    for a, b in ((final, P), (P, final), (Q, final)):
+        meet, mine, theirs = a.meet(b)
+        brute = Partition.from_atoms(space, [[o for o in x if o in y] for x in a.atoms
+                                             for y in b.atoms if set(x) & set(y)])
+        assert meet.atoms == brute.atoms
+        assert [a.atom_index(m[0]) for m in meet.atoms] == list(mine)
+        assert [b.atom_index(m[0]) for m in meet.atoms] == list(theirs)
+        assert b.meet(a) == (meet, theirs, mine)
     meet, mine, theirs = final.meet(P)
-    assert meet.atoms == final.atoms and mine == tuple(range(len(final.atoms)))
+    assert meet is final and mine == tuple(range(len(final.atoms)))
     assert theirs == final.parents(P)
 
 
@@ -231,7 +310,7 @@ def test_from_paths_keeps_every_bit_and_one_cell_per_level_set(mode):
              for i in range(fx.space.size)]
     X = Process.from_paths(fx.space, paths)
     assert cells(ref.columns(X)) == cells([[(x,) for x in col] for col in zip(*paths)])
-    assert [len(cells) for _, cells in X.layers] == [2 if mode == "float" else 1, 1, 1]
+    assert [len(cells) for _, cells, _ in X.layers] == [2 if mode == "float" else 1, 1, 1]
     assert first_mismatch(X, Process.from_paths(fx.space, zip(*ref.columns(X)))) is None
     assert is_adapted(X, fx.F)
 
@@ -252,7 +331,7 @@ def test_processes_hold_one_cell_per_atom_of_their_flow(mode):
     F, G = built.F, built.pair.expanded
 
     def held(X):
-        return sum(len(cells) for _, cells in X.layers)
+        return sum(len(cells) for _, cells, _ in X.layers)
 
     f_cells = sum(len(F.at(t).atoms) for t in range(F.horizon + 1))
     g_cells = sum(len(G.at(t).atoms) for t in range(G.horizon + 1))

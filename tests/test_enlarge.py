@@ -109,10 +109,10 @@ def test_solve_phi_on_perfect_insider():
         assert gauge.phi.at(o, 1) == ((F(1) if o[0] == "u" else F(-1)),)
         assert gauge.u.value(o, 1) == 0
     assert not gauge.u_positive
-    # the first u <= 0 in (t, atom) order, the very value u holds there
+    # the first u <= 0 in (t, atom) order, the value u holds there
     witness = gauge.tilt_witness
     assert (witness.reason, witness.t, witness.atom) == ("tilt-floor", 1, ("uu", "ud"))
-    assert witness.detail is gauge.u.at("uu", 1)[0]
+    assert witness.detail == gauge.u.at("uu", 1)[0]
     assert not gauge.support_ok
 
 

@@ -1,16 +1,18 @@
 """Module hygiene: who reads the cell layout, no unused imports, and one
 failure model.
 
-The atom-major layout of a process (its ``layers``, one partition and one
-cell per atom at each time, the meet of two partitions and the atom index
-per outcome behind it, the per-atom kernels ``pointwise`` and
-``atom_averages``) is known to ``space`` and ``calculus`` only.  Every other
-engine module reads processes through their accessors (``Process.on_atoms``,
-``Process.at``, ``first_failing``, ``first_mismatch``, ``distinct_cells``,
-``increments``) and builds them from per-atom tables (``Process.adapted``,
+The atom-major layout of a process (its ``layers``, one partition, one
+cell per atom and one denominator at each time, the cells integer
+numerators in exact mode; the meet of two partitions and the atom index per
+outcome behind it; the per-atom kernels ``pointwise``, ``product`` and
+``atom_means`` and the layer codecs) is known to ``space`` and ``calculus``
+only.  Every other engine module reads processes as numbers through their
+accessors (``Process.on_atoms``, ``Process.at``, ``cond_exp``,
+``first_failing``, ``first_mismatch``, ``distinct_cells``, ``increments``)
+and builds them from per-atom tables (``Process.adapted``,
 ``Process.predictable``) or per-outcome paths, never from layers or
-increments (``accumulate``), so a change of storage layout
-touches those two modules alone.
+increments (``accumulate``), so a change of storage layout touches those
+two modules alone.
 
 Every name an engine module imports is used in that module (``__init__``
 re-exports, so it is exempt); ``# noqa: F401`` on the import line keeps a
@@ -34,7 +36,8 @@ from marketforge import cli
 ENGINE = pathlib.Path(__file__).resolve().parent.parent / "src" / "marketforge"
 LAYOUT_OWNERS = {"space.py", "calculus.py"}
 LAYOUT_TOKENS = re.compile(r"\.layers\b|\.meet\(|\batom_at\b|_tabled|_keyed|_grouped"
-                           r"|integer_masses|pointwise|atom_averages|accumulate\(|\bid\(")
+                           r"|integer_masses|integer_weights|pointwise|\bproduct\(|atom_means"
+                           r"|_encoded|_decoded|_reduced|layer=|accumulate\(|\bid\(")
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in ENGINE.glob("*.py")

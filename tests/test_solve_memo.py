@@ -144,6 +144,9 @@ def _random_market(rng, arith):
 @pytest.mark.parametrize("mode", MODES)
 def test_memoized_sites_match_a_direct_solve_per_site(mode):
     arith = MODES[mode]
+    # Float cells keep every bit; an exact process reads back Fractions, so a
+    # direct solve's int 0 matches Fraction(0) (the two render alike).
+    same = bits if mode == "float" else Fraction
     compared, values = 0, set()
     for seed in range(80):
         market, driver, pair = _random_market(random.Random(5000 + seed), arith)
@@ -161,7 +164,7 @@ def test_memoized_sites_match_a_direct_solve_per_site(mode):
             for g_atom in G.at(t - 1).atoms:
                 site = site_at(market, gauge, driver, base.martingale, t, g_atom)
                 direct = solve_site(site).solution
-                assert list(map(bits, kbar.at(g_atom[0], t))) == list(map(bits, direct))
+                assert list(map(same, kbar.at(g_atom[0], t))) == list(map(same, direct))
                 compared += 1
                 values.add(site_value(site))
     assert compared >= 100 and len(values) < compared  # repeated sites included
