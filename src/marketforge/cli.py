@@ -15,7 +15,8 @@ resolved in precedence order: FORGE_MODE environment variable, then
 --mode, then the document's own "mode" field, then exact; --tolerance
 likewise falls back to the document's "tolerance" field.  Either field,
 when present, must be valid even where a flag overrides it: a bad one exits
-2 as "error: mode: ..." or "error: tolerance: ...".  Human-readable
+2 as "error: mode: ..." or "error: tolerance: ...", and an unknown
+FORGE_MODE as "error: FORGE_MODE: ...".  Human-readable
 output goes to stdout; --report PATH additionally writes a deterministic
 JSON report (no timings, stable key order) that is byte-identical
 across runs.
@@ -30,16 +31,16 @@ one ``CheckFailed``, whose status picks the exit code.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 
 from . import report
-from .arith import DEFAULT_TOLERANCE, EXACT, Arithmetic
+from .arith import EXACT, EXACT_MODE, FLOAT, FLOAT_MODE, Arithmetic
 from .enlarge import solve_phi
 from .jumpkernel import CoercivityFailure, NegativeTilt, site_checks, solve_site
-from .scenario import BuiltScenario, ScenarioError, load_scenario, load_site, parse_document
+from .scenario import BuiltScenario, ScenarioError, document_arith, load_scenario, load_site
+from .scenario import parse_document
 from .selftest import run_selftest
 from .space import first_mismatch
 from .viability import (
@@ -91,48 +92,46 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _resolve_arith(args, text: str | None = None) -> Arithmetic:
-    """Precedence: FORGE_MODE env, then --mode, then the document, then exact.
-    The document's own mode and tolerance are checked whenever present."""
-    try:
-        doc = json.loads(text) if text is not None else None
-    except ValueError:
-        doc = None
-    doc = doc if isinstance(doc, dict) else {}
-    if doc.get("mode", "exact") not in ("exact", "float"):
-        raise ValueError('mode: expected "exact" or "float"')
-    tol = args.tolerance
-    if "tolerance" in doc:
-        raw = doc["tolerance"]
-        if type(raw) not in (int, float) or not 0 < raw <= sys.float_info.max:
-            raise ValueError("tolerance: expected a positive finite number")
-        tol = float(raw) if tol is None else tol
-    mode = os.environ.get("FORGE_MODE") or args.mode or doc.get("mode") or "exact"
-    if mode == "exact":
-        return EXACT
-    if mode == "float":
-        return Arithmetic("float", tol if tol is not None else DEFAULT_TOLERANCE)
-    raise ValueError(f"unknown mode {mode!r} (use exact or float)")
+def _forced_mode(args) -> str | None:
+    """The mode FORGE_MODE, else --mode, fixes, or None when neither does."""
+    env = os.environ.get("FORGE_MODE")
+    if env and env not in (EXACT_MODE, FLOAT_MODE):
+        raise ValueError(f"FORGE_MODE: unknown mode {env!r} (use exact or float)")
+    return env or args.mode
+
+
+def _resolve_arith(args, doc=None) -> Arithmetic:
+    """Precedence: FORGE_MODE env, then --mode, then the parsed document,
+    then exact; the document's own mode and tolerance are checked by the
+    loader whenever present."""
+    return document_arith(doc, _forced_mode(args), args.tolerance)
 
 
 def _load(args, loader):
     """Read, parse and load the input file with ``loader(doc, arith)``.
 
-    Returns (arith, loaded, t0), t0 taken just before parsing, or the exit
-    code after printing the error: 2 for an unreadable file, an unknown mode
-    or bad JSON, 3 for invalid model data.
+    The text is parsed once, in the mode FORGE_MODE or --mode fixes (exact
+    when neither does); a document whose own "mode" then picks float is
+    parsed again, since its decimals read differently there.  Returns
+    (arith, loaded, t0), t0 taken just before parsing, or the exit code
+    after printing the error: 2 for an unreadable file, an unknown mode, a
+    bad mode or tolerance field or bad JSON, 3 for invalid model data.
     """
     try:
         text = _read_text(args.file)
     except OSError as err:
         return _fail(str(err), EXIT_PARSE)
     try:
-        arith = _resolve_arith(args, text)
+        mode = _forced_mode(args)
     except ValueError as err:
         return _fail(str(err), EXIT_PARSE)
     t0 = time.perf_counter()
     try:
-        doc = parse_document(text, arith)
+        parsed = FLOAT if mode == FLOAT_MODE else EXACT
+        doc = parse_document(text, parsed)
+        arith = _resolve_arith(args, doc)
+        if arith.mode != parsed.mode:
+            doc = parse_document(text, arith)
     except ValueError as err:
         return _fail(str(err), EXIT_PARSE)
     try:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Arithmetic
+from .arith import DEFAULT_TOLERANCE, EXACT, EXACT_MODE, FLOAT_MODE, Arithmetic
 from .calculus import is_martingale
 from .jumpkernel import KernelError, Site, SiteChild
 from .mrp import Driver, synthesize_driver
@@ -59,6 +60,34 @@ def parse_document(text: str, arith: Arithmetic):
         return json.loads(text, parse_float=Fraction if arith.exact else float)
     except json.JSONDecodeError as err:
         raise ValueError(f"not valid JSON: {err}") from None
+
+
+def document_arith(doc, mode: str | None = None, tolerance: float | None = None) -> Arithmetic:
+    """The arithmetic of a parsed document: ``mode`` when given (fixed by
+    the caller), else the document's own "mode", else exact; ``tolerance``
+    when given, else the document's "tolerance", else the default.
+
+    Either field, when present, must be valid even where an argument
+    overrides it: "mode" is "exact" or "float", and "tolerance" a positive
+    JSON number within the float range, a decimal read as float mode reads
+    it (so the document may have been parsed in either mode).
+    """
+    doc = doc if isinstance(doc, dict) else {}
+    if doc.get("mode", EXACT_MODE) not in (EXACT_MODE, FLOAT_MODE):
+        raise ScenarioError("mode", 'expected "exact" or "float"')
+    if "tolerance" in doc:
+        raw = doc["tolerance"]
+        if type(raw) is Fraction:  # a decimal parsed in exact mode
+            try:
+                raw = float(raw)
+            except OverflowError:
+                raw = math.inf
+        if type(raw) not in (int, float) or not 0 < raw <= sys.float_info.max:
+            raise ScenarioError("tolerance", "expected a positive finite number")
+        tolerance = float(raw) if tolerance is None else tolerance
+    if (mode or doc.get("mode") or EXACT_MODE) == EXACT_MODE:
+        return EXACT
+    return Arithmetic(FLOAT_MODE, DEFAULT_TOLERANCE if tolerance is None else tolerance)
 
 
 def _num(value, path: str, arith: Arithmetic):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from marketforge import cli, enlarge, linalg, viability
-from marketforge.arith import FLOAT
+from marketforge.arith import EXACT, FLOAT
 from marketforge.cli import main
 from marketforge.jumpkernel import CoercivityFailure
 from marketforge.scenario import load_scenario, parse_document
@@ -143,14 +143,14 @@ def test_document_tolerance_feeds_float_arithmetic():
 
     from marketforge.cli import _resolve_arith
 
-    text = json.dumps({"mode": "float", "tolerance": 1e-6})
+    doc = parse_document(json.dumps({"mode": "float", "tolerance": 1e-6}), EXACT)
     args = argparse.Namespace(mode=None, tolerance=None)
-    arith = _resolve_arith(args, text)
+    arith = _resolve_arith(args, doc)
     assert arith.mode == "float" and arith.tolerance == 1e-6
     args = argparse.Namespace(mode=None, tolerance=1e-3)
-    assert _resolve_arith(args, text).tolerance == 1e-3
+    assert _resolve_arith(args, doc).tolerance == 1e-3
     args = argparse.Namespace(mode="exact", tolerance=None)
-    assert _resolve_arith(args, text).mode == "exact"
+    assert _resolve_arith(args, doc).mode == "exact"
 
 
 @pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), 0])
@@ -773,4 +773,4 @@ def test_selftest_passes_outside_the_checkout(tmp_path, monkeypatch, capsys, mod
 def test_bad_mode_env_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("FORGE_MODE", "quantum")
     code, _, err = run_cli(["selftest"], capsys)
-    assert code == 2 and "quantum" in err
+    assert code == 2 and "quantum" in err and "FORGE_MODE" in err
