@@ -10,8 +10,9 @@ This module owns the atom index: each partition's outcome indices
 (``members``), probabilities (``masses``) and the atom of each outcome
 (``atom_at``), built once and lazily, the enclosing coarser atoms
 (``parents``), the meet of two partitions with the atom each holds
-(``Partition.meet``, built once per pair), and ``Filtration.transitions(t)``,
-each time-(t-1) atom with its time-t children and their conditional masses.
+(``Partition.meet``, built once per pair in either order), and
+``Filtration.transitions(t)``, each time-(t-1) atom with its time-t
+children and their conditional masses.
 
 A process is stored atom-major, one value vector per (time, atom) of the
 partitions it lives on: a filtration's (:meth:`Process.adapted`, and the
