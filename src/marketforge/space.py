@@ -269,12 +269,8 @@ class Filtration:
         if t not in self._transitions:
             parent, part = self.at(t - 1), self.at(t)
             kids = [[] for _ in parent.atoms]
-            if self.space.arith.exact:
-                masses, totals, ratio = part.integer_masses, parent.integer_masses, Fraction
-            else:
-                masses, totals, ratio = part.masses, parent.masses, lambda a, b: a / b
-            for child, k, mass in zip(part.atoms, part.parents(parent), masses):
-                kids[k].append((child, ratio(mass, totals[k])))
+            for child, k, mass in zip(part.atoms, part.parents(parent), part.masses):
+                kids[k].append((child, mass / parent.masses[k]))
             self._transitions[t] = [(k, atom, kids[k]) for k, atom in enumerate(parent.atoms)]
         return self._transitions[t]
 
@@ -595,12 +591,14 @@ class Process:
 
     # -- algebra ----------------------------------------------------------------
 
-    def _zip(self, other: "Process", op) -> "Process":
+    def _zip(self, other: "Process", op, kernel=pointwise) -> "Process":
         if self.space is not other.space or self.horizon != other.horizon:
             raise SpaceError("processes live on different grids")
         if self.dim != other.dim:
             raise SpaceError("dimension mismatch")
-        return self.map_cells(lambda u, v: tuple(op(a, b) for a, b in zip(u, v)), other)
+        return Process(self.space, tuple(
+            kernel(lambda u, v: tuple(op(a, b) for a, b in zip(u, v)), *layers)
+            for layers in zip(self.layers, other.layers)))
 
     def __add__(self, other: "Process") -> "Process":
         return self._zip(other, lambda a, b: a + b)
@@ -621,12 +619,9 @@ class Process:
 
     def times(self, other: "Process") -> "Process":
         """Pointwise product, defined for scalar processes."""
-        if self.space is not other.space or self.horizon != other.horizon:
-            raise SpaceError("processes live on different grids")
         if self.dim != 1 or other.dim != 1:
             raise SpaceError("pointwise product is for scalar processes")
-        return Process(self.space, tuple(product(lambda u, v: (u[0] * v[0],), *layers)
-                                         for layers in zip(self.layers, other.layers)))
+        return self._zip(other, lambda a, b: a * b, product)
 
     def lagged(self) -> "Process":
         """Previous-time version: value at t is the value at t-1 (predictable)."""
@@ -666,15 +661,6 @@ def distinct_cells(X: Process, start: int = 0, increments: bool = False) -> list
     return [v for _, v in sorted(_keyed(X, start), key=lambda kv: kv[0])]
 
 
-def _same(arith: Arithmetic):
-    """Equality of two cells over one denominator: of the numerators in
-    exact mode, within the tolerance component by component in float mode."""
-    if arith.exact:
-        return lambda u, v: u == v
-    eq = arith.eq
-    return lambda u, v: all(map(eq, u, v))
-
-
 def first_mismatch(X: Process, Y: Process):
     """First cell where two processes differ, in outcome-major order.
 
@@ -685,15 +671,15 @@ def first_mismatch(X: Process, Y: Process):
     """
     if X.space is not Y.space or X.horizon != Y.horizon or X.dim != Y.dim:
         raise SpaceError("processes live on different grids")
-    same, misses = _same(X.space.arith), []
+    eq, misses = X.space.arith.eq, []
     for t, layers in enumerate(zip(X.layers, Y.layers)):
         part, (us, vs), _ = _common(layers)
         misses += [(part.members[k][0], t)
-                   for k, (u, v) in enumerate(zip(us, vs)) if not same(u, v)]
+                   for k, (u, v) in enumerate(zip(us, vs)) if not all(map(eq, u, v))]
     if not misses:
         return None
     i, t = min(misses)
-    o, eq = X.space.outcomes[i], X.space.arith.eq
+    o = X.space.outcomes[i]
     a, b = next((a, b) for a, b in zip(X.at(o, t), Y.at(o, t)) if not eq(a, b))
     return o, t, a, b
 
@@ -703,14 +689,14 @@ def is_adapted(X: Process, filtration: Filtration) -> bool:
     of the meet, against the cell on the atom's first outcome."""
     if X.horizon != filtration.horizon:
         return False
-    same = _same(X.space.arith)
+    eq = X.space.arith.eq  # over one denominator, numerators compare as values
     for (part, cells, _), atoms in zip(X.layers, filtration.partitions):
         meet, mine, theirs = part.meet(atoms)
         if len(meet.atoms) == len(atoms.atoms):
             continue  # each atom lies inside one atom of the process
         first: dict = {}
         for p, q in zip(mine, theirs):
-            if not same(cells[p], first.setdefault(q, cells[p])):
+            if not all(map(eq, cells[p], first.setdefault(q, cells[p]))):
                 return False
     return True
 
