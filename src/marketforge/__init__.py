@@ -1,9 +1,10 @@
 """marketforge: exact finite-market engine for information-flow expansion.
 
 Layers, bottom up.  A process is stored atom-major, one value per (time,
-atom) of the partitions it lives on, and only ``space`` and ``calculus``
-know that layout: the layers above pass per-atom tables and per-outcome
-paths, and read processes through accessors (values on atoms, first
+atom) of the partitions it lives on (in exact mode integer numerators over
+one denominator per time), and only ``space`` and ``calculus`` know that
+layout: the layers above pass per-atom tables and per-outcome paths, and
+read processes as numbers through accessors (values on atoms, first
 failing cell, first mismatch, distinct cells).
 
 ``arith``      two arithmetic backends (exact rationals, tolerant floats)

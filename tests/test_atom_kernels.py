@@ -197,7 +197,7 @@ def _layers_of(X):
 @given(data=st.data())
 def test_layers_hold_reduced_integers_in_exact_mode_and_floats_over_one(mode, data):
     space, F, (X, A) = _draw(data, mode, 2, 1, kinds=("adapted", "predictable"))
-    A = A - A.lagged().lagged()  # zero at time 0, for the compensator
+    A = A.increments  # zero at time 0, for the compensator and stoch_exp
     layers = _layers_of(X) + list(compensator(A, F).layers) + list(stoch_exp(A).layers)
     for part, cells, den in layers:
         assert len(cells) == len(part.atoms)
