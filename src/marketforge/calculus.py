@@ -18,7 +18,8 @@ differences, over the lcm of the operands' denominators) and through
 the stochastic exponential, over the product of the denominators).  A
 compensator's increments are conditional means on the time-(t-1) atoms.
 The per-atom cross moments the layers above solve with (``cross_moments``)
-come from here too.
+and the gauge's tilt floor min(1 + phi . dN) (``min_tilt``, in
+numerators) come from here too.
 
 The one failure model lives here, in the lowest module that finds a
 failure: a check returns its first failure's ``FailureWitness`` (None when
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .space import Filtration, Partition, Process, _add, _decoded, _encoded, _sub, cond_exp
-from .space import atom_means, first_failing, is_adapted, pointwise, product
+from .space import Filtration, Partition, Process, _add, _decoded, _encoded, _reduced, _sub
+from .space import atom_means, cond_exp, first_failing, is_adapted, pointwise, product
 
 
 NON_VIABLE = "non-viable"
@@ -136,7 +137,7 @@ def compensator(A: Process, filtration: Filtration) -> Process:
     """
     _require_adapted(A, filtration, "compensator input")
     is_zero = A.space.arith.is_zero
-    if first_failing(A, start=lambda v: all(map(is_zero, v))) is not None:
+    if first_failing(A, start=lambda v, den: all(map(is_zero, v))) is not None:
         raise CalculusError("compensator input must be null at time 0")
     return _compensate(A, filtration)
 
@@ -191,7 +192,7 @@ def stoch_exp(X: Process) -> Process:
     if X.dim != 1:
         raise CalculusError("stochastic exponential is for scalar processes")
     arith = X.space.arith
-    if first_failing(X, start=lambda v: arith.is_zero(v[0])) is not None:
+    if first_failing(X, start=lambda v, den: arith.is_zero(v[0])) is not None:
         raise CalculusError("stochastic exponential input must start at 0")
     part = X.layers[0][0]
     one = (Partition.trivial(X.space), ((1,),), 1)
@@ -201,6 +202,36 @@ def stoch_exp(X: Process) -> Process:
                            one, X.layers[t], X.layers[t - 1])
         layers.append(product(lambda level, f: (level[0] * f[0],), layers[-1], factor))
     return Process(X.space, tuple(layers))
+
+
+def min_tilt(phi: Process, N: Process, base: Filtration, expanded: Filtration) -> tuple:
+    """(u, first): the predictable floor of the tilt 1 + transpose(phi) dN
+    and where it first fails.  u_0 = 1, and u_t on each time-(t-1) atom of
+    ``expanded`` is the minimum over every child of the enclosing
+    time-(t-1) atom of ``base``; ``first`` is the (t, k) of the first atom,
+    in (t, atom) order, where u <= 0, or None.  Exact mode adds phi . dN to
+    1 in numerators over the product of phi's and dN's denominators and
+    compares numerators; float mode runs the per-cell expression's float
+    operations, child by child in order."""
+    parts = expanded.partitions
+    layers = [(parts[0], ((1,),) * len(parts[0].atoms), 1)]
+    first = None
+    for t in range(1, len(parts)):
+        part = parts[t - 1]
+        p_part, p_cells, p_den = phi.layers[t]
+        n_part, n_cells, n_den = N.increments.layers[t]
+        den = p_den * n_den  # 1 is den over den
+        steps = [[n_cells[n_part.atom_index(child[0])] for child, _ in children]
+                 for _, _, children in base.transitions(t)]
+        cells = []
+        for k, (atom, a) in enumerate(zip(part.atoms, part.parents(base.at(t - 1)))):
+            ph = p_cells[p_part.atom_index(atom[0])]
+            u = min(den + sum((x * y for x, y in zip(ph, dn)), 0) for dn in steps[a])
+            if first is None and not u > 0:
+                first = (t, k)
+            cells.append((u,))
+        layers.append(_reduced(part, tuple(cells), den))
+    return Process(phi.space, tuple(layers)), first
 
 
 def is_martingale(X: Process, filtration: Filtration):

@@ -31,6 +31,7 @@ one ``CheckFailed``, whose status picks the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -114,13 +115,17 @@ def _load(args, loader):
     when neither does); a document whose own "mode" then picks float is
     parsed again, since its decimals read differently there.  Returns
     (arith, loaded, t0), t0 taken just before parsing, or the exit code
-    after printing the error: 2 for an unreadable file, an unknown mode, a
-    bad mode or tolerance field or bad JSON, 3 for invalid model data.
+    after printing the error: 2 for an unreadable file (missing, or not
+    UTF-8), an unknown mode, a bad mode or tolerance field or bad JSON, 3
+    for invalid model data.
     """
     try:
         text = _read_text(args.file)
     except OSError as err:
         return _fail(str(err), EXIT_PARSE)
+    except UnicodeDecodeError as err:
+        return _fail(f"{args.file}: not UTF-8 text ({err.reason} at byte {err.start})",
+                     EXIT_PARSE)
     try:
         mode = _forced_mode(args)
     except ValueError as err:
@@ -256,7 +261,10 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later one in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="marketforge",
         description="Viability analysis for finite markets under "

@@ -12,8 +12,9 @@ integrand phi:
 
 ``solve_phi`` recovers phi atom-by-atom from the driver equations and
 ``compute_u`` extracts the predictable floor u of the multiplicative tilt
-1 + transpose(phi) dN, whose positivity is exactly what downstream deflator
-construction needs; it records the first (t, atom) where the floor fails.
+1 + transpose(phi) dN (the ``calculus.min_tilt`` kernel), whose
+positivity is exactly what downstream deflator construction needs; it
+records the first (t, atom) where the floor fails.
 The gauge holds the support and tilt-floor witnesses (``FailureWitness``,
 None when the condition holds), which the expanded structure solve's gate
 returns as they are; a gauge solve that fails raises ``CheckFailed`` at the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .calculus import ASSUMPTION_VIOLATED, NON_VIABLE, CheckFailed, FailureWitness, _compensate
-from .calculus import cross_moments, integrate, is_martingale, pred_bracket
+from .calculus import cross_moments, integrate, is_martingale, min_tilt, pred_bracket
 from .calculus import compensator  # noqa: F401  (bench/test_bench.py traces it here)
 from .space import EnlargementPair, Process, cond_exp, first_mismatch, value_key
 
@@ -112,21 +113,12 @@ def compute_u(pair: EnlargementPair, N: Process, phi: Process):
     at the first time-(t-1) expanded atom, in (t, atom) order, where
     u <= 0, or None.
     """
-    F, G = pair.base, pair.expanded
-    values: dict[tuple[int, int], object] = {}
-    witness = None
-    for t in range(1, pair.horizon + 1):
-        part = G.at(t - 1)
-        transitions = F.transitions(t)
-        for k, (atom, p, parent) in enumerate(zip(
-                part.atoms, phi.on_atoms(t, part.atoms), part.parents(F.at(t - 1)))):
-            _, _, children = transitions[parent]
-            steps = N.on_atoms(t, [child for child, _ in children], increments=True)
-            u = min(1 + sum((a * b for a, b in zip(p, dn)), 0) for dn in steps)
-            if witness is None and not u > 0:
-                witness = FailureWitness("tilt-floor", t, atom, u)
-            values[(t, k)] = u
-    return Process.predictable(G, values, initial=1), witness
+    u, first = min_tilt(phi, N, pair.base, pair.expanded)
+    if first is None:
+        return u, None
+    t, k = first
+    atom = pair.expanded.at(t - 1).atoms[k]
+    return u, FailureWitness("tilt-floor", t, atom, u.on_atoms(t, [atom])[0][0])
 
 
 def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
@@ -157,7 +149,7 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
             if d == 0:  # no driver equations: any integrand works, take zero
                 values[(t, k)] = (0,) * n
                 continue
-            key = value_key(*Qs[a], gamma)
+            key = value_key(arith, *Qs[a], gamma)
             if key not in solved:
                 phi_b, residual = linalg.lstsq_min_norm(linalg.transpose(Qs[a]), gamma,
                                                         arith)

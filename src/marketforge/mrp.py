@@ -32,7 +32,7 @@ class Driver:
 
     def __post_init__(self) -> None:
         is_zero = self.W.space.arith.is_zero
-        if first_failing(self.W, start=lambda v: all(map(is_zero, v))) is not None:
+        if first_failing(self.W, start=lambda v, den: all(map(is_zero, v))) is not None:
             raise SpaceError("driver must start at 0")
         try:
             witness = is_martingale(self.W, self.filtration)

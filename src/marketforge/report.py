@@ -13,7 +13,7 @@ from dataclasses import fields, is_dataclass
 
 from .arith import Arithmetic
 from .jumpkernel import Site, tilt_floor
-from .space import distinct_cells
+from .space import extrema
 from .viability import FailureWitness, StructureSolution, Verdict
 
 
@@ -44,20 +44,16 @@ def witness_dict(w: FailureWitness | None, arith: Arithmetic):
     }
 
 
-def _extrema(cells, arith: Arithmetic):
-    # One cell per (time, atom), in outcome-major order; min and max keep
-    # the first of equal extremes.
-    values = [x for v in cells for x in v]
-    if not values:
-        return {"min": None, "max": None}
-    return {"min": fmt_value(min(values), arith),
-            "max": fmt_value(max(values), arith)}
+def _extrema(bounds, arith: Arithmetic):
+    """The (least, greatest) pair of ``space.extrema``, or None, rendered."""
+    lo, hi = bounds or (None, None)
+    return {"min": fmt_value(lo, arith), "max": fmt_value(hi, arith)}
 
 
 def gauge_summary(gauge, arith: Arithmetic):
     return {
-        "phi": _extrema(distinct_cells(gauge.phi, start=1), arith),
-        "u": _extrema(distinct_cells(gauge.u, start=1), arith),
+        "phi": _extrema(extrema(gauge.phi, start=1), arith),
+        "u": _extrema(extrema(gauge.u, start=1), arith),
         "support_ok": gauge.support_ok,
         "u_positive": gauge.u_positive,
     }
@@ -67,10 +63,10 @@ def solution_summary(solution: StructureSolution | None, arith: Arithmetic):
     if solution is None:
         return None
     return {
-        "coefficients": _extrema(distinct_cells(solution.driver_coefficients, start=1),
+        "coefficients": _extrema(extrema(solution.driver_coefficients, start=1),
                                  arith),
-        "jump": _extrema(distinct_cells(solution.martingale, increments=True), arith),
-        "deflator": _extrema(distinct_cells(solution.deflator), arith),
+        "jump": _extrema(extrema(solution.martingale, increments=True), arith),
+        "deflator": _extrema(extrema(solution.deflator), arith),
         "jump_bound_ok": True,
     }
 

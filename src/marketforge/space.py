@@ -32,14 +32,23 @@ dX_0 = 0); :func:`atom_means` averages over child atoms in integers, and
 ``calculus`` know the layout: the other layers build processes from
 per-atom tables or per-outcome paths, and read them as numbers (Fractions
 in exact mode, decoded once per layer) through :meth:`Process.on_atoms`,
-:meth:`Process.at`, :func:`cond_exp`, :func:`first_failing`,
-:func:`first_mismatch` and :func:`distinct_cells`, the last three in
-outcome-major order, so witnesses and report extrema keep theirs.
+:meth:`Process.at`, :func:`cond_exp`, :func:`first_mismatch` and
+:func:`distinct_cells`.  Their decisions read the layers undecoded:
+:func:`first_failing` runs each test on a cell's numerators over the
+layer's denominator, :func:`extrema` compares numerators and decodes the
+two extremes a report shows, and :meth:`Process.value_keys` gives a
+cell's value key, (numerators // g, den // g) with g = gcd(den,
+*numerators) (a float cell keys by its bits), which :func:`value_key`
+gives number vectors too: the memo key of the solves above.
+:func:`first_failing`, :func:`first_mismatch` and :func:`distinct_cells`
+keep outcome-major order, so witnesses and float report extrema keep
+theirs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -227,11 +236,16 @@ def _grouped(space: SampleSpace, keys) -> "Partition":
     """The outcomes grouped by equal keys, one key per outcome, atoms in
     order of their first outcome; a partition equal to one already built
     on the space is that one."""
+    return _level_sets(space, keys)[0]
+
+
+def _level_sets(space: SampleSpace, keys) -> tuple:
+    """(``_grouped``, its distinct keys in the order of its atoms)."""
     groups: dict = {}
     for o, key in zip(space.outcomes, keys):
         groups.setdefault(key, []).append(o)
     atoms = tuple(map(tuple, groups.values()))
-    return space._partitions.get(atoms) or Partition(space, atoms)
+    return space._partitions.get(atoms) or Partition(space, atoms), tuple(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -372,35 +386,61 @@ def _as_vector(v) -> tuple:
 
 
 def _sub(u: tuple, v: tuple) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def _add(u: tuple, v: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def _cell_key(v: tuple):
-    """Key of a cell by value, except that a cell holding a zero also keys
-    on the reprs, so a float -0.0 never merges with 0.0."""
+    """Key of a float cell by value, except that a cell holding a zero also
+    keys on the reprs, so a float -0.0 never merges with 0.0."""
     return v if 0 not in v else (v, tuple(map(repr, v)))
 
 
-def value_key(*vectors) -> tuple:
+def _layer_key(v: tuple, den: int, exact: bool):
+    """Value key of the cell ``v`` of a layer over ``den``: in exact mode
+    (numerators // g, den // g) with g = gcd(den, *numerators), so a value
+    keys alike over every denominator; a float cell (over 1) by
+    ``_cell_key``."""
+    if not exact:
+        return _cell_key(v)
+    g = math.gcd(den, *v)
+    return (v, den) if g == 1 else (tuple(a // g for a in v), den // g)
+
+
+def value_key(arith: Arithmetic, *vectors) -> tuple:
     """Memo key of a tuple of number vectors by value: each vector keyed as
-    ``_cell_key`` keys a cell.  A local solve memo keys its operands with
-    this, so operands equal in value (and no others) share a solve."""
-    return tuple(_cell_key(tuple(v)) for v in vectors)
+    a layer cell holding it would be (``_layer_key``), in exact mode by its
+    numerators over the lcm of its denominators, so no Fraction is hashed.
+    Vectors equal in value (and no others) share a key."""
+    keys = []
+    for v in vectors:
+        (cell,), den = _numerators((tuple(v),), arith.exact)
+        keys.append(_layer_key(cell, den, arith.exact))
+    return tuple(keys)
+
+
+def _numerators(cells, exact: bool) -> tuple:
+    """(cells, den): exact number cells as integer numerators over the lcm
+    ``den`` of their denominators, so gcd(den, *numerators) is 1; float
+    cells as they are, over 1."""
+    if not exact:
+        return tuple(cells), 1
+    den = math.lcm(*(x.denominator for v in cells for x in v))
+    return tuple(_over(cells, den)), den
+
+
+def _over(cells, den: int):
+    """Each exact cell's numerators over ``den``, a multiple of their
+    denominators, one cell at a time."""
+    return (tuple(x.numerator * (den // x.denominator) for x in v) for v in cells)
 
 
 def _encoded(part: Partition, cells) -> tuple:
-    """The layer (part, cells, den) of number cells: in exact mode their
-    numerators over the lcm of their denominators, so gcd(den, *numerators)
-    is 1; in float mode the cells themselves over 1."""
-    if not part.space.arith.exact:
-        return part, tuple(cells), 1
-    den = math.lcm(*(x.denominator for v in cells for x in v))
-    return part, tuple(tuple(x.numerator * (den // x.denominator) for x in v)
-                       for v in cells), den
+    """The layer (part, cells, den) of number cells (``_numerators``)."""
+    return (part, *_numerators(cells, part.space.arith.exact))
 
 
 def _reduced(part: Partition, cells, den: int) -> tuple:
@@ -491,8 +531,9 @@ class Process:
     @classmethod
     def from_paths(cls, space: SampleSpace, paths) -> "Process":
         """Build from per-outcome paths, ``paths[i][t]``; scalar entries are
-        wrapped to 1-vectors, and each time keeps one cell per level set
-        (keyed as ``value_key`` keys a vector, so every bit is kept)."""
+        wrapped to 1-vectors, and each time keeps one cell per level set:
+        exact values grouped by their integer numerators over the time's
+        lcm, float ones as ``_cell_key`` keys them, so every bit is kept."""
         fixed = [tuple(map(_as_vector, path)) for path in paths]
         if len(fixed) != space.size:
             raise SpaceError("process needs one path per outcome")
@@ -500,9 +541,15 @@ class Process:
             raise SpaceError("all value vectors must share one dimension")
         if len(set(map(len, fixed))) > 1:
             raise SpaceError("all paths must share one horizon")
-        parts = [_grouped(space, map(_cell_key, column)) for column in zip(*fixed)]
-        return cls(space, tuple(_encoded(part, [column[m[0]] for m in part.members])
-                                for part, column in zip(parts, zip(*fixed))))
+        layers = []
+        for column in zip(*fixed):
+            if space.arith.exact:
+                den = math.lcm(*(x.denominator for v in column for x in v))
+                layers.append((*_level_sets(space, _over(column, den)), den))
+            else:
+                part = _grouped(space, map(_cell_key, column))
+                layers.append((part, tuple(column[m[0]] for m in part.members), 1))
+        return cls(space, tuple(layers))
 
     @classmethod
     def adapted(cls, filtration: "Filtration", table, dim: int = 1) -> "Process":
@@ -569,6 +616,15 @@ class Process:
         the atom's first outcome: the process must be constant there."""
         return [(self.increments if increments else self).at(atom[0], t) for atom in atoms]
 
+    def value_keys(self, t: int, atoms, increments: bool = False) -> tuple:
+        """The value keys of X_t (dX_t with ``increments``) on each of the
+        given atoms, read at the atom's first outcome straight off the
+        layer, with no number decoded: equal values (and no others) share a
+        key, over any denominator and at any time (``value_key``)."""
+        part, cells, den = (self.increments if increments else self).layers[t]
+        exact = self.space.arith.exact
+        return tuple(_layer_key(cells[part.atom_index(atom[0])], den, exact) for atom in atoms)
+
     def map_cells(self, op, *others: "Process") -> "Process":
         """The process whose cells are ``op(cell, *other cells)``, computed
         once per atom of the operands' meet; ``op`` must be linear in the
@@ -597,14 +653,14 @@ class Process:
         if self.dim != other.dim:
             raise SpaceError("dimension mismatch")
         return Process(self.space, tuple(
-            kernel(lambda u, v: tuple(op(a, b) for a, b in zip(u, v)), *layers)
+            kernel(lambda u, v: tuple(map(op, u, v)), *layers)
             for layers in zip(self.layers, other.layers)))
 
     def __add__(self, other: "Process") -> "Process":
-        return self._zip(other, lambda a, b: a + b)
+        return self._zip(other, operator.add)
 
     def __sub__(self, other: "Process") -> "Process":
-        return self._zip(other, lambda a, b: a - b)
+        return self._zip(other, operator.sub)
 
     def __neg__(self) -> "Process":
         return self.scale(-1)
@@ -621,19 +677,18 @@ class Process:
         """Pointwise product, defined for scalar processes."""
         if self.dim != 1 or other.dim != 1:
             raise SpaceError("pointwise product is for scalar processes")
-        return self._zip(other, lambda a, b: a * b, product)
+        return self._zip(other, operator.mul, product)
 
     def lagged(self) -> "Process":
         """Previous-time version: value at t is the value at t-1 (predictable)."""
         return Process(self.space, self.layers[:1] + self.layers[:-1])
 
 
-def _keyed(X: Process, start: int, stop=None) -> list:
-    """((first outcome, t), cell) for each (time, atom) cell of X at times
-    ``start`` <= t < ``stop`` (to the horizon if None), as numbers: sorted,
-    these come in outcome-major order."""
+def _keyed(X: Process, start: int) -> list:
+    """((first outcome, t), cell) for each (time, atom) cell of X from time
+    ``start`` on, as numbers: sorted, these come in outcome-major order."""
     return [((part.members[k][0], t), v)
-            for t, (part, _, _) in enumerate(X.layers[:stop]) if t >= start
+            for t, (part, _, _) in enumerate(X.layers) if t >= start
             for k, v in enumerate(X._numbers(t))]
 
 
@@ -643,13 +698,19 @@ def first_failing(X: Process, test=None, start=None, increments: bool = False):
 
     ``test`` runs at every time, ``start`` in its place at time 0; a time
     left without a test is skipped.  With ``increments`` the cells are dX_t
-    for t >= 1.  Each test runs once per (time, atom), on numbers.
+    for t >= 1.  Each test runs once per (time, atom), as ``test(v, den)``
+    on the cell's numerators ``v`` over the layer's denominator ``den``
+    (floats over 1 in float mode), so it must be homogeneous in (v, den):
+    ``v[0] > 0``, ``v[0] < den``, ``eq(v[0], den)``.
     """
     if increments:
         X = X.increments
-    return min((key for key, v in _keyed(X, int(increments), None if test is not None else 1)
-                if (check := start or test if key[1] == 0 else test) is not None
-                and not check(v)), default=None)
+    misses = []
+    for t, (part, cells, den) in enumerate(X.layers):
+        check = (start or test) if t == 0 else test
+        if check is not None and t >= increments:
+            misses += [(part.members[k][0], t) for k, v in enumerate(cells) if not check(v, den)]
+    return min(misses, default=None)
 
 
 def distinct_cells(X: Process, start: int = 0, increments: bool = False) -> list:
@@ -659,6 +720,30 @@ def distinct_cells(X: Process, start: int = 0, increments: bool = False) -> list
     if increments:
         X, start = X.increments, 1
     return [v for _, v in sorted(_keyed(X, start), key=lambda kv: kv[0])]
+
+
+def extrema(X: Process, start: int = 0, increments: bool = False):
+    """(least, greatest) component of the cells of X from time ``start`` on
+    (of its increments dX_t, t >= 1, with ``increments``), as numbers, or
+    None when there is none.  Exact mode compares numerators over each
+    layer's denominator and decodes the two extremes alone; float mode
+    keeps the first of equal extremes in the outcome-major order of
+    :func:`distinct_cells`, so a tie of 0.0 and -0.0 keeps its first."""
+    if not X.space.arith.exact:
+        values = [x for v in distinct_cells(X, start, increments) for x in v]
+        return (min(values), max(values)) if values else None
+    if increments:
+        X, start = X.increments, 1
+    lo = hi = None
+    for _, cells, den in X.layers[start:]:
+        nums = [a for v in cells for a in v]
+        if nums:
+            a, b = min(nums), max(nums)
+            if lo is None or a * lo[1] < lo[0] * den:
+                lo = a, den
+            if hi is None or b * hi[1] > hi[0] * den:
+                hi = b, den
+    return None if lo is None else (Fraction(*lo), Fraction(*hi))
 
 
 def first_mismatch(X: Process, Y: Process):

@@ -74,7 +74,7 @@ class Market:
             raise ViabilityError("price horizon must match the flow horizon")
         if not is_adapted(self.S, self.F):
             raise ViabilityError("prices must be adapted to the base flow")
-        miss = first_failing(self.S, lambda v: all(x > 0 for x in v))
+        miss = first_failing(self.S, lambda v, den: all(x > 0 for x in v))
         if miss is not None:
             o, t = self.S.space.outcomes[miss[0]], miss[1]
             raise ViabilityError(f"price must stay positive (outcome {o}, t={t})")
@@ -146,7 +146,7 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
                     for j in range(d):
                         Q[i][j] += p * dm[i] * dw[j]
             target = list(targets[idx])
-            key = value_key(*Q, target)
+            key = value_key(arith, *Q, target)
             if key not in solved:
                 coeffs, residual = linalg.lstsq_min_norm(Q, target, arith)
                 if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([target])):
@@ -172,7 +172,8 @@ def verify_deflator(deflator: Process, market: Market, filtration: Filtration):
     arith = market.space.arith
     # A time-0 value equal to 1 is positive, so the first failing cell is a
     # start failure exactly when it sits at t = 0.
-    miss = first_failing(deflator, lambda v: v[0] > 0, start=lambda v: arith.eq(v[0], 1))
+    miss = first_failing(deflator, lambda v, den: v[0] > 0,
+                         start=lambda v, den: arith.eq(v[0], den))
     if miss is not None:
         o, t = market.space.outcomes[miss[0]], miss[1]
         reason = "deflator-start" if t == 0 else "deflator-not-positive"
@@ -259,20 +260,29 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
                            stage="tilt-floor-positive")
     table = {}
     jump_witness = None
-    # One solve per distinct site value, for this call only.  A site that
-    # fails returns at once, so a repeat only ever reuses a feasible solve
-    # whose bad jump row, if any, is already the witness.
+    arith = market.space.arith
+    # One solve per distinct site value, for this call only, keyed by the
+    # value keys of phi and of the base transition's (p, dW, dN, dD); the
+    # site is built on a miss alone.  A site that fails returns at once, so
+    # a repeat only ever reuses a feasible solve whose bad jump row, if
+    # any, is already the witness.
     solved = {}
     for t in range(1, G.horizon + 1):
         g_part = G.at(t - 1)
         transitions = market.F.transitions(t)
-        for idx, (g_atom, phi, k) in enumerate(zip(
-                g_part.atoms, gauge.phi.on_atoms(t, g_part.atoms),
+        base_keys = {}  # base atom -> value key of its transition's inputs
+        for idx, (g_atom, phi_key, k) in enumerate(zip(
+                g_part.atoms, gauge.phi.value_keys(t, g_part.atoms),
                 g_part.parents(market.F.at(t - 1)))):
             _, _, transition = transitions[k]
-            inputs = _site_inputs((W, gauge.N, D), t, transition)
-            key = value_key(phi, *((p, *dw, *dn, *dd) for p, dw, dn, dd in inputs))
+            if k not in base_keys:
+                kids = [child for child, _ in transition]
+                base_keys[k] = (value_key(arith, [p for _, p in transition]), *(
+                    X.value_keys(t, kids, increments=True) for X in (W, gauge.N, D)))
+            key = phi_key, base_keys[k]
             if key not in solved:
+                (phi,) = gauge.phi.on_atoms(t, [g_atom])
+                inputs = _site_inputs((W, gauge.N, D), t, transition)
                 try:
                     solve = solve_site(_build_site(market, W.dim, phi, inputs))
                 except CoercivityFailure as err:
@@ -296,7 +306,7 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
     kbar = Process.predictable(G, table, W.dim)
     W_tilde = W - gauge.W_drift
     Y = integrate(kbar, W_tilde)
-    miss = first_failing(Y, lambda v: v[0] < 1, increments=True)
+    miss = first_failing(Y, lambda v, den: v[0] < den, increments=True)
     if miss is not None:
         t = miss[1]
         atom = G.at(t).atom_of(market.space.outcomes[miss[0]])

@@ -27,12 +27,12 @@ builds test data with it.
   compensators through the gauge, checked against ``compensator`` on G.
 * ``wealth`` is the self-financing wealth x + (H . S), for the
   deflated-wealth martingale property.
-* ``delta``, ``increments``, ``accumulate``, ``cond_exp``, ``zip_with`` and
-  ``stoch_exp`` are the per-cell kernels the engine had before it stored
-  processes atom by atom: one operation per (outcome, time) cell, in
-  outcome order, read through ``column``/``columns`` (a process as one
-  value per outcome).  They are the differential oracle for the atom-major
-  kernels.
+* ``delta``, ``increments``, ``accumulate``, ``cond_exp``, ``zip_with``,
+  ``min_tilt`` and ``stoch_exp`` are the per-cell kernels the engine
+  had before it stored processes atom by atom: one operation per
+  (outcome, time) cell, in outcome order, read through
+  ``column``/``columns`` (a process as one value per outcome).  They are
+  the differential oracle for the atom-major kernels.
 """
 
 from __future__ import annotations
@@ -453,6 +453,16 @@ def zip_with(X: Process, Y: Process, op) -> Process:
     return Process.from_paths(X.space, zip(*(
         [tuple(op(a, b) for a, b in zip(u, v)) for u, v in zip(p, q)]
         for p, q in zip(columns(X), columns(Y)))))
+
+
+def min_tilt(phi: Process, N: Process, base: Filtration) -> list:
+    """The tilt floor min(1 + transpose(phi_t) dN_t) for t >= 1, one
+    1-vector per outcome: the minimum over the outcomes of the outcome's
+    time-(t-1) base atom, in outcome order; entry t - 1 holds time t."""
+    space = N.space
+    return [[(min(1 + sum((a * b for a, b in zip(phi.at(o, t), dN[space.index(x)])), 0)
+                  for x in base.at(t - 1).atom_of(o)),) for o in space.outcomes]
+            for t, dN in enumerate(increments(N), 1)]
 
 
 def stoch_exp(X: Process) -> Process:

@@ -11,7 +11,12 @@ mixes 0.0 with -0.0.  Exact mode must give equal results; float mode must
 give the same bits, cell by cell, and the first failing and first
 mismatching cells come in outcome-major order.  A storage test checks the
 layers themselves: reduced integers in exact mode, floats over 1 in float
-mode.  A failing example shrinks to a minimal market.
+mode.  The decisions read the layers undecoded, so they are checked
+against the numbers: ``first_failing``'s tests on (numerators, den), value
+keys that merge equal values only, exact level sets of values written
+differently, and the tilt floor ``min_tilt``; an exact ``analyze`` of a
+golden tree must hash (almost) no Fraction.  A failing example shrinks to
+a minimal market.
 """
 
 import math
@@ -29,21 +34,25 @@ from marketforge.calculus import (
     bracket,
     compensator,
     integrate,
+    min_tilt,
     pred_bracket,
     stoch_exp,
 )
-from marketforge.cli import _run_pipeline
+from marketforge.cli import _run_pipeline, main
 from marketforge.fixtures import b2n
 from marketforge.scenario import load_scenario, parse_document
 from marketforge.viability import price_drift_rhs
 from marketforge.space import (
     Partition,
     Process,
+    build_initial_enlargement,
     cond_exp,
     distinct_cells,
+    extrema,
     first_failing,
     first_mismatch,
     is_adapted,
+    value_key,
 )
 
 from test_golden_reports import GOLDEN
@@ -221,13 +230,110 @@ def _brute_first_failing(X, test, start=None, increments=False):
 @pytest.mark.parametrize("mode", MODES)
 @given(data=st.data())
 def test_first_failing_comes_in_outcome_major_order(mode, data):
+    """Each test sees a cell's numerators v over the layer's denominator,
+    as test(v, den), and must agree with the same test on the numbers."""
     space, F, (X,) = _draw(data, mode, 1)
-    bar = data.draw(numbers(space.arith))
-    test, start = (lambda v: v[0] > bar), (lambda v: v[0] != bar)
-    assert first_failing(X, test) == _brute_first_failing(X, test)
-    assert first_failing(X, test, start) == _brute_first_failing(X, test, start)
+    arith, bar = space.arith, data.draw(numbers(space.arith))
+    tests = [(lambda v, den: v[0] > bar * den, lambda x: x[0] > bar),
+             (lambda v, den: v[0] < den, lambda x: x[0] < 1),
+             (lambda v, den: not arith.eq(v[0], bar * den), lambda x: not arith.eq(x[0], bar))]
+    (test, brute), (start, brute_start) = data.draw(st.sampled_from(tests)), \
+        data.draw(st.sampled_from(tests))
+    assert first_failing(X, test) == _brute_first_failing(X, brute)
+    assert first_failing(X, test, start) == _brute_first_failing(X, brute, brute_start)
+    assert first_failing(X, start=start) == _brute_first_failing(
+        X, lambda x: True, brute_start)
     assert first_failing(X, test, increments=True) == \
-        _brute_first_failing(X, test, increments=True)
+        _brute_first_failing(X, brute, increments=True)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+def test_layer_value_keys_merge_equal_values_only(mode, data):
+    """Two cells share a value key exactly when their values are equal (in
+    float mode: have the same bits, so 0.0 and -0.0 differ), across
+    denominators and times; ``value_key`` of the numbers gives the same key."""
+    space, F, (X, Y) = _draw(data, mode, 2, 2)
+    arith = space.arith
+    keyed = [(key, v) for Z in (X, Y, X.increments, Y.scale(arith.parse("2/3")))
+             for t in range(F.horizon + 1)
+             for key, v in zip(Z.value_keys(t, F.at(t).atoms), Z.on_atoms(t, F.at(t).atoms))]
+    for key, v in keyed:
+        assert (key,) == value_key(arith, v)
+        for other_key, w in keyed:
+            assert (key == other_key) == (tuple(map(bits, v)) == tuple(map(bits, w)))
+
+
+def test_value_key_merges_equal_values_only():
+    half = Fraction(1, 2)
+    assert value_key(EXACT, (half, 0), [1]) == \
+        value_key(EXACT, (Fraction(2, 4), Fraction(0)), (1,))
+    assert value_key(EXACT, (half,)) != value_key(EXACT, (Fraction(1, 3),))
+    assert value_key(FLOAT, (0.5, 1.0)) == value_key(FLOAT, (0.5, 1.0))
+    assert value_key(FLOAT, (0.0,)) != value_key(FLOAT, (-0.0,))  # keeps the sign of zero
+    assert value_key(FLOAT, (0.0, 1.0)) != value_key(FLOAT, (0, 1.0))
+    for arith in (EXACT, FLOAT):
+        assert value_key(arith, (1,), (2,)) != value_key(arith, (1, 2))
+        assert value_key(arith, (1,), (2,)) != value_key(arith, (2,), (1,))
+
+
+RAW = [0, Fraction(0), "0/5", 1, Fraction(2, 2), "1/2", "2/4", "0.5", Fraction(3, 6),
+       "-1/3", "-2/6", Fraction(-1, 3), 2, "4/2"]
+
+
+@given(data=st.data())
+def test_exact_from_paths_groups_equal_values_written_differently(data):
+    space, F = data.draw(markets(EXACT))
+    dim = data.draw(st.integers(1, 2))
+    raw = st.sampled_from(RAW).map(lambda x: EXACT.parse(x) if isinstance(x, str) else x)
+    paths = data.draw(st.lists(st.lists(st.tuples(*[raw] * dim), min_size=F.horizon + 1,
+                                        max_size=F.horizon + 1),
+                               min_size=space.size, max_size=space.size))
+    X = Process.from_paths(space, paths)
+    for t, column in enumerate(zip(*paths)):
+        brute = ref.by_level_sets(space, [tuple(map(Fraction, v)) for v in column])
+        assert X.layers[t][0].atoms == brute.atoms
+        assert [X.at(o, t) for o in space.outcomes] == list(column)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+def test_min_tilt_matches_the_per_cell_kernel(mode, data):
+    """u_t = min(1 + phi_t . dN_t) over the children of the base atom, on
+    each time-(t-1) expanded atom: equal in exact mode, the same bits in
+    float mode; ``first`` is the first atom, in (t, atom) order, with
+    u <= 0."""
+    space, F = data.draw(markets(MODES[mode]))
+    G = build_initial_enlargement(F, data.draw(st.lists(
+        st.integers(0, 2), min_size=space.size, max_size=space.size))).expanded
+    n = data.draw(st.integers(1, 2))
+    N = data.draw(processes(F, n, kinds=("adapted", "predictable")))
+    phi = data.draw(processes(G, n, kinds=("predictable",)))
+    u, first = min_tilt(phi, N, F, G)
+    want = ref.min_tilt(phi, N, F)
+    start, *later = ref.columns(u)
+    assert start == [(1,)] * space.size and cells(later) == cells(want)
+    brute = next(((t, k) for t in range(1, F.horizon + 1)
+                  for k, atom in enumerate(G.at(t - 1).atoms)
+                  if not want[t - 1][space.index(atom[0])][0] > 0), None)
+    assert first == brute
+
+
+def test_exact_analyze_hashes_no_fraction(monkeypatch, capsys):
+    """Memo keys, level sets and sign tests run on integer numerators: an
+    exact analyze of the T = 6 golden tree hashes (almost) no Fraction."""
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        calls.append(1)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    assert main(["analyze", str(GOLDEN / "noisy_tree_T6.json"), "--mode", "exact"]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert len(calls) <= 100
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -261,6 +367,11 @@ def test_distinct_cells_keep_the_first_of_each_atom_in_outcome_major_order(mode,
                 seen.add(key)
                 want.append(X.at(o, t))
     assert cells([distinct_cells(X, start)]) == cells([want])
+    for got, values in ((extrema(X, start), want),
+                        (extrema(X, increments=True), distinct_cells(X, increments=True))):
+        values = [x for v in values for x in v]
+        assert got == (None if not values else (min(values), max(values)))
+        assert got is None or list(map(bits, got)) == [bits(min(values)), bits(max(values))]
 
 
 @pytest.mark.parametrize("mode", MODES)

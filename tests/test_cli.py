@@ -200,6 +200,21 @@ def test_analyze_missing_file_exits_2(capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("command", ["analyze", "kernel"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"name": "\xff\xfe')
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err and "latin.json" in err
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert run_cli(["analyze", str(SCENARIOS / "one_step.json")], capsys)[0] == 0
+    assert run_cli(["kernel", str(SCENARIOS / "site_insider.json")], capsys)[0] == 4
+
+
 def test_analyze_validation_errors_name_the_field(tmp_path, capsys):
     doc = b2_scenario({"kind": "none"})
     doc["space"]["weights"] = ["1/4", "1/4"]

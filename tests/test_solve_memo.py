@@ -21,28 +21,13 @@ from marketforge.enlarge import solve_phi
 from marketforge.jumpkernel import solve_site
 from marketforge.mrp import synthesize_driver
 from marketforge.scenario import load_scenario, parse_document
-from marketforge.space import (
-    EnlargementPair,
-    Process,
-    build_initial_enlargement,
-    value_key,
-)
+from marketforge.space import EnlargementPair, Process, build_initial_enlargement
 from marketforge.viability import CheckFailed, Market, solve_structure_F, solve_structure_G
 
 from util import bits, random_tree, record_site_solves, site_at, site_value
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 MODES = {"exact": EXACT, "float": FLOAT}
-
-
-def test_value_key_merges_equal_values_only():
-    half = Fraction(1, 2)
-    assert value_key((half, 0), [1]) == value_key((Fraction(1, 2), 0), (1,))
-    assert value_key((0.5, 1.0)) == value_key((0.5, 1.0))
-    assert value_key((0.0,)) != value_key((-0.0,))  # keeps the sign of zero
-    assert value_key((0.0, 1.0)) != value_key((0, 1.0))
-    assert value_key((1,), (2,)) != value_key((1, 2))
-    assert value_key((1,), (2,)) != value_key((2,), (1,))
 
 
 def _tree_T4():
