@@ -12,8 +12,9 @@ relatives are predictable and start at zero.  Like ``space``, this module
 reads a process atom by atom, as layers of integer numerators over one
 denominator in exact mode (floats over 1 in float mode): every per-cell
 operation runs once per atom of the meet of its operands' partitions,
-through ``space.pointwise`` when it is linear in the cells (sums and
-differences, over the lcm of the operands' denominators) and through
+through ``space.pointwise`` when it is linear in the cells (over the lcm
+of the operands' denominators; sums and differences through
+``space.componentwise``, one component of every cell at a time) and through
 ``space.product`` when it is linear in each operand (brackets, integrals,
 the stochastic exponential, over the product of the denominators).  A
 compensator's increments are conditional means on the time-(t-1) atoms.
@@ -28,10 +29,12 @@ it holds), and a failure found inside a solve raises ``CheckFailed``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .space import Filtration, Partition, Process, _add, _decoded, _encoded, _reduced, _sub
-from .space import atom_means, cond_exp, first_failing, is_adapted, pointwise, product
+from .space import Filtration, Partition, Process, _decoded, _encoded, _reduced
+from .space import atom_means, componentwise, cond_exp, first_failing, is_adapted, pointwise
+from .space import product
 
 
 NON_VIABLE = "non-viable"
@@ -83,7 +86,7 @@ def accumulate(dX: Process) -> Process:
     part = dX.layers[0][0]
     layers = [(part, ((0,) * dX.dim,) * len(part.atoms), 1)]
     for layer in dX.layers[1:]:
-        layers.append(pointwise(_add, layers[-1], layer))
+        layers.append(componentwise(operator.add, layers[-1], layer))
     return Process(dX.space, tuple(layers))
 
 
@@ -103,7 +106,8 @@ def sum_steps(op, dim, steps, levels=(), plus=None) -> Process:
 
 def centred(X: Process) -> Process:
     """X - X_0: the process minus its own time-0 value, atom by atom."""
-    return Process(X.space, tuple(pointwise(_sub, layer, X.layers[0]) for layer in X.layers))
+    return Process(X.space, tuple(componentwise(operator.sub, layer, X.layers[0])
+                                  for layer in X.layers))
 
 
 def cross_moments(X: Process, Y: Process, partition, t: int) -> list:

@@ -1,10 +1,14 @@
 """Scenario and site file ingestion.
 
-Scenario files are JSON.  In exact mode every number becomes one Fraction
--- JSON decimals through a parse hook, integers, "p/q" and decimal strings
-through the arithmetic -- so a scenario round-trips bit-exactly.  Validation
-failures carry the path to the offending field ("space.weights[2]: ...");
-an engine constructor's own error is mapped to its field by ``_field``.
+Scenario files are JSON.  In exact mode every number is read exactly --
+JSON decimals through a parse hook, integers, "p/q" and decimal strings
+through the arithmetic -- so a scenario round-trips bit-exactly.  The
+weights and each list of paths are read by raw token: each distinct token
+is parsed once, and each time of a process is built from the distinct
+tokens of its column (``Process.from_keys``), so no cell is parsed or
+wrapped on its own.  Validation failures carry the path to the offending
+field ("space.weights[2]: ..."), the first in document order; an engine
+constructor's own error is mapped to its field by ``_field``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .arith import DEFAULT_TOLERANCE, EXACT, EXACT_MODE, FLOAT_MODE, Arithmetic
 from .calculus import is_martingale
@@ -90,11 +95,37 @@ def document_arith(doc, mode: str | None = None, tolerance: float | None = None)
     return Arithmetic(FLOAT_MODE, DEFAULT_TOLERANCE if tolerance is None else tolerance)
 
 
+def _number(raw, key, numbers: dict, arith: Arithmetic, where):
+    """The number of a raw token, parsed once per ``key`` into ``numbers``;
+    ``where()`` names the token's field when it is no number."""
+    if key not in numbers:
+        try:
+            numbers[key] = arith.parse(raw)
+        except (ValueError, TypeError, ZeroDivisionError) as err:
+            raise ScenarioError(where(), f"not a number: {err}") from None
+    return numbers[key]
+
+
 def _num(value, path: str, arith: Arithmetic):
-    try:
-        return arith.parse(value)
-    except (ValueError, TypeError, ZeroDivisionError) as err:
-        raise ScenarioError(path, f"not a number: {err}") from None
+    return _number(value, None, {}, arith, lambda: path)
+
+
+def _token_key(x):
+    """The key of a raw JSON token: its type and the token itself, except
+    that a float (so -0.0 stays apart from 0.0) or an object keys by its
+    repr, an exact decimal by its integer ratio and a list by its items'
+    keys.  Tokens of one key are written alike, so they have one number or
+    fail alike."""
+    kind = type(x)
+    if kind is str or kind is int:
+        return kind, x
+    if kind is float or kind is dict:
+        return kind, repr(x)
+    if kind is Fraction:
+        return kind, x.as_integer_ratio()
+    if kind is list:
+        return kind, tuple(map(_token_key, x))
+    return kind, x
 
 
 def _nonneg_int(value, path: str, expected: str) -> int:
@@ -119,39 +150,53 @@ def _str_list(value, path: str) -> list[str]:
     return value
 
 
+def _weights(weights_doc: list, arith: Arithmetic) -> tuple:
+    """The weights, each distinct token parsed once, in order of its first
+    occurrence, so the error names the first bad weight."""
+    keys = list(map(_token_key, weights_doc))
+    numbers: dict = {}
+    for key, raw in dict(zip(keys, weights_doc)).items():
+        _number(raw, key, numbers, arith, lambda: f"space.weights[{keys.index(key)}]")
+    return tuple(map(numbers.__getitem__, keys))
+
+
 def _process(paths_doc, path: str, space: SampleSpace, arith: Arithmetic,
              horizon: int | None = None) -> Process:
+    """The process of a list of paths, one per outcome, built from the
+    distinct raw tokens of each time (``Process.from_keys``): every
+    distinct token is parsed once, and a field is named only when its token
+    fails.  Errors come in path order, each path's shape before its values
+    in (t, j) order, then the dimension and horizon checks."""
     if not isinstance(paths_doc, list) or len(paths_doc) != space.size:
         raise ScenarioError(path, f"expected one path per outcome ({space.size})")
-    parsed = {}  # raw token key -> its number, for this call only
-
-    def num(x, where):
-        """The number of token x, parsed once per distinct token; the field
-        path ``where()`` is built only when parsing fails."""
-        if isinstance(x, (list, dict)):
-            return _num(x, where(), arith)  # never a number: fails with the path
-        key = (type(x), repr(x) if isinstance(x, float) else x)
-        if key not in parsed:
-            parsed[key] = _num(x, where(), arith)
-        return parsed[key]
-
-    paths = []
-    for i, raw in enumerate(paths_doc):
-        if not isinstance(raw, list) or len(raw) < 2:
-            raise ScenarioError(f"{path}[{i}]", "expected a path with >= 2 times")
-        if horizon is not None and len(raw) != horizon + 1:
-            raise ScenarioError(f"{path}[{i}]",
-                                f"expected {horizon + 1} time points")
-        fixed = []
-        for t, v in enumerate(raw):
-            if isinstance(v, list):
-                fixed.append(tuple(num(x, lambda: f"{path}[{i}][{t}][{j}]")
-                                   for j, x in enumerate(v)))
-            else:
-                fixed.append((num(v, lambda: f"{path}[{i}][{t}]"),))
-        paths.append(tuple(fixed))
+    shaped = next((i for i, raw in enumerate(paths_doc)
+                   if not isinstance(raw, list) or len(raw) < 2
+                   or horizon is not None and len(raw) != horizon + 1), space.size)
+    keys = [list(map(_token_key, raw)) for raw in paths_doc[:shaped]]
+    numbers: dict = {}  # token key -> number, for this process only
+    cells = {}
+    # Each distinct cell in outcome-major order of its first occurrence.
+    for key, raw in dict(zip(chain.from_iterable(keys),
+                             chain.from_iterable(paths_doc[:shaped]))).items():
+        vector = type(raw) is list
+        items = tuple(zip(key[1], raw)) if vector else ((key, raw),)
+        for j, (k, x) in enumerate(items):
+            _number(x, k, numbers, arith,
+                    lambda: _first_field(keys, key, path) + (f"[{j}]" if vector else ""))
+        cells[key] = tuple(numbers[k] for k, _ in items)
+    if shaped < space.size:
+        bad = paths_doc[shaped]
+        raise ScenarioError(f"{path}[{shaped}]", "expected a path with >= 2 times"
+                            if not isinstance(bad, list) or len(bad) < 2
+                            else f"expected {horizon + 1} time points")
     with _field(path):
-        return Process.from_paths(space, paths)
+        return Process.from_keys(space, keys, cells)
+
+
+def _first_field(keys, key, path: str) -> str:
+    """The field ``path[i][t]`` of the first cell keyed ``key``."""
+    i = next(i for i, row in enumerate(keys) if key in row)
+    return f"{path}[{i}][{keys[i].index(key)}]"
 
 
 def _filtration(flow_doc, path: str, space: SampleSpace) -> Filtration:
@@ -229,9 +274,8 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
     weights_doc = _require(space_doc, "weights", "space")
     if not isinstance(weights_doc, list) or len(weights_doc) != len(outcomes):
         raise ScenarioError("space.weights", "expected one weight per outcome")
-    weights = [_num(v, f"space.weights[{i}]", arith) for i, v in enumerate(weights_doc)]
     with _field("space"):
-        space = SampleSpace(tuple(outcomes), tuple(weights), arith=arith)
+        space = SampleSpace(tuple(outcomes), _weights(weights_doc, arith), arith=arith)
 
     prices = _process(_require(doc, "prices", ""), "prices", space, arith)
     horizon = prices.horizon

@@ -17,32 +17,35 @@ children and their conditional masses.
 A process is stored atom-major, one value vector per (time, atom) of the
 partitions it lives on: a filtration's (:meth:`Process.adapted`, and the
 time-(t-1) ones for :meth:`Process.predictable`), the level sets of its
-values (:meth:`Process.from_paths`), or, for a kernel result, the meet of
-its operands' (:func:`pointwise`).  Each time is one layer, a triple
-(partition, cells, den): in exact mode the cells hold integer numerators
-over the one positive denominator ``den``, with gcd(den, *numerators) = 1,
-so a kernel does integer arithmetic and reduces once; in float mode the
-cells hold the floats themselves and ``den`` is 1, so the same kernels run
-the same float operations in the same order.  A linear kernel
-(:func:`pointwise`, :meth:`Process.map_cells`) brings its operands to the
-lcm of their denominators; a multilinear one (:func:`product`) multiplies
-them.  Increments are defined once, here (:attr:`Process.increments`,
-dX_0 = 0); :func:`atom_means` averages over child atoms in integers, and
-:func:`is_adapted` checks once per atom.  Only this module and
-``calculus`` know the layout: the other layers build processes from
-per-atom tables or per-outcome paths, and read them as numbers (Fractions
-in exact mode, decoded once per layer) through :meth:`Process.on_atoms`,
+values (:meth:`Process.from_keys`, which builds each time from the distinct
+cells of its column, and :meth:`Process.from_paths` on it), or, for a
+kernel result, the meet of its operands' (:func:`pointwise`).  Each time is
+one layer, a triple (partition, cells, den): in exact mode the cells hold
+integer numerators over the one positive denominator ``den``, with gcd(den,
+*numerators) = 1, so a kernel does integer arithmetic and reduces once; in
+float mode the cells hold the floats themselves and ``den`` is 1, so the
+same kernels run the same float operations in the same order.  A linear
+kernel (:func:`pointwise`, :meth:`Process.map_cells`, and
+:func:`componentwise` for sums and differences, one component of every
+cell at a time) brings its operands to the lcm of their denominators; a
+multilinear one (:func:`product`) multiplies them.  Increments are defined once, here
+(:attr:`Process.increments`, dX_0 = 0); :func:`atom_means` averages over
+child atoms in integers, dividing by the atoms' own integer masses (and
+returns the cells as they are where each atom is its own only child), and
+:func:`is_adapted` checks once per atom.  Only this module and ``calculus``
+know the layout: the other layers build processes from per-atom tables or
+per-outcome paths, and read them as numbers (Fractions in exact mode,
+decoded once per layer) through :meth:`Process.on_atoms`,
 :meth:`Process.at`, :func:`cond_exp`, :func:`first_mismatch` and
 :func:`distinct_cells`.  Their decisions read the layers undecoded:
 :func:`first_failing` runs each test on a cell's numerators over the
 layer's denominator, :func:`extrema` compares numerators and decodes the
-two extremes a report shows, and :meth:`Process.value_keys` gives a
-cell's value key, (numerators // g, den // g) with g = gcd(den,
-*numerators) (a float cell keys by its bits), which :func:`value_key`
-gives number vectors too: the memo key of the solves above.
-:func:`first_failing`, :func:`first_mismatch` and :func:`distinct_cells`
-keep outcome-major order, so witnesses and float report extrema keep
-theirs.
+two extremes a report shows, and :meth:`Process.value_keys` gives a cell's
+value key, (numerators // g, den // g) with g = gcd(den, *numerators) (a
+float cell keys by its bits), which :func:`value_key` gives number vectors
+too: the memo key of the solves above.  :func:`first_failing`,
+:func:`first_mismatch` and :func:`distinct_cells` keep outcome-major order,
+so witnesses and float report extrema keep theirs.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .arith import EXACT, Arithmetic, Num
@@ -82,10 +86,12 @@ class SampleSpace:
             raise SpaceError("outcome labels must be distinct")
         if len(self.weights) != len(self.outcomes):
             raise SpaceError("one weight per outcome required")
-        for label, w in zip(self.outcomes, self.weights):
+        # Exact weights are checked as integers over their lcm (``integer_weights``).
+        lcm, counts = self.integer_weights if self.arith.exact else (1, self.weights)
+        for label, w in zip(self.outcomes, counts):
             if not w > 0:
                 raise SpaceError(f"outcome {label!r} must have positive weight")
-        if not self.arith.eq(sum(self.weights), 1):
+        if not self.arith.eq(sum(counts), lcm):
             raise SpaceError("outcome weights must sum to 1")
         self._index.update({o: i for i, o in enumerate(self.outcomes)})
 
@@ -106,8 +112,8 @@ class SampleSpace:
     def integer_weights(self) -> tuple:
         """(lcm, counts): exact weights as integers over the lcm of their
         denominators."""
-        lcm = math.lcm(*(w.denominator for w in self.weights))
-        return lcm, tuple(w.numerator * (lcm // w.denominator) for w in self.weights)
+        lcm = math.lcm(*{w.denominator for w in self.weights})
+        return lcm, tuple([w.numerator * (lcm // w.denominator) for w in self.weights])
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +391,6 @@ def _as_vector(v) -> tuple:
     return tuple(v) if isinstance(v, (tuple, list)) else (v,)
 
 
-def _sub(u: tuple, v: tuple) -> tuple:
-    return tuple(map(operator.sub, u, v))
-
-
-def _add(u: tuple, v: tuple) -> tuple:
-    return tuple(map(operator.add, u, v))
-
-
 def _cell_key(v: tuple):
     """Key of a float cell by value, except that a cell holding a zero also
     keys on the reprs, so a float -0.0 never merges with 0.0."""
@@ -438,6 +436,24 @@ def _over(cells, den: int):
     return (tuple(x.numerator * (den // x.denominator) for x in v) for v in cells)
 
 
+def _column(space: SampleSpace, keys, cells: dict) -> tuple:
+    """The layer of one time: the outcomes grouped by their ``keys``, one
+    cell per group from ``cells``, exact numerators over the lcm of the
+    distinct cells' denominators.  Keys of equal value (``"1/2"`` and
+    ``0.5``; float ``1`` and ``1.0``) share one level set: only such a
+    column is grouped again, by value, exact cells by numerators and float
+    ones as ``_cell_key`` keys them, so -0.0 stays apart from 0.0."""
+    exact = space.arith.exact
+    part, distinct = _level_sets(space, keys)
+    found, den = _numerators(tuple(map(cells.__getitem__, distinct)), exact)
+    values = found if exact else tuple(map(_cell_key, found))
+    if len(set(values)) < len(values):
+        cell_of, value_of = dict(zip(values, found)), dict(zip(distinct, values))
+        part, values = _level_sets(space, map(value_of.__getitem__, keys))
+        found = tuple(map(cell_of.__getitem__, values))
+    return part, found, den
+
+
 def _encoded(part: Partition, cells) -> tuple:
     """The layer (part, cells, den) of number cells (``_numerators``)."""
     return (part, *_numerators(cells, part.space.arith.exact))
@@ -447,11 +463,23 @@ def _reduced(part: Partition, cells, den: int) -> tuple:
     """The layer (part, cells, den) with the numerators and ``den`` divided
     by their gcd; over 1 (every float layer) there is nothing to divide."""
     if den != 1:
-        g = math.gcd(den, *(a for v in cells for a in v))
+        g = math.gcd(den, *chain.from_iterable(cells))
         if g != 1:
             den //= g
-            cells = tuple(tuple(a // g for a in v) for v in cells)
+            cells = _scaled(cells, operator.floordiv, g)
     return part, cells, den
+
+
+def _scaled(cells, op, f) -> tuple:
+    """The cells with ``op(a, f)`` in place of each component a, computed
+    one component of every cell at a time."""
+    return _rows([map(op, col, repeat(f)) for col in zip(*cells)], len(cells))
+
+
+def _rows(columns: list, n: int) -> tuple:
+    """The n cells whose components are the ``columns`` (n empty cells
+    when there is none)."""
+    return tuple(zip(*columns)) if columns else ((),) * n
 
 
 def _decoded(cells, den: int, exact: bool) -> tuple:
@@ -469,8 +497,8 @@ def _aligned(layers) -> tuple:
     for other, other_cells, _ in layers[1:]:
         meet, mine, theirs = part.meet(other)
         if meet is not part:
-            args = [[c[k] for k in mine] for c in args]
-        args.append(other_cells if meet is other else [other_cells[k] for k in theirs])
+            args = [list(map(c.__getitem__, mine)) for c in args]
+        args.append(other_cells if meet is other else list(map(other_cells.__getitem__, theirs)))
         part = meet
     return part, args
 
@@ -482,8 +510,7 @@ def _common(layers) -> tuple:
     den = math.lcm(*(d for _, _, d in layers))
     for i, (_, _, d) in enumerate(layers):
         if d != den:
-            f = den // d
-            args[i] = [tuple(a * f for a in v) for v in args[i]]
+            args[i] = _scaled(args[i], operator.mul, den // d)
     return part, args, den
 
 
@@ -495,6 +522,15 @@ def pointwise(op, *layers) -> tuple:
     theirs, and its result is over that one too."""
     part, args, den = _common(layers)
     return _reduced(part, tuple(map(op, *args)), den)
+
+
+def componentwise(op, *layers) -> tuple:
+    """``pointwise`` for an ``op`` of numbers (``operator.add``,
+    ``operator.sub``) applied to the operands' matching components, one
+    component of every cell at a time."""
+    part, args, den = _common(layers)
+    columns = zip(*[zip(*cells) for cells in args])
+    return _reduced(part, _rows([map(op, *col) for col in columns], len(part.atoms)), den)
 
 
 def product(op, *layers) -> tuple:
@@ -530,26 +566,31 @@ class Process:
 
     @classmethod
     def from_paths(cls, space: SampleSpace, paths) -> "Process":
-        """Build from per-outcome paths, ``paths[i][t]``; scalar entries are
-        wrapped to 1-vectors, and each time keeps one cell per level set:
-        exact values grouped by their integer numerators over the time's
-        lcm, float ones as ``_cell_key`` keys them, so every bit is kept."""
+        """Build from per-outcome paths of numbers, ``paths[i][t]``; scalar
+        entries are wrapped to 1-vectors (``from_keys``, each value keyed
+        as ``_cell_key`` keys it)."""
         fixed = [tuple(map(_as_vector, path)) for path in paths]
-        if len(fixed) != space.size:
+        keys = [tuple(map(_cell_key, path)) for path in fixed]
+        cells: dict = {}
+        for key, v in zip(chain.from_iterable(keys), chain.from_iterable(fixed)):
+            cells.setdefault(key, v)
+        return cls.from_keys(space, keys, cells)
+
+    @classmethod
+    def from_keys(cls, space: SampleSpace, paths, cells: dict) -> "Process":
+        """Build from per-outcome paths of keys: ``paths[i][t]`` keys the
+        value of outcome i at time t, and ``cells[key]`` is that value, a
+        vector of numbers.  Each time groups its outcomes by key and builds
+        its layer from the distinct cells alone (``_column``).  The paths
+        are checked for count, then every cell for one dimension, then the
+        paths for one horizon."""
+        if len(paths) != space.size:
             raise SpaceError("process needs one path per outcome")
-        if len({len(v) for path in fixed for v in path}) > 1:
+        if len(set(map(len, cells.values()))) > 1:
             raise SpaceError("all value vectors must share one dimension")
-        if len(set(map(len, fixed))) > 1:
+        if len(set(map(len, paths))) > 1:
             raise SpaceError("all paths must share one horizon")
-        layers = []
-        for column in zip(*fixed):
-            if space.arith.exact:
-                den = math.lcm(*(x.denominator for v in column for x in v))
-                layers.append((*_level_sets(space, _over(column, den)), den))
-            else:
-                part = _grouped(space, map(_cell_key, column))
-                layers.append((part, tuple(column[m[0]] for m in part.members), 1))
-        return cls(space, tuple(layers))
+        return cls(space, tuple(_column(space, keys, cells) for keys in zip(*paths)))
 
     @classmethod
     def adapted(cls, filtration: "Filtration", table, dim: int = 1) -> "Process":
@@ -609,7 +650,7 @@ class Process:
     def increments(self) -> "Process":
         """The increment process: dX_t = X_t - X_{t-1} for t >= 1 on the
         meet of the two times' partitions, and dX_0 = 0; built once."""
-        return self.map_cells(_sub, self.lagged())
+        return self._zip(self.lagged(), componentwise, operator.sub)
 
     def on_atoms(self, t: int, atoms, increments: bool = False) -> list:
         """X_t (dX_t with ``increments``) on each of the given atoms, read at
@@ -639,7 +680,8 @@ class Process:
         layers = []
         for (part, cells, den), atoms in zip(self.layers, flow.partitions):
             meet, mine, _ = part.meet(atoms)
-            layers.append((meet, cells if meet is part else tuple(cells[k] for k in mine), den))
+            layers.append((meet, cells if meet is part else tuple(map(cells.__getitem__, mine)),
+                           den))
         return Process(self.space, tuple(layers))
 
     def component(self, j: int) -> "Process":
@@ -647,20 +689,19 @@ class Process:
 
     # -- algebra ----------------------------------------------------------------
 
-    def _zip(self, other: "Process", op, kernel=pointwise) -> "Process":
+    def _zip(self, other: "Process", kernel, op) -> "Process":
         if self.space is not other.space or self.horizon != other.horizon:
             raise SpaceError("processes live on different grids")
         if self.dim != other.dim:
             raise SpaceError("dimension mismatch")
         return Process(self.space, tuple(
-            kernel(lambda u, v: tuple(map(op, u, v)), *layers)
-            for layers in zip(self.layers, other.layers)))
+            kernel(op, *layers) for layers in zip(self.layers, other.layers)))
 
     def __add__(self, other: "Process") -> "Process":
-        return self._zip(other, operator.add)
+        return self._zip(other, componentwise, operator.add)
 
     def __sub__(self, other: "Process") -> "Process":
-        return self._zip(other, operator.sub)
+        return self._zip(other, componentwise, operator.sub)
 
     def __neg__(self) -> "Process":
         return self.scale(-1)
@@ -670,14 +711,14 @@ class Process:
         numerator, over the denominator times c's."""
         n, q = (c.numerator, c.denominator) if self.space.arith.exact else (c, 1)
         return Process(self.space, tuple(
-            _reduced(part, tuple(tuple(n * a for a in v) for v in cells), den * q)
+            _reduced(part, _scaled(cells, operator.mul, n), den * q)
             for part, cells, den in self.layers))
 
     def times(self, other: "Process") -> "Process":
         """Pointwise product, defined for scalar processes."""
         if self.dim != 1 or other.dim != 1:
             raise SpaceError("pointwise product is for scalar processes")
-        return self._zip(other, operator.mul, product)
+        return self._zip(other, product, lambda u, v: (u[0] * v[0],))
 
     def lagged(self) -> "Process":
         """Previous-time version: value at t is the value at t-1 (predictable)."""
@@ -798,7 +839,10 @@ def atom_means(given: Partition, *layers, value=lambda v: v,
     be linear in each operand's cells, like a :func:`product` op.
 
     Exact mode sums integer masses times ``value`` of the numerators over
-    the child atoms (the meet with ``given``) and builds no Fraction.  Float
+    the child atoms (the meet with ``given``), divides by the atom's own
+    integer mass and builds no Fraction; where ``given`` refines the
+    operands' meet, each atom is its own one child and its mean is its
+    value.  Float
     mode sums ``weighted(w, *cells)`` member by member, in outcome order,
     over the atom mass, because float sums depend on their order.
     """
@@ -812,15 +856,19 @@ def atom_means(given: Partition, *layers, value=lambda v: v,
             for members, mass in zip(given.members, given.masses)), 1
     meet, mine, theirs = part.meet(given)
     values = list(map(value, *args))
-    sums: list = [None] * len(given.atoms)
-    totals = [0] * len(given.atoms)
-    for p, q, n in zip(mine, theirs, meet.integer_masses):
-        s, v = sums[q], values[p]
-        sums[q] = [n * x for x in v] if s is None else [a + n * x for a, x in zip(s, v)]
-        totals[q] += n
+    den = math.prod(d for _, _, d in layers)
+    if meet is given:  # one child per atom: its mean is its value
+        return _reduced(given, tuple(map(values.__getitem__, mine)), den)
+    totals = given.integer_masses
     lcm = math.lcm(*totals)
-    return _reduced(given, tuple(tuple(a * (lcm // n) for a in s) for s, n in zip(sums, totals)),
-                    math.prod(d for _, _, d in layers) * lcm)
+    scale = [lcm // n for n in totals]
+    means = []
+    for col in zip(*values):  # one component at a time
+        sums = [0] * len(totals)
+        for q, n, x in zip(theirs, meet.integer_masses, map(col.__getitem__, mine)):
+            sums[q] += n * x
+        means.append(map(operator.mul, sums, scale))
+    return _reduced(given, _rows(means, len(totals)), den * lcm)
 
 
 def cond_exp(X: Process, t: int, given: Partition, layer: bool = False):

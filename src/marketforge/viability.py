@@ -152,7 +152,8 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
                 if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([target])):
                     raise CheckFailed(NON_VIABLE, FailureWitness(
                         "drift-not-spanned", t, atom, tuple(residual)), "base-structure-solve")
-                solved[key] = tuple(coeffs)
+                # With no asset (k = 0) Q has no rows and the solve no width.
+                solved[key] = tuple(coeffs) if k else (0,) * d
             table[(t, idx)] = solved[key]
     dbar = Process.predictable(F, table, d)
     D = integrate(dbar, W)

@@ -27,6 +27,12 @@ builds test data with it.
   compensators through the gauge, checked against ``compensator`` on G.
 * ``wealth`` is the self-financing wealth x + (H . S), for the
   deflated-wealth martingale property.
+* ``load_weights`` and ``load_process`` are the scenario loader's
+  per-cell route: every weight and every cell read on its own, in order,
+  and the cells then grouped by value in ``by_values``, as
+  ``Process.from_paths`` did before the loader grouped raw tokens.  The
+  loader must build the same weights and layers and fail with the same
+  message on the same field.
 * ``delta``, ``increments``, ``accumulate``, ``cond_exp``, ``zip_with``,
   ``min_tilt`` and ``stoch_exp`` are the per-cell kernels the engine
   had before it stored processes atom by atom: one operation per
@@ -37,6 +43,7 @@ builds test data with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from marketforge import linalg
@@ -44,12 +51,16 @@ from marketforge.arith import EXACT, Arithmetic
 from marketforge.calculus import compensator, integrate, is_martingale, pred_bracket
 from marketforge.jumpkernel import CoercivityFailure, KernelError, _within_growth_bound
 from marketforge.mrp import Driver
+from marketforge.scenario import ScenarioError, _field, _num
 from marketforge.space import (
     Filtration,
     Partition,
     Process,
     SampleSpace,
     SpaceError,
+    _cell_key,
+    _grouped,
+    _level_sets,
     first_mismatch,
     is_adapted,
 )
@@ -477,3 +488,70 @@ def stoch_exp(X: Process) -> Process:
             path.append((level,))
         paths.append(tuple(path))
     return Process.from_paths(X.space, paths)
+
+
+# ---------------------------------------------------------------------------
+# the per-cell loader
+
+
+def load_weights(weights_doc: list, arith: Arithmetic) -> tuple:
+    """A scenario's weights read one by one, in order."""
+    return tuple(_num(v, f"space.weights[{i}]", arith) for i, v in enumerate(weights_doc))
+
+
+def load_process(paths_doc, path: str, space: SampleSpace, arith: Arithmetic,
+                 horizon: int | None = None) -> Process:
+    """A scenario's list of paths read cell by cell, in outcome-major
+    order: each path's shape, then each of its tokens (parsed once per
+    distinct token), then ``by_values``."""
+    if not isinstance(paths_doc, list) or len(paths_doc) != space.size:
+        raise ScenarioError(path, f"expected one path per outcome ({space.size})")
+    parsed = {}  # raw token key -> its number, for this call only
+
+    def num(x, where):
+        if isinstance(x, (list, dict)):
+            return _num(x, where(), arith)  # never a number: fails with the path
+        key = (type(x), repr(x) if isinstance(x, float) else x)
+        if key not in parsed:
+            parsed[key] = _num(x, where(), arith)
+        return parsed[key]
+
+    paths = []
+    for i, raw in enumerate(paths_doc):
+        if not isinstance(raw, list) or len(raw) < 2:
+            raise ScenarioError(f"{path}[{i}]", "expected a path with >= 2 times")
+        if horizon is not None and len(raw) != horizon + 1:
+            raise ScenarioError(f"{path}[{i}]",
+                                f"expected {horizon + 1} time points")
+        fixed = []
+        for t, v in enumerate(raw):
+            if isinstance(v, list):
+                fixed.append(tuple(num(x, lambda: f"{path}[{i}][{t}][{j}]")
+                                   for j, x in enumerate(v)))
+            else:
+                fixed.append((num(v, lambda: f"{path}[{i}][{t}]"),))
+        paths.append(tuple(fixed))
+    with _field(path):
+        return by_values(space, paths)
+
+
+def by_values(space: SampleSpace, paths) -> Process:
+    """The process of per-outcome paths of number vectors, one time column
+    at a time: exact cells as integer numerators over the column's lcm,
+    grouped by those, float cells grouped as ``_cell_key`` keys them."""
+    if len(paths) != space.size:
+        raise SpaceError("process needs one path per outcome")
+    if len({len(v) for path in paths for v in path}) > 1:
+        raise SpaceError("all value vectors must share one dimension")
+    if len(set(map(len, paths))) > 1:
+        raise SpaceError("all paths must share one horizon")
+    layers = []
+    for column in zip(*paths):
+        if space.arith.exact:
+            den = math.lcm(*(x.denominator for v in column for x in v))
+            layers.append((*_level_sets(space, (tuple(x.numerator * (den // x.denominator)
+                                                      for x in v) for v in column)), den))
+        else:
+            part = _grouped(space, map(_cell_key, column))
+            layers.append((part, tuple(column[m[0]] for m in part.members), 1))
+    return Process(space, tuple(layers))

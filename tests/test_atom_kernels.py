@@ -45,6 +45,7 @@ from marketforge.viability import price_drift_rhs
 from marketforge.space import (
     Partition,
     Process,
+    atom_means,
     build_initial_enlargement,
     cond_exp,
     distinct_cells,
@@ -206,8 +207,14 @@ def _layers_of(X):
 @given(data=st.data())
 def test_layers_hold_reduced_integers_in_exact_mode_and_floats_over_one(mode, data):
     space, F, (X, A) = _draw(data, mode, 2, 1, kinds=("adapted", "predictable"))
+    # Means of products, given the flow's atoms (one child each, as X is
+    # adapted and A predictable) and the previous time's.
+    layers = [atom_means(given, X.layers[t], A.layers[t],
+                         value=lambda u, v: [a * b for a in u for b in v],
+                         weighted=lambda w, u, v: [w * a * b for a in u for b in v])
+              for t in range(F.horizon + 1) for given in (F.at(t), F.at(max(t - 1, 0)))]
     A = A.increments  # zero at time 0, for the compensator and stoch_exp
-    layers = _layers_of(X) + list(compensator(A, F).layers) + list(stoch_exp(A).layers)
+    layers += _layers_of(X) + list(compensator(A, F).layers) + list(stoch_exp(A).layers)
     for part, cells, den in layers:
         assert len(cells) == len(part.atoms)
         if mode == "float":

@@ -57,6 +57,21 @@ def test_analyze_one_step_viable(capsys):
     assert out.count("[pass]") == 9
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("driver", [True, False], ids=["driver", "no-driver"])
+def test_analyze_zero_assets_is_viable(tmp_path, capsys, driver, mode):
+    """A market with no asset (price vectors of length 0) is viable, with or
+    without a given driver: the structure solve has no rows, and its
+    coefficients are the driver's zero vector."""
+    doc = json.loads((SCENARIOS / "one_step.json").read_text())
+    doc["prices"] = [[[], []], [[], []]]
+    if not driver:
+        del doc["driver"]
+    code, out, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode], capsys)
+    assert (code, err) == (0, "")
+    assert "verdict: viable" in out
+
+
 def test_analyze_noisy_signal_report_numbers(tmp_path, capsys):
     report = tmp_path / "out.json"
     code, out, _ = run_cli(["analyze", str(SCENARIOS / "noisy_signal.json"),

@@ -1,21 +1,21 @@
 """Module hygiene: who reads the cell layout, no unused imports, and one
 failure model.
 
-The atom-major layout of a process (its ``layers``, one partition, one
-cell per atom and one denominator at each time, the cells integer
-numerators in exact mode; the meet of two partitions and the atom index per
-outcome behind it; the per-atom kernels ``pointwise``, ``product`` and
-``atom_means`` and the layer codecs) is known to ``space`` and ``calculus``
-only.  Every other engine module reads processes as numbers through their
-accessors (``Process.on_atoms``, ``Process.at``, ``cond_exp``,
-``first_mismatch``, ``distinct_cells``, ``increments``), decides on them
-through the ones that read the layers undecoded (``first_failing``, whose
-tests see a cell's numerators and the layer's denominator, ``extrema``,
-and ``Process.value_keys``, a cell's value key; ``value_key`` keys number
-vectors alike), and builds them from per-atom tables (``Process.adapted``,
-``Process.predictable``) or per-outcome paths, never from layers or
-increments (``accumulate``), so a change of storage layout touches those
-two modules alone.
+The atom-major layout of a process (its ``layers``, one partition, one cell
+per atom and one denominator at each time, the cells integer numerators in
+exact mode; the meet of two partitions and the atom index per outcome
+behind it; the per-atom kernels ``pointwise``, ``componentwise``,
+``product`` and ``atom_means`` and the layer codecs) is known to ``space``
+and ``calculus`` only.  Every other engine module reads processes as
+numbers through their accessors (``Process.on_atoms``, ``Process.at``,
+``cond_exp``, ``first_mismatch``, ``distinct_cells``, ``increments``),
+decides on them through the ones that read the layers undecoded
+(``first_failing``, whose tests see a cell's numerators and the layer's
+denominator, ``extrema``, and ``Process.value_keys``, a cell's value key;
+``value_key`` keys number vectors alike), and builds them from per-atom
+tables (``Process.adapted``, ``Process.predictable``) or per-outcome paths,
+never from layers or increments (``accumulate``), so a change of storage
+layout touches those two modules alone.
 
 Every name an engine module imports is used in that module (``__init__``
 re-exports, so it is exempt); ``# noqa: F401`` on the import line keeps a
@@ -39,8 +39,10 @@ from marketforge import cli
 ENGINE = pathlib.Path(__file__).resolve().parent.parent / "src" / "marketforge"
 LAYOUT_OWNERS = {"space.py", "calculus.py"}
 LAYOUT_TOKENS = re.compile(r"\.layers\b|\.meet\(|\batom_at\b|_tabled|_keyed|_grouped|_level_sets"
-                           r"|integer_masses|integer_weights|pointwise|\bproduct\(|atom_means"
+                           r"|integer_masses|integer_weights|pointwise|componentwise|\bproduct\("
+                           r"|atom_means"
                            r"|_encoded|_decoded|_reduced|_numerators|\b_over\(|_layer_key|layer="
+                           r"|\b_column\(|\b_scaled\(|\b_rows\("
                            r"|accumulate\(|\bid\(")
 
 
