@@ -1,11 +1,14 @@
 """marketforge: exact finite-market engine for information-flow expansion.
 
 Layers, bottom up.  A process is stored atom-major, one value per (time,
-atom) of the partitions it lives on (in exact mode integer numerators over
-one denominator per time), and only ``space`` and ``calculus`` know that
-layout: the layers above pass per-atom tables and per-outcome paths, and
-read processes as numbers through accessors (values on atoms, first
-failing cell, first mismatch, distinct cells).
+atom) of the partitions it lives on, each time's values by column (one
+tuple per component, one entry per atom; in exact mode integer numerators
+over one denominator per time), and its kernels are one ``map`` per
+column, products as contractions over component index pairs.  Only
+``space`` and ``calculus`` know that layout: the layers above pass
+per-atom tables, per-outcome paths and index pairs, and read processes as
+numbers through accessors (values on atoms, first failing cell, first
+mismatch, distinct cells).
 
 ``arith``      two arithmetic backends (exact rationals, tolerant floats)
 ``linalg``     elimination-based linear algebra over either backend

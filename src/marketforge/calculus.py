@@ -9,18 +9,23 @@ discontinuous martingale part coincides with the whole martingale part.
 
 All operators return processes on the same grid; compensators and their
 relatives are predictable and start at zero.  Like ``space``, this module
-reads a process atom by atom, as layers of integer numerators over one
-denominator in exact mode (floats over 1 in float mode): every per-cell
-operation runs once per atom of the meet of its operands' partitions,
-through ``space.pointwise`` when it is linear in the cells (over the lcm
-of the operands' denominators; sums and differences through
-``space.componentwise``, one component of every cell at a time) and through
-``space.product`` when it is linear in each operand (brackets, integrals,
-the stochastic exponential, over the product of the denominators).  A
-compensator's increments are conditional means on the time-(t-1) atoms.
-The per-atom cross moments the layers above solve with (``cross_moments``)
-and the gauge's tilt floor min(1 + phi . dN) (``min_tilt``, in
-numerators) come from here too.
+reads a process atom by atom, as layers stored by column (one tuple per
+value component, each with one entry per atom), integer numerators over
+one denominator in exact mode (floats over 1 in float mode): every
+operation is one ``map`` per column over the atoms of the meet of its
+operands' partitions, through ``space.componentwise`` for sums and
+differences (over the lcm of the operands' denominators) and through
+``space.product`` for contractions (over the product of the
+denominators): output component c is the sum of a_i * b_j over the index
+pairs ``terms[c]``, in list order.  Brackets are outer products
+(``space.outer``), integrals and the drift identity's phi . d[N, M] dot
+products summed from 0 (``sum_steps`` with ``dot``, so a float zero sum is
++0.0), and the stochastic exponential multiplies its running level by the
+factor (1 + X_t) - X_{t-1}, one pair.  A compensator's increments are
+conditional means on the time-(t-1) atoms.  The per-atom cross moments
+the layers above solve with (``cross_moments``, the means of an outer
+product) and the gauge's tilt floor min(1 + phi . dN) (``min_tilt``, in
+numerators, one entry per (atom, child) pair) come from here too.
 
 The one failure model lives here, in the lowest module that finds a
 failure: a check returns its first failure's ``FailureWitness`` (None when
@@ -31,9 +36,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
-from .space import Filtration, Partition, Process, _decoded, _encoded, _reduced
-from .space import atom_means, componentwise, cond_exp, first_failing, is_adapted, pointwise
+from .space import Filtration, Partition, Process, _decoded, _dot, _encoded, _failing, _reduced
+from .space import atom_means, componentwise, cond_exp, first_failing, is_adapted, outer
 from .space import product
 
 
@@ -84,24 +90,23 @@ def accumulate(dX: Process) -> Process:
     """Running sums from 0 of the increments dX_t, t >= 1 (dX_0 is not
     read), from zero on the atoms of dX_0."""
     part = dX.layers[0][0]
-    layers = [(part, ((0,) * dX.dim,) * len(part.atoms), 1)]
+    layers = [(part, ((0,) * len(part.atoms),) * dX.dim, 1)]
     for layer in dX.layers[1:]:
         layers.append(componentwise(operator.add, layers[-1], layer))
     return Process(dX.space, tuple(layers))
 
 
-def sum_steps(op, dim, steps, levels=(), plus=None) -> Process:
-    """Running sums from 0 of ``op(dX_t for X in steps, Y_t for Y in
-    levels)`` over t >= 1, ``op`` linear in each operand (a ``product``
-    op): the one per-cell kernel behind ``bracket``, ``integrate`` and the
-    expanded-flow drift identity.  With ``plus``, a process, each summand
-    is dP_t + op(...), added in that order.  The sums start on the meet of
-    the operands' time-0 partitions."""
-    zero = (0,) * dim
-    terms = Process(steps[0].space, tuple(
-        product(op if t else lambda *_: zero, *layers) for t, layers in enumerate(zip(
-            *(X.increments.layers for X in steps), *(Y.layers for Y in levels)))))
-    return accumulate(terms if plus is None else plus.increments + terms)
+def sum_steps(terms, dX: Process, Y: Process, plus=None, dot: bool = False) -> Process:
+    """Running sums from 0 over t >= 1 of the contraction of dX_t with
+    Y_t: component c of each summand is the sum of dX_t[i] * Y_t[j] over
+    the index pairs (i, j) of ``terms[c]``, in list order, from 0 with
+    ``dot`` (``space.product``).  The one kernel behind ``bracket``,
+    ``integrate`` and the expanded-flow drift identity.  With ``plus``, a
+    process, each summand is dP_t + the contraction, added in that order.
+    The sums start on the meet of the operands' time-0 partitions."""
+    steps = Process(dX.space, tuple(product(terms, a, b, dot)
+                                    for a, b in zip(dX.layers, Y.layers)))
+    return accumulate(steps if plus is None else plus.increments + steps)
 
 
 def centred(X: Process) -> Process:
@@ -113,13 +118,11 @@ def centred(X: Process) -> Process:
 def cross_moments(X: Process, Y: Process, partition, t: int) -> list:
     """E[dX_t transpose(dY_t) | A] as an (X.dim, Y.dim) nested list for each
     atom A of ``partition``, a time-(t-1) partition (in float mode the
-    weighted increment products summed member by member in outcome order,
-    over the atom mass)."""
+    weighted increment products (w * dx_i) * dy_j summed member by member
+    in outcome order, over the atom mass)."""
     n, d = X.dim, Y.dim
-    _, cells, den = atom_means(partition, X.increments.layers[t], Y.increments.layers[t],
-                               value=lambda dx, dy: [a * b for a in dx for b in dy],
-                               weighted=lambda w, dx, dy: [w * a * b for a in dx for b in dy])
-    means = _decoded(cells, den, X.space.arith.exact)
+    means = _decoded(atom_means(partition, X.increments.layers[t], Y.increments.layers[t]),
+                     X.space.arith.exact)
     return [[list(m[i * d:(i + 1) * d]) for i in range(n)] for m in means]
 
 
@@ -127,7 +130,7 @@ def _compensate(X: Process, filtration: Filtration) -> Process:
     """Accumulated conditional-mean increments, with no input checks: the
     increments live on the time-(t-1) atoms."""
     dX, parts = X.increments, filtration.partitions
-    zero = ((0,) * X.dim,) * len(parts[0].atoms)
+    zero = ((0,) * len(parts[0].atoms),) * X.dim
     return accumulate(Process(X.space, ((parts[0], zero, 1),) + tuple(
         cond_exp(dX, t, parts[t - 1], layer=True) for t in range(1, len(parts)))))
 
@@ -162,8 +165,7 @@ def bracket(X: Process, Y: Process) -> Process:
     """
     if X.space is not Y.space or X.horizon != Y.horizon:
         raise CalculusError("bracket needs processes on one grid")
-    return sum_steps(lambda dx, dy: tuple(a * b for a in dx for b in dy),
-                     X.dim * Y.dim, (X, Y))
+    return sum_steps(outer(X.dim, Y.dim), X.increments, Y.increments)
 
 
 def pred_bracket(X: Process, Y: Process, filtration: Filtration) -> Process:
@@ -183,7 +185,7 @@ def integrate(H: Process, X: Process) -> Process:
         raise CalculusError("integrate needs processes on one grid")
     if H.dim != X.dim:
         raise CalculusError("integrand dimension does not match the integrator")
-    return sum_steps(lambda dx, h: (sum((a * b for a, b in zip(h, dx)), 0),), 1, (X,), (H,))
+    return sum_steps((tuple((r, r) for r in range(X.dim)),), X.increments, H, dot=True)
 
 
 def stoch_exp(X: Process) -> Process:
@@ -191,7 +193,7 @@ def stoch_exp(X: Process) -> Process:
 
     Requires scalar X with X_0 = 0.  The result starts at 1; it can hit zero
     or go negative, which is not an error here: ``verify_deflator`` decides
-    positivity where it matters.
+    positivity where it matters.  Each factor is (1 + X_t) - X_{t-1}.
     """
     if X.dim != 1:
         raise CalculusError("stochastic exponential is for scalar processes")
@@ -202,9 +204,9 @@ def stoch_exp(X: Process) -> Process:
     one = (Partition.trivial(X.space), ((1,),), 1)
     layers = [_encoded(part, ((1 * arith.parse(1),),) * len(part.atoms))]
     for t in range(1, X.horizon + 1):
-        factor = pointwise(lambda c, x, x0: (c[0] + x[0] - x0[0],),
-                           one, X.layers[t], X.layers[t - 1])
-        layers.append(product(lambda level, f: (level[0] * f[0],), layers[-1], factor))
+        factor = componentwise(operator.sub, componentwise(operator.add, one, X.layers[t]),
+                               X.layers[t - 1])
+        layers.append(product(outer(1, 1), layers[-1], factor))
     return Process(X.space, tuple(layers))
 
 
@@ -216,25 +218,31 @@ def min_tilt(phi: Process, N: Process, base: Filtration, expanded: Filtration) -
     in (t, atom) order, where u <= 0, or None.  Exact mode adds phi . dN to
     1 in numerators over the product of phi's and dN's denominators and
     compares numerators; float mode runs the per-cell expression's float
-    operations, child by child in order."""
+    operations, 1 + sum((phi_0 dN_0, ...), 0), child by child in order.
+    Each (atom, child) pair is one entry of a column pass."""
     parts = expanded.partitions
-    layers = [(parts[0], ((1,),) * len(parts[0].atoms), 1)]
+    layers = [(parts[0], ((1,) * len(parts[0].atoms),), 1)]
     first = None
     for t in range(1, len(parts)):
         part = parts[t - 1]
-        p_part, p_cells, p_den = phi.layers[t]
-        n_part, n_cells, n_den = N.increments.layers[t]
+        p_part, p_cols, p_den = phi.layers[t]
+        n_part, n_cols, n_den = N.increments.layers[t]
         den = p_den * n_den  # 1 is den over den
-        steps = [[n_cells[n_part.atom_index(child[0])] for child, _ in children]
-                 for _, _, children in base.transitions(t)]
-        cells = []
-        for k, (atom, a) in enumerate(zip(part.atoms, part.parents(base.at(t - 1)))):
-            ph = p_cells[p_part.atom_index(atom[0])]
-            u = min(den + sum((x * y for x, y in zip(ph, dn)), 0) for dn in steps[a])
-            if first is None and not u > 0:
-                first = (t, k)
-            cells.append((u,))
-        layers.append(_reduced(part, tuple(cells), den))
+        kids = [[n_part.atom_index(child[0]) for child, _ in children]
+                for _, _, children in base.transitions(t)]
+        at_phi, at_n, ends = [], [], []
+        for m, a in zip(part.members, part.parents(base.at(t - 1))):
+            at_phi += [p_part.atom_at[m[0]]] * len(kids[a])
+            at_n += kids[a]
+            ends.append(len(at_n))
+        tilts = tuple(map(operator.add, repeat(den), _dot(
+            [map(operator.mul, map(p_col.__getitem__, at_phi), map(n_col.__getitem__, at_n))
+             for p_col, n_col in zip(p_cols, n_cols)], len(at_n))))
+        u = tuple(map(min, map(tilts.__getitem__, map(slice, [0, *ends[:-1]], ends))))
+        if first is None:
+            k = next(_failing(map(operator.gt, u, repeat(0))), None)
+            first = None if k is None else (t, k)
+        layers.append(_reduced(part, (u,), den))
     return Process(phi.space, tuple(layers)), first
 
 
@@ -244,16 +252,18 @@ def is_martingale(X: Process, filtration: Filtration):
     Returns None, or the witness of the first failure in (time, atom) order,
     reason "drifts", whose detail is the offending conditional mean
     increment (a scalar for a one-dimensional process, a tuple otherwise).
-    In exact mode a mean is zero when its integer sum is; only the
+    In exact mode a mean is zero when its integer numerator is; only the
     witness's mean becomes a Fraction.
     """
     _require_adapted(X, filtration, "martingale-check input")
     arith = X.space.arith
+    is_zero = operator.not_ if arith.exact else arith.is_zero
     for t in range(1, X.horizon + 1):
         part = filtration.at(t - 1)
-        _, cells, den = cond_exp(X.increments, t, part, layer=True)
-        for atom, m in zip(part.atoms, cells):
-            if not all(arith.is_zero(v) for v in m):
-                (m,) = _decoded((m,), den, arith.exact)
-                return FailureWitness("drifts", t, atom, m[0] if X.dim == 1 else tuple(m))
+        means = cond_exp(X.increments, t, part, layer=True)
+        n = len(part.atoms)
+        k = min((next(_failing(map(is_zero, col)), n) for col in means[1]), default=n)
+        if k < n:
+            m = _decoded(means, arith.exact)[k]
+            return FailureWitness("drifts", t, part.atoms[k], m[0] if X.dim == 1 else tuple(m))
     return None

@@ -86,16 +86,18 @@ def check_support_condition(pair: EnlargementPair):
     """
     F, G = pair.base, pair.expanded
     for t in range(1, pair.horizon + 1):
-        g_part = G.at(t - 1)
-        meets = {(child[0], g_part.atom_index(o))
-                 for child in F.at(t).atoms for o in child}
+        f_part, g_part, g_now = F.at(t), G.at(t - 1), G.at(t)
+        # G_t refines both F_t and G_{t-1}, so every nonempty C and B is a
+        # union of G_t atoms: the pairs that meet are read off those atoms.
+        meets = set(zip(g_now.parents(f_part), g_now.parents(g_part)))
         g_kids = [[] for _ in F.at(t - 1).atoms]
         for b, k in enumerate(g_part.parents(F.at(t - 1))):
             g_kids[k].append(b)
         for k, _, children in F.transitions(t):
             for child, _ in children:
+                c = f_part.atom_index(child[0])
                 for b in g_kids[k]:
-                    if (child[0], b) not in meets:
+                    if (c, b) not in meets:
                         return FailureWitness("support", t, child, {
                             "t": t, "child": child, "g_atom": g_part.atoms[b]})
     return None

@@ -19,43 +19,51 @@ partitions it lives on: a filtration's (:meth:`Process.adapted`, and the
 time-(t-1) ones for :meth:`Process.predictable`), the level sets of its
 values (:meth:`Process.from_keys`, which builds each time from the distinct
 cells of its column, and :meth:`Process.from_paths` on it), or, for a
-kernel result, the meet of its operands' (:func:`pointwise`).  Each time is
-one layer, a triple (partition, cells, den): in exact mode the cells hold
-integer numerators over the one positive denominator ``den``, with gcd(den,
-*numerators) = 1, so a kernel does integer arithmetic and reduces once; in
-float mode the cells hold the floats themselves and ``den`` is 1, so the
-same kernels run the same float operations in the same order.  A linear
-kernel (:func:`pointwise`, :meth:`Process.map_cells`, and
-:func:`componentwise` for sums and differences, one component of every
-cell at a time) brings its operands to the lcm of their denominators; a
-multilinear one (:func:`product`) multiplies them.  Increments are defined once, here
-(:attr:`Process.increments`, dX_0 = 0); :func:`atom_means` averages over
-child atoms in integers, dividing by the atoms' own integer masses (and
-returns the cells as they are where each atom is its own only child), and
-:func:`is_adapted` checks once per atom.  Only this module and ``calculus``
-know the layout: the other layers build processes from per-atom tables or
-per-outcome paths, and read them as numbers (Fractions in exact mode,
-decoded once per layer) through :meth:`Process.on_atoms`,
-:meth:`Process.at`, :func:`cond_exp`, :func:`first_mismatch` and
-:func:`distinct_cells`.  Their decisions read the layers undecoded:
-:func:`first_failing` runs each test on a cell's numerators over the
-layer's denominator, :func:`extrema` compares numerators and decodes the
-two extremes a report shows, and :meth:`Process.value_keys` gives a cell's
-value key, (numerators // g, den // g) with g = gcd(den, *numerators) (a
-float cell keys by its bits), which :func:`value_key` gives number vectors
-too: the memo key of the solves above.  :func:`first_failing`,
-:func:`first_mismatch` and :func:`distinct_cells` keep outcome-major order,
-so witnesses and float report extrema keep theirs.
+kernel result, the meet of its operands' (:func:`componentwise`).  Each
+time is one layer, a triple (partition, columns, den), stored column-major:
+one tuple per value component, each with one entry per atom.  In exact
+mode the entries are integer numerators over the one positive denominator
+``den``, with gcd(den, *numerators) = 1, so a kernel does integer
+arithmetic and reduces once; in float mode they are the floats themselves
+and ``den`` is 1, so the same kernels run the same float operations in the
+same order.  Every kernel is one ``map`` of an ``operator`` function per
+column, with no Python call per cell.  A linear kernel
+(:func:`componentwise` for sums and differences, :meth:`Process.scale`)
+brings its operands to the lcm of their denominators; a bilinear one
+(:func:`product`) multiplies them and takes a contraction: output
+component c is the sum over the index pairs ``terms[c]`` of a_i * b_j, in
+list order (a dot product by the built-in ``sum`` from 0, so a float zero
+sum is +0.0).
+Increments are defined once, here (:attr:`Process.increments`, dX_0 = 0);
+:func:`atom_means` averages a layer, or the outer product of two, over
+child atoms in integers, with prefix sums over the children grouped by
+atom and the atoms' own integer masses (and returns the cells as they are
+where each atom is its own only child), and :func:`is_adapted` checks once
+per atom.  Only this module and ``calculus`` know the layout: the other
+layers build processes from per-atom tables or per-outcome paths, and read
+them as numbers (Fractions in exact mode, decoded and transposed once per
+layer) through :meth:`Process.on_atoms`, :meth:`Process.at`,
+:func:`cond_exp`, :func:`first_mismatch` and :func:`distinct_cells`.
+Their decisions read the layers undecoded: :func:`first_failing` runs each
+test on a cell's numerators over the layer's denominator, :func:`extrema`
+compares numerators and decodes the two extremes a report shows, and
+:meth:`Process.value_keys` gives a cell's value key, (numerators // g,
+den // g) with g = gcd(den, *numerators) (a float cell keys by its bits),
+which :func:`value_key` gives number vectors too: the memo key of the
+solves above.  :func:`first_failing`, :func:`first_mismatch` and
+:func:`distinct_cells` keep outcome-major order, so witnesses and float
+report extrema keep theirs.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, repeat
+from functools import cached_property, partial, reduce
+from itertools import accumulate, chain, compress, count, repeat
 from typing import Iterable, Sequence
 
 from .arith import EXACT, Arithmetic, Num
@@ -133,6 +141,7 @@ class Partition:
     atoms: tuple[tuple[str, ...], ...]
     _atom_of: dict = field(default_factory=dict, repr=False)
     _meets: dict = field(default_factory=dict, repr=False)
+    _sums: dict = field(default_factory=dict, repr=False)  # operand partition -> _sum_plan
 
     def __post_init__(self) -> None:
         for k, atom in enumerate(self.atoms):
@@ -188,8 +197,7 @@ class Partition:
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
         """Outcome indices of each atom."""
-        idx = self.space.index
-        return tuple(tuple(idx(o) for o in atom) for atom in self.atoms)
+        return tuple(map(tuple, map(map, repeat(self.space._index.__getitem__), self.atoms)))
 
     @cached_property
     def masses(self) -> tuple[Num, ...]:
@@ -198,15 +206,17 @@ class Partition:
         if self.space.arith.exact:
             lcm = self.space.integer_weights[0]
             return tuple(Fraction(n, lcm) for n in self.integer_masses)
-        w = self.space.weights
-        return tuple(sum((w[i] for i in m), 0) for m in self.members)
+        return tuple(map(sum, self._member_weights(self.space.weights), repeat(0)))
 
     @cached_property
     def integer_masses(self) -> tuple[int, ...]:
         """Exact masses times the lcm of the weights' denominators: integers
         with the masses' ratios, for sums that build no Fraction per term."""
-        w = self.space.integer_weights[1]
-        return tuple(sum(w[i] for i in m) for m in self.members)
+        return tuple(map(sum, self._member_weights(self.space.integer_weights[1])))
+
+    def _member_weights(self, w):
+        """Per atom, the weights ``w`` of its outcomes in outcome order."""
+        return map(map, repeat(w.__getitem__), self.members)
 
     @cached_property
     def atom_at(self) -> tuple[int, ...]:
@@ -338,8 +348,9 @@ def natural_filtration(space: SampleSpace, processes: Sequence["Process"]) -> Fi
     part = Partition.trivial(space)
     for t in range(horizon + 1):
         for proc in processes:
-            atoms, cells, _ = proc.layers[t]  # one denominator: numerators key
-            part = part.refine_by([cells[k] for k in atoms.atom_at])
+            atoms, cols, _ = proc.layers[t]  # one denominator: numerators key
+            cells = _rows(cols, len(atoms.atoms))
+            part = part.refine_by(list(map(cells.__getitem__, atoms.atom_at)))
         parts.append(part)
     return Filtration(space, tuple(parts))
 
@@ -420,29 +431,36 @@ def value_key(arith: Arithmetic, *vectors) -> tuple:
     return tuple(keys)
 
 
-def _numerators(cells, exact: bool) -> tuple:
-    """(cells, den): exact number cells as integer numerators over the lcm
-    ``den`` of their denominators, so gcd(den, *numerators) is 1; float
-    cells as they are, over 1."""
+def _numerators(vectors, exact: bool) -> tuple:
+    """(vectors, den): exact number vectors (cells or columns) as integer
+    numerators over the lcm ``den`` of their denominators, so gcd(den,
+    *numerators) is 1; float vectors as they are, over 1."""
     if not exact:
-        return tuple(cells), 1
-    den = math.lcm(*(x.denominator for v in cells for x in v))
-    return tuple(_over(cells, den)), den
+        return tuple(vectors), 1
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    return tuple(_over(vectors, den)), den
 
 
-def _over(cells, den: int):
-    """Each exact cell's numerators over ``den``, a multiple of their
-    denominators, one cell at a time."""
-    return (tuple(x.numerator * (den // x.denominator) for x in v) for v in cells)
+def _over(vectors, den: int):
+    """Each exact vector's numerators over ``den``, a multiple of their
+    denominators, one vector at a time."""
+    return (tuple(x.numerator * (den // x.denominator) for x in v) for v in vectors)
+
+
+def _rows(columns, n: int) -> tuple:
+    """The n cells whose components are the ``columns`` (n empty cells
+    when there is none): a layer's cells, for the readers."""
+    return tuple(zip(*columns)) if columns else ((),) * n
 
 
 def _column(space: SampleSpace, keys, cells: dict) -> tuple:
     """The layer of one time: the outcomes grouped by their ``keys``, one
     cell per group from ``cells``, exact numerators over the lcm of the
-    distinct cells' denominators.  Keys of equal value (``"1/2"`` and
-    ``0.5``; float ``1`` and ``1.0``) share one level set: only such a
-    column is grouped again, by value, exact cells by numerators and float
-    ones as ``_cell_key`` keys them, so -0.0 stays apart from 0.0."""
+    distinct cells' denominators, stored by column.  Keys of equal value
+    (``"1/2"`` and ``0.5``; float ``1`` and ``1.0``) share one level set:
+    only such a column is grouped again, by value, exact cells by
+    numerators and float ones as ``_cell_key`` keys them, so -0.0 stays
+    apart from 0.0."""
     exact = space.arith.exact
     part, distinct = _level_sets(space, keys)
     found, den = _numerators(tuple(map(cells.__getitem__, distinct)), exact)
@@ -451,54 +469,55 @@ def _column(space: SampleSpace, keys, cells: dict) -> tuple:
         cell_of, value_of = dict(zip(values, found)), dict(zip(distinct, values))
         part, values = _level_sets(space, map(value_of.__getitem__, keys))
         found = tuple(map(cell_of.__getitem__, values))
-    return part, found, den
+    return part, tuple(zip(*found)), den
 
 
 def _encoded(part: Partition, cells) -> tuple:
-    """The layer (part, cells, den) of number cells (``_numerators``)."""
-    return (part, *_numerators(cells, part.space.arith.exact))
+    """The layer (part, columns, den) of number cells, one per atom of
+    ``part`` (``_numerators`` of their columns)."""
+    return (part, *_numerators(tuple(zip(*cells)), part.space.arith.exact))
 
 
-def _reduced(part: Partition, cells, den: int) -> tuple:
-    """The layer (part, cells, den) with the numerators and ``den`` divided
+def _decoded(layer, exact: bool) -> tuple:
+    """The cells of a layer as numbers, one vector per atom: Fractions in
+    exact mode."""
+    part, cols, den = layer
+    if exact:
+        cols = [tuple(map(Fraction, col, repeat(den))) for col in cols]
+    return _rows(cols, len(part.atoms))
+
+
+def _reduced(part: Partition, cols, den: int) -> tuple:
+    """The layer (part, cols, den) with the numerators and ``den`` divided
     by their gcd; over 1 (every float layer) there is nothing to divide."""
     if den != 1:
-        g = math.gcd(den, *chain.from_iterable(cells))
+        g = math.gcd(den, *chain.from_iterable(cols))
         if g != 1:
             den //= g
-            cells = _scaled(cells, operator.floordiv, g)
-    return part, cells, den
+            cols = _scaled(cols, operator.floordiv, g)
+    return part, cols, den
 
 
-def _scaled(cells, op, f) -> tuple:
-    """The cells with ``op(a, f)`` in place of each component a, computed
-    one component of every cell at a time."""
-    return _rows([map(op, col, repeat(f)) for col in zip(*cells)], len(cells))
+def _scaled(cols, op, f) -> tuple:
+    """The columns with ``op(a, f)`` in place of each entry a."""
+    return tuple([tuple(map(op, col, repeat(f))) for col in cols])
 
 
-def _rows(columns: list, n: int) -> tuple:
-    """The n cells whose components are the ``columns`` (n empty cells
-    when there is none)."""
-    return tuple(zip(*columns)) if columns else ((),) * n
-
-
-def _decoded(cells, den: int, exact: bool) -> tuple:
-    """The cells of a layer as numbers: Fractions in exact mode."""
-    if not exact:
-        return cells
-    return tuple(tuple(Fraction(a, den) for a in v) for v in cells)
+def _picked(cols, index) -> tuple:
+    """The columns' entries at the atoms ``index``, in that order."""
+    return tuple([tuple(map(col.__getitem__, index)) for col in cols])
 
 
 def _aligned(layers) -> tuple:
     """(meet, args): the meet of the layers' partitions and, per layer, its
-    cells on each atom of the meet."""
-    part, cells, _ = layers[0]
-    args = [cells]
-    for other, other_cells, _ in layers[1:]:
+    columns on the atoms of the meet."""
+    part, cols, _ = layers[0]
+    args = [cols]
+    for other, other_cols, _ in layers[1:]:
         meet, mine, theirs = part.meet(other)
         if meet is not part:
-            args = [list(map(c.__getitem__, mine)) for c in args]
-        args.append(other_cells if meet is other else list(map(other_cells.__getitem__, theirs)))
+            args = [_picked(c, mine) for c in args]
+        args.append(other_cols if meet is other else _picked(other_cols, theirs))
         part = meet
     return part, args
 
@@ -514,42 +533,54 @@ def _common(layers) -> tuple:
     return part, args, den
 
 
-def pointwise(op, *layers) -> tuple:
-    """The layer of ``op`` of the operands' cells on each atom of the meet
-    of their partitions; each operand is a (partition, cells, den) layer.
-    ``op`` must be linear in the cells (sums, differences and selections of
-    components): it sees every operand over one denominator, the lcm of
-    theirs, and its result is over that one too."""
-    part, args, den = _common(layers)
-    return _reduced(part, tuple(map(op, *args)), den)
-
-
 def componentwise(op, *layers) -> tuple:
-    """``pointwise`` for an ``op`` of numbers (``operator.add``,
-    ``operator.sub``) applied to the operands' matching components, one
-    component of every cell at a time."""
+    """The layer of ``op`` (``operator.add``, ``operator.sub``) of the
+    operands' matching components on each atom of the meet of their
+    partitions; each operand is a (partition, columns, den) layer.  ``op``
+    sees every operand over the lcm of their denominators, and its result
+    is over that one too."""
     part, args, den = _common(layers)
-    columns = zip(*[zip(*cells) for cells in args])
-    return _reduced(part, _rows([map(op, *col) for col in columns], len(part.atoms)), den)
+    return _reduced(part, tuple([tuple(map(op, *cols)) for cols in zip(*args)]), den)
 
 
-def product(op, *layers) -> tuple:
-    """``pointwise`` for an ``op`` linear in each operand's cells on its
-    own (sums of products of one component of each operand): it sees each
-    operand over its own denominator, and its result is over their
-    product."""
-    part, args = _aligned(layers)
-    return _reduced(part, tuple(map(op, *args)), math.prod(d for _, _, d in layers))
+def product(terms, a, b, dot: bool = False) -> tuple:
+    """The contraction of two layers on the meet of their partitions:
+    output component c is the sum of a_i * b_j over the index pairs
+    (i, j) of ``terms[c]``, in list order: with ``dot`` the built-in
+    ``sum`` of the products from 0 (0 + a_i0 * b_j0 + ..., so a float zero
+    sum is +0.0, and the float sum is the one ``sum`` makes on every Python
+    version), else the products added from the first.  Each operand is read
+    over its own denominator, and the result is over their product."""
+    part, (A, B) = _aligned((a, b))
+    cols = []
+    for pairs in terms:
+        steps = [map(operator.mul, A[i], B[j]) for i, j in pairs]
+        cols.append(tuple(_dot(steps, len(part.atoms)) if dot else
+                          reduce(partial(map, operator.add), steps)))
+    return _reduced(part, tuple(cols), a[2] * b[2])
+
+
+def _dot(steps, n: int):
+    """The built-in ``sum`` from 0 of the ``steps``, columns of n entries,
+    entry by entry (n zeros when there is none)."""
+    return map(sum, zip(*steps) if steps else repeat((), n), repeat(0))
+
+
+def outer(n: int, d: int) -> tuple:
+    """The ``product`` terms of the outer product of an n-vector and a
+    d-vector, flattened row by row: entry i * d + j is a_i * b_j."""
+    return tuple(((i, j),) for i in range(n) for j in range(d))
 
 
 @dataclass(frozen=True, eq=False)
 class Process:
-    """A process atom by atom: ``layers[t]`` is (partition, cells, den),
-    with ``cells[k]`` the value vector on atom k of the time-t partition,
-    over the denominator ``den`` (integer numerators in exact mode, floats
-    over 1 in float mode), all of one length ``dim``.  The dimension is
-    checked where cells enter from outside a kernel (``from_paths``,
-    ``adapted``); a kernel keeps its operands' one.
+    """A process atom by atom: ``layers[t]`` is (partition, columns, den),
+    with ``columns[c][k]`` component c of the value on atom k of the time-t
+    partition, over the denominator ``den`` (integer numerators in exact
+    mode, floats over 1 in float mode); there are ``dim`` columns, each
+    with one entry per atom.  The dimension is checked where cells enter
+    from outside a kernel (``from_paths``, ``adapted``); a kernel keeps its
+    operands' one.
     """
 
     space: SampleSpace
@@ -559,7 +590,7 @@ class Process:
     def __post_init__(self) -> None:
         if not self.layers:
             raise SpaceError("process needs at least time 0")
-        if any(len(cells) != len(part.atoms) for part, cells, _ in self.layers):
+        if any(len(col) != len(part.atoms) for part, cols, _ in self.layers for col in cols):
             raise SpaceError("process needs one value per atom at each time")
 
     # -- construction helpers ------------------------------------------------
@@ -626,15 +657,14 @@ class Process:
 
     @property
     def dim(self) -> int:
-        return len(self.layers[0][1][0])
+        return len(self.layers[0][1])
 
     def _numbers(self, t: int) -> tuple:
         """The time-t cells as numbers (Fractions in exact mode), one vector
         per atom of the time-t partition; decoded once per time."""
         hit = self._cache.get(t)
         if hit is None:
-            _, cells, den = self.layers[t]
-            hit = self._cache[t] = _decoded(cells, den, self.space.arith.exact)
+            hit = self._cache[t] = _decoded(self.layers[t], self.space.arith.exact)
         return hit
 
     def at(self, outcome: str, t: int) -> tuple[Num, ...]:
@@ -662,30 +692,23 @@ class Process:
         given atoms, read at the atom's first outcome straight off the
         layer, with no number decoded: equal values (and no others) share a
         key, over any denominator and at any time (``value_key``)."""
-        part, cells, den = (self.increments if increments else self).layers[t]
+        part, cols, den = (self.increments if increments else self).layers[t]
         exact = self.space.arith.exact
-        return tuple(_layer_key(cells[part.atom_index(atom[0])], den, exact) for atom in atoms)
-
-    def map_cells(self, op, *others: "Process") -> "Process":
-        """The process whose cells are ``op(cell, *other cells)``, computed
-        once per atom of the operands' meet; ``op`` must be linear in the
-        cells (see :func:`pointwise`), and the others must share this one's
-        grid."""
-        return Process(self.space, tuple(pointwise(op, *layers) for layers in zip(
-            self.layers, *(X.layers for X in others))))
+        return tuple(_layer_key(tuple(col[part.atom_index(atom[0])] for col in cols), den, exact)
+                     for atom in atoms)
 
     def refined(self, flow: "Filtration") -> "Process":
         """The same process stored on the meet of its partitions with the
         flow's: on the flow's own atoms where it is adapted to the flow."""
         layers = []
-        for (part, cells, den), atoms in zip(self.layers, flow.partitions):
+        for (part, cols, den), atoms in zip(self.layers, flow.partitions):
             meet, mine, _ = part.meet(atoms)
-            layers.append((meet, cells if meet is part else tuple(map(cells.__getitem__, mine)),
-                           den))
+            layers.append((meet, cols if meet is part else _picked(cols, mine), den))
         return Process(self.space, tuple(layers))
 
     def component(self, j: int) -> "Process":
-        return self.map_cells(lambda v: (v[j],))
+        return Process(self.space, tuple(_reduced(part, (cols[j],), den)
+                                         for part, cols, den in self.layers))
 
     # -- algebra ----------------------------------------------------------------
 
@@ -711,14 +734,14 @@ class Process:
         numerator, over the denominator times c's."""
         n, q = (c.numerator, c.denominator) if self.space.arith.exact else (c, 1)
         return Process(self.space, tuple(
-            _reduced(part, _scaled(cells, operator.mul, n), den * q)
-            for part, cells, den in self.layers))
+            _reduced(part, _scaled(cols, operator.mul, n), den * q)
+            for part, cols, den in self.layers))
 
     def times(self, other: "Process") -> "Process":
         """Pointwise product, defined for scalar processes."""
         if self.dim != 1 or other.dim != 1:
             raise SpaceError("pointwise product is for scalar processes")
-        return self._zip(other, product, lambda u, v: (u[0] * v[0],))
+        return self._zip(other, product, outer(1, 1))
 
     def lagged(self) -> "Process":
         """Previous-time version: value at t is the value at t-1 (predictable)."""
@@ -731,6 +754,11 @@ def _keyed(X: Process, start: int) -> list:
     return [((part.members[k][0], t), v)
             for t, (part, _, _) in enumerate(X.layers) if t >= start
             for k, v in enumerate(X._numbers(t))]
+
+
+def _failing(oks) -> Iterable[int]:
+    """The indices of the false entries of ``oks``."""
+    return compress(count(), map(operator.not_, oks))
 
 
 def first_failing(X: Process, test=None, start=None, increments: bool = False):
@@ -747,10 +775,12 @@ def first_failing(X: Process, test=None, start=None, increments: bool = False):
     if increments:
         X = X.increments
     misses = []
-    for t, (part, cells, den) in enumerate(X.layers):
+    for t, (part, cols, den) in enumerate(X.layers):
         check = (start or test) if t == 0 else test
         if check is not None and t >= increments:
-            misses += [(part.members[k][0], t) for k, v in enumerate(cells) if not check(v, den)]
+            cells = _rows(cols, len(part.atoms))
+            misses += [(part.members[k][0], t)
+                       for k in _failing(map(check, cells, repeat(den)))]
     return min(misses, default=None)
 
 
@@ -776,15 +806,20 @@ def extrema(X: Process, start: int = 0, increments: bool = False):
     if increments:
         X, start = X.increments, 1
     lo = hi = None
-    for _, cells, den in X.layers[start:]:
-        nums = [a for v in cells for a in v]
-        if nums:
-            a, b = min(nums), max(nums)
+    for _, cols, den in X.layers[start:]:
+        if cols:
+            a, b = min(map(min, cols)), max(map(max, cols))
             if lo is None or a * lo[1] < lo[0] * den:
                 lo = a, den
             if hi is None or b * hi[1] > hi[0] * den:
                 hi = b, den
     return None if lo is None else (Fraction(*lo), Fraction(*hi))
+
+
+def _eq(arith: Arithmetic):
+    """Equality of two entries over one denominator: numerators compare as
+    values in exact mode."""
+    return operator.eq if arith.exact else arith.eq
 
 
 def first_mismatch(X: Process, Y: Process):
@@ -797,32 +832,35 @@ def first_mismatch(X: Process, Y: Process):
     """
     if X.space is not Y.space or X.horizon != Y.horizon or X.dim != Y.dim:
         raise SpaceError("processes live on different grids")
-    eq, misses = X.space.arith.eq, []
+    eq, misses = _eq(X.space.arith), []
     for t, layers in enumerate(zip(X.layers, Y.layers)):
         part, (us, vs), _ = _common(layers)
-        misses += [(part.members[k][0], t)
-                   for k, (u, v) in enumerate(zip(us, vs)) if not all(map(eq, u, v))]
+        bad = set(chain.from_iterable(_failing(map(eq, u, v)) for u, v in zip(us, vs)))
+        misses += [(part.members[k][0], t) for k in bad]
     if not misses:
         return None
     i, t = min(misses)
     o = X.space.outcomes[i]
+    eq = X.space.arith.eq
     a, b = next((a, b) for a, b in zip(X.at(o, t), Y.at(o, t)) if not eq(a, b))
     return o, t, a, b
 
 
 def is_adapted(X: Process, filtration: Filtration) -> bool:
     """Time-t values constant on every time-t atom: checked once per atom
-    of the meet, against the cell on the atom's first outcome."""
+    of the meet, against the entry on the first atom of the meet inside the
+    same flow atom."""
     if X.horizon != filtration.horizon:
         return False
-    eq = X.space.arith.eq  # over one denominator, numerators compare as values
-    for (part, cells, _), atoms in zip(X.layers, filtration.partitions):
+    eq = _eq(X.space.arith)
+    for (part, cols, _), atoms in zip(X.layers, filtration.partitions):
         meet, mine, theirs = part.meet(atoms)
         if len(meet.atoms) == len(atoms.atoms):
             continue  # each atom lies inside one atom of the process
-        first: dict = {}
-        for p, q in zip(mine, theirs):
-            if not all(map(eq, cells[p], first.setdefault(q, cells[p]))):
+        first = dict(zip(reversed(theirs), reversed(mine)))  # the first one wins
+        ref = tuple(map(first.__getitem__, theirs))
+        for col in cols:
+            if not all(map(eq, map(col.__getitem__, mine), map(col.__getitem__, ref))):
                 return False
     return True
 
@@ -831,50 +869,73 @@ def is_adapted(X: Process, filtration: Filtration) -> bool:
 # conditional expectation
 
 
-def atom_means(given: Partition, *layers, value=lambda v: v,
-               weighted=lambda w, v: tuple(w * x for x in v)) -> tuple:
-    """The layer on ``given`` of the mean of ``value(*cells)`` over each of
-    its atoms, for the cells of the operand layers on the meet of their
-    partitions (by default one operand, averaged as it is).  ``value`` must
-    be linear in each operand's cells, like a :func:`product` op.
+def _sum_plan(part: Partition, given: Partition) -> tuple:
+    """(index, masses, ends, starts, scale, lcm): the atoms of the meet of
+    ``part`` with ``given`` grouped by the atom of ``given`` holding them,
+    as the atom of ``part`` holding each and its integer mass, with each
+    group's bounds; and lcm // mass for each atom of ``given``, lcm the lcm
+    of their integer masses.  Built once per pair."""
+    hit = given._sums.get(part)
+    if hit is None:
+        meet, mine, theirs = part.meet(given)
+        order = sorted(range(len(theirs)), key=theirs.__getitem__)
+        ends = tuple(accumulate(map(Counter(theirs).__getitem__, range(len(given.atoms)))))
+        totals = given.integer_masses
+        lcm = math.lcm(*totals)
+        hit = given._sums[part] = (
+            tuple(map(mine.__getitem__, order)),
+            tuple(map(meet.integer_masses.__getitem__, order)),
+            ends, (0,) + ends[:-1], tuple([lcm // n for n in totals]), lcm)
+    return hit
 
-    Exact mode sums integer masses times ``value`` of the numerators over
-    the child atoms (the meet with ``given``), divides by the atom's own
-    integer mass and builds no Fraction; where ``given`` refines the
-    operands' meet, each atom is its own one child and its mean is its
-    value.  Float
-    mode sums ``weighted(w, *cells)`` member by member, in outcome order,
-    over the atom mass, because float sums depend on their order.
+
+def atom_means(given: Partition, layer, other=None) -> tuple:
+    """The layer on ``given`` of the mean of a layer's cells over each of
+    its atoms, or with ``other``, of the outer product of the two layers'
+    cells on the meet of their partitions (entry i * dim(other) + j the
+    mean of a_i * b_j, ``outer``).
+
+    Exact mode sums integer masses times numerators over the child atoms
+    (the meet with ``given``), grouped by atom, as differences of prefix
+    sums, divides by the atom's own integer mass and builds no Fraction;
+    where ``given`` refines the operands' meet, each atom is its own one
+    child and its mean is its value.  Float mode sums ``w * x`` (``(w * a)
+    * b`` for the outer product) member by member, in outcome order, from
+    0, over the atom mass, because float sums depend on their order.
     """
-    part, args = _aligned(layers)
-    space = part.space
+    space = given.space
     if not space.arith.exact:
-        w, at, cells = space.weights, part.atom_at, list(zip(*args))
-        return given, tuple(
-            tuple(sum(col, 0) / mass for col in zip(*(weighted(w[i], *cells[at[i]])
-                                                      for i in members)))
-            for members, mass in zip(given.members, given.masses)), 1
-    meet, mine, theirs = part.meet(given)
-    values = list(map(value, *args))
-    den = math.prod(d for _, _, d in layers)
+        return given, tuple([tuple(map(operator.truediv, (
+            sum(map(col.__getitem__, m), 0) for m in given.members), given.masses))
+            for col in _weighted(space.weights, layer, other)]), 1
+    part, cols, den = layer if other is None else \
+        product(outer(len(layer[1]), len(other[1])), layer, other)
+    meet, mine, _ = part.meet(given)
     if meet is given:  # one child per atom: its mean is its value
-        return _reduced(given, tuple(map(values.__getitem__, mine)), den)
-    totals = given.integer_masses
-    lcm = math.lcm(*totals)
-    scale = [lcm // n for n in totals]
+        return _reduced(given, _picked(cols, mine), den)
+    index, masses, ends, starts, scale, lcm = _sum_plan(part, given)
     means = []
-    for col in zip(*values):  # one component at a time
-        sums = [0] * len(totals)
-        for q, n, x in zip(theirs, meet.integer_masses, map(col.__getitem__, mine)):
-            sums[q] += n * x
-        means.append(map(operator.mul, sums, scale))
-    return _reduced(given, _rows(means, len(totals)), den * lcm)
+    for col in cols:
+        sums = list(accumulate(map(operator.mul, masses, map(col.__getitem__, index)), initial=0))
+        means.append(tuple(map(operator.mul, map(operator.sub, map(
+            sums.__getitem__, ends), map(sums.__getitem__, starts)), scale)))
+    return _reduced(given, tuple(means), den * lcm)
+
+
+def _weighted(w, layer, other) -> list:
+    """Per outcome, in outcome order, ``w * x`` for each column of a float
+    layer, or ``(w * a) * b`` for each entry of the outer product of two."""
+    weighted = [tuple(map(operator.mul, w, xs)) for xs in _picked(layer[1], layer[0].atom_at)]
+    if other is None:
+        return weighted
+    return [tuple(map(operator.mul, wa, bs)) for wa in weighted
+            for bs in _picked(other[1], other[0].atom_at)]
 
 
 def cond_exp(X: Process, t: int, given: Partition, layer: bool = False):
     """E[X_t | given]: one value vector per atom of ``given``, as numbers
     (one Fraction per atom mean and component in exact mode), from
-    :func:`atom_means`; with ``layer``, that (given, cells, den) layer
+    :func:`atom_means`; with ``layer``, that (given, columns, den) layer
     itself, for the calculus to build on."""
     means = atom_means(given, X.layers[t])
-    return means if layer else list(_decoded(means[1], means[2], X.space.arith.exact))
+    return means if layer else list(_decoded(means, X.space.arith.exact))

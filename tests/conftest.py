@@ -1,9 +1,10 @@
 """Print one line per acceptance check at the end of a run, and hold the
-one ``hypothesis`` profile: derandomized, with no example database and no
+``hypothesis`` profiles: derandomized, with no example database and no
 deadline, at a fixed number of examples, so every run draws the same
-examples in bounded time.  The few files hypothesis still caches go to a
-temporary directory removed at the end of the run, so no ``.hypothesis/``
-directory is written into the checkout."""
+examples in bounded time.  ``marketforge`` (25 examples) is the default;
+``--hypothesis-profile=marketforge-deep`` runs 500.  The few files
+hypothesis still caches go to a temporary directory removed at the end of
+the run, so no ``.hypothesis/`` directory is written into the checkout."""
 
 import shutil
 import tempfile
@@ -11,8 +12,10 @@ import tempfile
 import pytest
 from hypothesis import Phase, configuration, settings
 
-settings.register_profile("marketforge", derandomize=True, database=None, deadline=None,
-                          max_examples=25, phases=set(Phase) - {Phase.explain})
+PROFILE = dict(derandomize=True, database=None, deadline=None,
+               phases=set(Phase) - {Phase.explain})
+settings.register_profile("marketforge", max_examples=25, **PROFILE)
+settings.register_profile("marketforge-deep", max_examples=500, **PROFILE)
 settings.load_profile("marketforge")
 HYPOTHESIS_HOME = pytest.StashKey[str]()
 

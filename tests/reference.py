@@ -39,12 +39,21 @@ builds test data with it.
   (outcome, time) cell, in outcome order, read through
   ``column``/``columns`` (a process as one value per outcome).  They are
   the differential oracle for the atom-major kernels.
+* ``Rows``, ``by_row``/``by_column`` and the ``row_*`` kernels are the
+  layer kernels the engine ran before it stored each layer by column: the
+  same (partition, cells, den) layers held one value vector per atom, and
+  every kernel made one tuple and one Python operation per cell (products
+  through per-cell lambdas, which ``contraction`` rebuilds from index
+  pairs).  They are the oracle of ``test_column_kernels``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
 
 from marketforge import linalg
 from marketforge.arith import EXACT, Arithmetic
@@ -554,4 +563,276 @@ def by_values(space: SampleSpace, paths) -> Process:
         else:
             part = _grouped(space, map(_cell_key, column))
             layers.append((part, tuple(column[m[0]] for m in part.members), 1))
-    return Process(space, tuple(layers))
+    return Process(space, tuple(map(by_column, layers)))
+
+
+# ---------------------------------------------------------------------------
+# row-major layer kernels: one value vector per atom, one Python operation
+# per cell
+
+
+def by_row(layer) -> tuple:
+    """A (partition, columns, den) layer as (partition, cells, den), one
+    value vector per atom."""
+    part, cols, den = layer
+    return part, tuple(zip(*cols)) if cols else ((),) * len(part.atoms), den
+
+
+def by_column(layer) -> tuple:
+    """A (partition, cells, den) layer as (partition, columns, den), one
+    tuple per value component."""
+    part, cells, den = layer
+    return part, tuple(zip(*cells)), den
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """A process as row-major layers (partition, cells, den)."""
+
+    space: SampleSpace
+    layers: tuple
+
+    @classmethod
+    def of(cls, X: Process) -> "Rows":
+        return cls(X.space, tuple(map(by_row, X.layers)))
+
+    def process(self) -> Process:
+        return Process(self.space, tuple(map(by_column, self.layers)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.layers[0][1][0])
+
+    @property
+    def increments(self) -> "Rows":
+        return Rows(self.space, tuple(row_componentwise(operator.sub, layer, self.layers[t - 1])
+                                      if t else row_componentwise(operator.sub, layer, layer)
+                                      for t, layer in enumerate(self.layers)))
+
+
+def row_reduced(part: Partition, cells, den: int) -> tuple:
+    if den != 1:
+        g = math.gcd(den, *(a for v in cells for a in v))
+        if g != 1:
+            den //= g
+            cells = row_scaled(cells, operator.floordiv, g)
+    return part, tuple(cells), den
+
+
+def row_scaled(cells, op, f) -> tuple:
+    return tuple(tuple(op(a, f) for a in v) for v in cells)
+
+
+def row_aligned(layers) -> tuple:
+    part, cells, _ = layers[0]
+    args = [cells]
+    for other, other_cells, _ in layers[1:]:
+        meet, mine, theirs = part.meet(other)
+        if meet is not part:
+            args = [[c[k] for k in mine] for c in args]
+        args.append(other_cells if meet is other else [other_cells[k] for k in theirs])
+        part = meet
+    return part, args
+
+
+def row_common(layers) -> tuple:
+    part, args = row_aligned(layers)
+    den = math.lcm(*(d for _, _, d in layers))
+    for i, (_, _, d) in enumerate(layers):
+        if d != den:
+            args[i] = row_scaled(args[i], operator.mul, den // d)
+    return part, args, den
+
+
+def row_pointwise(op, *layers) -> tuple:
+    """``op`` of the cells on each atom of the meet, over the lcm of the
+    denominators (``op`` linear in the cells)."""
+    part, args, den = row_common(layers)
+    return row_reduced(part, tuple(map(op, *args)), den)
+
+
+def row_componentwise(op, *layers) -> tuple:
+    return row_pointwise(lambda *cells: tuple(map(op, *cells)), *layers)
+
+
+def row_product(op, *layers) -> tuple:
+    """``op`` of the cells on each atom of the meet, each operand over its
+    own denominator (``op`` linear in each operand)."""
+    part, args = row_aligned(layers)
+    return row_reduced(part, tuple(map(op, *args)), math.prod(d for _, _, d in layers))
+
+
+def contraction(terms, dot: bool):
+    """The per-cell op of a ``space.product`` contraction: component c the
+    sum of u[i] * v[j] over terms[c], from 0 with ``dot``."""
+    def op(u, v):
+        if dot:
+            return tuple(sum((u[i] * v[j] for i, j in pairs), 0) for pairs in terms)
+        out = []
+        for pairs in terms:
+            (i, j), *rest = pairs
+            acc = u[i] * v[j]
+            for i, j in rest:
+                acc = acc + u[i] * v[j]
+            out.append(acc)
+        return tuple(out)
+    return op
+
+
+def row_atom_means(given: Partition, *layers, value=lambda v: v,
+                   weighted=lambda w, v: tuple(w * x for x in v)) -> tuple:
+    """Means on the atoms of ``given``: exact integer masses times
+    ``value`` of the numerators, summed atom by atom of the meet; float
+    ``weighted`` summed member by member in outcome order."""
+    part, args = row_aligned(layers)
+    space = part.space
+    if not space.arith.exact:
+        w, at, cells = space.weights, part.atom_at, list(zip(*args))
+        return given, tuple(
+            tuple(sum(col, 0) / mass for col in zip(*(weighted(w[i], *cells[at[i]])
+                                                      for i in members)))
+            for members, mass in zip(given.members, given.masses)), 1
+    meet, mine, theirs = part.meet(given)
+    values = list(map(value, *args))
+    den = math.prod(d for _, _, d in layers)
+    if meet is given:
+        return row_reduced(given, tuple(values[k] for k in mine), den)
+    totals = given.integer_masses
+    lcm = math.lcm(*totals)
+    sums = [[0] * len(values[0]) for _ in totals]
+    for q, n, p in zip(theirs, meet.integer_masses, mine):
+        sums[q] = [s + n * x for s, x in zip(sums[q], values[p])]
+    return row_reduced(given, tuple(tuple(s * (lcm // n) for s in v)
+                                    for v, n in zip(sums, totals)), den * lcm)
+
+
+def row_outer_means(given: Partition, a, b) -> tuple:
+    return row_atom_means(given, a, b, value=lambda u, v: [x * y for x in u for y in v],
+                          weighted=lambda w, u, v: [w * x * y for x in u for y in v])
+
+
+def row_accumulate(dX: Rows) -> Rows:
+    part = dX.layers[0][0]
+    layers = [(part, ((0,) * dX.dim,) * len(part.atoms), 1)]
+    for layer in dX.layers[1:]:
+        layers.append(row_componentwise(operator.add, layers[-1], layer))
+    return Rows(dX.space, tuple(layers))
+
+
+def row_sum_steps(op, dim: int, dX: Rows, Y: Rows, plus: Rows | None = None) -> Rows:
+    zero = (0,) * dim
+    terms = Rows(dX.space, tuple(
+        row_product(op if t else lambda *_: zero, a, b)
+        for t, (a, b) in enumerate(zip(dX.layers, Y.layers))))
+    if plus is not None:
+        terms = Rows(dX.space, tuple(map(partial(row_componentwise, operator.add),
+                                         plus.increments.layers, terms.layers)))
+    return row_accumulate(terms)
+
+
+def row_centred(X: Rows) -> Rows:
+    return Rows(X.space, tuple(row_componentwise(operator.sub, layer, X.layers[0])
+                               for layer in X.layers))
+
+
+def row_stoch_exp(X: Rows) -> Rows:
+    arith = X.space.arith
+    part = X.layers[0][0]
+    one = (Partition.trivial(X.space), ((1,),), 1)
+    layers = [row_encoded(part, ((1 * arith.parse(1),),) * len(part.atoms))]
+    for t in range(1, len(X.layers)):
+        factor = row_pointwise(lambda c, x, x0: (c[0] + x[0] - x0[0],),
+                               one, X.layers[t], X.layers[t - 1])
+        layers.append(row_product(lambda level, f: (level[0] * f[0],), layers[-1], factor))
+    return Rows(X.space, tuple(layers))
+
+
+def row_min_tilt(phi: Rows, N: Rows, base: Filtration, expanded: Filtration) -> tuple:
+    parts = expanded.partitions
+    layers = [(parts[0], ((1,),) * len(parts[0].atoms), 1)]
+    first = None
+    dN = N.increments
+    for t in range(1, len(parts)):
+        part = parts[t - 1]
+        p_part, p_cells, p_den = phi.layers[t]
+        n_part, n_cells, n_den = dN.layers[t]
+        den = p_den * n_den
+        steps = [[n_cells[n_part.atom_index(child[0])] for child, _ in children]
+                 for _, _, children in base.transitions(t)]
+        cells = []
+        for k, (atom, a) in enumerate(zip(part.atoms, part.parents(base.at(t - 1)))):
+            ph = p_cells[p_part.atom_index(atom[0])]
+            u = min(den + sum((x * y for x, y in zip(ph, dn)), 0) for dn in steps[a])
+            if first is None and not u > 0:
+                first = (t, k)
+            cells.append((u,))
+        layers.append(row_reduced(part, tuple(cells), den))
+    return Rows(phi.space, tuple(layers)), first
+
+
+def row_is_adapted(X: Rows, filtration: Filtration) -> bool:
+    eq = X.space.arith.eq
+    for (part, cells, _), atoms in zip(X.layers, filtration.partitions):
+        meet, mine, theirs = part.meet(atoms)
+        first: dict = {}
+        for p, q in zip(mine, theirs):
+            if not all(map(eq, cells[p], first.setdefault(q, cells[p]))):
+                return False
+    return True
+
+
+def row_first_mismatch(X: Rows, Y: Rows):
+    """(i, t) of the first atom of the meet, in outcome-major order, where
+    the two differ."""
+    eq, misses = X.space.arith.eq, []
+    for t, layers in enumerate(zip(X.layers, Y.layers)):
+        part, (us, vs), _ = row_common(layers)
+        misses += [(part.members[k][0], t)
+                   for k, (u, v) in enumerate(zip(us, vs)) if not all(map(eq, u, v))]
+    return min(misses, default=None)
+
+
+def row_first_failing(X: Rows, test=None, start=None):
+    misses = []
+    for t, (part, cells, den) in enumerate(X.layers):
+        check = (start or test) if t == 0 else test
+        if check is not None:
+            misses += [(part.members[k][0], t) for k, v in enumerate(cells) if not check(v, den)]
+    return min(misses, default=None)
+
+
+def row_extrema(X: Rows):
+    """Exact (least, greatest) entry, compared as values."""
+    values = [Fraction(a, den) for _, cells, den in X.layers for v in cells for a in v]
+    return (min(values), max(values)) if values else None
+
+
+def row_value_keys(X: Rows, t: int, atoms) -> tuple:
+    part, cells, den = X.layers[t]
+    exact = X.space.arith.exact
+    out = []
+    for atom in atoms:
+        v = cells[part.atom_index(atom[0])]
+        if not exact:
+            out.append(_cell_key(v))
+            continue
+        g = math.gcd(den, *v)
+        out.append((v, den) if g == 1 else (tuple(a // g for a in v), den // g))
+    return tuple(out)
+
+
+def row_encoded(part: Partition, cells) -> tuple:
+    """Number cells as a row-major layer: exact numerators over the lcm."""
+    if not part.space.arith.exact:
+        return part, tuple(cells), 1
+    den = math.lcm(*(x.denominator for v in cells for x in v))
+    return part, tuple(tuple(x.numerator * (den // x.denominator) for x in v)
+                       for v in cells), den
+
+
+def row_refined(X: Rows, flow: Filtration) -> Rows:
+    layers = []
+    for (part, cells, den), atoms in zip(X.layers, flow.partitions):
+        meet, mine, _ = part.meet(atoms)
+        layers.append((meet, cells if meet is part else tuple(cells[k] for k in mine), den))
+    return Rows(X.space, tuple(layers))

@@ -10,8 +10,9 @@ atoms), with cells from a small pool, so equal values repeat and float mode
 mixes 0.0 with -0.0.  Exact mode must give equal results; float mode must
 give the same bits, cell by cell, and the first failing and first
 mismatching cells come in outcome-major order.  A storage test checks the
-layers themselves: reduced integers in exact mode, floats over 1 in float
-mode.  The decisions read the layers undecoded, so they are checked
+layers themselves: stored by column (one tuple per component, each with
+one entry per atom), reduced integers in exact mode, floats over 1 in
+float mode.  The decisions read the layers undecoded, so they are checked
 against the numbers: ``first_failing``'s tests on (numerators, den), value
 keys that merge equal values only, exact level sets of values written
 differently, and the tilt floor ``min_tilt``; an exact ``analyze`` of a
@@ -209,18 +210,19 @@ def test_layers_hold_reduced_integers_in_exact_mode_and_floats_over_one(mode, da
     space, F, (X, A) = _draw(data, mode, 2, 1, kinds=("adapted", "predictable"))
     # Means of products, given the flow's atoms (one child each, as X is
     # adapted and A predictable) and the previous time's.
-    layers = [atom_means(given, X.layers[t], A.layers[t],
-                         value=lambda u, v: [a * b for a in u for b in v],
-                         weighted=lambda w, u, v: [w * a * b for a in u for b in v])
+    layers = [atom_means(given, X.layers[t], A.layers[t])
               for t in range(F.horizon + 1) for given in (F.at(t), F.at(max(t - 1, 0)))]
+    assert all(len(cols) == 2 for _, cols, _ in layers)  # the outer product of 2 and 1
     A = A.increments  # zero at time 0, for the compensator and stoch_exp
     layers += _layers_of(X) + list(compensator(A, F).layers) + list(stoch_exp(A).layers)
-    for part, cells, den in layers:
-        assert len(cells) == len(part.atoms)
+    for part, cols, den in layers:
+        # By column: a tuple per component, each with one entry per atom.
+        assert type(cols) is tuple and all(type(col) is tuple for col in cols)
+        assert all(len(col) == len(part.atoms) for col in cols)
         if mode == "float":
             assert den == 1
             continue
-        numerators = [a for v in cells for a in v]
+        numerators = [a for col in cols for a in col]
         assert type(den) is int and den > 0
         assert all(type(a) is int for a in numerators)
         assert math.gcd(den, *numerators) == 1
@@ -428,7 +430,9 @@ def test_from_paths_keeps_every_bit_and_one_cell_per_level_set(mode):
              for i in range(fx.space.size)]
     X = Process.from_paths(fx.space, paths)
     assert cells(ref.columns(X)) == cells([[(x,) for x in col] for col in zip(*paths)])
-    assert [len(cells) for _, cells, _ in X.layers] == [2 if mode == "float" else 1, 1, 1]
+    assert [len(part.atoms) for part, _, _ in X.layers] == [2 if mode == "float" else 1, 1, 1]
+    assert all(len(cols) == 1 and len(cols[0]) == len(part.atoms)
+               for part, cols, _ in X.layers)
     assert first_mismatch(X, Process.from_paths(fx.space, zip(*ref.columns(X)))) is None
     assert is_adapted(X, fx.F)
 
@@ -449,7 +453,8 @@ def test_processes_hold_one_cell_per_atom_of_their_flow(mode):
     F, G = built.F, built.pair.expanded
 
     def held(X):
-        return sum(len(cells) for _, cells, _ in X.layers)
+        assert all(len(col) == len(part.atoms) for part, cols, _ in X.layers for col in cols)
+        return sum(len(part.atoms) for part, _, _ in X.layers)
 
     f_cells = sum(len(F.at(t).atoms) for t in range(F.horizon + 1))
     g_cells = sum(len(G.at(t).atoms) for t in range(G.horizon + 1))

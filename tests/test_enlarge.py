@@ -144,6 +144,43 @@ def test_support_condition_first_witness_among_several_violations():
         "t": 2, "child": ("uu0", "uu1"), "g_atom": ("ud1",)})
 
 
+def _brute_support(pair):
+    """The support condition outcome by outcome: the first (t, base atom A,
+    child C of A, expanded time-(t-1) atom B inside A) with C and B
+    disjoint, walked in the engine's order."""
+    F, G = pair.base, pair.expanded
+    for t in range(1, pair.horizon + 1):
+        for A in F.at(t - 1).atoms:
+            for C in (c for c in F.at(t).atoms if set(c) <= set(A)):
+                for B in (b for b in G.at(t - 1).atoms if set(b) <= set(A)):
+                    if not set(C) & set(B):
+                        return FailureWitness("support", t, C,
+                                              {"t": t, "child": C, "g_atom": B})
+    return None
+
+
+def _explicit_pairs():
+    fx = b2n()
+    space = fx.space
+    learns_second_coin = Filtration(space, (
+        Partition.trivial(space),
+        Partition.from_atoms(space, [["uu0", "ud0"], ["uu1"], ["ud1"],
+                                     ["du0", "dd0"], ["du1"], ["dd1"]]),
+        discrete(space),
+    ))
+    return {"b2n": fx.pair, "insider": b2i().pair,
+            "learns-second-coin": EnlargementPair(fx.F, learns_second_coin),
+            "learns-noise": EnlargementPair(fx.F, fx.F.refine_by(
+                [o[-1] for o in space.outcomes]))}
+
+
+@pytest.mark.parametrize("name", ["b2n", "insider", "learns-second-coin", "learns-noise"])
+def test_support_condition_matches_a_brute_outcome_walk(name):
+    pair = _explicit_pairs()[name]
+    assert check_support_condition(pair) == _brute_support(pair)
+    assert (check_support_condition(pair) is None) == (name in ("b2n", "learns-noise"))
+
+
 def test_compute_u_matches_manual_minimum():
     fx = b2n()
     gauge = solve_phi(fx.pair, fx.W, fx.W)

@@ -1,12 +1,14 @@
 """Module hygiene: who reads the cell layout, no unused imports, and one
 failure model.
 
-The atom-major layout of a process (its ``layers``, one partition, one cell
-per atom and one denominator at each time, the cells integer numerators in
-exact mode; the meet of two partitions and the atom index per outcome
-behind it; the per-atom kernels ``pointwise``, ``componentwise``,
-``product`` and ``atom_means`` and the layer codecs) is known to ``space``
-and ``calculus`` only.  Every other engine module reads processes as
+The atom-major layout of a process (its ``layers``, one partition, one
+column per value component with one entry per atom, and one denominator at
+each time, the entries integer numerators in exact mode; the meet of two
+partitions and the atom index per outcome behind it; the per-column
+kernels ``componentwise``, ``product`` and ``atom_means``, their helpers
+and the layer codecs) is known to ``space`` and ``calculus`` only.  A
+contraction crosses the boundary as index pairs (``sum_steps(terms, ...)``),
+which name components, not storage.  Every other engine module reads processes as
 numbers through their accessors (``Process.on_atoms``, ``Process.at``,
 ``cond_exp``, ``first_mismatch``, ``distinct_cells``, ``increments``),
 decides on them through the ones that read the layers undecoded
@@ -42,7 +44,8 @@ LAYOUT_TOKENS = re.compile(r"\.layers\b|\.meet\(|\batom_at\b|_tabled|_keyed|_gro
                            r"|integer_masses|integer_weights|pointwise|componentwise|\bproduct\("
                            r"|atom_means"
                            r"|_encoded|_decoded|_reduced|_numerators|\b_over\(|_layer_key|layer="
-                           r"|\b_column\(|\b_scaled\(|\b_rows\("
+                           r"|\b_column\(|\b_scaled\(|\b_rows\(|\b_picked\(|_sum_plan|_sums\b"
+                           r"|\b_weighted\(|\b_failing\(|\b_eq\(|\b_dot\(|_member_weights"
                            r"|accumulate\(|\bid\(")
 
 

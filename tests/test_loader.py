@@ -2,7 +2,7 @@
 
 The loader builds each process from the distinct raw tokens of each time
 column; the reference reads, wraps and groups every cell on its own.  Both
-must give the same layers (the same partition objects, the same cells and
+must give the same layers (the same partition objects, the same columns and
 denominator, so the same bits in float mode) and, on bad input, the same
 exit code and message:
 
@@ -41,12 +41,14 @@ FIELDS = ("prices", "driver", "carrier", "structure")
 
 def assert_same_layers(X, Y):
     assert len(X.layers) == len(Y.layers)
-    for (part, cells, den), (ref_part, ref_cells, ref_den) in zip(X.layers, Y.layers):
+    for (part, cols, den), (ref_part, ref_cols, ref_den) in zip(X.layers, Y.layers):
         assert part is ref_part
-        assert repr(cells) == repr(ref_cells)  # floats by their bits
+        assert repr(cols) == repr(ref_cols)  # floats by their bits
         assert den == ref_den
+        # By column: one tuple per component, each with one entry per atom.
+        assert all(type(col) is tuple and len(col) == len(part.atoms) for col in cols)
         if X.space.arith.exact:
-            assert math.gcd(den, *(a for v in cells for a in v)) == 1
+            assert math.gcd(den, *(a for col in cols for a in col)) == 1
 
 
 def assert_loads_alike(doc, space, arith):
