@@ -117,9 +117,10 @@ def centred(X: Process) -> Process:
 
 def cross_moments(X: Process, Y: Process, partition, t: int) -> list:
     """E[dX_t transpose(dY_t) | A] as an (X.dim, Y.dim) nested list for each
-    atom A of ``partition``, a time-(t-1) partition (in float mode the
-    weighted increment products (w * dx_i) * dy_j summed member by member
-    in outcome order, over the atom mass)."""
+    atom A of ``partition``, a time-(t-1) partition: the ``atom_means`` of
+    the increments' outer product, mass(child) * (dx_i * dy_j) summed over
+    the children of A and divided by its mass (``math.fsum`` in float
+    mode)."""
     n, d = X.dim, Y.dim
     means = _decoded(atom_means(partition, X.increments.layers[t], Y.increments.layers[t]),
                      X.space.arith.exact)
@@ -217,9 +218,10 @@ def min_tilt(phi: Process, N: Process, base: Filtration, expanded: Filtration) -
     time-(t-1) atom of ``base``; ``first`` is the (t, k) of the first atom,
     in (t, atom) order, where u <= 0, or None.  Exact mode adds phi . dN to
     1 in numerators over the product of phi's and dN's denominators and
-    compares numerators; float mode runs the per-cell expression's float
-    operations, 1 + sum((phi_0 dN_0, ...), 0), child by child in order.
-    Each (atom, child) pair is one entry of a column pass."""
+    compares numerators; float mode adds to 1 the ``math.fsum`` of phi_0
+    dN_0, ... (``space._dot``), the same sum the expanded-flow sites take
+    their tilts from.  Each (atom, child) pair is one entry of a column
+    pass."""
     parts = expanded.partitions
     layers = [(parts[0], ((1,) * len(parts[0].atoms),), 1)]
     first = None
@@ -237,7 +239,7 @@ def min_tilt(phi: Process, N: Process, base: Filtration, expanded: Filtration) -
             ends.append(len(at_n))
         tilts = tuple(map(operator.add, repeat(den), _dot(
             [map(operator.mul, map(p_col.__getitem__, at_phi), map(n_col.__getitem__, at_n))
-             for p_col, n_col in zip(p_cols, n_cols)], len(at_n))))
+             for p_col, n_col in zip(p_cols, n_cols)], len(at_n), phi.space.arith.exact)))
         u = tuple(map(min, map(tilts.__getitem__, map(slice, [0, *ends[:-1]], ends))))
         if first is None:
             k = next(_failing(map(operator.gt, u, repeat(0))), None)

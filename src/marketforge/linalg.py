@@ -175,7 +175,6 @@ def is_psd(A, arith: Arithmetic) -> bool:
     n = len(A)
     M = [list(row) for row in A]
     scale = matrix_scale(M)
-    order = list(range(n))
     for k in range(n):
         p = max(range(k, n), key=lambda i: M[i][i])
         if M[p][p] < 0 and not arith.negligible(M[p][p], scale):
@@ -191,7 +190,6 @@ def is_psd(A, arith: Arithmetic) -> bool:
             M[k], M[p] = M[p], M[k]
             for row in M:
                 row[k], row[p] = row[p], row[k]
-            order[k], order[p] = order[p], order[k]
         piv = M[k][k]
         for i in range(k + 1, n):
             if M[i][k] != 0:

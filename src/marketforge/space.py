@@ -25,34 +25,37 @@ one tuple per value component, each with one entry per atom.  In exact
 mode the entries are integer numerators over the one positive denominator
 ``den``, with gcd(den, *numerators) = 1, so a kernel does integer
 arithmetic and reduces once; in float mode they are the floats themselves
-and ``den`` is 1, so the same kernels run the same float operations in the
-same order.  Every kernel is one ``map`` of an ``operator`` function per
-column, with no Python call per cell.  A linear kernel
-(:func:`componentwise` for sums and differences, :meth:`Process.scale`)
-brings its operands to the lcm of their denominators; a bilinear one
-(:func:`product`) multiplies them and takes a contraction: output
-component c is the sum over the index pairs ``terms[c]`` of a_i * b_j, in
-list order (a dot product by the built-in ``sum`` from 0, so a float zero
-sum is +0.0).
+and ``den`` is 1, so the same kernels run on floats.  Every kernel is one
+``map`` of an ``operator`` function per column, with no Python call per
+cell.  A linear kernel (:func:`componentwise` for sums and differences,
+:meth:`Process.scale`) brings its operands to the lcm of their
+denominators; a bilinear one (:func:`product`) multiplies them and takes a
+contraction: output component c is the sum over the index pairs
+``terms[c]`` of a_i * b_j (a dot product sums from 0, so a float zero sum
+is +0.0).  The kernels' float sums of many terms (a dot product, an atom's
+mass, a conditional mean) are ``math.fsum``, correctly rounded, so no
+process value depends on the order the outcomes are listed in or on the
+Python version.
 Increments are defined once, here (:attr:`Process.increments`, dX_0 = 0);
 :func:`atom_means` averages a layer, or the outer product of two, over
-child atoms in integers, with prefix sums over the children grouped by
-atom and the atoms' own integer masses (and returns the cells as they are
-where each atom is its own only child), and :func:`is_adapted` checks once
-per atom.  Only this module and ``calculus`` know the layout: the other
-layers build processes from per-atom tables or per-outcome paths, and read
-them as numbers (Fractions in exact mode, decoded and transposed once per
-layer) through :meth:`Process.on_atoms`, :meth:`Process.at`,
-:func:`cond_exp`, :func:`first_mismatch` and :func:`distinct_cells`.
-Their decisions read the layers undecoded: :func:`first_failing` runs each
-test on a cell's numerators over the layer's denominator, :func:`extrema`
-compares numerators and decodes the two extremes a report shows, and
+the child atoms of each atom in both modes, one plan per pair of
+partitions: mass(child) * value(child) summed over each atom's children,
+in integers in exact mode and by ``math.fsum`` in float mode (and returns
+the cells as they are where each atom is its own only child), and
+:func:`is_adapted` checks once per atom.  Only this module and
+``calculus`` know the layout: the other layers build processes from
+per-atom tables or per-outcome paths, and read them as numbers (Fractions
+in exact mode, decoded and transposed once per layer) through
+:meth:`Process.on_atoms`, :meth:`Process.at`, :func:`cond_exp` and
+:func:`first_mismatch`.  Their decisions read the layers undecoded:
+:func:`first_failing` runs each test on a cell's numerators over the
+layer's denominator, :func:`extrema` compares entries over each layer's
+denominator and decodes the two extremes a report shows, and
 :meth:`Process.value_keys` gives a cell's value key, (numerators // g,
 den // g) with g = gcd(den, *numerators) (a float cell keys by its bits),
 which :func:`value_key` gives number vectors too: the memo key of the
-solves above.  :func:`first_failing`, :func:`first_mismatch` and
-:func:`distinct_cells` keep outcome-major order, so witnesses and float
-report extrema keep theirs.
+solves above.  :func:`first_failing` and :func:`first_mismatch` keep
+outcome-major order, so witnesses keep theirs.
 """
 
 from __future__ import annotations
@@ -201,12 +204,13 @@ class Partition:
 
     @cached_property
     def masses(self) -> tuple[Num, ...]:
-        """Probability of each atom: in float mode summed over its outcomes
-        in order, in exact mode read off ``integer_masses``."""
+        """Probability of each atom: in float mode the correctly rounded sum
+        of its outcomes' weights (``math.fsum``, so it does not depend on
+        their order), in exact mode read off ``integer_masses``."""
         if self.space.arith.exact:
             lcm = self.space.integer_weights[0]
             return tuple(Fraction(n, lcm) for n in self.integer_masses)
-        return tuple(map(sum, self._member_weights(self.space.weights), repeat(0)))
+        return tuple(map(math.fsum, self._member_weights(self.space.weights)))
 
     @cached_property
     def integer_masses(self) -> tuple[int, ...]:
@@ -546,24 +550,28 @@ def componentwise(op, *layers) -> tuple:
 def product(terms, a, b, dot: bool = False) -> tuple:
     """The contraction of two layers on the meet of their partitions:
     output component c is the sum of a_i * b_j over the index pairs
-    (i, j) of ``terms[c]``, in list order: with ``dot`` the built-in
-    ``sum`` of the products from 0 (0 + a_i0 * b_j0 + ..., so a float zero
-    sum is +0.0, and the float sum is the one ``sum`` makes on every Python
-    version), else the products added from the first.  Each operand is read
-    over its own denominator, and the result is over their product."""
+    (i, j) of ``terms[c]``: with ``dot`` the sum of the products as
+    ``_dot`` takes it, else the products added from the first, in list
+    order.  Each operand is read over its own denominator, and the result
+    is over their product."""
     part, (A, B) = _aligned((a, b))
+    exact = part.space.arith.exact
     cols = []
     for pairs in terms:
         steps = [map(operator.mul, A[i], B[j]) for i, j in pairs]
-        cols.append(tuple(_dot(steps, len(part.atoms)) if dot else
+        cols.append(tuple(_dot(steps, len(part.atoms), exact) if dot else
                           reduce(partial(map, operator.add), steps)))
     return _reduced(part, tuple(cols), a[2] * b[2])
 
 
-def _dot(steps, n: int):
-    """The built-in ``sum`` from 0 of the ``steps``, columns of n entries,
-    entry by entry (n zeros when there is none)."""
-    return map(sum, zip(*steps) if steps else repeat((), n), repeat(0))
+def _dot(steps, n: int, exact: bool):
+    """The sums of the ``steps``, columns of n entries, entry by entry (n
+    zeros when there is none): exact numerators by the built-in ``sum``
+    from 0, floats by ``math.fsum``, correctly rounded, so the sum depends
+    neither on the order of its terms nor on the Python version, and a
+    float zero sum is +0.0."""
+    rows = zip(*steps) if steps else repeat((), n)
+    return map(sum, rows) if exact else map(math.fsum, rows)
 
 
 def outer(n: int, d: int) -> tuple:
@@ -748,14 +756,6 @@ class Process:
         return Process(self.space, self.layers[:1] + self.layers[:-1])
 
 
-def _keyed(X: Process, start: int) -> list:
-    """((first outcome, t), cell) for each (time, atom) cell of X from time
-    ``start`` on, as numbers: sorted, these come in outcome-major order."""
-    return [((part.members[k][0], t), v)
-            for t, (part, _, _) in enumerate(X.layers) if t >= start
-            for k, v in enumerate(X._numbers(t))]
-
-
 def _failing(oks) -> Iterable[int]:
     """The indices of the false entries of ``oks``."""
     return compress(count(), map(operator.not_, oks))
@@ -784,25 +784,14 @@ def first_failing(X: Process, test=None, start=None, increments: bool = False):
     return min(misses, default=None)
 
 
-def distinct_cells(X: Process, start: int = 0, increments: bool = False) -> list:
-    """The cells of X from time ``start`` on (of its increments dX_t, t >= 1,
-    with ``increments``), one per (time, atom), as numbers, in the
-    outcome-major order of their first outcome."""
-    if increments:
-        X, start = X.increments, 1
-    return [v for _, v in sorted(_keyed(X, start), key=lambda kv: kv[0])]
-
-
 def extrema(X: Process, start: int = 0, increments: bool = False):
     """(least, greatest) component of the cells of X from time ``start`` on
     (of its increments dX_t, t >= 1, with ``increments``), as numbers, or
-    None when there is none.  Exact mode compares numerators over each
-    layer's denominator and decodes the two extremes alone; float mode
-    keeps the first of equal extremes in the outcome-major order of
-    :func:`distinct_cells`, so a tie of 0.0 and -0.0 keeps its first."""
-    if not X.space.arith.exact:
-        values = [x for v in distinct_cells(X, start, increments) for x in v]
-        return (min(values), max(values)) if values else None
+    None when there is none.  Entries compare over their layer's
+    denominator (floats over 1), column by column, and the first of equal
+    extremes in (time, component, atom) order is kept, so a float tie of
+    0.0 and -0.0 keeps its first; exact mode decodes the two extremes
+    alone."""
     if increments:
         X, start = X.increments, 1
     lo = hi = None
@@ -813,7 +802,9 @@ def extrema(X: Process, start: int = 0, increments: bool = False):
                 lo = a, den
             if hi is None or b * hi[1] > hi[0] * den:
                 hi = b, den
-    return None if lo is None else (Fraction(*lo), Fraction(*hi))
+    if lo is None:
+        return None
+    return (Fraction(*lo), Fraction(*hi)) if X.space.arith.exact else (lo[0], hi[0])
 
 
 def _eq(arith: Arithmetic):
@@ -870,22 +861,27 @@ def is_adapted(X: Process, filtration: Filtration) -> bool:
 
 
 def _sum_plan(part: Partition, given: Partition) -> tuple:
-    """(index, masses, ends, starts, scale, lcm): the atoms of the meet of
+    """(index, masses, groups, scale, lcm): the atoms of the meet of
     ``part`` with ``given`` grouped by the atom of ``given`` holding them,
-    as the atom of ``part`` holding each and its integer mass, with each
-    group's bounds; and lcm // mass for each atom of ``given``, lcm the lcm
-    of their integer masses.  Built once per pair."""
+    as the atom of ``part`` holding each and its mass, with each group as a
+    ``slice``; and one scale per atom of ``given``.  Exact mode reads the
+    integer masses, and an atom's scale is lcm // its integer mass, with
+    lcm the lcm of those masses; float mode reads the masses, and an atom's
+    scale is its mass (lcm 1).  Built once per pair."""
     hit = given._sums.get(part)
     if hit is None:
         meet, mine, theirs = part.meet(given)
         order = sorted(range(len(theirs)), key=theirs.__getitem__)
         ends = tuple(accumulate(map(Counter(theirs).__getitem__, range(len(given.atoms)))))
-        totals = given.integer_masses
-        lcm = math.lcm(*totals)
+        if given.space.arith.exact:
+            masses, totals = meet.integer_masses, given.integer_masses
+            lcm = math.lcm(*totals)
+            scale = tuple([lcm // n for n in totals])
+        else:
+            masses, scale, lcm = meet.masses, given.masses, 1
         hit = given._sums[part] = (
-            tuple(map(mine.__getitem__, order)),
-            tuple(map(meet.integer_masses.__getitem__, order)),
-            ends, (0,) + ends[:-1], tuple([lcm // n for n in totals]), lcm)
+            tuple(map(mine.__getitem__, order)), tuple(map(masses.__getitem__, order)),
+            tuple(map(slice, (0,) + ends[:-1], ends)), scale, lcm)
     return hit
 
 
@@ -895,41 +891,28 @@ def atom_means(given: Partition, layer, other=None) -> tuple:
     cells on the meet of their partitions (entry i * dim(other) + j the
     mean of a_i * b_j, ``outer``).
 
-    Exact mode sums integer masses times numerators over the child atoms
-    (the meet with ``given``), grouped by atom, as differences of prefix
-    sums, divides by the atom's own integer mass and builds no Fraction;
-    where ``given`` refines the operands' meet, each atom is its own one
-    child and its mean is its value.  Float mode sums ``w * x`` (``(w * a)
-    * b`` for the outer product) member by member, in outcome order, from
-    0, over the atom mass, because float sums depend on their order.
+    The terms are the child atoms (the meet with ``given``) in both modes:
+    mass(child) * value(child), summed over each atom's children.  Exact
+    mode sums integer masses times numerators and multiplies by the atom's
+    scale (``_sum_plan``), so it builds no Fraction; float mode sums with
+    ``math.fsum`` and divides by the atom's mass, so a mean depends neither
+    on the order the outcomes are listed in nor on the Python version.
+    Where ``given`` refines the operands' meet, each atom is its own one
+    child and its mean is its value.
     """
-    space = given.space
-    if not space.arith.exact:
-        return given, tuple([tuple(map(operator.truediv, (
-            sum(map(col.__getitem__, m), 0) for m in given.members), given.masses))
-            for col in _weighted(space.weights, layer, other)]), 1
     part, cols, den = layer if other is None else \
         product(outer(len(layer[1]), len(other[1])), layer, other)
     meet, mine, _ = part.meet(given)
     if meet is given:  # one child per atom: its mean is its value
         return _reduced(given, _picked(cols, mine), den)
-    index, masses, ends, starts, scale, lcm = _sum_plan(part, given)
+    index, masses, groups, scale, lcm = _sum_plan(part, given)
+    total, rescale = (sum, operator.mul) if given.space.arith.exact else \
+        (math.fsum, operator.truediv)
     means = []
     for col in cols:
-        sums = list(accumulate(map(operator.mul, masses, map(col.__getitem__, index)), initial=0))
-        means.append(tuple(map(operator.mul, map(operator.sub, map(
-            sums.__getitem__, ends), map(sums.__getitem__, starts)), scale)))
+        terms = list(map(operator.mul, masses, map(col.__getitem__, index)))
+        means.append(tuple(map(rescale, map(total, map(terms.__getitem__, groups)), scale)))
     return _reduced(given, tuple(means), den * lcm)
-
-
-def _weighted(w, layer, other) -> list:
-    """Per outcome, in outcome order, ``w * x`` for each column of a float
-    layer, or ``(w * a) * b`` for each entry of the outer product of two."""
-    weighted = [tuple(map(operator.mul, w, xs)) for xs in _picked(layer[1], layer[0].atom_at)]
-    if other is None:
-        return weighted
-    return [tuple(map(operator.mul, wa, bs)) for wa in weighted
-            for bs in _picked(other[1], other[0].atom_at)]
 
 
 def cond_exp(X: Process, t: int, given: Partition, layer: bool = False):

@@ -22,6 +22,8 @@ come from ``calculus`` and are re-exported here with the verdict statuses.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field, replace
 
 from . import linalg
@@ -34,6 +36,7 @@ from .calculus import (
     bracket,
     centred,
     compensator,
+    cross_moments,
     doob_decompose,
     integrate,
     is_martingale,
@@ -136,16 +139,11 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
     table = {}
     solved = {}  # one solve per distinct (Q, target) value, for this call only
     for t in range(1, F.horizon + 1):
-        targets = market.drift_part.on_atoms(t, F.at(t - 1).atoms, increments=True)
-        for idx, atom, children in F.transitions(t):
-            kids = [child for child, _ in children]
-            Q = [[0] * d for _ in range(k)]
-            for (_, p), dm, dw in zip(children, M.on_atoms(t, kids, increments=True),
-                                      W.on_atoms(t, kids, increments=True)):
-                for i in range(k):
-                    for j in range(d):
-                        Q[i][j] += p * dm[i] * dw[j]
-            target = list(targets[idx])
+        part = F.at(t - 1)
+        targets = market.drift_part.on_atoms(t, part.atoms, increments=True)
+        for idx, (atom, Q, target) in enumerate(zip(
+                part.atoms, cross_moments(M, W, part, t), targets)):
+            target = list(target)
             key = value_key(arith, *Q, target)
             if key not in solved:
                 coeffs, residual = linalg.lstsq_min_norm(Q, target, arith)
@@ -221,9 +219,11 @@ def _build_site(market: Market, d: int, phi, inputs) -> Site:
     driver: base-flow child probabilities, driver jumps, gauge tilts through
     the atom's integrand ``phi``, and structure-martingale deltas, from
     ``_site_inputs``."""
-    children = [SiteChild(p, dw, sum((a * b for a, b in zip(phi, dn)), 0), dd[0])
+    arith = market.space.arith
+    dot = sum if arith.exact else math.fsum  # as space._dot sums the tilt floor
+    children = [SiteChild(p, dw, dot(map(operator.mul, phi, dn)), dd[0])
                 for p, dw, dn, dd in inputs]
-    return Site(d, tuple(children), True, market.space.arith)
+    return Site(d, tuple(children), True, arith)
 
 
 def solve_structure_G(market: Market, gauge: DriftGauge,

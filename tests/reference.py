@@ -38,7 +38,10 @@ builds test data with it.
   had before it stored processes atom by atom: one operation per
   (outcome, time) cell, in outcome order, read through
   ``column``/``columns`` (a process as one value per outcome).  They are
-  the differential oracle for the atom-major kernels.
+  the differential oracle for the atom-major kernels.  ``cond_exp`` groups
+  the outcomes into child atoms itself and averages over those, and
+  ``summed`` is the sum every float oracle takes, as the engine's one
+  summation rule does (``math.fsum`` of floats).
 * ``Rows``, ``by_row``/``by_column`` and the ``row_*`` kernels are the
   layer kernels the engine ran before it stored each layer by column: the
   same (partition, cells, den) layers held one value vector per atom, and
@@ -441,22 +444,39 @@ def accumulate(space, steps, dim) -> Process:
     return Process.from_paths(space, zip(*levels))
 
 
-def cond_exp(values, partition: Partition, space: SampleSpace) -> list:
-    """Conditional expectation given a partition: on each atom the
-    weight-averaged value, summed over the members in order."""
+def summed(exact: bool):
+    """The engine's sum of many terms: the built-in ``sum`` from 0 of exact
+    numbers, the correctly rounded ``math.fsum`` of floats."""
+    return sum if exact else math.fsum
+
+
+def cond_exp(values, partition: Partition, space: SampleSpace, *cells: Partition) -> list:
+    """Conditional expectation given a partition, on the child atoms: the
+    values are constant on each atom of every partition in ``cells``, and
+    a child is a nonempty intersection of an atom of ``partition`` with one
+    atom of each.  On each atom the mean is the sum of mass(child) *
+    value(child) over its children over the atom's mass (``summed``, each
+    mass the ``summed`` weights of its outcomes); where every atom has one
+    child, each keeps its value."""
     if len(values) != space.size:
         raise SpaceError("random variable must have one value per outcome")
     vectors = [_as_vector(v) for v in values]
     dim = len(vectors[0])
     if any(len(v) != dim for v in vectors):
         raise SpaceError("vector values must share one dimension")
-    weights = space.weights
+    total, weights = summed(space.arith.exact), space.weights
+    children: dict = {}
+    for o in space.outcomes:
+        key = (partition.atom_index(o), *(c.atom_index(o) for c in cells))
+        children.setdefault(key, []).append(space.index(o))
+    if len(children) == len(partition.atoms):
+        return list(values)
     out: list = [None] * space.size
-    for members, mass in zip(partition.members, partition.masses):
-        avg = tuple(
-            sum((weights[i] * vectors[i][j] for i in members), 0) / mass
-            for j in range(dim)
-        )
+    for k, members in enumerate(partition.members):
+        kids = [kid for key, kid in children.items() if key[0] == k]
+        masses = [total(weights[i] for i in kid) for kid in kids]
+        avg = tuple(total(m * vectors[kid[0]][j] for m, kid in zip(masses, kids))
+                    / total(weights[i] for i in members) for j in range(dim))
         for i in members:
             out[i] = avg
     if not isinstance(values[0], (tuple, list)):
@@ -480,7 +500,8 @@ def min_tilt(phi: Process, N: Process, base: Filtration) -> list:
     1-vector per outcome: the minimum over the outcomes of the outcome's
     time-(t-1) base atom, in outcome order; entry t - 1 holds time t."""
     space = N.space
-    return [[(min(1 + sum((a * b for a, b in zip(phi.at(o, t), dN[space.index(x)])), 0)
+    total = summed(space.arith.exact)
+    return [[(min(1 + total(a * b for a, b in zip(phi.at(o, t), dN[space.index(x)]))
                   for x in base.at(t - 1).atom_of(o)),) for o in space.outcomes]
             for t, dN in enumerate(increments(N), 1)]
 
@@ -662,12 +683,13 @@ def row_product(op, *layers) -> tuple:
     return row_reduced(part, tuple(map(op, *args)), math.prod(d for _, _, d in layers))
 
 
-def contraction(terms, dot: bool):
+def contraction(terms, dot: bool, exact: bool):
     """The per-cell op of a ``space.product`` contraction: component c the
-    sum of u[i] * v[j] over terms[c], from 0 with ``dot``."""
+    sum of u[i] * v[j] over terms[c], ``summed`` with ``dot``, else added
+    from the first in list order."""
     def op(u, v):
         if dot:
-            return tuple(sum((u[i] * v[j] for i, j in pairs), 0) for pairs in terms)
+            return tuple(summed(exact)(u[i] * v[j] for i, j in pairs) for pairs in terms)
         out = []
         for pairs in terms:
             (i, j), *rest = pairs
@@ -679,24 +701,28 @@ def contraction(terms, dot: bool):
     return op
 
 
-def row_atom_means(given: Partition, *layers, value=lambda v: v,
-                   weighted=lambda w, v: tuple(w * x for x in v)) -> tuple:
-    """Means on the atoms of ``given``: exact integer masses times
-    ``value`` of the numerators, summed atom by atom of the meet; float
-    ``weighted`` summed member by member in outcome order."""
+def row_atom_means(given: Partition, *layers, value=lambda v: v) -> tuple:
+    """Means on the atoms of ``given`` over the child atoms (the meet with
+    ``given``): the child's mass times ``value`` of its numerators, summed
+    over each atom's children, atom by atom of the meet.  Exact mode uses
+    integer masses and the lcm of the atoms' own; float mode the ``fsum``
+    of each child's and each atom's member weights.  Where ``given``
+    refines the meet, each atom keeps its one child's value."""
     part, args = row_aligned(layers)
     space = part.space
-    if not space.arith.exact:
-        w, at, cells = space.weights, part.atom_at, list(zip(*args))
-        return given, tuple(
-            tuple(sum(col, 0) / mass for col in zip(*(weighted(w[i], *cells[at[i]])
-                                                      for i in members)))
-            for members, mass in zip(given.members, given.masses)), 1
     meet, mine, theirs = part.meet(given)
     values = list(map(value, *args))
     den = math.prod(d for _, _, d in layers)
     if meet is given:
         return row_reduced(given, tuple(values[k] for k in mine), den)
+    if not space.arith.exact:
+        def mass(members):
+            return math.fsum(space.weights[i] for i in members)
+        terms = [[] for _ in given.atoms]
+        for q, members, p in zip(theirs, meet.members, mine):
+            terms[q].append([mass(members) * x for x in values[p]])
+        return given, tuple(tuple(math.fsum(col) / mass(members) for col in zip(*kids))
+                            for kids, members in zip(terms, given.members)), 1
     totals = given.integer_masses
     lcm = math.lcm(*totals)
     sums = [[0] * len(values[0]) for _ in totals]
@@ -707,8 +733,7 @@ def row_atom_means(given: Partition, *layers, value=lambda v: v,
 
 
 def row_outer_means(given: Partition, a, b) -> tuple:
-    return row_atom_means(given, a, b, value=lambda u, v: [x * y for x in u for y in v],
-                          weighted=lambda w, u, v: [w * x * y for x in u for y in v])
+    return row_atom_means(given, a, b, value=lambda u, v: [x * y for x in u for y in v])
 
 
 def row_accumulate(dX: Rows) -> Rows:
@@ -751,7 +776,7 @@ def row_min_tilt(phi: Rows, N: Rows, base: Filtration, expanded: Filtration) -> 
     parts = expanded.partitions
     layers = [(parts[0], ((1,),) * len(parts[0].atoms), 1)]
     first = None
-    dN = N.increments
+    dN, total = N.increments, summed(phi.space.arith.exact)
     for t in range(1, len(parts)):
         part = parts[t - 1]
         p_part, p_cells, p_den = phi.layers[t]
@@ -762,7 +787,7 @@ def row_min_tilt(phi: Rows, N: Rows, base: Filtration, expanded: Filtration) -> 
         cells = []
         for k, (atom, a) in enumerate(zip(part.atoms, part.parents(base.at(t - 1)))):
             ph = p_cells[p_part.atom_index(atom[0])]
-            u = min(den + sum((x * y for x, y in zip(ph, dn)), 0) for dn in steps[a])
+            u = min(den + total(x * y for x, y in zip(ph, dn)) for dn in steps[a])
             if first is None and not u > 0:
                 first = (t, k)
             cells.append((u,))
@@ -801,9 +826,12 @@ def row_first_failing(X: Rows, test=None, start=None):
     return min(misses, default=None)
 
 
-def row_extrema(X: Rows):
-    """Exact (least, greatest) entry, compared as values."""
-    values = [Fraction(a, den) for _, cells, den in X.layers for v in cells for a in v]
+def row_extrema(X: Rows, start: int = 0):
+    """(least, greatest) entry from time ``start`` on, compared as values;
+    of equal ones the first in (time, component, atom) order."""
+    exact = X.space.arith.exact
+    values = [Fraction(a, den) if exact else a
+              for _, cells, den in X.layers[start:] for col in zip(*cells) for a in col]
     return (min(values), max(values)) if values else None
 
 

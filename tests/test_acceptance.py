@@ -428,7 +428,7 @@ def test_float_mode_reproduces_exact_verdicts(command, name, tmp_path, capsys):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="float passes the strict jump < 1 test at a jump of "
-                          "1 - eps (ROADMAP item 2)")
+                          "1 - eps (ROADMAP item 1)")
 def test_float_and_exact_agree_on_a_unit_structure_jump(tmp_path, capsys):
     """The trinomial_d2 golden with a second asset worth 21/20, 11/10, 9/10
     on children a, b, c: the base structure martingale jumps by exactly 1 at

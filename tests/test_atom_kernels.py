@@ -49,7 +49,6 @@ from marketforge.space import (
     atom_means,
     build_initial_enlargement,
     cond_exp,
-    distinct_cells,
     extrema,
     first_failing,
     first_mismatch,
@@ -126,7 +125,8 @@ def test_increments_accumulate_and_sum_steps_match_the_per_cell_kernels(mode, da
     space, F, (X, Y, Z) = _draw(data, mode, 2, 2, 1)
     assert cells(ref.columns(X.increments)[1:]) == cells(ref.increments(X))
     assert_same(accumulate(X), ref.accumulate(space, ref.columns(X)[1:], 2))
-    dot = [[(sum((a * b for a, b in zip(h, dx)), 0),) for dx, h in zip(inc, ref.column(Y, t))]
+    total = ref.summed(space.arith.exact)
+    dot = [[(total(a * b for a, b in zip(h, dx)),) for dx, h in zip(inc, ref.column(Y, t))]
            for t, inc in enumerate(ref.increments(X), 1)]
     assert_same(integrate(Y, X), ref.accumulate(space, dot, 1))
     outer = [[tuple(a * b for a in dz for b in dx) for dz, dx in zip(*incs)]
@@ -141,7 +141,7 @@ def test_cond_exp_matches_the_per_cell_kernel(mode, data):
     for t in range(F.horizon + 1):
         for part in F.partitions:
             got = cond_exp(X, t, part)
-            want = ref.cond_exp(ref.column(X, t), part, space)
+            want = ref.cond_exp(ref.column(X, t), part, space, X.layers[t][0])
             assert cells([[got[part.atom_index(o)] for o in space.outcomes]]) == cells([want])
 
 
@@ -150,7 +150,8 @@ def test_cond_exp_matches_the_per_cell_kernel(mode, data):
 def test_compensator_matches_the_per_cell_kernel(mode, data):
     space, F, (A,) = _draw(data, mode, data.draw(st.integers(1, 2)), start_at_zero=True,
                            kinds=("adapted", "predictable"))
-    means = [ref.cond_exp(inc, F.at(t - 1), space) for t, inc in enumerate(ref.increments(A), 1)]
+    means = [ref.cond_exp(inc, F.at(t - 1), space, A.layers[t][0], A.layers[t - 1][0])
+             for t, inc in enumerate(ref.increments(A), 1)]
     assert_same(compensator(A, F), ref.accumulate(space, means, A.dim))
 
 
@@ -189,7 +190,8 @@ def test_price_drift_rhs_matches_the_per_cell_kernel(mode, data):
     phi = data.draw(processes(F, n, kinds=("predictable",)))
     market = SimpleNamespace(F=F, martingale_part=M, k=k)
     got = price_drift_rhs(market, D, SimpleNamespace(N=N, phi=phi))
-    steps = [[tuple(dd[i] + sum((ph[j] * dn[j * k + i] for j in range(n)), 0)
+    total = ref.summed(space.arith.exact)
+    steps = [[tuple(dd[i] + total(ph[j] * dn[j * k + i] for j in range(n))
                     for i in range(k)) for dd, dn, ph in zip(*cols)]
              for cols in zip(ref.increments(pred_bracket(D, M, F)),
                              ref.increments(pred_bracket(N, M, F)), ref.columns(phi)[1:])]
@@ -365,22 +367,17 @@ def test_first_mismatch_comes_in_outcome_major_order(mode, data):
 
 @pytest.mark.parametrize("mode", MODES)
 @given(data=st.data())
-def test_distinct_cells_keep_the_first_of_each_atom_in_outcome_major_order(mode, data):
-    space, F, (X,) = _draw(data, mode, 1)
+def test_extrema_keep_the_first_of_equal_extremes_in_time_component_atom_order(mode, data):
+    """Least and greatest entry from a start time on, and of the increments,
+    against the row-major oracle: equal in value, and in float mode the
+    same bits, so a tie of 0.0 and -0.0 keeps the same one."""
+    space, F, (X,) = _draw(data, mode, data.draw(st.integers(1, 2)))
     start = data.draw(st.integers(0, F.horizon))
-    seen, want = set(), []
-    for o in space.outcomes:
-        for t in range(start, F.horizon + 1):
-            key = (t, X.layers[t][0].atom_index(o))
-            if key not in seen:
-                seen.add(key)
-                want.append(X.at(o, t))
-    assert cells([distinct_cells(X, start)]) == cells([want])
-    for got, values in ((extrema(X, start), want),
-                        (extrema(X, increments=True), distinct_cells(X, increments=True))):
-        values = [x for v in values for x in v]
-        assert got == (None if not values else (min(values), max(values)))
-        assert got is None or list(map(bits, got)) == [bits(min(values)), bits(max(values))]
+    RX = ref.Rows.of(X)
+    for got, want in ((extrema(X, start), ref.row_extrema(RX, start)),
+                      (extrema(X, increments=True), ref.row_extrema(RX.increments, 1))):
+        assert got == want
+        assert got is None or list(map(bits, got)) == list(map(bits, want))
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -15,8 +15,9 @@ from marketforge.calculus import (
     pred_bracket,
     stoch_exp,
 )
+from marketforge.arith import FLOAT
 from marketforge.fixtures import b1, b2
-from marketforge.space import Process
+from marketforge.space import Filtration, Partition, Process, SampleSpace
 
 from reference import expectation, from_values, is_predictable
 from util import brute_compensator, random_adapted, random_predictable
@@ -176,6 +177,17 @@ def test_integrate_vector_transpose_rule():
     I = integrate(H, W2)
     assert I.dim == 1
     assert I.value("uu", 2) == fx.W.value("uu", 2) * 3
+
+
+def test_float_integral_is_correctly_rounded_on_every_python():
+    # The products 1e16, 1.0 and -1e16 add to 1.0; a left fold from 0 loses
+    # the 1.0 (0.0 on Python 3.10 and 3.11, 1.0 under 3.12's compensated
+    # built-in sum).  math.fsum gives 1.0 on every version.
+    space = SampleSpace(("o",), (1.0,), arith=FLOAT)
+    F1 = Filtration(space, (Partition.trivial(space),) * 2)
+    H = Process.predictable(F1, {(1, 0): (1e16, 1.0, -1e16)}, dim=3)
+    X = Process.adapted(F1, {(0, 0): (0.0, 0.0, 0.0), (1, 0): (1.0, 1.0, 1.0)}, dim=3)
+    assert integrate(H, X).value("o", 1) == 1.0
 
 
 def test_stoch_exp_values_and_flags():

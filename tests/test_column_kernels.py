@@ -156,7 +156,8 @@ def test_contractions_match_the_per_cell_ops(mode, data):
     for dot in (False, True):
         terms = terms_of(data, n, m, dot)
         assert_same(product(terms, a, b, dot),
-                    ref.row_product(ref.contraction(terms, dot), ref.by_row(a), ref.by_row(b)))
+                    ref.row_product(ref.contraction(terms, dot, space.arith.exact),
+                                    ref.by_row(a), ref.by_row(b)))
     assert_same(product(outer(n, m), a, b),
                 ref.row_product(lambda u, v: tuple(x * y for x in u for y in v),
                                 ref.by_row(a), ref.by_row(b)))
@@ -183,10 +184,11 @@ def test_process_kernels_match_their_row_oracles(mode, data):
         lambda u, v: tuple(x * y for x in u for y in v), n * m, RX.increments, RY.increments))
     if n == m:
         assert_same_process(integrate(Y, X), ref.row_sum_steps(
-            lambda dx, h: (sum((x * y for x, y in zip(h, dx)), 0),), 1, RX.increments, RY))
+            lambda dx, h: (ref.summed(space.arith.exact)(x * y for x, y in zip(h, dx)),), 1,
+            RX.increments, RY))
     assert_same_process(sum_steps(terms, X.increments, Y, plus=P, dot=True),
-                        ref.row_sum_steps(ref.contraction(terms, True), len(terms),
-                                          RX.increments, RY, plus=RP))
+                        ref.row_sum_steps(ref.contraction(terms, True, space.arith.exact),
+                                          len(terms), RX.increments, RY, plus=RP))
     assert_same_process(X.refined(F), ref.row_refined(RX, F), reduced=False)
     for j in range(n):
         assert_same_process(X.component(j), ref.Rows(space, tuple(

@@ -9,7 +9,10 @@ on stderr.  Stdout is left out because it carries timings.  The cases are:
   golden inputs and the documents with a bad mode or tolerance field);
 - the noisy coin trees ``noisy_tree_T{2,3,4,6}.json`` with their outcome
   listing permuted by seeds 1 and 7; listing order is not part of the
-  model, so every permutation must report what the committed order does;
+  model, so every permutation must report what the committed order does,
+  in both modes: exact mode computes in integers, and the float sums that
+  build processes are ``math.fsum``, correctly rounded, so they depend
+  neither on the order of their terms nor on the Python version;
 - the seeded mutations of ``test_input_fuzz``, each in both modes.
 
 A refactor must leave every entry as it is.  Regenerate only in a change
@@ -101,15 +104,13 @@ def test_corpus_matches_its_digests(monkeypatch, tmp_path):
     assert moved == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="float atom means add member by member in outcome order, so "
-                          "float report bytes follow the listing order (ROADMAP item 1)")
-def test_float_report_does_not_depend_on_the_outcome_listing_order(monkeypatch, tmp_path):
+@pytest.mark.parametrize("T", TREES)
+def test_float_report_does_not_depend_on_the_outcome_listing_order(T, monkeypatch, tmp_path):
     monkeypatch.delenv("FORGE_MODE", raising=False)
-    tree = json.loads((GOLDEN / "noisy_tree_T4.json").read_text())
-    first, second = (run_case("analyze", json.dumps(permuted(tree, seed)), "float", tmp_path)
-                     for seed in PERMUTATIONS)
-    assert first == second
+    tree = json.loads((GOLDEN / f"noisy_tree_T{T}.json").read_text())
+    runs = [run_case("analyze", json.dumps(doc), "float", tmp_path)
+            for doc in (tree, *(permuted(tree, seed) for seed in PERMUTATIONS))]
+    assert runs[0][0] == 0 and runs[1:] == runs[:1] * len(PERMUTATIONS)
 
 
 if __name__ == "__main__":

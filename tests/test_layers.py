@@ -10,7 +10,7 @@ and the layer codecs) is known to ``space`` and ``calculus`` only.  A
 contraction crosses the boundary as index pairs (``sum_steps(terms, ...)``),
 which name components, not storage.  Every other engine module reads processes as
 numbers through their accessors (``Process.on_atoms``, ``Process.at``,
-``cond_exp``, ``first_mismatch``, ``distinct_cells``, ``increments``),
+``cond_exp``, ``first_mismatch``, ``increments``),
 decides on them through the ones that read the layers undecoded
 (``first_failing``, whose tests see a cell's numerators and the layer's
 denominator, ``extrema``, and ``Process.value_keys``, a cell's value key;

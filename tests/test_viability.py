@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from marketforge import viability
+from marketforge.arith import FLOAT
 from marketforge.calculus import is_martingale, stoch_exp
 from marketforge.enlarge import solve_phi
 from marketforge.fixtures import b1, b2, b2i, b2n
@@ -242,6 +245,16 @@ def test_solve_structure_G_insider_assumption_gate_and_bypass():
     assert forced.witness.reason == "site-infeasible"
     assert forced.witness.t == 1
     assert forced.witness.detail == (F(6, 5),)
+
+
+def test_float_site_tilt_is_correctly_rounded_on_every_python():
+    # phi . dN adds 1e16, 1.0 and -1e16 (negated on the second child): a left
+    # fold from 0 gives 0.0 on Python 3.10 and 3.11, math.fsum +-1.0 on all.
+    market = SimpleNamespace(space=SimpleNamespace(arith=FLOAT))
+    inputs = [(0.5, (1.0,), (1.0, 1.0, 1.0), (0.0,)),
+              (0.5, (-1.0,), (-1.0, -1.0, -1.0), (0.0,))]
+    site = viability._build_site(market, 1, (1e16, 1.0, -1e16), inputs)
+    assert [c.nu for c in site.children] == [1.0, -1.0]
 
 
 def test_solve_structure_G_requires_the_gauge_to_extend_the_market_flow():
