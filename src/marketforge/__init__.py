@@ -7,14 +7,15 @@ over one denominator per time), and its kernels are one ``map`` per
 column, products as contractions over component index pairs.  Only
 ``space`` and ``calculus`` know that layout: the layers above pass
 per-atom tables, per-outcome paths and index pairs, and read processes as
-numbers through accessors (values on atoms, first failing cell, first
-mismatch, distinct cells).
+numbers through accessors (values on atoms, first mismatch) and decide on
+them through ones that read no number (first failing cell, value keys).
 
 ``arith``      two arithmetic backends (exact rationals, tolerant floats)
 ``linalg``     elimination-based linear algebra over either backend
 ``space``      sample spaces, filtrations, the atom index (members, masses,
                transitions), processes, enlargement pairs
-``calculus``   compensators, brackets, integrals, stochastic exponentials
+``calculus``   compensators, brackets, integrals, stochastic exponentials,
+               the per-atom moment solve of both structure flows
 ``mrp``        representation drivers and the MRP check
 ``enlarge``    expanded-flow drift (the G-compensator), the gauge (N, phi, u)
 ``jumpkernel`` one jump-site type and one site solve, whose record is the

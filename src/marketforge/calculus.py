@@ -22,25 +22,30 @@ pairs ``terms[c]``, in list order.  Brackets are outer products
 products summed from 0 (``sum_steps`` with ``dot``, so a float zero sum is
 +0.0), and the stochastic exponential multiplies its running level by the
 factor (1 + X_t) - X_{t-1}, one pair.  A compensator's increments are
-conditional means on the time-(t-1) atoms.  The per-atom cross moments
-the layers above solve with (``cross_moments``, the means of an outer
-product) and the gauge's tilt floor min(1 + phi . dN) (``min_tilt``, in
-numerators, one entry per (atom, child) pair) come from here too.
+conditional means on the time-(t-1) atoms.  The one per-atom solve of
+both structure flows lives here too: ``solve_moments`` solves a
+conditional second moment E[dX dY^T | A] times an unknown equal to a
+conditional mean, once per distinct system value, keyed off the layers.
+So does the gauge's tilt floor min(1 + phi . dN) (``min_tilt``, in
+numerators, one entry per (atom, child) pair).
 
 The one failure model lives here, in the lowest module that finds a
 failure: a check returns its first failure's ``FailureWitness`` (None when
-it holds), and a failure found inside a solve raises ``CheckFailed``.
+it holds; ``mismatch_witness`` for two processes that must agree), and a
+failure found inside a solve raises ``CheckFailed``.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import repeat
 
-from .space import Filtration, Partition, Process, _decoded, _dot, _encoded, _failing, _reduced
-from .space import atom_means, componentwise, cond_exp, first_failing, is_adapted, outer
-from .space import product
+from . import linalg
+from .space import Filtration, Partition, Process, _decoded, _dot, _encoded, _failing, _layer_key
+from .space import _reduced, _rows, atom_means, componentwise, cond_exp, first_failing
+from .space import first_mismatch, is_adapted, outer, product
 
 
 NON_VIABLE = "non-viable"
@@ -115,25 +120,18 @@ def centred(X: Process) -> Process:
                                   for layer in X.layers))
 
 
-def cross_moments(X: Process, Y: Process, partition, t: int) -> list:
-    """E[dX_t transpose(dY_t) | A] as an (X.dim, Y.dim) nested list for each
-    atom A of ``partition``, a time-(t-1) partition: the ``atom_means`` of
-    the increments' outer product, mass(child) * (dx_i * dy_j) summed over
-    the children of A and divided by its mass (``math.fsum`` in float
-    mode)."""
-    n, d = X.dim, Y.dim
-    means = _decoded(atom_means(partition, X.increments.layers[t], Y.increments.layers[t]),
-                     X.space.arith.exact)
-    return [[list(m[i * d:(i + 1) * d]) for i in range(n)] for m in means]
+def _cond_increments(X: Process, filtration: Filtration) -> Process:
+    """The compensator's increments E[dX_t | time-(t-1) atoms] (zero at
+    time 0), not accumulated, with no input checks."""
+    parts = filtration.partitions
+    zero = ((0,) * len(parts[0].atoms),) * X.dim
+    return Process(X.space, ((parts[0], zero, 1),) + tuple(
+        cond_exp(X.increments, t, parts[t - 1]) for t in range(1, len(parts))))
 
 
 def _compensate(X: Process, filtration: Filtration) -> Process:
-    """Accumulated conditional-mean increments, with no input checks: the
-    increments live on the time-(t-1) atoms."""
-    dX, parts = X.increments, filtration.partitions
-    zero = ((0,) * len(parts[0].atoms),) * X.dim
-    return accumulate(Process(X.space, ((parts[0], zero, 1),) + tuple(
-        cond_exp(dX, t, parts[t - 1], layer=True) for t in range(1, len(parts)))))
+    """Accumulated conditional-mean increments, with no input checks."""
+    return accumulate(_cond_increments(X, filtration))
 
 
 def compensator(A: Process, filtration: Filtration) -> Process:
@@ -262,10 +260,55 @@ def is_martingale(X: Process, filtration: Filtration):
     is_zero = operator.not_ if arith.exact else arith.is_zero
     for t in range(1, X.horizon + 1):
         part = filtration.at(t - 1)
-        means = cond_exp(X.increments, t, part, layer=True)
+        means = cond_exp(X.increments, t, part)
         n = len(part.atoms)
         k = min((next(_failing(map(is_zero, col)), n) for col in means[1]), default=n)
         if k < n:
             m = _decoded(means, arith.exact)[k]
             return FailureWitness("drifts", t, part.atoms[k], m[0] if X.dim == 1 else tuple(m))
     return None
+
+
+def mismatch_witness(X: Process, Y: Process, flow: Filtration):
+    """None when X and Y agree everywhere, else the "verification-mismatch"
+    witness of their ``first_mismatch`` on its time-t atom of ``flow``."""
+    miss = first_mismatch(X, Y)
+    if miss is None:
+        return None
+    o, t, a, b = miss
+    return FailureWitness("verification-mismatch", t, flow.at(t).atom_of(o), (a, b))
+
+
+def solve_moments(X: Process, Y: Process, target: Process, flow: Filtration,
+                  base: Filtration, failure: tuple) -> Process:
+    """The predictable x with E[dX_t transpose(dY_t) | A] x = target_t on
+    each time-(t-1) atom B of ``flow``, A the time-(t-1) atom of ``base``
+    holding B: the minimum-norm solution, once per distinct (moment,
+    target) value in this call, keyed straight off the layers (numbers are
+    decoded on a miss alone).  With X.dim = 0 x is zero; with Y.dim = 0
+    the residual is the target.  A system with no solution raises
+    CheckFailed(status, FailureWitness(reason, t, B, residual), stage),
+    where ``failure`` = (status, reason, stage).
+    """
+    arith = X.space.arith
+    n, d = X.dim, Y.dim
+    table, solved = {}, {}
+    for t in range(1, flow.horizon + 1):
+        a_part, b_part = base.at(t - 1), flow.at(t - 1)
+        _, cols, den = atom_means(a_part, X.increments.layers[t], Y.increments.layers[t])
+        cells = _rows(cols, len(a_part.atoms))
+        for k, (b_atom, target_key, a) in enumerate(zip(
+                b_part.atoms, target.value_keys(t, b_part.atoms), b_part.parents(a_part))):
+            key = _layer_key(cells[a], den, arith.exact), target_key
+            if key not in solved:
+                q = tuple(map(Fraction, cells[a], repeat(den))) if arith.exact else cells[a]
+                Q = [list(q[i * d:(i + 1) * d]) for i in range(n)]
+                b = list(target.on_atoms(t, [b_atom])[0])
+                x, residual = linalg.lstsq_min_norm(Q, b, arith) if n else ((0,) * d, b)
+                if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([b])):
+                    status, reason, stage = failure
+                    raise CheckFailed(status, FailureWitness(reason, t, b_atom, tuple(residual)),
+                                      stage)
+                solved[key] = tuple(x)
+            table[(t, k)] = solved[key]
+    return Process.predictable(flow, table, d)

@@ -10,7 +10,9 @@ integrand phi:
     drift(X) = integral of transpose(phi) against the predictable
                F-covariation of N and X.
 
-``solve_phi`` recovers phi atom-by-atom from the driver equations and
+``solve_phi`` recovers phi atom-by-atom from the driver equations (the
+per-atom moment solve ``calculus.solve_moments``, as the base structure
+solve) and
 ``compute_u`` extracts the predictable floor u of the multiplicative tilt
 1 + transpose(phi) dN (the ``calculus.min_tilt`` kernel), whose
 positivity is exactly what downstream deflator construction needs; it
@@ -28,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
-from .calculus import ASSUMPTION_VIOLATED, NON_VIABLE, CheckFailed, FailureWitness, _compensate
-from .calculus import cross_moments, integrate, is_martingale, min_tilt, pred_bracket
+from .calculus import ASSUMPTION_VIOLATED, NON_VIABLE, CheckFailed, FailureWitness
+from .calculus import _compensate, _cond_increments, integrate, is_martingale, min_tilt
+from .calculus import mismatch_witness, pred_bracket, solve_moments
 from .calculus import compensator  # noqa: F401  (bench/test_bench.py traces it here)
-from .space import EnlargementPair, Process, cond_exp, first_mismatch, value_key
+from .space import EnlargementPair, Process
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,52 +126,27 @@ def compute_u(pair: EnlargementPair, N: Process, phi: Process):
 
 
 def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
-    """Recover the drift integrand phi from the driver equations.
-
-    On each expanded time-(t-1) atom B inside the base atom A, phi solves
-
-        transpose(phi) E[dN transpose(dW) | A] = E[transpose(dW) | B],
-
-    taking the minimum-norm solution when the system is underdetermined,
-    once per distinct (Q_A, gamma_B) value within this call.  Raises
+    """Recover the drift integrand phi from the driver equations: on each
+    expanded time-(t-1) atom B inside the base atom A, the minimum-norm
+    solution of E[dW transpose(dN) | A] phi = E[dW | B]
+    (``calculus.solve_moments``; the target is the conditional means
+    themselves, not the increments of their running sum).  Raises
     CheckFailed ("gauge-infeasible", detail the residual) when no solution
     exists.  The returned gauge carries W's drift, the tilt floor u and the
-    support / tilt-floor witnesses; the drift identity is re-verified on the
-    full driver basis, and a mismatch, a bug rather than a market, raises
-    CheckFailed ("verification-mismatch", detail the two sides).
+    support / tilt-floor witnesses; the drift identity is re-verified on
+    the full driver basis, and a mismatch, a bug rather than a market,
+    raises CheckFailed ("verification-mismatch", detail the two sides).
     """
     F, G = pair.base, pair.expanded
-    arith = pair.space.arith
-    n, d = N.dim, W.dim
-    values: dict[tuple[int, int], tuple] = {}
-    solved = {}  # one solve per distinct (Q_A, gamma_B) value, for this call only
-    for t in range(1, pair.horizon + 1):
-        f_part, g_part = F.at(t - 1), G.at(t - 1)
-        Qs = cross_moments(N, W, f_part, t)
-        for k, (b_atom, gamma, a) in enumerate(zip(
-                g_part.atoms, cond_exp(W.increments, t, g_part), g_part.parents(f_part))):
-            if d == 0:  # no driver equations: any integrand works, take zero
-                values[(t, k)] = (0,) * n
-                continue
-            key = value_key(arith, *Qs[a], gamma)
-            if key not in solved:
-                phi_b, residual = linalg.lstsq_min_norm(linalg.transpose(Qs[a]), gamma,
-                                                        arith)
-                if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([gamma])):
-                    raise CheckFailed(ASSUMPTION_VIOLATED, FailureWitness(
-                        "gauge-infeasible", t, b_atom, tuple(residual)), "gauge-solve")
-                solved[key] = tuple(phi_b)
-            values[(t, k)] = solved[key]
-    phi = Process.predictable(G, values, n)
+    phi = solve_moments(W, N, _cond_increments(W, G), G, F,
+                        (ASSUMPTION_VIOLATED, "gauge-infeasible", "gauge-solve"))
     # Re-verify the drift identity on the driver basis, component by component.
     W_drift = drift(W, pair)
-    for e in range(d):
-        miss = first_mismatch(W_drift.component(e),
-                              integrate(phi, pred_bracket(N, W.component(e), F)))
-        if miss is not None:
-            o, t, a, b = miss
-            raise CheckFailed(NON_VIABLE, FailureWitness(
-                "verification-mismatch", t, G.at(t).atom_of(o), (a, b)), "gauge-solve")
+    for e in range(W.dim):
+        witness = mismatch_witness(W_drift.component(e),
+                                   integrate(phi, pred_bracket(N, W.component(e), F)), G)
+        if witness is not None:
+            raise CheckFailed(NON_VIABLE, witness, "gauge-solve")
     u, tilt_witness = compute_u(pair, N, phi)
     return DriftGauge(pair, N, W, W_drift, phi, u, check_support_condition(pair),
                       tilt_witness)

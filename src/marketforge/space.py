@@ -41,21 +41,22 @@ Increments are defined once, here (:attr:`Process.increments`, dX_0 = 0);
 the child atoms of each atom in both modes, one plan per pair of
 partitions: mass(child) * value(child) summed over each atom's children,
 in integers in exact mode and by ``math.fsum`` in float mode (and returns
-the cells as they are where each atom is its own only child), and
-:func:`is_adapted` checks once per atom.  Only this module and
-``calculus`` know the layout: the other layers build processes from
-per-atom tables or per-outcome paths, and read them as numbers (Fractions
-in exact mode, decoded and transposed once per layer) through
-:meth:`Process.on_atoms`, :meth:`Process.at`, :func:`cond_exp` and
+the cells as they are where each atom is its own only child);
+:func:`cond_exp` is its layer of E[X_t | given], and :func:`is_adapted`
+checks once per atom.  Only this module and ``calculus`` know the layout:
+the other layers build processes from per-atom tables or per-outcome
+paths, and read them as numbers (Fractions in exact mode, decoded once
+per layer) through :meth:`Process.on_atoms`, :meth:`Process.at` and
 :func:`first_mismatch`.  Their decisions read the layers undecoded:
 :func:`first_failing` runs each test on a cell's numerators over the
 layer's denominator, :func:`extrema` compares entries over each layer's
 denominator and decodes the two extremes a report shows, and
 :meth:`Process.value_keys` gives a cell's value key, (numerators // g,
-den // g) with g = gcd(den, *numerators) (a float cell keys by its bits),
-which :func:`value_key` gives number vectors too: the memo key of the
-solves above.  :func:`first_failing` and :func:`first_mismatch` keep
-outcome-major order, so witnesses keep theirs.
+den // g) with g = gcd(den, *numerators) (a float cell keys by its bits):
+the memo key of the solves above, which :func:`value_key` gives the one
+number vector not in a layer, a site's transition probabilities.
+:func:`first_failing` and :func:`first_mismatch` keep outcome-major
+order, so witnesses keep theirs.
 """
 
 from __future__ import annotations
@@ -97,12 +98,13 @@ class SampleSpace:
             raise SpaceError("outcome labels must be distinct")
         if len(self.weights) != len(self.outcomes):
             raise SpaceError("one weight per outcome required")
-        # Exact weights are checked as integers over their lcm (``integer_weights``).
+        # Exact weights are checked as integers over their lcm (``integer_weights``),
+        # float ones by their correctly rounded sum.
         lcm, counts = self.integer_weights if self.arith.exact else (1, self.weights)
         for label, w in zip(self.outcomes, counts):
             if not w > 0:
                 raise SpaceError(f"outcome {label!r} must have positive weight")
-        if not self.arith.eq(sum(counts), lcm):
+        if not self.arith.eq((sum if self.arith.exact else math.fsum)(counts), lcm):
             raise SpaceError("outcome weights must sum to 1")
         self._index.update({o: i for i, o in enumerate(self.outcomes)})
 
@@ -915,10 +917,7 @@ def atom_means(given: Partition, layer, other=None) -> tuple:
     return _reduced(given, tuple(means), den * lcm)
 
 
-def cond_exp(X: Process, t: int, given: Partition, layer: bool = False):
-    """E[X_t | given]: one value vector per atom of ``given``, as numbers
-    (one Fraction per atom mean and component in exact mode), from
-    :func:`atom_means`; with ``layer``, that (given, columns, den) layer
-    itself, for the calculus to build on."""
-    means = atom_means(given, X.layers[t])
-    return means if layer else list(_decoded(means, X.space.arith.exact))
+def cond_exp(X: Process, t: int, given: Partition) -> tuple:
+    """E[X_t | given]: the (given, columns, den) layer of the means of X_t
+    over the atoms of ``given`` (:func:`atom_means`)."""
+    return atom_means(given, X.layers[t])

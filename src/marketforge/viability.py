@@ -1,17 +1,19 @@
 """Market structure conditions and deflators, in the base and expanded flows.
 
 The base-flow solve finds a scalar martingale D with the price drift equal
-to the predictable covariation of D against each price martingale part, and
-builds the deflator as the stochastic exponential of -D.  The expanded-flow
-pipeline rebuilds the same object under an enlargement: it assembles one
-accessible jump site per (time, expanded atom) -- child probabilities from
-the base flow's transitions, tilts from the drift gauge, deltas from D --
-solves each site for the integrand K, and exponentiates Y = K . (W - drift W)
-with the enlargement, W and its drift read from the gauge.  Each site is
-solved once per distinct site value within one call: its ``solve_site``
-record carries the integrand and the per-child jump rows, and the pipeline
-reads the jump bound from those rows.  The base-atom solves likewise run
-once per distinct operand value within one call.  Every verdict re-verifies
+to the predictable covariation of D against each price martingale part
+(``calculus.solve_moments``, as the gauge solve), and builds the deflator
+as the stochastic exponential of -D.  The expanded-flow pipeline rebuilds
+the same object under an enlargement: it assembles one accessible jump
+site per (time, expanded atom) -- child probabilities from the base flow's
+transitions, tilts from the drift gauge, deltas from D -- solves each site
+for the integrand K, and exponentiates Y = K . (W - drift W) with the
+enlargement, W and its drift read from the gauge.  Each site is solved
+once per distinct site value within one call: its ``solve_site`` record
+carries the integrand and the per-child jump rows, and the pipeline reads
+the jump bound from those rows.  Both flows end in one tail,
+``_exponentiate``: integrate, check the jump bound dY < 1 in outcome-major
+order, and take the stochastic exponential.  Every verdict re-verifies
 the drift identity and the deflated-martingale property through independent
 summation paths, on the full grid, before claiming viability.  A failing
 verdict names, as its ``stage``, the check row where it stopped; the row is
@@ -26,7 +28,6 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 
-from . import linalg
 from .calculus import (
     ASSUMPTION_VIOLATED,
     NON_VIABLE,
@@ -36,11 +37,12 @@ from .calculus import (
     bracket,
     centred,
     compensator,
-    cross_moments,
     doob_decompose,
     integrate,
     is_martingale,
+    mismatch_witness,
     pred_bracket,
+    solve_moments,
     stoch_exp,
     sum_steps,
 )
@@ -51,7 +53,6 @@ from .space import (
     Filtration,
     Process,
     first_failing,
-    first_mismatch,
     is_adapted,
     value_key,
 )
@@ -121,48 +122,38 @@ class Verdict:
     stage: str | None = None
 
 
+def _exponentiate(coefficients: Process, integrator: Process, flow: Filtration) -> tuple:
+    """(solution, None) with Y = coefficients . integrator and the deflator
+    ``stoch_exp(-Y)``, or (None, the "jump-bound" witness on the time-t
+    atom of ``flow`` of the first jump dY >= 1 in outcome-major order)."""
+    Y = integrate(coefficients, integrator)
+    miss = first_failing(Y, lambda v, den: v[0] < den, increments=True)
+    if miss is not None:
+        t = miss[1]
+        atom = flow.at(t).atom_of(Y.space.outcomes[miss[0]])
+        jump = Y.on_atoms(t, [atom], increments=True)[0][0]
+        return None, FailureWitness("jump-bound", t, atom, jump)
+    return StructureSolution(coefficients, Y, stoch_exp(-Y)), None
+
+
 def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
     """Base-flow structure condition: find D with [D, M_i] drift = price drift.
 
-    Solves, per (time, atom), the linear system
-    E[dM dW^T | atom] . dbar = dS_drift for the driver coefficients dbar
-    (minimum-norm on the row space), assembles D as the integral of dbar
-    against the driver, and requires dD < 1 everywhere so the deflator
-    ``stoch_exp(-D)`` stays strictly positive.  Raises CheckFailed,
-    non-viable at the ``base-structure-solve`` row, with a residual witness
-    on inconsistency or with the offending jump otherwise.
+    Solves E[dM dW^T | atom] . dbar = dS_drift per (time, atom) for the
+    driver coefficients dbar (``calculus.solve_moments``), and requires
+    D = dbar . W to jump by dD < 1 everywhere, so the deflator
+    ``stoch_exp(-D)`` stays strictly positive (``_exponentiate``).  Raises
+    CheckFailed, non-viable at the ``base-structure-solve`` row, with a
+    residual witness on inconsistency or with the first offending jump, in
+    outcome-major order, otherwise.
     """
     F = market.F
-    arith = market.space.arith
-    M, W = market.martingale_part, driver.W
-    k, d = market.k, driver.d
-    table = {}
-    solved = {}  # one solve per distinct (Q, target) value, for this call only
-    for t in range(1, F.horizon + 1):
-        part = F.at(t - 1)
-        targets = market.drift_part.on_atoms(t, part.atoms, increments=True)
-        for idx, (atom, Q, target) in enumerate(zip(
-                part.atoms, cross_moments(M, W, part, t), targets)):
-            target = list(target)
-            key = value_key(arith, *Q, target)
-            if key not in solved:
-                coeffs, residual = linalg.lstsq_min_norm(Q, target, arith)
-                if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([target])):
-                    raise CheckFailed(NON_VIABLE, FailureWitness(
-                        "drift-not-spanned", t, atom, tuple(residual)), "base-structure-solve")
-                # With no asset (k = 0) Q has no rows and the solve no width.
-                solved[key] = tuple(coeffs) if k else (0,) * d
-            table[(t, idx)] = solved[key]
-    dbar = Process.predictable(F, table, d)
-    D = integrate(dbar, W)
-    for t in range(1, F.horizon + 1):
-        atoms = F.at(t).atoms
-        for atom, (jump,) in zip(atoms, D.on_atoms(t, atoms, increments=True)):
-            if not jump < 1:
-                raise CheckFailed(NON_VIABLE, FailureWitness("jump-bound", t, atom, jump),
-                                  "base-structure-solve")
-    deflator = stoch_exp(-D)
-    return StructureSolution(dbar, D, deflator)
+    dbar = solve_moments(market.martingale_part, driver.W, market.drift_part.increments, F, F,
+                         (NON_VIABLE, "drift-not-spanned", "base-structure-solve"))
+    solution, witness = _exponentiate(dbar, driver.W, F)
+    if witness is not None:
+        raise CheckFailed(NON_VIABLE, witness, "base-structure-solve")
+    return solution
 
 
 def verify_deflator(deflator: Process, market: Market, filtration: Filtration):
@@ -304,31 +295,19 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
     if jump_witness is not None:
         return Verdict(NON_VIABLE, jump_witness, stage="jump-bound")
     kbar = Process.predictable(G, table, W.dim)
-    W_tilde = W - gauge.W_drift
-    Y = integrate(kbar, W_tilde)
-    miss = first_failing(Y, lambda v, den: v[0] < den, increments=True)
-    if miss is not None:
-        t = miss[1]
-        atom = G.at(t).atom_of(market.space.outcomes[miss[0]])
-        jump = Y.on_atoms(t, [atom], increments=True)[0][0]
-        return Verdict(NON_VIABLE, FailureWitness("jump-bound", t, atom, jump),
-                       stage="jump-bound")
-    deflator = stoch_exp(-Y)
-    solution = StructureSolution(kbar, Y, deflator)
+    solution, witness = _exponentiate(kbar, W - gauge.W_drift, G)
+    if witness is not None:
+        return Verdict(NON_VIABLE, witness, stage="jump-bound")
     # The drift identity, checked first for the prices' own expanded-flow
     # drift, then for the bracket of Y against the expanded martingale part.
     rhs = price_drift_rhs(market, D, gauge)
     M_tilde = market.martingale_part - drift(market.martingale_part, pair)
     for lhs in (compensator(centred(market.S), G),
-                compensator(bracket(Y, M_tilde), G)):
-        miss = first_mismatch(lhs, rhs)
-        if miss is not None:
-            o, t, a, b = miss
-            return Verdict(NON_VIABLE,
-                           FailureWitness("verification-mismatch", t,
-                                          G.at(t).atom_of(o), (a, b)),
-                           solution, stage="price-drift-identity")
-    witness = verify_deflator(deflator, market, G)
+                compensator(bracket(solution.martingale, M_tilde), G)):
+        witness = mismatch_witness(lhs, rhs, G)
+        if witness is not None:
+            return Verdict(NON_VIABLE, witness, solution, stage="price-drift-identity")
+    witness = verify_deflator(solution.deflator, market, G)
     if witness is not None:
         return Verdict(NON_VIABLE, witness, solution, stage="expanded-deflator-battery")
     return Verdict(VIABLE, None, solution)

@@ -72,6 +72,47 @@ def test_analyze_zero_assets_is_viable(tmp_path, capsys, driver, mode):
     assert "verdict: viable" in out
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("kind", ["none", "initial"])
+def test_analyze_zero_component_carrier(tmp_path, capsys, kind, mode):
+    """A carrier with no component gives the gauge equations no unknown:
+    phi is the empty vector where the driver does not drift under the
+    expanded flow (no enlargement: viable), and elsewhere the residual is
+    the driver's conditional mean E[dW | B] itself (the noisy signal's
+    first time-1 atom: (2/5 - 1/10) / (1/2) = 3/5)."""
+    doc = json.loads((SCENARIOS / "noisy_signal.json").read_text())
+    doc["carrier"] = [[[], [], []]] * 8
+    if kind == "none":
+        doc["enlargement"] = {"kind": "none"}
+    report = tmp_path / "out.json"
+    code, out, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode,
+                              "--report", str(report)], capsys)
+    verdict = json.loads(report.read_text())
+    assert err == ""
+    if kind == "none":
+        assert (code, verdict["verdict"]) == (0, "viable")
+        return
+    assert (code, verdict["verdict"]) == (5, "assumption-violated")
+    witness = verdict["witness"]
+    assert (witness["reason"], witness["t"], witness["atom"]) == \
+        ("gauge-infeasible", 1, ["uu0", "ud0", "du1", "dd1"])
+    assert witness["detail"] == (["3/5"] if mode == "exact" else [pytest.approx(0.6)])
+
+
+def test_float_weights_sum_to_one_correctly_rounded(tmp_path, capsys):
+    """Ten weights of 0.1 sum to 1 correctly rounded (``math.fsum``), on
+    every Python version, while their left-to-right sum is 1 - 2**-53."""
+    doc = {"name": "ten-tenths",
+           "space": {"outcomes": [f"o{i}" for i in range(10)], "weights": [0.1] * 10},
+           "prices": [[1, "11/10"]] * 5 + [[1, "9/10"]] * 5}
+    path = write_doc(tmp_path, doc)
+    for mode in ("exact", "float"):
+        code, out, err = run_cli(["analyze", path, "--mode", mode, "--tolerance", "1e-16"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        assert "verdict: viable" in out
+
+
 def test_analyze_noisy_signal_report_numbers(tmp_path, capsys):
     report = tmp_path / "out.json"
     code, out, _ = run_cli(["analyze", str(SCENARIOS / "noisy_signal.json"),

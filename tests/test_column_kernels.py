@@ -31,7 +31,6 @@ from marketforge.calculus import (
     accumulate,
     bracket,
     centred,
-    cross_moments,
     integrate,
     is_martingale,
     min_tilt,
@@ -199,15 +198,6 @@ def test_process_kernels_match_their_row_oracles(mode, data):
     assert_same_process(X.scale(c), ref.Rows(space, tuple(
         ref.row_reduced(part, ref.row_scaled(cells, operator.mul, num), den * q)
         for part, cells, den in RX.layers)))
-    for t in range(1, F.horizon + 1):
-        for part in pool:
-            got = cross_moments(X, Y, part, t)
-            _, cells, den = ref.row_outer_means(part, RX.increments.layers[t],
-                                                RY.increments.layers[t])
-            if mode == "exact":
-                cells = [[Fraction(x, den) for x in v] for v in cells]
-            assert repr(got) == repr([[list(v[i * m:(i + 1) * m]) for i in range(n)]
-                                      for v in cells])
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -4,7 +4,10 @@ Within one ``analyze`` the jump sites, the base-atom solves and the gauge
 solves run once per distinct operand value.  These tests count the site
 solves on a golden tree, check that a second call solves again, and
 compare the pipeline's integrand on every (time, expanded atom) of seeded
-random markets, in both modes, with a direct solve of that atom's site.
+random markets, in both modes, with a direct solve of that atom's site;
+likewise ``solve_moments``, the per-atom solve of both structure flows,
+with a direct minimum-norm solve of each atom's moments and target.  The
+base jump bound's witness is pinned to outcome-major order.
 """
 
 import json
@@ -16,12 +19,14 @@ import pytest
 
 from marketforge import linalg, viability
 from marketforge.arith import EXACT, FLOAT
+from marketforge.calculus import FailureWitness, _cond_increments, integrate, solve_moments
 from marketforge.cli import main
 from marketforge.enlarge import solve_phi
 from marketforge.jumpkernel import solve_site
 from marketforge.mrp import synthesize_driver
 from marketforge.scenario import load_scenario, parse_document
-from marketforge.space import EnlargementPair, Process, build_initial_enlargement
+from marketforge.space import EnlargementPair, Process, _decoded, atom_means
+from marketforge.space import build_initial_enlargement
 from marketforge.viability import CheckFailed, Market, solve_structure_F, solve_structure_G
 
 from util import bits, random_tree, record_site_solves, site_at, site_value
@@ -94,16 +99,17 @@ def test_base_and_gauge_solve_once_per_distinct_operand(monkeypatch):
     assert len(keys) == len(set(keys))
 
 
-def _random_market(rng, arith):
-    """A random tree with a viable price, the synthesized driver, and either
-    no enlargement or an initial enlargement by a random label.
+def _random_market(rng, arith, start=1, jump=Fraction(1, 4)):
+    """A random tree with a price from ``start``, the synthesized driver, and
+    either no enlargement or an initial enlargement by a random label.
 
     Each step moves the price by a centred random move c plus a drift of
-    var(c) / (4 max |c|) times -1, 0 or 1, so the structure martingale
-    jumps by drift * c / var(c), at most 1/4 in size."""
+    jump * var(c) / max |c| times -1, 0 or 1, so the structure martingale
+    jumps by drift * c / var(c), at most ``jump`` in size: the price is
+    viable for a jump below 1."""
     space, F = random_tree(rng, arith)
-    price = {o: Fraction(1) for o in space.outcomes}
-    paths = [[(arith.parse(1),)] for _ in space.outcomes]
+    price = {o: Fraction(start) for o in space.outcomes}
+    paths = [[(arith.parse(start),)] for _ in space.outcomes]
     for t in range(1, F.horizon + 1):
         for _, _, children in F.transitions(t):
             probs = [Fraction(p) for _, p in children]
@@ -112,7 +118,7 @@ def _random_market(rng, arith):
             moves = [r - mean for r in raw]
             var = sum(p * c * c for p, c in zip(probs, moves))
             drift = 0 if var == 0 else (
-                rng.choice((-1, 0, 1)) * var / (4 * max(map(abs, moves))))
+                rng.choice((-1, 0, 1)) * jump * var / max(map(abs, moves)))
             for (child, _), c in zip(children, moves):
                 for o in child:
                     price[o] += c + drift
@@ -153,3 +159,95 @@ def test_memoized_sites_match_a_direct_solve_per_site(mode):
                 compared += 1
                 values.add(site_value(site))
     assert compared >= 100 and len(values) < compared  # repeated sites included
+
+
+def _systems(X, Y, target, flow, base):
+    """(t, B, Q, b) for each time-(t-1) atom B of ``flow``: the moment
+    matrix Q = E[dX_t transpose(dY_t) | A] of the ``base`` atom A holding
+    B, decoded from its atom means, and the target on B.  In exact mode Q is
+    also checked against a sum over A's outcomes."""
+    space, n, d = X.space, X.dim, Y.dim
+    for t in range(1, flow.horizon + 1):
+        a_part, b_part = base.at(t - 1), flow.at(t - 1)
+        means = _decoded(atom_means(a_part, X.increments.layers[t], Y.increments.layers[t]),
+                         space.arith.exact)
+        for B, a in zip(b_part.atoms, b_part.parents(a_part)):
+            Q = [list(means[a][i * d:(i + 1) * d]) for i in range(n)]
+            if space.arith.exact:
+                atom = a_part.atoms[a]
+                mass = sum(map(space.weight, atom))
+                assert Q == [[sum(space.weight(o) * X.increments.at(o, t)[i]
+                                  * Y.increments.at(o, t)[j] for o in atom) / mass
+                              for j in range(d)] for i in range(n)]
+            yield t, B, Q, list(target.on_atoms(t, [B])[0])
+
+
+def _system_key(Q, b):
+    return tuple(tuple(map(bits, row)) for row in Q), tuple(map(bits, b))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_moment_solves_match_a_direct_solve_per_atom(mode, monkeypatch):
+    """``solve_moments`` on both flows of seeded random markets: the base
+    structure solve (M against W for the price drift, on F) and the gauge
+    solve (W against a carrier for E[dW | B], on G inside F), with the full
+    driver as carrier and with its first component alone, which leaves
+    some gauge systems without a solution.  Every (t, atom) holds the
+    direct minimum-norm solve of its own system, a system with no solution
+    raises at the first such (t, atom), and each distinct system is
+    solved once."""
+    arith = MODES[mode]
+    same = bits if mode == "float" else Fraction
+    lstsq, calls = linalg.lstsq_min_norm, []
+    monkeypatch.setattr(linalg, "lstsq_min_norm",
+                        lambda A, b, arith: calls.append(_system_key(A, b)) or lstsq(A, b, arith))
+    compared, distinct, raised = 0, 0, 0
+    for seed in range(40):
+        market, driver, pair = _random_market(random.Random(6000 + seed), arith)
+        F, G, W = market.F, pair.expanded, driver.W
+        gamma = _cond_increments(W, G)
+        for X, Y, target, flow in ((market.martingale_part, W, market.drift_part.increments, F),
+                                   (W, W, gamma, G), (W, W.component(0), gamma, G)):
+            systems = list(_systems(X, Y, target, flow, F))
+            direct = [lstsq(Q, b, arith) for _, _, Q, b in systems]
+            bad = [k for k, ((_, _, _, b), (_, residual)) in enumerate(zip(systems, direct))
+                   if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([b]))]
+            calls.clear()
+            try:
+                x = solve_moments(X, Y, target, flow, F, ("status", "reason", "stage"))
+            except CheckFailed as err:
+                t, B, _, _ = systems[bad[0]]
+                assert (err.status, err.stage) == ("status", "stage")
+                assert err.witness == FailureWitness(
+                    "reason", t, B, tuple(direct[bad[0]][1]))
+                raised += 1
+                continue
+            assert bad == []
+            for (t, B, _, _), (coeffs, _) in zip(systems, direct):
+                assert list(map(same, x.at(B[0], t))) == list(map(same, coeffs))
+            keys = [_system_key(Q, b) for _, _, Q, b in systems]
+            assert sorted(calls) == sorted(set(keys))  # each distinct system once
+            compared += len(keys)
+            distinct += len(calls)
+    assert raised > 0 and compared >= 200 and distinct < compared
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_base_jump_bound_witness_is_the_first_in_outcome_major_order(mode):
+    """Seed 282 (found by a seeded search): the base structure martingale D
+    jumps past 1 at t = 1 on [o2] and at t = 2 on [o1].  The witness is the
+    first failing jump in outcome-major order, as in the expanded flow:
+    [o1] at t = 2, not the earlier time's [o2]."""
+    arith = MODES[mode]
+    market, driver, _ = _random_market(random.Random(282), arith, start=10, jump=2)
+    F = market.F
+    D = integrate(solve_moments(market.martingale_part, driver.W, market.drift_part.increments,
+                                F, F, (None, None, None)), driver.W)
+    assert [(t, o) for o in market.space.outcomes for t in range(1, F.horizon + 1)
+            if not D.increments.at(o, t)[0] < 1] == [(2, "o1"), (1, "o2")]
+    with pytest.raises(CheckFailed) as err:
+        solve_structure_F(market, driver)
+    witness = err.value.witness
+    assert (err.value.stage, witness.reason, witness.t, witness.atom) == \
+        ("base-structure-solve", "jump-bound", 2, ("o1",))
+    assert witness.detail == (Fraction(4, 3) if mode == "exact" else pytest.approx(4 / 3))

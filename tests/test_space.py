@@ -16,6 +16,7 @@ from marketforge.space import (
     RandomTime,
     SampleSpace,
     SpaceError,
+    _decoded,
     build_progressive_enlargement,
     cond_exp,
     first_mismatch,
@@ -62,7 +63,8 @@ def test_partition_validation():
 def _cond_exp(values, part, space):
     """cond_exp of a one-time process with the given per-outcome values,
     read back per outcome."""
-    means = cond_exp(Process.from_paths(space, [[v] for v in values]), 0, part)
+    means = _decoded(cond_exp(Process.from_paths(space, [[v] for v in values]), 0, part),
+                     space.arith.exact)
     return [means[part.atom_index(o)][0] for o in space.outcomes]
 
 
