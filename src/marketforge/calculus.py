@@ -18,11 +18,12 @@ differences (over the lcm of the operands' denominators) and through
 ``space.product`` for contractions (over the product of the
 denominators): output component c is the sum of a_i * b_j over the index
 pairs ``terms[c]``, in list order.  Brackets are outer products
-(``space.outer``), integrals and the drift identity's phi . d[N, M] dot
+(``space.outer``), integrals and the drift operator's phi . d<N, X> dot
 products summed from 0 (``sum_steps`` with ``dot``, so a float zero sum is
 +0.0), and the stochastic exponential multiplies its running level by the
 factor (1 + X_t) - X_{t-1}, one pair.  A compensator's increments are
-conditional means on the time-(t-1) atoms.  The one per-atom solve of
+conditional means on the time-(t-1) atoms, taken once and returned with
+their running sums (``_compensate``).  The one per-atom solve of
 both structure flows lives here too: ``solve_moments`` solves a
 conditional second moment E[dX dY^T | A] times an unknown equal to a
 conditional mean, once per distinct system value, keyed off the layers.
@@ -101,17 +102,15 @@ def accumulate(dX: Process) -> Process:
     return Process(dX.space, tuple(layers))
 
 
-def sum_steps(terms, dX: Process, Y: Process, plus=None, dot: bool = False) -> Process:
+def sum_steps(terms, dX: Process, Y: Process, dot: bool = False) -> Process:
     """Running sums from 0 over t >= 1 of the contraction of dX_t with
     Y_t: component c of each summand is the sum of dX_t[i] * Y_t[j] over
     the index pairs (i, j) of ``terms[c]``, in list order, from 0 with
     ``dot`` (``space.product``).  The one kernel behind ``bracket``,
-    ``integrate`` and the expanded-flow drift identity.  With ``plus``, a
-    process, each summand is dP_t + the contraction, added in that order.
-    The sums start on the meet of the operands' time-0 partitions."""
-    steps = Process(dX.space, tuple(product(terms, a, b, dot)
-                                    for a, b in zip(dX.layers, Y.layers)))
-    return accumulate(steps if plus is None else plus.increments + steps)
+    ``integrate`` and ``enlarge.drift_operator``.  The sums start on the
+    meet of the operands' time-0 partitions."""
+    return accumulate(Process(dX.space, tuple(product(terms, a, b, dot)
+                                              for a, b in zip(dX.layers, Y.layers))))
 
 
 def centred(X: Process) -> Process:
@@ -120,18 +119,15 @@ def centred(X: Process) -> Process:
                                   for layer in X.layers))
 
 
-def _cond_increments(X: Process, filtration: Filtration) -> Process:
-    """The compensator's increments E[dX_t | time-(t-1) atoms] (zero at
-    time 0), not accumulated, with no input checks."""
+def _compensate(X: Process, filtration: Filtration) -> tuple:
+    """(means, compensator), with no input checks: the process of the
+    conditional means E[dX_t | time-(t-1) atoms] (zero at time 0), taken
+    once, and their running sums."""
     parts = filtration.partitions
     zero = ((0,) * len(parts[0].atoms),) * X.dim
-    return Process(X.space, ((parts[0], zero, 1),) + tuple(
+    means = Process(X.space, ((parts[0], zero, 1),) + tuple(
         cond_exp(X.increments, t, parts[t - 1]) for t in range(1, len(parts))))
-
-
-def _compensate(X: Process, filtration: Filtration) -> Process:
-    """Accumulated conditional-mean increments, with no input checks."""
-    return accumulate(_cond_increments(X, filtration))
+    return means, accumulate(means)
 
 
 def compensator(A: Process, filtration: Filtration) -> Process:
@@ -145,7 +141,7 @@ def compensator(A: Process, filtration: Filtration) -> Process:
     is_zero = A.space.arith.is_zero
     if first_failing(A, start=lambda v, den: all(map(is_zero, v))) is not None:
         raise CalculusError("compensator input must be null at time 0")
-    return _compensate(A, filtration)
+    return _compensate(A, filtration)[1]
 
 
 def doob_decompose(X: Process, filtration: Filtration) -> Decomposition:

@@ -22,8 +22,10 @@ JSON report (no timings, stable key order) that is byte-identical
 across runs.
 
 Exit codes: 0 viable / all checks pass, 1 selftest failure, 2 unreadable
-input, 3 invalid model data (a site out of float range included), 4
-non-viable, 5 assumption violated.  A failing check row holds one
+input, 3 invalid model data, 4 non-viable, 5 assumption violated.  Two
+exit-3 messages name no field: "site is out of float range" and, for a
+float conditional mean of inf and -inf, "scenario is out of float range".
+A failing check row holds one
 ``FailureWitness``; a failure found inside a solve reaches ``analyze`` as
 one ``CheckFailed``, whose status picks the exit code.
 """
@@ -200,7 +202,7 @@ def cmd_analyze(args) -> int:
     t1 = time.perf_counter()
     try:
         verdict, gauge = _run_pipeline(built)
-    except (ScenarioError, OverflowError) as err:  # a site out of float range overflows
+    except (ScenarioError, OverflowError) as err:  # a site or a mean out of float range
         return _fail(str(err), EXIT_INVALID)
     t2 = time.perf_counter()
 

@@ -8,12 +8,14 @@ carried by one n-dimensional F-martingale N through a G-predictable
 integrand phi:
 
     drift(X) = integral of transpose(phi) against the predictable
-               F-covariation of N and X.
+               F-covariation of N and X,
 
-``solve_phi`` recovers phi atom-by-atom from the driver equations (the
-per-atom moment solve ``calculus.solve_moments``, as the base structure
-solve) and
-``compute_u`` extracts the predictable floor u of the multiplicative tilt
+the one ``drift_operator``, which the gauge re-check, the price drift
+identity and the selftest all read.  ``solve_phi`` recovers phi
+atom-by-atom from the driver equations (the per-atom moment solve
+``calculus.solve_moments``, as the base structure solve), its target and
+W's drift from one pass of dW over G, and ``compute_u`` extracts the
+predictable floor u of the multiplicative tilt
 1 + transpose(phi) dN (the ``calculus.min_tilt`` kernel), whose
 positivity is exactly what downstream deflator construction needs; it
 records the first (t, atom) where the floor fails.
@@ -28,11 +30,11 @@ refinement); atom masses and transitions come from ``space``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .calculus import ASSUMPTION_VIOLATED, NON_VIABLE, CheckFailed, FailureWitness
-from .calculus import _compensate, _cond_increments, integrate, is_martingale, min_tilt
-from .calculus import mismatch_witness, pred_bracket, solve_moments
+from .calculus import _compensate, is_martingale, min_tilt, mismatch_witness, pred_bracket
+from .calculus import solve_moments, sum_steps
 from .calculus import compensator  # noqa: F401  (bench/test_bench.py traces it here)
 from .space import EnlargementPair, Process
 
@@ -68,14 +70,32 @@ def drift(X: Process, pair: EnlargementPair) -> Process:
 
     For any F-martingale X the process X - drift(X) is a G-martingale; on a
     finite grid this needs no integrability hypothesis, and the function
-    asserts it after the fact.
+    checks it after the fact at the ``price-drift-identity`` row, the row
+    of its one engine caller (``_check_centred``).
     """
-    G = pair.expanded
-    out = _compensate(X, G)
-    witness = is_martingale(X - out, G)
-    if witness is not None:  # unreachable: the construction centers every increment
-        raise AssertionError(f"drift failed to center the process: {witness}")
+    out = _compensate(X, pair.expanded)[1]
+    _check_centred(X, out, pair.expanded, "price-drift-identity")
     return out
+
+
+def _check_centred(X: Process, X_drift: Process, G, stage: str) -> None:
+    """Raise CheckFailed (non-viable, "drift-not-centred", detail the
+    conditional mean ``is_martingale`` reports) at ``stage`` unless
+    X - X_drift is a G-martingale: float rounding at extreme scales can
+    leave a mean outside the zero band."""
+    witness = is_martingale(X - X_drift, G)
+    if witness is not None:
+        raise CheckFailed(NON_VIABLE, replace(witness, reason="drift-not-centred"), stage)
+
+
+def drift_operator(phi: Process, N: Process, X: Process, base) -> Process:
+    """The drift the expanded flow adds to a base martingale X: the running
+    sum of transpose(phi) d<N, X_i>^p, component i for X_i, over the
+    predictable bracket of N and X in ``base`` (flat n x k, entry
+    j * k + i), contracted with phi by one ``sum_steps``."""
+    n, k = N.dim, X.dim
+    return sum_steps([[(j * k + i, j) for j in range(n)] for i in range(k)],
+                     pred_bracket(N, X, base).increments, phi, dot=True)
 
 
 def check_support_condition(pair: EnlargementPair):
@@ -130,23 +150,24 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
     expanded time-(t-1) atom B inside the base atom A, the minimum-norm
     solution of E[dW transpose(dN) | A] phi = E[dW | B]
     (``calculus.solve_moments``; the target is the conditional means
-    themselves, not the increments of their running sum).  Raises
-    CheckFailed ("gauge-infeasible", detail the residual) when no solution
-    exists.  The returned gauge carries W's drift, the tilt floor u and the
-    support / tilt-floor witnesses; the drift identity is re-verified on
-    the full driver basis, and a mismatch, a bug rather than a market,
-    raises CheckFailed ("verification-mismatch", detail the two sides).
+    themselves, not the increments of their running sum, and W's drift is
+    their running sum, from one pass of dW over G).  Raises CheckFailed
+    ("gauge-infeasible", detail the residual) when no solution exists, and
+    ("drift-not-centred") when W - W's drift is not a G-martingale.  The
+    returned gauge carries W's drift, the tilt floor u and the support /
+    tilt-floor witnesses; the drift identity W's drift =
+    ``drift_operator(phi, N, W)`` is re-verified for the whole driver, and a
+    mismatch, a bug rather than a market, raises CheckFailed
+    ("verification-mismatch", detail the two sides).
     """
     F, G = pair.base, pair.expanded
-    phi = solve_moments(W, N, _cond_increments(W, G), G, F,
+    means, W_drift = _compensate(W, G)
+    phi = solve_moments(W, N, means, G, F,
                         (ASSUMPTION_VIOLATED, "gauge-infeasible", "gauge-solve"))
-    # Re-verify the drift identity on the driver basis, component by component.
-    W_drift = drift(W, pair)
-    for e in range(W.dim):
-        witness = mismatch_witness(W_drift.component(e),
-                                   integrate(phi, pred_bracket(N, W.component(e), F)), G)
-        if witness is not None:
-            raise CheckFailed(NON_VIABLE, witness, "gauge-solve")
+    _check_centred(W, W_drift, G, "gauge-solve")
+    witness = mismatch_witness(W_drift, drift_operator(phi, N, W, F), G)
+    if witness is not None:
+        raise CheckFailed(NON_VIABLE, witness, "gauge-solve")
     u, tilt_witness = compute_u(pair, N, phi)
     return DriftGauge(pair, N, W, W_drift, phi, u, check_support_condition(pair),
                       tilt_witness)

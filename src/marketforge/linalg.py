@@ -3,7 +3,8 @@
 Everything is elimination based so that exact mode is bit-exact with
 Fractions.  Rank decisions in float mode use a relative pivot threshold
 (tolerance times the largest entry of the matrix being reduced); in exact
-mode a pivot is zero only when it is literally zero.
+mode a pivot is zero only when it is literally zero.  A least-squares
+solve decides its rank once, in its elimination of [A | b].
 
 Matrices are lists of row lists, vectors are flat lists.  Functions never
 mutate their arguments.
@@ -11,7 +12,7 @@ mutate their arguments.
 
 from __future__ import annotations
 
-from .arith import Arithmetic, Num
+from .arith import EXACT, Arithmetic, Num
 
 
 class LinalgError(ValueError):
@@ -142,7 +143,9 @@ def lstsq_min_norm(A, b, arith: Arithmetic):
     removing the null-space component leaves the Moore-Penrose solution,
     which lies in the row space of A.  When b falls outside the column
     space, the pivot columns are fitted to its orthogonal projection
-    instead, so the residual is b - P_col(A) b.
+    instead, so the residual is b - P_col(A) b.  The rank is decided once,
+    there: the Gram solves of the fit and of the null-space step take every
+    nonzero pivot (``EXACT``).
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -154,7 +157,7 @@ def lstsq_min_norm(A, b, arith: Arithmetic):
                      scale=matrix_scale(A))
     if pivots and pivots[-1] == n:
         pivots = pivots[:-1]
-        y = _fit_columns(A, pivots, b, arith)
+        y = _fit_columns(A, pivots, b, EXACT)
     else:
         y = [R[i][n] for i in range(len(pivots))]
     x = zeros(n)
@@ -164,7 +167,7 @@ def lstsq_min_norm(A, b, arith: Arithmetic):
     N = _null_basis(R, pivots, n)
     if N and not vec_is_zero(x, arith):
         G = [[dot(u, v) for v in N] for u in N]
-        coeffs = solve_pd(G, [dot(u, x) for u in N], arith)
+        coeffs = solve_pd(G, [dot(u, x) for u in N], EXACT)
         for u, a in zip(N, coeffs):
             x = vec_add(x, vec_scale(u, a), sign=-1)
     return x, vec_add(b, mat_vec(A, x), sign=-1)

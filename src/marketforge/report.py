@@ -125,6 +125,8 @@ def render_json(doc) -> str:
 def _fmt_inline(v) -> str:
     if isinstance(v, dict):
         if set(v) == {"min", "max"}:
+            if v["min"] is None:  # a process with no component has no values
+                return "(empty)"
             return f"[{_fmt_inline(v['min'])}, {_fmt_inline(v['max'])}]"
         return ", ".join(f"{k}={_fmt_inline(x)}" for k, x in v.items())
     if isinstance(v, list):

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import fixtures, linalg
 from .arith import EXACT, FLOAT, Arithmetic
-from .calculus import bracket, centred, compensator, integrate, pred_bracket, stoch_exp
-from .enlarge import drift, solve_phi
+from .calculus import bracket, centred, compensator, integrate, stoch_exp
+from .enlarge import drift, drift_operator, solve_phi
 from .jumpkernel import KernelError, Site, SiteChild, charged, site_checks, solve_site
 from .mrp import Driver
 from .space import Process, first_mismatch
@@ -257,8 +257,7 @@ def _check_drift_identity(arith: Arithmetic, rounds=25) -> str:
     rng = random.Random(2305)
     for _ in range(rounds):
         X = random_martingale(fx.space, fx.F, rng)
-        miss = first_mismatch(drift(X, fx.pair),
-                              integrate(gauge.phi, pred_bracket(gauge.N, X, fx.F)))
+        miss = first_mismatch(drift(X, fx.pair), drift_operator(gauge.phi, gauge.N, X, fx.F))
         if miss is not None:
             raise AssertionError(f"drift identity missed at ({miss[0]}, {miss[1]})")
     return f"{rounds} random martingales"

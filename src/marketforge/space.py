@@ -53,8 +53,8 @@ layer's denominator, :func:`extrema` compares entries over each layer's
 denominator and decodes the two extremes a report shows, and
 :meth:`Process.value_keys` gives a cell's value key, (numerators // g,
 den // g) with g = gcd(den, *numerators) (a float cell keys by its bits):
-the memo key of the solves above, which :func:`value_key` gives the one
-number vector not in a layer, a site's transition probabilities.
+the memo key of the solves above, as :meth:`Filtration.transition_keys`
+keys a site's transition probabilities off the integer masses.
 :func:`first_failing` and :func:`first_mismatch` keep outcome-major
 order, so witnesses keep theirs.
 """
@@ -310,6 +310,20 @@ class Filtration:
             self._transitions[t] = [(k, atom, kids[k]) for k, atom in enumerate(parent.atoms)]
         return self._transitions[t]
 
+    def transition_keys(self, t: int) -> list:
+        """The value key of each time-(t-1) atom's child probabilities, in
+        ``transitions`` order: equal probability vectors (and no others)
+        share a key.  Exact mode keys the children's integer masses over
+        the atom's (``_layer_key``), float mode the probabilities
+        (``_cell_key``)."""
+        if not self.space.arith.exact:
+            return [_cell_key(tuple(p for _, p in kids)) for _, _, kids in self.transitions(t)]
+        parent, part = self.at(t - 1), self.at(t)
+        kids = [[] for _ in parent.atoms]
+        for m, k in zip(part.integer_masses, part.parents(parent)):
+            kids[k].append(m)
+        return [_layer_key(tuple(m), n, True) for m, n in zip(kids, parent.integer_masses)]
+
     def refine_by(self, values: Sequence) -> "Filtration":
         return Filtration(self.space, tuple(p.refine_by(values) for p in self.partitions))
 
@@ -425,18 +439,6 @@ def _layer_key(v: tuple, den: int, exact: bool):
     return (v, den) if g == 1 else (tuple(a // g for a in v), den // g)
 
 
-def value_key(arith: Arithmetic, *vectors) -> tuple:
-    """Memo key of a tuple of number vectors by value: each vector keyed as
-    a layer cell holding it would be (``_layer_key``), in exact mode by its
-    numerators over the lcm of its denominators, so no Fraction is hashed.
-    Vectors equal in value (and no others) share a key."""
-    keys = []
-    for v in vectors:
-        (cell,), den = _numerators((tuple(v),), arith.exact)
-        keys.append(_layer_key(cell, den, arith.exact))
-    return tuple(keys)
-
-
 def _numerators(vectors, exact: bool) -> tuple:
     """(vectors, den): exact number vectors (cells or columns) as integer
     numerators over the lcm ``den`` of their denominators, so gcd(den,
@@ -444,13 +446,7 @@ def _numerators(vectors, exact: bool) -> tuple:
     if not exact:
         return tuple(vectors), 1
     den = math.lcm(*(x.denominator for v in vectors for x in v))
-    return tuple(_over(vectors, den)), den
-
-
-def _over(vectors, den: int):
-    """Each exact vector's numerators over ``den``, a multiple of their
-    denominators, one vector at a time."""
-    return (tuple(x.numerator * (den // x.denominator) for x in v) for v in vectors)
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in vectors), den
 
 
 def _rows(columns, n: int) -> tuple:
@@ -701,7 +697,7 @@ class Process:
         """The value keys of X_t (dX_t with ``increments``) on each of the
         given atoms, read at the atom's first outcome straight off the
         layer, with no number decoded: equal values (and no others) share a
-        key, over any denominator and at any time (``value_key``)."""
+        key, over any denominator and at any time (``_layer_key``)."""
         part, cols, den = (self.increments if increments else self).layers[t]
         exact = self.space.arith.exact
         return tuple(_layer_key(tuple(col[part.atom_index(atom[0])] for col in cols), den, exact)
@@ -898,9 +894,10 @@ def atom_means(given: Partition, layer, other=None) -> tuple:
     mode sums integer masses times numerators and multiplies by the atom's
     scale (``_sum_plan``), so it builds no Fraction; float mode sums with
     ``math.fsum`` and divides by the atom's mass, so a mean depends neither
-    on the order the outcomes are listed in nor on the Python version.
-    Where ``given`` refines the operands' meet, each atom is its own one
-    child and its mean is its value.
+    on the order the outcomes are listed in nor on the Python version; a
+    float sum of inf and -inf raises OverflowError ("scenario is out of
+    float range").  Where ``given`` refines the operands' meet, each atom
+    is its own one child and its mean is its value.
     """
     part, cols, den = layer if other is None else \
         product(outer(len(layer[1]), len(other[1])), layer, other)
@@ -913,7 +910,10 @@ def atom_means(given: Partition, layer, other=None) -> tuple:
     means = []
     for col in cols:
         terms = list(map(operator.mul, masses, map(col.__getitem__, index)))
-        means.append(tuple(map(rescale, map(total, map(terms.__getitem__, groups)), scale)))
+        try:
+            means.append(tuple(map(rescale, map(total, map(terms.__getitem__, groups)), scale)))
+        except ValueError:  # math.fsum of inf and -inf: products out of float range
+            raise OverflowError("scenario is out of float range") from None
     return _reduced(given, tuple(means), den * lcm)
 
 

@@ -14,8 +14,9 @@ carries the integrand and the per-child jump rows, and the pipeline reads
 the jump bound from those rows.  Both flows end in one tail,
 ``_exponentiate``: integrate, check the jump bound dY < 1 in outcome-major
 order, and take the stochastic exponential.  Every verdict re-verifies
-the drift identity and the deflated-martingale property through independent
-summation paths, on the full grid, before claiming viability.  A failing
+the drift identity (its right side d[D, M] plus ``enlarge.drift_operator``)
+and the deflated-martingale property through independent summation paths,
+on the full grid, before claiming viability.  A failing
 verdict names, as its ``stage``, the check row where it stopped; the row is
 set where the failure is found.  Every failure is one ``FailureWitness``,
 and one found inside the base structure solve raises ``CheckFailed``; both
@@ -44,9 +45,8 @@ from .calculus import (
     pred_bracket,
     solve_moments,
     stoch_exp,
-    sum_steps,
 )
-from .enlarge import DriftGauge, drift
+from .enlarge import DriftGauge, drift, drift_operator
 from .jumpkernel import CoercivityFailure, Site, SiteChild, solve_site
 from .mrp import Driver
 from .space import (
@@ -54,7 +54,6 @@ from .space import (
     Process,
     first_failing,
     is_adapted,
-    value_key,
 )
 
 VIABLE = "viable"
@@ -181,19 +180,14 @@ def verify_deflator(deflator: Process, market: Market, filtration: Filtration):
 def price_drift_rhs(market: Market, D: Process, gauge: DriftGauge) -> Process:
     """Right side of the expanded-flow drift identity for the prices.
 
-    Increment-wise: d[D, M_i]^(base-p) + phi . d[N, M_i]^(base-p) per asset.
-    This must equal the expanded-flow drift of S; ``solve_structure_G``
-    re-checks it against a direct compensator computation, so a stale or
-    inconsistent gauge yields a verification mismatch instead of propagating.
+    Increment-wise: d[D, M_i]^(base-p) + phi . d[N, M_i]^(base-p) per asset
+    (``enlarge.drift_operator``).  This must equal the expanded-flow drift
+    of S; ``solve_structure_G`` re-checks it against a direct compensator
+    computation, so a stale or inconsistent gauge yields a verification
+    mismatch instead of propagating.
     """
-    F = market.F
-    M = market.martingale_part
-    k = market.k
-    n = gauge.N.dim
-    pb_d = pred_bracket(D, M, F)          # components [D, M_i]
-    pb_n = pred_bracket(gauge.N, M, F)    # flat (n, k): j * k + i
-    return sum_steps([[(j * k + i, j) for j in range(n)] for i in range(k)],
-                     pb_n.increments, gauge.phi, plus=pb_d, dot=True)
+    F, M = market.F, market.martingale_part
+    return pred_bracket(D, M, F) + drift_operator(gauge.phi, gauge.N, M, F)
 
 
 def _site_inputs(processes, t: int, transition) -> list:
@@ -232,7 +226,8 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
     independent verifications -- the drift identity for the prices and the
     deflated martingale battery.  A verification mismatch is reported as
     non-viable with reason "verification-mismatch"; it indicates a bug, not
-    a market.  A failing verdict's ``stage`` names the check row it fails.
+    a market.  M's drift left uncentred by float rounding fails the
+    price-drift-identity row ("drift-not-centred", from ``enlarge.drift``).  A failing verdict's ``stage`` names the check row it fails.
 
     ``enforce_assumptions=False`` skips the gate so the downstream failure
     mode of a bad enlargement (infeasible sites) can be observed directly.
@@ -251,7 +246,6 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
                            stage="tilt-floor-positive")
     table = {}
     jump_witness = None
-    arith = market.space.arith
     # One solve per distinct site value, for this call only, keyed by the
     # value keys of phi and of the base transition's (p, dW, dN, dD); the
     # site is built on a miss alone.  A site that fails returns at once, so
@@ -260,7 +254,7 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
     solved = {}
     for t in range(1, G.horizon + 1):
         g_part = G.at(t - 1)
-        transitions = market.F.transitions(t)
+        transitions, p_keys = market.F.transitions(t), market.F.transition_keys(t)
         base_keys = {}  # base atom -> value key of its transition's inputs
         for idx, (g_atom, phi_key, k) in enumerate(zip(
                 g_part.atoms, gauge.phi.value_keys(t, g_part.atoms),
@@ -268,7 +262,7 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
             _, _, transition = transitions[k]
             if k not in base_keys:
                 kids = [child for child, _ in transition]
-                base_keys[k] = (value_key(arith, [p for _, p in transition]), *(
+                base_keys[k] = (p_keys[k], *(
                     X.value_keys(t, kids, increments=True) for X in (W, gauge.N, D)))
             key = phi_key, base_keys[k]
             if key not in solved:
@@ -301,7 +295,10 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
     # The drift identity, checked first for the prices' own expanded-flow
     # drift, then for the bracket of Y against the expanded martingale part.
     rhs = price_drift_rhs(market, D, gauge)
-    M_tilde = market.martingale_part - drift(market.martingale_part, pair)
+    try:
+        M_tilde = market.martingale_part - drift(market.martingale_part, pair)
+    except CheckFailed as err:
+        return Verdict(err.status, err.witness, solution, stage=err.stage)
     for lhs in (compensator(centred(market.S), G),
                 compensator(bracket(solution.martingale, M_tilde), G)):
         witness = mismatch_witness(lhs, rhs, G)

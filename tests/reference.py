@@ -48,6 +48,10 @@ builds test data with it.
   every kernel made one tuple and one Python operation per cell (products
   through per-cell lambdas, which ``contraction`` rebuilds from index
   pairs).  They are the oracle of ``test_column_kernels``.
+* ``value_key`` keys number vectors by value from ``Fraction``s, as the
+  engine's solve memos did before every key was read off a layer or, for
+  a transition's child probabilities, off integer masses.  It is the
+  oracle of ``Process.value_keys`` and ``Filtration.transition_keys``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from marketforge import linalg
 from marketforge.arith import EXACT, Arithmetic
@@ -744,15 +747,11 @@ def row_accumulate(dX: Rows) -> Rows:
     return Rows(dX.space, tuple(layers))
 
 
-def row_sum_steps(op, dim: int, dX: Rows, Y: Rows, plus: Rows | None = None) -> Rows:
+def row_sum_steps(op, dim: int, dX: Rows, Y: Rows) -> Rows:
     zero = (0,) * dim
-    terms = Rows(dX.space, tuple(
+    return row_accumulate(Rows(dX.space, tuple(
         row_product(op if t else lambda *_: zero, a, b)
-        for t, (a, b) in enumerate(zip(dX.layers, Y.layers))))
-    if plus is not None:
-        terms = Rows(dX.space, tuple(map(partial(row_componentwise, operator.add),
-                                         plus.increments.layers, terms.layers)))
-    return row_accumulate(terms)
+        for t, (a, b) in enumerate(zip(dX.layers, Y.layers)))))
 
 
 def row_centred(X: Rows) -> Rows:
@@ -847,6 +846,23 @@ def row_value_keys(X: Rows, t: int, atoms) -> tuple:
         g = math.gcd(den, *v)
         out.append((v, den) if g == 1 else (tuple(a // g for a in v), den // g))
     return tuple(out)
+
+
+def value_key(arith: Arithmetic, *vectors) -> tuple:
+    """Memo key of number vectors by value, as the engine keyed them from
+    ``Fraction``s: an exact vector by its numerators over the lcm of its
+    denominators, reduced by their gcd, a float one by ``_cell_key``.
+    Vectors equal in value (and no others) share a key."""
+    keys = []
+    for v in map(tuple, vectors):
+        if not arith.exact:
+            keys.append(_cell_key(v))
+            continue
+        den = math.lcm(*(x.denominator for x in v))
+        nums = tuple(x.numerator * (den // x.denominator) for x in v)
+        g = math.gcd(den, *nums)
+        keys.append((tuple(a // g for a in nums), den // g))
+    return tuple(keys)
 
 
 def row_encoded(part: Partition, cells) -> tuple:

@@ -21,6 +21,7 @@ a minimal market.
 """
 
 import math
+import operator
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -54,7 +55,6 @@ from marketforge.space import (
     first_failing,
     first_mismatch,
     is_adapted,
-    value_key,
 )
 
 from test_golden_reports import GOLDEN
@@ -182,8 +182,9 @@ def test_scale_by_a_fraction_matches_the_per_cell_kernel(mode, data):
 @pytest.mark.parametrize("mode", MODES)
 @given(data=st.data())
 def test_price_drift_rhs_matches_the_per_cell_kernel(mode, data):
-    """d[D, M_i]^p + phi . d[N, M_i]^p per asset, summed from 0, against the
-    one per-cell expression the kernel splits into a product and a sum."""
+    """d[D, M_i]^p + phi . d[N, M_i]^p per asset: the bracket of D plus
+    the drift operator's running sums of phi . d[N, M_i]^p, against the
+    per-cell sum of the same products added to the bracket cell by cell."""
     space, F = data.draw(markets(MODES[mode]))
     k, n = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
     kinds = ("adapted", "predictable")
@@ -192,11 +193,11 @@ def test_price_drift_rhs_matches_the_per_cell_kernel(mode, data):
     market = SimpleNamespace(F=F, martingale_part=M, k=k)
     got = price_drift_rhs(market, D, SimpleNamespace(N=N, phi=phi))
     total = ref.summed(space.arith.exact)
-    steps = [[tuple(dd[i] + total(ph[j] * dn[j * k + i] for j in range(n))
-                    for i in range(k)) for dd, dn, ph in zip(*cols)]
-             for cols in zip(ref.increments(pred_bracket(D, M, F)),
-                             ref.increments(pred_bracket(N, M, F)), ref.columns(phi)[1:])]
-    assert_same(got, ref.accumulate(space, steps, k))
+    steps = [[tuple(total(ph[j] * dn[j * k + i] for j in range(n)) for i in range(k))
+              for dn, ph in zip(*cols)]
+             for cols in zip(ref.increments(pred_bracket(N, M, F)), ref.columns(phi)[1:])]
+    assert_same(got, ref.zip_with(pred_bracket(D, M, F), ref.accumulate(space, steps, k),
+                                  operator.add))
 
 
 def _layers_of(X):
@@ -264,19 +265,21 @@ def test_first_failing_comes_in_outcome_major_order(mode, data):
 def test_layer_value_keys_merge_equal_values_only(mode, data):
     """Two cells share a value key exactly when their values are equal (in
     float mode: have the same bits, so 0.0 and -0.0 differ), across
-    denominators and times; ``value_key`` of the numbers gives the same key."""
+    denominators and times; ``reference.value_key`` of the numbers gives the
+    same key."""
     space, F, (X, Y) = _draw(data, mode, 2, 2)
     arith = space.arith
     keyed = [(key, v) for Z in (X, Y, X.increments, Y.scale(arith.parse("2/3")))
              for t in range(F.horizon + 1)
              for key, v in zip(Z.value_keys(t, F.at(t).atoms), Z.on_atoms(t, F.at(t).atoms))]
     for key, v in keyed:
-        assert (key,) == value_key(arith, v)
+        assert (key,) == ref.value_key(arith, v)
         for other_key, w in keyed:
             assert (key == other_key) == (tuple(map(bits, v)) == tuple(map(bits, w)))
 
 
 def test_value_key_merges_equal_values_only():
+    value_key = ref.value_key
     half = Fraction(1, 2)
     assert value_key(EXACT, (half, 0), [1]) == \
         value_key(EXACT, (Fraction(2, 4), Fraction(0)), (1,))
@@ -287,6 +290,22 @@ def test_value_key_merges_equal_values_only():
     for arith in (EXACT, FLOAT):
         assert value_key(arith, (1,), (2,)) != value_key(arith, (1, 2))
         assert value_key(arith, (1,), (2,)) != value_key(arith, (2,), (1,))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+def test_transition_keys_merge_equal_probability_vectors_only(mode, data):
+    """Two time-(t-1) atoms share a ``Filtration.transition_keys`` key
+    exactly when their child probability vectors are equal, which
+    ``reference.value_key`` of the probabilities decides."""
+    space, F = data.draw(markets(MODES[mode]))
+    keyed = [(key, ref.value_key(space.arith, [p for _, p in kids]))
+             for t in range(1, F.horizon + 1)
+             for key, (_, _, kids) in zip(F.transition_keys(t), F.transitions(t))]
+    assert len(keyed) == sum(len(F.at(t).atoms) for t in range(F.horizon))
+    for key, oracle in keyed:
+        for other_key, other in keyed:
+            assert (key == other_key) == (oracle == other)
 
 
 RAW = [0, Fraction(0), "0/5", 1, Fraction(2, 2), "1/2", "2/4", "0.5", Fraction(3, 6),

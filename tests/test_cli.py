@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from marketforge.arith import EXACT, FLOAT
 from marketforge.cli import main
 from marketforge.jumpkernel import CoercivityFailure
 from marketforge.scenario import load_scenario, parse_document
+from util import scaled
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -79,7 +81,8 @@ def test_analyze_zero_component_carrier(tmp_path, capsys, kind, mode):
     phi is the empty vector where the driver does not drift under the
     expanded flow (no enlargement: viable), and elsewhere the residual is
     the driver's conditional mean E[dW | B] itself (the noisy signal's
-    first time-1 atom: (2/5 - 1/10) / (1/2) = 3/5)."""
+    first time-1 atom: (2/5 - 1/10) / (1/2) = 3/5).  The text shows the
+    range of the empty phi as "(empty)"; the JSON report holds nulls."""
     doc = json.loads((SCENARIOS / "noisy_signal.json").read_text())
     doc["carrier"] = [[[], [], []]] * 8
     if kind == "none":
@@ -91,6 +94,8 @@ def test_analyze_zero_component_carrier(tmp_path, capsys, kind, mode):
     assert err == ""
     if kind == "none":
         assert (code, verdict["verdict"]) == (0, "viable")
+        assert verdict["gauge"]["phi"] == {"max": None, "min": None}
+        assert "gauge: phi in (empty); u in [1" in out and "None" not in out
         return
     assert (code, verdict["verdict"]) == (5, "assumption-violated")
     witness = verdict["witness"]
@@ -845,3 +850,64 @@ def test_bad_mode_env_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("FORGE_MODE", "quantum")
     code, _, err = run_cli(["selftest"], capsys)
     assert code == 2 and "quantum" in err and "FORGE_MODE" in err
+
+
+# ---------------------------------------------------------------------------
+# analyze: in-range numbers at extreme scales
+
+
+def _scaled_golden(name, field, power):
+    doc = json.loads((GOLDEN / name).read_text())
+    return dict(doc, **{field: scaled(doc[field], Fraction(10) ** power)})
+
+
+@pytest.mark.parametrize("name, field, power, row", [
+    ("trinomial_d2.json", "driver", 8, "gauge-solve"),
+    ("noisy_tree_T2.json", "prices", 300, "price-drift-identity"),
+])
+def test_a_drift_float_rounding_leaves_uncentred_is_non_viable(
+        tmp_path, capsys, name, field, power, row):
+    """In float mode the re-check that X - drift(X) is an expanded-flow
+    martingale can fail on rounding alone at extreme scales: W's check
+    fails the gauge-solve row and M's the price-drift-identity row, as a
+    non-viable "drift-not-centred" witness whose detail is the conditional
+    mean left.  Exact mode centres every increment."""
+    path = write_doc(tmp_path, _scaled_golden(name, field, power))
+    assert run_cli(["analyze", path, "--mode", "exact"], capsys)[0] == 0
+    report = tmp_path / "out.json"
+    code, _, err = run_cli(["analyze", path, "--mode", "float", "--report", str(report)],
+                           capsys)
+    doc = json.loads(report.read_text())
+    assert (code, err, doc["verdict"]) == (4, "", "non-viable")
+    assert doc["witness"]["reason"] == "drift-not-centred" and doc["witness"]["detail"] != 0
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks[row]["passed"] is False
+    assert checks[row]["witness"] == doc["witness"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_tiny_partly_spanned_drift_is_not_spanned(tmp_path, capsys, mode):
+    """The float Gram solves after the least-squares elimination reuse its
+    rank decision, so a driver scaled by 1e-6 no longer finds its own Gram
+    singular: both modes report the unspanned drift."""
+    doc = _scaled_golden("one_step_partly_spanned_drift.json", "driver", -6)
+    report = tmp_path / "out.json"
+    code, _, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode,
+                            "--report", str(report)], capsys)
+    witness = json.loads(report.read_text())["witness"]
+    assert (code, err) == (4, "")
+    assert (witness["reason"], witness["t"], witness["atom"]) == \
+        ("drift-not-spanned", 1, ["a", "b", "c"])
+
+
+def test_a_float_mean_out_of_range_exits_3(tmp_path, capsys):
+    """Driver products of order 1e600 overflow to inf and -inf, whose float
+    conditional mean has no value: exit 3 with one pathless message and no
+    report.  Exact mode reads the same document."""
+    path = write_doc(tmp_path, _scaled_golden("trinomial_d2_two_assets.json", "driver", 300))
+    assert run_cli(["analyze", path, "--mode", "exact"], capsys)[0] == 0
+    report = tmp_path / "out.json"
+    code, _, err = run_cli(["analyze", path, "--mode", "float", "--report", str(report)],
+                           capsys)
+    assert (code, err) == (3, "error: scenario is out of float range\n")
+    assert not report.exists()

@@ -174,8 +174,7 @@ def test_process_kernels_match_their_row_oracles(mode, data):
     n, m = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
     X, Y = process(data, pool, F.horizon, n), process(data, pool, F.horizon, m)
     terms = terms_of(data, n, m, True)
-    P = process(data, pool, F.horizon, len(terms))
-    RX, RY, RP = ref.Rows.of(X), ref.Rows.of(Y), ref.Rows.of(P)
+    RX, RY = ref.Rows.of(X), ref.Rows.of(Y)
     assert_same_process(X.increments, RX.increments)
     assert_same_process(accumulate(X), ref.row_accumulate(RX))
     assert_same_process(centred(X), ref.row_centred(RX))
@@ -185,9 +184,9 @@ def test_process_kernels_match_their_row_oracles(mode, data):
         assert_same_process(integrate(Y, X), ref.row_sum_steps(
             lambda dx, h: (ref.summed(space.arith.exact)(x * y for x, y in zip(h, dx)),), 1,
             RX.increments, RY))
-    assert_same_process(sum_steps(terms, X.increments, Y, plus=P, dot=True),
+    assert_same_process(sum_steps(terms, X.increments, Y, dot=True),
                         ref.row_sum_steps(ref.contraction(terms, True, space.arith.exact),
-                                          len(terms), RX.increments, RY, plus=RP))
+                                          len(terms), RX.increments, RY))
     assert_same_process(X.refined(F), ref.row_refined(RX, F), reduced=False)
     for j in range(n):
         assert_same_process(X.component(j), ref.Rows(space, tuple(

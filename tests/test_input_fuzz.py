@@ -11,16 +11,26 @@ mode.  The run must:
 - exit 0, 2, 3, 4 or 5, with no exception escaping ``cli.main``;
 - on exit 3, print ``error: <path>: ...`` whose top-level key is a key of
   the unmutated document, so the message points at a field the user wrote.
-  The one message without a path is ``site is out of float range``.
+  The messages without a path are ``site is out of float range`` and
+  ``scenario is out of float range``.
+
+Apart from the seeded mutations, every golden scenario input runs with one
+process field (driver, prices, carrier, structure) scaled by 10^k for k in
+``SCALES``, in both modes: numbers in range, but large or small enough for
+float rounding and the float range to decide, under the same rules.
 """
 
 import io
 import json
 import random
 import re
+from fractions import Fraction
+
+import pytest
 
 from marketforge.cli import main
 from test_golden_reports import INPUTS, SCENARIOS
+from util import scaled
 
 SEED = 11
 MUTATIONS = 500
@@ -29,7 +39,7 @@ MODES = ("exact", "float")
 EXIT_CODES = {0, 2, 3, 4, 5}
 HOSTILE = (None, True, False, [], {}, [[]], {"x": 1}, "1/0", "abc", "", "inf",
            "nan", "-1/3", 0, -1, -0.0, 1e308, 10 ** 400)
-PATHLESS = {"site is out of float range"}
+PATHLESS = {"site is out of float range", "scenario is out of float range"}
 PATH_MESSAGE = re.compile(r"error: ([A-Za-z_]+)[\w.\[\]]*: ")
 
 
@@ -89,10 +99,55 @@ def test_mutated_inputs_exit_with_a_documented_code(monkeypatch, capsys):
             continue
         finally:
             err_text = capsys.readouterr().err
-        if code not in EXIT_CODES:
-            problems.append(f"{case}: exit {code}: {err_text.strip()}")
-        elif code == 3 and err_text.strip() not in {f"error: {m}" for m in PATHLESS}:
-            match = PATH_MESSAGE.match(err_text)
-            if match is None or match.group(1) not in original:
-                problems.append(f"{case}: exit 3 names no input field: {err_text.strip()}")
+        problems += _undocumented(case, code, err_text, original)
+    assert problems == []
+
+
+def _undocumented(case, code, err_text, original) -> list:
+    """The problem with an exit: a code outside ``EXIT_CODES``, or an exit
+    3 whose message is not pathless and names no top-level key of the
+    ``original`` document."""
+    if code not in EXIT_CODES:
+        return [f"{case}: exit {code}: {err_text.strip()}"]
+    if code == 3 and err_text.strip() not in {f"error: {m}" for m in PATHLESS}:
+        match = PATH_MESSAGE.match(err_text)
+        if match is None or match.group(1) not in original:
+            return [f"{case}: exit 3 names no input field: {err_text.strip()}"]
+    return []
+
+
+SCALES = (-6, 8, 30, 300)
+PROCESS_FIELDS = ("driver", "prices", "carrier", "structure")
+
+
+def scaled_inputs():
+    """Each golden scenario input with one process field scaled by 10^k,
+    k in ``SCALES``: (description, original, scaled document)."""
+    for cmd, path in INPUTS:
+        if cmd != "analyze":
+            continue
+        original = json.loads(path.read_text())
+        for name in PROCESS_FIELDS:
+            if name not in original:
+                continue
+            for k in SCALES:
+                doc = dict(original, **{name: scaled(original[name], Fraction(10) ** k)})
+                yield f"{path.name} {name} x1e{k}", original, doc
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_scaled_process_fields_exit_with_a_documented_code(monkeypatch, capsys, mode):
+    """In-range numbers of any size: every exit is documented and nothing
+    escapes ``cli.main``, where float rounding or range limits decide."""
+    problems = []
+    for case, original, doc in scaled_inputs():
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        try:
+            code = main(["analyze", "-", "--mode", mode])
+        except Exception as err:  # any escape is the finding
+            problems.append(f"{case}: raised {type(err).__name__}: {err}")
+            continue
+        finally:
+            err_text = capsys.readouterr().err
+        problems += _undocumented(f"{case} {mode}", code, err_text, original)
     assert problems == []

@@ -1,5 +1,5 @@
-"""Module hygiene: who reads the cell layout, no unused imports, and one
-failure model.
+"""Module hygiene: who reads the cell layout, no unused imports, one
+failure model and one drift operator.
 
 The atom-major layout of a process (its ``layers``, one partition, one
 column per value component with one entry per atom, and one denominator at
@@ -13,9 +13,9 @@ numbers through their accessors (``Process.on_atoms``, ``Process.at``,
 ``cond_exp``, ``first_mismatch``, ``increments``),
 decides on them through the ones that read the layers undecoded
 (``first_failing``, whose tests see a cell's numerators and the layer's
-denominator, ``extrema``, and ``Process.value_keys``, a cell's value key;
-``value_key`` keys number vectors alike), and builds them from per-atom
-tables (``Process.adapted``, ``Process.predictable``) or per-outcome paths,
+denominator, ``extrema``, and ``Process.value_keys``, a cell's value key,
+as ``Filtration.transition_keys`` keys child probabilities), and builds
+them from per-atom tables (``Process.adapted``, ``Process.predictable``) or per-outcome paths,
 never from layers or increments (``accumulate``), so a change of storage
 layout touches those two modules alone.
 
@@ -27,6 +27,10 @@ Every check reports its failure as the one ``calculus.FailureWitness``; every
 check row a failure names as its stage (``stage=...``, or the third argument
 of ``CheckFailed``) is one of ``cli._CHECK_NAMES``; and the loader maps an
 engine error to the offending field in ``scenario._field`` alone.
+
+The drift the expanded flow adds, the integral of transpose(phi) against
+d<N, X>, is written once, as ``enlarge.drift_operator``: ``pred_bracket``
+is called in ``src/`` only there and in ``viability.price_drift_rhs``.
 """
 
 import ast
@@ -176,3 +180,32 @@ def test_engine_error_handler_check_sees_a_stray_except():
               "    except SpaceError: pass\n")
     assert _handlers_outside(ast.parse(source), {"SpaceError", "KernelError"},
                              "_field") == [8]
+
+
+def _callers(trees: dict, name: str) -> set:
+    """(module, top-level definition) of every call of ``name`` (as a bare
+    name or an attribute) in the parsed modules."""
+    hits = set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                if isinstance(func, ast.Name) and func.id == name \
+                        or isinstance(func, ast.Attribute) and func.attr == name:
+                    hits.add((module, getattr(top, "name", None)))
+    return hits
+
+
+def test_the_drift_operator_is_written_once():
+    # pred_bracket feeds the drift operator and the price identity's own
+    # d[D, M] alone, so no hand-written copy of phi . d<N, X> can return.
+    assert _callers(_engine_trees(), "pred_bracket") == {
+        ("enlarge.py", "drift_operator"), ("viability.py", "price_drift_rhs")}
+
+
+def test_caller_check_sees_a_stray_call():
+    source = ("def drift_operator(): return pred_bracket(N, X, F)\n"
+              "def selftest(): return integrate(phi, calculus.pred_bracket(N, X, F))\n"
+              "x = pred_bracket\n")
+    assert _callers({"m.py": ast.parse(source)}, "pred_bracket") == {
+        ("m.py", "drift_operator"), ("m.py", "selftest")}

@@ -19,7 +19,7 @@ import pytest
 
 from marketforge import linalg, viability
 from marketforge.arith import EXACT, FLOAT
-from marketforge.calculus import FailureWitness, _cond_increments, integrate, solve_moments
+from marketforge.calculus import FailureWitness, _compensate, integrate, solve_moments
 from marketforge.cli import main
 from marketforge.enlarge import solve_phi
 from marketforge.jumpkernel import solve_site
@@ -205,7 +205,7 @@ def test_moment_solves_match_a_direct_solve_per_atom(mode, monkeypatch):
     for seed in range(40):
         market, driver, pair = _random_market(random.Random(6000 + seed), arith)
         F, G, W = market.F, pair.expanded, driver.W
-        gamma = _cond_increments(W, G)
+        gamma = _compensate(W, G)[0]
         for X, Y, target, flow in ((market.martingale_part, W, market.drift_part.increments, F),
                                    (W, W, gamma, G), (W, W.component(0), gamma, G)):
             systems = list(_systems(X, Y, target, flow, F))

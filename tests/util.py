@@ -3,7 +3,8 @@
 The random generators the CLI battery needs at runtime live in
 marketforge.selftest and are re-exported here; the ones only tests use
 (``tree`` and ``random_tree``, ``random_predictable``, the ``b2n_site`` jump
-site) are defined here, with ``bits``, a number's exact bits.  The
+site) are defined here, with ``bits``, a number's exact bits, and
+``scaled``, a document field's numbers scaled as JSON floats.  The
 brute oracles recompute conditional means and drifts by direct summation
 over outcomes, independent of the library's conditional-expectation path,
 so the calculus operators are checked against plain arithmetic.
@@ -32,6 +33,13 @@ def bits(x):
     if isinstance(x, float):
         return "float", struct.pack("<d", x)
     return type(x).__name__, x
+
+
+def scaled(value, factor):
+    """Every number of a document field times ``factor``, as a JSON float."""
+    if isinstance(value, list):
+        return [scaled(x, factor) for x in value]
+    return float(Fraction(str(value)) * factor)
 
 
 def tree(labels, raw, arith: Arithmetic):
