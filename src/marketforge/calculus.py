@@ -38,6 +38,7 @@ failure found inside a solve raises ``CheckFailed``.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -224,11 +225,11 @@ def min_tilt(phi: Process, N: Process, base: Filtration, expanded: Filtration) -
         p_part, p_cols, p_den = phi.layers[t]
         n_part, n_cols, n_den = N.increments.layers[t]
         den = p_den * n_den  # 1 is den over den
-        kids = [[n_part.atom_index(child[0]) for child, _ in children]
-                for _, _, children in base.transitions(t)]
+        children = base.at(t).atoms
+        kids = [[n_part.atom_index(children[c][0]) for c in cs] for cs in base.children(t)]
         at_phi, at_n, ends = [], [], []
-        for m, a in zip(part.members, part.parents(base.at(t - 1))):
-            at_phi += [p_part.atom_at[m[0]]] * len(kids[a])
+        for atom, a in zip(part.atoms, part.parents(base.at(t - 1))):
+            at_phi += [p_part.atom_index(atom[0])] * len(kids[a])
             at_n += kids[a]
             ends.append(len(at_n))
         tilts = tuple(map(operator.add, repeat(den), _dot(
@@ -275,6 +276,13 @@ def mismatch_witness(X: Process, Y: Process, flow: Filtration):
     return FailureWitness("verification-mismatch", t, flow.at(t).atom_of(o), (a, b))
 
 
+def _check_range(values, arith) -> None:
+    """Raise OverflowError ("scenario is out of float range") when a float
+    value is inf or NaN; exact values always pass."""
+    if not arith.exact and not all(map(math.isfinite, values)):
+        raise OverflowError("scenario is out of float range")
+
+
 def solve_moments(X: Process, Y: Process, target: Process, flow: Filtration,
                   base: Filtration, failure: tuple) -> Process:
     """The predictable x with E[dX_t transpose(dY_t) | A] x = target_t on
@@ -284,27 +292,33 @@ def solve_moments(X: Process, Y: Process, target: Process, flow: Filtration,
     decoded on a miss alone).  With X.dim = 0 x is zero; with Y.dim = 0
     the residual is the target.  A system with no solution raises
     CheckFailed(status, FailureWitness(reason, t, B, residual), stage),
-    where ``failure`` = (status, reason, stage).
+    where ``failure`` = (status, reason, stage).  In float mode a
+    moment or residual out of the float range (inf or NaN) raises
+    OverflowError ("scenario is out of float range").
     """
     arith = X.space.arith
     n, d = X.dim, Y.dim
-    table, solved = {}, {}
+    table, solved, ids = {}, {}, {}
     for t in range(1, flow.horizon + 1):
         a_part, b_part = base.at(t - 1), flow.at(t - 1)
         _, cols, den = atom_means(a_part, X.increments.layers[t], Y.increments.layers[t])
         cells = _rows(cols, len(a_part.atoms))
+        moments = [_layer_key(cell, den, arith.exact) for cell in cells]
         for k, (b_atom, target_key, a) in enumerate(zip(
                 b_part.atoms, target.value_keys(t, b_part.atoms), b_part.parents(a_part))):
-            key = _layer_key(cells[a], den, arith.exact), target_key
-            if key not in solved:
+            key = moments[a], ids.setdefault(target_key, len(ids))
+            hit = solved.get(key)
+            if hit is None:
                 q = tuple(map(Fraction, cells[a], repeat(den))) if arith.exact else cells[a]
+                _check_range(q, arith)
                 Q = [list(q[i * d:(i + 1) * d]) for i in range(n)]
                 b = list(target.on_atoms(t, [b_atom])[0])
                 x, residual = linalg.lstsq_min_norm(Q, b, arith) if n else ((0,) * d, b)
+                _check_range(residual, arith)
                 if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([b])):
                     status, reason, stage = failure
                     raise CheckFailed(status, FailureWitness(reason, t, b_atom, tuple(residual)),
                                       stage)
-                solved[key] = tuple(x)
-            table[(t, k)] = solved[key]
+                solved[key] = hit = tuple(x)
+            table[(t, k)] = hit
     return Process.predictable(flow, table, d)

@@ -115,11 +115,11 @@ def check_support_condition(pair: EnlargementPair):
         g_kids = [[] for _ in F.at(t - 1).atoms]
         for b, k in enumerate(g_part.parents(F.at(t - 1))):
             g_kids[k].append(b)
-        for k, _, children in F.transitions(t):
-            for child, _ in children:
-                c = f_part.atom_index(child[0])
+        for k, children in enumerate(F.children(t)):
+            for c in children:
                 for b in g_kids[k]:
                     if (c, b) not in meets:
+                        child = f_part.atoms[c]
                         return FailureWitness("support", t, child, {
                             "t": t, "child": child, "g_atom": g_part.atoms[b]})
     return None

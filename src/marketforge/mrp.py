@@ -25,12 +25,15 @@ from .space import Filtration, Process, SpaceError, first_failing
 
 @dataclass(frozen=True, eq=False)
 class Driver:
-    """A candidate representation martingale, validated at construction."""
+    """A candidate representation martingale, validated at construction;
+    W is kept on the flow's atoms."""
 
     W: Process
     filtration: Filtration
 
     def __post_init__(self) -> None:
+        if self.W.horizon == self.filtration.horizon:  # on the flow's atoms, as Market keeps S
+            object.__setattr__(self, "W", self.W.refined(self.filtration))
         is_zero = self.W.space.arith.is_zero
         if first_failing(self.W, start=lambda v, den: all(map(is_zero, v))) is not None:
             raise SpaceError("driver must start at 0")

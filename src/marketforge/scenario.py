@@ -3,10 +3,13 @@
 Scenario files are JSON.  In exact mode every number is read exactly --
 JSON decimals through a parse hook, integers, "p/q" and decimal strings
 through the arithmetic -- so a scenario round-trips bit-exactly.  The
-weights and each list of paths are read by raw token: each distinct token
-is parsed once, and each time of a process is built from the distinct
-tokens of its column (``Process.from_keys``), so no cell is parsed or
-wrapped on its own.  Validation failures carry the path to the offending
+weights and each list of paths are read by raw token (``_paths``): each
+distinct token is parsed once, so no cell is parsed or wrapped on its
+own.  The flow is the document's, or the natural flow of the driver's
+(else the prices') token paths (``natural_filtration``), and every
+process is then built on the flow's atoms, each distinct cell of a column
+encoded once (``Process.from_keys``): no outcome is grouped for a
+process adapted to the flow.  Validation failures carry the path to the offending
 field ("space.weights[2]: ..."), the first in document order; an engine
 constructor's own error is mapped to its field by ``_field``.
 """
@@ -36,6 +39,7 @@ from .space import (
     SpaceError,
     build_initial_enlargement,
     build_progressive_enlargement,
+    check_keys,
     is_adapted,
     natural_filtration,
 )
@@ -110,15 +114,19 @@ def _num(value, path: str, arith: Arithmetic):
     return _number(value, None, {}, arith, lambda: path)
 
 
+_PLAIN = frozenset((str, int))  # the token types ``_token_key`` keys as themselves
+
+
 def _token_key(x):
-    """The key of a raw JSON token: its type and the token itself, except
-    that a float (so -0.0 stays apart from 0.0) or an object keys by its
-    repr, an exact decimal by its integer ratio and a list by its items'
-    keys.  Tokens of one key are written alike, so they have one number or
-    fail alike."""
+    """The key of a raw JSON token: a string or an integer keys as itself,
+    any other token as its type and the token, except that a float (so
+    -0.0 stays apart from 0.0) or an object keys by its repr, an exact
+    decimal by its integer ratio and a list by its items' keys.  Only a
+    string is a string key and only an integer an integer key, so tokens
+    of one key are written alike, and have one number or fail alike."""
     kind = type(x)
     if kind is str or kind is int:
-        return kind, x
+        return x
     if kind is float or kind is dict:
         return kind, repr(x)
     if kind is Fraction:
@@ -160,19 +168,21 @@ def _weights(weights_doc: list, arith: Arithmetic) -> tuple:
     return tuple(map(numbers.__getitem__, keys))
 
 
-def _process(paths_doc, path: str, space: SampleSpace, arith: Arithmetic,
-             horizon: int | None = None) -> Process:
-    """The process of a list of paths, one per outcome, built from the
-    distinct raw tokens of each time (``Process.from_keys``): every
-    distinct token is parsed once, and a field is named only when its token
-    fails.  Errors come in path order, each path's shape before its values
-    in (t, j) order, then the dimension and horizon checks."""
+def _paths(paths_doc, path: str, space: SampleSpace, arith: Arithmetic,
+           horizon: int | None = None) -> tuple:
+    """(keys, cells) of a list of paths, one per outcome: each cell's raw
+    token key and each distinct key's cell, checked (``check_keys``) but
+    not yet built.  Every distinct token is
+    parsed once, and a field is named only when its token fails.  Errors
+    come in path order, each path's shape before its values in (t, j)
+    order, then the dimension and horizon checks."""
     if not isinstance(paths_doc, list) or len(paths_doc) != space.size:
         raise ScenarioError(path, f"expected one path per outcome ({space.size})")
     shaped = next((i for i, raw in enumerate(paths_doc)
                    if not isinstance(raw, list) or len(raw) < 2
                    or horizon is not None and len(raw) != horizon + 1), space.size)
-    keys = [list(map(_token_key, raw)) for raw in paths_doc[:shaped]]
+    keys = [raw if _PLAIN.issuperset(map(type, raw)) else list(map(_token_key, raw))
+            for raw in paths_doc[:shaped]]
     numbers: dict = {}  # token key -> number, for this process only
     cells = {}
     # Each distinct cell in outcome-major order of its first occurrence.
@@ -190,7 +200,8 @@ def _process(paths_doc, path: str, space: SampleSpace, arith: Arithmetic,
                             if not isinstance(bad, list) or len(bad) < 2
                             else f"expected {horizon + 1} time points")
     with _field(path):
-        return Process.from_keys(space, keys, cells)
+        check_keys(space, keys, cells)
+    return keys, cells
 
 
 def _first_field(keys, key, path: str) -> str:
@@ -277,29 +288,32 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
     with _field("space"):
         space = SampleSpace(tuple(outcomes), _weights(weights_doc, arith), arith=arith)
 
-    prices = _process(_require(doc, "prices", ""), "prices", space, arith)
-    horizon = prices.horizon
+    prices = _paths(_require(doc, "prices", ""), "prices", space, arith)
+    horizon = len(prices[0][0]) - 1
 
     W = None
     if "driver" in doc:
-        W = _process(doc["driver"], "driver", space, arith, horizon)
+        W = _paths(doc["driver"], "driver", space, arith, horizon)
 
     if "flow" in doc:
         F = _filtration(doc["flow"], "flow", space)
         if F.horizon != horizon:
             raise ScenarioError("flow", f"expected horizon {horizon}")
     else:
-        F = natural_filtration(space, [W if W is not None else prices])
+        F = natural_filtration(space, *(W or prices))
 
+    # Every process is built on the flow's atoms (on finer atoms only where
+    # it is not adapted to the flow, which its check then reports).
     if W is not None:
         with _field("driver"):
-            driver = Driver(W, F)
+            driver = Driver(Process.from_keys(space, *W, F), F)
     else:
         driver = synthesize_driver(F)
 
     carrier = driver.W
     if "carrier" in doc:
-        carrier = _process(doc["carrier"], "carrier", space, arith, horizon)
+        carrier = Process.from_keys(
+            space, *_paths(doc["carrier"], "carrier", space, arith, horizon), F)
         if not is_adapted(carrier, F):
             raise ScenarioError("carrier", "carrier must be adapted to the base flow")
         witness = is_martingale(carrier, F)
@@ -309,7 +323,8 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
 
     structure = None
     if "structure" in doc:
-        structure = _process(doc["structure"], "structure", space, arith, horizon)
+        structure = Process.from_keys(
+            space, *_paths(doc["structure"], "structure", space, arith, horizon), F)
         if structure.dim != 1:
             raise ScenarioError("structure", "expected one number per time point")
 
@@ -317,7 +332,7 @@ def load_scenario(doc, arith: Arithmetic) -> BuiltScenario:
                         "enlargement", F, arith)
 
     with _field("prices"):
-        market = Market(prices, F)
+        market = Market(Process.from_keys(space, *prices, F), F)
 
     return BuiltScenario(name, arith, space, F, pair, market, driver,
                          carrier, structure)

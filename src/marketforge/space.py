@@ -6,20 +6,34 @@ the outcomes per time t in {0, ..., horizon}, each refining the previous
 one.  The time-0 partition may already be nontrivial, which is how an
 initially enlarged observer enters the picture.
 
-This module owns the atom index: each partition's outcome indices
-(``members``), probabilities (``masses``) and the atom of each outcome
-(``atom_at``), built once and lazily, the enclosing coarser atoms
-(``parents``), the meet of two partitions with the atom each holds
-(``Partition.meet``, built once per pair in either order), and
-``Filtration.transitions(t)``, each time-(t-1) atom with its time-t
-children and their conditional masses.
+This module owns the atom index, a tree of partitions: each partition's
+outcome indices (``members``), probabilities (``masses``) and the atom of
+each outcome (``atom_at``), built once and lazily, and the meet of two
+partitions with the atom each holds (``Partition.meet``, built once per
+pair in either order).  A partition built by refining another
+(``Partition.refine_by``, and with it the natural filtration, the initial
+and progressive enlargements and the layers ``Process.from_keys`` splits)
+registers its parent map, the coarser atom holding each of its atoms,
+read off its grouping keys; a flow refined time by time registers each
+partition's map onto the one before.  A meet is read off a registered
+partition that refines both operands: the distinct pairs of parents over
+its atoms are the atoms of the meet, so F_t v G_{t-1} is read off G_t.
+Only a pair with no registered common refinement, such as a user-given
+flow at load, is met outcome by outcome.  ``parents`` reads the map of a
+refinement, a partition with a registered refinement sums its
+``integer_masses`` over the parent map (only the finest sum their
+outcomes' weights), and ``Filtration.children(t)``, ``transition(t, k)``
+and ``transitions(t)`` read each time-(t-1) atom's time-t children and
+their conditional masses off it.
 
 A process is stored atom-major, one value vector per (time, atom) of the
 partitions it lives on: a filtration's (:meth:`Process.adapted`, and the
-time-(t-1) ones for :meth:`Process.predictable`), the level sets of its
-values (:meth:`Process.from_keys`, which builds each time from the distinct
-cells of its column, and :meth:`Process.from_paths` on it), or, for a
-kernel result, the meet of its operands' (:func:`componentwise`).  Each
+time-(t-1) ones for :meth:`Process.predictable`; :meth:`Process.from_keys`,
+the loader's entry, on its flow's atoms where the process is adapted to
+the flow, so with no outcome grouped, and each distinct cell of a column
+encoded once), the level sets of its values (:meth:`Process.from_keys`
+without a flow, and :meth:`Process.from_paths` on it), or, for a kernel
+result, the meet of its operands' (:func:`componentwise`).  Each
 time is one layer, a triple (partition, columns, den), stored column-major:
 one tuple per value component, each with one entry per atom.  In exact
 mode the entries are integer numerators over the one positive denominator
@@ -32,10 +46,11 @@ cell.  A linear kernel (:func:`componentwise` for sums and differences,
 denominators; a bilinear one (:func:`product`) multiplies them and takes a
 contraction: output component c is the sum over the index pairs
 ``terms[c]`` of a_i * b_j (a dot product sums from 0, so a float zero sum
-is +0.0).  The kernels' float sums of many terms (a dot product, an atom's
-mass, a conditional mean) are ``math.fsum``, correctly rounded, so no
-process value depends on the order the outcomes are listed in or on the
-Python version.
+is +0.0).  The kernels' float sums of many terms (a dot product, a
+conditional mean) are ``math.fsum``, correctly rounded, and an atom's
+float mass is its exact integer sum correctly rounded, so no process
+value depends on the order the outcomes are listed in or on the Python
+version.
 Increments are defined once, here (:attr:`Process.increments`, dX_0 = 0);
 :func:`atom_means` averages a layer, or the outer product of two, over
 the child atoms of each atom in both modes, one plan per pair of
@@ -52,9 +67,10 @@ per layer) through :meth:`Process.on_atoms`, :meth:`Process.at` and
 layer's denominator, :func:`extrema` compares entries over each layer's
 denominator and decodes the two extremes a report shows, and
 :meth:`Process.value_keys` gives a cell's value key, (numerators // g,
-den // g) with g = gcd(den, *numerators) (a float cell keys by its bits):
-the memo key of the solves above, as :meth:`Filtration.transition_keys`
-keys a site's transition probabilities off the integer masses.
+den // g) with g = gcd(den, *numerators) (a float cell keys by its bits),
+taken once per layer: the memo key of the solves above, as
+:meth:`Filtration.transition_keys` keys a site's transition probabilities
+off the integer masses.
 :func:`first_failing` and :func:`first_mismatch` keep outcome-major
 order, so witnesses keep theirs.
 """
@@ -123,10 +139,11 @@ class SampleSpace:
 
     @cached_property
     def integer_weights(self) -> tuple:
-        """(lcm, counts): exact weights as integers over the lcm of their
-        denominators."""
-        lcm = math.lcm(*{w.denominator for w in self.weights})
-        return lcm, tuple([w.numerator * (lcm // w.denominator) for w in self.weights])
+        """(lcm, counts): the weights as integers over the lcm of their
+        denominators, exactly (a float's denominator is a power of two)."""
+        ratios = [w.as_integer_ratio() for w in self.weights]
+        lcm = math.lcm(*{d for _, d in ratios})
+        return lcm, tuple([n * (lcm // d) for n, d in ratios])
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +166,8 @@ class Partition:
     _sums: dict = field(default_factory=dict, repr=False)  # operand partition -> _sum_plan
 
     def __post_init__(self) -> None:
-        for k, atom in enumerate(self.atoms):
-            for label in atom:
-                self._atom_of[label] = k
+        self._atom_of.update(zip(chain.from_iterable(self.atoms), chain.from_iterable(
+            map(repeat, count(), map(len, self.atoms)))))
         self.space._partitions.setdefault(self.atoms, self)
 
     @classmethod
@@ -194,10 +210,13 @@ class Partition:
         return len(self.meet(other)[0].atoms) == len(self.atoms)
 
     def refine_by(self, values: Sequence) -> "Partition":
-        """Common refinement with the level sets of a labelling."""
+        """Common refinement with the level sets of a labelling.  Its atoms
+        are grouped by the keys (atom of self, value), so the atom of self
+        holding each of them is read off those keys and registered as its
+        parent map."""
         if len(values) != self.space.size:
             raise SpaceError("labelling must have one value per outcome")
-        return _grouped(self.space, zip(self.atom_at, values))
+        return _split(self, values)[0]
 
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
@@ -206,28 +225,44 @@ class Partition:
 
     @cached_property
     def masses(self) -> tuple[Num, ...]:
-        """Probability of each atom: in float mode the correctly rounded sum
-        of its outcomes' weights (``math.fsum``, so it does not depend on
-        their order), in exact mode read off ``integer_masses``."""
+        """Probability of each atom, read off ``integer_masses``: a
+        ``Fraction`` in exact mode, in float mode the integer sum divided
+        by the lcm, correctly rounded, so it is the ``math.fsum`` of its
+        outcomes' weights whatever their order."""
+        lcm = self.space.integer_weights[0]
         if self.space.arith.exact:
-            lcm = self.space.integer_weights[0]
             return tuple(Fraction(n, lcm) for n in self.integer_masses)
-        return tuple(map(math.fsum, self._member_weights(self.space.weights)))
+        return tuple([n / lcm for n in self.integer_masses])
 
     @cached_property
     def integer_masses(self) -> tuple[int, ...]:
-        """Exact masses times the lcm of the weights' denominators: integers
-        with the masses' ratios, for sums that build no Fraction per term."""
-        return tuple(map(sum, self._member_weights(self.space.integer_weights[1])))
-
-    def _member_weights(self, w):
-        """Per atom, the weights ``w`` of its outcomes in outcome order."""
-        return map(map, repeat(w.__getitem__), self.members)
+        """Masses times the lcm of the weights' denominators: integers with
+        the masses' ratios, for sums that build no Fraction per term.  A
+        partition with a registered refinement sums the integer masses of
+        the coarsest one over its parent map; only one with none sums its
+        outcomes' weights."""
+        finer = min(self._finer(), key=lambda r: len(r.atoms), default=None)
+        if finer is None:
+            w = self.space.integer_weights[1]
+            return tuple(map(sum, map(map, repeat(w.__getitem__), self.members)))
+        sums = [0] * len(self.atoms)
+        for k, m in zip(finer._meets[self][2], finer.integer_masses):
+            sums[k] += m
+        return tuple(sums)
 
     @cached_property
     def atom_at(self) -> tuple[int, ...]:
         """Index of the atom holding each outcome, by outcome index."""
         return tuple(map(self._atom_of.__getitem__, self.space.outcomes))
+
+    @cached_property
+    def _own(self) -> tuple[int, ...]:
+        """Each atom's own index: the parent map of a partition onto itself."""
+        return tuple(range(len(self.atoms)))
+
+    def _finer(self) -> list:
+        """The partitions registered as strictly finer than this one."""
+        return [r for r, (meet, _, _) in self._meets.items() if meet is r and r is not self]
 
     def parents(self, coarser: "Partition") -> tuple[int, ...]:
         """Index of the coarser atom enclosing each atom of this refinement."""
@@ -238,20 +273,100 @@ class Partition:
         partitions, and for each of its atoms the index of the atom of this
         partition and of ``other`` holding it.  The meet is this partition
         (or ``other``) itself when it refines the other.  Built once per
-        pair of partition objects, in either order; only a meet finer than
-        both is grouped outcome by outcome."""
+        pair of partition objects, in either order, and read off the parent
+        maps of a registered partition refining both (``_read_off``); the
+        trivial partition meets every one for free.  Only a pair with no
+        registered common refinement is met outcome by outcome
+        (``_outcome_meet``).  Every meet is registered, with its maps onto
+        the two operands."""
         hit = self._meets.get(other)
         if hit is None:
-            # The distinct (mine, theirs) pairs in order of their first
-            # outcome: one per atom of the meet, in its canonical order.
-            pairs = dict.fromkeys(zip(self.atom_at, other.atom_at))
-            mine, theirs = map(tuple, zip(*pairs))
-            meet = self if len(pairs) == len(self.atoms) else \
-                other if len(pairs) == len(other.atoms) else \
-                _grouped(self.space, zip(self.atom_at, other.atom_at))
-            hit = self._meets[other] = (meet, mine, theirs)
-            other._meets[self] = (meet, theirs, mine)
+            meet, mine, theirs = hit = _read_off(self, other) or _outcome_meet(self, other)
+            _nest(meet, self, mine)
+            _nest(meet, other, theirs)
+            self._meets.setdefault(other, hit)
+            other._meets.setdefault(self, (meet, theirs, mine))
         return hit
+
+
+def _split(part: Partition, values) -> tuple:
+    """(refinement, value of each of its atoms): ``part`` refined by the
+    level sets of the labelling ``values``, grouped by the keys (atom of
+    ``part``, value), and registered as refining ``part`` with the parent
+    map read off those keys."""
+    fine, keys = _level_sets(part.space, zip(part.atom_at, values))
+    _nest(fine, part, tuple([k for k, _ in keys]))
+    return fine, [v for _, v in keys]
+
+
+def _nest(fine: Partition, coarse: Partition, parents: tuple) -> None:
+    """Register that ``fine`` refines ``coarse``, with ``parents`` the
+    index of the coarse atom holding each fine atom: the meet of the two in
+    either order."""
+    if fine is not coarse and coarse not in fine._meets:
+        fine._meets[coarse] = (fine, fine._own, parents)
+        coarse._meets[fine] = (fine, parents, fine._own)
+
+
+def _parent_map(fine: Partition, coarse: Partition):
+    """The index of the atom of ``coarse`` holding each atom of ``fine``,
+    read off the registered map of a refinement, or None where ``fine`` is
+    not registered as refining ``coarse``."""
+    if fine is coarse:
+        return fine._own
+    if len(coarse.atoms) == 1:
+        return (0,) * len(fine.atoms)
+    hit = fine._meets.get(coarse)
+    return hit[2] if hit is not None and hit[0] is fine else None
+
+
+def _read_off(a: Partition, b: Partition):
+    """(meet, mine, theirs) of ``a`` and ``b`` read off the parent maps of
+    a registered partition r refining both, or None where there is none:
+    the distinct (atom of a, atom of b) pairs over the atoms of r, in order
+    of their first atom of r, are the atoms of the meet in canonical order,
+    so no outcome is visited unless the meet is a new partition, whose
+    atoms are the union of r's atoms of one pair."""
+    if a is b or len(b.atoms) == 1:
+        return a, a._own, _parent_map(a, b)
+    if len(a.atoms) == 1:
+        return b, (0,) * len(b.atoms), b._own
+    for r in a._finer():
+        up_b = _parent_map(r, b)
+        if up_b is not None:
+            up_a = _parent_map(r, a)
+            break
+    else:
+        return None
+    pairs = dict.fromkeys(zip(up_a, up_b))
+    mine, theirs = map(tuple, zip(*pairs))
+    if len(pairs) == len(r.atoms):
+        return r, up_a, up_b
+    if len(pairs) in (len(a.atoms), len(b.atoms)):
+        return a if len(pairs) == len(a.atoms) else b, mine, theirs
+    index = {pair: i for i, pair in enumerate(pairs)}
+    group = tuple(map(index.__getitem__, zip(up_a, up_b)))
+    atoms = [[] for _ in pairs]
+    for g, atom in zip(group, r.atoms):
+        atoms[g] += atom
+    idx = a.space._index.__getitem__
+    atoms = tuple(tuple(sorted(atom, key=idx)) for atom in atoms)
+    meet = a.space._partitions.get(atoms) or Partition(a.space, atoms)
+    _nest(r, meet, group)
+    return meet, mine, theirs
+
+
+def _outcome_meet(a: Partition, b: Partition) -> tuple:
+    """(meet, mine, theirs) of two partitions with no registered common
+    refinement, from one pass over both partitions' ``atom_at``: the
+    distinct (mine, theirs) pairs in order of their first outcome, one per
+    atom of the meet, in its canonical order."""
+    pairs = dict.fromkeys(zip(a.atom_at, b.atom_at))
+    mine, theirs = map(tuple, zip(*pairs))
+    meet = a if len(pairs) == len(a.atoms) else \
+        b if len(pairs) == len(b.atoms) else \
+        _grouped(a.space, zip(a.atom_at, b.atom_at))
+    return meet, mine, theirs
 
 
 def _grouped(space: SampleSpace, keys) -> "Partition":
@@ -279,6 +394,7 @@ class Filtration:
     space: SampleSpace
     partitions: tuple[Partition, ...]
     _transitions: dict = field(default_factory=dict, repr=False)
+    _children: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.partitions) < 2:
@@ -299,15 +415,34 @@ class Filtration:
             raise SpaceError(f"time {t} outside grid 0..{self.horizon}")
         return self.partitions[t]
 
-    def transitions(self, t: int) -> list:
-        """(k, atom, [(child, p)]) for each time-(t-1) atom k: its time-t
-        children in canonical order, p = P(child | atom).  Built once per t."""
-        if t not in self._transitions:
+    def children(self, t: int) -> tuple:
+        """The indices of each time-(t-1) atom's time-t children, in
+        canonical order, from the parent map; built once per t."""
+        if t not in self._children:
             parent, part = self.at(t - 1), self.at(t)
             kids = [[] for _ in parent.atoms]
-            for child, k, mass in zip(part.atoms, part.parents(parent), part.masses):
-                kids[k].append((child, mass / parent.masses[k]))
-            self._transitions[t] = [(k, atom, kids[k]) for k, atom in enumerate(parent.atoms)]
+            for c, k in enumerate(part.parents(parent)):
+                kids[k].append(c)
+            self._children[t] = tuple(map(tuple, kids))
+        return self._children[t]
+
+    def transition(self, t: int, k: int) -> list:
+        """[(child, p)]: the time-t children of the time-(t-1) atom k in
+        canonical order, p = P(child | atom), in exact mode the ratio of
+        their integer masses."""
+        part, kids = self.at(t), self.children(t)[k]
+        if self.space.arith.exact:
+            masses, mass = part.integer_masses, self.at(t - 1).integer_masses[k]
+            return [(part.atoms[c], Fraction(masses[c], mass)) for c in kids]
+        masses, mass = part.masses, self.at(t - 1).masses[k]
+        return [(part.atoms[c], masses[c] / mass) for c in kids]
+
+    def transitions(self, t: int) -> list:
+        """(k, atom, ``transition(t, k)``) for each time-(t-1) atom k.
+        Built once per t."""
+        if t not in self._transitions:
+            self._transitions[t] = [(k, atom, self.transition(t, k))
+                                    for k, atom in enumerate(self.at(t - 1).atoms)]
         return self._transitions[t]
 
     def transition_keys(self, t: int) -> list:
@@ -318,14 +453,25 @@ class Filtration:
         (``_cell_key``)."""
         if not self.space.arith.exact:
             return [_cell_key(tuple(p for _, p in kids)) for _, _, kids in self.transitions(t)]
-        parent, part = self.at(t - 1), self.at(t)
-        kids = [[] for _ in parent.atoms]
-        for m, k in zip(part.integer_masses, part.parents(parent)):
-            kids[k].append(m)
-        return [_layer_key(tuple(m), n, True) for m, n in zip(kids, parent.integer_masses)]
+        masses = self.at(t).integer_masses
+        return [_layer_key(tuple(map(masses.__getitem__, kids)), n, True)
+                for kids, n in zip(self.children(t), self.at(t - 1).integer_masses)]
 
     def refine_by(self, values: Sequence) -> "Filtration":
-        return Filtration(self.space, tuple(p.refine_by(values) for p in self.partitions))
+        return _refined_flow(self, [values] * len(self.partitions))
+
+
+def _refined_flow(base: Filtration, labellings) -> Filtration:
+    """The flow whose time-t partition is the base's refined by
+    ``labellings[t]``, each labelling fixed, on each time-t base atom, by
+    the next one (the same labelling, or a random time capped one step
+    later), so each partition refines the one before: that parent map is
+    read off each atom's first outcome and registered, as ``refine_by``
+    registers the one onto the base."""
+    parts = list(map(Partition.refine_by, base.partitions, labellings))
+    for fine, coarse in zip(parts[1:], parts):
+        _nest(fine, coarse, tuple([coarse._atom_of[atom[0]] for atom in fine.atoms]))
+    return Filtration(base.space, tuple(parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,20 +503,16 @@ class EnlargementPair:
         return self.base.horizon
 
 
-def natural_filtration(space: SampleSpace, processes: Sequence["Process"]) -> Filtration:
-    """Smallest filtration making every listed process adapted."""
-    if not processes:
-        raise SpaceError("natural filtration needs at least one process")
-    horizon = processes[0].horizon
-    if any(p.horizon != horizon for p in processes):
-        raise SpaceError("processes disagree on the horizon")
-    parts = []
-    part = Partition.trivial(space)
-    for t in range(horizon + 1):
-        for proc in processes:
-            atoms, cols, _ = proc.layers[t]  # one denominator: numerators key
-            cells = _rows(cols, len(atoms.atoms))
-            part = part.refine_by(list(map(cells.__getitem__, atoms.atom_at)))
+def natural_filtration(space: SampleSpace, paths, cells: dict) -> Filtration:
+    """The smallest filtration making the process ``Process.from_keys``
+    builds from the same key paths adapted, with no process built: each
+    time's partition is the one before (the trivial one before time 0)
+    refined by the value ids of its column, equal values (0.0 and -0.0
+    too) sharing one.  The paths must pass ``check_keys``."""
+    ids, _ = _value_ids(cells, _ratios if space.arith.exact else tuple)
+    part, parts = Partition.trivial(space), []
+    for keys in zip(*paths):
+        part = part.refine_by(list(map(ids.__getitem__, keys)))
         parts.append(part)
     return Filtration(space, tuple(parts))
 
@@ -388,11 +530,8 @@ def build_progressive_enlargement(base: Filtration, tau: "RandomTime") -> Enlarg
     """
     if tau.space is not base.space:
         raise SpaceError("random time lives on a different space")
-    parts = []
-    for t in range(base.horizon + 1):
-        capped = [min(v, t + 1) for v in tau.values]
-        parts.append(base.at(t).refine_by(capped))
-    return EnlargementPair(base, Filtration(base.space, tuple(parts)))
+    return EnlargementPair(base, _refined_flow(base, [
+        [min(v, t + 1) for v in tau.values] for t in range(base.horizon + 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +554,7 @@ class RandomTime:
 
 
 # ---------------------------------------------------------------------------
-# processes
-
-
-def _as_vector(v) -> tuple:
-    return tuple(v) if isinstance(v, (tuple, list)) else (v,)
+# value keys
 
 
 def _cell_key(v: tuple):
@@ -439,6 +574,40 @@ def _layer_key(v: tuple, den: int, exact: bool):
     return (v, den) if g == 1 else (tuple(a // g for a in v), den // g)
 
 
+def _value_ids(cells: dict, by) -> tuple:
+    """(ids, found): the value id of each key of ``cells``, and the first
+    cell of each id: keys whose cells ``by`` keys alike share one id."""
+    ids, values = {}, {}  # value -> (id, its first cell)
+    for key, cell in cells.items():
+        ids[key] = values.setdefault(by(cell), (len(values), cell))[0]
+    return ids, [cell for _, cell in values.values()]
+
+
+def _ratios(cell: tuple) -> tuple:
+    """An exact cell keyed by value, with no Fraction hashed: its entries'
+    integer ratios."""
+    return tuple([x.as_integer_ratio() for x in cell])
+
+
+def check_keys(space: SampleSpace, paths, cells: dict) -> None:
+    """Raise SpaceError unless ``Process.from_keys`` can build from the key
+    paths and cells: the paths are checked for count, then every cell for
+    one dimension, then the paths for one horizon."""
+    if len(paths) != space.size:
+        raise SpaceError("process needs one path per outcome")
+    if len(set(map(len, cells.values()))) > 1:
+        raise SpaceError("all value vectors must share one dimension")
+    if len(set(map(len, paths))) > 1:
+        raise SpaceError("all paths must share one horizon")
+
+# ---------------------------------------------------------------------------
+# processes
+
+
+def _as_vector(v) -> tuple:
+    return tuple(v) if isinstance(v, (tuple, list)) else (v,)
+
+
 def _numerators(vectors, exact: bool) -> tuple:
     """(vectors, den): exact number vectors (cells or columns) as integer
     numerators over the lcm ``den`` of their denominators, so gcd(den,
@@ -455,29 +624,34 @@ def _rows(columns, n: int) -> tuple:
     return tuple(zip(*columns)) if columns else ((),) * n
 
 
-def _column(space: SampleSpace, keys, cells: dict) -> tuple:
-    """The layer of one time: the outcomes grouped by their ``keys``, one
-    cell per group from ``cells``, exact numerators over the lcm of the
-    distinct cells' denominators, stored by column.  Keys of equal value
-    (``"1/2"`` and ``0.5``; float ``1`` and ``1.0``) share one level set:
-    only such a column is grouped again, by value, exact cells by
-    numerators and float ones as ``_cell_key`` keys them, so -0.0 stays
-    apart from 0.0."""
-    exact = space.arith.exact
-    part, distinct = _level_sets(space, keys)
-    found, den = _numerators(tuple(map(cells.__getitem__, distinct)), exact)
-    values = found if exact else tuple(map(_cell_key, found))
-    if len(set(values)) < len(values):
-        cell_of, value_of = dict(zip(values, found)), dict(zip(distinct, values))
-        part, values = _level_sets(space, map(value_of.__getitem__, keys))
-        found = tuple(map(cell_of.__getitem__, values))
-    return part, tuple(zip(*found)), den
+def _column(part: Partition, ids, cells) -> tuple:
+    """The layer of one time: the value ids of the outcomes, ``ids``, on
+    ``part`` refined by their level sets (``_split``), which is ``part``
+    itself, with no outcome grouped, where each of its atoms holds one
+    value; ``cells[v]`` is the value of id v.  Exact numerators over the
+    lcm of the layer's cells' denominators, stored by column."""
+    firsts = map(part.space._index.__getitem__, map(operator.itemgetter(0), part.atoms))
+    values = list(map(ids.__getitem__, firsts))
+    if not all(map(operator.eq, ids, map(values.__getitem__, part.atom_at))):
+        part, values = _split(part, ids)
+    distinct = dict.fromkeys(values)  # each value encoded once
+    found, den = _numerators(tuple(map(cells.__getitem__, distinct)), part.space.arith.exact)
+    cols = tuple(zip(*found))
+    if len(distinct) < len(values):
+        cols = _picked(cols, list(map(dict(zip(distinct, count())).__getitem__, values)))
+    return part, cols, den
 
 
 def _encoded(part: Partition, cells) -> tuple:
     """The layer (part, columns, den) of number cells, one per atom of
-    ``part`` (``_numerators`` of their columns)."""
-    return (part, *_numerators(tuple(zip(*cells)), part.space.arith.exact))
+    ``part``: ``_numerators`` of the columns of the distinct cell objects,
+    each encoded once, picked per atom."""
+    cells = tuple(cells)
+    distinct = dict(zip(map(id, cells), cells))
+    cols, den = _numerators(tuple(zip(*distinct.values())), part.space.arith.exact)
+    if len(distinct) < len(cells):
+        cols = _picked(cols, list(map(dict(zip(distinct, count())).__getitem__, map(id, cells))))
+    return part, cols, den
 
 
 def _decoded(layer, exact: bool) -> tuple:
@@ -592,6 +766,7 @@ class Process:
     space: SampleSpace
     layers: tuple[tuple[Partition, tuple[tuple[Num, ...], ...], int], ...]
     _cache: dict = field(default_factory=dict, repr=False)  # t -> cells as numbers
+    _keys: dict = field(default_factory=dict, repr=False)  # t -> value key per atom
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -614,27 +789,31 @@ class Process:
         return cls.from_keys(space, keys, cells)
 
     @classmethod
-    def from_keys(cls, space: SampleSpace, paths, cells: dict) -> "Process":
+    def from_keys(cls, space: SampleSpace, paths, cells: dict, flow=None) -> "Process":
         """Build from per-outcome paths of keys: ``paths[i][t]`` keys the
         value of outcome i at time t, and ``cells[key]`` is that value, a
-        vector of numbers.  Each time groups its outcomes by key and builds
-        its layer from the distinct cells alone (``_column``).  The paths
-        are checked for count, then every cell for one dimension, then the
-        paths for one horizon."""
-        if len(paths) != space.size:
-            raise SpaceError("process needs one path per outcome")
-        if len(set(map(len, cells.values()))) > 1:
-            raise SpaceError("all value vectors must share one dimension")
-        if len(set(map(len, paths))) > 1:
-            raise SpaceError("all paths must share one horizon")
-        return cls(space, tuple(_column(space, keys, cells) for keys in zip(*paths)))
+        vector of numbers.  Keys of equal value (``"1/2"`` and ``0.5``;
+        float ``1`` and ``1.0``) share one value id (``_value_ids``), float
+        cells as ``_cell_key`` keys them, so -0.0 stays apart from 0.0.
+        Each time's layer lives on the flow's partition refined by the
+        value ids of its column (``_column``): on the flow's own atoms
+        where the process is adapted to it, and on the level sets of the
+        values without a flow.  The paths are checked as ``check_keys``
+        checks them, and against the flow's horizon."""
+        check_keys(space, paths, cells)
+        if flow is not None and len(paths[0]) != len(flow.partitions):
+            raise SpaceError("paths and flow disagree on the horizon")
+        ids, found = _value_ids(cells, _ratios if space.arith.exact else _cell_key)
+        parts = repeat(Partition.trivial(space)) if flow is None else flow.partitions
+        return cls(space, tuple(_column(part, list(map(ids.__getitem__, keys)), found)
+                                for part, keys in zip(parts, zip(*paths))))
 
     @classmethod
     def adapted(cls, filtration: "Filtration", table, dim: int = 1) -> "Process":
         """Build from per-atom values: ``table[(t, k)]`` on the time-t atom k."""
         columns = [[_as_vector(table[(t, k)]) for k in range(len(part.atoms))]
                    for t, part in enumerate(filtration.partitions)]
-        if any(len(v) != dim for cells in columns for v in cells):
+        if not {dim}.issuperset(map(len, chain.from_iterable(columns))):
             raise SpaceError("value dimension mismatch")
         return cls(filtration.space, tuple(map(_encoded, filtration.partitions, columns)))
 
@@ -697,15 +876,29 @@ class Process:
         """The value keys of X_t (dX_t with ``increments``) on each of the
         given atoms, read at the atom's first outcome straight off the
         layer, with no number decoded: equal values (and no others) share a
-        key, over any denominator and at any time (``_layer_key``)."""
-        part, cols, den = (self.increments if increments else self).layers[t]
-        exact = self.space.arith.exact
-        return tuple(_layer_key(tuple(col[part.atom_index(atom[0])] for col in cols), den, exact)
-                     for atom in atoms)
+        key, over any denominator and at any time (``_layer_key``).  A
+        layer's keys are taken once, each distinct exact cell keyed once."""
+        X = self.increments if increments else self
+        part, cols, den = X.layers[t]
+        keys = X._keys.get(t)
+        if keys is None:
+            cells = _rows(cols, len(part.atoms))
+            if self.space.arith.exact:  # ints: -0.0 and 0.0 would merge in a dict
+                distinct = {v: _layer_key(v, den, True) for v in dict.fromkeys(cells)}
+                keys = tuple(map(distinct.__getitem__, cells))
+            else:
+                keys = tuple(map(_cell_key, cells))
+            X._keys[t] = keys
+        if atoms is part.atoms:
+            return keys
+        return tuple([keys[part.atom_index(atom[0])] for atom in atoms])
 
     def refined(self, flow: "Filtration") -> "Process":
         """The same process stored on the meet of its partitions with the
-        flow's: on the flow's own atoms where it is adapted to the flow."""
+        flow's: on the flow's own atoms where it is adapted to the flow
+        (the process itself where it is stored on them already)."""
+        if all(map(operator.is_, (part for part, _, _ in self.layers), flow.partitions)):
+            return self
         layers = []
         for (part, cols, den), atoms in zip(self.layers, flow.partitions):
             meet, mine, _ = part.meet(atoms)
@@ -777,7 +970,7 @@ def first_failing(X: Process, test=None, start=None, increments: bool = False):
         check = (start or test) if t == 0 else test
         if check is not None and t >= increments:
             cells = _rows(cols, len(part.atoms))
-            misses += [(part.members[k][0], t)
+            misses += [(X.space._index[part.atoms[k][0]], t)
                        for k in _failing(map(check, cells, repeat(den)))]
     return min(misses, default=None)
 
@@ -825,7 +1018,7 @@ def first_mismatch(X: Process, Y: Process):
     for t, layers in enumerate(zip(X.layers, Y.layers)):
         part, (us, vs), _ = _common(layers)
         bad = set(chain.from_iterable(_failing(map(eq, u, v)) for u, v in zip(us, vs)))
-        misses += [(part.members[k][0], t) for k in bad]
+        misses += [(X.space._index[part.atoms[k][0]], t) for k in bad]
     if not misses:
         return None
     i, t = min(misses)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 from .calculus import (
     ASSUMPTION_VIOLATED,
@@ -77,7 +78,7 @@ class Market:
             raise ViabilityError("price horizon must match the flow horizon")
         if not is_adapted(self.S, self.F):
             raise ViabilityError("prices must be adapted to the base flow")
-        miss = first_failing(self.S, lambda v, den: all(x > 0 for x in v))
+        miss = first_failing(self.S, lambda v, den: all(map(operator.gt, v, repeat(0))))
         if miss is not None:
             o, t = self.S.space.outcomes[miss[0]], miss[1]
             raise ViabilityError(f"price must stay positive (outcome {o}, t={t})")
@@ -247,27 +248,29 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
     table = {}
     jump_witness = None
     # One solve per distinct site value, for this call only, keyed by the
-    # value keys of phi and of the base transition's (p, dW, dN, dD); the
-    # site is built on a miss alone.  A site that fails returns at once, so
-    # a repeat only ever reuses a feasible solve whose bad jump row, if
-    # any, is already the witness.
-    solved = {}
+    # value keys of phi and of the base transition's (p, dW, dN, dD), each
+    # numbered once (``phi_ids``, ``base_ids``); the site is built on a miss
+    # alone.  A site that fails returns at once, so a repeat only ever
+    # reuses a feasible solve whose bad jump row, if any, is already the
+    # witness.
+    solved, phi_ids, base_ids = {}, {}, {}
+    F, processes = market.F, (W, gauge.N, D)
     for t in range(1, G.horizon + 1):
         g_part = G.at(t - 1)
-        transitions, p_keys = market.F.transitions(t), market.F.transition_keys(t)
-        base_keys = {}  # base atom -> value key of its transition's inputs
+        # The value key of each base atom's transition inputs, from the keys
+        # of each increments layer on the time-t base atoms, taken once.
+        layer_keys = [X.value_keys(t, F.at(t).atoms, increments=True) for X in processes]
+        base = [base_ids.setdefault((p_key, *(tuple(map(keys.__getitem__, kids))
+                                              for keys in layer_keys)), len(base_ids))
+                for p_key, kids in zip(F.transition_keys(t), F.children(t))]
         for idx, (g_atom, phi_key, k) in enumerate(zip(
                 g_part.atoms, gauge.phi.value_keys(t, g_part.atoms),
-                g_part.parents(market.F.at(t - 1)))):
-            _, _, transition = transitions[k]
-            if k not in base_keys:
-                kids = [child for child, _ in transition]
-                base_keys[k] = (p_keys[k], *(
-                    X.value_keys(t, kids, increments=True) for X in (W, gauge.N, D)))
-            key = phi_key, base_keys[k]
-            if key not in solved:
+                g_part.parents(F.at(t - 1)))):
+            key = phi_ids.setdefault(phi_key, len(phi_ids)), base[k]
+            hit = solved.get(key)
+            if hit is None:
                 (phi,) = gauge.phi.on_atoms(t, [g_atom])
-                inputs = _site_inputs((W, gauge.N, D), t, transition)
+                inputs = _site_inputs(processes, t, F.transition(t, k))
                 try:
                     solve = solve_site(_build_site(market, W.dim, phi, inputs))
                 except CoercivityFailure as err:
@@ -283,8 +286,8 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
                 bad = next((r for r in solve.rows if not r.ok), None)
                 if jump_witness is None and bad is not None:
                     jump_witness = FailureWitness("jump-bound", t, g_atom, bad)
-                solved[key] = solve
-            table[(t, idx)] = solved[key].solution
+                solved[key] = hit = solve
+            table[(t, idx)] = hit.solution
     # A bad jump row is reported only once every site has solved.
     if jump_witness is not None:
         return Verdict(NON_VIABLE, jump_witness, stage="jump-bound")

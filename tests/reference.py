@@ -48,6 +48,11 @@ builds test data with it.
   every kernel made one tuple and one Python operation per cell (products
   through per-cell lambdas, which ``contraction`` rebuilds from index
   pairs).  They are the oracle of ``test_column_kernels``.
+* ``meet_by_outcomes``, ``masses_by_outcomes``, ``children_by_outcomes``
+  and ``transitions_by_outcomes`` group the outcomes themselves, as
+  ``Partition.meet`` did before the flows registered their parent maps
+  and masses were summed over members: the oracles of the tree index
+  (``test_tree_index``).
 * ``value_key`` keys number vectors by value from ``Fraction``s, as the
   engine's solve memos did before every key was read off a layer or, for
   a transition's child probabilities, off integer masses.  It is the
@@ -880,3 +885,45 @@ def row_refined(X: Rows, flow: Filtration) -> Rows:
         meet, mine, _ = part.meet(atoms)
         layers.append((meet, cells if meet is part else tuple(cells[k] for k in mine), den))
     return Rows(X.space, tuple(layers))
+
+
+# ---------------------------------------------------------------------------
+# the tree index by outcome grouping
+
+
+def _atom_of(part: Partition) -> dict:
+    return {label: k for k, atom in enumerate(part.atoms) for label in atom}
+
+
+def meet_by_outcomes(a: Partition, b: Partition) -> tuple:
+    """(atoms, mine, theirs) of the meet of two partitions, grouped outcome
+    by outcome: the distinct (atom of a, atom of b) pairs in order of
+    their first outcome, each with its outcomes in outcome order."""
+    in_a, in_b = _atom_of(a), _atom_of(b)
+    groups: dict = {}
+    for o in a.space.outcomes:
+        groups.setdefault((in_a[o], in_b[o]), []).append(o)
+    return (tuple(map(tuple, groups.values())), tuple(k for k, _ in groups),
+            tuple(j for _, j in groups))
+
+
+def masses_by_outcomes(part: Partition) -> tuple:
+    """Each atom's mass as the sum of its outcomes' weights (``summed``)."""
+    total = summed(part.space.arith.exact)
+    return tuple(total([part.space.weight(o) for o in atom]) for atom in part.atoms)
+
+
+def children_by_outcomes(flow: Filtration, t: int) -> tuple:
+    """The indices of each time-(t-1) atom's time-t children: the atoms
+    whose outcomes it holds."""
+    return tuple(tuple(c for c, child in enumerate(flow.at(t).atoms) if set(child) <= set(atom))
+                 for atom in flow.at(t - 1).atoms)
+
+
+def transitions_by_outcomes(flow: Filtration, t: int) -> list:
+    """``Filtration.transitions(t)`` from ``children_by_outcomes`` and
+    ``masses_by_outcomes``."""
+    mass, parent_mass = masses_by_outcomes(flow.at(t)), masses_by_outcomes(flow.at(t - 1))
+    return [(k, atom, [(flow.at(t).atoms[c], mass[c] / parent_mass[k]) for c in kids])
+            for k, (atom, kids) in enumerate(zip(flow.at(t - 1).atoms,
+                                                 children_by_outcomes(flow, t)))]

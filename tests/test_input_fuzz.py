@@ -17,7 +17,8 @@ mode.  The run must:
 Apart from the seeded mutations, every golden scenario input runs with one
 process field (driver, prices, carrier, structure) scaled by 10^k for k in
 ``SCALES``, in both modes: numbers in range, but large or small enough for
-float rounding and the float range to decide, under the same rules.
+float rounding and the float range to decide, under the same rules, and
+no report it writes may hold ``NaN`` or ``Infinity``.
 """
 
 import io
@@ -136,18 +137,24 @@ def scaled_inputs():
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_scaled_process_fields_exit_with_a_documented_code(monkeypatch, capsys, mode):
-    """In-range numbers of any size: every exit is documented and nothing
-    escapes ``cli.main``, where float rounding or range limits decide."""
+def test_scaled_process_fields_exit_with_a_documented_code(monkeypatch, capsys, tmp_path,
+                                                           mode):
+    """In-range numbers of any size: every exit is documented, nothing
+    escapes ``cli.main``, where float rounding or range limits decide, and
+    no report written holds ``NaN`` or ``Infinity``."""
     problems = []
+    report = tmp_path / "report.json"
     for case, original, doc in scaled_inputs():
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        report.unlink(missing_ok=True)
         try:
-            code = main(["analyze", "-", "--mode", mode])
+            code = main(["analyze", "-", "--mode", mode, "--report", str(report)])
         except Exception as err:  # any escape is the finding
             problems.append(f"{case}: raised {type(err).__name__}: {err}")
             continue
         finally:
             err_text = capsys.readouterr().err
         problems += _undocumented(f"{case} {mode}", code, err_text, original)
+        if report.exists() and re.search(r"\bNaN\b|Infinity", report.read_text()):
+            problems.append(f"{case} {mode}: exit {code} with a report holding NaN or Infinity")
     assert problems == []

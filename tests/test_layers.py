@@ -6,7 +6,9 @@ column per value component with one entry per atom, and one denominator at
 each time, the entries integer numerators in exact mode; the meet of two
 partitions and the atom index per outcome behind it; the per-column
 kernels ``componentwise``, ``product`` and ``atom_means``, their helpers
-and the layer codecs) is known to ``space`` and ``calculus`` only.  A
+and the layer codecs; the partition tree, each partition's registered
+parent maps and meets, and the per-layer value keys) is known to ``space``
+and ``calculus`` only.  A
 contraction crosses the boundary as index pairs (``sum_steps(terms, ...)``),
 which name components, not storage.  Every other engine module reads processes as
 numbers through their accessors (``Process.on_atoms``, ``Process.at``,
@@ -50,7 +52,9 @@ LAYOUT_TOKENS = re.compile(r"\.layers\b|\.meet\(|\batom_at\b|_tabled|_keyed|_gro
                            r"|_encoded|_decoded|_reduced|_numerators|\b_over\(|_layer_key|layer="
                            r"|\b_column\(|\b_scaled\(|\b_rows\(|\b_picked\(|_sum_plan|_sums\b"
                            r"|\b_weighted\(|\b_failing\(|\b_eq\(|\b_dot\(|_member_weights"
-                           r"|accumulate\(|\bid\(")
+                           r"|accumulate\(|\bid\("
+                           r"|_meets\b|\b_nest\(|_parent_map|_read_off|_outcome_meet|\b_split\("
+                           r"|_finer\(|\._own\b|\._keys\b")
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in ENGINE.glob("*.py")

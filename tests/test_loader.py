@@ -10,6 +10,12 @@ exit code and message:
   strings and decimals (strings and JSON numbers), scalar and vector cells,
   empty vectors, and in float mode -0.0 next to 0.0 and 1 next to 1.0;
 - every golden input and the noisy coin trees T = 2..8, in both modes;
+- the loader's own build, on a flow: a ``hypothesis`` test draws a flow
+  on the same outcomes whose columns are, time by time, adapted to it or
+  not, and the layers must be the reference's refined by the flow
+  (``reference.row_refined``), an adapted column on the flow's own
+  partition; the golden inputs load alike on their scenario's flow, and
+  a flow of another horizon is refused;
 - a seeded test puts two defects at random fields of one document, so the
   order between two errors is checked, which one-field mutations do not;
 - an exact load of the T = 6 golden tree parses each distinct token once
@@ -32,7 +38,7 @@ from marketforge import scenario
 from marketforge.arith import EXACT, FLOAT, Arithmetic
 from marketforge.cli import main
 from marketforge.scenario import load_scenario, parse_document
-from marketforge.space import SampleSpace
+from marketforge.space import Filtration, Partition, Process, SampleSpace, SpaceError
 from test_golden_reports import GOLDEN, INPUTS, MODES
 
 ARITH = {"exact": EXACT, "float": FLOAT}
@@ -51,14 +57,19 @@ def assert_same_layers(X, Y):
             assert math.gcd(den, *(a for col in cols for a in col)) == 1
 
 
-def assert_loads_alike(doc, space, arith):
+def assert_loads_alike(doc, space, arith, flow=None):
     """Every path field of ``doc`` loads to the reference's layers, with the
-    horizon the loader passes it."""
+    horizon the loader passes it; with a ``flow``, built on it as the
+    loader builds, to the reference's layers refined by the flow."""
     horizon = None
     for field in FIELDS:
         if field in doc:
-            X = scenario._process(doc[field], field, space, arith, horizon)
-            assert_same_layers(X, ref.load_process(doc[field], field, space, arith, horizon))
+            want = ref.load_process(doc[field], field, space, arith, horizon)
+            if flow is not None:
+                want = ref.row_refined(ref.Rows.of(want), flow).process()
+            X = Process.from_keys(space, *scenario._paths(doc[field], field, space, arith,
+                                                          horizon), flow)
+            assert_same_layers(X, want)
             horizon = X.horizon
 
 
@@ -114,8 +125,45 @@ def test_loader_builds_the_reference_layers_from_random_columns(mode, data):
     space, text = data.draw(documents(mode))
     arith = ARITH[mode]
     doc = parse_document(text, arith)
-    assert_same_layers(scenario._process(doc, "prices", space, arith),
+    assert_same_layers(Process.from_keys(space, *scenario._paths(doc, "prices", space, arith)),
                        ref.load_process(doc, "prices", space, arith))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+def test_loader_builds_on_a_drawn_flow_the_reference_layers_refined_by_it(mode, data):
+    space, text = data.draw(documents(mode))
+    arith = ARITH[mode]
+    doc = parse_document(text, arith)
+    X = ref.load_process(doc, "prices", space, arith)
+    # Each time refines the one before by a drawn label and, where the
+    # column is to be adapted, by the column's own level sets.
+    adapted = data.draw(st.lists(st.booleans(), min_size=X.horizon + 1,
+                                 max_size=X.horizon + 1))
+    part, parts = Partition.trivial(space), []
+    for t, own in enumerate(adapted):
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=space.size,
+                                    max_size=space.size))
+        values = X.layers[t][0].atom_at if own else [0] * space.size
+        part = ref.by_level_sets(space, [(part.atom_index(o), label, v) for o, label, v in
+                                         zip(space.outcomes, labels, values)])
+        parts.append(part)
+    flow = Filtration(space, tuple(parts))
+    want = ref.row_refined(ref.Rows.of(X), flow).process()  # before the loader's build
+    got = Process.from_keys(space, *scenario._paths(doc, "prices", space, arith), flow)
+    assert_same_layers(got, want)
+    for t, own in enumerate(adapted):
+        if own:
+            assert got.layers[t][0] is flow.at(t)
+
+
+def test_loader_build_refuses_a_flow_of_another_horizon():
+    doc = parse_document(json.dumps(coin_tree(3)), EXACT)
+    built = load_scenario(doc, EXACT)
+    short = Filtration(built.space, built.F.partitions[:-1])
+    keys, cells = scenario._paths(doc["prices"], "prices", built.space, EXACT)
+    with pytest.raises(SpaceError, match="horizon"):
+        Process.from_keys(built.space, keys, cells, short)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +197,9 @@ GOLDEN_DOCS = [path for cmd, path in INPUTS if cmd == "analyze"]
 def test_loader_builds_the_reference_layers_of_every_golden_input(path, mode):
     arith = ARITH[mode]
     doc = parse_document(path.read_text(), arith)
-    assert_loads_alike(doc, load_scenario(doc, arith).space, arith)
+    built = load_scenario(doc, arith)
+    assert_loads_alike(doc, built.space, arith)
+    assert_loads_alike(doc, built.space, arith, built.F)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -201,6 +251,14 @@ def _run(doc, mode, monkeypatch, capsys):
     return code, capsys.readouterr().err
 
 
+def reference_paths(paths_doc, path, space, arith, horizon=None):
+    """``reference.load_process`` in place of the loader's ``_paths``: the
+    paths read cell by cell, then handed on keyed by (outcome, t)."""
+    X = ref.load_process(paths_doc, path, space, arith, horizon)
+    keys = [[(o, t) for t in range(X.horizon + 1)] for o in space.outcomes]
+    return keys, {key: X.at(*key) for row in keys for key in row}
+
+
 def test_two_defects_fail_as_the_reference_loader_fails(monkeypatch, capsys):
     rng = random.Random(DEFECT_SEED)
     sources = [json.loads(path.read_text()) for path in GOLDEN_DOCS]
@@ -215,7 +273,7 @@ def test_two_defects_fail_as_the_reference_loader_fails(monkeypatch, capsys):
         got = _run(doc, mode, monkeypatch, capsys)
         with monkeypatch.context() as patch:
             patch.setattr(scenario, "_weights", ref.load_weights)
-            patch.setattr(scenario, "_process", ref.load_process)
+            patch.setattr(scenario, "_paths", reference_paths)
             want = _run(doc, mode, monkeypatch, capsys)
         codes.add(got[0])
         if got != want:
