@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -46,15 +47,25 @@ class Arithmetic:
     def exact(self) -> bool:
         return self.mode == EXACT_MODE
 
+    def decimal(self, raw):
+        """A JSON decimal (a ``Decimal``, as ``parse_document`` reads one) as
+        this mode reads it: the exact Fraction, or the nearest float (-0.0
+        kept, inf past the float range).  Any other value as it is."""
+        if type(raw) is Decimal:
+            return Fraction(raw) if self.exact else float(raw)
+        return raw
+
     def parse(self, raw) -> Num:
         """Turn a scenario-file value into a number of this mode.
 
-        Accepts ints, floats, Fractions and strings like "3/5" or "0.25".
-        Exact mode keeps everything rational and returns a Fraction input
-        itself; decimal strings are read as exact decimals ("0.1" becomes
-        1/10, not a binary float).  NaN and infinities are rejected in both
-        modes, as is a finite value too large for a float in float mode.
+        Accepts ints, floats, JSON decimals, Fractions and strings like
+        "3/5" or "0.25".  Exact mode keeps everything rational and returns
+        a Fraction input itself; decimals are read as exact decimals ("0.1"
+        becomes 1/10, not a binary float).  NaN and infinities are rejected
+        in both modes, as is a finite value too large for a float in float
+        mode.
         """
+        raw = self.decimal(raw)
         if isinstance(raw, bool):
             raise ArithmeticError_(f"expected a number, got {raw!r}")
         if isinstance(raw, (int, Fraction, str)):

@@ -288,8 +288,10 @@ def solve_moments(X: Process, Y: Process, target: Process, flow: Filtration,
     """The predictable x with E[dX_t transpose(dY_t) | A] x = target_t on
     each time-(t-1) atom B of ``flow``, A the time-(t-1) atom of ``base``
     holding B: the minimum-norm solution, once per distinct (moment,
-    target) value in this call, keyed straight off the layers (numbers are
-    decoded on a miss alone).  With X.dim = 0 x is zero; with Y.dim = 0
+    target) value in this call, keyed straight off the layers.  On a miss
+    the moment's integer numerators go to the solver as they are, with the
+    target scaled by their denominator, and only x (and a failing
+    residual) is decoded.  With X.dim = 0 x is zero; with Y.dim = 0
     the residual is the target.  A system with no solution raises
     CheckFailed(status, FailureWitness(reason, t, B, residual), stage),
     where ``failure`` = (status, reason, stage).  In float mode a
@@ -309,16 +311,20 @@ def solve_moments(X: Process, Y: Process, target: Process, flow: Filtration,
             key = moments[a], ids.setdefault(target_key, len(ids))
             hit = solved.get(key)
             if hit is None:
-                q = tuple(map(Fraction, cells[a], repeat(den))) if arith.exact else cells[a]
+                q = cells[a]
                 _check_range(q, arith)
-                Q = [list(q[i * d:(i + 1) * d]) for i in range(n)]
-                b = list(target.on_atoms(t, [b_atom])[0])
-                x, residual = linalg.lstsq_min_norm(Q, b, arith) if n else ((0,) * d, b)
+                b = target.on_atoms(t, [b_atom])[0]
+                # The moments over den: (Q/den) x = b is Q x = den b.
+                Q = [q[i * d:(i + 1) * d] for i in range(n)]
+                x, residual, xd = (linalg.lstsq_min_norm(Q, [den * v for v in b], arith)
+                                   if n else ((0,) * d, (), 1))
                 _check_range(residual, arith)
                 if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([b])):
+                    if arith.exact:  # b - (Q/den) x is residual / (xd den)
+                        residual = map(Fraction, residual, repeat(xd * den))
                     status, reason, stage = failure
                     raise CheckFailed(status, FailureWitness(reason, t, b_atom, tuple(residual)),
                                       stage)
-                solved[key] = hit = tuple(x)
+                solved[key] = hit = tuple(map(Fraction, x, repeat(xd)) if arith.exact else x)
             table[(t, k)] = hit
     return Process.predictable(flow, table, d)

@@ -39,7 +39,7 @@ import sys
 import time
 
 from . import report
-from .arith import EXACT, EXACT_MODE, FLOAT, FLOAT_MODE, Arithmetic
+from .arith import EXACT_MODE, FLOAT_MODE, Arithmetic
 from .enlarge import solve_phi
 from .jumpkernel import CoercivityFailure, NegativeTilt, site_checks, solve_site
 from .scenario import BuiltScenario, ScenarioError, document_arith, load_scenario, load_site
@@ -113,10 +113,10 @@ def _resolve_arith(args, doc=None) -> Arithmetic:
 def _load(args, loader):
     """Read, parse and load the input file with ``loader(doc, arith)``.
 
-    The text is parsed once, in the mode FORGE_MODE or --mode fixes (exact
-    when neither does); a document whose own "mode" then picks float is
-    parsed again, since its decimals read differently there.  Returns
-    (arith, loaded, t0), t0 taken just before parsing, or the exit code
+    The text is parsed once, its decimals kept exactly; the loader reads
+    each number in the mode FORGE_MODE, --mode or the document's own
+    "mode" picks.  Returns (arith, loaded, t0), t0 taken just before
+    parsing, or the exit code
     after printing the error: 2 for an unreadable file (missing, or not
     UTF-8), an unknown mode, a bad mode or tolerance field or bad JSON, 3
     for invalid model data.
@@ -134,11 +134,8 @@ def _load(args, loader):
         return _fail(str(err), EXIT_PARSE)
     t0 = time.perf_counter()
     try:
-        parsed = FLOAT if mode == FLOAT_MODE else EXACT
-        doc = parse_document(text, parsed)
-        arith = _resolve_arith(args, doc)
-        if arith.mode != parsed.mode:
-            doc = parse_document(text, arith)
+        doc = parse_document(text)
+        arith = document_arith(doc, mode, args.tolerance)
     except ValueError as err:
         return _fail(str(err), EXIT_PARSE)
     try:

@@ -34,8 +34,8 @@ class ModelFixture:
     signal: tuple | None = None
 
 
-def _document(filename: str, arith: Arithmetic):
-    return parse_document((SCENARIOS / filename).read_text(), arith)
+def _document(filename: str):
+    return parse_document((SCENARIOS / filename).read_text())
 
 
 def _model(name: str, doc, arith: Arithmetic) -> ModelFixture:
@@ -50,29 +50,29 @@ def _model(name: str, doc, arith: Arithmetic) -> ModelFixture:
 
 
 def b1(arith: Arithmetic = EXACT) -> ModelFixture:
-    return _model("b1", _document("one_step.json", arith), arith)
+    return _model("b1", _document("one_step.json"), arith)
 
 
 def b2(arith: Arithmetic = EXACT) -> ModelFixture:
-    doc = _document("perfect_insider.json", arith)
+    doc = _document("perfect_insider.json")
     doc["enlargement"] = {"kind": "none"}
     return _model("b2", doc, arith)
 
 
 def b2i(arith: Arithmetic = EXACT) -> ModelFixture:
-    return _model("b2i", _document("perfect_insider.json", arith), arith)
+    return _model("b2i", _document("perfect_insider.json"), arith)
 
 
 def b2n(arith: Arithmetic = EXACT) -> ModelFixture:
     """Outcome "xy1" is coins x, y with the signal flipped; F never sees the bit."""
-    return _model("b2n", _document("noisy_signal.json", arith), arith)
+    return _model("b2n", _document("noisy_signal.json"), arith)
 
 
 def insider_site(arith: Arithmetic = EXACT) -> Site:
     """The perfect-insider site: zero expanded Gram, nonzero drift demand."""
-    return load_site(_document("site_insider.json", arith), arith)
+    return load_site(_document("site_insider.json"), arith)
 
 
 def k1_site(arith: Arithmetic = EXACT) -> Site:
     """Two-dimensional inaccessible site with orthogonal child jumps."""
-    return load_site(_document("site_inaccessible.json", arith), arith)
+    return load_site(_document("site_inaccessible.json"), arith)

@@ -17,25 +17,28 @@ accessible site, zero at an inaccessible one.  Every deflator jump is read
 as xi.(w - c); only the per-child identity of ``check_jump_bound`` and its
 skip rule differ by flavor.
 
-One solver, ``solve_site``, recovers the integrand xi of the deflator's
-jump equation transpose(xi) M = r on the site.  The equation is coercive
-when M - u G_F is positive semidefinite for the tilt floor u > 0; after that
-certificate one minimum-norm solve of the symmetric system M xi = r gives
-xi, and the solution is re-verified against the growth bound and the
-equation itself.  This is the one pass over a site: its record,
-``SiteSolve``, also carries the coercivity check (decided once, at a
-degenerate site too) and the jump rows of ``check_jump_bound``, which the
-expanded-flow pipeline reads.  ``site_checks`` is the kernel's one pass
-rule, for the ``kernel`` command and the selftest alike.  The paper's
-generalized-inverse recipe on the column space of the base Gram,
-``restricted_inverse``, is the reference that ``tests/reference.py`` keeps
-to check the direct solve against.
+``solve_site`` recovers the integrand xi of the deflator's jump equation
+transpose(xi) M = r.  The equation is coercive when M - u G_F is positive
+semidefinite for the tilt floor u > 0; after that certificate one
+minimum-norm solve of the symmetric system M xi = r gives xi.  The solve
+runs on integers: the children are encoded once, as numerators over one
+denominator per quantity (``Layout``), M, G_F and r are integer matrices
+over known denominators, and ``linalg`` eliminates them fraction free.
+The growth bound and the equation itself are then re-verified on the
+decoded values, and the jump rows of ``check_jump_bound`` on the children,
+so the record, ``SiteSolve``, is checked in the numbers it reports.  It
+also carries the coercivity check (decided once, at a degenerate site too).
+``site_checks`` is the kernel's one pass rule, for the ``kernel`` command
+and the selftest alike; ``tests/reference.py`` keeps the paper's
+generalized-inverse recipe, ``restricted_inverse``, as the oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
@@ -143,16 +146,7 @@ def tilt_floor(site) -> Num:
 
 
 def _site_scale(site) -> Num:
-    vals = [1]
-    for c in site.children:
-        vals.extend(abs(x) for x in c.w)
-        vals.append(abs(c.nu))
-        vals.append(abs(c.delta))
-    return max(vals)
-
-
-# ---------------------------------------------------------------------------
-# solve certificates
+    return max(map(abs, chain([1], *([*c.w, c.nu, c.delta] for c in site.children))))
 
 
 def _within_growth_bound(G, x, v, eps, arith: Arithmetic) -> bool:
@@ -162,66 +156,62 @@ def _within_growth_bound(G, x, v, eps, arith: Arithmetic) -> bool:
     return lhs <= vGv or arith.negligible(lhs - vGv, max(1, abs(vGv)))
 
 
-def _coercive(M, G, u, arith: Arithmetic) -> bool:
-    """The coercivity certificate: M - u G is positive semidefinite."""
-    return linalg.is_psd(linalg.mat_add(M, linalg.mat_scale(G, u), sign=-1), arith)
-
-
 # ---------------------------------------------------------------------------
-# site Gram matrices and right-hand sides
+# the site on integers
 
 
-def _gram(site: Site, weight, origin):
-    """sum of weight(child) (w - origin)(w - origin)^T over children."""
-    G = [[0] * site.dim for _ in range(site.dim)]
-    for c in site.children:
-        f = weight(c)
-        w = [x - m for x, m in zip(c.w, origin)]
-        for i in range(site.dim):
-            for j in range(site.dim):
-                G[i][j] += f * w[i] * w[j]
-    return G
+# A site's children as numerators over one denominator per quantity (floats
+# over 1): p P/pd, rows w W/wd, nu Nu/nd, 1 + nu T/nd, (1 + nu) p mass/(nd pd),
+# delta De/dd and the centred rows w - c Y/yd.
+Layout = namedtuple("Layout", "P pd W wd Nu T nd mass De dd Y yd")
 
 
-def gram_F(site: Site):
-    """Base Gram of the driver jump: sum of prob * w w^T over children."""
-    return _gram(site, lambda c: c.prob, [0] * site.dim)
+def _layout(site: Site) -> Layout:
+    """The site's children encoded once, with the centre c = sum (1+nu) p w
+    of an accessible site taken once: the rows w - c over nd pd wd."""
+    exact = site.arith.exact
+    P, pd = _vector([c.prob for c in site.children], exact)
+    Nu, nd = _vector([c.nu for c in site.children], exact)
+    De, dd = _vector([c.delta for c in site.children], exact)
+    W, wd = linalg.numerators([c.w for c in site.children], exact)
+    T = [nu + nd for nu in Nu]
+    mass = [t * p for t, p in zip(T, P)]
+    Y, yd = W, wd
+    if site.accessible:
+        c = [sum((f * w[i] for f, w in zip(mass, W)), 0) for i in range(site.dim)]
+        Y, yd = [[x * (nd * pd) - m for x, m in zip(w, c)] for w in W], nd * pd * wd
+    return Layout(P, pd, W, wd, Nu, T, nd, mass, De, dd, Y, yd)
+
+
+def _vector(values, exact: bool):
+    """(numerators, den) of one number vector."""
+    (v,), den = linalg.numerators([values], exact)
+    return v, den
+
+
+def _value(num: Num, den: Num, exact: bool) -> Num:
+    """num/den: a Fraction in exact mode, num itself (over 1) in float mode."""
+    return Fraction(num, den) if exact else num
+
+
+def _gram(weights, rows, dim: int):
+    """sum of weight * y y^T over the rows y, one weight per row."""
+    return [[sum((f * y[i] * y[j] for f, y in zip(weights, rows)), 0) for j in range(dim)]
+            for i in range(dim)]
 
 
 def centre(site: Site) -> list[Num]:
     """Centre c of the driver jump under the tilted law: the tilted mean
     sum (1+nu) p w at an accessible site, zero at an inaccessible one."""
-    c = [0] * site.dim
-    if site.accessible:
-        for ch in site.children:
-            for i in range(site.dim):
-                c[i] += (1 + ch.nu) * ch.prob * ch.w[i]
-    return c
-
-
-def gram_G(site: Site):
-    """Expanded-flow Gram: sum (1+nu) p (w - c)(w - c)^T with c = centre(site).
-
-    At an accessible site this is the conditional covariance of the
-    compensated driver jump under the tilted (expanded-observer) law; at an
-    inaccessible site it is the scaled Gram sum (1+nu) q w w^T.
-    """
-    return _gram(site, lambda c: (1 + c.nu) * c.prob, centre(site))
+    if not site.accessible:
+        return [0] * site.dim
+    return [sum(((1 + c.nu) * c.prob * c.w[i] for c in site.children), 0)
+            for i in range(site.dim)]
 
 
 def _jump(xi, child: SiteChild, origin) -> Num:
     """The deflator jump xi.(w - origin) on one child."""
     return sum((x * (w - m) for x, w, m in zip(xi, child.w, origin)), 0)
-
-
-def site_rhs(site: Site) -> list[Num]:
-    """Right-hand side of the site equation: sum prob (delta + nu) w."""
-    r = [0] * site.dim
-    for c in site.children:
-        f = c.prob * (c.delta + c.nu)
-        for i in range(site.dim):
-            r[i] += f * c.w[i]
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -230,49 +220,54 @@ def site_rhs(site: Site) -> list[Num]:
 
 def solve_site(site: Site) -> SiteSolve:
     """Deflator-jump integrand xi at a site of either flavor, with the
-    site's whole certificate.
+    site's whole certificate: the coercivity check at the tilt floor, the
+    minimum-norm solve of transpose(xi) M = transpose(r), then the jump rows
+    of xi.  A degenerate zero-Gram site is feasible exactly when r = 0 (the
+    insider counterexample returns its residual); its coercivity is
+    recorded, not required.  In float mode a non-finite entry of M, G_F or
+    r raises OverflowError: the site is out of float range.
 
-    Solves transpose(xi) M = transpose(r) for M = ``gram_G(site)`` and r the
-    site right-hand side: the coercivity certificate at the tilt floor, then
-    the minimum-norm solve of M xi = r, then the jump rows of xi.
-    Degenerate zero-Gram sites are feasible exactly when r = 0 (the insider
-    counterexample returns its residual); their coercivity is recorded,
-    not required.  In float mode a non-finite entry of M, G_F or r raises
-    OverflowError: the site is out of float range.
+    M, G_F and r are integer matrices over known denominators, built on the
+    site's ``Layout``; coercivity is the PSD test of nd Gd M - u Md G_F.
+    The growth bound and the site equation are re-verified on the decoded
+    values, and the jump rows on the children themselves.
     """
     for c in charged(site):
         if 1 + c.nu < 0:
-            raise NegativeTilt(
-                f"charged child has tilt {1 + c.nu} < 0: no conditional density"
-            )
-    arith = site.arith
-    M = gram_G(site)
-    G = gram_F(site)
-    r = site_rhs(site)
-    if not arith.exact and not all(map(math.isfinite, [*r, *chain(*M), *chain(*G)])):
+            raise NegativeTilt(f"charged child has tilt {1 + c.nu} < 0: no conditional density")
+    arith, dim, lay = site.arith, site.dim, _layout(site)
+    exact, nd = arith.exact, lay.nd
+    M, Md = _gram(lay.mass, lay.Y, dim), nd * lay.pd * lay.yd * lay.yd
+    G, Gd = _gram(lay.P, lay.W, dim), lay.pd * lay.wd * lay.wd
+    drift = [p * (de * nd + nu * lay.dd) for p, de, nu in zip(lay.P, lay.De, lay.Nu)]
+    r = [sum((f * w[i] for f, w in zip(drift, lay.W)), 0) for i in range(dim)]
+    rd = lay.pd * lay.dd * nd * lay.wd
+    if not exact and not all(map(math.isfinite, [*r, *chain(*M), *chain(*G)])):
         raise OverflowError("site is out of float range")
-    u = tilt_floor(site)
-    scale = _site_scale(site)
-    zero = (0,) * site.dim
+    un = min(t for t, p in zip(lay.T, lay.P) if p > 0)  # the tilt floor u, over nd
+    u, scale, zero = _value(un, nd, exact), _site_scale(site), (0,) * dim
+    coercive = linalg.is_psd([[a * nd * Gd - un * b * Md for a, b in zip(ra, rb)]
+                              for ra, rb in zip(M, G)], arith)
     if all(arith.negligible(x, scale) for row in M for x in row):
         # Degenerate site: nothing to invert.  Solvable only for zero drift.
-        coercive = _coercive(M, G, u, arith)
         if linalg.vec_is_zero(r, arith, scale):
-            return SiteSolve(zero, True, zero, None, coercive,
-                             check_jump_bound(site, zero))
-        return SiteSolve(zero, False, tuple(r), None, coercive)
+            return SiteSolve(zero, True, zero, None, coercive, check_jump_bound(site, zero))
+        return SiteSolve(zero, False, tuple(_value(x, rd, exact) for x in r), None, coercive)
     if not u > 0:
-        raise CoercivityFailure(
-            f"tilt floor {u} is not positive: the site equation is not coercive"
-        )
-    if not _coercive(M, G, u, arith):
+        raise CoercivityFailure(f"tilt floor {u} is not positive: "
+                                "the site equation is not coercive")
+    if not coercive:
         raise CoercivityFailure("tilted form fails the coercivity inequality on V")
-    xi, _ = linalg.lstsq_min_norm(M, r, arith)
-    v, _ = linalg.lstsq_min_norm(G, r, arith)
+    # M x = r and G_F y = r over 1 give xi = x Md / (xd rd), v = y Gd / (yd rd).
+    x, _, xd = linalg.lstsq_min_norm(M, r, arith)
+    y, _, yd = linalg.lstsq_min_norm(G, r, arith)
+    xi = [_value(a * Md, xd * rd, exact) for a in x]
+    v = [_value(a * Gd, yd * rd, exact) for a in y]
+    M, G = ([[_value(a, den, exact) for a in row] for row in A] for A, den in ((M, Md), (G, Gd)))
     if not _within_growth_bound(G, xi, v, u, arith):
         raise CoercivityFailure("site solve exceeded its growth bound")
     # The solve must satisfy the original site equation; anything else is a bug.
-    check = linalg.vec_add(linalg.vec_mat(xi, M), r, sign=-1)
+    check = [linalg.dot(col, xi) - _value(b, rd, exact) for col, b in zip(zip(*M), r)]
     if not linalg.vec_is_zero(check, arith, scale):
         raise AssertionError("site solve missed the site equation")
     xi = tuple(xi)
@@ -318,8 +313,7 @@ def energy_bound(site: Site, xi: Sequence[Num], u: Num):
     if not u > 0:
         raise KernelError("energy bound needs a positive floor u")
     arith = site.arith
-    left = 0
-    right = 0
+    left = right = 0
     c0 = centre(site)
     for c in site.children:
         jump = _jump(xi, c, c0)

@@ -1,26 +1,40 @@
-"""Small dense linear algebra over exact rationals or floats.
+"""Small dense linear algebra on one pivoted Gauss-Jordan elimination.
 
-Everything is elimination based so that exact mode is bit-exact with
-Fractions.  Rank decisions in float mode use a relative pivot threshold
-(tolerance times the largest entry of the matrix being reduced); in exact
-mode a pivot is zero only when it is literally zero.  A least-squares
-solve decides its rank once, in its elimination of [A | b].
-
-Matrices are lists of row lists, vectors are flat lists.  Functions never
-mutate their arguments.
+Exact mode computes on integers: a rational matrix is read as numerators
+over one denominator (``numerators``), which moves no pivot column, rank,
+least-squares solution or definiteness, and the elimination is fraction
+free (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor and Labahn, Algorithms
+for Computer Algebra, 1992, ch. 9): a pivot p turns every other row a into
+(p a - f b) / d, b the pivot row, f the row's pivot-column entry and d the
+previous pivot, an exact division.  Every pivot row then holds the last
+pivot, so a solution comes back as numerators over one positive
+denominator, and the caller decodes a Fraction only where it needs one.
+Float mode divides the pivot row by its pivot and updates a - f b, and a
+pivot is zero when it is at most the tolerance times the largest entry of
+the matrix being reduced (in exact mode, when it is zero).  The pivot
+columns, the Moore-Penrose solution and a PSD decision are unique, so no
+exact answer depends on the route.  Matrices are lists of row lists,
+vectors flat lists; no function mutates its arguments.
 """
 
 from __future__ import annotations
 
-from .arith import EXACT, Arithmetic, Num
+import math
+
+from .arith import Arithmetic, Num
 
 
 class LinalgError(ValueError):
     pass
 
 
-def zeros(n: int) -> list[Num]:
-    return [0] * n
+def numerators(rows, exact: bool) -> tuple[list[list[Num]], int]:
+    """(rows, den): exact number rows as integer numerators over the lcm
+    ``den`` of their denominators; float rows as they are, over 1."""
+    if not exact:
+        return [list(row) for row in rows], 1
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def dot(u, v) -> Num:
@@ -29,33 +43,8 @@ def dot(u, v) -> Num:
     return sum((a * b for a, b in zip(u, v)), 0)
 
 
-def transpose(A) -> list[list[Num]]:
-    return [list(col) for col in zip(*A)] if A else []
-
-
 def mat_vec(A, v) -> list[Num]:
     return [dot(row, v) for row in A]
-
-
-def vec_mat(v, A) -> list[Num]:
-    """Row vector times matrix."""
-    return mat_vec(transpose(A), v)
-
-
-def mat_add(A, B, sign: int = 1) -> list[list[Num]]:
-    return [[a + sign * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c: Num) -> list[list[Num]]:
-    return [[c * x for x in row] for row in A]
-
-
-def vec_add(u, v, sign: int = 1) -> list[Num]:
-    return [a + sign * b for a, b in zip(u, v)]
-
-
-def vec_scale(u, c: Num) -> list[Num]:
-    return [c * x for x in u]
 
 
 def matrix_scale(A) -> Num:
@@ -68,135 +57,148 @@ def vec_is_zero(v, arith: Arithmetic, scale: Num = 1) -> bool:
     return all(arith.negligible(x, scale) for x in v)
 
 
-def rref(A, arith: Arithmetic, scale: Num | None = None):
-    """Reduced row echelon form.  Returns (R, pivot_columns).
+def _threshold(arith: Arithmetic, A) -> Num:
+    """The largest pivot size that counts as zero in A: 0 in exact mode."""
+    return 0 if arith.exact else arith.tolerance * max(1.0, abs(matrix_scale(A)))
 
-    Partial pivoting by largest absolute value; deterministic in both modes.
-    """
-    R = [list(row) for row in A]
-    m = len(R)
-    n = len(R[0]) if m else 0
-    if scale is None:
-        scale = matrix_scale(R)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r >= m:
+
+def _eliminate(R, cols: int, exact: bool, tol: Num = 0, symmetric: bool = False):
+    """Pivoted Gauss-Jordan elimination of the rows R, in place, over their
+    first ``cols`` columns: (pivots, d), the pivot columns and the reduced
+    form's positive denominator (1 in float mode).  A column's pivot
+    is its largest entry left, the column skipped when that is at most
+    ``tol``.  With ``symmetric`` the pivot is the largest diagonal entry
+    left, swapped into place by rows and columns alike, and the elimination
+    stops at one at most ``tol``, leaving a positive multiple of the Schur
+    complement of the pivots."""
+    m, pivots, d = len(R), [], 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == m:
             break
-        best = max(range(r, m), key=lambda i: abs(R[i][c]))
-        if arith.negligible(R[best][c], scale):
-            continue
+        if symmetric:
+            best = max(range(r, m), key=lambda i: R[i][i])
+            if R[best][best] <= tol:
+                break
+            for row in R:
+                row[r], row[best] = row[best], row[r]
+        else:
+            best = max(range(r, m), key=lambda i: abs(R[i][c]))
+            if abs(R[best][c]) <= tol:
+                continue
         R[r], R[best] = R[best], R[r]
-        piv = R[r][c]
-        R[r] = [x / piv for x in R[r]]
-        for i in range(m):
-            if i != r and R[i][c] != 0:
+        p = R[r][c]
+        if exact:
+            row = R[r]
+            for i in range(m):
                 f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+                if i != r and (f or p != d):
+                    R[i] = [(p * a - f * b) // d for a, b in zip(R[i], row)]
+            d = p
+        else:
+            R[r] = row = [x / p for x in R[r]]
+            for i in range(m):
+                if i != r and R[i][c] != 0:
+                    f = R[i][c]
+                    R[i] = [a - f * b for a, b in zip(R[i], row)]
         pivots.append(c)
-        r += 1
-    return R, pivots
+    if d < 0:
+        R[:], d = [[-x for x in row] for row in R], -d
+    return pivots, d
 
 
 def rank(A, arith: Arithmetic) -> int:
     if not A or not A[0]:
         return 0
-    _, pivots = rref(A, arith)
-    return len(pivots)
+    R, _ = numerators(A, arith.exact)
+    return len(_eliminate(R, len(R[0]), arith.exact, _threshold(arith, A))[0])
 
 
-def _null_basis(R, pivots, n: int) -> list[list[Num]]:
-    """Null-space basis of the first n columns read off a reduced form R."""
+def _solve(R, n: int, exact: bool, tol: Num = 0):
+    """(x, den): the solution x/den of the n x n system held by the
+    augmented rows R, reduced in place; raises LinalgError if singular."""
+    pivots, d = _eliminate(R, n, exact, tol)
+    if len(pivots) != n:
+        raise LinalgError("solve_pd: matrix is singular")
+    return [row[n] for row in R], d
+
+
+def solve_pd(M, b, arith: Arithmetic):
+    """Solve M x = b for symmetric positive definite M: (x, den), the
+    solution's numerators over den.  Raises LinalgError if M is singular."""
+    R, _ = numerators([[*row, v] for row, v in zip(M, b)], arith.exact)
+    return _solve(R, len(M), arith.exact, _threshold(arith, R))
+
+
+def _fit_columns(A, cols, v, exact: bool):
+    """(y, den): the coordinates y/den that make C y/den, for the independent
+    columns C = A[:, cols], the orthogonal projection of v onto their span."""
+    Ct = [[row[c] for row in A] for c in cols]
+    return _solve([[*(dot(u, w) for w in Ct), dot(u, v)] for u in Ct], len(cols), exact)
+
+
+def _null_basis(R, pivots, n: int, d: Num) -> list[list[Num]]:
+    """Null-space basis of the first n columns of a reduced form R over d,
+    one vector per free column."""
     basis = []
     for f in range(n):
         if f in pivots:
             continue
-        v = zeros(n)
-        v[f] = 1
-        for row_idx, p in enumerate(pivots):
-            v[p] = -R[row_idx][f]
+        v = [0] * n
+        v[f] = d
+        for row, p in zip(R, pivots):
+            v[p] = -row[f]
         basis.append(v)
     return basis
 
 
-def solve_pd(M, b, arith: Arithmetic) -> list[Num]:
-    """Solve M x = b for symmetric positive definite M (raises if singular)."""
-    n = len(M)
-    R, pivots = rref([list(row) + [rhs] for row, rhs in zip(M, b)], arith)
-    if len(pivots) != n or pivots != list(range(n)):
-        raise LinalgError("solve_pd: matrix is singular")
-    return [R[i][n] for i in range(n)]
-
-
-def _fit_columns(A, cols, v, arith: Arithmetic) -> list[Num]:
-    """The coordinates y that make C y, for the independent columns
-    C = A[:, cols], the orthogonal projection of v onto their span."""
-    Ct = [[row[c] for row in A] for c in cols]
-    return solve_pd([[dot(u, w) for w in Ct] for u in Ct], mat_vec(Ct, v), arith)
-
-
 def lstsq_min_norm(A, b, arith: Arithmetic):
-    """Minimum-norm least-squares solution of A x = b.
+    """Minimum-norm least-squares solution of A x = b: (x, residual, den),
+    x/den the solution and residual/den = b - A x/den, den positive.
 
-    Returns (x, residual) with residual = b - A x.  One elimination of
-    [A | b] gives both a particular solution and the null space of A;
-    removing the null-space component leaves the Moore-Penrose solution,
-    which lies in the row space of A.  When b falls outside the column
-    space, the pivot columns are fitted to its orthogonal projection
-    instead, so the residual is b - P_col(A) b.  The rank is decided once,
-    there: the Gram solves of the fit and of the null-space step take every
-    nonzero pivot (``EXACT``).
+    One elimination of [A | b] gives a particular solution and the null
+    space of A; removing the null-space component leaves the Moore-Penrose
+    solution.  When b falls outside the column space, the pivot columns are
+    fitted to its orthogonal projection instead, so the residual is
+    b - P_col(A) b.  The rank is decided once, there: the Gram solves of the
+    fit and of the null-space step take every nonzero pivot.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     if len(b) != m:
         raise LinalgError("lstsq_min_norm: shape mismatch")
+    exact = arith.exact
+    R, D = numerators([[*row, v] for row, v in zip(A, b)], exact)
+    A, b = [row[:n] for row in R], [row[n] for row in R]
     if n == 0:
-        return [], list(b)
-    R, pivots = rref([list(row) + [rhs] for row, rhs in zip(A, b)], arith,
-                     scale=matrix_scale(A))
+        return [], b, D
+    pivots, d = _eliminate(R, n + 1, exact, _threshold(arith, A))
     if pivots and pivots[-1] == n:
-        pivots = pivots[:-1]
-        y = _fit_columns(A, pivots, b, EXACT)
+        pivots.pop()
+        y, den = _fit_columns(A, pivots, b, exact)
     else:
-        y = [R[i][n] for i in range(len(pivots))]
-    x = zeros(n)
+        y, den = [R[i][n] for i in range(len(pivots))], d
+    x = [0] * n
     for p, value in zip(pivots, y):
         x[p] = value
     # Minimum norm: remove the null-space component of the particular solution.
-    N = _null_basis(R, pivots, n)
+    N = _null_basis(R, pivots, n, d)
     if N and not vec_is_zero(x, arith):
-        G = [[dot(u, v) for v in N] for u in N]
-        coeffs = solve_pd(G, [dot(u, x) for u in N], EXACT)
-        for u, a in zip(N, coeffs):
-            x = vec_add(x, vec_scale(u, a), sign=-1)
-    return x, vec_add(b, mat_vec(A, x), sign=-1)
+        coeffs, a = _solve([[*(dot(u, v) for v in N), dot(u, x)] for u in N], len(N), exact)
+        x, den = [a * v for v in x], den * a
+        for u, c in zip(N, coeffs):
+            x = [v - c * w for v, w in zip(x, u)]
+    residual = [den * v - dot(row, x) for row, v in zip(A, b)]
+    if D != 1:
+        x = [D * v for v in x]
+    return x, residual, den * D
 
 
 def is_psd(A, arith: Arithmetic) -> bool:
-    """Positive semidefiniteness of a symmetric matrix via pivoted elimination."""
-    n = len(A)
-    M = [list(row) for row in A]
-    scale = matrix_scale(M)
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: M[i][i])
-        if M[p][p] < 0 and not arith.negligible(M[p][p], scale):
-            return False
-        if arith.negligible(M[p][p], scale):
-            # Largest remaining diagonal is zero: the whole block must vanish.
-            for i in range(k, n):
-                for j in range(k, n):
-                    if not arith.negligible(M[i][j], scale):
-                        return False
-            return True
-        if p != k:
-            M[k], M[p] = M[p], M[k]
-            for row in M:
-                row[k], row[p] = row[p], row[k]
-        piv = M[k][k]
-        for i in range(k + 1, n):
-            if M[i][k] != 0:
-                f = M[i][k] / piv
-                for j in range(k, n):
-                    M[i][j] -= f * M[k][j]
-    return True
+    """Positive semidefiniteness of a symmetric matrix: eliminate on the
+    largest diagonal entry while it is above the threshold; the Schur
+    complement left must then vanish."""
+    R, _ = numerators(A, arith.exact)
+    tol = _threshold(arith, R)
+    k = len(_eliminate(R, len(R), arith.exact, tol, symmetric=True)[0])
+    return all(abs(x) <= tol for row in R[k:] for x in row[k:])

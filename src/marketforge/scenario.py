@@ -1,8 +1,10 @@
 """Scenario and site file ingestion.
 
-Scenario files are JSON.  In exact mode every number is read exactly --
-JSON decimals through a parse hook, integers, "p/q" and decimal strings
-through the arithmetic -- so a scenario round-trips bit-exactly.  The
+Scenario files are JSON, parsed once in either mode: a JSON decimal is
+kept as a ``Decimal`` and read, like every other number, where the loader
+reads its field, in the mode the run resolves (``Arithmetic.decimal``).
+In exact mode every number is read exactly -- decimals, integers, "p/q"
+and decimal strings -- so a scenario round-trips bit-exactly.  The
 weights and each list of paths are read by raw token (``_paths``): each
 distinct token is parsed once, so no cell is parsed or wrapped on its
 own.  The flow is the document's, or the natural flow of the driver's
@@ -21,6 +23,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 
@@ -63,10 +66,11 @@ def _field(path: str):
         raise ScenarioError(path, str(err)) from None
 
 
-def parse_document(text: str, arith: Arithmetic):
-    """JSON with numbers routed through the arithmetic backend."""
+def parse_document(text: str):
+    """JSON with each decimal kept exactly, as a ``Decimal``, for the loader
+    to read in the run's mode."""
     try:
-        return json.loads(text, parse_float=Fraction if arith.exact else float)
+        return json.loads(text, parse_float=Decimal)
     except json.JSONDecodeError as err:
         raise ValueError(f"not valid JSON: {err}") from None
 
@@ -79,18 +83,15 @@ def document_arith(doc, mode: str | None = None, tolerance: float | None = None)
     Either field, when present, must be valid even where an argument
     overrides it: "mode" is "exact" or "float", and "tolerance" a positive
     JSON number within the float range, a decimal read as float mode reads
-    it (so the document may have been parsed in either mode).
+    it.
     """
     doc = doc if isinstance(doc, dict) else {}
     if doc.get("mode", EXACT_MODE) not in (EXACT_MODE, FLOAT_MODE):
         raise ScenarioError("mode", 'expected "exact" or "float"')
     if "tolerance" in doc:
         raw = doc["tolerance"]
-        if type(raw) is Fraction:  # a decimal parsed in exact mode
-            try:
-                raw = float(raw)
-            except OverflowError:
-                raw = math.inf
+        if type(raw) is Decimal:
+            raw = float(raw)
         if type(raw) not in (int, float) or not 0 < raw <= sys.float_info.max:
             raise ScenarioError("tolerance", "expected a positive finite number")
         tolerance = float(raw) if tolerance is None else tolerance
@@ -119,15 +120,16 @@ _PLAIN = frozenset((str, int))  # the token types ``_token_key`` keys as themsel
 
 def _token_key(x):
     """The key of a raw JSON token: a string or an integer keys as itself,
-    any other token as its type and the token, except that a float (so
-    -0.0 stays apart from 0.0) or an object keys by its repr, an exact
-    decimal by its integer ratio and a list by its items' keys.  Only a
-    string is a string key and only an integer an integer key, so tokens
-    of one key are written alike, and have one number or fail alike."""
+    any other token as its type and the token, except that a float or a
+    JSON decimal (so -0.0 stays apart from 0.0) or an object keys by its
+    repr, a Fraction by its integer ratio and a list by its items' keys.
+    Only a string is a string key and only an integer an integer key, so
+    tokens of one key are written alike, and have one number or fail
+    alike."""
     kind = type(x)
     if kind is str or kind is int:
         return x
-    if kind is float or kind is dict:
+    if kind is float or kind is Decimal or kind is dict:
         return kind, repr(x)
     if kind is Fraction:
         return kind, x.as_integer_ratio()
@@ -136,9 +138,10 @@ def _token_key(x):
     return kind, x
 
 
-def _nonneg_int(value, path: str, expected: str) -> int:
+def _nonneg_int(value, path: str, expected: str, arith: Arithmetic) -> int:
     """A nonnegative JSON integer or integral JSON number (2 or 2.0), never a
-    boolean, so that both modes accept exactly the same values."""
+    boolean; a decimal is read as the run's mode reads it."""
+    value = arith.decimal(value)
     if (isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
             and (not isinstance(value, float) or math.isfinite(value))
             and value == int(value) and value >= 0):
@@ -225,7 +228,7 @@ def _filtration(flow_doc, path: str, space: SampleSpace) -> Filtration:
 
 
 def _enlargement(doc, path: str, F: Filtration, arith: Arithmetic) -> EnlargementPair:
-    kind = _require(doc, "kind", path)
+    kind = arith.decimal(_require(doc, "kind", path))
     if kind == "none":
         return EnlargementPair(F, F)
     if kind == "initial":
@@ -238,14 +241,14 @@ def _enlargement(doc, path: str, F: Filtration, arith: Arithmetic) -> Enlargemen
                 raise ScenarioError(f"{path}.variable[{i}]",
                                     "expected a string or number, not a list or object")
         with _field(f"{path}.variable"):
-            return build_initial_enlargement(F, tuple(variable))
+            return build_initial_enlargement(F, tuple(map(arith.decimal, variable)))
     if kind == "progressive":
         times = _require(doc, "times", path)
         if not isinstance(times, list) or len(times) != F.space.size:
             raise ScenarioError(f"{path}.times",
                                 f"expected one time per outcome ({F.space.size})")
         expected = "expected a nonnegative integer or \"inf\""
-        fixed = [INF if v == "inf" else _nonneg_int(v, f"{path}.times[{i}]", expected)
+        fixed = [INF if v == "inf" else _nonneg_int(v, f"{path}.times[{i}]", expected, arith)
                  for i, v in enumerate(times)]
         with _field(f"{path}.times"):
             return build_progressive_enlargement(F, RandomTime(F.space, tuple(fixed)))
@@ -342,10 +345,10 @@ def load_site(doc, arith: Arithmetic):
     """Resolve a parsed site document into a jump site."""
     if not isinstance(doc, dict):
         raise ScenarioError("", "site must be a JSON object")
-    kind = _require(doc, "kind", "")
+    kind = arith.decimal(_require(doc, "kind", ""))
     if kind not in ("accessible", "inaccessible"):
         raise ScenarioError("kind", f"expected accessible|inaccessible, got {kind!r}")
-    dim = _nonneg_int(_require(doc, "dim", ""), "dim", "expected a nonnegative integer")
+    dim = _nonneg_int(_require(doc, "dim", ""), "dim", "expected a nonnegative integer", arith)
     children_doc = _require(doc, "children", "")
     if not isinstance(children_doc, list) or not children_doc:
         raise ScenarioError("children", "expected a nonempty list")

@@ -10,11 +10,18 @@ builds test data with it.
   formula, a shifted process, a plain expectation, and predictability
   (adaptedness to the flow lagged by one step).
 
-* ``restricted_inverse`` (with ``pinv_psd`` and the linear-algebra helpers
-  only it needs) is the paper's generalized-inverse recipe for the site
-  equation: invert J = G^+ M on the column space of the base Gram G.  The
-  engine solves the same equation by one minimum-norm solve of M xi = r;
-  the site batteries assert both give the same xi.
+* ``rref``, ``rank``, ``solve_pd``, ``lstsq_min_norm`` and ``is_psd`` are
+  the linear algebra the engine ran before ``linalg`` eliminated fraction
+  free on integers: Gauss-Jordan elimination on the numbers themselves,
+  Fractions in exact mode, and an LDL^T loop of its own for ``is_psd``.
+  They are the oracle of the integer core (``test_linalg_core``).
+* ``restricted_inverse`` (with ``pinv_psd`` and the helpers only it needs)
+  is the paper's generalized-inverse recipe for the site equation: invert
+  J = G^+ M on the column space of the base Gram G.  The engine solves the
+  same equation by one minimum-norm solve of M xi = r; the site batteries
+  assert both give the same xi.  ``gram_F``, ``gram_G`` and ``site_rhs``
+  build its inputs from a site's children in Fractions, as ``jumpkernel``
+  did before it built them as integer matrices.
 * ``represent`` recovers the predictable integrand k with
   transpose(k) dW = dX, atom by atom.  It is the oracle behind
   ``mrp.check_mrp``: a driver has the representation property exactly
@@ -64,12 +71,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from marketforge import linalg
 from marketforge.arith import EXACT, Arithmetic
 from marketforge.calculus import compensator, integrate, is_martingale, pred_bracket
-from marketforge.jumpkernel import CoercivityFailure, KernelError, _within_growth_bound
+from marketforge.jumpkernel import CoercivityFailure, KernelError, _within_growth_bound, centre
 from marketforge.mrp import Driver
 from marketforge.scenario import ScenarioError, _field, _num
 from marketforge.space import (
@@ -134,7 +142,37 @@ def is_predictable(X: Process, filtration: Filtration) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra used only by the generalized-inverse reference
+# the Fraction Gauss-Jordan oracle of ``linalg``, and helpers of the
+# generalized-inverse reference
+
+
+def zeros(n: int) -> list:
+    return [0] * n
+
+
+def transpose(A) -> list:
+    return [list(col) for col in zip(*A)] if A else []
+
+
+def vec_mat(v, A) -> list:
+    """Row vector times matrix."""
+    return linalg.mat_vec(transpose(A), v)
+
+
+def mat_add(A, B, sign: int = 1) -> list:
+    return [[a + sign * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def mat_scale(A, c) -> list:
+    return [[c * x for x in row] for row in A]
+
+
+def vec_add(u, v, sign: int = 1) -> list:
+    return [a + sign * b for a, b in zip(u, v)]
+
+
+def vec_scale(u, c) -> list:
+    return [c * x for x in u]
 
 
 def outer(u, v):
@@ -142,8 +180,137 @@ def outer(u, v):
 
 
 def mat_mul(A, B):
-    Bt = linalg.transpose(B)
+    Bt = transpose(B)
     return [[linalg.dot(row, col) for col in Bt] for row in A]
+
+
+def decoded(v, den, arith: Arithmetic = EXACT) -> list:
+    """Numerators over den, as ``linalg`` returns them, as numbers."""
+    return [Fraction(x, den) for x in v] if arith.exact else list(v)
+
+
+def rref(A, arith: Arithmetic, scale=None):
+    """Reduced row echelon form by Gauss-Jordan elimination on the numbers
+    themselves, Fractions in exact mode.  Returns (R, pivot_columns).
+
+    Partial pivoting by largest absolute value; deterministic in both modes.
+    """
+    R = [list(row) for row in A]
+    m = len(R)
+    n = len(R[0]) if m else 0
+    if scale is None:
+        scale = linalg.matrix_scale(R)
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        best = max(range(r, m), key=lambda i: abs(R[i][c]))
+        if arith.negligible(R[best][c], scale):
+            continue
+        R[r], R[best] = R[best], R[r]
+        piv = R[r][c]
+        R[r] = [x / piv for x in R[r]]
+        for i in range(m):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def rank(A, arith: Arithmetic) -> int:
+    if not A or not A[0]:
+        return 0
+    return len(rref(A, arith)[1])
+
+
+def _null_basis(R, pivots, n: int) -> list:
+    """Null-space basis of the first n columns read off a reduced form R."""
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = zeros(n)
+        v[f] = 1
+        for row_idx, p in enumerate(pivots):
+            v[p] = -R[row_idx][f]
+        basis.append(v)
+    return basis
+
+
+def solve_pd(M, b, arith: Arithmetic) -> list:
+    """Solve M x = b for symmetric positive definite M (raises if singular)."""
+    n = len(M)
+    R, pivots = rref([list(row) + [rhs] for row, rhs in zip(M, b)], arith)
+    if len(pivots) != n or pivots != list(range(n)):
+        raise linalg.LinalgError("solve_pd: matrix is singular")
+    return [R[i][n] for i in range(n)]
+
+
+def fit_columns(A, cols, v, arith: Arithmetic) -> list:
+    """The coordinates y that make C y, for the independent columns
+    C = A[:, cols], the orthogonal projection of v onto their span."""
+    Ct = [[row[c] for row in A] for c in cols]
+    return solve_pd([[linalg.dot(u, w) for w in Ct] for u in Ct], linalg.mat_vec(Ct, v), arith)
+
+
+def lstsq_min_norm(A, b, arith: Arithmetic):
+    """Minimum-norm least-squares solution of A x = b: (x, residual), with
+    residual = b - A x.  One elimination of [A | b] gives a particular
+    solution and the null space of A; when b falls outside the column
+    space the pivot columns are fitted to its projection instead."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if len(b) != m:
+        raise linalg.LinalgError("lstsq_min_norm: shape mismatch")
+    if n == 0:
+        return [], list(b)
+    R, pivots = rref([list(row) + [rhs] for row, rhs in zip(A, b)], arith,
+                     scale=linalg.matrix_scale(A))
+    if pivots and pivots[-1] == n:
+        pivots = pivots[:-1]
+        y = fit_columns(A, pivots, b, EXACT)
+    else:
+        y = [R[i][n] for i in range(len(pivots))]
+    x = zeros(n)
+    for p, value in zip(pivots, y):
+        x[p] = value
+    N = _null_basis(R, pivots, n)
+    if N and not linalg.vec_is_zero(x, arith):
+        G = [[linalg.dot(u, v) for v in N] for u in N]
+        coeffs = solve_pd(G, [linalg.dot(u, x) for u in N], EXACT)
+        for u, a in zip(N, coeffs):
+            x = vec_add(x, vec_scale(u, a), sign=-1)
+    return x, vec_add(b, linalg.mat_vec(A, x), sign=-1)
+
+
+def is_psd(A, arith: Arithmetic) -> bool:
+    """Positive semidefiniteness of a symmetric matrix via an LDL^T
+    elimination pivoted on the largest diagonal entry."""
+    n = len(A)
+    M = [list(row) for row in A]
+    scale = linalg.matrix_scale(M)
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: M[i][i])
+        if M[p][p] < 0 and not arith.negligible(M[p][p], scale):
+            return False
+        if arith.negligible(M[p][p], scale):
+            # Largest remaining diagonal is zero: the whole block must vanish.
+            return all(arith.negligible(M[i][j], scale)
+                       for i in range(k, n) for j in range(k, n))
+        if p != k:
+            M[k], M[p] = M[p], M[k]
+            for row in M:
+                row[k], row[p] = row[p], row[k]
+        piv = M[k][k]
+        for i in range(k + 1, n):
+            if M[i][k] != 0:
+                f = M[i][k] / piv
+                for j in range(k, n):
+                    M[i][j] -= f * M[k][j]
+    return True
 
 
 def is_symmetric(A, arith: Arithmetic) -> bool:
@@ -162,15 +329,15 @@ def null_space(A, arith: Arithmetic):
     """Basis of the solution space of A x = 0, one vector per free column."""
     if not A:
         return []
-    R, pivots = linalg.rref(A, arith)
-    return linalg._null_basis(R, pivots, len(A[0]))
+    R, pivots = rref(A, arith)
+    return _null_basis(R, pivots, len(A[0]))
 
 
 def independent_columns(A, arith: Arithmetic) -> list[int]:
     """Indices of a maximal independent set of columns (RREF pivot columns)."""
     if not A or not A[0]:
         return []
-    _, pivots = linalg.rref(A, arith)
+    _, pivots = rref(A, arith)
     return pivots
 
 
@@ -178,9 +345,9 @@ def project_columns(A, v, arith: Arithmetic):
     """Orthogonal projection of v onto the column space of A."""
     cols = independent_columns(A, arith)
     if not cols:
-        return linalg.zeros(len(v))
+        return zeros(len(v))
     C = [[row[c] for c in cols] for row in A]
-    return linalg.mat_vec(C, linalg._fit_columns(A, cols, v, arith))
+    return linalg.mat_vec(C, fit_columns(A, cols, v, arith))
 
 
 def pinv_psd(G, arith: Arithmetic):
@@ -194,16 +361,48 @@ def pinv_psd(G, arith: Arithmetic):
     if not cols:
         return [[0] * n for _ in range(n)]
     B = [[row[c] for c in cols] for row in G]
-    Bt = linalg.transpose(B)
+    Bt = transpose(B)
     H = mat_mul(Bt, mat_mul(G, B))
-    Hinv_cols = [linalg.solve_pd(H, [1 if i == j else 0 for i in range(len(cols))], arith)
+    Hinv_cols = [solve_pd(H, [1 if i == j else 0 for i in range(len(cols))], arith)
                  for j in range(len(cols))]
-    Hinv = linalg.transpose(Hinv_cols)
+    Hinv = transpose(Hinv_cols)
     return mat_mul(B, mat_mul(Hinv, Bt))
 
 
 # ---------------------------------------------------------------------------
 # generalized-inverse site solve
+
+
+def _gram(site, weight, origin):
+    """sum of weight(child) (w - origin)(w - origin)^T over children."""
+    G = [[0] * site.dim for _ in range(site.dim)]
+    for c in site.children:
+        f = weight(c)
+        w = [x - m for x, m in zip(c.w, origin)]
+        for i in range(site.dim):
+            for j in range(site.dim):
+                G[i][j] += f * w[i] * w[j]
+    return G
+
+
+def gram_F(site):
+    """Base Gram of the driver jump: sum of prob * w w^T over children."""
+    return _gram(site, lambda c: c.prob, [0] * site.dim)
+
+
+def gram_G(site):
+    """Expanded-flow Gram: sum (1+nu) p (w - c)(w - c)^T with c = centre(site)."""
+    return _gram(site, lambda c: (1 + c.nu) * c.prob, centre(site))
+
+
+def site_rhs(site) -> list:
+    """Right-hand side of the site equation: sum prob (delta + nu) w."""
+    r = [0] * site.dim
+    for c in site.children:
+        f = c.prob * (c.delta + c.nu)
+        for i in range(site.dim):
+            r[i] += f * c.w[i]
+    return r
 
 
 class SingularOnV(Exception):
@@ -230,36 +429,36 @@ def restricted_inverse(G, J, v, eps, arith: Arithmetic = EXACT) -> RestrictedSol
     """
     if not eps > 0:
         raise KernelError("coercivity constant must be positive")
-    if not is_symmetric(G, arith) or not linalg.is_psd(G, arith):
+    if not is_symmetric(G, arith) or not is_psd(G, arith):
         raise KernelError("G must be symmetric positive semidefinite")
     d = len(G)
     GJ = mat_mul(G, J)
-    if not is_symmetric(GJ, arith) or not linalg.is_psd(GJ, arith):
+    if not is_symmetric(GJ, arith) or not is_psd(GJ, arith):
         raise KernelError("GJ must be symmetric positive semidefinite")
     cols = independent_columns(G, arith)
     if not cols:
         return RestrictedSolve((0,) * d, True, eps)
     B = [[row[c] for c in cols] for row in G]  # d x r basis of V
-    Bt = linalg.transpose(B)
+    Bt = transpose(B)
     scale = linalg.matrix_scale(J) * linalg.matrix_scale(B)
     JB = mat_mul(J, B)
     for j in range(len(cols)):
         col = [JB[i][j] for i in range(d)]
-        resid = linalg.vec_add(col, project_columns(B, col, arith), sign=-1)
+        resid = vec_add(col, project_columns(B, col, arith), sign=-1)
         if not linalg.vec_is_zero(resid, arith, scale):
             raise SingularOnV("J maps the column space outside itself")
     # Coercivity of the pair on V, expressed in the basis B.
-    M = linalg.mat_add(GJ, linalg.mat_scale(G, eps), sign=-1)
+    M = mat_add(GJ, mat_scale(G, eps), sign=-1)
     C = mat_mul(Bt, mat_mul(M, B))
-    if not linalg.is_psd(C, arith):
+    if not is_psd(C, arith):
         raise CoercivityFailure("tilted form fails the coercivity inequality on V")
     BtB = mat_mul(Bt, B)
-    a = linalg.solve_pd(BtB, linalg.mat_vec(Bt, list(v)), arith)
-    E = [linalg.solve_pd(BtB, linalg.mat_vec(Bt, [JB[i][j] for i in range(d)]), arith)
+    a = solve_pd(BtB, linalg.mat_vec(Bt, list(v)), arith)
+    E = [solve_pd(BtB, linalg.mat_vec(Bt, [JB[i][j] for i in range(d)]), arith)
          for j in range(len(cols))]
-    E = linalg.transpose(E)  # coordinates of J restricted to V
+    E = transpose(E)  # coordinates of J restricted to V
     try:
-        c = linalg.solve_pd(E, a, arith)
+        c = solve_pd(E, a, arith)
     except linalg.LinalgError:
         raise SingularOnV("J restricted to the column space is singular") from None
     x = linalg.mat_vec(B, c)
@@ -331,7 +530,7 @@ def represent(X: Process, driver: Driver) -> RepresentationCoefficients:
             dX = [delta(X, c[0], t) for c, _ in children]
             flat = [0] * (d * k)
             for i, y in enumerate(zip(*dX)):
-                coeff, residual = linalg.lstsq_min_norm(V, y, arith)
+                coeff, residual = lstsq_min_norm(V, y, arith)
                 if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([y])):
                     res = residual[0] if len(residual) == 1 else tuple(residual)
                     raise NotRepresentable(t, atom, res)
@@ -549,7 +748,7 @@ def load_process(paths_doc, path: str, space: SampleSpace, arith: Arithmetic,
     def num(x, where):
         if isinstance(x, (list, dict)):
             return _num(x, where(), arith)  # never a number: fails with the path
-        key = (type(x), repr(x) if isinstance(x, float) else x)
+        key = (type(x), repr(x) if isinstance(x, (float, Decimal)) else x)
         if key not in parsed:
             parsed[key] = _num(x, where(), arith)
         return parsed[key]

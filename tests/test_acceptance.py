@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-from marketforge import linalg
 from marketforge.arith import EXACT
 from marketforge.calculus import (
     bracket,
@@ -28,10 +27,7 @@ from marketforge.fixtures import b1, b2, b2n, k1_site
 from marketforge.jumpkernel import (
     check_jump_bound,
     energy_bound,
-    gram_F,
-    gram_G,
     site_checks,
-    site_rhs,
     solve_site,
     tilt_floor,
     verify_density,
@@ -56,13 +52,20 @@ from marketforge.viability import (
 
 from reference import (
     delta,
+    gram_F,
+    gram_G,
     is_predictable,
+    is_psd,
     lift_filtration,
     lift_process,
+    lstsq_min_norm,
+    mat_add,
     mat_mul,
+    mat_scale,
     pinv_psd,
     product_with_independent,
     restricted_inverse,
+    site_rhs,
 )
 from test_cli import SCENARIOS
 from test_golden_reports import GOLDEN
@@ -82,7 +85,7 @@ F = Fraction
 
 def _load(name):
     text = (SCENARIOS / name).read_text()
-    return load_scenario(parse_document(text, EXACT), EXACT)
+    return load_scenario(parse_document(text), EXACT)
 
 
 def _equal_processes(X, Y, horizon):
@@ -257,7 +260,7 @@ def test_insider_scenario_gate_and_bypass(capsys):
 
 def test_inaccessible_site_closed_form_numbers():
     site_file = json.loads((SCENARIOS / "site_inaccessible.json").read_text())
-    site = load_site(parse_document(json.dumps(site_file), EXACT), EXACT)
+    site = load_site(parse_document(json.dumps(site_file)), EXACT)
     assert site.children == k1_site().children
 
     out = solve_site(site)
@@ -292,13 +295,13 @@ def test_thousand_random_sites_pass_all_checks():
         M = gram_G(site)
         G = gram_F(site)
         assert solve.coercive
-        assert linalg.is_psd(linalg.mat_add(M, linalg.mat_scale(G, u), sign=-1), EXACT)
+        assert is_psd(mat_add(M, mat_scale(G, u), sign=-1), EXACT)
         assert solve.rows == check_jump_bound(site, solve.solution)
         assert all(r.ok for r in solve.rows)
         # independent cross-check: the generalized-inverse reference on the
         # base Gram's column space reproduces the solver's answer exactly
         J = mat_mul(pinv_psd(G, EXACT), M)
-        v, _ = linalg.lstsq_min_norm(G, site_rhs(site), EXACT)
+        v, _ = lstsq_min_norm(G, site_rhs(site), EXACT)
         assert restricted_inverse(G, J, v, u).solution == solve.solution
         # float mode solves the same site to the same answer, never raising
         floated = solve_site(site_to_float(site))

@@ -463,7 +463,7 @@ def test_increments_are_computed_once_per_process():
 @pytest.mark.parametrize("mode", MODES)
 def test_processes_hold_one_cell_per_atom_of_their_flow(mode):
     arith = MODES[mode]
-    built = load_scenario(parse_document((GOLDEN / "noisy_tree_T6.json").read_text(), arith),
+    built = load_scenario(parse_document((GOLDEN / "noisy_tree_T6.json").read_text()),
                           arith)
     verdict, _ = _run_pipeline(built)
     solution = verdict.solution

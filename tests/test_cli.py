@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, messages, reports, mode resolution."""
 
+import argparse
 import io
 import json
 import pathlib
@@ -12,7 +13,7 @@ from marketforge import cli, enlarge, linalg, viability
 from marketforge.arith import EXACT, FLOAT
 from marketforge.cli import main
 from marketforge.jumpkernel import CoercivityFailure
-from marketforge.scenario import load_scenario, parse_document
+from marketforge.scenario import load_scenario, load_site, parse_document
 from util import scaled
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -186,6 +187,26 @@ def test_document_mode_field_applies_when_no_flag(tmp_path, capsys):
     assert abs(report["solution"]["deflator"]["max"] - 1.2) < 1e-12
 
 
+@pytest.mark.parametrize("mode", [None, "exact", "float"])
+def test_a_document_is_parsed_once_and_its_decimals_read_in_the_run_mode(
+        tmp_path, monkeypatch, capsys, mode):
+    """A decimal is read where its field is, in the mode the run picks (here
+    the document's own "float" unless --mode says otherwise): -0.0 keeps
+    its sign in float mode, and the text is parsed once either way."""
+    site = json.loads((SCENARIOS / "site_inaccessible.json").read_text())
+    site["mode"] = "float"
+    site["children"][0]["nu"] = -0.0
+    parses = []
+    monkeypatch.setattr(cli, "parse_document",
+                        lambda text: parses.append(text) or parse_document(text))
+    loaded = cli._load(argparse.Namespace(file=write_doc(tmp_path, site), mode=mode,
+                                          tolerance=None), load_site)
+    arith, built, _ = loaded
+    assert len(parses) == 1 and arith.mode == (mode or "float")
+    nu = built.children[0].nu
+    assert repr(nu) == ("Fraction(0, 1)" if mode == "exact" else "-0.0")
+
+
 def test_mode_flag_overrides_document_mode(tmp_path, capsys):
     doc = json.loads((SCENARIOS / "one_step.json").read_text())
     doc["mode"] = "float"
@@ -204,7 +225,7 @@ def test_document_tolerance_feeds_float_arithmetic():
 
     from marketforge.cli import _resolve_arith
 
-    doc = parse_document(json.dumps({"mode": "float", "tolerance": 1e-6}), EXACT)
+    doc = parse_document(json.dumps({"mode": "float", "tolerance": 1e-6}))
     args = argparse.Namespace(mode=None, tolerance=None)
     arith = _resolve_arith(args, doc)
     assert arith.mode == "float" and arith.tolerance == 1e-6
@@ -752,7 +773,7 @@ def test_float_loader_keeps_signed_zeros():
     zeros = [0, 0.0, -0.0, 0, -0.0, 0.0, "0", "-0"]
     for path, zero in zip(doc["carrier"], zeros):
         path[0] = zero
-    built = load_scenario(parse_document(json.dumps(doc), FLOAT), FLOAT)
+    built = load_scenario(parse_document(json.dumps(doc)), FLOAT)
     got = [repr(built.carrier.at(o, 0)[0]) for o in built.space.outcomes]
     assert got == ["0.0", "0.0", "-0.0", "0.0", "-0.0", "0.0", "0.0", "0.0"]
 

@@ -18,16 +18,26 @@ from marketforge.jumpkernel import (
     check_jump_bound,
     energy_bound,
     centre,
-    gram_F,
-    gram_G,
     site_checks,
-    site_rhs,
     solve_site,
     tilt_floor,
     verify_density,
 )
 
-from reference import SingularOnV, mat_mul, pinv_psd, restricted_inverse
+from reference import (
+    SingularOnV,
+    gram_F,
+    gram_G,
+    is_psd,
+    lstsq_min_norm,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    pinv_psd,
+    restricted_inverse,
+    site_rhs,
+    transpose,
+)
 from util import b2n_site, random_site, site_to_float
 
 F = Fraction
@@ -47,8 +57,7 @@ def _inacc(rows, dim=1, arith=EXACT):
 
 def _coercive_at(site, u):
     """M - u G_F positive semidefinite, computed here from the two Grams."""
-    return linalg.is_psd(linalg.mat_add(gram_G(site), linalg.mat_scale(gram_F(site), u),
-                                        sign=-1), EXACT)
+    return is_psd(mat_add(gram_G(site), mat_scale(gram_F(site), u), sign=-1), EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +330,7 @@ def test_float_mode_reproduces_rational_sites():
 
 def _assert_site_contracts(site):
     M = gram_G(site)
-    assert M == linalg.transpose(M)  # exact symmetry
+    assert M == transpose(M)  # exact symmetry
     out = solve_site(site)
     assert out.feasible
     xi = list(out.solution)
@@ -330,7 +339,7 @@ def _assert_site_contracts(site):
     # Independent cross-check: the generalized-inverse reference solve.
     G = gram_F(site)
     J = mat_mul(pinv_psd(G, EXACT), M)
-    v, _ = linalg.lstsq_min_norm(G, site_rhs(site), EXACT)
+    v, _ = lstsq_min_norm(G, site_rhs(site), EXACT)
     assert list(restricted_inverse(G, J, v, u).solution) == xi
     assert out.rows == check_jump_bound(site, xi)
     assert out.coercive and _coercive_at(site, u)

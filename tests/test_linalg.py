@@ -1,4 +1,8 @@
-"""Elimination linear algebra: hand-checked oracles plus randomized identities."""
+"""Elimination linear algebra: hand-checked oracles plus randomized identities.
+
+``solve_pd`` and ``lstsq_min_norm`` return numerators over one
+denominator; ``solved`` decodes them.
+"""
 
 import random
 from fractions import Fraction
@@ -16,6 +20,12 @@ def frac_matrix(rows):
     return [[F(x) for x in row] for row in rows]
 
 
+def solved(A, b, arith=EXACT):
+    """(x, residual) of the minimum-norm least-squares solve, decoded."""
+    x, residual, den = la.lstsq_min_norm(A, b, arith)
+    return ref.decoded(x, den, arith), ref.decoded(residual, den, arith)
+
+
 def test_rref_rank_and_null_space():
     A = frac_matrix([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
     assert la.rank(A, EXACT) == 2
@@ -26,14 +36,14 @@ def test_rref_rank_and_null_space():
 
 def test_solve_pd_exact():
     M = frac_matrix([[2, 1], [1, 2]])
-    x = la.solve_pd(M, [F(3), F(3)], EXACT)
-    assert x == [1, 1]
+    x, den = la.solve_pd(M, [F(3), F(3)], EXACT)
+    assert ref.decoded(x, den) == [1, 1]
 
 
 def test_lstsq_consistent_underdetermined_is_min_norm():
     # x + y = 2 has many solutions; the minimum-norm one is (1, 1).
     A = frac_matrix([[1, 1]])
-    x, res = la.lstsq_min_norm(A, [F(2)], EXACT)
+    x, res = solved(A, [F(2)])
     assert x == [1, 1]
     assert res == [0]
 
@@ -41,14 +51,14 @@ def test_lstsq_consistent_underdetermined_is_min_norm():
 def test_lstsq_inconsistent_reports_projection_residual():
     # Columns span the x-axis only; b = (1, 1) leaves residual (0, 1).
     A = frac_matrix([[1, 0], [0, 0]])
-    x, res = la.lstsq_min_norm(A, [F(1), F(1)], EXACT)
+    x, res = solved(A, [F(1), F(1)])
     assert x == [1, 0]
     assert res == [0, 1]
 
 
 def test_lstsq_zero_matrix():
     A = frac_matrix([[0]])
-    x, res = la.lstsq_min_norm(A, [F(6, 5)], EXACT)
+    x, res = solved(A, [F(6, 5)])
     assert x == [0]
     assert res == [F(6, 5)]
 
@@ -77,12 +87,12 @@ def test_pinv_psd_penrose_identities():
         G = [[F(0)] * d for _ in range(d)]
         for _ in range(r):
             v = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d)]
-            G = la.mat_add(G, ref.outer(v, v))
+            G = ref.mat_add(G, ref.outer(v, v))
         P = ref.pinv_psd(G, EXACT)
         assert ref.mat_mul(G, ref.mat_mul(P, G)) == G
         assert ref.mat_mul(P, ref.mat_mul(G, P)) == P
         GP = ref.mat_mul(G, P)
-        assert GP == la.transpose(GP)
+        assert GP == ref.transpose(GP)
 
 
 def test_lstsq_random_penrose_properties():
@@ -91,9 +101,9 @@ def test_lstsq_random_penrose_properties():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
         b = [F(rng.randint(-3, 3)) for _ in range(m)]
-        x, res = la.lstsq_min_norm(A, b, EXACT)
+        x, res = solved(A, b)
         # Residual orthogonal to the column space.
-        assert all(v == 0 for v in la.vec_mat(res, A))
+        assert all(v == 0 for v in ref.vec_mat(res, A))
         # Solution inside the row space (orthogonal to the null space).
         for nv in ref.null_space(A, EXACT):
             assert la.dot(x, nv) == 0

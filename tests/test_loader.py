@@ -124,7 +124,7 @@ def documents(draw, mode):
 def test_loader_builds_the_reference_layers_from_random_columns(mode, data):
     space, text = data.draw(documents(mode))
     arith = ARITH[mode]
-    doc = parse_document(text, arith)
+    doc = parse_document(text)
     assert_same_layers(Process.from_keys(space, *scenario._paths(doc, "prices", space, arith)),
                        ref.load_process(doc, "prices", space, arith))
 
@@ -134,7 +134,7 @@ def test_loader_builds_the_reference_layers_from_random_columns(mode, data):
 def test_loader_builds_on_a_drawn_flow_the_reference_layers_refined_by_it(mode, data):
     space, text = data.draw(documents(mode))
     arith = ARITH[mode]
-    doc = parse_document(text, arith)
+    doc = parse_document(text)
     X = ref.load_process(doc, "prices", space, arith)
     # Each time refines the one before by a drawn label and, where the
     # column is to be adapted, by the column's own level sets.
@@ -158,7 +158,7 @@ def test_loader_builds_on_a_drawn_flow_the_reference_layers_refined_by_it(mode, 
 
 
 def test_loader_build_refuses_a_flow_of_another_horizon():
-    doc = parse_document(json.dumps(coin_tree(3)), EXACT)
+    doc = parse_document(json.dumps(coin_tree(3)))
     built = load_scenario(doc, EXACT)
     short = Filtration(built.space, built.F.partitions[:-1])
     keys, cells = scenario._paths(doc["prices"], "prices", built.space, EXACT)
@@ -196,7 +196,7 @@ GOLDEN_DOCS = [path for cmd, path in INPUTS if cmd == "analyze"]
 @pytest.mark.parametrize("path", GOLDEN_DOCS, ids=lambda p: p.stem)
 def test_loader_builds_the_reference_layers_of_every_golden_input(path, mode):
     arith = ARITH[mode]
-    doc = parse_document(path.read_text(), arith)
+    doc = parse_document(path.read_text())
     built = load_scenario(doc, arith)
     assert_loads_alike(doc, built.space, arith)
     assert_loads_alike(doc, built.space, arith, built.F)
@@ -206,7 +206,7 @@ def test_loader_builds_the_reference_layers_of_every_golden_input(path, mode):
 @pytest.mark.parametrize("horizon", range(2, 9))
 def test_loader_builds_the_reference_layers_of_coin_trees(horizon, mode):
     arith = ARITH[mode]
-    doc = parse_document(json.dumps(coin_tree(horizon)), arith)
+    doc = parse_document(json.dumps(coin_tree(horizon)))
     assert_loads_alike(doc, load_scenario(doc, arith).space, arith)
 
 
@@ -291,7 +291,7 @@ def test_exact_load_parses_each_distinct_token_once(monkeypatch):
     distinct driver and price tokens: the loader parses those and makes no
     Fraction per outcome or per cell (a per-cell load parses 166 tokens and
     makes 294 Fractions)."""
-    doc = parse_document((GOLDEN / "noisy_tree_T6.json").read_text(), EXACT)
+    doc = parse_document((GOLDEN / "noisy_tree_T6.json").read_text())
     calls = {"Fraction": 0, "parse": 0}
     fraction_new, parse = Fraction.__new__, Arithmetic.parse
 

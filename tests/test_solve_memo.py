@@ -25,7 +25,7 @@ from marketforge.enlarge import solve_phi
 from marketforge.jumpkernel import solve_site
 from marketforge.mrp import synthesize_driver
 from marketforge.scenario import load_scenario, parse_document
-from marketforge.space import EnlargementPair, Process, _decoded, atom_means
+from marketforge.space import EnlargementPair, Process, _rows, atom_means
 from marketforge.space import build_initial_enlargement
 from marketforge.viability import CheckFailed, Market, solve_structure_F, solve_structure_G
 
@@ -37,7 +37,7 @@ MODES = {"exact": EXACT, "float": FLOAT}
 
 def _tree_T4():
     text = (GOLDEN / "noisy_tree_T4.json").read_text()
-    built = load_scenario(parse_document(text, EXACT), EXACT)
+    built = load_scenario(parse_document(text), EXACT)
     base = solve_structure_F(built.market, built.driver)
     gauge = solve_phi(built.pair, built.carrier, built.driver.W)
     return built, base, gauge
@@ -162,24 +162,26 @@ def test_memoized_sites_match_a_direct_solve_per_site(mode):
 
 
 def _systems(X, Y, target, flow, base):
-    """(t, B, Q, b) for each time-(t-1) atom B of ``flow``: the moment
-    matrix Q = E[dX_t transpose(dY_t) | A] of the ``base`` atom A holding
-    B, decoded from its atom means, and the target on B.  In exact mode Q is
-    also checked against a sum over A's outcomes."""
+    """(t, B, Q, b, den) for each time-(t-1) atom B of ``flow``: the system
+    as ``solve_moments`` hands it to the solver, Q the moment matrix
+    E[dX_t transpose(dY_t) | A] of the ``base`` atom A holding B as the
+    numerators of its atom means over den, and b the target on B times den.
+    In exact mode Q/den is also checked against a sum over A's outcomes."""
     space, n, d = X.space, X.dim, Y.dim
     for t in range(1, flow.horizon + 1):
         a_part, b_part = base.at(t - 1), flow.at(t - 1)
-        means = _decoded(atom_means(a_part, X.increments.layers[t], Y.increments.layers[t]),
-                         space.arith.exact)
+        _, cols, den = atom_means(a_part, X.increments.layers[t], Y.increments.layers[t])
+        cells = _rows(cols, len(a_part.atoms))
         for B, a in zip(b_part.atoms, b_part.parents(a_part)):
-            Q = [list(means[a][i * d:(i + 1) * d]) for i in range(n)]
+            Q = [cells[a][i * d:(i + 1) * d] for i in range(n)]
             if space.arith.exact:
                 atom = a_part.atoms[a]
                 mass = sum(map(space.weight, atom))
-                assert Q == [[sum(space.weight(o) * X.increments.at(o, t)[i]
-                                  * Y.increments.at(o, t)[j] for o in atom) / mass
-                              for j in range(d)] for i in range(n)]
-            yield t, B, Q, list(target.on_atoms(t, [B])[0])
+                assert [[Fraction(v, den) for v in row] for row in Q] == \
+                    [[sum(space.weight(o) * X.increments.at(o, t)[i]
+                          * Y.increments.at(o, t)[j] for o in atom) / mass
+                      for j in range(d)] for i in range(n)]
+            yield t, B, Q, [den * v for v in target.on_atoms(t, [B])[0]], den
 
 
 def _system_key(Q, b):
@@ -209,23 +211,28 @@ def test_moment_solves_match_a_direct_solve_per_atom(mode, monkeypatch):
         for X, Y, target, flow in ((market.martingale_part, W, market.drift_part.increments, F),
                                    (W, W, gamma, G), (W, W.component(0), gamma, G)):
             systems = list(_systems(X, Y, target, flow, F))
-            direct = [lstsq(Q, b, arith) for _, _, Q, b in systems]
-            bad = [k for k, ((_, _, _, b), (_, residual)) in enumerate(zip(systems, direct))
+            direct = []  # (x, residual) of each system, decoded
+            for _, _, Q, b, den in systems:
+                x, residual, xd = lstsq(Q, b, arith)
+                direct.append((x, residual) if mode == "float" else
+                              ([Fraction(v, xd) for v in x],
+                               [Fraction(v, xd * den) for v in residual]))
+            bad = [k for k, ((_, _, _, b, _), (_, residual)) in enumerate(zip(systems, direct))
                    if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([b]))]
             calls.clear()
             try:
                 x = solve_moments(X, Y, target, flow, F, ("status", "reason", "stage"))
             except CheckFailed as err:
-                t, B, _, _ = systems[bad[0]]
+                t, B, _, _, _ = systems[bad[0]]
                 assert (err.status, err.stage) == ("status", "stage")
                 assert err.witness == FailureWitness(
                     "reason", t, B, tuple(direct[bad[0]][1]))
                 raised += 1
                 continue
             assert bad == []
-            for (t, B, _, _), (coeffs, _) in zip(systems, direct):
+            for (t, B, _, _, _), (coeffs, _) in zip(systems, direct):
                 assert list(map(same, x.at(B[0], t))) == list(map(same, coeffs))
-            keys = [_system_key(Q, b) for _, _, Q, b in systems]
+            keys = [_system_key(Q, b) for _, _, Q, b, _ in systems]
             assert sorted(calls) == sorted(set(keys))  # each distinct system once
             compared += len(keys)
             distinct += len(calls)

@@ -97,7 +97,7 @@ def test_tree_index_matches_outcome_grouping(mode, seed, kind):
 @pytest.mark.parametrize("mode, solves", [("exact", (4, 12)), ("float", (26, 65))])
 def test_analyze_after_load_groups_no_outcome(monkeypatch, mode, solves):
     arith = MODES[mode]
-    built = load_scenario(parse_document((GOLDEN / "noisy_tree_T6.json").read_text(), arith),
+    built = load_scenario(parse_document((GOLDEN / "noisy_tree_T6.json").read_text()),
                           arith)
     calls = {"groupings": 0, "outcome meets": 0, "sites": 0, "moment solves": 0}
 
