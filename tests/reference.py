@@ -22,6 +22,12 @@ builds test data with it.
   assert both give the same xi.  ``gram_F``, ``gram_G`` and ``site_rhs``
   build its inputs from a site's children in Fractions, as ``jumpkernel``
   did before it built them as integer matrices.
+* ``solve_site``, ``check_jump_bound``, ``energy_bound``,
+  ``verify_density``, ``tilt_floor`` and ``validate_site`` (with
+  ``centre`` and ``within_growth_bound``) are the site solve's record and
+  checks computed on the children's numbers, Fractions in exact mode, as
+  ``jumpkernel`` ran them before it cross-multiplied numerators on the
+  site's layout.  They are the oracle of ``test_site_numerators``.
 * ``represent`` recovers the predictable integrand k with
   transpose(k) dW = dX, atom by atom.  It is the oracle behind
   ``mrp.check_mrp``: a driver has the representation property exactly
@@ -73,11 +79,18 @@ import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 
 from marketforge import linalg
 from marketforge.arith import EXACT, Arithmetic
 from marketforge.calculus import compensator, integrate, is_martingale, pred_bracket
-from marketforge.jumpkernel import CoercivityFailure, KernelError, _within_growth_bound, centre
+from marketforge.jumpkernel import (
+    CoercivityFailure,
+    JumpBoundRow,
+    KernelError,
+    NegativeTilt,
+    SiteSolve,
+)
 from marketforge.mrp import Driver
 from marketforge.scenario import ScenarioError, _field, _num
 from marketforge.space import (
@@ -462,9 +475,167 @@ def restricted_inverse(G, J, v, eps, arith: Arithmetic = EXACT) -> RestrictedSol
     except linalg.LinalgError:
         raise SingularOnV("J restricted to the column space is singular") from None
     x = linalg.mat_vec(B, c)
-    if not _within_growth_bound(G, x, list(v), eps, arith):
+    if not within_growth_bound(G, x, list(v), eps, arith):
         raise CoercivityFailure("restricted inverse exceeded its growth bound")
     return RestrictedSolve(tuple(x), True, eps)
+
+
+# ---------------------------------------------------------------------------
+# the site solve and its checks on the children's numbers
+
+
+def validate_site(dim: int, children, accessible: bool, arith: Arithmetic = EXACT) -> None:
+    """``Site``'s invariants on the children's numbers: raises KernelError
+    with the engine's message on the first one that fails."""
+    if dim < 0:
+        raise KernelError("site dimension must be nonnegative")
+    if not children:
+        raise KernelError("site needs at least one child")
+    for c in children:
+        if len(c.w) != dim:
+            raise KernelError("child jump vector has the wrong dimension")
+        if c.prob < 0:
+            raise KernelError("child probabilities must be nonnegative")
+    if not arith.eq(sum((c.prob for c in children), 0), 1):
+        raise KernelError("child probabilities must sum to 1")
+    for c in children:
+        if c.prob > 0 and not c.delta < 1:
+            raise KernelError("delta must stay below 1 on charged children")
+    mean_tilt = sum((c.prob * c.nu for c in children), 0)
+    if accessible:
+        for j in range(dim):
+            total = sum((c.prob * c.w[j] for c in children), 0)
+            if not arith.is_zero(total):
+                raise KernelError("driver jump must be centered at an accessible site")
+        if not arith.is_zero(mean_tilt):
+            raise KernelError("tilt must average to zero at an accessible site")
+    elif not 1 + mean_tilt > 0:
+        raise KernelError("aggregate tilt 1 + sum(q nu) must be positive")
+
+
+def charged(site) -> list:
+    return [c for c in site.children if c.prob > 0]
+
+
+def tilt_floor(site):
+    """The site's u: minimum of 1 + nu over charged children."""
+    return min(1 + c.nu for c in charged(site))
+
+
+def site_scale(site):
+    """max(1, |w|, |nu|, |delta|) over the children."""
+    return max(map(abs, chain([1], *([*c.w, c.nu, c.delta] for c in site.children))))
+
+
+def centre(site) -> list:
+    """Centre c of the driver jump under the tilted law: the tilted mean
+    sum (1+nu) p w at an accessible site, zero at an inaccessible one."""
+    if not site.accessible:
+        return [0] * site.dim
+    return [sum(((1 + c.nu) * c.prob * c.w[i] for c in site.children), 0)
+            for i in range(site.dim)]
+
+
+def _jump(xi, child, origin):
+    """The deflator jump xi.(w - origin) on one child."""
+    return sum((x * (w - m) for x, w, m in zip(xi, child.w, origin)), 0)
+
+
+def within_growth_bound(G, x, v, eps, arith: Arithmetic) -> bool:
+    """|x|_G <= (1/eps)|v|_G, compared without square roots."""
+    lhs = eps * eps * linalg.dot(x, linalg.mat_vec(G, x))
+    vGv = linalg.dot(v, linalg.mat_vec(G, v))
+    return lhs <= vGv or arith.negligible(lhs - vGv, max(1, abs(vGv)))
+
+
+def check_jump_bound(site, xi) -> tuple:
+    """Per-child jump identities and the strict bound (jump < 1), on the
+    children's numbers: (jump - 1)(1 + nu) p = (delta - 1) p on every
+    charged child of an accessible site, jump = (delta + nu)/(1 + nu) on
+    the charged children with nonzero w and 1 + nu of an inaccessible one."""
+    arith = site.arith
+    rows = []
+    c0 = centre(site)
+    for idx, c in enumerate(site.children):
+        if not c.prob > 0:
+            continue
+        jump = _jump(xi, c, c0)
+        if site.accessible:
+            lhs, rhs = (jump - 1) * (1 + c.nu) * c.prob, (c.delta - 1) * c.prob
+        elif all(arith.is_zero(w) for w in c.w) or arith.is_zero(1 + c.nu):
+            continue
+        else:
+            lhs, rhs = jump, (c.delta + c.nu) / (1 + c.nu)
+        rows.append(JumpBoundRow(idx, jump, lhs, rhs, arith.eq(lhs, rhs) and jump < 1))
+    return tuple(rows)
+
+
+def energy_bound(site, xi, u):
+    """(ok, left, right): the tilted second moment of the deflator jump
+    against (1/u) times the second moment of delta + nu."""
+    if not u > 0:
+        raise KernelError("energy bound needs a positive floor u")
+    arith = site.arith
+    left = right = 0
+    c0 = centre(site)
+    for c in site.children:
+        jump = _jump(xi, c, c0)
+        left += (1 + c.nu) * c.prob * jump * jump
+        right += c.prob * (c.delta + c.nu) ** 2
+    right = right / u
+    ok = left <= right or arith.negligible(left - right, max(1, abs(right)))
+    return ok, left, right
+
+
+def verify_density(site) -> bool:
+    """Tilts nonnegative on charged children, and the tilted masses
+    (1 + nu) p (accessible) or the densities (1 + nu) q / (1 + sum q nu)
+    (inaccessible) summing to one."""
+    arith = site.arith
+    if any(1 + c.nu < 0 for c in charged(site)):
+        return False
+    if site.accessible:
+        total = sum(((1 + c.nu) * c.prob for c in site.children), 0)
+        return arith.eq(total, 1)
+    denom = 1 + sum((c.prob * c.nu for c in site.children), 0)
+    if not denom > 0:
+        return False
+    total = sum(((1 + c.nu) * c.prob / denom for c in site.children), 0)
+    return arith.eq(total, 1)
+
+
+def solve_site(site) -> SiteSolve:
+    """``jumpkernel.solve_site`` on the children's numbers: the Grams and r
+    of ``gram_G``, ``gram_F`` and ``site_rhs``, coercivity as this module's
+    ``is_psd`` of M - u G_F, the elimination of this module, and the growth
+    bound and the site equation checked on the solved values."""
+    arith, dim = site.arith, site.dim
+    for c in charged(site):
+        if 1 + c.nu < 0:
+            raise NegativeTilt(f"charged child has tilt {1 + c.nu} < 0: no conditional density")
+    M, G, r = gram_G(site), gram_F(site), site_rhs(site)
+    if not arith.exact and not all(map(math.isfinite, [*r, *chain(*M), *chain(*G)])):
+        raise OverflowError("site is out of float range")
+    u, scale, zero = tilt_floor(site), site_scale(site), (0,) * dim
+    coercive = is_psd(mat_add(M, mat_scale(G, u), sign=-1), arith)
+    if all(arith.negligible(x, linalg.matrix_scale(M)) for row in M for x in row):
+        if linalg.vec_is_zero(r, arith, scale):
+            return SiteSolve(zero, True, zero, None, coercive, check_jump_bound(site, zero))
+        return SiteSolve(zero, False, tuple(r), None, coercive)
+    if not u > 0:
+        raise CoercivityFailure(f"tilt floor {u} is not positive: "
+                                "the site equation is not coercive")
+    if not coercive:
+        raise CoercivityFailure("tilted form fails the coercivity inequality on V")
+    xi, _ = lstsq_min_norm(M, r, arith)
+    v, _ = lstsq_min_norm(G, r, arith)
+    if not within_growth_bound(G, xi, v, u, arith):
+        raise CoercivityFailure("site solve exceeded its growth bound")
+    check = [linalg.dot(col, xi) - b for col, b in zip(zip(*M), r)]
+    if not linalg.vec_is_zero(check, arith, scale):
+        raise AssertionError("site solve missed the site equation")
+    xi = tuple(xi)
+    return SiteSolve(xi, True, zero, u, True, check_jump_bound(site, xi))
 
 
 # ---------------------------------------------------------------------------

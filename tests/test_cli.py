@@ -549,6 +549,25 @@ def test_kernel_site_out_of_float_range_exits_3(tmp_path, capsys, mode):
         assert not report.exists()
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("delta", [-1e200, -1e300])
+def test_kernel_site_with_a_huge_delta_is_not_degenerate(tmp_path, capsys, mode, delta):
+    # A huge delta must not make float mode read the site's ordinary Gram as
+    # zero (exit 4, infeasible): the degenerate test measures M against its
+    # own entries, not against the site's largest number.
+    doc = json.loads((SCENARIOS / "site_inaccessible.json").read_text())
+    doc["children"][0]["delta"] = delta
+    report = tmp_path / "out.json"
+    code, _, err = run_cli(["kernel", write_doc(tmp_path, doc), "--mode", mode,
+                            "--report", str(report)], capsys)
+    if mode == "exact":
+        assert code == 0 and err == ""
+        assert json.loads(report.read_text())["solve"]["feasible"] is True
+    else:
+        assert code == 3 and err == "error: site is out of float range\n"
+        assert not report.exists()
+
+
 def _site_gram_overflows(doc):
     doc["children"][0]["w"] = [1e200, 0]
 

@@ -17,7 +17,6 @@ from marketforge.jumpkernel import (
     SiteChild,
     check_jump_bound,
     energy_bound,
-    centre,
     site_checks,
     solve_site,
     tilt_floor,
@@ -26,6 +25,7 @@ from marketforge.jumpkernel import (
 
 from reference import (
     SingularOnV,
+    centre,
     gram_F,
     gram_G,
     is_psd,
