@@ -100,8 +100,6 @@ from marketforge.space import (
     SampleSpace,
     SpaceError,
     _cell_key,
-    _grouped,
-    _level_sets,
     first_mismatch,
     is_adapted,
 )
@@ -946,7 +944,8 @@ def load_process(paths_doc, path: str, space: SampleSpace, arith: Arithmetic,
 def by_values(space: SampleSpace, paths) -> Process:
     """The process of per-outcome paths of number vectors, one time column
     at a time: exact cells as integer numerators over the column's lcm,
-    grouped by those, float cells grouped as ``_cell_key`` keys them."""
+    grouped by those, float cells grouped as ``_cell_key`` keys them, each
+    column's outcomes grouped by ``by_level_sets``."""
     if len(paths) != space.size:
         raise SpaceError("process needs one path per outcome")
     if len({len(v) for path in paths for v in path}) > 1:
@@ -957,11 +956,12 @@ def by_values(space: SampleSpace, paths) -> Process:
     for column in zip(*paths):
         if space.arith.exact:
             den = math.lcm(*(x.denominator for v in column for x in v))
-            layers.append((*_level_sets(space, (tuple(x.numerator * (den // x.denominator)
-                                                      for x in v) for v in column)), den))
+            cells = [tuple(x.numerator * (den // x.denominator) for x in v) for v in column]
+            keys = cells
         else:
-            part = _grouped(space, map(_cell_key, column))
-            layers.append((part, tuple(column[m[0]] for m in part.members), 1))
+            den, cells, keys = 1, column, [_cell_key(v) for v in column]
+        part = by_level_sets(space, keys)
+        layers.append((part, tuple(cells[m[0]] for m in part.members), den))
     return Process(space, tuple(map(by_column, layers)))
 
 

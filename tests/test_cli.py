@@ -951,3 +951,59 @@ def test_a_float_mean_out_of_range_exits_3(tmp_path, capsys):
                            capsys)
     assert (code, err) == (3, "error: scenario is out of float range\n")
     assert not report.exists()
+
+
+# ---------------------------------------------------------------------------
+# analyze: a given flow's errors, as the base flow and as the expanded flow
+
+
+EXPLICIT = json.loads((GOLDEN / "explicit_noisy_second_coin.json").read_text())
+COIN_PAIRS = [["uu0", "uu1"], ["ud0", "ud1"], ["du0", "du1"], ["dd0", "dd1"]]
+HALVES = [["uu0", "uu1", "ud0", "ud1"], ["du0", "du1", "dd0", "dd1"]]
+
+
+def _spoiled_flow(spoil: str) -> list:
+    """The golden's expanded flow with one or two rules broken."""
+    flow = json.loads(json.dumps(EXPLICIT["enlargement"]["flow"]))
+    if spoil == "unknown":
+        flow[1][0][1] = "zz"
+    elif spoil == "twice":
+        flow[1][1].append("uu0")
+    elif spoil == "cover":
+        flow[1][0].remove("ud1")
+    elif spoil == "empty":
+        flow[1].append([])
+    elif spoil == "time":  # time 2 is the base flow's, which splits the time-1 atoms
+        flow[2] = COIN_PAIRS
+    elif spoil == "base":  # time 1 learns nothing, where the base flow sees the first coin
+        flow[1] = flow[0]
+    elif spoil == "both":  # time 2 neither refines time 1 nor the base flow's time 2
+        flow[2] = HALVES
+    return flow
+
+
+FLOW_ERRORS = {
+    "unknown": "{}[1]: unknown outcome 'zz'",
+    "twice": "{}[1]: outcome 'uu0' appears in two atoms",
+    "cover": "{}[1]: partition must cover every outcome",
+    "empty": "{}[1]: empty atom in partition",
+    "time": "{}: partition at time 2 does not refine time 1",
+    "base": "{}: expanded flow does not refine the base flow",
+    "both": "{}: partition at time 2 does not refine time 1",
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("field, spoil", [
+    (field, spoil) for field in ("flow", "enlargement.flow") for spoil in FLOW_ERRORS
+    if field == "enlargement.flow" or spoil != "base"])  # only G has a base flow to refine
+def test_analyze_given_flow_errors_exit_3_naming_the_field(tmp_path, capsys, field, spoil,
+                                                            mode):
+    doc = json.loads(json.dumps(EXPLICIT))
+    if field == "flow":
+        doc["flow"], doc["enlargement"] = _spoiled_flow(spoil), {"kind": "none"}
+    else:
+        doc["enlargement"]["flow"] = _spoiled_flow(spoil)
+    code, out, err = run_cli(["analyze", write_doc(tmp_path, doc), "--mode", mode], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: {FLOW_ERRORS[spoil].format(field)}\n"
