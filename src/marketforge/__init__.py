@@ -12,8 +12,9 @@ them through ones that read no number (first failing cell, value keys).
 
 ``arith``      two arithmetic backends (exact rationals, tolerant floats)
 ``linalg``     elimination-based linear algebra over either backend
-``space``      sample spaces, filtrations, the atom index (members, masses,
-               parent maps, meets, transitions), processes, enlargement pairs
+``space``      sample spaces, filtrations, the atom index (partitions keyed
+               off the flow's finest atoms, parent maps, masses, meets,
+               transitions), processes, enlargement pairs
 ``calculus``   compensators, brackets, integrals, stochastic exponentials,
                the per-atom moment solve of both structure flows
 ``mrp``        representation drivers and the MRP check

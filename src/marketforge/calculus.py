@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import linalg
-from .space import Filtration, Partition, Process, _decoded, _dot, _encoded, _failing, _layer_key
+from .space import Filtration, Process, _decoded, _dot, _encoded, _failing, _layer_key
 from .space import _reduced, _rows, atom_means, componentwise, cond_exp, first_failing
 from .space import first_mismatch, is_adapted, outer, product
 
@@ -97,7 +97,7 @@ def accumulate(dX: Process) -> Process:
     """Running sums from 0 of the increments dX_t, t >= 1 (dX_0 is not
     read), from zero on the atoms of dX_0."""
     part = dX.layers[0][0]
-    layers = [(part, ((0,) * len(part.atoms),) * dX.dim, 1)]
+    layers = [(part, ((0,) * part.size,) * dX.dim, 1)]
     for layer in dX.layers[1:]:
         layers.append(componentwise(operator.add, layers[-1], layer))
     return Process(dX.space, tuple(layers))
@@ -125,7 +125,7 @@ def _compensate(X: Process, filtration: Filtration) -> tuple:
     conditional means E[dX_t | time-(t-1) atoms] (zero at time 0), taken
     once, and their running sums."""
     parts = filtration.partitions
-    zero = ((0,) * len(parts[0].atoms),) * X.dim
+    zero = ((0,) * parts[0].size,) * X.dim
     means = Process(X.space, ((parts[0], zero, 1),) + tuple(
         cond_exp(X.increments, t, parts[t - 1]) for t in range(1, len(parts))))
     return means, accumulate(means)
@@ -197,8 +197,8 @@ def stoch_exp(X: Process) -> Process:
     if first_failing(X, start=lambda v, den: arith.is_zero(v[0])) is not None:
         raise CalculusError("stochastic exponential input must start at 0")
     part = X.layers[0][0]
-    one = (Partition.trivial(X.space), ((1,),), 1)
-    layers = [_encoded(part, ((1 * arith.parse(1),),) * len(part.atoms))]
+    one = (X.space.trivial, ((1,),), 1)
+    layers = [_encoded(part, ((1 * arith.parse(1),),) * part.size)]
     for t in range(1, X.horizon + 1):
         factor = componentwise(operator.sub, componentwise(operator.add, one, X.layers[t]),
                                X.layers[t - 1])
@@ -218,18 +218,18 @@ def min_tilt(phi: Process, N: Process, base: Filtration, expanded: Filtration) -
     their tilts from.  Each (atom, child) pair is one entry of a column
     pass."""
     parts = expanded.partitions
-    layers = [(parts[0], ((1,) * len(parts[0].atoms),), 1)]
+    layers = [(parts[0], ((1,) * parts[0].size,), 1)]
     first = None
     for t in range(1, len(parts)):
         part = parts[t - 1]
         p_part, p_cols, p_den = phi.layers[t]
         n_part, n_cols, n_den = N.increments.layers[t]
         den = p_den * n_den  # 1 is den over den
-        children = base.at(t).atoms
-        kids = [[n_part.atom_index(children[c][0]) for c in cs] for cs in base.children(t)]
+        to_n = base.at(t).parents(n_part)
+        kids = [[to_n[c] for c in cs] for cs in base.children(t)]
         at_phi, at_n, ends = [], [], []
-        for atom, a in zip(part.atoms, part.parents(base.at(t - 1))):
-            at_phi += [p_part.atom_index(atom[0])] * len(kids[a])
+        for k, a in zip(part.parents(p_part), part.parents(base.at(t - 1))):
+            at_phi += [k] * len(kids[a])
             at_n += kids[a]
             ends.append(len(at_n))
         tilts = tuple(map(operator.add, repeat(den), _dot(
@@ -258,7 +258,7 @@ def is_martingale(X: Process, filtration: Filtration):
     for t in range(1, X.horizon + 1):
         part = filtration.at(t - 1)
         means = cond_exp(X.increments, t, part)
-        n = len(part.atoms)
+        n = part.size
         k = min((next(_failing(map(is_zero, col)), n) for col in means[1]), default=n)
         if k < n:
             m = _decoded(means, arith.exact)[k]
@@ -304,16 +304,16 @@ def solve_moments(X: Process, Y: Process, target: Process, flow: Filtration,
     for t in range(1, flow.horizon + 1):
         a_part, b_part = base.at(t - 1), flow.at(t - 1)
         _, cols, den = atom_means(a_part, X.increments.layers[t], Y.increments.layers[t])
-        cells = _rows(cols, len(a_part.atoms))
+        cells = _rows(cols, a_part.size)
         moments = [_layer_key(cell, den, arith.exact) for cell in cells]
-        for k, (b_atom, target_key, a) in enumerate(zip(
-                b_part.atoms, target.value_keys(t, b_part.atoms), b_part.parents(a_part))):
+        for k, (target_key, a) in enumerate(zip(target.value_keys(t, b_part),
+                                                b_part.parents(a_part))):
             key = moments[a], ids.setdefault(target_key, len(ids))
             hit = solved.get(key)
             if hit is None:
                 q = cells[a]
                 _check_range(q, arith)
-                b = target.on_atoms(t, [b_atom])[0]
+                b = target.on_atoms(t, b_part, [k])[0]
                 # The moments over den: (Q/den) x = b is Q x = den b.
                 Q = [q[i * d:(i + 1) * d] for i in range(n)]
                 x, residual, xd = (linalg.lstsq_min_norm(Q, [den * v for v in b], arith)
@@ -323,8 +323,8 @@ def solve_moments(X: Process, Y: Process, target: Process, flow: Filtration,
                     if arith.exact:  # b - (Q/den) x is residual / (xd den)
                         residual = map(Fraction, residual, repeat(xd * den))
                     status, reason, stage = failure
-                    raise CheckFailed(status, FailureWitness(reason, t, b_atom, tuple(residual)),
-                                      stage)
+                    raise CheckFailed(status, FailureWitness(
+                        reason, t, b_part.atoms[k], tuple(residual)), stage)
                 solved[key] = hit = tuple(map(Fraction, x, repeat(xd)) if arith.exact else x)
             table[(t, k)] = hit
     return Process.predictable(flow, table, d)

@@ -112,7 +112,7 @@ def check_support_condition(pair: EnlargementPair):
         # G_t refines both F_t and G_{t-1}, so every nonempty C and B is a
         # union of G_t atoms: the pairs that meet are read off those atoms.
         meets = set(zip(g_now.parents(f_part), g_now.parents(g_part)))
-        g_kids = [[] for _ in F.at(t - 1).atoms]
+        g_kids = [[] for _ in range(F.at(t - 1).size)]
         for b, k in enumerate(g_part.parents(F.at(t - 1))):
             g_kids[k].append(b)
         for k, children in enumerate(F.children(t)):
@@ -141,8 +141,8 @@ def compute_u(pair: EnlargementPair, N: Process, phi: Process):
     if first is None:
         return u, None
     t, k = first
-    atom = pair.expanded.at(t - 1).atoms[k]
-    return u, FailureWitness("tilt-floor", t, atom, u.on_atoms(t, [atom])[0][0])
+    part = pair.expanded.at(t - 1)
+    return u, FailureWitness("tilt-floor", t, part.atoms[k], u.on_atoms(t, part, [k])[0][0])
 
 
 def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:

@@ -60,15 +60,16 @@ def check_mrp(F: Filtration, driver: Driver):
     """
     arith = F.space.arith
     for t in range(1, F.horizon + 1):
-        for _, atom, children in F.transitions(t):
+        for k, children in enumerate(F.transitions(t)):
             m = len(children)
             if m == 1:
                 continue
-            kids = [child for child, _ in children]
-            V = [list(dw) for dw in driver.W.on_atoms(t, kids, increments=True)]
+            kids = [c for c, _ in children]
+            V = [list(dw) for dw in driver.W.on_atoms(t, F.at(t), kids, increments=True)]
             r = linalg.rank(V, arith)
             if r < m - 1:
-                return FailureWitness("mrp", t, atom, {"multiplicity": m, "rank": r})
+                return FailureWitness("mrp", t, F.at(t - 1).atoms[k],
+                                      {"multiplicity": m, "rank": r})
     return None
 
 
@@ -82,15 +83,14 @@ def synthesize_driver(F: Filtration) -> Driver:
     empty (0-dimensional) driver, for which only constants are martingales.
     """
     d = max(len(children) - 1 for t in range(1, F.horizon + 1)
-            for _, _, children in F.transitions(t))
-    table = {(0, k): (0,) * d for k in range(len(F.at(0).atoms))}
+            for children in F.transitions(t))
+    table = {(0, k): (0,) * d for k in range(F.at(0).size)}
     for t in range(1, F.horizon + 1):
-        part = F.at(t)
-        for k, _, children in F.transitions(t):
+        for k, children in enumerate(F.transitions(t)):
             probs = [p for _, p in children[:-1]]
-            for m, (child, _) in enumerate(children):
+            for m, (c, _) in enumerate(children):
                 step = tuple((1 if e == m else 0) - p for e, p in enumerate(probs))
                 step += (0,) * (d - len(probs))
-                table[(t, part.atom_index(child[0]))] = tuple(
+                table[(t, c)] = tuple(
                     a + b for a, b in zip(table[(t - 1, k)], step))
     return Driver(Process.adapted(F, table, d), F)

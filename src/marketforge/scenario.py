@@ -35,14 +35,15 @@ from .space import (
     INF,
     EnlargementPair,
     Filtration,
-    Partition,
     Process,
     RandomTime,
     SampleSpace,
     SpaceError,
+    atom_labels,
     build_initial_enlargement,
     build_progressive_enlargement,
     check_keys,
+    given_flow,
     is_adapted,
     natural_filtration,
 )
@@ -213,18 +214,18 @@ def _first_field(keys, key, path: str) -> str:
     return f"{path}[{i}][{keys[i].index(key)}]"
 
 
-def _filtration(flow_doc, path: str, space: SampleSpace) -> Filtration:
+def _filtration(flow_doc, path: str, space: SampleSpace, base=None) -> Filtration:
     if not isinstance(flow_doc, list) or len(flow_doc) < 2:
         raise ScenarioError(path, "expected partitions for times 0..horizon")
-    parts = []
+    labellings = []
     for t, atoms in enumerate(flow_doc):
         if not isinstance(atoms, list):
             raise ScenarioError(f"{path}[{t}]", "expected a list of atoms")
         with _field(f"{path}[{t}]"):
-            parts.append(Partition.from_atoms(
+            labellings.append(atom_labels(
                 space, [_str_list(a, f"{path}[{t}][{k}]") for k, a in enumerate(atoms)]))
     with _field(path):
-        return Filtration(space, tuple(parts))
+        return given_flow(space, labellings, base)
 
 
 def _enlargement(doc, path: str, F: Filtration, arith: Arithmetic) -> EnlargementPair:
@@ -253,7 +254,7 @@ def _enlargement(doc, path: str, F: Filtration, arith: Arithmetic) -> Enlargemen
         with _field(f"{path}.times"):
             return build_progressive_enlargement(F, RandomTime(F.space, tuple(fixed)))
     if kind == "explicit":
-        G = _filtration(_require(doc, "flow", path), f"{path}.flow", F.space)
+        G = _filtration(_require(doc, "flow", path), f"{path}.flow", F.space, F)
         if G.horizon != F.horizon:
             raise ScenarioError(f"{path}.flow", f"expected horizon {F.horizon}")
         with _field(f"{path}.flow"):

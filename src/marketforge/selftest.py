@@ -44,7 +44,7 @@ def rand_fraction(rng, lo=-8, hi=8, den=4) -> Fraction:
 def random_adapted(space, filtration, rng, dim=1) -> Process:
     """Adapted process with random rational values, constant on atoms."""
     table = {(t, k): tuple(rand_fraction(rng) for _ in range(dim))
-             for t, part in enumerate(filtration.partitions) for k in range(len(part.atoms))}
+             for t, part in enumerate(filtration.partitions) for k in range(part.size)}
     return Process.adapted(filtration, table, dim)
 
 

@@ -6,73 +6,61 @@ the outcomes per time t in {0, ..., horizon}, each refining the previous
 one.  The time-0 partition may already be nontrivial, which is how an
 initially enlarged observer enters the picture.
 
-This module owns the atom index, a tree of partitions: each partition's
-outcome indices (``members``), probabilities (``masses``) and the atom of
-each outcome (``atom_at``), built once and lazily, and the meet of two
-partitions with the atom each holds (``Partition.meet``, built once per
-pair in either order).  A partition built by refining another
-(``Partition.refine_by``, and with it the natural filtration, the initial
-and progressive enlargements and the layers ``Process.from_keys`` splits)
-registers its parent map, the coarser atom holding each of its atoms,
-read off its grouping keys; a flow refined time by time registers each
-partition's map onto the one before.  A meet is read off a registered
-partition that refines both operands: the distinct pairs of parents over
-its atoms are the atoms of the meet, so F_t v G_{t-1} is read off G_t.
-Only a pair with no registered common refinement, such as a user-given
-flow at load, is met outcome by outcome.  ``parents`` reads the map of a
-refinement, a partition with a registered refinement sums its
-``integer_masses`` over the parent map (only the finest sum their
-outcomes' weights), and ``Filtration.children(t)``, ``transition(t, k)``
-and ``transitions(t)`` read each time-(t-1) atom's time-t children and
-their conditional masses off it.
+This module owns the atom index, a tree of partitions made one way
+(``_refined``): a registered parent refined by an integer labelling of the
+atoms of a finer partition, its base, in one keyed pass, the key (parent
+atom, label) of each base atom giving its atom in order of first
+appearance, so atoms stay in canonical order.  A flow groups the outcomes
+once, by their whole key path (``_group_outcomes``: the natural filtration
+by the driver's tokens; an enlargement or a given flow adds its label, its
+capped random time or its atom ids), and keys each time's partition off
+the next one's atoms (``_flow``).  Equal partitions stay one object.  A
+meet is read off the maps of a registered partition refining both
+operands, so F_t v G_{t-1} is read off G_t; the root, each outcome an
+atom, refines every partition.  ``parents`` reads the map of a
+refinement, ``integer_masses`` sum the base's over its map, and
+``Filtration.children(t)``, ``transition(t, k)`` and ``transitions(t)``
+read each time-(t-1) atom's time-t children and their conditional masses
+off it.  The pipeline reads atoms by index; the outcome labels of an atom
+(``Partition.atoms``) and the atom of each outcome (``atom_at``) are built
+on demand, for a witness, a report or a caller.
 
 A process is stored atom-major, one value vector per (time, atom) of the
 partitions it lives on: a filtration's (:meth:`Process.adapted`, and the
 time-(t-1) ones for :meth:`Process.predictable`; :meth:`Process.from_keys`,
 the loader's entry, on its flow's atoms where the process is adapted to
-the flow, so with no outcome grouped, and each distinct cell of a column
-encoded once), the level sets of its values (:meth:`Process.from_keys`
-without a flow, and :meth:`Process.from_paths` on it), or, for a kernel
-result, the meet of its operands' (:func:`componentwise`).  Each
-time is one layer, a triple (partition, columns, den), stored column-major:
-one tuple per value component, each with one entry per atom.  In exact
-mode the entries are integer numerators over the one positive denominator
-``den``, with gcd(den, *numerators) = 1, so a kernel does integer
-arithmetic and reduces once; in float mode they are the floats themselves
-and ``den`` is 1, so the same kernels run on floats.  Every kernel is one
-``map`` of an ``operator`` function per column, with no Python call per
-cell.  A linear kernel (:func:`componentwise` for sums and differences,
-:meth:`Process.scale`) brings its operands to the lcm of their
-denominators; a bilinear one (:func:`product`) multiplies them and takes a
-contraction: output component c is the sum over the index pairs
-``terms[c]`` of a_i * b_j (a dot product sums from 0, so a float zero sum
-is +0.0).  The kernels' float sums of many terms (a dot product, a
-conditional mean) are ``math.fsum``, correctly rounded, and an atom's
-float mass is its exact integer sum correctly rounded, so no process
-value depends on the order the outcomes are listed in or on the Python
-version.
-Increments are defined once, here (:attr:`Process.increments`, dX_0 = 0);
-:func:`atom_means` averages a layer, or the outer product of two, over
-the child atoms of each atom in both modes, one plan per pair of
-partitions: mass(child) * value(child) summed over each atom's children,
-in integers in exact mode and by ``math.fsum`` in float mode (and returns
-the cells as they are where each atom is its own only child);
-:func:`cond_exp` is its layer of E[X_t | given], and :func:`is_adapted`
-checks once per atom.  Only this module and ``calculus`` know the layout:
-the other layers build processes from per-atom tables or per-outcome
-paths, and read them as numbers (Fractions in exact mode, decoded once
-per layer) through :meth:`Process.on_atoms`, :meth:`Process.at` and
-:func:`first_mismatch`.  Their decisions read the layers undecoded:
-:func:`first_failing` runs each test on a cell's numerators over the
-layer's denominator, :func:`extrema` compares entries over each layer's
-denominator and decodes the two extremes a report shows, and
-:meth:`Process.value_keys` gives a cell's value key, (numerators // g,
-den // g) with g = gcd(den, *numerators) (a float cell keys by its bits),
-taken once per layer: the memo key of the solves above, as
-:meth:`Filtration.transition_keys` keys a site's transition probabilities
-off the integer masses.
-:func:`first_failing` and :func:`first_mismatch` keep outcome-major
-order, so witnesses keep theirs.
+it, each column read once per atom of the flow's finest partition and
+each distinct cell encoded once), the level sets of its values
+(:meth:`Process.from_keys` without a flow), or, for a kernel result, the
+meet of its operands' (:func:`componentwise`).  Each time is one layer, a
+triple (partition, columns, den): one tuple per value component, each
+with one entry per atom.  In exact mode the entries are integer numerators
+over the one positive denominator ``den``, with gcd(den, *numerators) = 1,
+so a kernel does integer arithmetic and reduces once; in float mode they
+are the floats themselves over 1, so the same kernels run on floats.
+Every kernel is one ``map`` of an ``operator`` function per column: a
+linear one (:func:`componentwise`, :meth:`Process.scale`) over the lcm of
+its operands' denominators, a bilinear one (:func:`product`) a
+contraction over their product, output component c the sum over the
+index pairs ``terms[c]`` of a_i * b_j.  Float sums of many terms are
+``math.fsum``, correctly rounded, and an atom's float mass is its exact
+integer sum correctly rounded, so no value depends on the order the
+outcomes are listed in or on the Python version.  Increments are defined
+once, here (:attr:`Process.increments`, dX_0 = 0); :func:`atom_means`
+averages a layer, or the outer product of two, over the child atoms of
+each atom, one plan per pair of partitions, and :func:`cond_exp` is its
+layer of E[X_t | given].  Only this module and ``calculus`` know the
+layout: the other layers build processes from per-atom tables or
+per-outcome paths, read them as numbers (Fractions in exact mode, decoded
+once per layer) through :meth:`Process.on_atoms`, :meth:`Process.at` and
+:func:`first_mismatch`, and decide on the layers undecoded:
+:func:`first_failing` tests a cell's numerators over the layer's
+denominator, :func:`extrema` decodes only the two extremes, and
+:meth:`Process.value_keys` gives each cell's value key, the memo key of
+the solves above, as :meth:`Filtration.transition_keys` keys a site's
+transition probabilities off the integer masses.  :func:`first_failing`
+and :func:`first_mismatch` keep outcome-major order, so witnesses keep
+theirs.
 """
 
 from __future__ import annotations
@@ -105,7 +93,7 @@ class SampleSpace:
     weights: tuple[Num, ...]
     arith: Arithmetic = EXACT
     _index: dict = field(default_factory=dict, repr=False)
-    _partitions: dict = field(default_factory=dict, repr=False)  # atoms -> first partition
+    _partitions: dict = field(default_factory=dict, repr=False)  # (size, firsts) -> partitions
 
     def __post_init__(self) -> None:
         if not self.outcomes:
@@ -145,6 +133,15 @@ class SampleSpace:
         lcm = math.lcm(*{d for _, d in ratios})
         return lcm, tuple([n * (lcm // d) for n, d in ratios])
 
+    @cached_property
+    def root(self) -> "Partition":
+        """The partition into single outcomes, which refines every other."""
+        return Partition(self, self.size)
+
+    @cached_property
+    def trivial(self) -> "Partition":
+        return self.root if self.size == 1 else Partition(self, 1, self.root, (0,))
+
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -152,83 +149,70 @@ class SampleSpace:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """A partition of the outcomes into atoms, in canonical order.
-
-    Atoms are tuples of outcome labels sorted by outcome index; atoms are
-    sorted by the index of their first label.  Canonical ordering keeps all
-    downstream iteration (and therefore reports) deterministic.
-    """
+    """A partition of the outcomes into ``size`` atoms in canonical order,
+    sorted by their first outcome, so iteration and reports are
+    deterministic.  Every partition but the space's ``root`` is born by one
+    keyed pass over the atoms of a finer one, its ``_base``, whose first
+    atom in each atom ``_first`` holds (``_refined``)."""
 
     space: SampleSpace
-    atoms: tuple[tuple[str, ...], ...]
-    _atom_of: dict = field(default_factory=dict, repr=False)
+    size: int
+    _base: "Partition | None" = None
+    _first: tuple = ()
+    _up: dict = field(default_factory=dict, repr=False)  # coarser partition -> parent map
+    _below: list = field(default_factory=list, repr=False)  # partitions mapped onto this one
     _meets: dict = field(default_factory=dict, repr=False)
     _sums: dict = field(default_factory=dict, repr=False)  # operand partition -> _sum_plan
 
-    def __post_init__(self) -> None:
-        self._atom_of.update(zip(chain.from_iterable(self.atoms), chain.from_iterable(
-            map(repeat, count(), map(len, self.atoms)))))
-        self.space._partitions.setdefault(self.atoms, self)
-
     @classmethod
     def from_atoms(cls, space: SampleSpace, atoms: Iterable[Iterable[str]]) -> "Partition":
-        """The partition with the given atoms, checked and put in canonical
-        order; the one input path (partitions grouped from the space's own
-        outcomes need no check)."""
-        idx = space.index
-        canon = sorted((tuple(sorted(a, key=idx)) for a in atoms),
-                       key=lambda a: idx(a[0]) if a else -1)
-        seen: set[str] = set()
-        for atom in canon:
-            if not atom:
-                raise SpaceError("empty atom in partition")
-            for label in atom:
-                if label in seen:
-                    raise SpaceError(f"outcome {label!r} appears in two atoms")
-                seen.add(label)
-        if len(seen) != space.size:
-            raise SpaceError("partition must cover every outcome")
-        canon = tuple(canon)
-        return space._partitions.get(canon) or cls(space, canon)
+        """The partition with the given atoms, checked (``atom_labels``)."""
+        return _group_outcomes(space.trivial, atom_labels(space, atoms))[0]
 
     @classmethod
     def trivial(cls, space: SampleSpace) -> "Partition":
-        return (space._partitions.get((space.outcomes,))
-                or cls.from_atoms(space, [space.outcomes]))
+        return space.trivial
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[str, ...], ...]:
+        """The outcome labels of each atom, in outcome order; on demand."""
+        groups = [[] for _ in range(self.size)]
+        for o, k in zip(self.space.outcomes, self.atom_at):
+            groups[k].append(o)
+        return tuple(map(tuple, groups))
+
+    @cached_property
+    def atom_at(self) -> tuple[int, ...]:
+        """Index of the atom holding each outcome, by outcome index: the
+        root's map onto this partition; on demand."""
+        return _parent_map(self.space.root, self)
 
     def atom_index(self, outcome: str) -> int:
-        try:
-            return self._atom_of[outcome]
-        except KeyError:
-            raise SpaceError(f"unknown outcome {outcome!r}") from None
+        return self.atom_at[self.space.index(outcome)]
 
     def atom_of(self, outcome: str) -> tuple[str, ...]:
         return self.atoms[self.atom_index(outcome)]
 
-    def refines(self, other: "Partition") -> bool:
-        """Every atom of self sits inside a single atom of other."""
-        return len(self.meet(other)[0].atoms) == len(self.atoms)
-
-    def refine_by(self, values: Sequence) -> "Partition":
-        """Common refinement with the level sets of a labelling.  Its atoms
-        are grouped by the keys (atom of self, value), so the atom of self
-        holding each of them is read off those keys and registered as its
-        parent map."""
-        if len(values) != self.space.size:
-            raise SpaceError("labelling must have one value per outcome")
-        return _split(self, values)[0]
+    @cached_property
+    def firsts(self) -> tuple[int, ...]:
+        """Index of the first outcome of each atom, read down the bases."""
+        if self._base is None:
+            return self._own
+        return tuple(map(self._base.firsts.__getitem__, self._first))
 
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
         """Outcome indices of each atom."""
         return tuple(map(tuple, map(map, repeat(self.space._index.__getitem__), self.atoms)))
 
+    def refines(self, other: "Partition") -> bool:
+        """Every atom of self sits inside a single atom of other."""
+        return self.meet(other)[0].size == self.size
+
     @cached_property
     def masses(self) -> tuple[Num, ...]:
-        """Probability of each atom, read off ``integer_masses``: a
-        ``Fraction`` in exact mode, in float mode the integer sum divided
-        by the lcm, correctly rounded, so it is the ``math.fsum`` of its
-        outcomes' weights whatever their order."""
+        """Probability of each atom, a ``Fraction`` in exact mode, in float
+        mode ``integer_masses`` over the lcm, correctly rounded."""
         lcm = self.space.integer_weights[0]
         if self.space.arith.exact:
             return tuple(Fraction(n, lcm) for n in self.integer_masses)
@@ -236,153 +220,152 @@ class Partition:
 
     @cached_property
     def integer_masses(self) -> tuple[int, ...]:
-        """Masses times the lcm of the weights' denominators: integers with
-        the masses' ratios, for sums that build no Fraction per term.  A
-        partition with a registered refinement sums the integer masses of
-        the coarsest one over its parent map; only one with none sums its
-        outcomes' weights."""
-        finer = min(self._finer(), key=lambda r: len(r.atoms), default=None)
-        if finer is None:
-            w = self.space.integer_weights[1]
-            return tuple(map(sum, map(map, repeat(w.__getitem__), self.members)))
-        sums = [0] * len(self.atoms)
-        for k, m in zip(finer._meets[self][2], finer.integer_masses):
+        """Masses times the lcm of the weights' denominators, for sums that
+        build no Fraction per term: the base's summed over its map onto
+        this partition (the root's are the weights')."""
+        if self._base is None:
+            return self.space.integer_weights[1]
+        sums = [0] * self.size
+        for k, m in zip(_parent_map(self._base, self), self._base.integer_masses):
             sums[k] += m
         return tuple(sums)
 
     @cached_property
-    def atom_at(self) -> tuple[int, ...]:
-        """Index of the atom holding each outcome, by outcome index."""
-        return tuple(map(self._atom_of.__getitem__, self.space.outcomes))
-
-    @cached_property
     def _own(self) -> tuple[int, ...]:
         """Each atom's own index: the parent map of a partition onto itself."""
-        return tuple(range(len(self.atoms)))
+        return tuple(range(self.size))
 
-    def _finer(self) -> list:
-        """The partitions registered as strictly finer than this one."""
-        return [r for r, (meet, _, _) in self._meets.items() if meet is r and r is not self]
-
-    def parents(self, coarser: "Partition") -> tuple[int, ...]:
-        """Index of the coarser atom enclosing each atom of this refinement."""
-        return self.meet(coarser)[2]
+    def parents(self, other: "Partition") -> tuple[int, ...]:
+        """Index of the atom of ``other`` holding each atom's first outcome:
+        where this partition refines ``other``, its parent map."""
+        meet, mine, theirs = self.meet(other)
+        if meet is self:
+            return theirs
+        firsts = dict(zip(reversed(mine), reversed(theirs)))  # the first one wins
+        return tuple(map(firsts.__getitem__, self._own))
 
     def meet(self, other: "Partition") -> tuple:
         """(meet, mine, theirs): the coarsest common refinement of the two
-        partitions, and for each of its atoms the index of the atom of this
-        partition and of ``other`` holding it.  The meet is this partition
-        (or ``other``) itself when it refines the other.  Built once per
-        pair of partition objects, in either order, and read off the parent
-        maps of a registered partition refining both (``_read_off``); the
-        trivial partition meets every one for free.  Only a pair with no
-        registered common refinement is met outcome by outcome
-        (``_outcome_meet``).  Every meet is registered, with its maps onto
-        the two operands."""
+        partitions (either one where it refines the other), and the atom of
+        each holding each of its atoms.  Read off the parent maps once per
+        pair (``_met``), and registered with its maps onto the two."""
         hit = self._meets.get(other)
         if hit is None:
-            meet, mine, theirs = hit = _read_off(self, other) or _outcome_meet(self, other)
+            meet, mine, theirs = hit = _met(self, other)
             _nest(meet, self, mine)
             _nest(meet, other, theirs)
-            self._meets.setdefault(other, hit)
-            other._meets.setdefault(self, (meet, theirs, mine))
+            self._meets[other] = hit
+            other._meets[self] = (meet, theirs, mine)
         return hit
 
 
-def _split(part: Partition, values) -> tuple:
-    """(refinement, value of each of its atoms): ``part`` refined by the
-    level sets of the labelling ``values``, grouped by the keys (atom of
-    ``part``, value), and registered as refining ``part`` with the parent
-    map read off those keys."""
-    fine, keys = _level_sets(part.space, zip(part.atom_at, values))
-    _nest(fine, part, tuple([k for k, _ in keys]))
-    return fine, [v for _, v in keys]
+def atom_labels(space: SampleSpace, atoms) -> list:
+    """The atom of each outcome, by outcome index, of atoms given as
+    outcome labels, numbered in canonical order.  Checked atom by atom in
+    that order (every label known, no empty atom, no outcome in two), then
+    for every outcome covered."""
+    idx = space.index
+    canon = sorted((sorted(a, key=idx) for a in atoms), key=lambda a: idx(a[0]) if a else -1)
+    labels = [None] * space.size
+    for k, atom in enumerate(canon):
+        if not atom:
+            raise SpaceError("empty atom in partition")
+        for label in atom:
+            if labels[idx(label)] is not None:
+                raise SpaceError(f"outcome {label!r} appears in two atoms")
+            labels[idx(label)] = k
+    if None in labels:
+        raise SpaceError("partition must cover every outcome")
+    return labels
+
+
+def _refined(parent: Partition, base: Partition, labels) -> tuple:
+    """(child, keys, first): ``parent`` refined by ``labels``, an integer
+    labelling of the atoms of ``base``, a partition refining it, in one
+    keyed pass: the key (parent atom, label) of each base atom gives its
+    child, numbered in order of first appearance, so in canonical order;
+    ``keys`` maps each base atom to its child, and ``first`` is each
+    child's first base atom.  Equal partitions stay one object: a child of
+    the size of ``parent`` or ``base`` is that one, and one made before
+    with the child's size, first outcomes and map from ``base`` is that
+    one."""
+    up = _parent_map(base, parent)
+    if parent.size > 1:  # the key (atom, label) as one integer
+        labels = list(map(operator.add, map(operator.mul, up, repeat(max(labels) + 1)), labels))
+    at = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))  # the first one wins
+    first = tuple(sorted(at.values()))
+    ids = dict(zip(map(labels.__getitem__, first), count()))
+    keys, n = tuple(map(ids.__getitem__, labels)), len(first)
+    if n in (parent.size, base.size):
+        return parent if n == parent.size else base, keys, first
+    made = base.space._partitions.setdefault((n, tuple(map(base.firsts.__getitem__, first))), [])
+    child = next((p for p in made if _maps_onto(base, p, keys)), None)
+    if child is None:
+        child = Partition(base.space, n, base, first)
+        made.append(child)
+    _nest(base, child, keys)
+    _nest(child, parent, tuple(map(up.__getitem__, first)))
+    return child, keys, first
+
+
+def _maps_onto(base: Partition, part: Partition, keys: tuple) -> bool:
+    """Whether ``keys`` is the map of ``base`` onto ``part``: the registered
+    map's, or where there is none, read off the outcomes."""
+    up = _parent_map(base, part)
+    return up == keys if up is not None else part.atom_at == tuple(map(keys.__getitem__,
+                                                                        base.atom_at))
+
+
+def _group_outcomes(parent: Partition, labels) -> tuple:
+    """``_refined`` over the root by one hashable label per outcome, each
+    distinct label numbered first: the one pass that groups the outcomes,
+    once per flow (``_flow``), and for a partition given as atoms or a
+    process not adapted to its flow."""
+    ids = dict(zip(dict.fromkeys(labels), count()))
+    return _refined(parent, parent.space.root, list(map(ids.__getitem__, labels)))
 
 
 def _nest(fine: Partition, coarse: Partition, parents: tuple) -> None:
-    """Register that ``fine`` refines ``coarse``, with ``parents`` the
-    index of the coarse atom holding each fine atom: the meet of the two in
-    either order."""
-    if fine is not coarse and coarse not in fine._meets:
-        fine._meets[coarse] = (fine, fine._own, parents)
-        coarse._meets[fine] = (fine, parents, fine._own)
+    """Register ``parents``, the coarse atom holding each fine atom, as the
+    map of ``fine`` onto ``coarse`` (the one-atom partition needs none)."""
+    if fine is not coarse and coarse.size > 1 and coarse not in fine._up:
+        fine._up[coarse] = parents
+        coarse._below.append(fine)
 
 
-def _parent_map(fine: Partition, coarse: Partition):
+def _parent_map(fine: Partition, coarse: Partition, seen=None):
     """The index of the atom of ``coarse`` holding each atom of ``fine``,
-    read off the registered map of a refinement, or None where ``fine`` is
-    not registered as refining ``coarse``."""
+    read off the registered maps (a chain of them, found depth first,
+    composed once and registered), or None where no chain leads there."""
     if fine is coarse:
         return fine._own
-    if len(coarse.atoms) == 1:
-        return (0,) * len(fine.atoms)
-    hit = fine._meets.get(coarse)
-    return hit[2] if hit is not None and hit[0] is fine else None
+    if coarse.size == 1:
+        return (0,) * fine.size
+    hit, seen = fine._up.get(coarse), set() if seen is None else seen
+    for mid, up in () if hit is not None else list(fine._up.items()):
+        if mid not in seen:
+            seen.add(mid)
+            rest = _parent_map(mid, coarse, seen)
+            if rest is not None:
+                _nest(fine, coarse, tuple(map(rest.__getitem__, up)))
+                return fine._up[coarse]
+    return hit
 
 
-def _read_off(a: Partition, b: Partition):
-    """(meet, mine, theirs) of ``a`` and ``b`` read off the parent maps of
-    a registered partition r refining both, or None where there is none:
-    the distinct (atom of a, atom of b) pairs over the atoms of r, in order
-    of their first atom of r, are the atoms of the meet in canonical order,
-    so no outcome is visited unless the meet is a new partition, whose
-    atoms are the union of r's atoms of one pair."""
-    if a is b or len(b.atoms) == 1:
-        return a, a._own, _parent_map(a, b)
-    if len(a.atoms) == 1:
-        return b, (0,) * len(b.atoms), b._own
-    for r in a._finer():
-        up_b = _parent_map(r, b)
-        if up_b is not None:
-            up_a = _parent_map(r, a)
+def _met(a: Partition, b: Partition) -> tuple:
+    """(meet, mine, theirs) of ``a`` and ``b`` read off the maps of a
+    partition r refining both: one of the two, else the smallest one
+    registered as refining either, else the root.  The distinct (atom of
+    a, atom of b) pairs over r's atoms are the meet's atoms (``_refined``)."""
+    for r in (a, b, *sorted(a._below + b._below, key=operator.attrgetter("size")),
+              a.space.root):
+        up_a, up_b = _parent_map(r, a), _parent_map(r, b)
+        if up_a is not None and up_b is not None:
             break
-    else:
-        return None
-    pairs = dict.fromkeys(zip(up_a, up_b))
-    mine, theirs = map(tuple, zip(*pairs))
-    if len(pairs) == len(r.atoms):
+    if r is a or r is b:
         return r, up_a, up_b
-    if len(pairs) in (len(a.atoms), len(b.atoms)):
-        return a if len(pairs) == len(a.atoms) else b, mine, theirs
-    index = {pair: i for i, pair in enumerate(pairs)}
-    group = tuple(map(index.__getitem__, zip(up_a, up_b)))
-    atoms = [[] for _ in pairs]
-    for g, atom in zip(group, r.atoms):
-        atoms[g] += atom
-    idx = a.space._index.__getitem__
-    atoms = tuple(tuple(sorted(atom, key=idx)) for atom in atoms)
-    meet = a.space._partitions.get(atoms) or Partition(a.space, atoms)
-    _nest(r, meet, group)
-    return meet, mine, theirs
-
-
-def _outcome_meet(a: Partition, b: Partition) -> tuple:
-    """(meet, mine, theirs) of two partitions with no registered common
-    refinement, from one pass over both partitions' ``atom_at``: the
-    distinct (mine, theirs) pairs in order of their first outcome, one per
-    atom of the meet, in its canonical order."""
-    pairs = dict.fromkeys(zip(a.atom_at, b.atom_at))
-    mine, theirs = map(tuple, zip(*pairs))
-    meet = a if len(pairs) == len(a.atoms) else \
-        b if len(pairs) == len(b.atoms) else \
-        _grouped(a.space, zip(a.atom_at, b.atom_at))
-    return meet, mine, theirs
-
-
-def _grouped(space: SampleSpace, keys) -> "Partition":
-    """The outcomes grouped by equal keys, one key per outcome, atoms in
-    order of their first outcome; a partition equal to one already built
-    on the space is that one."""
-    return _level_sets(space, keys)[0]
-
-
-def _level_sets(space: SampleSpace, keys) -> tuple:
-    """(``_grouped``, its distinct keys in the order of its atoms)."""
-    groups: dict = {}
-    for o, key in zip(space.outcomes, keys):
-        groups.setdefault(key, []).append(o)
-    atoms = tuple(map(tuple, groups.values()))
-    return space._partitions.get(atoms) or Partition(space, atoms), tuple(groups)
+    meet, _, first = _refined(a, r, up_b)
+    return meet, tuple(map(up_a.__getitem__, first)), tuple(map(up_b.__getitem__, first))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +376,6 @@ def _level_sets(space: SampleSpace, keys) -> tuple:
 class Filtration:
     space: SampleSpace
     partitions: tuple[Partition, ...]
-    _transitions: dict = field(default_factory=dict, repr=False)
     _children: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -420,67 +402,79 @@ class Filtration:
         canonical order, from the parent map; built once per t."""
         if t not in self._children:
             parent, part = self.at(t - 1), self.at(t)
-            kids = [[] for _ in parent.atoms]
+            kids = [[] for _ in range(parent.size)]
             for c, k in enumerate(part.parents(parent)):
                 kids[k].append(c)
             self._children[t] = tuple(map(tuple, kids))
         return self._children[t]
 
     def transition(self, t: int, k: int) -> list:
-        """[(child, p)]: the time-t children of the time-(t-1) atom k in
+        """[(c, p)]: the time-t children c of the time-(t-1) atom k in
         canonical order, p = P(child | atom), in exact mode the ratio of
         their integer masses."""
         part, kids = self.at(t), self.children(t)[k]
         if self.space.arith.exact:
             masses, mass = part.integer_masses, self.at(t - 1).integer_masses[k]
-            return [(part.atoms[c], Fraction(masses[c], mass)) for c in kids]
+            return [(c, Fraction(masses[c], mass)) for c in kids]
         masses, mass = part.masses, self.at(t - 1).masses[k]
-        return [(part.atoms[c], masses[c] / mass) for c in kids]
+        return [(c, masses[c] / mass) for c in kids]
 
     def transitions(self, t: int) -> list:
-        """(k, atom, ``transition(t, k)``) for each time-(t-1) atom k.
-        Built once per t."""
-        if t not in self._transitions:
-            self._transitions[t] = [(k, atom, self.transition(t, k))
-                                    for k, atom in enumerate(self.at(t - 1).atoms)]
-        return self._transitions[t]
+        """``transition(t, k)`` of each time-(t-1) atom k."""
+        return [self.transition(t, k) for k in range(self.at(t - 1).size)]
 
     def transition_keys(self, t: int) -> list:
-        """The value key of each time-(t-1) atom's child probabilities, in
-        ``transitions`` order: equal probability vectors (and no others)
-        share a key.  Exact mode keys the children's integer masses over
-        the atom's (``_layer_key``), float mode the probabilities
-        (``_cell_key``)."""
+        """The value key of each time-(t-1) atom's child probabilities,
+        shared by equal probability vectors only: exact mode keys the
+        children's integer masses over the atom's (``_layer_key``), float
+        mode the probabilities (``_cell_key``)."""
         if not self.space.arith.exact:
-            return [_cell_key(tuple(p for _, p in kids)) for _, _, kids in self.transitions(t)]
+            return [_cell_key(tuple(p for _, p in kids)) for kids in self.transitions(t)]
         masses = self.at(t).integer_masses
         return [_layer_key(tuple(map(masses.__getitem__, kids)), n, True)
                 for kids, n in zip(self.children(t), self.at(t - 1).integer_masses)]
 
-    def refine_by(self, values: Sequence) -> "Filtration":
-        return _refined_flow(self, [values] * len(self.partitions))
+
+def _flow(over: Partition, paths, columns, base: Filtration | None = None) -> Filtration:
+    """The flow of the key ``paths``, one per outcome: the outcomes grouped
+    once by them, under ``over``, into its finest partition, whose atoms'
+    paths ``columns`` maps to one integer label per time and atom; then
+    each time's partition keyed off the atoms of the next one's
+    (``_refined``), back from the finest to time 0: the ``base`` flow's
+    refined by the label, or with no base the trivial one by the labels up
+    to that time, as one integer."""
+    finest = _group_outcomes(over, paths)[0]
+    cols = list(columns(list(map(paths.__getitem__, finest.firsts))))
+    if base is None:
+        width = max(map(max, cols)) + 1
+        cols = list(accumulate(cols, lambda code, col: list(map(
+            operator.add, map(operator.mul, code, repeat(width)), col))))
+    parts, at = [finest], finest.atom_at
+    for t in reversed(range(len(cols))):
+        labels = list(map(cols[t].__getitem__, map(at.__getitem__, parts[-1].firsts)))
+        parent = finest.space.trivial if base is None else base.partitions[t]
+        parts.append(_refined(parent, parts[-1], labels)[0])
+    return Filtration(finest.space, tuple(parts[:0:-1]))
 
 
-def _refined_flow(base: Filtration, labellings) -> Filtration:
-    """The flow whose time-t partition is the base's refined by
-    ``labellings[t]``, each labelling fixed, on each time-t base atom, by
-    the next one (the same labelling, or a random time capped one step
-    later), so each partition refines the one before: that parent map is
-    read off each atom's first outcome and registered, as ``refine_by``
-    registers the one onto the base."""
-    parts = list(map(Partition.refine_by, base.partitions, labellings))
-    for fine, coarse in zip(parts[1:], parts):
-        _nest(fine, coarse, tuple([coarse._atom_of[atom[0]] for atom in fine.atoms]))
-    return Filtration(base.space, tuple(parts))
+def given_flow(space: SampleSpace, labellings, base: Filtration | None = None) -> Filtration:
+    """The flow of given partitions, ``labellings[t]`` the atom of each
+    outcome at time t (``atom_labels``), grouped under the finest partition
+    of the ``base`` flow it is to refine, when given (``_flow``), checked
+    time by time to refine the one before."""
+    flow = _flow(space.trivial if base is None else base.partitions[-1],
+                 list(zip(*labellings)), lambda rows: zip(*rows))
+    for t, (part, labels) in enumerate(zip(flow.partitions, labellings)):
+        if part.size != max(labels) + 1:  # time t does not refine time t - 1
+            raise SpaceError(f"partition at time {t} does not refine time {t - 1}")
+    return flow
 
 
 @dataclass(frozen=True, eq=False)
 class EnlargementPair:
-    """A base information flow F and an expanded one G on the same grid.
-
-    The constructor checks that both live on one space with one horizon and
-    that G refines F at every time, so every pair in hand is an enlargement.
-    """
+    """A base information flow F and an expanded one G on the same grid,
+    checked to live on one space with one horizon, G refining F at every
+    time, so every pair in hand is an enlargement."""
 
     base: Filtration
     expanded: Filtration
@@ -505,33 +499,39 @@ class EnlargementPair:
 
 def natural_filtration(space: SampleSpace, paths, cells: dict) -> Filtration:
     """The smallest filtration making the process ``Process.from_keys``
-    builds from the same key paths adapted, with no process built: each
-    time's partition is the one before (the trivial one before time 0)
-    refined by the value ids of its column, equal values (0.0 and -0.0
-    too) sharing one.  The paths must pass ``check_keys``."""
+    builds from the same key paths adapted, with no process built: the
+    outcomes grouped once by their key paths, and each time's partition
+    the one before refined by the value ids of its column, equal values
+    (0.0 and -0.0 too) sharing one (``_flow``).  The paths must pass
+    ``check_keys``."""
     ids, _ = _value_ids(cells, _ratios if space.arith.exact else tuple)
-    part, parts = Partition.trivial(space), []
-    for keys in zip(*paths):
-        part = part.refine_by(list(map(ids.__getitem__, keys)))
-        parts.append(part)
-    return Filtration(space, tuple(parts))
+    return _flow(space.trivial, list(map(tuple, paths)),
+                 lambda rows: [list(map(ids.__getitem__, col)) for col in zip(*rows)])
 
 
 def build_initial_enlargement(base: Filtration, variable: Sequence) -> EnlargementPair:
-    """Expand by revealing a random variable at time 0 (level-set refinement)."""
-    return EnlargementPair(base, base.refine_by(variable))
+    """Expand by revealing a random variable at time 0: every time refined
+    by its level sets, the outcomes grouped once, by it (``_flow``)."""
+    if len(variable) != base.space.size:
+        raise SpaceError("labelling must have one value per outcome")
+    ids = dict(zip(dict.fromkeys(variable), count()))
+    return EnlargementPair(base, _flow(base.partitions[-1], variable, lambda rows: [list(
+        map(ids.__getitem__, rows))] * len(base.partitions), base))
 
 
 def build_progressive_enlargement(base: Filtration, tau: "RandomTime") -> EnlargementPair:
     """Expand by observing, at each t, whether and when tau has occurred.
 
     The time-t partition is refined by the level sets of min(tau, t+1), so
-    the expanded observer distinguishes {tau = s} for s <= t from {tau > t}.
+    the expanded observer distinguishes {tau = s} for s <= t from {tau > t};
+    the outcomes are grouped once, by min(tau, horizon + 1) (``_flow``).
     """
     if tau.space is not base.space:
         raise SpaceError("random time lives on a different space")
-    return EnlargementPair(base, _refined_flow(base, [
-        [min(v, t + 1) for v in tau.values] for t in range(base.horizon + 1)]))
+    n = base.horizon + 1
+    return EnlargementPair(base, _flow(base.partitions[-1], [min(v, n) for v in tau.values],
+                                       lambda rows: [list(map(min, rows, repeat(t + 1)))
+                                                     for t in range(n)], base))
 
 
 # ---------------------------------------------------------------------------
@@ -624,16 +624,17 @@ def _rows(columns, n: int) -> tuple:
     return tuple(zip(*columns)) if columns else ((),) * n
 
 
-def _column(part: Partition, ids, cells) -> tuple:
-    """The layer of one time: the value ids of the outcomes, ``ids``, on
-    ``part`` refined by their level sets (``_split``), which is ``part``
-    itself, with no outcome grouped, where each of its atoms holds one
-    value; ``cells[v]`` is the value of id v.  Exact numerators over the
-    lcm of the layer's cells' denominators, stored by column."""
-    firsts = map(part.space._index.__getitem__, map(operator.itemgetter(0), part.atoms))
-    values = list(map(ids.__getitem__, firsts))
-    if not all(map(operator.eq, ids, map(values.__getitem__, part.atom_at))):
-        part, values = _split(part, ids)
+def _column(part: Partition, bottom: Partition, ids, cells) -> tuple:
+    """The layer of one time: the value ids ``ids`` of the atoms of
+    ``bottom`` (the flow's finest, or the root) on ``part`` refined by
+    them, which is ``part`` where each of its atoms holds one value;
+    ``cells[v]`` is the value of id v.  Exact numerators over the lcm of
+    the layer's cells' denominators, stored by column."""
+    values = list(map(ids.__getitem__, map(bottom.atom_at.__getitem__, part.firsts)))
+    if not all(map(operator.eq, ids, map(values.__getitem__, _parent_map(bottom, part)))):
+        part, _, first = (_group_outcomes(part, ids) if bottom is bottom.space.root else
+                          _refined(part, bottom, ids))
+        values = list(map(ids.__getitem__, first))
     distinct = dict.fromkeys(values)  # each value encoded once
     found, den = _numerators(tuple(map(cells.__getitem__, distinct)), part.space.arith.exact)
     cols = tuple(zip(*found))
@@ -660,7 +661,7 @@ def _decoded(layer, exact: bool) -> tuple:
     part, cols, den = layer
     if exact:
         cols = [tuple(map(Fraction, col, repeat(den))) for col in cols]
-    return _rows(cols, len(part.atoms))
+    return _rows(cols, part.size)
 
 
 def _reduced(part: Partition, cols, den: int) -> tuple:
@@ -731,7 +732,7 @@ def product(terms, a, b, dot: bool = False) -> tuple:
     cols = []
     for pairs in terms:
         steps = [map(operator.mul, A[i], B[j]) for i, j in pairs]
-        cols.append(tuple(_dot(steps, len(part.atoms), exact) if dot else
+        cols.append(tuple(_dot(steps, part.size, exact) if dot else
                           reduce(partial(map, operator.add), steps)))
     return _reduced(part, tuple(cols), a[2] * b[2])
 
@@ -771,7 +772,7 @@ class Process:
     def __post_init__(self) -> None:
         if not self.layers:
             raise SpaceError("process needs at least time 0")
-        if any(len(col) != len(part.atoms) for part, cols, _ in self.layers for col in cols):
+        if any(len(col) != part.size for part, cols, _ in self.layers for col in cols):
             raise SpaceError("process needs one value per atom at each time")
 
     # -- construction helpers ------------------------------------------------
@@ -792,26 +793,32 @@ class Process:
     def from_keys(cls, space: SampleSpace, paths, cells: dict, flow=None) -> "Process":
         """Build from per-outcome paths of keys: ``paths[i][t]`` keys the
         value of outcome i at time t, and ``cells[key]`` is that value, a
-        vector of numbers.  Keys of equal value (``"1/2"`` and ``0.5``;
-        float ``1`` and ``1.0``) share one value id (``_value_ids``), float
-        cells as ``_cell_key`` keys them, so -0.0 stays apart from 0.0.
-        Each time's layer lives on the flow's partition refined by the
-        value ids of its column (``_column``): on the flow's own atoms
-        where the process is adapted to it, and on the level sets of the
-        values without a flow.  The paths are checked as ``check_keys``
-        checks them, and against the flow's horizon."""
+        vector of numbers.  Keys of equal value (``"1/2"`` and ``0.5``)
+        share one value id (``_value_ids``), float cells as ``_cell_key``
+        keys them, so -0.0 stays apart from 0.0.  Each time's layer lives
+        on the flow's partition refined by its column (``_column``), read
+        once per atom of the flow's finest partition where each holds one
+        key path: on the flow's own atoms where the process is adapted to
+        it, on the level sets of the values without a flow.  The paths are
+        checked as ``check_keys`` checks them, and against the flow's
+        horizon."""
         check_keys(space, paths, cells)
         if flow is not None and len(paths[0]) != len(flow.partitions):
             raise SpaceError("paths and flow disagree on the horizon")
         ids, found = _value_ids(cells, _ratios if space.arith.exact else _cell_key)
-        parts = repeat(Partition.trivial(space)) if flow is None else flow.partitions
-        return cls(space, tuple(_column(part, list(map(ids.__getitem__, keys)), found)
+        parts, bottom = repeat(space.trivial), space.root
+        if flow is not None:
+            parts, finest = flow.partitions, flow.partitions[-1]
+            firsts = list(map(paths.__getitem__, finest.firsts))
+            if all(map(operator.eq, paths, map(firsts.__getitem__, finest.atom_at))):
+                paths, bottom = firsts, finest
+        return cls(space, tuple(_column(part, bottom, list(map(ids.__getitem__, keys)), found)
                                 for part, keys in zip(parts, zip(*paths))))
 
     @classmethod
     def adapted(cls, filtration: "Filtration", table, dim: int = 1) -> "Process":
         """Build from per-atom values: ``table[(t, k)]`` on the time-t atom k."""
-        columns = [[_as_vector(table[(t, k)]) for k in range(len(part.atoms))]
+        columns = [[_as_vector(table[(t, k)]) for k in range(part.size)]
                    for t, part in enumerate(filtration.partitions)]
         if not {dim}.issuperset(map(len, chain.from_iterable(columns))):
             raise SpaceError("value dimension mismatch")
@@ -825,13 +832,13 @@ class Process:
         on every time-0 atom: adapted to the flow lagged by one step."""
         v0 = (0,) * dim if initial is None else _as_vector(initial)
         parts = filtration.partitions
-        start = {(0, k): v0 for k in range(len(parts[0].atoms))}
+        start = {(0, k): v0 for k in range(parts[0].size)}
         return cls.adapted(Filtration(filtration.space, parts[:1] + parts[:-1]),
                            {**table, **start}, dim)
 
     @classmethod
     def constant(cls, space: SampleSpace, horizon: int, value) -> "Process":
-        return cls(space, (_encoded(Partition.trivial(space), (_as_vector(value),)),)
+        return cls(space, (_encoded(space.trivial, (_as_vector(value),)),)
                    * (horizon + 1))
 
     # -- access ----------------------------------------------------------------
@@ -867,31 +874,31 @@ class Process:
         meet of the two times' partitions, and dX_0 = 0; built once."""
         return self._zip(self.lagged(), componentwise, operator.sub)
 
-    def on_atoms(self, t: int, atoms, increments: bool = False) -> list:
-        """X_t (dX_t with ``increments``) on each of the given atoms, read at
-        the atom's first outcome: the process must be constant there."""
-        return [(self.increments if increments else self).at(atom[0], t) for atom in atoms]
-
-    def value_keys(self, t: int, atoms, increments: bool = False) -> tuple:
-        """The value keys of X_t (dX_t with ``increments``) on each of the
-        given atoms, read at the atom's first outcome straight off the
-        layer, with no number decoded: equal values (and no others) share a
-        key, over any denominator and at any time (``_layer_key``).  A
-        layer's keys are taken once, each distinct exact cell keyed once."""
+    def on_atoms(self, t: int, part: Partition, ks, increments: bool = False) -> list:
+        """X_t (dX_t with ``increments``) on the atoms ``ks`` of ``part``,
+        each read at its first outcome (``Partition.parents``)."""
         X = self.increments if increments else self
-        part, cols, den = X.layers[t]
+        cells, up = X._numbers(t), part.parents(X.layers[t][0])
+        return [cells[up[k]] for k in ks]
+
+    def value_keys(self, t: int, part: Partition, increments: bool = False) -> tuple:
+        """The value keys of X_t (dX_t with ``increments``) on each atom of
+        ``part``, read at its first outcome straight off the layer, with no
+        number decoded: equal values (and no others) share a key, over any
+        denominator and at any time (``_layer_key``).  A layer's keys are
+        taken once, each distinct exact cell keyed once."""
+        X = self.increments if increments else self
+        own, cols, den = X.layers[t]
         keys = X._keys.get(t)
         if keys is None:
-            cells = _rows(cols, len(part.atoms))
+            cells = _rows(cols, own.size)
             if self.space.arith.exact:  # ints: -0.0 and 0.0 would merge in a dict
                 distinct = {v: _layer_key(v, den, True) for v in dict.fromkeys(cells)}
                 keys = tuple(map(distinct.__getitem__, cells))
             else:
                 keys = tuple(map(_cell_key, cells))
             X._keys[t] = keys
-        if atoms is part.atoms:
-            return keys
-        return tuple([keys[part.atom_index(atom[0])] for atom in atoms])
+        return keys if part is own else tuple(map(keys.__getitem__, part.parents(own)))
 
     def refined(self, flow: "Filtration") -> "Process":
         """The same process stored on the meet of its partitions with the
@@ -958,10 +965,9 @@ def first_failing(X: Process, test=None, start=None, increments: bool = False):
 
     ``test`` runs at every time, ``start`` in its place at time 0; a time
     left without a test is skipped.  With ``increments`` the cells are dX_t
-    for t >= 1.  Each test runs once per (time, atom), as ``test(v, den)``
-    on the cell's numerators ``v`` over the layer's denominator ``den``
-    (floats over 1 in float mode), so it must be homogeneous in (v, den):
-    ``v[0] > 0``, ``v[0] < den``, ``eq(v[0], den)``.
+    for t >= 1.  Each test runs once per (time, atom) as ``test(v, den)``,
+    on the cell's numerators over the layer's denominator (floats over 1),
+    so it must be homogeneous: ``v[0] > 0``, ``v[0] < den``.
     """
     if increments:
         X = X.increments
@@ -969,20 +975,17 @@ def first_failing(X: Process, test=None, start=None, increments: bool = False):
     for t, (part, cols, den) in enumerate(X.layers):
         check = (start or test) if t == 0 else test
         if check is not None and t >= increments:
-            cells = _rows(cols, len(part.atoms))
-            misses += [(X.space._index[part.atoms[k][0]], t)
-                       for k in _failing(map(check, cells, repeat(den)))]
+            cells = _rows(cols, part.size)
+            misses += [(part.firsts[k], t) for k in _failing(map(check, cells, repeat(den)))]
     return min(misses, default=None)
 
 
 def extrema(X: Process, start: int = 0, increments: bool = False):
     """(least, greatest) component of the cells of X from time ``start`` on
-    (of its increments dX_t, t >= 1, with ``increments``), as numbers, or
-    None when there is none.  Entries compare over their layer's
-    denominator (floats over 1), column by column, and the first of equal
-    extremes in (time, component, atom) order is kept, so a float tie of
-    0.0 and -0.0 keeps its first; exact mode decodes the two extremes
-    alone."""
+    (of dX_t, t >= 1, with ``increments``), as numbers, or None when there
+    is none.  Entries compare over their layer's denominator, and the first
+    of equal extremes in (time, component, atom) order is kept (a float tie
+    of 0.0 and -0.0 keeps its first); exact mode decodes the two alone."""
     if increments:
         X, start = X.increments, 1
     lo = hi = None
@@ -1018,7 +1021,7 @@ def first_mismatch(X: Process, Y: Process):
     for t, layers in enumerate(zip(X.layers, Y.layers)):
         part, (us, vs), _ = _common(layers)
         bad = set(chain.from_iterable(_failing(map(eq, u, v)) for u, v in zip(us, vs)))
-        misses += [(X.space._index[part.atoms[k][0]], t) for k in bad]
+        misses += [(part.firsts[k], t) for k in bad]
     if not misses:
         return None
     i, t = min(misses)
@@ -1030,17 +1033,15 @@ def first_mismatch(X: Process, Y: Process):
 
 def is_adapted(X: Process, filtration: Filtration) -> bool:
     """Time-t values constant on every time-t atom: checked once per atom
-    of the meet, against the entry on the first atom of the meet inside the
-    same flow atom."""
+    of the meet, against the entry at the flow atom's first outcome."""
     if X.horizon != filtration.horizon:
         return False
     eq = _eq(X.space.arith)
     for (part, cols, _), atoms in zip(X.layers, filtration.partitions):
         meet, mine, theirs = part.meet(atoms)
-        if len(meet.atoms) == len(atoms.atoms):
+        if meet.size == atoms.size:
             continue  # each atom lies inside one atom of the process
-        first = dict(zip(reversed(theirs), reversed(mine)))  # the first one wins
-        ref = tuple(map(first.__getitem__, theirs))
+        ref = tuple(map(atoms.parents(part).__getitem__, theirs))
         for col in cols:
             if not all(map(eq, map(col.__getitem__, mine), map(col.__getitem__, ref))):
                 return False
@@ -1054,16 +1055,15 @@ def is_adapted(X: Process, filtration: Filtration) -> bool:
 def _sum_plan(part: Partition, given: Partition) -> tuple:
     """(index, masses, groups, scale, lcm): the atoms of the meet of
     ``part`` with ``given`` grouped by the atom of ``given`` holding them,
-    as the atom of ``part`` holding each and its mass, with each group as a
-    ``slice``; and one scale per atom of ``given``.  Exact mode reads the
-    integer masses, and an atom's scale is lcm // its integer mass, with
-    lcm the lcm of those masses; float mode reads the masses, and an atom's
-    scale is its mass (lcm 1).  Built once per pair."""
+    as the atom of ``part`` holding each and its mass, each group a
+    ``slice``; and one scale per atom of ``given``: in exact mode lcm // its
+    integer mass, lcm the lcm of those, in float mode its mass (lcm 1).
+    Built once per pair."""
     hit = given._sums.get(part)
     if hit is None:
         meet, mine, theirs = part.meet(given)
         order = sorted(range(len(theirs)), key=theirs.__getitem__)
-        ends = tuple(accumulate(map(Counter(theirs).__getitem__, range(len(given.atoms)))))
+        ends = tuple(accumulate(map(Counter(theirs).__getitem__, range(given.size))))
         if given.space.arith.exact:
             masses, totals = meet.integer_masses, given.integer_masses
             lcm = math.lcm(*totals)
@@ -1079,18 +1079,16 @@ def _sum_plan(part: Partition, given: Partition) -> tuple:
 def atom_means(given: Partition, layer, other=None) -> tuple:
     """The layer on ``given`` of the mean of a layer's cells over each of
     its atoms, or with ``other``, of the outer product of the two layers'
-    cells on the meet of their partitions (entry i * dim(other) + j the
-    mean of a_i * b_j, ``outer``).
+    cells (entry i * dim(other) + j the mean of a_i * b_j, ``outer``).
 
-    The terms are the child atoms (the meet with ``given``) in both modes:
-    mass(child) * value(child), summed over each atom's children.  Exact
-    mode sums integer masses times numerators and multiplies by the atom's
-    scale (``_sum_plan``), so it builds no Fraction; float mode sums with
-    ``math.fsum`` and divides by the atom's mass, so a mean depends neither
-    on the order the outcomes are listed in nor on the Python version; a
-    float sum of inf and -inf raises OverflowError ("scenario is out of
-    float range").  Where ``given`` refines the operands' meet, each atom
-    is its own one child and its mean is its value.
+    The terms are mass(child) * value(child) over each atom's child atoms
+    (the meet with ``given``): exact mode sums integer masses times
+    numerators and multiplies by the atom's scale (``_sum_plan``), with no
+    Fraction built; float mode sums with ``math.fsum`` and divides by the
+    atom's mass, so a mean depends neither on the outcomes' order nor on
+    the Python version, and a sum of inf and -inf raises OverflowError
+    ("scenario is out of float range").  Where ``given`` refines the
+    operands' meet, each atom's mean is its value.
     """
     part, cols, den = layer if other is None else \
         product(outer(len(layer[1]), len(other[1])), layer, other)

@@ -131,7 +131,7 @@ def _exponentiate(coefficients: Process, integrator: Process, flow: Filtration) 
     if miss is not None:
         t = miss[1]
         atom = flow.at(t).atom_of(Y.space.outcomes[miss[0]])
-        jump = Y.on_atoms(t, [atom], increments=True)[0][0]
+        jump = Y.increments.at(atom[0], t)[0]
         return None, FailureWitness("jump-bound", t, atom, jump)
     return StructureSolution(coefficients, Y, stoch_exp(-Y)), None
 
@@ -191,13 +191,13 @@ def price_drift_rhs(market: Market, D: Process, gauge: DriftGauge) -> Process:
     return pred_bracket(D, M, F) + drift_operator(gauge.phi, gauge.N, M, F)
 
 
-def _site_inputs(processes, t: int, transition) -> list:
-    """(p, dW, dN, dD) for each child of a base-flow transition: its
-    conditional probability and the time-t increments of the driver, the
-    carrier and D, the three ``processes``."""
-    kids = [child for child, _ in transition]
+def _site_inputs(processes, t: int, part, transition) -> list:
+    """(p, dW, dN, dD) for each child of a base-flow transition, an atom
+    of ``part``: its conditional probability and the time-t increments of
+    the driver, the carrier and D, the three ``processes``."""
+    kids = [c for c, _ in transition]
     return list(zip((p for _, p in transition),
-                    *(X.on_atoms(t, kids, increments=True) for X in processes)))
+                    *(X.on_atoms(t, part, kids, increments=True) for X in processes)))
 
 
 def _build_site(market: Market, d: int, phi, inputs) -> Site:
@@ -234,7 +234,7 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
     mode of a bad enlargement (infeasible sites) can be observed directly.
     """
     pair, W = gauge.pair, gauge.W
-    if [p.atoms for p in pair.base.partitions] != [p.atoms for p in market.F.partitions]:
+    if pair.base.partitions != market.F.partitions:  # one partition object per time
         raise ViabilityError("the enlargement must extend the market flow")
     G = pair.expanded
     D = base_solution.martingale
@@ -259,33 +259,32 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
         g_part = G.at(t - 1)
         # The value key of each base atom's transition inputs, from the keys
         # of each increments layer on the time-t base atoms, taken once.
-        layer_keys = [X.value_keys(t, F.at(t).atoms, increments=True) for X in processes]
+        layer_keys = [X.value_keys(t, F.at(t), increments=True) for X in processes]
         base = [base_ids.setdefault((p_key, *(tuple(map(keys.__getitem__, kids))
                                               for keys in layer_keys)), len(base_ids))
                 for p_key, kids in zip(F.transition_keys(t), F.children(t))]
-        for idx, (g_atom, phi_key, k) in enumerate(zip(
-                g_part.atoms, gauge.phi.value_keys(t, g_part.atoms),
-                g_part.parents(F.at(t - 1)))):
+        for idx, (phi_key, k) in enumerate(zip(gauge.phi.value_keys(t, g_part),
+                                               g_part.parents(F.at(t - 1)))):
             key = phi_ids.setdefault(phi_key, len(phi_ids)), base[k]
             hit = solved.get(key)
             if hit is None:
-                (phi,) = gauge.phi.on_atoms(t, [g_atom])
-                inputs = _site_inputs(processes, t, F.transition(t, k))
+                (phi,) = gauge.phi.on_atoms(t, g_part, [idx])
+                inputs = _site_inputs(processes, t, F.at(t), F.transition(t, k))
                 try:
                     solve = solve_site(_build_site(market, W.dim, phi, inputs))
                 except CoercivityFailure as err:
                     return Verdict(NON_VIABLE,
-                                   FailureWitness("site-coercivity", t, g_atom,
+                                   FailureWitness("site-coercivity", t, g_part.atoms[idx],
                                                   str(err)),
                                    stage="site-solves-feasible")
                 if not solve.feasible:
                     return Verdict(NON_VIABLE,
-                                   FailureWitness("site-infeasible", t, g_atom,
+                                   FailureWitness("site-infeasible", t, g_part.atoms[idx],
                                                   solve.residual),
                                    stage="site-solves-feasible")
                 bad = next((r for r in solve.rows if not r.ok), None)
                 if jump_witness is None and bad is not None:
-                    jump_witness = FailureWitness("jump-bound", t, g_atom, bad)
+                    jump_witness = FailureWitness("jump-bound", t, g_part.atoms[idx], bad)
                 solved[key] = hit = solve
             table[(t, idx)] = hit.solution
     # A bad jump row is reported only once every site has solved.

@@ -694,9 +694,10 @@ def represent(X: Process, driver: Driver) -> RepresentationCoefficients:
     k = X.dim
     values: dict[tuple[int, int], tuple] = {}
     for t in range(1, F.horizon + 1):
-        for atom_idx, atom, children in F.transitions(t):
-            V = [list(delta(driver.W, c[0], t)) for c, _ in children]
-            dX = [delta(X, c[0], t) for c, _ in children]
+        for atom_idx, children in enumerate(F.transitions(t)):
+            atom, kids = F.at(t - 1).atoms[atom_idx], F.at(t).atoms
+            V = [list(delta(driver.W, kids[c][0], t)) for c, _ in children]
+            dX = [delta(X, kids[c][0], t) for c, _ in children]
             flat = [0] * (d * k)
             for i, y in enumerate(zip(*dX)):
                 coeff, residual = lstsq_min_norm(V, y, arith)
@@ -1156,8 +1157,9 @@ def row_min_tilt(phi: Rows, N: Rows, base: Filtration, expanded: Filtration) -> 
         p_part, p_cells, p_den = phi.layers[t]
         n_part, n_cells, n_den = dN.layers[t]
         den = p_den * n_den
-        steps = [[n_cells[n_part.atom_index(child[0])] for child, _ in children]
-                 for _, _, children in base.transitions(t)]
+        kids = base.at(t).atoms
+        steps = [[n_cells[n_part.atom_index(kids[c][0])] for c, _ in children]
+                 for children in base.transitions(t)]
         cells = []
         for k, (atom, a) in enumerate(zip(part.atoms, part.parents(base.at(t - 1)))):
             ph = p_cells[p_part.atom_index(atom[0])]
@@ -1294,6 +1296,5 @@ def transitions_by_outcomes(flow: Filtration, t: int) -> list:
     """``Filtration.transitions(t)`` from ``children_by_outcomes`` and
     ``masses_by_outcomes``."""
     mass, parent_mass = masses_by_outcomes(flow.at(t)), masses_by_outcomes(flow.at(t - 1))
-    return [(k, atom, [(flow.at(t).atoms[c], mass[c] / parent_mass[k]) for c in kids])
-            for k, (atom, kids) in enumerate(zip(flow.at(t - 1).atoms,
-                                                 children_by_outcomes(flow, t)))]
+    return [[(c, mass[c] / parent_mass[k]) for c in kids]
+            for k, kids in enumerate(children_by_outcomes(flow, t))]

@@ -231,7 +231,7 @@ def test_layers_hold_reduced_integers_in_exact_mode_and_floats_over_one(mode, da
         assert all(type(a) is int for a in numerators)
         assert math.gcd(den, *numerators) == 1
     assert all(type(x) is (Fraction if mode == "exact" else float)
-               for x in X.at(space.outcomes[-1], F.horizon) + X.on_atoms(0, F.at(0).atoms)[0])
+               for x in X.at(space.outcomes[-1], F.horizon) + X.on_atoms(0, F.at(0), [0])[0])
 
 
 def _brute_first_failing(X, test, start=None, increments=False):
@@ -271,7 +271,8 @@ def test_layer_value_keys_merge_equal_values_only(mode, data):
     arith = space.arith
     keyed = [(key, v) for Z in (X, Y, X.increments, Y.scale(arith.parse("2/3")))
              for t in range(F.horizon + 1)
-             for key, v in zip(Z.value_keys(t, F.at(t).atoms), Z.on_atoms(t, F.at(t).atoms))]
+             for key, v in zip(Z.value_keys(t, F.at(t)),
+                               Z.on_atoms(t, F.at(t), range(F.at(t).size)))]
     for key, v in keyed:
         assert (key,) == ref.value_key(arith, v)
         for other_key, w in keyed:
@@ -301,7 +302,7 @@ def test_transition_keys_merge_equal_probability_vectors_only(mode, data):
     space, F = data.draw(markets(MODES[mode]))
     keyed = [(key, ref.value_key(space.arith, [p for _, p in kids]))
              for t in range(1, F.horizon + 1)
-             for key, (_, _, kids) in zip(F.transition_keys(t), F.transitions(t))]
+             for key, kids in zip(F.transition_keys(t), F.transitions(t))]
     assert len(keyed) == sum(len(F.at(t).atoms) for t in range(F.horizon))
     for key, oracle in keyed:
         for other_key, other in keyed:

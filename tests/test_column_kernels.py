@@ -248,8 +248,7 @@ def test_decisions_match_their_row_oracles(mode, data):
     if mode == "exact":
         assert extrema(X) == ref.row_extrema(RX)
     for t in range(F.horizon + 1):
-        atoms = G.at(t).atoms
-        assert X.value_keys(t, atoms) == ref.row_value_keys(RX, t, atoms)
+        assert X.value_keys(t, G.at(t)) == ref.row_value_keys(RX, t, G.at(t).atoms)
     # The martingale check on a process adapted to F: its first atom, in
     # (time, atom) order, with a mean increment off zero.
     A = Process.adapted(F, {(t, k): data.draw(st.tuples(*[st.sampled_from(

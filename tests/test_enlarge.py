@@ -29,6 +29,7 @@ from marketforge.space import (
     Partition,
     Process,
     SpaceError,
+    build_initial_enlargement,
     first_mismatch,
 )
 
@@ -170,8 +171,7 @@ def _explicit_pairs():
     ))
     return {"b2n": fx.pair, "insider": b2i().pair,
             "learns-second-coin": EnlargementPair(fx.F, learns_second_coin),
-            "learns-noise": EnlargementPair(fx.F, fx.F.refine_by(
-                [o[-1] for o in space.outcomes]))}
+            "learns-noise": build_initial_enlargement(fx.F, [o[-1] for o in space.outcomes])}
 
 
 @pytest.mark.parametrize("name", ["b2n", "insider", "learns-second-coin", "learns-noise"])

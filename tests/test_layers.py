@@ -54,7 +54,9 @@ LAYOUT_TOKENS = re.compile(r"\.layers\b|\.meet\(|\batom_at\b|_tabled|_keyed|_gro
                            r"|\b_weighted\(|\b_failing\(|\b_eq\(|\b_dot\(|_member_weights"
                            r"|accumulate\(|\bid\("
                            r"|_meets\b|\b_nest\(|_parent_map|_read_off|_outcome_meet|\b_split\("
-                           r"|_finer\(|\._own\b|\._keys\b")
+                           r"|_finer\(|\._own\b|\._keys\b"
+                           r"|\b_refined\(|_maps_onto|_group_outcomes|\b_met\(|\b_flow\("
+                           r"|\._base\b|\._first\b|\._up\b|\._below\b")
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in ENGINE.glob("*.py")

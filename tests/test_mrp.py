@@ -17,6 +17,7 @@ from marketforge.space import (
 
 from reference import (
     NotRepresentable,
+    by_level_sets,
     delta,
     discrete,
     from_values,
@@ -106,7 +107,7 @@ def test_check_mrp_fails_when_noise_revealed_at_the_end():
     # Splitting the final atoms by the noise bit quadruples the children
     # while the driver stays one-dimensional.
     fx = b2n()
-    noisy_final = fx.F.at(2).refine_by([o[2] for o in fx.space.outcomes])
+    noisy_final = by_level_sets(fx.space, [o[:3] for o in fx.space.outcomes])
     F_noisy = Filtration(fx.space, (fx.F.at(0), fx.F.at(1), noisy_final))
     driver = Driver(fx.W, F_noisy)
     witness = check_mrp(F_noisy, driver)
@@ -121,7 +122,7 @@ def test_multiplicity_bound_under_mrp():
         driver = Driver(fx.W, fx.F)
         assert check_mrp(fx.F, driver) is None
         for t in range(1, fx.F.horizon + 1):
-            for _, _, children in fx.F.transitions(t):
+            for children in fx.F.transitions(t):
                 assert len(children) <= driver.d + 1
 
 

@@ -111,7 +111,7 @@ def _random_market(rng, arith, start=1, jump=Fraction(1, 4)):
     price = {o: Fraction(start) for o in space.outcomes}
     paths = [[(arith.parse(start),)] for _ in space.outcomes]
     for t in range(1, F.horizon + 1):
-        for _, _, children in F.transitions(t):
+        for children in F.transitions(t):
             probs = [Fraction(p) for _, p in children]
             raw = [Fraction(rng.randint(-10, 10), 100) for _ in children]
             mean = sum(p * r for p, r in zip(probs, raw))
@@ -120,7 +120,7 @@ def _random_market(rng, arith, start=1, jump=Fraction(1, 4)):
             drift = 0 if var == 0 else (
                 rng.choice((-1, 0, 1)) * jump * var / max(map(abs, moves)))
             for (child, _), c in zip(children, moves):
-                for o in child:
+                for o in F.at(t).atoms[child]:
                     price[o] += c + drift
         for i, o in enumerate(space.outcomes):
             paths[i].append((arith.parse(price[o]),))
@@ -172,7 +172,7 @@ def _systems(X, Y, target, flow, base):
         a_part, b_part = base.at(t - 1), flow.at(t - 1)
         _, cols, den = atom_means(a_part, X.increments.layers[t], Y.increments.layers[t])
         cells = _rows(cols, len(a_part.atoms))
-        for B, a in zip(b_part.atoms, b_part.parents(a_part)):
+        for k, (B, a) in enumerate(zip(b_part.atoms, b_part.parents(a_part))):
             Q = [cells[a][i * d:(i + 1) * d] for i in range(n)]
             if space.arith.exact:
                 atom = a_part.atoms[a]
@@ -181,7 +181,7 @@ def _systems(X, Y, target, flow, base):
                     [[sum(space.weight(o) * X.increments.at(o, t)[i]
                           * Y.increments.at(o, t)[j] for o in atom) / mass
                       for j in range(d)] for i in range(n)]
-            yield t, B, Q, [den * v for v in target.on_atoms(t, [B])[0]], den
+            yield t, B, Q, [den * v for v in target.on_atoms(t, b_part, [k])[0]], den
 
 
 def _system_key(Q, b):

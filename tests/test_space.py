@@ -169,15 +169,16 @@ def test_progressive_enlargement_by_first_hit():
 
 
 def _brute_transitions(flow, t):
-    """(k, atom, [(child, P(child | atom))]) by scanning every atom pair."""
+    """[(c, P(child c | atom))] of each time-(t-1) atom, by scanning every
+    atom pair."""
     space = flow.space
 
     def mass(atom):
         return sum(space.weight(o) for o in atom)
 
-    return [(k, atom, [(child, mass(child) / mass(atom))
-                       for child in flow.at(t).atoms if set(child) <= set(atom)])
-            for k, atom in enumerate(flow.at(t - 1).atoms)]
+    return [[(c, mass(child) / mass(atom))
+             for c, child in enumerate(flow.at(t).atoms) if set(child) <= set(atom)]
+            for atom in flow.at(t - 1).atoms]
 
 
 def _brute_parents(fine, coarse):
@@ -211,7 +212,7 @@ def test_atom_index_matches_brute_enumeration():
     # coin agrees with the signal with probability 4/5
     G = noisy.pair.expanded
     assert G.at(0).masses == (F(1, 2), F(1, 2))
-    assert [p for _, p in G.transitions(1)[0][2]] == [F(4, 5), F(1, 5)]
+    assert [p for _, p in G.transitions(1)[0]] == [F(4, 5), F(1, 5)]
 
 
 def test_enlargement_pair_rejects_a_flow_that_does_not_refine():

@@ -1,23 +1,28 @@
 """The flows' partition tree against outcome grouping.
 
-A partition built by refining another (``Partition.refine_by``, the
-natural filtration, the initial and progressive enlargements) registers
-the map from its atoms to the coarser partition's; every meet is read off
-a registered partition refining both operands, and only a pair with none is
-met outcome by outcome.  Masses sum the finer partition's masses over its
-parent map, and transitions read the children off the parent map.
+Every partition is born by one keyed pass over a finer one
+(``space._refined``): the natural filtration, the initial and progressive
+enlargements and a given flow group the outcomes once, into their finest
+partition, and key each time's partition off its atoms.  Each registers
+its map onto the partition it refines; every meet is read off the maps of
+a partition refining both operands (the root, the single outcomes, when
+no other does).  Masses sum the base's masses over its map, and
+transitions read the children off the parent map.
 
 - a ``hypothesis`` test draws seeded trees (``util.random_tree``) with an
-  initial, a progressive or an explicit (user-given, so unregistered)
+  initial, a progressive, an explicit (``Filtration`` of partitions given
+  as atoms) or a given (``given_flow``, as the loader builds one)
   enlargement, in both modes, meets every pair of the two flows'
   partitions and the trivial one in a drawn order, and checks every
   registered map, every meet (partition, mine, theirs), every mass and
   every transition against ``reference``'s outcome-grouping oracles, with
   atoms in canonical order;
-- a structural guard, with no timing in it: once the golden T = 6 tree is
-  loaded, an ``analyze`` pipeline groups no outcome and meets no pair
-  outcome by outcome, and it solves as many distinct sites and moment
-  systems as before.
+- structural guards, with no timing in them: loading the golden T = 6 tree
+  groups the outcomes once per flow, and so does loading the explicit
+  golden; once the T = 6 tree is loaded, an ``analyze`` pipeline groups no
+  outcome and reads no map off the outcomes, it solves as many distinct
+  sites and moment systems as before, and it builds the outcome labels of
+  no partition but each flow's finest.
 """
 
 import random
@@ -36,8 +41,10 @@ from marketforge.space import (
     Filtration,
     Partition,
     RandomTime,
+    atom_labels,
     build_initial_enlargement,
     build_progressive_enlargement,
+    given_flow,
 )
 
 from test_atom_kernels import MODES
@@ -52,13 +59,28 @@ def _enlargement(kind: str, F: Filtration, rng) -> EnlargementPair:
     if kind == "progressive":
         times = [rng.choice([*range(F.horizon + 2), INF]) for _ in range(n)]
         return build_progressive_enlargement(F, RandomTime(F.space, tuple(times)))
-    # explicit: each time refined by a growing random label, given as atoms
+    # explicit or given: each time refined by a growing random label
     labels, parts = [()] * n, []
     for part in F.partitions:
         labels = [lab + (rng.randint(0, 1),) for lab in labels]
         parts.append(ref.by_level_sets(F.space, [(part.atom_index(o), lab) for o, lab in
                                                  zip(F.space.outcomes, labels)]))
+    if kind == "given":
+        return EnlargementPair(F, given_flow(F.space, [atom_labels(F.space, part.atoms)
+                                                       for part in parts], F))
     return EnlargementPair(F, Filtration(F.space, tuple(parts)))
+
+
+def _registered(sample) -> list:
+    """Every partition built on the space: each is registered under the
+    partition it was keyed over, so all are reached from the root."""
+    seen, todo = {sample.root: None}, [sample.root]
+    while todo:
+        for part in todo.pop()._up:
+            if part not in seen:
+                seen[part] = None
+                todo.append(part)
+    return [sample.trivial, *seen]
 
 
 def _canonical(part: Partition) -> bool:
@@ -69,7 +91,7 @@ def _canonical(part: Partition) -> bool:
 
 @pytest.mark.parametrize("mode", MODES)
 @given(seed=st.integers(0, 2 ** 32 - 1),
-       kind=st.sampled_from(["initial", "progressive", "explicit"]))
+       kind=st.sampled_from(["initial", "progressive", "explicit", "given"]))
 def test_tree_index_matches_outcome_grouping(mode, seed, kind):
     rng = random.Random(seed)
     sample, F = random_tree(rng, MODES[mode])
@@ -81,11 +103,15 @@ def test_tree_index_matches_outcome_grouping(mode, seed, kind):
     for a, b in pairs:
         meet, mine, theirs = a.meet(b)
         assert (meet.atoms, mine, theirs) == ref.meet_by_outcomes(a, b)
-    built = list(sample._partitions.values())
+    built = _registered(sample)
     for part in built:
         assert _canonical(part)
         for other, (meet, mine, theirs) in part._meets.items():
             assert (meet.atoms, mine, theirs) == ref.meet_by_outcomes(part, other)
+        for coarse, up in part._up.items():
+            assert (part.atoms, part._own, up) == ref.meet_by_outcomes(part, coarse)
+    # equal partitions are one object
+    assert len({part.atoms for part in built}) == len(built)
     for part in built:
         assert part.masses == ref.masses_by_outcomes(part)
     for flow in (F, G):
@@ -94,12 +120,36 @@ def test_tree_index_matches_outcome_grouping(mode, seed, kind):
             assert flow.transitions(t) == ref.transitions_by_outcomes(flow, t)
 
 
+def _counting_groupings(monkeypatch) -> dict:
+    """Count the groupings of the outcomes (``space._group_outcomes``)."""
+    calls = {"groupings": 0}
+
+    def grouped(parent, labels):
+        calls["groupings"] += 1
+        return group(parent, labels)
+
+    group = space._group_outcomes
+    monkeypatch.setattr(space, "_group_outcomes", grouped)
+    return calls
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["noisy_tree_T6.json", "explicit_noisy_second_coin.json"])
+def test_load_groups_the_outcomes_once_per_flow(monkeypatch, mode, name):
+    calls = _counting_groupings(monkeypatch)
+    load_scenario(parse_document((GOLDEN / name).read_text()), MODES[mode])
+    assert calls["groupings"] == 2
+
+
 @pytest.mark.parametrize("mode, solves", [("exact", (4, 12)), ("float", (26, 65))])
 def test_analyze_after_load_groups_no_outcome(monkeypatch, mode, solves):
     arith = MODES[mode]
     built = load_scenario(parse_document((GOLDEN / "noisy_tree_T6.json").read_text()),
                           arith)
-    calls = {"groupings": 0, "outcome meets": 0, "sites": 0, "moment solves": 0}
+    root = built.space.root
+    from_root = len(root._up)
+    calls = _counting_groupings(monkeypatch)
+    calls.update({"sites": 0, "moment solves": 0})
 
     def counted(name, fn):
         def call(*args):
@@ -107,11 +157,14 @@ def test_analyze_after_load_groups_no_outcome(monkeypatch, mode, solves):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(space, "_level_sets", counted("groupings", space._level_sets))
-    monkeypatch.setattr(space, "_outcome_meet", counted("outcome meets", space._outcome_meet))
     monkeypatch.setattr(viability, "solve_site", counted("sites", viability.solve_site))
     monkeypatch.setattr(linalg, "lstsq_min_norm", counted("moment solves", linalg.lstsq_min_norm))
     verdict, _ = _run_pipeline(built)
     assert verdict.status == viability.VIABLE
-    assert (calls["groupings"], calls["outcome meets"]) == (0, 0)
+    # No grouping, and no map read off the outcomes (an outcome meet or an
+    # ``atom_at`` would register one).
+    assert (calls["groupings"], len(root._up) - from_root) == (0, 0)
     assert (calls["sites"], calls["moment solves"]) == solves
+    if mode == "exact":
+        labelled = [part for part in _registered(built.space) if "atoms" in vars(part)]
+        assert set(labelled) <= {built.F.partitions[-1], built.pair.expanded.partitions[-1]}

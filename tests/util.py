@@ -4,12 +4,15 @@ The random generators the CLI battery needs at runtime live in
 marketforge.selftest and are re-exported here; the ones only tests use
 (``tree`` and ``random_tree``, ``random_predictable``, the ``b2n_site`` jump
 site) are defined here, with ``bits``, a number's exact bits, and
-``scaled``, a document field's numbers scaled as JSON floats.  The
+``scaled``, a document field's numbers scaled as JSON floats, and
+``split_outcomes``, a scenario with each outcome split into equal
+copies.  The
 brute oracles recompute conditional means and drifts by direct summation
 over outcomes, independent of the library's conditional-expectation path,
 so the calculus operators are checked against plain arithmetic.
 """
 
+import json
 import struct
 from fractions import Fraction
 
@@ -40,6 +43,38 @@ def scaled(value, factor):
     if isinstance(value, list):
         return [scaled(x, factor) for x in value]
     return float(Fraction(str(value)) * factor)
+
+
+def split_outcomes(doc: dict, k: int) -> dict:
+    """The scenario with each outcome o replaced, in place, by k copies
+    ``o#0``, ..., ``o#{k-1}`` of weight w/k (an exact "p/q" string), each
+    with o's paths, enlargement label or time, and atoms: the same market
+    on k times the outcomes, with the same atoms."""
+    def copies(o):
+        return [f"{o}#{j}" for j in range(k)]
+
+    def per_outcome(values):
+        return [v for v in values for _ in range(k)]
+
+    def flow(times):
+        return [[[c for o in atom for c in copies(o)] for atom in atoms] for atoms in times]
+
+    out = json.loads(json.dumps(doc))
+    space = out["space"]
+    space["outcomes"] = [c for o in space["outcomes"] for c in copies(o)]
+    space["weights"] = per_outcome(str(Fraction(str(w)) / k) for w in space["weights"])
+    for name in ("driver", "prices", "carrier", "structure"):
+        if name in out:
+            out[name] = per_outcome(out[name])
+    if "flow" in out:
+        out["flow"] = flow(out["flow"])
+    enlargement = out.get("enlargement", {})
+    for name in ("variable", "times"):
+        if name in enlargement:
+            enlargement[name] = per_outcome(enlargement[name])
+    if "flow" in enlargement:
+        enlargement["flow"] = flow(enlargement["flow"])
+    return out
 
 
 def tree(labels, raw, arith: Arithmetic):
@@ -97,9 +132,10 @@ def site_at(market, gauge, driver, D, t, g_atom) -> Site:
     """The expanded-flow site of (t, g_atom), g_atom a time-(t-1) expanded
     atom, built directly from the pipeline's inputs, with no memo."""
     k = market.F.at(t - 1).atom_index(g_atom[0])
-    _, _, transition = market.F.transitions(t)[k]
-    (phi,) = gauge.phi.on_atoms(t, [g_atom])
-    inputs = viability._site_inputs((driver.W, gauge.N, D), t, transition)
+    g_part = gauge.pair.expanded.at(t - 1)
+    (phi,) = gauge.phi.on_atoms(t, g_part, [g_part.atom_index(g_atom[0])])
+    inputs = viability._site_inputs((driver.W, gauge.N, D), t, market.F.at(t),
+                                    market.F.transition(t, k))
     return viability._build_site(market, driver.d, phi, inputs)
 
 
