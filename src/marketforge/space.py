@@ -152,8 +152,8 @@ class Partition:
     """A partition of the outcomes into ``size`` atoms in canonical order,
     sorted by their first outcome, so iteration and reports are
     deterministic.  Every partition but the space's ``root`` is born by one
-    keyed pass over the atoms of a finer one, its ``_base``, whose first
-    atom in each atom ``_first`` holds (``_refined``)."""
+    keyed pass over the atoms of a finer one, its ``_base``; ``_first``
+    holds each atom's first base atom (``_refined``)."""
 
     space: SampleSpace
     size: int
@@ -309,25 +309,23 @@ def _refined(parent: Partition, base: Partition, labels) -> tuple:
 
 
 def _maps_onto(base: Partition, part: Partition, keys: tuple) -> bool:
-    """Whether ``keys`` is the map of ``base`` onto ``part``: the registered
-    map's, or where there is none, read off the outcomes."""
+    """Whether ``keys`` is the map of ``base`` onto ``part``."""
     up = _parent_map(base, part)
-    return up == keys if up is not None else part.atom_at == tuple(map(keys.__getitem__,
-                                                                        base.atom_at))
+    if up is None:  # no registered map: compare the two read off the outcomes
+        return part.atom_at == tuple(map(keys.__getitem__, base.atom_at))
+    return up == keys
 
 
 def _group_outcomes(parent: Partition, labels) -> tuple:
-    """``_refined`` over the root by one hashable label per outcome, each
-    distinct label numbered first: the one pass that groups the outcomes,
-    once per flow (``_flow``), and for a partition given as atoms or a
-    process not adapted to its flow."""
+    """``_refined`` over the root by one hashable label per outcome, numbered
+    first: the one grouping of the outcomes, once per flow (``_flow``), and
+    for a partition given as atoms or a process not adapted to its flow."""
     ids = dict(zip(dict.fromkeys(labels), count()))
     return _refined(parent, parent.space.root, list(map(ids.__getitem__, labels)))
 
 
 def _nest(fine: Partition, coarse: Partition, parents: tuple) -> None:
-    """Register ``parents``, the coarse atom holding each fine atom, as the
-    map of ``fine`` onto ``coarse`` (the one-atom partition needs none)."""
+    """Register the map of ``fine`` onto ``coarse`` (none onto one atom)."""
     if fine is not coarse and coarse.size > 1 and coarse not in fine._up:
         fine._up[coarse] = parents
         coarse._below.append(fine)
@@ -354,11 +352,13 @@ def _parent_map(fine: Partition, coarse: Partition, seen=None):
 
 def _met(a: Partition, b: Partition) -> tuple:
     """(meet, mine, theirs) of ``a`` and ``b`` read off the maps of a
-    partition r refining both: one of the two, else the smallest one
-    registered as refining either, else the root.  The distinct (atom of
+    partition r refining both: the smallest of the two and the partitions
+    registered as finer than either, else the root.  The distinct (atom of
     a, atom of b) pairs over r's atoms are the meet's atoms (``_refined``)."""
-    for r in (a, b, *sorted(a._below + b._below, key=operator.attrgetter("size")),
-              a.space.root):
+    finer = [a, b]
+    for part in finer:  # grows as it goes: every registered refinement
+        finer += [p for p in part._below if p not in finer]
+    for r in (*sorted(finer, key=operator.attrgetter("size")), a.space.root):
         up_a, up_b = _parent_map(r, a), _parent_map(r, b)
         if up_a is not None and up_b is not None:
             break

@@ -157,6 +157,19 @@ def test_loader_builds_on_a_drawn_flow_the_reference_layers_refined_by_it(mode, 
             assert got.layers[t][0] is flow.at(t)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_loader_builds_on_a_flow_that_does_not_see_the_process_its_level_sets(mode):
+    # The flow's finest atom holds every outcome, so no column is read off it.
+    doc = parse_document(json.dumps(coin_tree(3)))
+    arith = ARITH[mode]
+    space = load_scenario(doc, arith).space
+    blind = Filtration(space, (Partition.trivial(space),) * 4)
+    want = ref.row_refined(ref.Rows.of(ref.load_process(doc["prices"], "prices", space, arith)),
+                           blind)
+    got = Process.from_keys(space, *scenario._paths(doc["prices"], "prices", space, arith), blind)
+    assert_same_layers(got, want.process())
+
+
 def test_loader_build_refuses_a_flow_of_another_horizon():
     doc = parse_document(json.dumps(coin_tree(3)))
     built = load_scenario(doc, EXACT)

@@ -17,14 +17,17 @@ transitions read the children off the parent map.
   registered map, every meet (partition, mine, theirs), every mass and
   every transition against ``reference``'s outcome-grouping oracles, with
   atoms in canonical order;
-- structural guards, with no timing in them: loading the golden T = 6 tree
-  groups the outcomes once per flow, and so does loading the explicit
-  golden; once the T = 6 tree is loaded, an ``analyze`` pipeline groups no
-  outcome and reads no map off the outcomes, it solves as many distinct
-  sites and moment systems as before, and it builds the outcome labels of
-  no partition but each flow's finest.
+- structural guards, with no timing in them: loading the golden T = 6
+  tree, the explicit golden or the T = 4 tree with its expanded flow given
+  as atoms groups the outcomes once per flow, also with every outcome
+  split in two, and then reads no other map off the outcomes; once the
+  T = 6 tree is loaded, an ``analyze`` pipeline groups no outcome and
+  reads no map off the outcomes, it solves as many distinct sites and
+  moment systems as before, and it builds the outcome labels of no
+  partition but each flow's finest.
 """
 
+import json
 import random
 
 import pytest
@@ -49,7 +52,7 @@ from marketforge.space import (
 
 from test_atom_kernels import MODES
 from test_golden_reports import GOLDEN
-from util import random_tree
+from util import random_tree, split_outcomes
 
 
 def _enlargement(kind: str, F: Filtration, rng) -> EnlargementPair:
@@ -133,12 +136,30 @@ def _counting_groupings(monkeypatch) -> dict:
     return calls
 
 
+def _given(name: str) -> dict:
+    """The golden document, its expanded flow given as atoms."""
+    doc = json.loads((GOLDEN / name).read_text())
+    G = load_scenario(parse_document(json.dumps(doc)), MODES["exact"]).pair.expanded
+    doc["enlargement"] = {"kind": "explicit",
+                          "flow": [[list(atom) for atom in part.atoms] for part in G.partitions]}
+    return doc
+
+
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("name", ["noisy_tree_T6.json", "explicit_noisy_second_coin.json"])
-def test_load_groups_the_outcomes_once_per_flow(monkeypatch, mode, name):
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", ["noisy_tree_T6.json", "explicit_noisy_second_coin.json",
+                                  "noisy_tree_T4.json given"])
+def test_load_groups_the_outcomes_once_per_flow(monkeypatch, mode, k, name):
+    """Once for F and once for G, and (split into two copies per outcome,
+    so that no flow's finest partition is the root) with no map read off
+    the outcomes but the groupings' own: no outcome meet, no ``atom_at``."""
+    doc = _given(name.split()[0]) if name.endswith("given") else \
+        json.loads((GOLDEN / name).read_text())
     calls = _counting_groupings(monkeypatch)
-    load_scenario(parse_document((GOLDEN / name).read_text()), MODES[mode])
+    built = load_scenario(parse_document(json.dumps(split_outcomes(doc, k))), MODES[mode])
     assert calls["groupings"] == 2
+    root = built.space.root
+    assert k == 1 or all(part._base is root for part in root._up)
 
 
 @pytest.mark.parametrize("mode, solves", [("exact", (4, 12)), ("float", (26, 65))])
