@@ -515,8 +515,8 @@ def build_initial_enlargement(base: Filtration, variable: Sequence) -> Enlargeme
     if len(variable) != base.space.size:
         raise SpaceError("labelling must have one value per outcome")
     ids = dict(zip(dict.fromkeys(variable), count()))
-    return EnlargementPair(base, _flow(base.partitions[-1], variable, lambda rows: [list(
-        map(ids.__getitem__, rows))] * len(base.partitions), base))
+    return EnlargementPair(base, _flow(base.partitions[-1], list(map(ids.__getitem__, variable)),
+                                       lambda rows: [rows] * len(base.partitions), base))
 
 
 def build_progressive_enlargement(base: Filtration, tau: "RandomTime") -> EnlargementPair:
