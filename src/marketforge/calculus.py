@@ -12,23 +12,30 @@ relatives are predictable and start at zero.  Like ``space``, this module
 reads a process atom by atom, as layers stored by column (one tuple per
 value component, each with one entry per atom), integer numerators over
 one denominator in exact mode (floats over 1 in float mode): every
-operation is one ``map`` per column over the atoms of the meet of its
-operands' partitions, through ``space.componentwise`` for sums and
-differences (over the lcm of the operands' denominators) and through
-``space.product`` for contractions (over the product of the
+operation gathers each operand column onto the atoms of the meet of its
+operands' partitions (one ``operator.itemgetter`` over the meet's map) and
+computes by one ``map`` per column, through ``space.componentwise`` for
+sums and differences (over the lcm of the operands' denominators) and
+through ``space.product`` for contractions (over the product of the
 denominators): output component c is the sum of a_i * b_j over the index
 pairs ``terms[c]``, in list order.  Brackets are outer products
 (``space.outer``), integrals and the drift operator's phi . d<N, X> dot
 products summed from 0 (``sum_steps`` with ``dot``, so a float zero sum is
 +0.0), and the stochastic exponential multiplies its running level by the
-factor (1 + X_t) - X_{t-1}, one pair.  A compensator's increments are
-conditional means on the time-(t-1) atoms, taken once and returned with
-their running sums (``_compensate``).  The one per-atom solve of
-both structure flows lives here too: ``solve_moments`` solves a
-conditional second moment E[dX dY^T | A] times an unknown equal to a
-conditional mean, once per distinct system value, keyed off the layers.
-So does the gauge's tilt floor min(1 + phi . dN) (``min_tilt``, in
-numerators, one entry per (atom, child) pair).
+factor (1 + X_t) - X_{t-1}, one pair.  In exact mode the increments of a
+running sum (``accumulate``) are its summands, never differenced back; in
+float mode they are, as (s + d) - s need not be d.  A compensator's
+increments are conditional means on the time-(t-1) atoms, taken once and
+returned with their running sums (``_compensate``).  A check is a column
+predicate (``space.first_failing``): one C-level ``map`` over a layer's
+column gives one flag per atom.  The one per-atom solve of both structure
+flows lives here too: ``solve_moments`` solves a conditional second moment
+E[dX dY^T | A] times an unknown equal to a conditional mean, once per
+distinct system value, in order of first appearance, keyed off the layers
+by one column of keys per time, and emits the solutions as layers
+(``Process.keyed``).  So does the gauge's tilt floor min(1 + phi . dN)
+(``min_tilt``, in numerators, one entry per (atom, child) pair, both
+operands gathered once per column).
 
 The one failure model lives here, in the lowest module that finds a
 failure: a check returns its first failure's ``FailureWitness`` (None when
@@ -38,16 +45,18 @@ failure found inside a solve raises ``CheckFailed``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 from . import linalg
-from .space import Filtration, Process, _decoded, _dot, _encoded, _failing, _layer_key
-from .space import _reduced, _rows, atom_means, componentwise, cond_exp, first_failing
-from .space import first_mismatch, is_adapted, outer, product
+from .space import Filtration, Process, _decoded, _dot, _encoded, _failing, _gather, _getter
+from .space import _layer_key, _reduced, _rows, all_entries, atom_means, componentwise
+from .space import cond_exp, entries_equal, first_failing, first_mismatch, is_adapted, outer
+from .space import product
 
 
 NON_VIABLE = "non-viable"
@@ -95,12 +104,17 @@ def _require_adapted(X: Process, filtration: Filtration, what: str) -> None:
 
 def accumulate(dX: Process) -> Process:
     """Running sums from 0 of the increments dX_t, t >= 1 (dX_0 is not
-    read), from zero on the atoms of dX_0."""
+    read), from zero on the atoms of dX_0.  In exact mode the sums'
+    increments are dX itself (zero at time 0), never differenced back;
+    float mode differences the sums, as (s + d) - s need not be d."""
     part = dX.layers[0][0]
     layers = [(part, ((0,) * part.size,) * dX.dim, 1)]
     for layer in dX.layers[1:]:
         layers.append(componentwise(operator.add, layers[-1], layer))
-    return Process(dX.space, tuple(layers))
+    sums = Process(dX.space, tuple(layers))
+    if dX.space.arith.exact:  # the cached ``Process.increments``
+        vars(sums)["increments"] = Process(dX.space, (layers[0],) + dX.layers[1:])
+    return sums
 
 
 def sum_steps(terms, dX: Process, Y: Process, dot: bool = False) -> Process:
@@ -139,8 +153,8 @@ def compensator(A: Process, filtration: Filtration) -> Process:
     this (uniqueness is exact on a finite grid).
     """
     _require_adapted(A, filtration, "compensator input")
-    is_zero = A.space.arith.is_zero
-    if first_failing(A, start=lambda v, den: all(map(is_zero, v))) is not None:
+    eq = entries_equal(A.space.arith)
+    if first_failing(A, start=lambda cols, den: all_entries(eq, cols, 0)) is not None:
         raise CalculusError("compensator input must be null at time 0")
     return _compensate(A, filtration)[1]
 
@@ -194,7 +208,8 @@ def stoch_exp(X: Process) -> Process:
     if X.dim != 1:
         raise CalculusError("stochastic exponential is for scalar processes")
     arith = X.space.arith
-    if first_failing(X, start=lambda v, den: arith.is_zero(v[0])) is not None:
+    is_zero = operator.not_ if arith.exact else arith.is_zero
+    if first_failing(X, start=lambda cols, den: map(is_zero, cols[0])) is not None:
         raise CalculusError("stochastic exponential input must start at 0")
     part = X.layers[0][0]
     one = (X.space.trivial, ((1,),), 1)
@@ -226,16 +241,17 @@ def min_tilt(phi: Process, N: Process, base: Filtration, expanded: Filtration) -
         n_part, n_cols, n_den = N.increments.layers[t]
         den = p_den * n_den  # 1 is den over den
         to_n = base.at(t).parents(n_part)
-        kids = [[to_n[c] for c in cs] for cs in base.children(t)]
-        at_phi, at_n, ends = [], [], []
-        for k, a in zip(part.parents(p_part), part.parents(base.at(t - 1))):
-            at_phi += [k] * len(kids[a])
-            at_n += kids[a]
-            ends.append(len(at_n))
+        # Each atom's pairs: its phi entry with each child of its base atom.
+        kids = _gather([_gather(to_n, cs) for cs in base.children(t)],
+                       part.parents(base.at(t - 1)))
+        sizes = tuple(map(len, kids))
+        ends = tuple(itertools.accumulate(sizes))
+        get_phi = _getter(tuple(chain.from_iterable(map(repeat, part.parents(p_part), sizes))))
+        get_n = _getter(tuple(chain.from_iterable(kids)))
         tilts = tuple(map(operator.add, repeat(den), _dot(
-            [map(operator.mul, map(p_col.__getitem__, at_phi), map(n_col.__getitem__, at_n))
-             for p_col, n_col in zip(p_cols, n_cols)], len(at_n), phi.space.arith.exact)))
-        u = tuple(map(min, map(tilts.__getitem__, map(slice, [0, *ends[:-1]], ends))))
+            [map(operator.mul, get_phi(p_col), get_n(n_col))
+             for p_col, n_col in zip(p_cols, n_cols)], ends[-1], phi.space.arith.exact)))
+        u = tuple(map(min, map(tilts.__getitem__, map(slice, (0,) + ends[:-1], ends))))
         if first is None:
             k = next(_failing(map(operator.gt, u, repeat(0))), None)
             first = None if k is None else (t, k)
@@ -288,7 +304,8 @@ def solve_moments(X: Process, Y: Process, target: Process, flow: Filtration,
     """The predictable x with E[dX_t transpose(dY_t) | A] x = target_t on
     each time-(t-1) atom B of ``flow``, A the time-(t-1) atom of ``base``
     holding B: the minimum-norm solution, once per distinct (moment,
-    target) value in this call, keyed straight off the layers.  On a miss
+    target) value in this call, keyed straight off the layers, in order of
+    first appearance, and gathered per atom (``Process.keyed``).  On a miss
     the moment's integer numerators go to the solver as they are, with the
     target scaled by their denominator, and only x (and a failing
     residual) is decoded.  With X.dim = 0 x is zero; with Y.dim = 0
@@ -300,31 +317,32 @@ def solve_moments(X: Process, Y: Process, target: Process, flow: Filtration,
     """
     arith = X.space.arith
     n, d = X.dim, Y.dim
-    table, solved, ids = {}, {}, {}
+    keys, solved = [], {}
     for t in range(1, flow.horizon + 1):
         a_part, b_part = base.at(t - 1), flow.at(t - 1)
         _, cols, den = atom_means(a_part, X.increments.layers[t], Y.increments.layers[t])
-        cells = _rows(cols, a_part.size)
+        cells, up = _rows(cols, a_part.size), b_part.parents(a_part)
         moments = [_layer_key(cell, den, arith.exact) for cell in cells]
-        for k, (target_key, a) in enumerate(zip(target.value_keys(t, b_part),
-                                                b_part.parents(a_part))):
-            key = moments[a], ids.setdefault(target_key, len(ids))
-            hit = solved.get(key)
-            if hit is None:
-                q = cells[a]
-                _check_range(q, arith)
-                b = target.on_atoms(t, b_part, [k])[0]
-                # The moments over den: (Q/den) x = b is Q x = den b.
-                Q = [q[i * d:(i + 1) * d] for i in range(n)]
-                x, residual, xd = (linalg.lstsq_min_norm(Q, [den * v for v in b], arith)
-                                   if n else ((0,) * d, (), 1))
-                _check_range(residual, arith)
-                if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([b])):
-                    if arith.exact:  # b - (Q/den) x is residual / (xd den)
-                        residual = map(Fraction, residual, repeat(xd * den))
-                    status, reason, stage = failure
-                    raise CheckFailed(status, FailureWitness(
-                        reason, t, b_part.atoms[k], tuple(residual)), stage)
-                solved[key] = hit = tuple(map(Fraction, x, repeat(xd)) if arith.exact else x)
-            table[(t, k)] = hit
-    return Process.predictable(flow, table, d)
+        # Each atom's key (its moment's, its target's), as one column.
+        ks = tuple(zip(_gather(moments, up), target.value_keys(t, b_part)))
+        keys.append(ks)
+        first = dict(zip(reversed(ks), range(len(ks) - 1, -1, -1)))  # the first one wins
+        for k in sorted(first.values()):  # each distinct key at its first atom
+            if ks[k] in solved:
+                continue
+            q = cells[up[k]]
+            _check_range(q, arith)
+            b = target.on_atoms(t, b_part, [k])[0]
+            # The moments over den: (Q/den) x = b is Q x = den b.
+            Q = [q[i * d:(i + 1) * d] for i in range(n)]
+            x, residual, xd = (linalg.lstsq_min_norm(Q, [den * v for v in b], arith)
+                               if n else ((0,) * d, (), 1))
+            _check_range(residual, arith)
+            if not linalg.vec_is_zero(residual, arith, linalg.matrix_scale([b])):
+                if arith.exact:  # b - (Q/den) x is residual / (xd den)
+                    residual = map(Fraction, residual, repeat(xd * den))
+                status, reason, stage = failure
+                raise CheckFailed(status, FailureWitness(
+                    reason, t, b_part.atoms[k], tuple(residual)), stage)
+            solved[ks[k]] = tuple(map(Fraction, x, repeat(xd)) if arith.exact else x)
+    return Process.keyed(flow, keys, solved, d)

@@ -44,7 +44,6 @@ from .enlarge import solve_phi
 from .jumpkernel import CoercivityFailure, NegativeTilt, site_checks, solve_site
 from .scenario import BuiltScenario, ScenarioError, document_arith, load_scenario, load_site
 from .scenario import parse_document
-from .selftest import run_selftest
 from .space import first_mismatch
 from .viability import (
     ASSUMPTION_VIOLATED,
@@ -250,6 +249,8 @@ def cmd_selftest(args) -> int:
         arith = _resolve_arith(args)
     except ValueError as err:
         return _fail(str(err), EXIT_PARSE)
+    from .selftest import run_selftest  # its battery and fixtures load for selftest alone
+
     rows = run_selftest(arith)
     doc_out = report.selftest_report(arith, rows)
     _write_report(args, doc_out)

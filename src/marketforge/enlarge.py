@@ -42,14 +42,16 @@ from .space import EnlargementPair, Process
 @dataclass(frozen=True, eq=False)
 class DriftGauge:
     """The drift data of an enlargement: carrier N, the driver W it was
-    solved for and W's drift, integrand phi, floor u, and the witnesses of
-    the support condition and of the tilt floor (each None when its
-    condition holds)."""
+    solved for, W's drift and W minus its drift (the expanded-flow
+    martingale the gauge solve certified), integrand phi, floor u, and the
+    witnesses of the support condition and of the tilt floor (each None
+    when its condition holds)."""
 
     pair: EnlargementPair
     N: Process
     W: Process
     W_drift: Process
+    W_martingale: Process
     phi: Process
     u: Process
     support_witness: FailureWitness | None
@@ -71,21 +73,31 @@ def drift(X: Process, pair: EnlargementPair) -> Process:
     For any F-martingale X the process X - drift(X) is a G-martingale; on a
     finite grid this needs no integrability hypothesis, and the function
     checks it after the fact at the ``price-drift-identity`` row, the row
-    of its one engine caller (``_check_centred``).
+    of ``expanded_martingale``, its engine twin (``_check_centred``).
     """
     out = _compensate(X, pair.expanded)[1]
     _check_centred(X, out, pair.expanded, "price-drift-identity")
     return out
 
 
-def _check_centred(X: Process, X_drift: Process, G, stage: str) -> None:
-    """Raise CheckFailed (non-viable, "drift-not-centred", detail the
-    conditional mean ``is_martingale`` reports) at ``stage`` unless
-    X - X_drift is a G-martingale: float rounding at extreme scales can
-    leave a mean outside the zero band."""
-    witness = is_martingale(X - X_drift, G)
+def expanded_martingale(X: Process, pair: EnlargementPair) -> Process:
+    """X - drift(X), the expanded-flow martingale part of a base martingale
+    X, as the check that certifies it at the ``price-drift-identity`` row
+    forms it (``drift``, ``_check_centred``)."""
+    G = pair.expanded
+    return _check_centred(X, _compensate(X, G)[1], G, "price-drift-identity")
+
+
+def _check_centred(X: Process, X_drift: Process, G, stage: str) -> Process:
+    """X - X_drift, checked to be a G-martingale: raise CheckFailed
+    (non-viable, "drift-not-centred", detail the conditional mean
+    ``is_martingale`` reports) at ``stage`` unless it is, as float rounding
+    at extreme scales can leave a mean outside the zero band."""
+    centred = X - X_drift
+    witness = is_martingale(centred, G)
     if witness is not None:
         raise CheckFailed(NON_VIABLE, replace(witness, reason="drift-not-centred"), stage)
+    return centred
 
 
 def drift_operator(phi: Process, N: Process, X: Process, base) -> Process:
@@ -154,7 +166,7 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
     their running sum, from one pass of dW over G).  Raises CheckFailed
     ("gauge-infeasible", detail the residual) when no solution exists, and
     ("drift-not-centred") when W - W's drift is not a G-martingale.  The
-    returned gauge carries W's drift, the tilt floor u and the support /
+    returned gauge carries W's drift, W minus it, the tilt floor u and the support /
     tilt-floor witnesses; the drift identity W's drift =
     ``drift_operator(phi, N, W)`` is re-verified for the whole driver, and a
     mismatch, a bug rather than a market, raises CheckFailed
@@ -164,10 +176,10 @@ def solve_phi(pair: EnlargementPair, N: Process, W: Process) -> DriftGauge:
     means, W_drift = _compensate(W, G)
     phi = solve_moments(W, N, means, G, F,
                         (ASSUMPTION_VIOLATED, "gauge-infeasible", "gauge-solve"))
-    _check_centred(W, W_drift, G, "gauge-solve")
+    W_martingale = _check_centred(W, W_drift, G, "gauge-solve")
     witness = mismatch_witness(W_drift, drift_operator(phi, N, W, F), G)
     if witness is not None:
         raise CheckFailed(NON_VIABLE, witness, "gauge-solve")
     u, tilt_witness = compute_u(pair, N, phi)
-    return DriftGauge(pair, N, W, W_drift, phi, u, check_support_condition(pair),
-                      tilt_witness)
+    return DriftGauge(pair, N, W, W_drift, W_martingale, phi, u,
+                      check_support_condition(pair), tilt_witness)

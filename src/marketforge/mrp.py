@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .calculus import CalculusError, FailureWitness, is_martingale
-from .space import Filtration, Process, SpaceError, first_failing
+from .space import Filtration, Process, SpaceError, all_entries, entries_equal, first_failing
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,8 +34,8 @@ class Driver:
     def __post_init__(self) -> None:
         if self.W.horizon == self.filtration.horizon:  # on the flow's atoms, as Market keeps S
             object.__setattr__(self, "W", self.W.refined(self.filtration))
-        is_zero = self.W.space.arith.is_zero
-        if first_failing(self.W, start=lambda v, den: all(map(is_zero, v))) is not None:
+        eq = entries_equal(self.W.space.arith)
+        if first_failing(self.W, start=lambda cols, den: all_entries(eq, cols, 0)) is not None:
             raise SpaceError("driver must start at 0")
         try:
             witness = is_martingale(self.W, self.filtration)

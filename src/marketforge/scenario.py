@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 from .arith import DEFAULT_TOLERANCE, EXACT, EXACT_MODE, FLOAT_MODE, Arithmetic
 from .calculus import is_martingale
@@ -157,7 +157,7 @@ def _require(doc, key: str, path: str):
 
 
 def _str_list(value, path: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
         raise ScenarioError(path, "expected a list of strings")
     return value
 
@@ -179,19 +179,28 @@ def _paths(paths_doc, path: str, space: SampleSpace, arith: Arithmetic,
     not yet built.  Every distinct token is
     parsed once, and a field is named only when its token fails.  Errors
     come in path order, each path's shape before its values in (t, j)
-    order, then the dimension and horizon checks."""
+    order, then the dimension and horizon checks.  The shapes and the token
+    types are checked over the whole document at once; only a document
+    failing a shape is walked path by path, to its first bad path."""
     if not isinstance(paths_doc, list) or len(paths_doc) != space.size:
         raise ScenarioError(path, f"expected one path per outcome ({space.size})")
-    shaped = next((i for i, raw in enumerate(paths_doc)
-                   if not isinstance(raw, list) or len(raw) < 2
-                   or horizon is not None and len(raw) != horizon + 1), space.size)
-    keys = [raw if _PLAIN.issuperset(map(type, raw)) else list(map(_token_key, raw))
-            for raw in paths_doc[:shaped]]
+    lengths = set(map(len, paths_doc)) if {list}.issuperset(map(type, paths_doc)) else {0}
+    shaped = space.size
+    if min(lengths) < 2 or horizon is not None and lengths != {horizon + 1}:
+        shaped = next((i for i, raw in enumerate(paths_doc)
+                       if not isinstance(raw, list) or len(raw) < 2
+                       or horizon is not None and len(raw) != horizon + 1), space.size)
+    keys = paths_doc[:shaped]
+    if _PLAIN.issuperset(map(type, chain.from_iterable(keys))):  # each token its own key
+        tokens = dict.fromkeys(chain.from_iterable(keys))
+        tokens = dict(zip(tokens, tokens))
+    else:
+        keys = [list(map(_token_key, raw)) for raw in keys]
+        tokens = dict(zip(chain.from_iterable(keys), chain.from_iterable(paths_doc[:shaped])))
     numbers: dict = {}  # token key -> number, for this process only
     cells = {}
     # Each distinct cell in outcome-major order of its first occurrence.
-    for key, raw in dict(zip(chain.from_iterable(keys),
-                             chain.from_iterable(paths_doc[:shaped]))).items():
+    for key, raw in tokens.items():
         vector = type(raw) is list
         items = tuple(zip(key[1], raw)) if vector else ((key, raw),)
         for j, (k, x) in enumerate(items):
@@ -237,12 +246,15 @@ def _enlargement(doc, path: str, F: Filtration, arith: Arithmetic) -> Enlargemen
         if not isinstance(variable, list) or len(variable) != F.space.size:
             raise ScenarioError(f"{path}.variable",
                                 f"expected one value per outcome ({F.space.size})")
-        for i, v in enumerate(variable):
-            if isinstance(v, (list, dict)):
-                raise ScenarioError(f"{path}.variable[{i}]",
-                                    "expected a string or number, not a list or object")
+        kinds = set(map(type, variable))  # each entry's type read once
+        if any(issubclass(kind, (list, dict)) for kind in kinds):
+            i = next(i for i, v in enumerate(variable) if isinstance(v, (list, dict)))
+            raise ScenarioError(f"{path}.variable[{i}]",
+                                "expected a string or number, not a list or object")
+        if Decimal in kinds:
+            variable = map(arith.decimal, variable)
         with _field(f"{path}.variable"):
-            return build_initial_enlargement(F, tuple(map(arith.decimal, variable)))
+            return build_initial_enlargement(F, tuple(variable))
     if kind == "progressive":
         times = _require(doc, "times", path)
         if not isinstance(times, list) or len(times) != F.space.size:

@@ -27,40 +27,47 @@ on demand, for a witness, a report or a caller.
 
 A process is stored atom-major, one value vector per (time, atom) of the
 partitions it lives on: a filtration's (:meth:`Process.adapted`, and the
-time-(t-1) ones for :meth:`Process.predictable`; :meth:`Process.from_keys`,
-the loader's entry, on its flow's atoms where the process is adapted to
-it, each column read once per atom of the flow's finest partition and
-each distinct cell encoded once), the level sets of its values
-(:meth:`Process.from_keys` without a flow), or, for a kernel result, the
-meet of its operands' (:func:`componentwise`).  Each time is one layer, a
-triple (partition, columns, den): one tuple per value component, each
-with one entry per atom.  In exact mode the entries are integer numerators
-over the one positive denominator ``den``, with gcd(den, *numerators) = 1,
-so a kernel does integer arithmetic and reduces once; in float mode they
-are the floats themselves over 1, so the same kernels run on floats.
-Every kernel is one ``map`` of an ``operator`` function per column: a
-linear one (:func:`componentwise`, :meth:`Process.scale`) over the lcm of
-its operands' denominators, a bilinear one (:func:`product`) a
-contraction over their product, output component c the sum over the
-index pairs ``terms[c]`` of a_i * b_j.  Float sums of many terms are
-``math.fsum``, correctly rounded, and an atom's float mass is its exact
-integer sum correctly rounded, so no value depends on the order the
-outcomes are listed in or on the Python version.  Increments are defined
-once, here (:attr:`Process.increments`, dX_0 = 0); :func:`atom_means`
-averages a layer, or the outer product of two, over the child atoms of
-each atom, one plan per pair of partitions, and :func:`cond_exp` is its
-layer of E[X_t | given].  Only this module and ``calculus`` know the
-layout: the other layers build processes from per-atom tables or
-per-outcome paths, read them as numbers (Fractions in exact mode, decoded
-once per layer) through :meth:`Process.on_atoms`, :meth:`Process.at` and
-:func:`first_mismatch`, and decide on the layers undecoded:
-:func:`first_failing` tests a cell's numerators over the layer's
-denominator, :func:`extrema` decodes only the two extremes, and
-:meth:`Process.value_keys` gives each cell's value key, the memo key of
-the solves above, as :meth:`Filtration.transition_keys` keys a site's
-transition probabilities off the integer masses.  :func:`first_failing`
-and :func:`first_mismatch` keep outcome-major order, so witnesses keep
-theirs.
+time-(t-1) ones for :meth:`Process.predictable`, or for
+:meth:`Process.keyed`, a solve's per-atom keys with one value per distinct
+key; :meth:`Process.from_keys`, the loader's entry, on its flow's atoms
+where the process is adapted to it, each column read once per atom of the
+flow's finest partition and each distinct cell encoded once), the level
+sets of its values (:meth:`Process.from_keys` without a flow), or, for a
+kernel result, the meet of its operands' (:func:`componentwise`).  Each
+time is one layer, a triple (partition, columns, den): one tuple per value
+component, each with one entry per atom.  In exact mode the entries are
+integer numerators over the one positive denominator ``den``, with
+gcd(den, *numerators) = 1, so a kernel does integer arithmetic and reduces
+once; in float mode they are the floats themselves over 1, so the same
+kernels run on floats.  A kernel reads a column on other atoms by one
+gather (``_gather``, ``_getter``: one C-level ``operator.itemgetter`` over
+an index map the partitions already hold, the meet's maps onto its
+operands or a sum plan's order), and computes by one ``map`` of an
+``operator`` function per column: a linear one (:func:`componentwise`,
+:meth:`Process.scale`) over the lcm of its operands' denominators, a
+bilinear one (:func:`product`) a contraction over their product, output
+component c the sum over the index pairs ``terms[c]`` of a_i * b_j.
+Float sums of many terms are ``math.fsum``, correctly rounded, and an
+atom's float mass is its exact integer sum correctly rounded, so no value
+depends on the order the outcomes are listed in or on the Python version.
+Increments are defined once, here (:attr:`Process.increments`, dX_0 = 0);
+:func:`atom_means` averages a layer, or the outer product of two, over the
+child atoms of each atom, one plan per pair of partitions (exact sums as
+differences of prefix sums, float ones by ``math.fsum``), and
+:func:`cond_exp` is its layer of E[X_t | given].  Only this module and
+``calculus`` know the layout: the other layers build processes from
+per-atom tables or keys or per-outcome paths, read them as numbers
+(Fractions in exact mode, decoded once per layer) through
+:meth:`Process.on_atoms`, :meth:`Process.at` and :func:`first_mismatch`,
+and decide on the layers undecoded: :func:`first_failing` takes column
+predicates, each mapping a layer's columns of numerators and its
+denominator to one flag per atom in C (``map(operator.gt, columns[0],
+repeat(0))``, or :func:`all_entries` for whole cells), :func:`extrema`
+decodes only the two extremes, and :meth:`Process.value_keys` gives each
+cell's value key, the memo key of the solves above, as
+:meth:`Filtration.transition_keys` keys a site's transition probabilities
+off the integer masses.  :func:`first_failing` and :func:`first_mismatch`
+keep outcome-major order, so witnesses keep theirs.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress, count, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .arith import EXACT, Arithmetic, Num
@@ -198,7 +206,7 @@ class Partition:
         """Index of the first outcome of each atom, read down the bases."""
         if self._base is None:
             return self._own
-        return tuple(map(self._base.firsts.__getitem__, self._first))
+        return _gather(self._base.firsts, self._first)
 
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
@@ -242,7 +250,7 @@ class Partition:
         if meet is self:
             return theirs
         firsts = dict(zip(reversed(mine), reversed(theirs)))  # the first one wins
-        return tuple(map(firsts.__getitem__, self._own))
+        return _gather(firsts, self._own)
 
     def meet(self, other: "Partition") -> tuple:
         """(meet, mine, theirs): the coarsest common refinement of the two
@@ -294,17 +302,17 @@ def _refined(parent: Partition, base: Partition, labels) -> tuple:
         labels = list(map(operator.add, map(operator.mul, up, repeat(max(labels) + 1)), labels))
     at = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))  # the first one wins
     first = tuple(sorted(at.values()))
-    ids = dict(zip(map(labels.__getitem__, first), count()))
-    keys, n = tuple(map(ids.__getitem__, labels)), len(first)
+    ids = dict(zip(_gather(labels, first), count()))
+    keys, n = _gather(ids, labels), len(first)
     if n in (parent.size, base.size):
         return parent if n == parent.size else base, keys, first
-    made = base.space._partitions.setdefault((n, tuple(map(base.firsts.__getitem__, first))), [])
+    made = base.space._partitions.setdefault((n, _gather(base.firsts, first)), [])
     child = next((p for p in made if _maps_onto(base, p, keys)), None)
     if child is None:
         child = Partition(base.space, n, base, first)
         made.append(child)
     _nest(base, child, keys)
-    _nest(child, parent, tuple(map(up.__getitem__, first)))
+    _nest(child, parent, _gather(up, first))
     return child, keys, first
 
 
@@ -312,7 +320,7 @@ def _maps_onto(base: Partition, part: Partition, keys: tuple) -> bool:
     """Whether ``keys`` is the map of ``base`` onto ``part``."""
     up = _parent_map(base, part)
     if up is None:  # no registered map: compare the two read off the outcomes
-        return part.atom_at == tuple(map(keys.__getitem__, base.atom_at))
+        return part.atom_at == _gather(keys, base.atom_at)
     return up == keys
 
 
@@ -321,7 +329,7 @@ def _group_outcomes(parent: Partition, labels) -> tuple:
     first: the one grouping of the outcomes, once per flow (``_flow``), and
     for a partition given as atoms or a process not adapted to its flow."""
     ids = dict(zip(dict.fromkeys(labels), count()))
-    return _refined(parent, parent.space.root, list(map(ids.__getitem__, labels)))
+    return _refined(parent, parent.space.root, _gather(ids, labels))
 
 
 def _nest(fine: Partition, coarse: Partition, parents: tuple) -> None:
@@ -345,7 +353,7 @@ def _parent_map(fine: Partition, coarse: Partition, seen=None):
             seen.add(mid)
             rest = _parent_map(mid, coarse, seen)
             if rest is not None:
-                _nest(fine, coarse, tuple(map(rest.__getitem__, up)))
+                _nest(fine, coarse, _gather(rest, up))
                 return fine._up[coarse]
     return hit
 
@@ -354,7 +362,9 @@ def _met(a: Partition, b: Partition) -> tuple:
     """(meet, mine, theirs) of ``a`` and ``b`` read off the maps of a
     partition r refining both: the smallest of the two and the partitions
     registered as finer than either, else the root.  The distinct (atom of
-    a, atom of b) pairs over r's atoms are the meet's atoms (``_refined``)."""
+    a, atom of b) pairs over r's atoms are the meet's atoms (``_refined``);
+    where they tell r's atoms apart, r is the meet, read with no keyed pass
+    (so F_t v G_{t-1} is G_t for an initial enlargement)."""
     finer = [a, b]
     for part in finer:  # grows as it goes: every registered refinement
         finer += [p for p in part._below if p not in finer]
@@ -364,8 +374,10 @@ def _met(a: Partition, b: Partition) -> tuple:
             break
     if r is a or r is b:
         return r, up_a, up_b
+    if len(set(zip(up_a, up_b))) == r.size:  # as ``_refined`` would find it
+        return a if r.size == a.size else r, up_a, up_b
     meet, _, first = _refined(a, r, up_b)
-    return meet, tuple(map(up_a.__getitem__, first)), tuple(map(up_b.__getitem__, first))
+    return meet, _gather(up_a, first), _gather(up_b, first)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +443,7 @@ class Filtration:
         if not self.space.arith.exact:
             return [_cell_key(tuple(p for _, p in kids)) for kids in self.transitions(t)]
         masses = self.at(t).integer_masses
-        return [_layer_key(tuple(map(masses.__getitem__, kids)), n, True)
+        return [_layer_key(_gather(masses, kids), n, True)
                 for kids, n in zip(self.children(t), self.at(t - 1).integer_masses)]
 
 
@@ -444,14 +456,14 @@ def _flow(over: Partition, paths, columns, base: Filtration | None = None) -> Fi
     refined by the label, or with no base the trivial one by the labels up
     to that time, as one integer."""
     finest = _group_outcomes(over, paths)[0]
-    cols = list(columns(list(map(paths.__getitem__, finest.firsts))))
+    cols = list(columns(_gather(paths, finest.firsts)))
     if base is None:
         width = max(map(max, cols)) + 1
         cols = list(accumulate(cols, lambda code, col: list(map(
             operator.add, map(operator.mul, code, repeat(width)), col))))
     parts, at = [finest], finest.atom_at
     for t in reversed(range(len(cols))):
-        labels = list(map(cols[t].__getitem__, map(at.__getitem__, parts[-1].firsts)))
+        labels = _gather(cols[t], _gather(at, parts[-1].firsts))
         parent = finest.space.trivial if base is None else base.partitions[t]
         parts.append(_refined(parent, parts[-1], labels)[0])
     return Filtration(finest.space, tuple(parts[:0:-1]))
@@ -506,7 +518,7 @@ def natural_filtration(space: SampleSpace, paths, cells: dict) -> Filtration:
     ``check_keys``."""
     ids, _ = _value_ids(cells, _ratios if space.arith.exact else tuple)
     return _flow(space.trivial, list(map(tuple, paths)),
-                 lambda rows: [list(map(ids.__getitem__, col)) for col in zip(*rows)])
+                 lambda rows: [_gather(ids, col) for col in zip(*rows)])
 
 
 def build_initial_enlargement(base: Filtration, variable: Sequence) -> EnlargementPair:
@@ -515,7 +527,7 @@ def build_initial_enlargement(base: Filtration, variable: Sequence) -> Enlargeme
     if len(variable) != base.space.size:
         raise SpaceError("labelling must have one value per outcome")
     ids = dict(zip(dict.fromkeys(variable), count()))
-    return EnlargementPair(base, _flow(base.partitions[-1], list(map(ids.__getitem__, variable)),
+    return EnlargementPair(base, _flow(base.partitions[-1], _gather(ids, variable),
                                        lambda rows: [rows] * len(base.partitions), base))
 
 
@@ -624,22 +636,40 @@ def _rows(columns, n: int) -> tuple:
     return tuple(zip(*columns)) if columns else ((),) * n
 
 
+def _getter(index):
+    """The gather at the positions ``index`` (a sequence): a callable
+    giving the tuple of a sequence's, or a mapping's, entries there, in
+    that order, by one C-level ``operator.itemgetter``, which gives a bare
+    item for one index, so that case and the empty one are wrapped."""
+    if len(index) > 1:
+        return itemgetter(*index)
+    if index:
+        at = index[0]
+        return lambda seq: (seq[at],)
+    return lambda seq: ()
+
+
+def _gather(seq, index) -> tuple:
+    """``tuple(seq[i] for i in index)``, by one ``_getter``."""
+    return _getter(index)(seq)
+
+
 def _column(part: Partition, bottom: Partition, ids, cells) -> tuple:
     """The layer of one time: the value ids ``ids`` of the atoms of
     ``bottom`` (the flow's finest, or the root) on ``part`` refined by
     them, which is ``part`` where each of its atoms holds one value;
     ``cells[v]`` is the value of id v.  Exact numerators over the lcm of
     the layer's cells' denominators, stored by column."""
-    values = list(map(ids.__getitem__, map(bottom.atom_at.__getitem__, part.firsts)))
-    if not all(map(operator.eq, ids, map(values.__getitem__, _parent_map(bottom, part)))):
+    values = _gather(ids, _gather(bottom.atom_at, part.firsts))
+    if ids != _gather(values, _parent_map(bottom, part)):
         part, _, first = (_group_outcomes(part, ids) if bottom is bottom.space.root else
                           _refined(part, bottom, ids))
-        values = list(map(ids.__getitem__, first))
+        values = _gather(ids, first)
     distinct = dict.fromkeys(values)  # each value encoded once
-    found, den = _numerators(tuple(map(cells.__getitem__, distinct)), part.space.arith.exact)
+    found, den = _numerators(_gather(cells, tuple(distinct)), part.space.arith.exact)
     cols = tuple(zip(*found))
     if len(distinct) < len(values):
-        cols = _picked(cols, list(map(dict(zip(distinct, count())).__getitem__, values)))
+        cols = _picked(cols, _gather(dict(zip(distinct, count())), values))
     return part, cols, den
 
 
@@ -651,7 +681,7 @@ def _encoded(part: Partition, cells) -> tuple:
     distinct = dict(zip(map(id, cells), cells))
     cols, den = _numerators(tuple(zip(*distinct.values())), part.space.arith.exact)
     if len(distinct) < len(cells):
-        cols = _picked(cols, list(map(dict(zip(distinct, count())).__getitem__, map(id, cells))))
+        cols = _picked(cols, _gather(dict(zip(distinct, count())), tuple(map(id, cells))))
     return part, cols, den
 
 
@@ -682,7 +712,7 @@ def _scaled(cols, op, f) -> tuple:
 
 def _picked(cols, index) -> tuple:
     """The columns' entries at the atoms ``index``, in that order."""
-    return tuple([tuple(map(col.__getitem__, index)) for col in cols])
+    return tuple(map(_getter(index), cols))
 
 
 def _aligned(layers) -> tuple:
@@ -809,10 +839,10 @@ class Process:
         parts, bottom = repeat(space.trivial), space.root
         if flow is not None:
             parts, finest = flow.partitions, flow.partitions[-1]
-            firsts = list(map(paths.__getitem__, finest.firsts))
-            if all(map(operator.eq, paths, map(firsts.__getitem__, finest.atom_at))):
+            firsts = _gather(paths, finest.firsts)
+            if all(map(operator.eq, paths, _gather(firsts, finest.atom_at))):
                 paths, bottom = firsts, finest
-        return cls(space, tuple(_column(part, bottom, list(map(ids.__getitem__, keys)), found)
+        return cls(space, tuple(_column(part, bottom, _gather(ids, keys), found)
                                 for part, keys in zip(parts, zip(*paths))))
 
     @classmethod
@@ -835,6 +865,24 @@ class Process:
         start = {(0, k): v0 for k in range(parts[0].size)}
         return cls.adapted(Filtration(filtration.space, parts[:1] + parts[:-1]),
                            {**table, **start}, dim)
+
+    @classmethod
+    def keyed(cls, flow: "Filtration", keys, values, dim: int) -> "Process":
+        """The predictable process of per-atom keys, as a solve emits it: zero
+        at time 0 on the time-0 atoms, and the time-t value on the time-(t-1)
+        atom k of ``flow`` is ``values[keys[t - 1][k]]``, a d-vector.  Each
+        time's distinct keys, in order of first appearance, are encoded once
+        (``_numerators``) and gathered per atom: the layers of
+        ``predictable`` on the table of those values."""
+        parts, exact = flow.partitions, flow.space.arith.exact
+        layers = [(parts[0], ((0,) * parts[0].size,) * dim, 1)]
+        for part, ks in zip(parts, keys):
+            distinct = dict.fromkeys(ks)
+            cols, den = _numerators(tuple(zip(*_gather(values, tuple(distinct)))), exact)
+            if len(distinct) < len(ks):
+                cols = _picked(cols, _gather(dict(zip(distinct, count())), ks))
+            layers.append((part, cols, den))
+        return cls(flow.space, tuple(layers))
 
     @classmethod
     def constant(cls, space: SampleSpace, horizon: int, value) -> "Process":
@@ -894,11 +942,11 @@ class Process:
             cells = _rows(cols, own.size)
             if self.space.arith.exact:  # ints: -0.0 and 0.0 would merge in a dict
                 distinct = {v: _layer_key(v, den, True) for v in dict.fromkeys(cells)}
-                keys = tuple(map(distinct.__getitem__, cells))
+                keys = _gather(distinct, cells)
             else:
                 keys = tuple(map(_cell_key, cells))
             X._keys[t] = keys
-        return keys if part is own else tuple(map(keys.__getitem__, part.parents(own)))
+        return keys if part is own else _gather(keys, part.parents(own))
 
     def refined(self, flow: "Filtration") -> "Process":
         """The same process stored on the meet of its partitions with the
@@ -965,9 +1013,12 @@ def first_failing(X: Process, test=None, start=None, increments: bool = False):
 
     ``test`` runs at every time, ``start`` in its place at time 0; a time
     left without a test is skipped.  With ``increments`` the cells are dX_t
-    for t >= 1.  Each test runs once per (time, atom) as ``test(v, den)``,
-    on the cell's numerators over the layer's denominator (floats over 1),
-    so it must be homogeneous: ``v[0] > 0``, ``v[0] < den``.
+    for t >= 1.  Each test runs once per layer as ``test(columns, den)``,
+    on its columns of numerators over its denominator (floats over 1), and
+    gives one flag per atom, true where the cell passes, as a C-level
+    column predicate: ``map(operator.gt, columns[0], repeat(0))``,
+    ``map(operator.lt, columns[0], repeat(den))`` or ``all_entries``.  An
+    atom past the last flag passes.
     """
     if increments:
         X = X.increments
@@ -975,9 +1026,17 @@ def first_failing(X: Process, test=None, start=None, increments: bool = False):
     for t, (part, cols, den) in enumerate(X.layers):
         check = (start or test) if t == 0 else test
         if check is not None and t >= increments:
-            cells = _rows(cols, part.size)
-            misses += [(part.firsts[k], t) for k in _failing(map(check, cells, repeat(den)))]
+            firsts = part.firsts
+            misses += [(firsts[k], t) for k in
+                       compress(range(part.size), map(operator.not_, check(cols, den)))]
     return min(misses, default=None)
+
+
+def all_entries(op, columns, value) -> Iterable[bool]:
+    """A ``first_failing`` test of whole cells: one flag per atom, true
+    where ``op(entry, value)`` holds for every component of its cell (none
+    at all, so every cell passing, when there is no column)."""
+    return map(all, zip(*[map(op, col, repeat(value)) for col in columns]))
 
 
 def extrema(X: Process, start: int = 0, increments: bool = False):
@@ -1001,9 +1060,10 @@ def extrema(X: Process, start: int = 0, increments: bool = False):
     return (Fraction(*lo), Fraction(*hi)) if X.space.arith.exact else (lo[0], hi[0])
 
 
-def _eq(arith: Arithmetic):
-    """Equality of two entries over one denominator: numerators compare as
-    values in exact mode."""
+def entries_equal(arith: Arithmetic):
+    """Equality of two entries over one denominator, for a column
+    predicate: numerators compare as values in exact mode
+    (``operator.eq``), floats within the tolerance."""
     return operator.eq if arith.exact else arith.eq
 
 
@@ -1017,7 +1077,7 @@ def first_mismatch(X: Process, Y: Process):
     """
     if X.space is not Y.space or X.horizon != Y.horizon or X.dim != Y.dim:
         raise SpaceError("processes live on different grids")
-    eq, misses = _eq(X.space.arith), []
+    eq, misses = entries_equal(X.space.arith), []
     for t, layers in enumerate(zip(X.layers, Y.layers)):
         part, (us, vs), _ = _common(layers)
         bad = set(chain.from_iterable(_failing(map(eq, u, v)) for u, v in zip(us, vs)))
@@ -1036,14 +1096,14 @@ def is_adapted(X: Process, filtration: Filtration) -> bool:
     of the meet, against the entry at the flow atom's first outcome."""
     if X.horizon != filtration.horizon:
         return False
-    eq = _eq(X.space.arith)
+    eq = entries_equal(X.space.arith)
     for (part, cols, _), atoms in zip(X.layers, filtration.partitions):
         meet, mine, theirs = part.meet(atoms)
         if meet.size == atoms.size:
             continue  # each atom lies inside one atom of the process
-        ref = tuple(map(atoms.parents(part).__getitem__, theirs))
+        mine, ref = _getter(mine), _getter(_gather(atoms.parents(part), theirs))
         for col in cols:
-            if not all(map(eq, map(col.__getitem__, mine), map(col.__getitem__, ref))):
+            if not all(map(eq, mine(col), ref(col))):
                 return False
     return True
 
@@ -1055,24 +1115,28 @@ def is_adapted(X: Process, filtration: Filtration) -> bool:
 def _sum_plan(part: Partition, given: Partition) -> tuple:
     """(index, masses, groups, scale, lcm): the atoms of the meet of
     ``part`` with ``given`` grouped by the atom of ``given`` holding them,
-    as the atom of ``part`` holding each and its mass, each group a
-    ``slice``; and one scale per atom of ``given``: in exact mode lcm // its
-    integer mass, lcm the lcm of those, in float mode its mass (lcm 1).
-    Built once per pair."""
+    as the gather (``_getter``) of the atom of ``part`` holding each and
+    their masses; the groups, in exact mode the (start, end) gathers of
+    each group's bounds in the prefix sums of its terms, in float mode one
+    ``slice`` per group; and one scale per atom of ``given``: in exact mode
+    lcm // its integer mass, lcm the lcm of those, in float mode its mass
+    (lcm 1).  Built once per pair."""
     hit = given._sums.get(part)
     if hit is None:
         meet, mine, theirs = part.meet(given)
         order = sorted(range(len(theirs)), key=theirs.__getitem__)
         ends = tuple(accumulate(map(Counter(theirs).__getitem__, range(given.size))))
+        starts = (0,) + ends[:-1]
         if given.space.arith.exact:
             masses, totals = meet.integer_masses, given.integer_masses
             lcm = math.lcm(*totals)
             scale = tuple([lcm // n for n in totals])
+            groups = _getter(starts), _getter(ends)
         else:
             masses, scale, lcm = meet.masses, given.masses, 1
+            groups = tuple(map(slice, starts, ends))
         hit = given._sums[part] = (
-            tuple(map(mine.__getitem__, order)), tuple(map(masses.__getitem__, order)),
-            tuple(map(slice, (0,) + ends[:-1], ends)), scale, lcm)
+            _getter(_gather(mine, order)), _gather(masses, order), groups, scale, lcm)
     return hit
 
 
@@ -1082,13 +1146,15 @@ def atom_means(given: Partition, layer, other=None) -> tuple:
     cells (entry i * dim(other) + j the mean of a_i * b_j, ``outer``).
 
     The terms are mass(child) * value(child) over each atom's child atoms
-    (the meet with ``given``): exact mode sums integer masses times
-    numerators and multiplies by the atom's scale (``_sum_plan``), with no
-    Fraction built; float mode sums with ``math.fsum`` and divides by the
-    atom's mass, so a mean depends neither on the outcomes' order nor on
-    the Python version, and a sum of inf and -inf raises OverflowError
-    ("scenario is out of float range").  Where ``given`` refines the
-    operands' meet, each atom's mean is its value.
+    (the meet with ``given``), gathered once per column: exact mode sums
+    integer masses times numerators, each atom's sum a difference of two
+    prefix sums of the terms, and multiplies by the atom's scale
+    (``_sum_plan``), with no Fraction built; float mode sums each atom's
+    terms with ``math.fsum`` and divides by the atom's mass, so a mean
+    depends neither on the outcomes' order nor on the Python version, and
+    a sum of inf and -inf raises OverflowError ("scenario is out of float
+    range").  Where ``given`` refines the operands' meet, each atom's mean
+    is its value.
     """
     part, cols, den = layer if other is None else \
         product(outer(len(layer[1]), len(other[1])), layer, other)
@@ -1096,13 +1162,17 @@ def atom_means(given: Partition, layer, other=None) -> tuple:
     if meet is given:  # one child per atom: its mean is its value
         return _reduced(given, _picked(cols, mine), den)
     index, masses, groups, scale, lcm = _sum_plan(part, given)
-    total, rescale = (sum, operator.mul) if given.space.arith.exact else \
-        (math.fsum, operator.truediv)
+    exact = given.space.arith.exact
     means = []
     for col in cols:
-        terms = list(map(operator.mul, masses, map(col.__getitem__, index)))
+        terms = list(map(operator.mul, masses, index(col)))
+        if exact:  # each atom's sum the difference of two prefix sums
+            sums, (starts, ends) = list(accumulate(terms, initial=0)), groups
+            sums = map(operator.sub, ends(sums), starts(sums))
+        else:
+            sums = map(math.fsum, map(terms.__getitem__, groups))
         try:
-            means.append(tuple(map(rescale, map(total, map(terms.__getitem__, groups)), scale)))
+            means.append(tuple(map(operator.mul if exact else operator.truediv, sums, scale)))
         except ValueError:  # math.fsum of inf and -inf: products out of float range
             raise OverflowError("scenario is out of float range") from None
     return _reduced(given, tuple(means), den * lcm)

@@ -47,12 +47,14 @@ from .calculus import (
     solve_moments,
     stoch_exp,
 )
-from .enlarge import DriftGauge, drift, drift_operator
+from .enlarge import DriftGauge, drift_operator, expanded_martingale
 from .jumpkernel import CoercivityFailure, Site, SiteChild, solve_site
 from .mrp import Driver
 from .space import (
     Filtration,
     Process,
+    all_entries,
+    entries_equal,
     first_failing,
     is_adapted,
 )
@@ -78,7 +80,7 @@ class Market:
             raise ViabilityError("price horizon must match the flow horizon")
         if not is_adapted(self.S, self.F):
             raise ViabilityError("prices must be adapted to the base flow")
-        miss = first_failing(self.S, lambda v, den: all(map(operator.gt, v, repeat(0))))
+        miss = first_failing(self.S, lambda cols, den: all_entries(operator.gt, cols, 0))
         if miss is not None:
             o, t = self.S.space.outcomes[miss[0]], miss[1]
             raise ViabilityError(f"price must stay positive (outcome {o}, t={t})")
@@ -127,7 +129,8 @@ def _exponentiate(coefficients: Process, integrator: Process, flow: Filtration) 
     ``stoch_exp(-Y)``, or (None, the "jump-bound" witness on the time-t
     atom of ``flow`` of the first jump dY >= 1 in outcome-major order)."""
     Y = integrate(coefficients, integrator)
-    miss = first_failing(Y, lambda v, den: v[0] < den, increments=True)
+    miss = first_failing(Y, lambda cols, den: map(operator.lt, cols[0], repeat(den)),
+                         increments=True)
     if miss is not None:
         t = miss[1]
         atom = flow.at(t).atom_of(Y.space.outcomes[miss[0]])
@@ -159,11 +162,11 @@ def solve_structure_F(market: Market, driver: Driver) -> StructureSolution:
 def verify_deflator(deflator: Process, market: Market, filtration: Filtration):
     """Deflated-martingale battery: the deflator itself and each deflated
     asset.  Returns None, or the first failure's witness."""
-    arith = market.space.arith
+    eq = entries_equal(market.space.arith)
     # A time-0 value equal to 1 is positive, so the first failing cell is a
     # start failure exactly when it sits at t = 0.
-    miss = first_failing(deflator, lambda v, den: v[0] > 0,
-                         start=lambda v, den: arith.eq(v[0], den))
+    miss = first_failing(deflator, lambda cols, den: map(operator.gt, cols[0], repeat(0)),
+                         start=lambda cols, den: map(eq, cols[0], repeat(den)))
     if miss is not None:
         o, t = market.space.outcomes[miss[0]], miss[1]
         reason = "deflator-start" if t == 0 else "deflator-not-positive"
@@ -245,60 +248,61 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
         if gauge.tilt_witness is not None:
             return Verdict(ASSUMPTION_VIOLATED, gauge.tilt_witness,
                            stage="tilt-floor-positive")
-    table = {}
     jump_witness = None
     # One solve per distinct site value, for this call only, keyed by the
-    # value keys of phi and of the base transition's (p, dW, dN, dD), each
-    # numbered once (``phi_ids``, ``base_ids``); the site is built on a miss
-    # alone.  A site that fails returns at once, so a repeat only ever
-    # reuses a feasible solve whose bad jump row, if any, is already the
-    # witness.
-    solved, phi_ids, base_ids = {}, {}, {}
+    # value keys of phi and of the base transition's (p, dW, dN, dD), the
+    # latter numbered once (``base_ids``), each time's keys one column over
+    # its expanded atoms, solved in order of first appearance; the site is
+    # built on a miss alone.  A site that fails returns at once, so a
+    # repeat only ever reuses a feasible solve whose bad jump row, if any,
+    # is already the witness.
+    keys, solved, base_ids = [], {}, {}
     F, processes = market.F, (W, gauge.N, D)
     for t in range(1, G.horizon + 1):
         g_part = G.at(t - 1)
         # The value key of each base atom's transition inputs, from the keys
         # of each increments layer on the time-t base atoms, taken once.
-        layer_keys = [X.value_keys(t, F.at(t), increments=True) for X in processes]
-        base = [base_ids.setdefault((p_key, *(tuple(map(keys.__getitem__, kids))
-                                              for keys in layer_keys)), len(base_ids))
-                for p_key, kids in zip(F.transition_keys(t), F.children(t))]
-        for idx, (phi_key, k) in enumerate(zip(gauge.phi.value_keys(t, g_part),
-                                               g_part.parents(F.at(t - 1)))):
-            key = phi_ids.setdefault(phi_key, len(phi_ids)), base[k]
-            hit = solved.get(key)
-            if hit is None:
-                (phi,) = gauge.phi.on_atoms(t, g_part, [idx])
-                inputs = _site_inputs(processes, t, F.at(t), F.transition(t, k))
-                try:
-                    solve = solve_site(_build_site(market, W.dim, phi, inputs))
-                except CoercivityFailure as err:
-                    return Verdict(NON_VIABLE,
-                                   FailureWitness("site-coercivity", t, g_part.atoms[idx],
-                                                  str(err)),
-                                   stage="site-solves-feasible")
-                if not solve.feasible:
-                    return Verdict(NON_VIABLE,
-                                   FailureWitness("site-infeasible", t, g_part.atoms[idx],
-                                                  solve.residual),
-                                   stage="site-solves-feasible")
-                bad = next((r for r in solve.rows if not r.ok), None)
-                if jump_witness is None and bad is not None:
-                    jump_witness = FailureWitness("jump-bound", t, g_part.atoms[idx], bad)
-                solved[key] = hit = solve
-            table[(t, idx)] = hit.solution
+        kids = F.children(t)
+        rows = zip(F.transition_keys(t), *(
+            map(tuple, map(map, repeat(X.value_keys(t, F.at(t), increments=True).__getitem__),
+                           kids)) for X in processes))
+        base = [base_ids.setdefault(row, len(base_ids)) for row in rows]
+        up = g_part.parents(F.at(t - 1))
+        ks = tuple(zip(gauge.phi.value_keys(t, g_part), map(base.__getitem__, up)))
+        keys.append(ks)
+        first = dict(zip(reversed(ks), range(len(ks) - 1, -1, -1)))  # the first one wins
+        for idx in sorted(first.values()):  # each distinct site at its first atom
+            if ks[idx] in solved:
+                continue
+            (phi,) = gauge.phi.on_atoms(t, g_part, [idx])
+            inputs = _site_inputs(processes, t, F.at(t), F.transition(t, up[idx]))
+            try:
+                solve = solve_site(_build_site(market, W.dim, phi, inputs))
+            except CoercivityFailure as err:
+                return Verdict(NON_VIABLE,
+                               FailureWitness("site-coercivity", t, g_part.atoms[idx], str(err)),
+                               stage="site-solves-feasible")
+            if not solve.feasible:
+                return Verdict(NON_VIABLE,
+                               FailureWitness("site-infeasible", t, g_part.atoms[idx],
+                                              solve.residual),
+                               stage="site-solves-feasible")
+            bad = next((r for r in solve.rows if not r.ok), None)
+            if jump_witness is None and bad is not None:
+                jump_witness = FailureWitness("jump-bound", t, g_part.atoms[idx], bad)
+            solved[ks[idx]] = solve.solution
     # A bad jump row is reported only once every site has solved.
     if jump_witness is not None:
         return Verdict(NON_VIABLE, jump_witness, stage="jump-bound")
-    kbar = Process.predictable(G, table, W.dim)
-    solution, witness = _exponentiate(kbar, W - gauge.W_drift, G)
+    kbar = Process.keyed(G, keys, solved, W.dim)
+    solution, witness = _exponentiate(kbar, gauge.W_martingale, G)
     if witness is not None:
         return Verdict(NON_VIABLE, witness, stage="jump-bound")
     # The drift identity, checked first for the prices' own expanded-flow
     # drift, then for the bracket of Y against the expanded martingale part.
     rhs = price_drift_rhs(market, D, gauge)
     try:
-        M_tilde = market.martingale_part - drift(market.martingale_part, pair)
+        M_tilde = expanded_martingale(market.martingale_part, pair)
     except CheckFailed as err:
         return Verdict(err.status, err.witness, solution, stage=err.stage)
     for lhs in (compensator(centred(market.S), G),

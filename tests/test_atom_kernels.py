@@ -23,6 +23,7 @@ a minimal market.
 import math
 import operator
 from fractions import Fraction
+from itertools import repeat
 from types import SimpleNamespace
 
 import pytest
@@ -243,13 +244,17 @@ def _brute_first_failing(X, test, start=None, increments=False):
 @pytest.mark.parametrize("mode", MODES)
 @given(data=st.data())
 def test_first_failing_comes_in_outcome_major_order(mode, data):
-    """Each test sees a cell's numerators v over the layer's denominator,
-    as test(v, den), and must agree with the same test on the numbers."""
+    """Each test is a column predicate: it sees a layer's columns of
+    numerators over its denominator, as test(cols, den), gives one flag
+    per atom, and must agree with the same test on each cell's numbers."""
     space, F, (X,) = _draw(data, mode, 1)
     arith, bar = space.arith, data.draw(numbers(space.arith))
-    tests = [(lambda v, den: v[0] > bar * den, lambda x: x[0] > bar),
-             (lambda v, den: v[0] < den, lambda x: x[0] < 1),
-             (lambda v, den: not arith.eq(v[0], bar * den), lambda x: not arith.eq(x[0], bar))]
+    differs = lambda a, b: not arith.eq(a, b)  # noqa: E731
+    tests = [(lambda cols, den: map(operator.gt, cols[0], repeat(bar * den)),
+              lambda x: x[0] > bar),
+             (lambda cols, den: map(operator.lt, cols[0], repeat(den)), lambda x: x[0] < 1),
+             (lambda cols, den: map(differs, cols[0], repeat(bar * den)),
+              lambda x: not arith.eq(x[0], bar))]
     (test, brute), (start, brute_start) = data.draw(st.sampled_from(tests)), \
         data.draw(st.sampled_from(tests))
     assert first_failing(X, test) == _brute_first_failing(X, brute)

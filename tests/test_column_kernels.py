@@ -21,6 +21,7 @@ per-cell lambdas they replaced, the dot product summed from 0 (``0 +
 import math
 import operator
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given
@@ -43,6 +44,7 @@ from marketforge.space import (
     _common,
     _reduced,
     _scaled,
+    all_entries,
     atom_means,
     build_initial_enlargement,
     componentwise,
@@ -241,10 +243,17 @@ def test_decisions_match_their_row_oracles(mode, data):
     got = first_mismatch(X, Y)
     assert (got and (space.index(got[0]), got[1])) == (ref.row_first_mismatch(RX, RY) or None)
     arith = space.arith
-    tests = [None, lambda v, den: all(a < den for a in v),
-             lambda v, den: not v or arith.eq(v[0], den), lambda v, den: len(v) > 5]
-    test, start = data.draw(st.sampled_from(tests)), data.draw(st.sampled_from(tests))
-    assert first_failing(X, test, start) == ref.row_first_failing(RX, test, start)
+    # Each column predicate beside the per-cell test it stands for, the
+    # oracle's: no column means no flag, so every cell passes.
+    tests = [(None, None),
+             (lambda cols, den: all_entries(operator.lt, cols, den),
+              lambda v, den: all(a < den for a in v)),
+             (lambda cols, den: map(arith.eq, cols[0], repeat(den)) if cols else (),
+              lambda v, den: not v or arith.eq(v[0], den)),
+             (lambda cols, den: repeat(len(cols) > 5), lambda v, den: len(v) > 5)]
+    (test, cell_test), (start, cell_start) = data.draw(st.sampled_from(tests)), \
+        data.draw(st.sampled_from(tests))
+    assert first_failing(X, test, start) == ref.row_first_failing(RX, cell_test, cell_start)
     if mode == "exact":
         assert extrema(X) == ref.row_extrema(RX)
     for t in range(F.horizon + 1):

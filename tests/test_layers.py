@@ -14,12 +14,16 @@ which name components, not storage.  Every other engine module reads processes a
 numbers through their accessors (``Process.on_atoms``, ``Process.at``,
 ``cond_exp``, ``first_mismatch``, ``increments``),
 decides on them through the ones that read the layers undecoded
-(``first_failing``, whose tests see a cell's numerators and the layer's
-denominator, ``extrema``, and ``Process.value_keys``, a cell's value key,
-as ``Filtration.transition_keys`` keys child probabilities), and builds
-them from per-atom tables (``Process.adapted``, ``Process.predictable``) or per-outcome paths,
-never from layers or increments (``accumulate``), so a change of storage
-layout touches those two modules alone.
+(``first_failing``, whose column predicates see a layer's columns of
+numerators and its denominator and give one flag per atom, ``all_entries``
+for whole cells, ``extrema``, and ``Process.value_keys``, a cell's value
+key, as ``Filtration.transition_keys`` keys child probabilities), and
+builds them from per-atom tables (``Process.adapted``,
+``Process.predictable``), per-atom keys with one value per distinct key
+(``Process.keyed``) or per-outcome paths, never from layers or increments
+(``accumulate``), so a change of storage layout touches those two modules
+alone; the gathers that read a column at an index map (``_gather``,
+``_getter``) stay there too.
 
 Every name an engine module imports is used in that module (``__init__``
 re-exports, so it is exempt); ``# noqa: F401`` on the import line keeps a
@@ -52,7 +56,7 @@ LAYOUT_TOKENS = re.compile(r"\.layers\b|\.meet\(|\batom_at\b|_tabled|_keyed|_gro
                            r"|_encoded|_decoded|_reduced|_numerators|\b_over\(|_layer_key|layer="
                            r"|\b_column\(|\b_scaled\(|\b_rows\(|\b_picked\(|_sum_plan|_sums\b"
                            r"|\b_weighted\(|\b_failing\(|\b_eq\(|\b_dot\(|_member_weights"
-                           r"|accumulate\(|\bid\("
+                           r"|accumulate\(|\bid\(|\b_gather\(|\b_getter\("
                            r"|_meets\b|\b_nest\(|_parent_map|_read_off|_outcome_meet|\b_split\("
                            r"|_finer\(|\._own\b|\._keys\b"
                            r"|\b_refined\(|_maps_onto|_group_outcomes|\b_met\(|\b_flow\("

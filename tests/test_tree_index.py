@@ -24,7 +24,9 @@ transitions read the children off the parent map.
   T = 6 tree is loaded, an ``analyze`` pipeline groups no outcome and
   reads no map off the outcomes, it solves as many distinct sites and
   moment systems as before, and it builds the outcome labels of no
-  partition but each flow's finest.
+  partition but each flow's finest; and since the T = 6 tree is enlarged
+  at time 0, each F_t v G_{t-1} is G_t itself, and neither those meets nor
+  the pipeline make a keyed pass (``space._refined``).
 """
 
 import json
@@ -189,3 +191,27 @@ def test_analyze_after_load_groups_no_outcome(monkeypatch, mode, solves):
     if mode == "exact":
         labelled = [part for part in _registered(built.space) if "atoms" in vars(part)]
         assert set(labelled) <= {built.F.partitions[-1], built.pair.expanded.partitions[-1]}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_initial_enlargement_meets_off_its_own_atoms(monkeypatch, mode):
+    """On the golden T = 6 tree, enlarged at time 0, F_t v G_{t-1} is G_t
+    itself, read off the registered maps of G_t with no keyed pass; once
+    the tree is loaded, neither those meets nor an ``analyze`` pipeline
+    calls ``space._refined``."""
+    built = load_scenario(parse_document((GOLDEN / "noisy_tree_T6.json").read_text()),
+                          MODES[mode])
+    F, G = built.F, built.pair.expanded
+    calls = []
+
+    def refined(*args):
+        calls.append(args)
+        return keyed(*args)
+
+    keyed = space._refined
+    monkeypatch.setattr(space, "_refined", refined)
+    for t in range(1, F.horizon + 1):
+        assert F.at(t).meet(G.at(t - 1))[0] is G.at(t)
+    verdict, _ = _run_pipeline(built)
+    assert verdict.status == viability.VIABLE
+    assert calls == []
