@@ -28,7 +28,8 @@ float mode they are, as (s + d) - s need not be d.  A compensator's
 increments are conditional means on the time-(t-1) atoms, taken once and
 returned with their running sums (``_compensate``).  A check is a column
 predicate (``space.first_failing``): one C-level ``map`` over a layer's
-column gives one flag per atom.  The one per-atom solve of both structure
+column gives one flag per atom; X_0 = 0 is read off the time-0 layer
+alone (``space.starts_at_zero``).  The one per-atom solve of both structure
 flows lives here too: ``solve_moments`` solves a conditional second moment
 E[dX dY^T | A] times an unknown equal to a conditional mean, once per
 distinct system value, in order of first appearance, keyed off the layers
@@ -53,10 +54,9 @@ from fractions import Fraction
 from itertools import chain, repeat
 
 from . import linalg
-from .space import Filtration, Process, _decoded, _dot, _encoded, _failing, _gather, _getter
-from .space import _layer_key, _reduced, _rows, all_entries, atom_means, componentwise
-from .space import cond_exp, entries_equal, first_failing, first_mismatch, is_adapted, outer
-from .space import product
+from .space import Filtration, Process, _decoded, _dot, _failing, _gather, _getter, _layer
+from .space import _layer_key, _reduced, _rows, atom_means, componentwise, cond_exp
+from .space import first_mismatch, is_adapted, outer, product, starts_at_zero
 
 
 NON_VIABLE = "non-viable"
@@ -153,8 +153,7 @@ def compensator(A: Process, filtration: Filtration) -> Process:
     this (uniqueness is exact on a finite grid).
     """
     _require_adapted(A, filtration, "compensator input")
-    eq = entries_equal(A.space.arith)
-    if first_failing(A, start=lambda cols, den: all_entries(eq, cols, 0)) is not None:
+    if not starts_at_zero(A):
         raise CalculusError("compensator input must be null at time 0")
     return _compensate(A, filtration)[1]
 
@@ -207,13 +206,11 @@ def stoch_exp(X: Process) -> Process:
     """
     if X.dim != 1:
         raise CalculusError("stochastic exponential is for scalar processes")
-    arith = X.space.arith
-    is_zero = operator.not_ if arith.exact else arith.is_zero
-    if first_failing(X, start=lambda cols, den: map(is_zero, cols[0])) is not None:
+    if not starts_at_zero(X):
         raise CalculusError("stochastic exponential input must start at 0")
     part = X.layers[0][0]
     one = (X.space.trivial, ((1,),), 1)
-    layers = [_encoded(part, ((1 * arith.parse(1),),) * part.size)]
+    layers = [_layer(part, (0,) * part.size, ((1 * X.space.arith.parse(1),),))]
     for t in range(1, X.horizon + 1):
         factor = componentwise(operator.sub, componentwise(operator.add, one, X.layers[t]),
                                X.layers[t - 1])

@@ -114,20 +114,13 @@ def rank(A, arith: Arithmetic) -> int:
     return len(_eliminate(R, len(R[0]), arith.exact, _threshold(arith, A))[0])
 
 
-def _solve(R, n: int, exact: bool, tol: Num = 0):
+def _solve(R, n: int, exact: bool):
     """(x, den): the solution x/den of the n x n system held by the
     augmented rows R, reduced in place; raises LinalgError if singular."""
-    pivots, d = _eliminate(R, n, exact, tol)
+    pivots, d = _eliminate(R, n, exact)
     if len(pivots) != n:
-        raise LinalgError("solve_pd: matrix is singular")
+        raise LinalgError("matrix is singular")
     return [row[n] for row in R], d
-
-
-def solve_pd(M, b, arith: Arithmetic):
-    """Solve M x = b for symmetric positive definite M: (x, den), the
-    solution's numerators over den.  Raises LinalgError if M is singular."""
-    R, _ = numerators([[*row, v] for row, v in zip(M, b)], arith.exact)
-    return _solve(R, len(M), arith.exact, _threshold(arith, R))
 
 
 def _fit_columns(A, cols, v, exact: bool):

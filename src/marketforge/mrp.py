@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .calculus import CalculusError, FailureWitness, is_martingale
-from .space import Filtration, Process, SpaceError, all_entries, entries_equal, first_failing
+from .space import Filtration, Process, SpaceError, starts_at_zero
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,8 +34,7 @@ class Driver:
     def __post_init__(self) -> None:
         if self.W.horizon == self.filtration.horizon:  # on the flow's atoms, as Market keeps S
             object.__setattr__(self, "W", self.W.refined(self.filtration))
-        eq = entries_equal(self.W.space.arith)
-        if first_failing(self.W, start=lambda cols, den: all_entries(eq, cols, 0)) is not None:
+        if not starts_at_zero(self.W):
             raise SpaceError("driver must start at 0")
         try:
             witness = is_martingale(self.W, self.filtration)
@@ -65,7 +64,7 @@ def check_mrp(F: Filtration, driver: Driver):
             if m == 1:
                 continue
             kids = [c for c, _ in children]
-            V = [list(dw) for dw in driver.W.on_atoms(t, F.at(t), kids, increments=True)]
+            V = [list(dw) for dw in driver.W.increments.on_atoms(t, F.at(t), kids)]
             r = linalg.rank(V, arith)
             if r < m - 1:
                 return FailureWitness("mrp", t, F.at(t - 1).atoms[k],

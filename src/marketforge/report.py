@@ -65,7 +65,7 @@ def solution_summary(solution: StructureSolution | None, arith: Arithmetic):
     return {
         "coefficients": _extrema(extrema(solution.driver_coefficients, start=1),
                                  arith),
-        "jump": _extrema(extrema(solution.martingale, increments=True), arith),
+        "jump": _extrema(extrema(solution.martingale.increments, start=1), arith),
         "deflator": _extrema(extrema(solution.deflator), arith),
         "jump_bound_ok": True,
     }

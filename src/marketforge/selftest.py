@@ -14,6 +14,7 @@ imports them from this module.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from . import fixtures, linalg
@@ -210,7 +211,8 @@ def _check_insider_gate(arith: Arithmetic) -> str:
          f"b2i verdict is {verdict.status}, expected the assumption gate")
     _ask(verdict.witness.reason == "support" and verdict.witness.t == 1,
          f"b2i gate witness is {verdict.witness}")
-    forced = solve_structure_G(market, gauge, base, enforce_assumptions=False)
+    forced = solve_structure_G(market, replace(gauge, support_witness=None, tilt_witness=None),
+                               base)
     _ask(forced.status == NON_VIABLE
          and forced.witness.reason == "site-infeasible",
          f"b2i bypass verdict is {forced.status} ({forced.witness})")

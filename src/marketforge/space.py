@@ -26,14 +26,16 @@ off it.  The pipeline reads atoms by index; the outcome labels of an atom
 on demand, for a witness, a report or a caller.
 
 A process is stored atom-major, one value vector per (time, atom) of the
-partitions it lives on: a filtration's (:meth:`Process.adapted`, and the
-time-(t-1) ones for :meth:`Process.predictable`, or for
-:meth:`Process.keyed`, a solve's per-atom keys with one value per distinct
-key; :meth:`Process.from_keys`, the loader's entry, on its flow's atoms
-where the process is adapted to it, each column read once per atom of the
-flow's finest partition and each distinct cell encoded once), the level
-sets of its values (:meth:`Process.from_keys` without a flow), or, for a
-kernel result, the meet of its operands' (:func:`componentwise`).  Each
+partitions it lives on.  There are three ways to build one: from a table
+on a filtration's atoms (:meth:`Process.adapted`), from a solve's per-atom
+keys with one value per distinct key, on the time-(t-1) atoms and zero at
+time 0 (:meth:`Process.keyed`, the predictable processes), or from
+per-outcome key paths (:meth:`Process.from_keys`, the loader's entry, on
+its flow's atoms where the process is adapted to it, each column read once
+per atom of the flow's finest partition, and on the level sets of its
+values without a flow).  All three encode a layer one way (``_layer``):
+each distinct value once, then gathered per atom.  A kernel result lives
+on the meet of its operands' partitions (:func:`componentwise`).  Each
 time is one layer, a triple (partition, columns, den): one tuple per value
 component, each with one entry per atom.  In exact mode the entries are
 integer numerators over the one positive denominator ``den``, with
@@ -50,24 +52,26 @@ component c the sum over the index pairs ``terms[c]`` of a_i * b_j.
 Float sums of many terms are ``math.fsum``, correctly rounded, and an
 atom's float mass is its exact integer sum correctly rounded, so no value
 depends on the order the outcomes are listed in or on the Python version.
-Increments are defined once, here (:attr:`Process.increments`, dX_0 = 0);
-:func:`atom_means` averages a layer, or the outer product of two, over the
-child atoms of each atom, one plan per pair of partitions (exact sums as
-differences of prefix sums, float ones by ``math.fsum``), and
-:func:`cond_exp` is its layer of E[X_t | given].  Only this module and
-``calculus`` know the layout: the other layers build processes from
-per-atom tables or keys or per-outcome paths, read them as numbers
-(Fractions in exact mode, decoded once per layer) through
-:meth:`Process.on_atoms`, :meth:`Process.at` and :func:`first_mismatch`,
-and decide on the layers undecoded: :func:`first_failing` takes column
-predicates, each mapping a layer's columns of numerators and its
-denominator to one flag per atom in C (``map(operator.gt, columns[0],
-repeat(0))``, or :func:`all_entries` for whole cells), :func:`extrema`
-decodes only the two extremes, and :meth:`Process.value_keys` gives each
-cell's value key, the memo key of the solves above, as
-:meth:`Filtration.transition_keys` keys a site's transition probabilities
-off the integer masses.  :func:`first_failing` and :func:`first_mismatch`
-keep outcome-major order, so witnesses keep theirs.
+Increments are defined once, here, and are a process like any other
+(:attr:`Process.increments`, dX_0 = 0, built once): every reader takes
+``X.increments`` where it needs dX.  :func:`atom_means` averages a layer,
+or the outer product of two, over the child atoms of each atom, one plan
+per pair of partitions (exact sums as differences of prefix sums, float
+ones by ``math.fsum``), and :func:`cond_exp` is its layer of
+E[X_t | given].  Only this module and ``calculus`` know the layout: the
+other layers build processes from per-atom tables or keys or per-outcome
+paths, read them as numbers (Fractions in exact mode, decoded once per
+layer) through :meth:`Process.on_atoms`, :meth:`Process.at` and
+:func:`first_mismatch`, and decide on the layers undecoded:
+:func:`first_failing` takes column predicates, each mapping a layer's
+columns of numerators and its denominator to one flag per atom in C
+(``map(operator.gt, columns[0], repeat(0))``, or :func:`all_entries` for
+whole cells), :func:`starts_at_zero` reads the time-0 layer alone,
+:func:`extrema` decodes only the two extremes, and
+:meth:`Process.value_keys` gives each cell's value key, the memo key of
+the solves above, as :meth:`Filtration.transition_keys` keys a site's
+transition probabilities off the integer masses.  :func:`first_failing`
+and :func:`first_mismatch` keep outcome-major order, so witnesses keep theirs.
 """
 
 from __future__ import annotations
@@ -177,10 +181,6 @@ class Partition:
         """The partition with the given atoms, checked (``atom_labels``)."""
         return _group_outcomes(space.trivial, atom_labels(space, atoms))[0]
 
-    @classmethod
-    def trivial(cls, space: SampleSpace) -> "Partition":
-        return space.trivial
-
     @cached_property
     def atoms(self) -> tuple[tuple[str, ...], ...]:
         """The outcome labels of each atom, in outcome order; on demand."""
@@ -207,11 +207,6 @@ class Partition:
         if self._base is None:
             return self._own
         return _gather(self._base.firsts, self._first)
-
-    @cached_property
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        """Outcome indices of each atom."""
-        return tuple(map(tuple, map(map, repeat(self.space._index.__getitem__), self.atoms)))
 
     def refines(self, other: "Partition") -> bool:
         """Every atom of self sits inside a single atom of other."""
@@ -658,30 +653,25 @@ def _column(part: Partition, bottom: Partition, ids, cells) -> tuple:
     """The layer of one time: the value ids ``ids`` of the atoms of
     ``bottom`` (the flow's finest, or the root) on ``part`` refined by
     them, which is ``part`` where each of its atoms holds one value;
-    ``cells[v]`` is the value of id v.  Exact numerators over the lcm of
-    the layer's cells' denominators, stored by column."""
+    ``cells[v]`` is the value of id v (``_layer``)."""
     values = _gather(ids, _gather(bottom.atom_at, part.firsts))
     if ids != _gather(values, _parent_map(bottom, part)):
         part, _, first = (_group_outcomes(part, ids) if bottom is bottom.space.root else
                           _refined(part, bottom, ids))
         values = _gather(ids, first)
-    distinct = dict.fromkeys(values)  # each value encoded once
-    found, den = _numerators(_gather(cells, tuple(distinct)), part.space.arith.exact)
-    cols = tuple(zip(*found))
-    if len(distinct) < len(values):
-        cols = _picked(cols, _gather(dict(zip(distinct, count())), values))
-    return part, cols, den
+    return _layer(part, values, cells)
 
 
-def _encoded(part: Partition, cells) -> tuple:
-    """The layer (part, columns, den) of number cells, one per atom of
-    ``part``: ``_numerators`` of the columns of the distinct cell objects,
-    each encoded once, picked per atom."""
-    cells = tuple(cells)
-    distinct = dict(zip(map(id, cells), cells))
-    cols, den = _numerators(tuple(zip(*distinct.values())), part.space.arith.exact)
-    if len(distinct) < len(cells):
-        cols = _picked(cols, _gather(dict(zip(distinct, count())), tuple(map(id, cells))))
+def _layer(part: Partition, keys, values) -> tuple:
+    """The layer (part, columns, den) whose atom k holds ``values[keys[k]]``,
+    a number vector: each distinct key's value encoded once
+    (``_numerators``), in order of first appearance, then gathered per
+    atom."""
+    distinct = dict.fromkeys(keys)
+    cols, den = _numerators(tuple(zip(*_gather(values, tuple(distinct)))),
+                            part.space.arith.exact)
+    if len(distinct) < len(keys):
+        cols = _picked(cols, _gather(dict(zip(distinct, count())), keys))
     return part, cols, den
 
 
@@ -848,46 +838,26 @@ class Process:
     @classmethod
     def adapted(cls, filtration: "Filtration", table, dim: int = 1) -> "Process":
         """Build from per-atom values: ``table[(t, k)]`` on the time-t atom k."""
-        columns = [[_as_vector(table[(t, k)]) for k in range(part.size)]
-                   for t, part in enumerate(filtration.partitions)]
-        if not {dim}.issuperset(map(len, chain.from_iterable(columns))):
+        cells = [[_as_vector(table[(t, k)]) for k in range(part.size)]
+                 for t, part in enumerate(filtration.partitions)]
+        if not {dim}.issuperset(map(len, chain.from_iterable(cells))):
             raise SpaceError("value dimension mismatch")
-        return cls(filtration.space, tuple(map(_encoded, filtration.partitions, columns)))
-
-    @classmethod
-    def predictable(cls, filtration: "Filtration", table, dim: int = 1,
-                    initial=None) -> "Process":
-        """Build from per-atom values: the time-t value is ``table[(t, k)]`` on
-        the time-(t-1) atom k, the time-0 value is ``initial`` (zero if None)
-        on every time-0 atom: adapted to the flow lagged by one step."""
-        v0 = (0,) * dim if initial is None else _as_vector(initial)
-        parts = filtration.partitions
-        start = {(0, k): v0 for k in range(parts[0].size)}
-        return cls.adapted(Filtration(filtration.space, parts[:1] + parts[:-1]),
-                           {**table, **start}, dim)
+        return cls(filtration.space, tuple(_layer(part, range(part.size), row)
+                                           for part, row in zip(filtration.partitions, cells)))
 
     @classmethod
     def keyed(cls, flow: "Filtration", keys, values, dim: int) -> "Process":
         """The predictable process of per-atom keys, as a solve emits it: zero
         at time 0 on the time-0 atoms, and the time-t value on the time-(t-1)
-        atom k of ``flow`` is ``values[keys[t - 1][k]]``, a d-vector.  Each
-        time's distinct keys, in order of first appearance, are encoded once
-        (``_numerators``) and gathered per atom: the layers of
-        ``predictable`` on the table of those values."""
-        parts, exact = flow.partitions, flow.space.arith.exact
-        layers = [(parts[0], ((0,) * parts[0].size,) * dim, 1)]
-        for part, ks in zip(parts, keys):
-            distinct = dict.fromkeys(ks)
-            cols, den = _numerators(tuple(zip(*_gather(values, tuple(distinct)))), exact)
-            if len(distinct) < len(ks):
-                cols = _picked(cols, _gather(dict(zip(distinct, count())), ks))
-            layers.append((part, cols, den))
-        return cls(flow.space, tuple(layers))
+        atom k of ``flow`` is ``values[keys[t - 1][k]]``, a d-vector
+        (``_layer``)."""
+        parts = flow.partitions
+        return cls(flow.space, ((parts[0], ((0,) * parts[0].size,) * dim, 1),
+                                *map(_layer, parts, keys, repeat(values))))
 
     @classmethod
     def constant(cls, space: SampleSpace, horizon: int, value) -> "Process":
-        return cls(space, (_encoded(space.trivial, (_as_vector(value),)),)
-                   * (horizon + 1))
+        return cls(space, (_layer(space.trivial, (0,), (_as_vector(value),)),) * (horizon + 1))
 
     # -- access ----------------------------------------------------------------
 
@@ -922,22 +892,20 @@ class Process:
         meet of the two times' partitions, and dX_0 = 0; built once."""
         return self._zip(self.lagged(), componentwise, operator.sub)
 
-    def on_atoms(self, t: int, part: Partition, ks, increments: bool = False) -> list:
-        """X_t (dX_t with ``increments``) on the atoms ``ks`` of ``part``,
-        each read at its first outcome (``Partition.parents``)."""
-        X = self.increments if increments else self
-        cells, up = X._numbers(t), part.parents(X.layers[t][0])
+    def on_atoms(self, t: int, part: Partition, ks) -> list:
+        """X_t on the atoms ``ks`` of ``part``, each read at its first
+        outcome (``Partition.parents``)."""
+        cells, up = self._numbers(t), part.parents(self.layers[t][0])
         return [cells[up[k]] for k in ks]
 
-    def value_keys(self, t: int, part: Partition, increments: bool = False) -> tuple:
-        """The value keys of X_t (dX_t with ``increments``) on each atom of
-        ``part``, read at its first outcome straight off the layer, with no
-        number decoded: equal values (and no others) share a key, over any
-        denominator and at any time (``_layer_key``).  A layer's keys are
-        taken once, each distinct exact cell keyed once."""
-        X = self.increments if increments else self
-        own, cols, den = X.layers[t]
-        keys = X._keys.get(t)
+    def value_keys(self, t: int, part: Partition) -> tuple:
+        """The value keys of X_t on each atom of ``part``, read at its first
+        outcome straight off the layer, with no number decoded: equal values
+        (and no others) share a key, over any denominator and at any time
+        (``_layer_key``).  A layer's keys are taken once, each distinct
+        exact cell keyed once."""
+        own, cols, den = self.layers[t]
+        keys = self._keys.get(t)
         if keys is None:
             cells = _rows(cols, own.size)
             if self.space.arith.exact:  # ints: -0.0 and 0.0 would merge in a dict
@@ -945,7 +913,7 @@ class Process:
                 keys = _gather(distinct, cells)
             else:
                 keys = tuple(map(_cell_key, cells))
-            X._keys[t] = keys
+            self._keys[t] = keys
         return keys if part is own else _gather(keys, part.parents(own))
 
     def refined(self, flow: "Filtration") -> "Process":
@@ -1007,25 +975,22 @@ def _failing(oks) -> Iterable[int]:
     return compress(count(), map(operator.not_, oks))
 
 
-def first_failing(X: Process, test=None, start=None, increments: bool = False):
+def first_failing(X: Process, test=None, start=None):
     """(i, t) of the first cell of X failing its test, in outcome-major order
     (outcome i, then its times), or None when every tested cell passes.
 
     ``test`` runs at every time, ``start`` in its place at time 0; a time
-    left without a test is skipped.  With ``increments`` the cells are dX_t
-    for t >= 1.  Each test runs once per layer as ``test(columns, den)``,
-    on its columns of numerators over its denominator (floats over 1), and
-    gives one flag per atom, true where the cell passes, as a C-level
-    column predicate: ``map(operator.gt, columns[0], repeat(0))``,
+    left without a test is skipped.  Each test runs once per layer as
+    ``test(columns, den)``, on its columns of numerators over its
+    denominator (floats over 1), and gives one flag per atom, true where
+    the cell passes, as a C-level column predicate: ``map(operator.gt, columns[0], repeat(0))``,
     ``map(operator.lt, columns[0], repeat(den))`` or ``all_entries``.  An
     atom past the last flag passes.
     """
-    if increments:
-        X = X.increments
     misses = []
     for t, (part, cols, den) in enumerate(X.layers):
         check = (start or test) if t == 0 else test
-        if check is not None and t >= increments:
+        if check is not None:
             firsts = part.firsts
             misses += [(firsts[k], t) for k in
                        compress(range(part.size), map(operator.not_, check(cols, den)))]
@@ -1039,14 +1004,11 @@ def all_entries(op, columns, value) -> Iterable[bool]:
     return map(all, zip(*[map(op, col, repeat(value)) for col in columns]))
 
 
-def extrema(X: Process, start: int = 0, increments: bool = False):
-    """(least, greatest) component of the cells of X from time ``start`` on
-    (of dX_t, t >= 1, with ``increments``), as numbers, or None when there
-    is none.  Entries compare over their layer's denominator, and the first
+def extrema(X: Process, start: int = 0):
+    """(least, greatest) component of the cells of X from time ``start`` on,
+    as numbers, or None when there is none.  Entries compare over their layer's denominator, and the first
     of equal extremes in (time, component, atom) order is kept (a float tie
     of 0.0 and -0.0 keeps its first); exact mode decodes the two alone."""
-    if increments:
-        X, start = X.increments, 1
     lo = hi = None
     for _, cols, den in X.layers[start:]:
         if cols:
@@ -1065,6 +1027,11 @@ def entries_equal(arith: Arithmetic):
     predicate: numerators compare as values in exact mode
     (``operator.eq``), floats within the tolerance."""
     return operator.eq if arith.exact else arith.eq
+
+
+def starts_at_zero(X: Process) -> bool:
+    """Whether X_0 = 0, read off the time-0 layer alone."""
+    return all(all_entries(entries_equal(X.space.arith), X.layers[0][1], 0))
 
 
 def first_mismatch(X: Process, Y: Process):

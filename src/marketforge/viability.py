@@ -129,12 +129,12 @@ def _exponentiate(coefficients: Process, integrator: Process, flow: Filtration) 
     ``stoch_exp(-Y)``, or (None, the "jump-bound" witness on the time-t
     atom of ``flow`` of the first jump dY >= 1 in outcome-major order)."""
     Y = integrate(coefficients, integrator)
-    miss = first_failing(Y, lambda cols, den: map(operator.lt, cols[0], repeat(den)),
-                         increments=True)
+    dY = Y.increments
+    miss = first_failing(dY, lambda cols, den: map(operator.lt, cols[0], repeat(den)))
     if miss is not None:
         t = miss[1]
         atom = flow.at(t).atom_of(Y.space.outcomes[miss[0]])
-        jump = Y.increments.at(atom[0], t)[0]
+        jump = dY.at(atom[0], t)[0]
         return None, FailureWitness("jump-bound", t, atom, jump)
     return StructureSolution(coefficients, Y, stoch_exp(-Y)), None
 
@@ -200,7 +200,7 @@ def _site_inputs(processes, t: int, part, transition) -> list:
     the driver, the carrier and D, the three ``processes``."""
     kids = [c for c, _ in transition]
     return list(zip((p for _, p in transition),
-                    *(X.on_atoms(t, part, kids, increments=True) for X in processes)))
+                    *(X.increments.on_atoms(t, part, kids) for X in processes)))
 
 
 def _build_site(market: Market, d: int, phi, inputs) -> Site:
@@ -216,8 +216,7 @@ def _build_site(market: Market, d: int, phi, inputs) -> Site:
 
 
 def solve_structure_G(market: Market, gauge: DriftGauge,
-                      base_solution: StructureSolution,
-                      enforce_assumptions: bool = True) -> Verdict:
+                      base_solution: StructureSolution) -> Verdict:
     """Expanded-flow structure condition, solved through the jump sites.
 
     The enlargement, the driver W and its drift come from the gauge, and D
@@ -231,23 +230,20 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
     deflated martingale battery.  A verification mismatch is reported as
     non-viable with reason "verification-mismatch"; it indicates a bug, not
     a market.  M's drift left uncentred by float rounding fails the
-    price-drift-identity row ("drift-not-centred", from ``enlarge.drift``).  A failing verdict's ``stage`` names the check row it fails.
-
-    ``enforce_assumptions=False`` skips the gate so the downstream failure
-    mode of a bad enlargement (infeasible sites) can be observed directly.
+    price-drift-identity row ("drift-not-centred", from ``enlarge.drift``).
+    A failing verdict's ``stage`` names the check row it fails.  A gauge
+    without its witnesses passes the gate, so the downstream failure of a
+    bad enlargement (infeasible sites) can be observed directly.
     """
     pair, W = gauge.pair, gauge.W
     if pair.base.partitions != market.F.partitions:  # one partition object per time
         raise ViabilityError("the enlargement must extend the market flow")
     G = pair.expanded
     D = base_solution.martingale
-    if enforce_assumptions:
-        if gauge.support_witness is not None:
-            return Verdict(ASSUMPTION_VIOLATED, gauge.support_witness,
-                           stage="support-condition")
-        if gauge.tilt_witness is not None:
-            return Verdict(ASSUMPTION_VIOLATED, gauge.tilt_witness,
-                           stage="tilt-floor-positive")
+    if gauge.support_witness is not None:
+        return Verdict(ASSUMPTION_VIOLATED, gauge.support_witness, stage="support-condition")
+    if gauge.tilt_witness is not None:
+        return Verdict(ASSUMPTION_VIOLATED, gauge.tilt_witness, stage="tilt-floor-positive")
     jump_witness = None
     # One solve per distinct site value, for this call only, keyed by the
     # value keys of phi and of the base transition's (p, dW, dN, dD), the
@@ -264,7 +260,7 @@ def solve_structure_G(market: Market, gauge: DriftGauge,
         # of each increments layer on the time-t base atoms, taken once.
         kids = F.children(t)
         rows = zip(F.transition_keys(t), *(
-            map(tuple, map(map, repeat(X.value_keys(t, F.at(t), increments=True).__getitem__),
+            map(tuple, map(map, repeat(X.increments.value_keys(t, F.at(t)).__getitem__),
                            kids)) for X in processes))
         base = [base_ids.setdefault(row, len(base_ids)) for row in rows]
         up = g_part.parents(F.at(t - 1))

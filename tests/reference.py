@@ -4,11 +4,14 @@ None of this runs on a command-line path; each piece is kept because a test
 compares an engine result with it, computed along an independent route, or
 builds test data with it.
 
-* ``discrete``, ``by_level_sets``, ``from_values``, ``shift``,
-  ``expectation`` and ``is_predictable`` build and inspect test models:
-  the finest partition, the level sets of a labelling, a process from a
-  formula, a shifted process, a plain expectation, and predictability
-  (adaptedness to the flow lagged by one step).
+* ``discrete``, ``members``, ``by_level_sets``, ``from_values``,
+  ``shift``, ``expectation``, ``predictable`` and ``is_predictable``
+  build and inspect test models: the finest partition, the outcome
+  indices of each atom, the level sets of a labelling, a process from a
+  formula, a shifted process, a plain expectation, a predictable process
+  from a per-atom table (``Process.adapted`` on the flow lagged by one
+  step, with any time-0 value), and predictability (adaptedness to the
+  lagged flow).
 
 * ``rref``, ``rank``, ``solve_pd``, ``lstsq_min_norm`` and ``is_psd`` are
   the linear algebra the engine ran before ``linalg`` eliminated fraction
@@ -113,6 +116,11 @@ def discrete(space: SampleSpace) -> Partition:
     return Partition.from_atoms(space, [[o] for o in space.outcomes])
 
 
+def members(part: Partition) -> tuple:
+    """The outcome indices of each atom."""
+    return tuple(tuple(map(part.space.index, atom)) for atom in part.atoms)
+
+
 def by_level_sets(space: SampleSpace, values) -> Partition:
     """Group outcomes by equal values of a (hashable) labelling."""
     if len(values) != space.size:
@@ -145,10 +153,20 @@ def expectation(space: SampleSpace, values):
     return sum((w * v for w, v in zip(space.weights, values)), 0)
 
 
+def predictable(filtration: Filtration, table, dim: int = 1, initial=None) -> Process:
+    """The process whose time-t value is ``table[(t, k)]`` on the time-(t-1)
+    atom k and whose time-0 value is ``initial`` (zero if None) on every
+    time-0 atom: ``Process.adapted`` on the flow lagged by one step."""
+    parts = filtration.partitions
+    start = {(0, k): (0,) * dim if initial is None else initial for k in range(parts[0].size)}
+    return Process.adapted(Filtration(filtration.space, parts[:1] + parts[:-1]),
+                           {**table, **start}, dim)
+
+
 def is_predictable(X: Process, filtration: Filtration) -> bool:
     """Deterministic at time 0 and time-(t-1) measurable at t: adapted to
     the flow lagged by one step, with the trivial partition at time 0."""
-    lagged = (Partition.trivial(filtration.space),) + filtration.partitions[:-1]
+    lagged = (filtration.space.trivial,) + filtration.partitions[:-1]
     return is_adapted(X, Filtration(filtration.space, lagged))
 
 
@@ -707,7 +725,7 @@ def represent(X: Process, driver: Driver) -> RepresentationCoefficients:
                 for e in range(d):
                     flat[e * k + i] = coeff[e]
             values[(t, atom_idx)] = tuple(flat)
-    kbar = Process.predictable(F, values, d * k)
+    kbar = predictable(F, values, d * k)
     return RepresentationCoefficients(driver, kbar, k)
 
 
@@ -849,12 +867,12 @@ def cond_exp(values, partition: Partition, space: SampleSpace, *cells: Partition
     if len(children) == len(partition.atoms):
         return list(values)
     out: list = [None] * space.size
-    for k, members in enumerate(partition.members):
+    for k, atom in enumerate(members(partition)):
         kids = [kid for key, kid in children.items() if key[0] == k]
         masses = [total(weights[i] for i in kid) for kid in kids]
         avg = tuple(total(m * vectors[kid[0]][j] for m, kid in zip(masses, kids))
-                    / total(weights[i] for i in members) for j in range(dim))
-        for i in members:
+                    / total(weights[i] for i in atom) for j in range(dim))
+        for i in atom:
             out[i] = avg
     if not isinstance(values[0], (tuple, list)):
         return [v[0] for v in out]
@@ -962,7 +980,7 @@ def by_values(space: SampleSpace, paths) -> Process:
         else:
             den, cells, keys = 1, column, [_cell_key(v) for v in column]
         part = by_level_sets(space, keys)
-        layers.append((part, tuple(cells[m[0]] for m in part.members), den))
+        layers.append((part, tuple(cells[m[0]] for m in members(part)), den))
     return Process(space, tuple(map(by_column, layers)))
 
 
@@ -1095,13 +1113,13 @@ def row_atom_means(given: Partition, *layers, value=lambda v: v) -> tuple:
     if meet is given:
         return row_reduced(given, tuple(values[k] for k in mine), den)
     if not space.arith.exact:
-        def mass(members):
-            return math.fsum(space.weights[i] for i in members)
+        def mass(atom):
+            return math.fsum(space.weights[i] for i in atom)
         terms = [[] for _ in given.atoms]
-        for q, members, p in zip(theirs, meet.members, mine):
-            terms[q].append([mass(members) * x for x in values[p]])
-        return given, tuple(tuple(math.fsum(col) / mass(members) for col in zip(*kids))
-                            for kids, members in zip(terms, given.members)), 1
+        for q, atom, p in zip(theirs, members(meet), mine):
+            terms[q].append([mass(atom) * x for x in values[p]])
+        return given, tuple(tuple(math.fsum(col) / mass(atom) for col in zip(*kids))
+                            for kids, atom in zip(terms, members(given))), 1
     totals = given.integer_masses
     lcm = math.lcm(*totals)
     sums = [[0] * len(values[0]) for _ in totals]
@@ -1138,7 +1156,7 @@ def row_centred(X: Rows) -> Rows:
 def row_stoch_exp(X: Rows) -> Rows:
     arith = X.space.arith
     part = X.layers[0][0]
-    one = (Partition.trivial(X.space), ((1,),), 1)
+    one = (X.space.trivial, ((1,),), 1)
     layers = [row_encoded(part, ((1 * arith.parse(1),),) * len(part.atoms))]
     for t in range(1, len(X.layers)):
         factor = row_pointwise(lambda c, x, x0: (c[0] + x[0] - x0[0],),
@@ -1188,8 +1206,8 @@ def row_first_mismatch(X: Rows, Y: Rows):
     eq, misses = X.space.arith.eq, []
     for t, layers in enumerate(zip(X.layers, Y.layers)):
         part, (us, vs), _ = row_common(layers)
-        misses += [(part.members[k][0], t)
-                   for k, (u, v) in enumerate(zip(us, vs)) if not all(map(eq, u, v))]
+        misses += [(atom[0], t) for atom, u, v in zip(members(part), us, vs)
+                   if not all(map(eq, u, v))]
     return min(misses, default=None)
 
 
@@ -1198,7 +1216,7 @@ def row_first_failing(X: Rows, test=None, start=None):
     for t, (part, cells, den) in enumerate(X.layers):
         check = (start or test) if t == 0 else test
         if check is not None:
-            misses += [(part.members[k][0], t) for k, v in enumerate(cells) if not check(v, den)]
+            misses += [(atom[0], t) for atom, v in zip(members(part), cells) if not check(v, den)]
     return min(misses, default=None)
 
 

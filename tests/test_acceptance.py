@@ -8,6 +8,7 @@ PASS/FAIL line per test at the end of a run.
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -248,7 +249,8 @@ def test_insider_scenario_gate_and_bypass(capsys):
     assert verdict.witness.t == 1
     assert verdict.witness.atom in (("uu", "ud"), ("du", "dd"))
 
-    forced = solve_structure_G(built.market, gauge, base, enforce_assumptions=False)
+    forced = solve_structure_G(built.market,
+                               replace(gauge, support_witness=None, tilt_witness=None), base)
     assert forced.status == NON_VIABLE
     assert forced.witness.reason == "site-infeasible"
     assert forced.witness.detail == (F(6, 5),)

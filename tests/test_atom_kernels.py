@@ -104,7 +104,7 @@ def processes(draw, F, dim, start_at_zero=False, kinds=("paths", "adapted", "pre
     if start_at_zero:
         table.update({(0, k): zero for k in range(len(F.at(0).atoms))})
     if lag:
-        return Process.predictable(F, table, dim, initial=table[(0, 0)])
+        return ref.predictable(F, table, dim, initial=table[(0, 0)])
     return Process.adapted(F, table, dim)
 
 
@@ -235,9 +235,8 @@ def test_layers_hold_reduced_integers_in_exact_mode_and_floats_over_one(mode, da
                for x in X.at(space.outcomes[-1], F.horizon) + X.on_atoms(0, F.at(0), [0])[0])
 
 
-def _brute_first_failing(X, test, start=None, increments=False):
-    cols = dict(enumerate(ref.increments(X), 1) if increments else enumerate(ref.columns(X)))
-    return min(((i, t) for i in range(X.space.size) for t, col in cols.items()
+def _brute_first_failing(X, test, start=None):
+    return min(((i, t) for i in range(X.space.size) for t, col in enumerate(ref.columns(X))
                 if not ((start or test) if t == 0 else test)(col[i])), default=None)
 
 
@@ -261,8 +260,7 @@ def test_first_failing_comes_in_outcome_major_order(mode, data):
     assert first_failing(X, test, start) == _brute_first_failing(X, brute, brute_start)
     assert first_failing(X, start=start) == _brute_first_failing(
         X, lambda x: True, brute_start)
-    assert first_failing(X, test, increments=True) == \
-        _brute_first_failing(X, brute, increments=True)
+    assert first_failing(X.increments, test) == _brute_first_failing(X.increments, brute)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -401,7 +399,7 @@ def test_extrema_keep_the_first_of_equal_extremes_in_time_component_atom_order(m
     start = data.draw(st.integers(0, F.horizon))
     RX = ref.Rows.of(X)
     for got, want in ((extrema(X, start), ref.row_extrema(RX, start)),
-                      (extrema(X, increments=True), ref.row_extrema(RX.increments, 1))):
+                      (extrema(X.increments, 1), ref.row_extrema(RX.increments, 1))):
         assert got == want
         assert got is None or list(map(bits, got)) == list(map(bits, want))
 

@@ -15,9 +15,10 @@ from marketforge.calculus import (
     pred_bracket,
     stoch_exp,
 )
-from marketforge.arith import FLOAT
+from marketforge.arith import EXACT, FLOAT
 from marketforge.fixtures import b1, b2
-from marketforge.space import Filtration, Partition, Process, SampleSpace
+from marketforge.mrp import Driver
+from marketforge.space import Filtration, Process, SampleSpace, SpaceError, starts_at_zero
 
 from reference import expectation, from_values, is_predictable
 from util import brute_compensator, random_adapted, random_predictable
@@ -39,6 +40,24 @@ def test_compensator_requires_null_start():
     fx = b1()
     with pytest.raises(CalculusError):
         compensator(fx.S, fx.F)
+
+
+@pytest.mark.parametrize("arith", [EXACT, FLOAT])
+def test_every_time_zero_check_reads_the_start_alone(arith):
+    # The driver, the compensator and the stochastic exponential each
+    # require X_0 = 0, read off the time-0 layer: later values do not
+    # matter, and in float mode a start within the tolerance is zero.
+    fx = b1(arith)
+    assert starts_at_zero(fx.W) and not starts_at_zero(fx.S)
+    assert starts_at_zero(fx.W.increments)
+    nudged = fx.W + Process.constant(fx.space, 1, arith.parse("1/1000000000000"))
+    assert starts_at_zero(nudged) is not arith.exact
+    with pytest.raises(CalculusError, match="must start at 0"):
+        stoch_exp(fx.S)
+    with pytest.raises(CalculusError, match="null at time 0"):
+        compensator(fx.S, fx.F)
+    with pytest.raises(SpaceError, match="driver must start at 0"):
+        Driver(fx.S, fx.F)
 
 
 def test_compensator_contract_randomized():
@@ -184,8 +203,8 @@ def test_float_integral_is_correctly_rounded_on_every_python():
     # the 1.0 (0.0 on Python 3.10 and 3.11, 1.0 under 3.12's compensated
     # built-in sum).  math.fsum gives 1.0 on every version.
     space = SampleSpace(("o",), (1.0,), arith=FLOAT)
-    F1 = Filtration(space, (Partition.trivial(space),) * 2)
-    H = Process.predictable(F1, {(1, 0): (1e16, 1.0, -1e16)}, dim=3)
+    F1 = Filtration(space, (space.trivial,) * 2)
+    H = Process.keyed(F1, [(0,)], [(1e16, 1.0, -1e16)], 3)
     X = Process.adapted(F1, {(0, 0): (0.0, 0.0, 0.0), (1, 0): (1.0, 1.0, 1.0)}, dim=3)
     assert integrate(H, X).value("o", 1) == 1.0
 

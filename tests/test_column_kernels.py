@@ -39,7 +39,6 @@ from marketforge.calculus import (
     sum_steps,
 )
 from marketforge.space import (
-    Partition,
     Process,
     _common,
     _reduced,
@@ -67,7 +66,7 @@ def partitions(data, space, F) -> list:
     a random labelling (crossing the flow's) and their meets."""
     labels = data.draw(st.lists(st.integers(0, 2), min_size=space.size, max_size=space.size))
     crossing = ref.by_level_sets(space, labels)
-    pool = [*F.partitions, Partition.trivial(space), ref.discrete(space), crossing]
+    pool = [*F.partitions, space.trivial, ref.discrete(space), crossing]
     return pool + [crossing.meet(part)[0] for part in F.partitions]
 
 

@@ -131,7 +131,7 @@ def test_support_condition_first_witness_among_several_violations():
     space = fx.space
     # At time 1 the observer learns the second coin when the noise bit is 1.
     G = Filtration(space, (
-        Partition.trivial(space),
+        space.trivial,
         Partition.from_atoms(space, [["uu0", "ud0"], ["uu1"], ["ud1"],
                                      ["du0", "dd0"], ["du1"], ["dd1"]]),
         discrete(space),
@@ -164,7 +164,7 @@ def _explicit_pairs():
     fx = b2n()
     space = fx.space
     learns_second_coin = Filtration(space, (
-        Partition.trivial(space),
+        space.trivial,
         Partition.from_atoms(space, [["uu0", "ud0"], ["uu1"], ["ud1"],
                                      ["du0", "dd0"], ["du1"], ["dd1"]]),
         discrete(space),

@@ -7,16 +7,17 @@ a solve emits: per-atom keys for each time, one value per distinct key.
 These ``hypothesis`` tests check the gather against
 ``tuple(seq[i] for i in index)`` for index lengths 0, 1 and many, over
 tuples and over dicts with tuple keys (as value keys are), and the keyed
-process against ``Process.predictable`` built from the table of the same
-values, in both modes, layer for layer: the same partition object, the
-same denominator and the same entries, floats by their bits, so 0.0 and
--0.0 stay apart.
+process against ``reference.row_encoded`` of its per-atom values (zero at
+time 0), which shares no code with ``space._layer``, in both modes, layer
+for layer: the same partition object, the same denominator and the same
+entries, floats by their bits, so 0.0 and -0.0 stay apart.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference as ref
 from marketforge.space import Process, _gather
 
 from test_atom_kernels import MODES, markets, numbers
@@ -46,9 +47,8 @@ def test_gather_reads_a_dict_at_its_keys(items, size, data):
     assert got == tuple(items[key] for key in index)
 
 
-def _layers(X) -> list:
-    return [(part, den, [[bits(a) for a in col] for col in cols])
-            for part, cols, den in X.layers]
+def _bits(part, cols, den) -> tuple:
+    return part, den, [[bits(a) for a in col] for col in cols]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -63,7 +63,10 @@ def test_keyed_layers_are_the_predictable_process_of_their_table(mode, data):
             for part in F.partitions[:-1]]
     values = {key: data.draw(st.tuples(*[numbers(space.arith)] * dim))
               for key in set().union(*keys)}
-    table = {(t, k): values[key] for t, ks in enumerate(keys, 1) for k, key in enumerate(ks)}
     X = Process.keyed(F, keys, values, dim)
-    assert _layers(X) == _layers(Process.predictable(F, table, dim))
+    start = F.at(0), [(0,) * dim] * F.at(0).size
+    want = [ref.row_encoded(part, cells) for part, cells in
+            [start, *((part, [values[key] for key in ks]) for part, ks in zip(F.partitions, keys))]]
+    assert [_bits(*layer) for layer in X.layers] == \
+        [_bits(part, list(zip(*rows)), den) for part, rows, den in want]
     assert X.dim == dim

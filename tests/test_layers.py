@@ -1,5 +1,5 @@
-"""Module hygiene: who reads the cell layout, no unused imports, one
-failure model and one drift operator.
+"""Module hygiene: who reads the cell layout, no unused imports, no dead
+engine code, one failure model and one drift operator.
 
 The atom-major layout of a process (its ``layers``, one partition, one
 column per value component with one entry per atom, and one denominator at
@@ -12,22 +12,28 @@ and ``calculus`` only.  A
 contraction crosses the boundary as index pairs (``sum_steps(terms, ...)``),
 which name components, not storage.  Every other engine module reads processes as
 numbers through their accessors (``Process.on_atoms``, ``Process.at``,
-``cond_exp``, ``first_mismatch``, ``increments``),
-decides on them through the ones that read the layers undecoded
-(``first_failing``, whose column predicates see a layer's columns of
-numerators and its denominator and give one flag per atom, ``all_entries``
-for whole cells, ``extrema``, and ``Process.value_keys``, a cell's value
-key, as ``Filtration.transition_keys`` keys child probabilities), and
-builds them from per-atom tables (``Process.adapted``,
-``Process.predictable``), per-atom keys with one value per distinct key
-(``Process.keyed``) or per-outcome paths, never from layers or increments
-(``accumulate``), so a change of storage layout touches those two modules
-alone; the gathers that read a column at an index map (``_gather``,
+``cond_exp``, ``first_mismatch``), reads increments as the process
+``X.increments``, decides on them through the ones that read the layers
+undecoded (``first_failing``, whose column predicates see a layer's
+columns of numerators and its denominator and give one flag per atom,
+``all_entries`` for whole cells, ``starts_at_zero``, ``extrema``, and
+``Process.value_keys``, a cell's value key, as
+``Filtration.transition_keys`` keys child probabilities), and builds them
+from per-atom tables (``Process.adapted``), per-atom keys with one value
+per distinct key (``Process.keyed``) or per-outcome paths, never from
+layers or increments (``accumulate``), so a change of storage layout
+touches those two modules alone; the one layer encoder (``_layer``) and
+the gathers that read a column at an index map (``_gather``,
 ``_getter``) stay there too.
 
 Every name an engine module imports is used in that module (``__init__``
 re-exports, so it is exempt); ``# noqa: F401`` on the import line keeps a
 name that is imported only to be found there.
+
+Every module-level function and class and every method in ``src/`` is read
+somewhere in ``src/`` outside its own body (by name or as an attribute;
+the re-exports of ``__init__`` do not count), except the few named in
+``UNCALLED`` with their reasons.
 
 Every check reports its failure as the one ``calculus.FailureWitness``; every
 check row a failure names as its stage (``stage=...``, or the third argument
@@ -56,7 +62,7 @@ LAYOUT_TOKENS = re.compile(r"\.layers\b|\.meet\(|\batom_at\b|_tabled|_keyed|_gro
                            r"|_encoded|_decoded|_reduced|_numerators|\b_over\(|_layer_key|layer="
                            r"|\b_column\(|\b_scaled\(|\b_rows\(|\b_picked\(|_sum_plan|_sums\b"
                            r"|\b_weighted\(|\b_failing\(|\b_eq\(|\b_dot\(|_member_weights"
-                           r"|accumulate\(|\bid\(|\b_gather\(|\b_getter\("
+                           r"|accumulate\(|\bid\(|\b_gather\(|\b_getter\(|\b_layer\("
                            r"|_meets\b|\b_nest\(|_parent_map|_read_off|_outcome_meet|\b_split\("
                            r"|_finer\(|\._own\b|\._keys\b"
                            r"|\b_refined\(|_maps_onto|_group_outcomes|\b_met\(|\b_flow\("
@@ -108,6 +114,55 @@ def test_unused_import_check_sees_an_orphan_and_honours_noqa():
 
 def _engine_trees() -> dict:
     return {p.name: ast.parse(p.read_text()) for p in sorted(ENGINE.glob("*.py"))}
+
+
+UNCALLED = {
+    "mrp.check_mrp": "the representation check that ROADMAP item 2 puts on the load path",
+    "space.Process.from_paths": "a by-value constructor of the library",
+    "space.Process.constant": "a by-value constructor of the library",
+    "space.Partition.from_atoms": "a by-value constructor of the library",
+}
+
+
+def _uncalled(trees: dict) -> list:
+    """``module.name`` (``module.Class.method``) of every module-level
+    function and class and every method but a dunder that no module other
+    than ``__init__`` reads, as a name or an attribute, outside the
+    definition's own lines."""
+    reads: dict = {}
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                reads.setdefault(name, []).append((module, node.lineno))
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            defs = [(top.name, top)] if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(top, ast.ClassDef):
+                defs += [(f"{top.name}.{node.name}", node) for node in top.body
+                         if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")]
+            for qual, node in defs:
+                if not any(m != module or not node.lineno <= line <= node.end_lineno
+                           for m, line in reads.get(node.name, ())):
+                    found.append(f"{module[:-3]}.{qual}")
+    return found
+
+
+def test_every_engine_definition_has_an_engine_caller():
+    assert set(_uncalled(_engine_trees())) == set(UNCALLED)
+
+
+def test_caller_check_sees_an_orphan():
+    source = ("class A:\n"
+              "    def used(self): return 1\n"
+              "    def orphan(self): return self.orphan()\n"
+              "    def __add__(self, other): return A()\n"
+              "def f(): return A().used()\n")
+    trees = {"m.py": ast.parse(source), "__init__.py": ast.parse("from .m import orphan, f\n")}
+    assert _uncalled(trees) == ["m.A.orphan", "m.f"]
 
 
 def _classes(trees: dict) -> list:

@@ -1,7 +1,7 @@
 """Elimination linear algebra: hand-checked oracles plus randomized identities.
 
-``solve_pd`` and ``lstsq_min_norm`` return numerators over one
-denominator; ``solved`` decodes them.
+``lstsq_min_norm`` returns numerators over one denominator;
+``solved`` decodes them.
 """
 
 import random
@@ -32,12 +32,6 @@ def test_rref_rank_and_null_space():
     basis = ref.null_space(A, EXACT)
     assert len(basis) == 1
     assert la.mat_vec(A, basis[0]) == [0, 0, 0]
-
-
-def test_solve_pd_exact():
-    M = frac_matrix([[2, 1], [1, 2]])
-    x, den = la.solve_pd(M, [F(3), F(3)], EXACT)
-    assert ref.decoded(x, den) == [1, 1]
 
 
 def test_lstsq_consistent_underdetermined_is_min_norm():

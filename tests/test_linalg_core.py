@@ -6,8 +6,8 @@ Gauss-Jordan elimination on Fractions it replaced, with its own LDL^T loop
 for ``is_psd``.  The pivot columns, the Moore-Penrose solution and a PSD
 decision are each unique, so on drawn rational matrices -- of drawn rank,
 with zero rows, with a right-hand side inside or outside the column space,
-symmetric PSD and symmetric indefinite -- ``rank``, ``solve_pd``,
-``lstsq_min_norm`` and ``is_psd`` must give exactly the oracle's answers.
+symmetric PSD and symmetric indefinite -- ``rank``, ``lstsq_min_norm``
+and ``is_psd`` must give exactly the oracle's answers.
 Float mode keeps the oracle's row update, so a float least-squares solve
 gives the oracle's bits, and a float rank or PSD decision its decision.
 Exact ``solve_site`` must give the generalized-inverse reference's xi, and
@@ -18,7 +18,6 @@ inaccessible sites.
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -95,19 +94,10 @@ def test_float_least_squares_keeps_the_oracle_bits(system):
     assert la.rank(A, FLOAT) == ref.rank(A, FLOAT)
 
 
-@given(symmetric(), st.data())
-def test_definiteness_and_definite_solves_match_the_oracle(S, data):
+@given(symmetric())
+def test_definiteness_matches_the_oracle(S):
     assert la.is_psd(S, EXACT) == ref.is_psd(S, EXACT)
     assert la.is_psd(floats(S), FLOAT) == ref.is_psd(floats(S), FLOAT)
-    b = data.draw(st.lists(RATIONALS, min_size=len(S), max_size=len(S)))
-    try:
-        want = ref.solve_pd(S, b, EXACT)
-    except la.LinalgError:
-        with pytest.raises(la.LinalgError):
-            la.solve_pd(S, b, EXACT)
-        return
-    x, den = la.solve_pd(S, b, EXACT)
-    assert den > 0 and ref.decoded(x, den) == want
 
 
 @given(st.integers(0, 2 ** 32), st.booleans())

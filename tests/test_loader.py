@@ -38,7 +38,7 @@ from marketforge import scenario
 from marketforge.arith import EXACT, FLOAT, Arithmetic
 from marketforge.cli import main
 from marketforge.scenario import load_scenario, parse_document
-from marketforge.space import Filtration, Partition, Process, SampleSpace, SpaceError
+from marketforge.space import Filtration, Process, SampleSpace, SpaceError
 from test_golden_reports import GOLDEN, INPUTS, MODES
 
 ARITH = {"exact": EXACT, "float": FLOAT}
@@ -140,7 +140,7 @@ def test_loader_builds_on_a_drawn_flow_the_reference_layers_refined_by_it(mode, 
     # column is to be adapted, by the column's own level sets.
     adapted = data.draw(st.lists(st.booleans(), min_size=X.horizon + 1,
                                  max_size=X.horizon + 1))
-    part, parts = Partition.trivial(space), []
+    part, parts = space.trivial, []
     for t, own in enumerate(adapted):
         labels = data.draw(st.lists(st.integers(0, 1), min_size=space.size,
                                     max_size=space.size))
@@ -163,7 +163,7 @@ def test_loader_builds_on_a_flow_that_does_not_see_the_process_its_level_sets(mo
     doc = parse_document(json.dumps(coin_tree(3)))
     arith = ARITH[mode]
     space = load_scenario(doc, arith).space
-    blind = Filtration(space, (Partition.trivial(space),) * 4)
+    blind = Filtration(space, (space.trivial,) * 4)
     want = ref.row_refined(ref.Rows.of(ref.load_process(doc["prices"], "prices", space, arith)),
                            blind)
     got = Process.from_keys(space, *scenario._paths(doc["prices"], "prices", space, arith), blind)

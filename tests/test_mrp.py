@@ -9,7 +9,6 @@ from marketforge.fixtures import b1, b2, b2n
 from marketforge.mrp import Driver, check_mrp, synthesize_driver
 from marketforge.space import (
     Filtration,
-    Partition,
     Process,
     SampleSpace,
     SpaceError,
@@ -83,7 +82,7 @@ def test_not_representable_when_three_ways_split_on_scalar_driver():
     # One step, three outcomes, driver takes only two values: a martingale
     # separating the third outcome cannot be represented.
     space = SampleSpace(("a", "b", "c"), (F(1, 4), F(1, 4), F(1, 2)))
-    parts = (Partition.trivial(space), discrete(space))
+    parts = (space.trivial, discrete(space))
     filtration = Filtration(space, parts)
     W = Process.from_paths(space, [[0, 1], [0, -1], [0, 0]])
     driver = Driver(W, filtration)
@@ -138,7 +137,7 @@ def test_synthesize_driver_binary_tree():
 
 def test_synthesize_driver_trinomial():
     space = SampleSpace(("a", "b", "c"), (F(1, 4), F(1, 4), F(1, 2)))
-    filtration = Filtration(space, (Partition.trivial(space), discrete(space)))
+    filtration = Filtration(space, (space.trivial, discrete(space)))
     driver = synthesize_driver(filtration)
     assert driver.d == 2
     assert check_mrp(filtration, driver) is None
@@ -154,7 +153,7 @@ def test_synthesize_driver_trinomial():
 
 def test_synthesize_driver_non_splitting():
     space = SampleSpace(("a", "b"), (F(1, 2), F(1, 2)))
-    part = Partition.trivial(space)
+    part = space.trivial
     filtration = Filtration(space, (part, part))
     driver = synthesize_driver(filtration)
     assert driver.d == 0
@@ -175,7 +174,7 @@ def test_check_mrp_agrees_with_the_representation_oracle():
         m = rng.randint(2, 4)
         raw = [rng.randint(1, 5) for _ in range(m)]
         space = SampleSpace(tuple("abcd"[:m]), tuple(F(w, sum(raw)) for w in raw))
-        flow = Filtration(space, (Partition.trivial(space), discrete(space)))
+        flow = Filtration(space, (space.trivial, discrete(space)))
         d = rng.randint(1, 3)
         steps = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(m)]
         means = [sum(p * s[e] for p, s in zip(space.weights, steps)) for e in range(d)]

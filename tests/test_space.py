@@ -32,6 +32,7 @@ from reference import (
     is_predictable,
     lift_filtration,
     lift_process,
+    predictable,
     product_with_independent,
     shift,
 )
@@ -86,7 +87,7 @@ def test_cond_exp_atom_average():
 def test_cond_exp_tower_property():
     space = b2().space
     fine = Partition.from_atoms(space, [("uu",), ("ud",), ("du", "dd")])
-    coarse = Partition.trivial(space)
+    coarse = space.trivial
     values = [F(7), F(-1), F(2), F(10)]
     once = _cond_exp(_cond_exp(values, fine, space), coarse, space)
     direct = _cond_exp(values, coarse, space)
@@ -123,14 +124,18 @@ def test_predictable_from_atom_table_on_b2n():
             for o in fx.space.outcomes
         ])
 
-    for initial, v0 in ((None, (0, 0)), ((F(1, 3), F(2)), (F(1, 3), F(2)))):
-        X = Process.predictable(G, table, 2, initial=initial)
+    # Zero at time 0 as a solve emits it, keyed by (t, k); any time-0 value
+    # through the reference's Process.adapted on the lagged flow.
+    keys = [tuple((t, k) for k in range(G.at(t - 1).size)) for t in (1, 2)]
+    for X, v0 in ((Process.keyed(G, keys, table, 2), (0, 0)),
+                  (predictable(G, table, 2), (0, 0)),
+                  (predictable(G, table, 2, initial=(F(1, 3), F(2))), (F(1, 3), F(2)))):
         assert columns(X) == columns(by_hand(v0))
         assert is_predictable(X, G)
-    assert Process.predictable(fx.F, {(1, 0): 5, (2, 0): 6, (2, 1): 7},
-                               initial=1).at("du1", 2) == (7,)
+    assert predictable(fx.F, {(1, 0): 5, (2, 0): 6, (2, 1): 7},
+                       initial=1).at("du1", 2) == (7,)
     with pytest.raises(SpaceError):
-        Process.predictable(G, table, 3)
+        predictable(G, table, 3)
 
 
 def test_first_mismatch_reports_first_cell_in_outcome_major_order():
@@ -196,8 +201,7 @@ def test_atom_index_matches_brute_enumeration():
             space = flow.space
             for t in range(flow.horizon + 1):
                 part = flow.at(t)
-                assert part.members == tuple(
-                    tuple(space.outcomes.index(o) for o in atom) for atom in part.atoms)
+                assert part.firsts == tuple(space.outcomes.index(atom[0]) for atom in part.atoms)
                 assert part.masses == tuple(
                     sum(space.weight(o) for o in atom) for atom in part.atoms)
                 assert part.parents(pair.base.at(t)) == _brute_parents(part, pair.base.at(t))
@@ -221,8 +225,7 @@ def test_enlargement_pair_rejects_a_flow_that_does_not_refine():
         EnlargementPair(fx.pair.expanded, fx.pair.base)
     # one time is enough: this flow refines F at t = 0 and t = 2 only
     coins = b2()
-    late = Filtration(coins.space, (Partition.trivial(coins.space),
-                                    Partition.trivial(coins.space), coins.F.at(2)))
+    late = Filtration(coins.space, (coins.space.trivial, coins.space.trivial, coins.F.at(2)))
     with pytest.raises(SpaceError, match="does not refine"):
         EnlargementPair(coins.F, late)
 
@@ -230,7 +233,7 @@ def test_enlargement_pair_rejects_a_flow_that_does_not_refine():
 def test_filtration_must_refine():
     space = three_point_space()
     fine = discrete(space)
-    coarse = Partition.trivial(space)
+    coarse = space.trivial
     with pytest.raises(SpaceError):
         Filtration(space, (fine, coarse))
 

@@ -102,7 +102,7 @@ def test_tree_index_matches_outcome_grouping(mode, seed, kind):
     sample, F = random_tree(rng, MODES[mode])
     pair = _enlargement(kind, F, rng)
     G = pair.expanded
-    parts = [*F.partitions, *G.partitions, Partition.trivial(sample)]
+    parts = [*F.partitions, *G.partitions, sample.trivial]
     pairs = [(a, b) for a in parts for b in parts]
     rng.shuffle(pairs)
     for a, b in pairs:

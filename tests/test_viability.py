@@ -1,6 +1,7 @@
 """Structure solves and deflator verdicts in base and expanded flows."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -240,7 +241,8 @@ def test_solve_structure_G_insider_assumption_gate_and_bypass():
     assert verdict.status == ASSUMPTION_VIOLATED
     assert verdict.witness.reason == "support"
     assert verdict.witness.t == 1
-    forced = solve_structure_G(market, gauge, base, enforce_assumptions=False)
+    forced = solve_structure_G(market, replace(gauge, support_witness=None, tilt_witness=None),
+                               base)
     assert forced.status == NON_VIABLE
     assert forced.witness.reason == "site-infeasible"
     assert forced.witness.t == 1

@@ -27,7 +27,7 @@ from marketforge.selftest import (  # noqa: F401  (re-exports for tests)
 )
 from marketforge.space import Filtration, Process, SampleSpace
 
-from reference import by_level_sets, delta
+from reference import by_level_sets, delta, predictable
 
 
 def bits(x):
@@ -107,7 +107,7 @@ def random_predictable(space, filtration, rng, dim=1) -> Process:
         part = filtration.at(t - 1)
         for k, atom in enumerate(part.atoms):
             table[(t, k)] = tuple(rand_fraction(rng) for _ in range(dim))
-    return Process.predictable(filtration, table, dim, initial=v0)
+    return predictable(filtration, table, dim, initial=v0)
 
 
 def record_site_solves(monkeypatch) -> list:
